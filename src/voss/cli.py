@@ -19,6 +19,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .benchmark import (
     NEAR_ZERO_POWER_FRACTION,
     RhoSource,
@@ -195,9 +197,9 @@ def cmd_sensors(args) -> int:
     out = _out_dir(args)
     for curve in curves:
         path = write_loss_curve_csv(curve, out)
-        flagged = sum(1 for p in curve.points if p.flags)
+        flagged = np.count_nonzero(curve.flag_bits)
         print(
-            f"{curve.upstream}->{curve.downstream}: {len(curve.points)} points "
+            f"{curve.upstream}->{curve.downstream}: {curve.flag_bits.size} points "
             f"({flagged} flagged)"
         )
         print(f"wrote {path}")

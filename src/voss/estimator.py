@@ -7,7 +7,8 @@ loss fraction; a correction factor derived from the ratio of power and
 voltage at the two ends scales the estimate back.
 
 All functions here are pure and operate on plain floats/complex numbers,
-so they are safe to call concurrently.
+except voss_elementwise, which applies the same arithmetic to numpy
+arrays; all are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 
 class Phase(Enum):
@@ -169,6 +172,12 @@ def correction_factor_hat(params: CorrectionParams) -> float:
         raise ValueError(f"rho_v must be > 0, got {rho_v}")
     if rho_s < 0.0:
         raise ValueError(f"rho_s must be >= 0, got {rho_s}")
+    return _c_hat(rho_s, rho_v)
+
+
+def _c_hat(rho_s, rho_v):
+    # shared by the scalar and the elementwise estimate, so both give
+    # the same bits
     return 1.0 - ((rho_v - rho_s) / (rho_v + rho_s)) * ((rho_v + 2.0 * rho_s) / (3.0 * rho_v))
 
 
@@ -219,3 +228,29 @@ def voss_corrected(
         params=params,
         flags=frozenset(flags),
     )
+
+
+def voss_elementwise(v_start, v_end, rho_s: Optional[float] = None) -> tuple:
+    """voss_single, or voss_corrected with this rho_s, over arrays of pairs.
+
+    v_start and v_end are numpy arrays of endpoint magnitudes; rho_v is
+    v_end/v_start per element.  Returns (loss fractions, NEGATIVE_DROP
+    mask, CORRECTION_OUT_OF_RANGE mask).  Each element equals the scalar
+    function's result on the same pair bit for bit, and the inputs the
+    scalar functions reject are rejected here too.
+    """
+    if not np.all((0.0 < v_start) & (v_start < np.inf)):
+        raise ValueError("v_start must be finite and > 0")
+    if not np.all((0.0 <= v_end) & (v_end < np.inf)):
+        raise ValueError("v_end must be finite and >= 0")
+    raw = 1.0 - v_end / v_start
+    negative = raw < 0.0
+    if rho_s is None:
+        return raw, negative, np.zeros_like(negative)
+    if rho_s < 0.0:
+        raise ValueError(f"rho_s must be >= 0, got {rho_s}")
+    rho_v = v_end / v_start
+    if not np.all(rho_v > 0.0):
+        raise ValueError("rho_v must be > 0")
+    rho = 1.0 - rho_s / rho_v
+    return _c_hat(rho_s, rho_v) * raw, negative, ~((0.0 <= rho) & (rho <= 1.0))

@@ -9,6 +9,20 @@ so readings are used as reported; explicit per-sensor calibration
 factors are available for known ratio offsets, but there is no implicit
 normalization (that would erase the very drop being measured).
 
+Inside this module a series is two numpy arrays, int64 UTC epoch
+microseconds and float64 volts, and a loss curve is three: grid
+timestamps in epoch microseconds, loss fractions, and flag bits.  The
+object views (``VoltageSeries.samples``, ``LossCurve.points``) are
+built only when read.  Ingest parses each distinct timestamp string
+once.  ``loss_curve`` splits off outage readings, calibrates and
+median-smooths each sensor once, however many pairs it belongs to.
+The array kernels (rolling median, nearest sample, grid, timestamp
+rounding and formatting) are in ``voss.timeseries``, the elementwise
+estimate in ``voss.estimator``.
+Times in seconds are ``epoch_us / 1e6``, which equals
+``datetime.timestamp()`` bit for bit (within 2**53 us, about 285 years,
+of 1970), so grid and alignment arithmetic is the same as on datetimes.
+
 Scaling both series of a pair by the same factor leaves the curve
 unchanged; for power-of-two factors the output is bit-identical, since
 every step (calibration, median, ratio) then commutes exactly with the
@@ -20,21 +34,22 @@ from __future__ import annotations
 import csv
 import json
 import math
-import statistics
-from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, field, fields
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional
 
-from .estimator import (
-    CorrectionParams,
-    EstimateFlag,
-    SegmentVoltages,
-    voss_corrected,
-    voss_single,
-)
+import numpy as np
+
+from .estimator import EstimateFlag, voss_elementwise
 from .ioutil import format_float, write_csv
+from .timeseries import (
+    format_utc,
+    grid_points,
+    nearest_index,
+    rolling_median,
+    seconds_to_us,
+)
 
 CSV_HEADER = ["sensor_id", "timestamp", "voltage_v"]
 CURVE_HEADER = ["timestamp", "loss_fraction", "flags"]
@@ -52,6 +67,20 @@ FLAG_POWER_SUSPECT = "PowerStateSuspect"
 FLAG_NEGATIVE_DROP = EstimateFlag.NEGATIVE_DROP.value
 FLAG_CORRECTION_RANGE = EstimateFlag.CORRECTION_OUT_OF_RANGE.value
 
+# A curve point's flags are bits: bit k stands for FLAG_NAMES[k], and
+# flags are always listed in this order.
+FLAG_NAMES = (FLAG_GAP, FLAG_POWER_SUSPECT, FLAG_NEGATIVE_DROP, FLAG_CORRECTION_RANGE)
+GAP_BIT, SUSPECT_BIT, NEGATIVE_BIT, RANGE_BIT = 1, 2, 4, 8
+_FLAG_TUPLES = tuple(
+    tuple(name for k, name in enumerate(FLAG_NAMES) if bits >> k & 1)
+    for bits in range(1 << len(FLAG_NAMES))
+)
+_FLAG_TEXT = tuple(";".join(flags) for flags in _FLAG_TUPLES)
+
+UTC = timezone.utc
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_ONE_US = timedelta(microseconds=1)
+
 
 class SensorFormatError(ValueError):
     """Malformed sensor CSV or chain configuration."""
@@ -63,44 +92,112 @@ class SensorFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class VoltageSeries:
+def _epoch_us(ts: datetime) -> int:
+    return (ts - EPOCH) // _ONE_US
+
+
+def _datetime(epoch_us: int) -> datetime:
+    return EPOCH + timedelta(microseconds=epoch_us)
+
+
+def _array(dtype):
+    """A dataclass field holding a read-only numpy array of dtype."""
+    return field(metadata={"dtype": dtype})
+
+
+class _ArrayRecord:
+    """Base of the frozen dataclasses that keep their data in _array fields."""
+
+    def _fill(self, *values) -> None:
+        """Assign the fields in declaration order, freezing array fields."""
+        for f, value in zip(fields(self), values):
+            if "dtype" in f.metadata:
+                value = np.array(value, dtype=f.metadata["dtype"])
+                value.flags.writeable = False
+            object.__setattr__(self, f.name, value)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """An instance from its field values, without __init__'s checks."""
+        record = cls.__new__(cls)
+        record._fill(*values)
+        return record
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if "dtype" in f.metadata:
+                if not np.array_equal(mine, theirs, equal_nan=True):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class VoltageSeries(_ArrayRecord):
     """Sorted voltage-magnitude samples from one sensor.
 
-    samples holds (UTC timestamp, volts) pairs with strictly increasing
-    timestamps; gaps are simply missing entries.  calibration multiplies
-    readings before any use and defaults to 1.
+    Built from (aware datetime, volts) pairs with strictly increasing
+    timestamps; gaps are simply missing entries.  Stored as epoch_us
+    (int64 UTC epoch microseconds) and volts (float64); samples gives
+    the pairs back.  calibration multiplies readings before any use and
+    defaults to 1.
     """
 
     sensor_id: str
-    samples: tuple
-    nominal_voltage: float = 230.0
-    calibration: float = 1.0
-    duplicates_dropped: int = 0
+    epoch_us: np.ndarray = _array(np.int64)
+    volts: np.ndarray = _array(np.float64)
+    nominal_voltage: float
+    calibration: float
+    duplicates_dropped: int
 
-    def __post_init__(self) -> None:
-        if not self.sensor_id:
+    def __init__(
+        self,
+        sensor_id: str,
+        samples,
+        nominal_voltage: float = 230.0,
+        calibration: float = 1.0,
+        duplicates_dropped: int = 0,
+    ) -> None:
+        if not sensor_id:
             raise ValueError("sensor_id must be nonempty")
-        if not (self.nominal_voltage > 0.0):
-            raise ValueError(f"nominal_voltage must be > 0, got {self.nominal_voltage}")
-        if not (self.calibration > 0.0):
-            raise ValueError(f"calibration must be > 0, got {self.calibration}")
+        if not (nominal_voltage > 0.0):
+            raise ValueError(f"nominal_voltage must be > 0, got {nominal_voltage}")
+        if not (calibration > 0.0):
+            raise ValueError(f"calibration must be > 0, got {calibration}")
+        samples = tuple(samples)
         prev = None
-        for ts, volts in self.samples:
+        for ts, volts in samples:
             if ts.tzinfo is None:
-                raise ValueError(f"{self.sensor_id}: naive timestamp {ts}")
+                raise ValueError(f"{sensor_id}: naive timestamp {ts}")
             if prev is not None and ts <= prev:
                 raise ValueError(
-                    f"{self.sensor_id}: timestamps not strictly increasing at {ts}"
+                    f"{sensor_id}: timestamps not strictly increasing at {ts}"
                 )
             if volts < 0.0 or not math.isfinite(volts):
-                raise ValueError(f"{self.sensor_id}: bad voltage {volts} at {ts}")
+                raise ValueError(f"{sensor_id}: bad voltage {volts} at {ts}")
             prev = ts
+        self._fill(
+            sensor_id,
+            [_epoch_us(ts) for ts, _ in samples],
+            [volts for _, volts in samples],
+            nominal_voltage,
+            calibration,
+            duplicates_dropped,
+        )
+
+    @property
+    def samples(self) -> tuple:
+        """(UTC datetime, volts) pairs, built on each access."""
+        return tuple(zip(map(_datetime, self.epoch_us.tolist()), self.volts.tolist()))
 
     def span(self) -> tuple:
-        if not self.samples:
+        if not self.epoch_us.size:
             raise ValueError(f"{self.sensor_id}: empty series")
-        return self.samples[0][0], self.samples[-1][0]
+        return _datetime(int(self.epoch_us[0])), _datetime(int(self.epoch_us[-1]))
 
 
 @dataclass(frozen=True)
@@ -140,47 +237,81 @@ class SensorChain:
 
 
 @dataclass(frozen=True)
-class AlignedPoint:
-    """One grid timestamp with the nearest sample from each series.
-
-    A None side means no sample landed within tolerance: a gap.  Values
-    are never interpolated across gaps.
-    """
-
-    timestamp: datetime
-    v_a: Optional[float]
-    v_b: Optional[float]
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     timestamp: datetime
     loss_fraction: float  # nan when the point is a gap or outage-suspect
     flags: tuple = ()
 
 
-@dataclass(frozen=True)
-class LossCurve:
-    """Loss-fraction estimates for one sensed span on the aligned grid."""
+def _flag_bits(flags) -> int:
+    return sum(1 << FLAG_NAMES.index(flag) for flag in set(flags))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class LossCurve(_ArrayRecord):
+    """Loss-fraction estimates for one sensed span on the aligned grid.
+
+    One array entry per grid point: timestamp_us (UTC epoch
+    microseconds), loss_fraction (nan at gap and outage-suspect points)
+    and flag_bits (see FLAG_NAMES).  Built from CurvePoint objects;
+    points gives them back.
+    """
 
     upstream: str
     downstream: str
-    points: tuple
+    timestamp_us: np.ndarray = _array(np.int64)
+    loss_fraction: np.ndarray = _array(np.float64)
+    flag_bits: np.ndarray = _array(np.uint8)
     window_s: float
     grid_step_s: float
     tolerance_s: float
-    rho_s: Optional[float] = None
+    rho_s: Optional[float]
+
+    def __init__(
+        self,
+        upstream: str,
+        downstream: str,
+        points,
+        window_s: float,
+        grid_step_s: float,
+        tolerance_s: float,
+        rho_s: Optional[float] = None,
+    ) -> None:
+        points = tuple(points)
+        self._fill(
+            upstream,
+            downstream,
+            [_epoch_us(p.timestamp) for p in points],
+            [p.loss_fraction for p in points],
+            [_flag_bits(p.flags) for p in points],
+            window_s,
+            grid_step_s,
+            tolerance_s,
+            rho_s,
+        )
+
+    @property
+    def points(self) -> tuple:
+        """One CurvePoint per grid point, built on each access."""
+        return tuple(
+            CurvePoint(_datetime(us), loss, _FLAG_TUPLES[bits])
+            for us, loss, bits in zip(
+                self.timestamp_us.tolist(),
+                self.loss_fraction.tolist(),
+                self.flag_bits.tolist(),
+            )
+        )
 
 
-def _parse_timestamp(text: str, line_no: int) -> datetime:
+def _parse_epoch_us(text: str, line_no: int) -> int:
     try:
         ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    except ValueError as exc:
+        # a bare timestamp is taken as UTC; astimezone rejects an offset
+        # that moves the instant outside years 1-9999
+        ts = ts.replace(tzinfo=UTC) if ts.tzinfo is None else ts.astimezone(UTC)
+    except (ValueError, OverflowError) as exc:
         raise SensorFormatError(f"bad timestamp {text!r}: {exc}", line=line_no) from None
-    if ts.tzinfo is None:
-        # bare timestamps are taken as UTC
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    return _epoch_us(ts)
 
 
 def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
@@ -189,13 +320,14 @@ def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
     Rows may arrive in any order; each series comes back sorted.  A
     repeated timestamp within one sensor keeps the first reading seen in
     the file and counts the rest in duplicates_dropped.  Any malformed
-    row fails with its line number.  Returns series sorted by sensor id.
+    row fails with its line number.  A leading UTF-8 byte-order mark is
+    skipped.  Returns series sorted by sensor id.
     """
     calibration = calibration or {}
-    per_sensor: Dict[str, dict] = {}
-    dropped: Dict[str, int] = {}
-    path = Path(path)
-    with path.open(newline="") as handle:
+    stamps: dict = {}  # timestamp text -> epoch microseconds
+    per_sensor: dict = {}  # sensor id -> {epoch microseconds: volts}
+    dropped: dict = {}
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -216,7 +348,9 @@ def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
             sensor_id = row[0].strip()
             if not sensor_id:
                 raise SensorFormatError("empty sensor_id", line=line_no)
-            ts = _parse_timestamp(row[1], line_no)
+            us = stamps.get(row[1])
+            if us is None:
+                us = stamps[row[1]] = _parse_epoch_us(row[1], line_no)
             try:
                 volts = float(row[2])
             except ValueError:
@@ -228,41 +362,25 @@ def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
                     f"voltage must be finite and >= 0, got {row[2]}", line=line_no
                 )
             bucket = per_sensor.setdefault(sensor_id, {})
-            if ts in bucket:
+            if us in bucket:
                 dropped[sensor_id] = dropped.get(sensor_id, 0) + 1
             else:
-                bucket[ts] = volts
-    return [
-        VoltageSeries(
-            sensor_id=sensor_id,
-            samples=tuple(sorted(per_sensor[sensor_id].items())),
-            nominal_voltage=nominal_voltage,
-            calibration=calibration.get(sensor_id, 1.0),
-            duplicates_dropped=dropped.get(sensor_id, 0),
+                bucket[us] = volts
+    series = []
+    for sensor_id in sorted(per_sensor):
+        bucket = per_sensor[sensor_id]
+        epoch_us = sorted(bucket)
+        series.append(
+            VoltageSeries._unchecked(
+                sensor_id,
+                epoch_us,
+                [bucket[us] for us in epoch_us],
+                nominal_voltage,
+                calibration.get(sensor_id, 1.0),
+                dropped.get(sensor_id, 0),
+            )
         )
-        for sensor_id in sorted(per_sensor)
-    ]
-
-
-def _nearest(epochs: Sequence, values: Sequence, t: float, tol: float):
-    """Value of the sample nearest t within tol; ties go to the earlier one."""
-    idx = bisect_left(epochs, t)
-    best_v = None
-    best_dt = math.inf
-    for j in (idx - 1, idx):
-        if 0 <= j < len(epochs):
-            dt = abs(epochs[j] - t)
-            if dt < best_dt:
-                best_v, best_dt = values[j], dt
-    return best_v if best_dt <= tol else None
-
-
-def _grid(start: float, end: float, step: float) -> list:
-    # Grid points sit at absolute multiples of the step (UTC epoch), so
-    # runs over different but overlapping files share timestamps.
-    k0 = math.ceil(start / step - 1e-9)
-    k1 = math.floor(end / step + 1e-9)
-    return [k * step for k in range(k0, k1 + 1)]
+    return series
 
 
 def align(
@@ -270,147 +388,89 @@ def align(
     series_b: VoltageSeries,
     grid_step_s: float = GRID_STEP_S,
     tolerance_s: float = PAIR_TOLERANCE_S,
-) -> list:
+) -> tuple:
     """Pair two series onto a shared time grid.
 
-    The grid spans the overlap of the two series.  Each point takes the
-    nearest stored sample within tolerance_s from each side; a side with
-    none stays None (a gap).  Raises when the series do not overlap or
-    the overlap contains no grid point.
+    Returns (grid, v_a, v_b) as float arrays: the grid in epoch seconds,
+    spanning the overlap of the two series, and per grid point the
+    nearest stored sample within tolerance_s from each side (ties go to
+    the earlier sample), nan where there is none (a gap).  Raises when
+    the series do not overlap or the overlap contains no grid point.
     """
-    if not series_a.samples or not series_b.samples:
+    if not series_a.epoch_us.size or not series_b.epoch_us.size:
         raise ValueError("align needs two nonempty series")
-    a0, a1 = series_a.span()
-    b0, b1 = series_b.span()
-    start = max(a0.timestamp(), b0.timestamp())
-    end = min(a1.timestamp(), b1.timestamp())
+    ea, eb = series_a.epoch_us / 1e6, series_b.epoch_us / 1e6
+    start = max(float(ea[0]), float(eb[0]))
+    end = min(float(ea[-1]), float(eb[-1]))
     if start > end:
         raise ValueError(
             f"series {series_a.sensor_id!r} and {series_b.sensor_id!r} do not overlap"
         )
-    grid = _grid(start, end, grid_step_s)
-    if not grid:
+    grid = grid_points(start, end, grid_step_s)
+    if not grid.size:
         raise ValueError(
             f"overlap of {series_a.sensor_id!r} and {series_b.sensor_id!r} "
             f"contains no grid point at step {grid_step_s} s"
         )
-    ea = [ts.timestamp() for ts, _ in series_a.samples]
-    va = [v for _, v in series_a.samples]
-    eb = [ts.timestamp() for ts, _ in series_b.samples]
-    vb = [v for _, v in series_b.samples]
-    return [
-        AlignedPoint(
-            timestamp=datetime.fromtimestamp(t, tz=timezone.utc),
-            v_a=_nearest(ea, va, t, tolerance_s),
-            v_b=_nearest(eb, vb, t, tolerance_s),
-        )
-        for t in grid
-    ]
+    sides = []
+    for epochs, series in ((ea, series_a), (eb, series_b)):
+        index = nearest_index(epochs, grid, tolerance_s)
+        sides.append(np.where(index >= 0, series.volts[index], np.nan))
+    return (grid, *sides)
 
 
-def rolling_median(samples: Sequence, window_s: float = SMOOTHING_WINDOW_S) -> list:
-    """Centered time-windowed median, one output per (epoch_s, value) input.
-
-    The value at time t is the median of all samples within window_s/2
-    of t (inclusive), so a window shorter than the sampling interval is
-    the identity.  Median rather than mean keeps single-sample telemetry
-    glitches out of the curve.
-    """
-    out = []
-    lo = 0
-    hi = 0
-    n = len(samples)
-    half = window_s / 2.0
-    for i in range(n):
-        t = samples[i][0]
-        while lo < n and samples[lo][0] < t - half:
-            lo += 1
-        if hi < i + 1:
-            hi = i + 1
-        while hi < n and samples[hi][0] <= t + half:
-            hi += 1
-        out.append(statistics.median(v for _, v in samples[lo:hi]))
-    return out
-
-
-def _split_suspect(series: VoltageSeries) -> tuple:
-    """(clean calibrated samples, suspect epoch list) for one series."""
-    cutoff = POWER_SUSPECT_FRACTION * series.nominal_voltage
-    clean = []
-    suspect = []
-    for ts, volts in series.samples:
-        if volts < cutoff:
-            suspect.append(ts.timestamp())
-        else:
-            clean.append((ts, volts * series.calibration))
-    return clean, suspect
-
-
-def _has_within(epochs: Sequence, t: float, tol: float) -> bool:
-    idx = bisect_left(epochs, t)
-    for j in (idx - 1, idx):
-        if 0 <= j < len(epochs) and abs(epochs[j] - t) <= tol:
-            return True
-    return False
+def _smoothed(series: VoltageSeries, window_s: float) -> tuple:
+    """(clean samples, calibrated and median-smoothed; outage epoch seconds)."""
+    clean = ~(series.volts < POWER_SUSPECT_FRACTION * series.nominal_voltage)
+    epoch_us = series.epoch_us[clean]
+    smoothed = rolling_median(
+        epoch_us / 1e6, series.volts[clean] * series.calibration, window_s
+    )
+    return (
+        VoltageSeries._unchecked(
+            series.sensor_id, epoch_us, smoothed, series.nominal_voltage, 1.0, 0
+        ),
+        series.epoch_us[~clean] / 1e6,
+    )
 
 
 def _pair_curve(
-    up: VoltageSeries,
-    down: VoltageSeries,
+    up: tuple,
+    down: tuple,
     rho_s: Optional[float],
     window_s: float,
     grid_step_s: float,
     tolerance_s: float,
 ) -> LossCurve:
-    clean_up, sus_up = _split_suspect(up)
-    clean_down, sus_down = _split_suspect(down)
-    if not clean_up or not clean_down:
+    (smooth_up, outage_up), (smooth_down, outage_down) = up, down
+    if not smooth_up.epoch_us.size or not smooth_down.epoch_us.size:
         raise ValueError(
-            f"no usable samples for pair {up.sensor_id!r}->{down.sensor_id!r}"
+            f"no usable samples for pair {smooth_up.sensor_id!r}->"
+            f"{smooth_down.sensor_id!r}"
         )
-    sm_up = rolling_median([(ts.timestamp(), v) for ts, v in clean_up], window_s)
-    sm_down = rolling_median([(ts.timestamp(), v) for ts, v in clean_down], window_s)
-    smoothed_up = replace(
-        up, samples=tuple((ts, m) for (ts, _), m in zip(clean_up, sm_up))
+    grid, v_a, v_b = align(smooth_up, smooth_down, grid_step_s, tolerance_s)
+    loss = np.full(grid.size, np.nan)
+    bits = np.zeros(grid.size, dtype=np.uint8)
+    gap = np.isnan(v_a) | np.isnan(v_b)
+    near_outage = (nearest_index(outage_up, grid[gap], tolerance_s) >= 0) | (
+        nearest_index(outage_down, grid[gap], tolerance_s) >= 0
     )
-    smoothed_down = replace(
-        down, samples=tuple((ts, m) for (ts, _), m in zip(clean_down, sm_down))
+    bits[gap] = GAP_BIT + SUSPECT_BIT * near_outage
+    paired = ~gap
+    loss[paired], negative, out_of_range = voss_elementwise(
+        v_a[paired], v_b[paired], rho_s
     )
-    points = []
-    for pt in align(smoothed_up, smoothed_down, grid_step_s, tolerance_s):
-        flags = []
-        if pt.v_a is None or pt.v_b is None:
-            flags.append(FLAG_GAP)
-            t = pt.timestamp.timestamp()
-            if _has_within(sus_up, t, tolerance_s) or _has_within(
-                sus_down, t, tolerance_s
-            ):
-                flags.append(FLAG_POWER_SUSPECT)
-            points.append(CurvePoint(pt.timestamp, math.nan, tuple(flags)))
-            continue
-        seg = SegmentVoltages(v_start=pt.v_a, v_end=pt.v_b)
-        if rho_s is None:
-            value = voss_single(seg)
-            if value < 0.0:
-                flags.append(FLAG_NEGATIVE_DROP)
-        else:
-            est = voss_corrected(
-                seg, CorrectionParams(rho_s=rho_s, rho_v=pt.v_b / pt.v_a)
-            )
-            value = est.loss_fraction
-            if est.has_flag(EstimateFlag.NEGATIVE_DROP):
-                flags.append(FLAG_NEGATIVE_DROP)
-            if est.has_flag(EstimateFlag.CORRECTION_OUT_OF_RANGE):
-                flags.append(FLAG_CORRECTION_RANGE)
-        points.append(CurvePoint(pt.timestamp, value, tuple(flags)))
-    return LossCurve(
-        upstream=up.sensor_id,
-        downstream=down.sensor_id,
-        points=tuple(points),
-        window_s=window_s,
-        grid_step_s=grid_step_s,
-        tolerance_s=tolerance_s,
-        rho_s=rho_s,
+    bits[paired] = NEGATIVE_BIT * negative + RANGE_BIT * out_of_range
+    return LossCurve._unchecked(
+        smooth_up.sensor_id,
+        smooth_down.sensor_id,
+        seconds_to_us(grid),
+        loss,
+        bits,
+        window_s,
+        grid_step_s,
+        tolerance_s,
+        rho_s,
     )
 
 
@@ -423,25 +483,29 @@ def loss_curve(
 ) -> list:
     """One LossCurve per adjacent sensor pair of the chain.
 
-    Per pair: outage-suspect samples (below POWER_SUSPECT_FRACTION of
-    nominal) are set aside, the remaining calibrated magnitudes are
-    median-smoothed and aligned, and each paired grid point yields one
-    estimate (corrected when the pair has a rho_s, raw otherwise).
-    Grid points lost to an outage reading carry PowerStateSuspect;
-    unpaired points carry Gap; negative drops are reported and flagged,
-    never clamped.
+    Per sensor, once: outage-suspect samples (below
+    POWER_SUSPECT_FRACTION of nominal) are set aside and the remaining
+    calibrated magnitudes are median-smoothed.  Per pair: the smoothed
+    series are aligned, and each paired grid point yields one estimate
+    (corrected when the pair has a rho_s, raw otherwise).  Grid points
+    lost to an outage reading carry PowerStateSuspect; unpaired points
+    carry Gap; negative drops are reported and flagged, never clamped.
     """
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:
         raise ValueError(f"sensors missing from series map: {missing}")
+    if not all(map(math.isfinite, (window_s, grid_step_s, tolerance_s))):
+        raise ValueError(
+            f"window_s, grid_step_s and tolerance_s must be finite, got "
+            f"{window_s}, {grid_step_s}, {tolerance_s}"
+        )
+    smoothed = {sid: _smoothed(series[sid], window_s) for sid in chain.sensor_ids}
     return [
-        _pair_curve(series[up], series[dn], rho_s, window_s, grid_step_s, tolerance_s)
+        _pair_curve(
+            smoothed[up], smoothed[dn], rho_s, window_s, grid_step_s, tolerance_s
+        )
         for up, dn, rho_s in chain.pairs()
     ]
-
-
-def _format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 def curve_filename(curve: LossCurve) -> str:
@@ -451,18 +515,14 @@ def curve_filename(curve: LossCurve) -> str:
 def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
     """One row per grid point: timestamp,loss_fraction,flags (';'-joined)."""
     path = Path(out_dir) / curve_filename(curve)
-    write_csv(
-        path,
-        CURVE_HEADER,
-        [
-            (
-                _format_timestamp(p.timestamp),
-                format_float(p.loss_fraction),
-                ";".join(p.flags),
-            )
-            for p in curve.points
-        ],
+    rows = list(
+        zip(
+            format_utc(curve.timestamp_us),
+            map(format_float, curve.loss_fraction.tolist()),
+            [_FLAG_TEXT[bits] for bits in curve.flag_bits.tolist()],
+        )
     )
+    write_csv(path, CURVE_HEADER, rows)
     return path
 
 
@@ -491,16 +551,22 @@ class ChainConfig:
 
 def _positive_number(data: dict, key: str, default: float, context: str) -> float:
     value = data.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise SensorFormatError(f"{context}: {key!r} must be a positive number")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not (
+        0 < value < math.inf
+    ):
+        raise SensorFormatError(f"{context}: {key!r} must be a finite positive number")
     return float(value)
 
 
 def parse_chain_config(path) -> ChainConfig:
-    """Read a JSON chain config (schema in docs/sensor_chain_schema.md)."""
+    """Read a JSON chain config (schema in docs/sensor_chain_schema.md).
+
+    A leading UTF-8 byte-order mark is skipped.  JSON NaN and Infinity
+    are rejected wherever a number is expected.
+    """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise SensorFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -565,10 +631,10 @@ def parse_chain_config(path) -> ChainConfig:
         if (
             not isinstance(factor, (int, float))
             or isinstance(factor, bool)
-            or factor <= 0
+            or not (0 < factor < math.inf)
         ):
             raise SensorFormatError(
-                f"{context}: calibration for {sid!r} must be a positive number"
+                f"{context}: calibration for {sid!r} must be a finite positive number"
             )
     try:
         chain = SensorChain(tuple(sensors), tuple(rho_s))

@@ -1,6 +1,7 @@
 """Command-line entry points, exit codes, and output files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ IEEE34 = str(bundled_feeder_path("ieee34.feeder"))
 STRESSED = str(bundled_feeder_path("ieee34-stressed.feeder"))
 SAMPLE_DAY = str(bundled_feeder_path("sample_day.csv"))
 SAMPLE_CHAIN = str(bundled_feeder_path("sample_chain.json"))
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def run(capsys, *argv):
@@ -92,6 +94,18 @@ def test_sensors_writes_one_curve_per_pair(tmp_path, capsys):
     assert (tmp_path / "loss_curve_sensor-03_sensor-17.csv").exists()
     assert (tmp_path / "loss_curve_sensor-17_sensor-22.csv").exists()
     assert out.count("720 points") == 2
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["loss_curve_sensor-03_sensor-17.csv", "loss_curve_sensor-17_sensor-22.csv"],
+)
+def test_sensors_reproduces_reference_curves_byte_for_byte(tmp_path, capsys, name):
+    code, _, _ = run(
+        capsys, "sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--out-dir", str(tmp_path)
+    )
+    assert code == EXIT_OK
+    assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes()
 
 
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):

@@ -1,13 +1,28 @@
 """Field-data pipeline: CSV ingest, alignment, smoothing, loss curves."""
 
+import bisect
+import codecs
+import itertools
 import json
 import math
+import random
+import statistics
+import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voss.estimator import CorrectionParams, SegmentVoltages, voss_corrected
+from voss.estimator import (
+    CorrectionParams,
+    EstimateFlag,
+    SegmentVoltages,
+    voss_corrected,
+    voss_single,
+)
 from voss.feeder import bundled_feeder_path
 from voss.sensors import (
     FLAG_CORRECTION_RANGE,
@@ -27,8 +42,10 @@ from voss.sensors import (
     rolling_median,
     write_loss_curve_csv,
 )
+from voss.timeseries import MEDIAN_BLOCK_CELLS
 
 UTC = timezone.utc
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 T0 = datetime(2024, 3, 12, 0, 0, tzinfo=UTC)  # epoch is a multiple of 120 s
 
 
@@ -39,6 +56,26 @@ def series(sensor_id, values, start=T0, step_s=120.0, **kwargs):
         if v is not None
     )
     return VoltageSeries(sensor_id, samples, **kwargs)
+
+
+def aligned_points(series_a, series_b, **kwargs):
+    """align() as one (timestamp, v_a, v_b) point per grid time, None on a gap side."""
+    grid, v_a, v_b = align(series_a, series_b, **kwargs)
+    return [
+        SimpleNamespace(
+            timestamp=datetime.fromtimestamp(t, tz=UTC),
+            v_a=None if math.isnan(a) else a,
+            v_b=None if math.isnan(b) else b,
+        )
+        for t, a, b in zip(grid.tolist(), v_a.tolist(), v_b.tolist())
+    ]
+
+
+def median_of(samples, window_s):
+    """rolling_median over (epoch_s, value) pairs, as a list."""
+    epochs = [t for t, _ in samples]
+    values = [v for _, v in samples]
+    return rolling_median(epochs, values, window_s=window_s).tolist()
 
 
 def write_readings(path, rows):
@@ -124,6 +161,13 @@ def test_ingest_failures_carry_line_numbers(tmp_path, text, line, needle):
     assert needle in str(err.value)
 
 
+def test_ingest_rejects_instant_outside_datetime_range(tmp_path):
+    path = tmp_path / "early.csv"
+    write_readings(path, [("s1", "0001-01-01T00:00:00+01:00", 230.0)])
+    with pytest.raises(SensorFormatError, match="line 2: bad timestamp"):
+        ingest_csv(path)
+
+
 # ----------------------------------------------------- series and chains
 
 
@@ -160,7 +204,7 @@ def test_align_pairs_offset_samples_within_tolerance():
     a = series("a", [230.0, 231.0, 232.0, 233.0])
     b = series("b", [228.0, 229.0, 230.0], start=T0 + timedelta(seconds=30))
     # overlap is [T0+30, T0+270]; grid multiples inside it are 120 and 240
-    points = align(a, b)
+    points = aligned_points(a, b)
     assert [p.timestamp for p in points] == [
         T0 + timedelta(seconds=120),
         T0 + timedelta(seconds=240),
@@ -179,7 +223,7 @@ def test_align_tie_prefers_earlier_sample():
             (T0 + timedelta(seconds=180), 202.0),
         ),
     )
-    points = align(a, b)
+    points = aligned_points(a, b)
     mid = next(p for p in points if p.timestamp == T0 + timedelta(seconds=120))
     assert mid.v_b == 201.0
 
@@ -190,7 +234,7 @@ def test_align_leaves_gaps_beyond_tolerance():
         "b",
         ((T0, 228.0), (T0 + timedelta(seconds=480), 229.0)),
     )
-    points = align(a, b)
+    points = aligned_points(a, b)
     assert [p.v_b for p in points] == [228.0, None, None, None, 229.0]
 
 
@@ -214,18 +258,18 @@ def test_align_errors_on_disjoint_or_tiny_overlap():
 
 def test_rolling_median_is_identity_below_sampling_interval():
     samples = [(i * 120.0, float(v)) for i, v in enumerate([230, 10, 240, 0, 230])]
-    assert rolling_median(samples, window_s=60.0) == [230.0, 10.0, 240.0, 0.0, 230.0]
+    assert median_of(samples, window_s=60.0) == [230.0, 10.0, 240.0, 0.0, 230.0]
 
 
 def test_rolling_median_swallows_single_sample_glitch():
     samples = [(i * 120.0, v) for i, v in enumerate([230.0, 230.0, 400.0, 230.0, 230.0])]
-    assert rolling_median(samples, window_s=600.0) == [230.0] * 5
+    assert median_of(samples, window_s=600.0) == [230.0] * 5
 
 
 def test_rolling_median_window_is_centered_and_inclusive():
     samples = [(0.0, 1.0), (100.0, 3.0), (200.0, 5.0)]
     # half window 100 s reaches both neighbours exactly
-    assert rolling_median(samples, window_s=200.0) == [2.0, 3.0, 4.0]
+    assert median_of(samples, window_s=200.0) == [2.0, 3.0, 4.0]
 
 
 # ------------------------------------------------------------ loss curves
@@ -442,8 +486,6 @@ def test_curve_csv_golden():
         tolerance_s=60.0,
         rho_s=None,
     )
-    import tempfile
-
     with tempfile.TemporaryDirectory() as out:
         path = write_loss_curve_csv(curve, out)
         assert path.name == "loss_curve_up_down.csv"
@@ -483,3 +525,227 @@ def test_bundled_sample_day_pipeline():
     assert first[FLAG_GAP] == 30  # one-hour dropout of the middle sensor
     assert second[FLAG_GAP] == 37
     assert second[FLAG_POWER_SUSPECT] == 7  # evening outage readings
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    readings = tmp_path / "excel.csv"
+    readings.write_bytes(
+        codecs.BOM_UTF8
+        + b"sensor_id,timestamp,voltage_v\ns1,2024-03-12T00:00:00Z,230\n"
+    )
+    (got,) = ingest_csv(readings)
+    assert got.sensor_id == "s1"
+    assert got.samples == ((T0, 230.0),)
+    chain = tmp_path / "chain.json"
+    chain.write_bytes(codecs.BOM_UTF8 + json.dumps(good_config()).encode())
+    assert parse_chain_config(chain).chain.sensor_ids == ("a", "b", "c")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "key,edit",
+    [
+        ("smoothing_window_s", lambda d, x: d.update({"smoothing_window_s": x})),
+        ("tolerance_s", lambda d, x: d.update({"tolerance_s": x})),
+        ("grid_step_s", lambda d, x: d.update({"grid_step_s": x})),
+        ("nominal_voltage_v", lambda d, x: d.update({"nominal_voltage_v": x})),
+        ("calibration", lambda d, x: d["calibration"].update({"b": x})),
+        ("rho_s", lambda d, x: d["pairs"][0].update({"rho_s": x})),
+    ],
+)
+def test_chain_config_rejects_non_finite_numbers(tmp_path, key, edit, bad):
+    doc = good_config()
+    edit(doc, bad)
+    path = write_config(tmp_path, doc)
+    assert ("NaN" if math.isnan(bad) else "Infinity") in path.read_text()
+    with pytest.raises(SensorFormatError) as err:
+        parse_chain_config(path)
+    assert str(path) in str(err.value)
+    assert key in str(err.value)
+
+
+# ------------------------------------------- array kernels against oracles
+
+
+def oracle_median(epochs, values, window_s):
+    """statistics.median over each inclusive window, by brute force."""
+    half = window_s / 2.0
+    return [
+        statistics.median(
+            v for s, v in zip(epochs, values) if t - half <= s <= t + half
+        )
+        for t in epochs
+    ]
+
+
+def oracle_nearest(epochs, values, t, tol):
+    """Linear scan in time order: a strictly nearer sample replaces the earlier one."""
+    best, best_dt = None, math.inf
+    for s, v in zip(epochs, values):
+        if abs(s - t) < best_dt:
+            best, best_dt = v, abs(s - t)
+    return best if best_dt <= tol else None
+
+
+def quarter_second_epochs(gaps):
+    """Strictly increasing epochs (seconds) from gaps in quarter seconds."""
+    return [1_710_201_600.0 + q / 4.0 for q in itertools.accumulate(gaps)]
+
+
+volt_values = st.one_of(
+    st.sampled_from([0.0, 229.5, 230.0, 231.0]),
+    st.floats(0.0, 1.7e308),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rolling_median_matches_statistics_median(data):
+    epochs = quarter_second_epochs(
+        data.draw(st.lists(st.integers(1, 1600), min_size=0, max_size=50))
+    )
+    n = len(epochs)
+    values = data.draw(st.lists(volt_values, min_size=n, max_size=n))
+    window = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, 60.0, 120.0, 240.0, 600.0]), st.floats(0.0, 3000.0)
+        )
+    )
+    assert rolling_median(epochs, values, window).tolist() == oracle_median(
+        epochs, values, window
+    )
+
+
+def test_rolling_median_dense_sampling_spans_several_blocks():
+    rng = random.Random(3)
+    epochs = [float(t) for t in range(4000) if rng.random() > 0.02]  # a few holes
+    values = [rng.uniform(225.0, 235.0) for _ in epochs]
+    window = 600.0
+    # widest window is 601 samples, so the rows need three or more blocks
+    assert len(epochs) * 601 > 2 * MEDIAN_BLOCK_CELLS
+    half = window / 2.0
+    expected = []
+    for t in epochs:
+        lo = bisect.bisect_left(epochs, t - half)
+        hi = bisect.bisect_right(epochs, t + half)
+        expected.append(statistics.median(values[lo:hi]))
+    assert rolling_median(epochs, values, window).tolist() == expected
+
+
+def integer_series(sensor_id, start, gaps):
+    """(series, epochs, values) at whole seconds start + cumulative gaps."""
+    epochs = list(itertools.accumulate([start] + gaps))
+    values = [200.0 + k for k in range(len(epochs))]
+    samples = [
+        (datetime.fromtimestamp(t, tz=UTC), v) for t, v in zip(epochs, values)
+    ]
+    return VoltageSeries(sensor_id, samples), [float(t) for t in epochs], values
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_align_matches_linear_scan(data):
+    # whole seconds, so samples often land exactly at +-tolerance and
+    # midway between grid points
+    sides = []
+    for sensor_id in ("a", "b"):
+        gaps = data.draw(st.lists(st.integers(1, 300), min_size=0, max_size=40))
+        start = 1_710_201_600 + data.draw(st.integers(0, 240))
+        sides.append(integer_series(sensor_id, start, gaps))
+    step = data.draw(st.sampled_from([60.0, 120.0, 90.0]))
+    tol = data.draw(st.sampled_from([0.0, 30.0, 45.0, 60.0, 120.0]))
+    (a, ea, va), (b, eb, vb) = sides
+    start, end = max(ea[0], eb[0]), min(ea[-1], eb[-1])
+    ks = range(math.ceil(start / step - 1e-9), math.floor(end / step + 1e-9) + 1)
+    if start > end or not ks:
+        with pytest.raises(ValueError):
+            align(a, b, step, tol)
+        return
+    grid, got_a, got_b = align(a, b, step, tol)
+    assert grid.tolist() == [k * step for k in ks]
+    for t, x, y in zip(grid.tolist(), got_a.tolist(), got_b.tolist()):
+        for got, epochs, values in ((x, ea, va), (y, eb, vb)):
+            want = oracle_nearest(epochs, values, t, tol)
+            assert (None if math.isnan(got) else got) == want
+
+
+def test_align_counts_samples_exactly_at_tolerance():
+    t = T0 + timedelta(seconds=120)
+    grid_side = series("a", [230.0] * 3)
+    for offsets, want in [
+        ((-60, 60), 201.0),  # equidistant at -tol and +tol: earlier wins
+        ((60,), 201.0),  # only +tol
+        ((-60,), 201.0),  # only -tol
+        ((-60.000001, 60.000001), None),  # both just outside
+    ]:
+        samples = tuple(
+            (t + timedelta(seconds=dt), 201.0 + k) for k, dt in enumerate(offsets)
+        )
+        # anchors at both ends of the grid, 120 s from t
+        samples = ((T0, 300.0),) + samples + ((T0 + timedelta(seconds=240), 300.0),)
+        points = aligned_points(
+            grid_side, VoltageSeries("b", samples), tolerance_s=60.0
+        )
+        assert [p.v_b for p in points if p.timestamp == t] == [want]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    start_us=st.integers(-2_000_000_000_000_000, 4_000_000_000_000_000),
+    step=st.sampled_from([0.25, 0.1]),
+)
+def test_sub_second_grid_timestamps_match_fromtimestamp(start_us, step):
+    epoch_us = [start_us + k * 50_000 for k in range(40)]  # 2 s at 20 Hz
+    stamps = [EPOCH + timedelta(microseconds=us) for us in epoch_us]
+    data = {
+        "up": VoltageSeries("up", [(ts, 240.0) for ts in stamps]),
+        "down": VoltageSeries("down", [(ts, 228.0) for ts in stamps]),
+    }
+    (curve,) = loss_curve(
+        SensorChain(("up", "down")),
+        data,
+        window_s=0.0,
+        grid_step_s=step,
+        tolerance_s=0.03,
+    )
+    first, last = epoch_us[0] / 1e6, epoch_us[-1] / 1e6
+    ks = range(math.ceil(first / step - 1e-9), math.floor(last / step + 1e-9) + 1)
+    expected = [datetime.fromtimestamp(k * step, tz=UTC) for k in ks]
+    assert [p.timestamp for p in curve.points] == expected
+    with tempfile.TemporaryDirectory() as out:
+        lines = write_loss_curve_csv(curve, out).read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == [
+        ts.isoformat().replace("+00:00", "Z") for ts in expected
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(200.0, 260.0), st.floats(0.9, 1.1)), min_size=1, max_size=20
+    ),
+    rho_s=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_curve_values_match_scalar_estimator(pairs, rho_s):
+    up = [u for u, _ in pairs]
+    down = [u * r for u, r in pairs]
+    (curve,) = chain_curves(up, down, rho_s=rho_s)  # 60 s window: no smoothing
+    assert len(curve.points) == len(pairs)
+    for p, u, d in zip(curve.points, up, down):
+        seg = SegmentVoltages(u, d)
+        if rho_s is None:
+            value = voss_single(seg)
+            flags = (FLAG_NEGATIVE_DROP,) if value < 0.0 else ()
+        else:
+            est = voss_corrected(seg, CorrectionParams(rho_s=rho_s, rho_v=d / u))
+            value = est.loss_fraction
+            flags = tuple(
+                flag.value
+                for flag in (
+                    EstimateFlag.NEGATIVE_DROP,
+                    EstimateFlag.CORRECTION_OUT_OF_RANGE,
+                )
+                if est.has_flag(flag)
+            )
+        assert p.loss_fraction == value
+        assert p.flags == flags
