@@ -16,9 +16,7 @@ from .benchmark import (
 from .estimator import (
     CorrectionParams,
     EstimateFlag,
-    EstimateMethod,
     LossEstimate,
-    Phase,
     SegmentVoltages,
     clamp_rho,
     correction_factor,
@@ -70,7 +68,6 @@ __all__ = [
     "ComparisonRow",
     "CorrectionParams",
     "EstimateFlag",
-    "EstimateMethod",
     "FeederFormatError",
     "FeederModel",
     "LoadDef",
@@ -78,7 +75,6 @@ __all__ = [
     "LossEstimate",
     "NodeDef",
     "NotRadialError",
-    "Phase",
     "PowerFlowError",
     "PowerFlowSolution",
     "RhoSource",

@@ -1,19 +1,26 @@
 """Per-line and per-path comparison of voltage-only loss estimates
 against simulated true losses on a solved feeder.
 
+A line is a path of one segment: both studies build their rows with the
+same path comparison, and differ only in the paths they take and where
+rho_s comes from.
+
 The studies solve the feeder with distributed loads split half-and-half
 onto their segment end nodes (the convention of the reference
 distribution simulators), which keeps every line internally tap-free.
-On a tap-free line the per-phase true loss fraction equals the phasor
-voltage-drop fraction exactly, so the single-segment study's errors are
-governed purely by the small-angle bound.
+``solve_end_split`` is that solve; ``voss benchmark`` calls it once per
+feeder and hands the solution to both studies.  On a tap-free line the
+per-phase true loss fraction equals the phasor voltage-drop fraction
+exactly, so the single-segment study's errors are governed purely by
+the small-angle bound.
 
-Multi-segment paths apply the correction factor built from the power
-ratio rho_s (simulated by default, or a supplied engineering estimate)
-and the voltage ratio rho_v.  The implied leaked-current fraction is
-clamped into [0, 1] before evaluating the correction: angle effects on
-extraction-free paths land it epsilon-negative, and the clamp turns
-those into an exact factor of 1 instead of a factor slightly above.
+Every path applies the correction factor built from the power ratio
+rho_s (simulated by default, or a supplied engineering estimate for
+multi-segment paths) and the voltage ratio rho_v.  The implied
+leaked-current fraction is clamped into [0, 1] before evaluating the
+correction: angle effects on extraction-free paths land it
+epsilon-negative, and the clamp turns those into an exact factor of 1
+instead of a factor slightly above.
 """
 
 from __future__ import annotations
@@ -39,9 +46,6 @@ from .powerflow import (
     solve,
     true_loss_fractions,
 )
-
-REASON_NEAR_ZERO = "NearZeroPower"
-REASON_NEGATIVE_DROP = "NegativeDrop"
 
 COMPARISON_HEADER = [
     "feeder",
@@ -110,21 +114,80 @@ def _row_reason(excluded: bool, voss: float) -> str:
     # single-reading estimate negative; the small-angle error bound is only
     # valid for non-rising pairs, so such rows carry an annotation.
     if excluded:
-        return REASON_NEAR_ZERO
+        return EstimateFlag.NEAR_ZERO_POWER.value
     if voss < 0.0:
-        return REASON_NEGATIVE_DROP
+        return EstimateFlag.NEGATIVE_DROP.value
     return ""
 
 
-def _corrected(voss: float, rho_s: float, rho_v: float) -> tuple:
-    """(c_hat, corrected estimate) with the leak fraction clamped to [0, 1]."""
-    rho = clamp_rho(rho_from_ratios(rho_s, rho_v))
-    c_hat = correction_factor(rho)
-    return c_hat, c_hat * voss
-
-
-def _solved(model: FeederModel, options: SolveOptions) -> PowerFlowSolution:
+def solve_end_split(model: FeederModel, options: SolveOptions) -> PowerFlowSolution:
+    """Solve the feeder with distributed loads split onto segment ends."""
     return solve(split_distributed_loads_to_ends(model), options)
+
+
+def _compare_path(
+    solution: PowerFlowSolution,
+    label: str,
+    segment_ids: Sequence[str],
+    near_zero_fraction: float,
+    rho_s: Optional[float],
+) -> list:
+    """ComparisonRows of one contiguous path, one per shared phase.
+
+    The phases are those of the head segment, in its phase-string order,
+    that every segment of the path carries.  Endpoint voltage magnitudes
+    give the uncorrected estimate; rho_s (None: simulated from the head
+    and tail flows) and rho_v from the same endpoints give the
+    correction.  True loss counts only series dissipation on the path,
+    not power delivered to intermediate taps.
+    """
+    if not segment_ids:
+        raise ValueError(f"path {label} has no segments")
+    model = solution.model
+    segs = [model.segment(sid) for sid in segment_ids]
+    shared = [p for p in segs[0].phases if all(p in s.phases for s in segs)]
+    if not shared:
+        raise ValueError(f"path {label} has no common phase")
+    first = solution.segment_flows[segs[0].id]
+    last = solution.segment_flows[segs[-1].id]
+    rows = []
+    for ph in shared:
+        v1 = solution.voltage(segs[0].from_node, ph)
+        v2 = solution.voltage(segs[-1].to_node, ph)
+        rho_v = abs(v2) / abs(v1)
+        voss = 1.0 - rho_v
+        est = true_loss_fractions(solution, segment_ids, ph, near_zero_fraction)
+        excluded = est.has_flag(EstimateFlag.NEAR_ZERO_POWER)
+        row_rho_s = rho_s
+        if row_rho_s is None:
+            p_in = first.s_from[segs[0].phases.index(ph)].real
+            p_out = last.s_to[segs[-1].phases.index(ph)].real
+            row_rho_s = math.nan if p_in == 0.0 else p_out / p_in
+        c_hat = math.nan
+        if not math.isnan(row_rho_s):
+            c_hat = correction_factor(
+                clamp_rho(rho_from_ratios(max(row_rho_s, 0.0), rho_v))
+            )
+        corrected = c_hat * voss
+        abs_error = math.nan if excluded else abs(corrected - est.loss_fraction)
+        rows.append(
+            ComparisonRow(
+                feeder=model.name,
+                line_or_path=label,
+                phase=ph,
+                voss_single=voss,
+                c_hat=c_hat,
+                voss_corrected=corrected,
+                true_loss=est.loss_fraction,
+                abs_error=abs_error,
+                angle_bound=small_angle_error_bound(v1, v2),
+                rho_s=row_rho_s,
+                rho_v=rho_v,
+                excluded=excluded,
+                reason=_row_reason(excluded, voss),
+            )
+        )
+    return rows
 
 
 def run_single_segment_study(
@@ -135,52 +198,16 @@ def run_single_segment_study(
 ) -> list:
     """One ComparisonRow per phase of every line segment.
 
-    Rows whose phase carries input power below the near-zero threshold
-    are marked excluded; their loss columns are reported (NaN when the
-    input power is exactly zero) but carry no meaning.
+    Each line is a path of one segment with a simulated rho_s.  Rows
+    whose phase carries input power below the near-zero threshold are
+    marked excluded; their loss columns are reported (NaN when the input
+    power is exactly zero) but carry no meaning.
     """
-    sol = solution if solution is not None else _solved(model, options)
+    sol = solution if solution is not None else solve_end_split(model, options)
     rows = []
     for seg in model.segments:
-        if seg.kind != SegmentKind.LINE:
-            continue
-        flow = sol.segment_flows[seg.id]
-        for k, ph in enumerate(seg.phases):
-            v1, v2 = flow.v_from[k], flow.v_to[k]
-            voss = 1.0 - abs(v2) / abs(v1)
-            rho_v = abs(v2) / abs(v1)
-            bound = small_angle_error_bound(v1, v2)
-            est = true_loss_fractions(sol, [seg.id], ph, near_zero_fraction)
-            excluded = est.has_flag(EstimateFlag.NEAR_ZERO_POWER)
-            s_in = flow.s_from[k]
-            s_out = flow.s_to[k]
-            if excluded and s_in.real == 0.0:
-                rho_s = math.nan
-                c_hat = math.nan
-                corrected = math.nan
-            else:
-                rho_s = s_out.real / s_in.real
-                c_hat, corrected = _corrected(voss, max(rho_s, 0.0), rho_v)
-            abs_error = (
-                math.nan if excluded else abs(corrected - est.loss_fraction)
-            )
-            rows.append(
-                ComparisonRow(
-                    feeder=model.name,
-                    line_or_path=seg.id,
-                    phase=ph,
-                    voss_single=voss,
-                    c_hat=c_hat,
-                    voss_corrected=corrected,
-                    true_loss=est.loss_fraction,
-                    abs_error=abs_error,
-                    angle_bound=bound,
-                    rho_s=rho_s,
-                    rho_v=rho_v,
-                    excluded=excluded,
-                    reason=_row_reason(excluded, voss),
-                )
-            )
+        if seg.kind == SegmentKind.LINE:
+            rows += _compare_path(sol, seg.id, [seg.id], near_zero_fraction, None)
     return rows
 
 
@@ -194,59 +221,14 @@ def run_multi_segment_study(
 ) -> list:
     """ComparisonRows for downstream node-pair paths (head, tail).
 
-    Endpoint voltage magnitudes give the uncorrected estimate; rho_s per
-    the source choice and rho_v from the same endpoints give the
-    correction.  True loss counts only series dissipation on the path,
-    not power delivered to intermediate taps.
+    rho_s comes from the source choice: simulated, or a fixed estimate.
     """
-    sol = solution if solution is not None else _solved(model, options)
+    sol = solution if solution is not None else solve_end_split(model, options)
+    rho_s = rho_source.value if rho_source.kind == "estimate" else None
     rows = []
     for head, tail in paths:
         seg_ids = path_segment_ids(model, head, tail)
-        segs = [model.segment(sid) for sid in seg_ids]
-        shared = [p for p in "ABC" if all(p in s.phases for s in segs)]
-        if not shared:
-            raise ValueError(f"path {head}-{tail} has no common phase")
-        for ph in shared:
-            v1 = sol.voltage(head, ph)
-            v2 = sol.voltage(tail, ph)
-            voss = 1.0 - abs(v2) / abs(v1)
-            rho_v = abs(v2) / abs(v1)
-            est = true_loss_fractions(sol, seg_ids, ph, near_zero_fraction)
-            excluded = est.has_flag(EstimateFlag.NEAR_ZERO_POWER)
-            if rho_source.kind == "estimate":
-                rho_s = rho_source.value
-            else:
-                first = sol.segment_flows[seg_ids[0]]
-                last = sol.segment_flows[seg_ids[-1]]
-                p_in = first.s_from[segs[0].phases.index(ph)].real
-                p_out = last.s_to[segs[-1].phases.index(ph)].real
-                rho_s = math.nan if p_in == 0.0 else p_out / p_in
-            if math.isnan(rho_s):
-                c_hat = math.nan
-                corrected = math.nan
-            else:
-                c_hat, corrected = _corrected(voss, max(rho_s, 0.0), rho_v)
-            abs_error = (
-                math.nan if excluded else abs(corrected - est.loss_fraction)
-            )
-            rows.append(
-                ComparisonRow(
-                    feeder=model.name,
-                    line_or_path=f"{head}-{tail}",
-                    phase=ph,
-                    voss_single=voss,
-                    c_hat=c_hat,
-                    voss_corrected=corrected,
-                    true_loss=est.loss_fraction,
-                    abs_error=abs_error,
-                    angle_bound=small_angle_error_bound(v1, v2),
-                    rho_s=rho_s,
-                    rho_v=rho_v,
-                    excluded=excluded,
-                    reason=_row_reason(excluded, voss),
-                )
-            )
+        rows += _compare_path(sol, f"{head}-{tail}", seg_ids, near_zero_fraction, rho_s)
     return rows
 
 

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 input or parse error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .benchmark import (
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
+    solve_end_split,
     write_comparison_csv,
     write_plot_long_csv,
 )
@@ -98,6 +100,18 @@ def _typed(parse):
     return wrapper
 
 
+def _checked(convert, valid, rule: str):
+    """An argparse type: convert the text, then reject values not valid."""
+
+    def parse(text):
+        value = convert(text)
+        if not valid(value):
+            raise ValueError(f"must be {rule}, got {text}")
+        return value
+
+    return _typed(parse)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,9 +144,9 @@ def cmd_solve(args) -> int:
 
 def cmd_benchmark(args) -> int:
     model = parse_feeder(args.feeder)
-    options = _options(args)
+    solution = solve_end_split(model, _options(args))
     rows = run_single_segment_study(
-        model, options=options, near_zero_fraction=args.near_zero_threshold
+        model, near_zero_fraction=args.near_zero_threshold, solution=solution
     )
     out = _out_dir(args)
     single = out / f"single_segment_{model.name}.csv"
@@ -150,8 +164,8 @@ def cmd_benchmark(args) -> int:
             model,
             args.paths,
             rho_source=args.rho_s_source,
-            options=options,
             near_zero_fraction=args.near_zero_threshold,
+            solution=solution,
         )
         multi = out / f"multi_segment_{model.name}.csv"
         write_comparison_csv(multi_rows, multi)
@@ -215,19 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SolveOptions()
     common.add_argument(
         "--tol",
-        type=float,
+        type=_checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0"),
         default=defaults.tol,
         help=f"power-flow convergence tolerance in pu (default: {defaults.tol})",
     )
     common.add_argument(
         "--max-iter",
-        type=int,
+        type=_checked(int, lambda n: n >= 1, ">= 1"),
         default=defaults.max_iter,
         help=f"power-flow iteration limit (default: {defaults.max_iter})",
     )
     common.add_argument(
         "--near-zero-threshold",
-        type=float,
+        type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
         default=NEAR_ZERO_POWER_FRACTION,
         help=(
             "input power below this fraction of the feeder base marks a "

@@ -15,31 +15,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 
-class Phase(Enum):
-    """Phase label of a conductor."""
-
-    A = "A"
-    B = "B"
-    C = "C"
-
-
-class EstimateMethod(Enum):
-    """How a loss fraction was obtained."""
-
-    VOSS_SINGLE = "voss_single"
-    VOSS_CORRECTED = "voss_corrected"
-    TRUE_SIMULATED = "true_simulated"
-
-
 class EstimateFlag(Enum):
-    """Quality flags attached to a loss estimate.
+    """Quality flags of a loss estimate, a sensor curve point or a solve.
+
+    The values are the strings written to every output.
 
     NEGATIVE_DROP: the raw voltage drop was negative (end voltage above
         start voltage, e.g. capacitor support or sensor noise).  The value
@@ -50,11 +36,20 @@ class EstimateFlag(Enum):
     CORRECTION_OUT_OF_RANGE: the inferred leakage fraction fell outside
         [0, 1], so the correction model's assumptions do not hold for this
         segment (diagnostic, not an error).
+    GAP: no sample of one sensor lies within the pairing tolerance of
+        the grid point.
+    POWER_STATE_SUSPECT: a sensor read below the outage threshold near
+        the grid point, so the reading is not grid state.
+    VOLTAGE_COLLAPSE_SUSPECT: a solved node voltage sits below the
+        collapse threshold of its nominal base.
     """
 
     NEGATIVE_DROP = "NegativeDrop"
     NEAR_ZERO_POWER = "NearZeroPower"
     CORRECTION_OUT_OF_RANGE = "CorrectionOutOfRange"
+    GAP = "Gap"
+    POWER_STATE_SUSPECT = "PowerStateSuspect"
+    VOLTAGE_COLLAPSE_SUSPECT = "VoltageCollapseSuspect"
 
 
 @dataclass(frozen=True)
@@ -96,15 +91,10 @@ class CorrectionParams:
 
 @dataclass(frozen=True)
 class LossEstimate:
-    """A loss fraction for one line (or path) and phase, with provenance."""
+    """A loss fraction and the EstimateFlags that qualify it."""
 
     loss_fraction: float
-    method: EstimateMethod
-    line_id: Optional[str] = None
-    phase: Optional[Phase] = None
-    c_hat: Optional[float] = None
-    params: Optional[CorrectionParams] = None
-    flags: frozenset = field(default_factory=frozenset)
+    flags: frozenset = frozenset()
 
     def has_flag(self, flag: EstimateFlag) -> bool:
         return flag in self.flags
@@ -198,12 +188,7 @@ def clamp_rho(rho: float) -> float:
     return min(1.0, max(0.0, rho))
 
 
-def voss_corrected(
-    seg: SegmentVoltages,
-    params: CorrectionParams,
-    line_id: Optional[str] = None,
-    phase: Optional[Phase] = None,
-) -> LossEstimate:
+def voss_corrected(seg: SegmentVoltages, params: CorrectionParams) -> LossEstimate:
     """Corrected voltage-only loss estimate for a segment with extraction.
 
     Multiplies the raw drop by the correction factor inferred from
@@ -219,15 +204,7 @@ def voss_corrected(
     rho = rho_from_ratios(params.rho_s, params.rho_v)
     if not (0.0 <= rho <= 1.0):
         flags.add(EstimateFlag.CORRECTION_OUT_OF_RANGE)
-    return LossEstimate(
-        loss_fraction=c_hat * raw,
-        method=EstimateMethod.VOSS_CORRECTED,
-        line_id=line_id,
-        phase=phase,
-        c_hat=c_hat,
-        params=params,
-        flags=frozenset(flags),
-    )
+    return LossEstimate(c_hat * raw, frozenset(flags))
 
 
 def voss_elementwise(v_start, v_end, rho_s: Optional[float] = None) -> tuple:

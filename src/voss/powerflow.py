@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import EstimateFlag, EstimateMethod, LossEstimate, Phase
+from .estimator import EstimateFlag, LossEstimate
 from .feeder import (
     Connection,
     FeederModel,
@@ -39,8 +39,6 @@ from .ioutil import format_float, write_csv
 NEAR_ZERO_POWER_FRACTION = 2e-3
 
 COLLAPSE_PU = 0.5
-
-FLAG_COLLAPSE = "VoltageCollapseSuspect"
 
 
 class PowerFlowError(RuntimeError):
@@ -316,7 +314,9 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     for n in model.nodes:
         for k, ph in enumerate(n.phases):
             if abs(v[n.id][k]) < COLLAPSE_PU * bases[n.id]:
-                flags.append(f"{FLAG_COLLAPSE}:{n.id}.{ph}")
+                flags.append(
+                    f"{EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value}:{n.id}.{ph}"
+                )
 
     node_voltages = {
         n.id: {ph: complex(v[n.id][k]) for k, ph in enumerate(n.phases)}
@@ -362,7 +362,8 @@ def true_loss_fractions(
     The numerator is the sum of per-segment series dissipation on the
     given phase, so power delivered to taps between the endpoints is not
     counted as loss.  Input power below the near-zero threshold flags the
-    result as NearZeroPower (excluded-by-default noise).
+    result as NearZeroPower (excluded-by-default noise); zero input power
+    is always flagged and gives a NaN loss fraction.
     """
     if not segment_ids:
         raise ValueError("empty path")
@@ -382,25 +383,11 @@ def true_loss_fractions(
         solution.segment_flows[seg.id].loss(phase) for seg in segs
     )
 
-    flags = set()
-    if abs(s_in) < solution.near_zero_va(near_zero_fraction):
-        flags.add(EstimateFlag.NEAR_ZERO_POWER)
-        loss = math.nan if s_in == 0 else abs(dissipated) / abs(s_in)
-    else:
-        loss = abs(dissipated) / abs(s_in)
-
-    line_id = (
-        segs[0].id
-        if len(segs) == 1
-        else f"{segs[0].from_node}-{segs[-1].to_node}"
-    )
-    return LossEstimate(
-        loss_fraction=loss,
-        method=EstimateMethod.TRUE_SIMULATED,
-        line_id=line_id,
-        phase=Phase(phase),
-        flags=frozenset(flags),
-    )
+    flags = frozenset()
+    if s_in == 0 or abs(s_in) < solution.near_zero_va(near_zero_fraction):
+        flags = frozenset({EstimateFlag.NEAR_ZERO_POWER})
+    loss = math.nan if s_in == 0 else abs(dissipated) / abs(s_in)
+    return LossEstimate(loss, flags)
 
 
 def write_voltages_csv(solution: PowerFlowSolution, path) -> None:

@@ -62,14 +62,17 @@ SMOOTHING_WINDOW_S = 600.0
 # not grid state; they are flagged and kept out of the loss curve.
 POWER_SUSPECT_FRACTION = 0.5
 
-FLAG_GAP = "Gap"
-FLAG_POWER_SUSPECT = "PowerStateSuspect"
-FLAG_NEGATIVE_DROP = EstimateFlag.NEGATIVE_DROP.value
-FLAG_CORRECTION_RANGE = EstimateFlag.CORRECTION_OUT_OF_RANGE.value
-
 # A curve point's flags are bits: bit k stands for FLAG_NAMES[k], and
 # flags are always listed in this order.
-FLAG_NAMES = (FLAG_GAP, FLAG_POWER_SUSPECT, FLAG_NEGATIVE_DROP, FLAG_CORRECTION_RANGE)
+FLAG_NAMES = tuple(
+    flag.value
+    for flag in (
+        EstimateFlag.GAP,
+        EstimateFlag.POWER_STATE_SUSPECT,
+        EstimateFlag.NEGATIVE_DROP,
+        EstimateFlag.CORRECTION_OUT_OF_RANGE,
+    )
+)
 GAP_BIT, SUSPECT_BIT, NEGATIVE_BIT, RANGE_BIT = 1, 2, 4, 8
 _FLAG_TUPLES = tuple(
     tuple(name for k, name in enumerate(FLAG_NAMES) if bits >> k & 1)

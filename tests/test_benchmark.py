@@ -1,21 +1,23 @@
 """Feeder-wide comparison studies: row inventory, exclusions, corrections."""
 
 import math
+from dataclasses import fields, replace
 
 import pytest
 
 from voss.benchmark import (
     COMPARISON_HEADER,
-    REASON_NEAR_ZERO,
-    REASON_NEGATIVE_DROP,
     RhoSource,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
+    solve_end_split,
     write_comparison_csv,
     write_plot_long_csv,
 )
-from voss.estimator import clamp_rho, correction_factor, rho_from_ratios
+from voss.estimator import EstimateFlag, clamp_rho, correction_factor, rho_from_ratios
+from voss.feeder import SegmentKind
+from voss.powerflow import SolveOptions
 
 STRESSED_PATHS = [("800", "814"), ("816", "822"), ("828", "854")]
 
@@ -35,7 +37,7 @@ def test_near_zero_lines_are_fully_excluded(rows13, rows34):
     for row in rows13 + rows34:
         if row.line_or_path in ("671-680", "854-856", "858-864"):
             assert row.excluded
-            assert row.reason == REASON_NEAR_ZERO
+            assert row.reason == EstimateFlag.NEAR_ZERO_POWER.value
             assert math.isnan(row.abs_error)
 
 
@@ -51,8 +53,9 @@ def test_exclusion_is_per_phase_not_per_line(rows34):
 
 
 def test_voltage_rise_rows_are_annotated(rows13, rows34):
-    neg13 = {(r.line_or_path, r.phase) for r in rows13 if r.reason == REASON_NEGATIVE_DROP}
-    neg34 = {(r.line_or_path, r.phase) for r in rows34 if r.reason == REASON_NEGATIVE_DROP}
+    negative = EstimateFlag.NEGATIVE_DROP.value
+    neg13 = {(r.line_or_path, r.phase) for r in rows13 if r.reason == negative}
+    neg34 = {(r.line_or_path, r.phase) for r in rows34 if r.reason == negative}
     assert neg13 == {("632-671", "B"), ("692-675", "B")}
     assert neg34 == {
         ("844-846", "A"),
@@ -62,7 +65,7 @@ def test_voltage_rise_rows_are_annotated(rows13, rows34):
         ("846-848", "C"),
     }
     for row in rows13 + rows34:
-        if row.reason == REASON_NEGATIVE_DROP:
+        if row.reason == negative:
             assert row.voss_single < 0.0
             assert not row.excluded
         elif not row.excluded:
@@ -149,7 +152,7 @@ def test_comparison_csv_round_trip_format(rows13, tmp_path):
     assert len(lines) == 1 + len(rows13)
     excluded = [ln for ln in lines[1:] if ",true," in ln]
     assert len(excluded) == 3
-    assert all(ln.endswith(REASON_NEAR_ZERO) for ln in excluded)
+    assert all(ln.endswith(EstimateFlag.NEAR_ZERO_POWER.value) for ln in excluded)
     assert all(ln.split(",")[-2] in ("true", "false") for ln in lines[1:])
 
 
@@ -161,3 +164,41 @@ def test_plot_csv_is_long_format(rows13, tmp_path):
     assert len(lines) == 1 + 3 * len(rows13)
     series = {ln.split(",")[3] for ln in lines[1:]}
     assert series == {"voss_single", "voss_corrected", "true_loss"}
+
+
+@pytest.mark.parametrize(
+    "feeder,solved",
+    [
+        ("ieee13", "solved13"),
+        ("ieee34", "solved34"),
+        ("ieee34_stressed", "solved34_stressed"),
+    ],
+)
+def test_one_segment_paths_match_single_study(request, feeder, solved):
+    model = request.getfixturevalue(feeder)
+    sol = request.getfixturevalue(solved)
+    single = run_single_segment_study(model, solution=sol)
+    lines = [s for s in model.segments if s.kind == SegmentKind.LINE]
+    paths = run_multi_segment_study(
+        model, [(s.from_node, s.to_node) for s in lines], solution=sol
+    )
+    assert len(paths) == len(single)
+    for path_row, row in zip(paths, single):
+        relabelled = replace(path_row, line_or_path=row.line_or_path)
+        for field in fields(row):
+            got, want = getattr(relabelled, field.name), getattr(row, field.name)
+            assert got == want or (got != got and want != want), field.name
+
+
+def test_rows_follow_the_head_segment_phase_order(two_bus):
+    model = two_bus(
+        kw=[30.0, 20.0], kvar=[10.0, 5.0], r_ohm=0.4, x_ohm=0.8, phases="CA"
+    )
+    sol = solve_end_split(model, SolveOptions())
+    single = run_single_segment_study(model, solution=sol)
+    paths = run_multi_segment_study(model, [("src", "end")], solution=sol)
+    for rows in (single, paths):
+        assert [r.phase for r in rows] == ["C", "A"]
+        for row in rows:
+            v_src, v_end = sol.voltage("src", row.phase), sol.voltage("end", row.phase)
+            assert row.voss_single == 1.0 - abs(v_end) / abs(v_src)

@@ -163,3 +163,44 @@ def test_bad_usage_exits_one(capsys, argv):
 def test_help_exits_zero(capsys):
     for argv in (["--help"], ["solve", "--help"], ["sensors", "--help"]):
         assert run(capsys, *argv)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "value,expected", [("0", EXIT_OK), ("nan", EXIT_USAGE), ("-1", EXIT_USAGE)]
+)
+def test_near_zero_threshold_edge_values(tmp_path, capsys, value, expected):
+    code, out, err = run(
+        capsys,
+        "benchmark",
+        IEEE13,
+        "--near-zero-threshold",
+        value,
+        "--out-dir",
+        str(tmp_path),
+    )
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == EXIT_OK:
+        # the line with exactly zero input power is still excluded
+        assert "excluded lines: 671-680" in out
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-1"),
+        ("--tol", "0"),
+        ("--max-iter", "0"),
+        ("--max-iter", "-3"),
+    ],
+)
+def test_solver_options_are_checked_at_parse_time(tmp_path, capsys, option, value):
+    code, _, err = run(
+        capsys, "solve", IEEE13, option, value, "--out-dir", str(tmp_path)
+    )
+    assert code == EXIT_USAGE
+    assert f"argument {option}" in err
+    assert "Traceback" not in err and "convergence" not in err
+    assert not any(tmp_path.iterdir())

@@ -25,10 +25,6 @@ from voss.estimator import (
 )
 from voss.feeder import bundled_feeder_path
 from voss.sensors import (
-    FLAG_CORRECTION_RANGE,
-    FLAG_GAP,
-    FLAG_NEGATIVE_DROP,
-    FLAG_POWER_SUSPECT,
     CurvePoint,
     LossCurve,
     SensorChain,
@@ -312,7 +308,7 @@ def test_voltage_rise_is_reported_negative_and_flagged():
     (curve,) = chain_curves([228.0] * 3, [240.0] * 3)
     for p in curve.points:
         assert p.loss_fraction < 0.0
-        assert FLAG_NEGATIVE_DROP in p.flags
+        assert EstimateFlag.NEGATIVE_DROP.value in p.flags
 
 
 def test_correction_out_of_band_is_flagged():
@@ -320,13 +316,13 @@ def test_correction_out_of_band_is_flagged():
     # fraction negative and the correction above 1
     (curve,) = chain_curves([240.0] * 3, [220.0] * 3, rho_s=1.0)
     for p in curve.points:
-        assert FLAG_CORRECTION_RANGE in p.flags
+        assert EstimateFlag.CORRECTION_OUT_OF_RANGE.value in p.flags
 
 
 def test_dropout_produces_gap_points():
     down = [228.0] * 30 + [None] * 10 + [228.0] * 20
     (curve,) = chain_curves([240.0] * 60, down)
-    gaps = [p for p in curve.points if FLAG_GAP in p.flags]
+    gaps = [p for p in curve.points if EstimateFlag.GAP.value in p.flags]
     assert len(gaps) == 10
     assert all(math.isnan(p.loss_fraction) for p in gaps)
     start = T0 + timedelta(seconds=30 * 120)
@@ -340,7 +336,10 @@ def test_outage_reading_is_quarantined_before_smoothing():
     down[4] = 80.0  # below half of nominal 230
     (curve,) = chain_curves([240.0] * 10, down, window_s=600.0)
     flagged = curve.points[4]
-    assert set(flagged.flags) == {FLAG_GAP, FLAG_POWER_SUSPECT}
+    assert set(flagged.flags) == {
+        EstimateFlag.GAP.value,
+        EstimateFlag.POWER_STATE_SUSPECT.value,
+    }
     assert math.isnan(flagged.loss_fraction)
     # neighbours keep the clean ratio: the 80 V reading never enters the median
     for k, p in enumerate(curve.points):
@@ -474,11 +473,13 @@ def test_curve_csv_golden():
         downstream="down",
         points=(
             CurvePoint(T0, 0.05, ()),
-            CurvePoint(T0 + timedelta(seconds=120), math.nan, (FLAG_GAP,)),
+            CurvePoint(
+                T0 + timedelta(seconds=120), math.nan, (EstimateFlag.GAP.value,)
+            ),
             CurvePoint(
                 T0 + timedelta(seconds=240),
                 -0.015625,
-                (FLAG_NEGATIVE_DROP,),
+                (EstimateFlag.NEGATIVE_DROP.value,),
             ),
         ),
         window_s=600.0,
@@ -522,9 +523,10 @@ def test_bundled_sample_day_pipeline():
     assert all(len(c.points) == 720 for c in curves)
     first = Counter(f for p in curves[0].points for f in p.flags)
     second = Counter(f for p in curves[1].points for f in p.flags)
-    assert first[FLAG_GAP] == 30  # one-hour dropout of the middle sensor
-    assert second[FLAG_GAP] == 37
-    assert second[FLAG_POWER_SUSPECT] == 7  # evening outage readings
+    gap, suspect = EstimateFlag.GAP.value, EstimateFlag.POWER_STATE_SUSPECT.value
+    assert first[gap] == 30  # one-hour dropout of the middle sensor
+    assert second[gap] == 37
+    assert second[suspect] == 7  # evening outage readings
 
 
 def test_byte_order_mark_is_skipped(tmp_path):
@@ -735,7 +737,7 @@ def test_curve_values_match_scalar_estimator(pairs, rho_s):
         seg = SegmentVoltages(u, d)
         if rho_s is None:
             value = voss_single(seg)
-            flags = (FLAG_NEGATIVE_DROP,) if value < 0.0 else ()
+            flags = (EstimateFlag.NEGATIVE_DROP.value,) if value < 0.0 else ()
         else:
             est = voss_corrected(seg, CorrectionParams(rho_s=rho_s, rho_v=d / u))
             value = est.loss_fraction
