@@ -20,9 +20,9 @@ from dataclasses import replace
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from voss.benchmark import run_multi_segment_study  # noqa: E402
+from voss.benchmark import run_multi_segment_study, solve_end_split  # noqa: E402
 from voss.feeder import bundled_feeder_path, parse_feeder  # noqa: E402
-from voss.powerflow import PowerFlowError  # noqa: E402
+from voss.powerflow import PowerFlowError, SolveOptions  # noqa: E402
 
 PATHS = [("800", "814"), ("816", "822"), ("828", "854")]
 
@@ -68,7 +68,9 @@ def evaluate(model, k):
     uncorrected estimate overshoots true by more than 5e-3 the
     correction must strictly reduce the error.
     """
-    rows = run_multi_segment_study(scaled(model, k), PATHS)
+    model = scaled(model, k)
+    solution = solve_end_split(model, SolveOptions())
+    rows = run_multi_segment_study(model, PATHS, solution=solution)
     cells = {(r.line_or_path, r.phase): r for r in rows}
     feasible = True
     sq = 0.0

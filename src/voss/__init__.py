@@ -8,7 +8,6 @@ three-phase power-flow solver on the bundled IEEE test feeders.
 
 from .benchmark import (
     ComparisonRow,
-    RhoSource,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
@@ -77,7 +76,6 @@ __all__ = [
     "NotRadialError",
     "PowerFlowError",
     "PowerFlowSolution",
-    "RhoSource",
     "SegmentDef",
     "SegmentKind",
     "SegmentVoltages",

@@ -5,14 +5,14 @@ A line is a path of one segment: both studies build their rows with the
 same path comparison, and differ only in the paths they take and where
 rho_s comes from.
 
-The studies solve the feeder with distributed loads split half-and-half
-onto their segment end nodes (the convention of the reference
-distribution simulators), which keeps every line internally tap-free.
-``solve_end_split`` is that solve; ``voss benchmark`` calls it once per
-feeder and hands the solution to both studies.  On a tap-free line the
-per-phase true loss fraction equals the phasor voltage-drop fraction
-exactly, so the single-segment study's errors are governed purely by
-the small-angle bound.
+The studies take a solution of the feeder with distributed loads split
+half-and-half onto their segment end nodes (the convention of the
+reference distribution simulators), which keeps every line internally
+tap-free.  ``solve_end_split`` is that solve; ``voss benchmark`` calls
+it once per feeder and hands the solution to both studies.  On a
+tap-free line the per-phase true loss fraction equals the phasor
+voltage-drop fraction exactly, so the single-segment study's errors are
+governed purely by the small-angle bound.
 
 Every path applies the correction factor built from the power ratio
 rho_s (simulated by default, or a supplied engineering estimate for
@@ -65,34 +65,6 @@ COMPARISON_HEADER = [
 
 
 @dataclass(frozen=True)
-class RhoSource:
-    """Where the power ratio rho_s for a path comes from."""
-
-    kind: str  # "simulated" | "estimate"
-    value: Optional[float] = None
-
-    @staticmethod
-    def simulated() -> "RhoSource":
-        return RhoSource("simulated")
-
-    @staticmethod
-    def estimate(value: float) -> "RhoSource":
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"rho_s estimate must be in [0, 1], got {value}")
-        return RhoSource("estimate", value)
-
-    @staticmethod
-    def parse(text: str) -> "RhoSource":
-        if text == "simulated":
-            return RhoSource.simulated()
-        if text.startswith("estimate:"):
-            return RhoSource.estimate(float(text.split(":", 1)[1]))
-        raise ValueError(
-            f"unknown rho_s source {text!r} (use 'simulated' or 'estimate:<value>')"
-        )
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     feeder: str
     line_or_path: str
@@ -123,6 +95,13 @@ def _row_reason(excluded: bool, voss: float) -> str:
 def solve_end_split(model: FeederModel, options: SolveOptions) -> PowerFlowSolution:
     """Solve the feeder with distributed loads split onto segment ends."""
     return solve(split_distributed_loads_to_ends(model), options)
+
+
+def check_rho_s(rho_s: Optional[float]) -> Optional[float]:
+    """A supplied rho_s estimate must lie in [0, 1]; None means simulated."""
+    if rho_s is not None and not 0.0 <= rho_s <= 1.0:
+        raise ValueError(f"rho_s estimate must be in [0, 1], got {rho_s}")
+    return rho_s
 
 
 def _compare_path(
@@ -192,9 +171,9 @@ def _compare_path(
 
 def run_single_segment_study(
     model: FeederModel,
-    options: SolveOptions = SolveOptions(),
+    *,
+    solution: PowerFlowSolution,
     near_zero_fraction: float = NEAR_ZERO_POWER_FRACTION,
-    solution: Optional[PowerFlowSolution] = None,
 ) -> list:
     """One ComparisonRow per phase of every line segment.
 
@@ -203,32 +182,32 @@ def run_single_segment_study(
     marked excluded; their loss columns are reported (NaN when the input
     power is exactly zero) but carry no meaning.
     """
-    sol = solution if solution is not None else solve_end_split(model, options)
     rows = []
     for seg in model.segments:
         if seg.kind == SegmentKind.LINE:
-            rows += _compare_path(sol, seg.id, [seg.id], near_zero_fraction, None)
+            rows += _compare_path(solution, seg.id, [seg.id], near_zero_fraction, None)
     return rows
 
 
 def run_multi_segment_study(
     model: FeederModel,
     paths: Sequence,
-    rho_source: RhoSource = RhoSource("simulated"),
-    options: SolveOptions = SolveOptions(),
+    *,
+    solution: PowerFlowSolution,
+    rho_s: Optional[float] = None,
     near_zero_fraction: float = NEAR_ZERO_POWER_FRACTION,
-    solution: Optional[PowerFlowSolution] = None,
 ) -> list:
     """ComparisonRows for downstream node-pair paths (head, tail).
 
-    rho_s comes from the source choice: simulated, or a fixed estimate.
+    rho_s is simulated from the flows when None, else a fixed estimate.
     """
-    sol = solution if solution is not None else solve_end_split(model, options)
-    rho_s = rho_source.value if rho_source.kind == "estimate" else None
+    check_rho_s(rho_s)
     rows = []
     for head, tail in paths:
         seg_ids = path_segment_ids(model, head, tail)
-        rows += _compare_path(sol, f"{head}-{tail}", seg_ids, near_zero_fraction, rho_s)
+        rows += _compare_path(
+            solution, f"{head}-{tail}", seg_ids, near_zero_fraction, rho_s
+        )
     return rows
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .benchmark import (
     NEAR_ZERO_POWER_FRACTION,
-    RhoSource,
+    check_rho_s,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
@@ -79,6 +79,17 @@ def _parse_paths(text: str) -> list:
     if not pairs:
         raise ValueError("no paths given")
     return pairs
+
+
+def _parse_rho_s_source(text: str):
+    """'simulated' -> None (rho_s from the flows); 'estimate:<value>' -> value."""
+    if text == "simulated":
+        return None
+    if text.startswith("estimate:"):
+        return check_rho_s(float(text.split(":", 1)[1]))
+    raise ValueError(
+        f"unknown rho_s source {text!r} (use 'simulated' or 'estimate:<value>')"
+    )
 
 
 def _parse_rho_list(text: str) -> list:
@@ -163,7 +174,7 @@ def cmd_benchmark(args) -> int:
         multi_rows = run_multi_segment_study(
             model,
             args.paths,
-            rho_source=args.rho_s_source,
+            rho_s=args.rho_s_source,
             near_zero_fraction=args.near_zero_threshold,
             solution=solution,
         )
@@ -229,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SolveOptions()
     common.add_argument(
         "--tol",
-        type=_checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0"),
+        type=_typed(lambda text: SolveOptions(tol=float(text)).tol),
         default=defaults.tol,
         help=f"power-flow convergence tolerance in pu (default: {defaults.tol})",
     )
     common.add_argument(
         "--max-iter",
-        type=_checked(int, lambda n: n >= 1, ">= 1"),
+        type=_typed(lambda text: SolveOptions(max_iter=int(text)).max_iter),
         default=defaults.max_iter,
         help=f"power-flow iteration limit (default: {defaults.max_iter})",
     )
@@ -271,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--rho-s-source",
-        type=_typed(RhoSource.parse),
-        default=RhoSource.simulated(),
+        type=_typed(_parse_rho_s_source),
+        default=None,
         help="'simulated' or 'estimate:<value>' power ratio for paths "
         "(default: simulated)",
     )

@@ -218,20 +218,6 @@ class FeederModel:
         path.reverse()
         return path
 
-    def spot_loads_at(self, node_id: str) -> list:
-        return [
-            ld
-            for ld in self.loads
-            if ld.placement == Placement.SPOT and ld.node == node_id
-        ]
-
-    def distributed_loads_on(self, seg_id: str) -> list:
-        return [
-            ld
-            for ld in self.loads
-            if ld.placement == Placement.DISTRIBUTED and ld.segment == seg_id
-        ]
-
 
 def _complex_from_pair(value, ctx: str) -> complex:
     if (
@@ -543,17 +529,8 @@ def validate_feeder(model: FeederModel) -> None:
 
     # Reachability doubles as the cycle check: a connected graph where
     # every non-source node has exactly one parent and the source none is
-    # a tree.
-    reached = {model.source.node}
-    frontier = [model.source.node]
-    while frontier:
-        nxt = []
-        for node_id in frontier:
-            for seg in model.segments_from(node_id):
-                if seg.to_node not in reached:
-                    reached.add(seg.to_node)
-                    nxt.append(seg.to_node)
-        frontier = nxt
+    # a tree.  One parent per node also keeps the BFS finite.
+    reached = {model.source.node} | {s.to_node for s in model.bfs_segments()}
     unreached = sorted(known - reached)
     if unreached:
         raise NotRadialError(
@@ -568,9 +545,9 @@ def validate_feeder(model: FeederModel) -> None:
                 raise FeederFormatError(f"unknown load node {ld.node!r}", ctx)
             avail = set(model.node(ld.node).phases)
         else:
-            if ld.segment is None or ld.segment not in {s.id for s in model.segments}:
+            seg = model._seg_by_id.get(ld.segment)
+            if seg is None:
                 raise FeederFormatError(f"unknown load segment {ld.segment!r}", ctx)
-            seg = model.segment(ld.segment)
             if seg.kind != SegmentKind.LINE:
                 raise FeederFormatError(
                     "distributed loads are only supported on line segments", ctx

@@ -1,10 +1,19 @@
 """Forward-backward sweep power flow for radial unbalanced feeders.
 
-Works in actual volts and amperes.  Each iteration recomputes load
-currents at the present voltages, accumulates segment currents from the
-leaves up (backward sweep), then pushes voltages from the source down
-(forward sweep).  Convergence is the max per-node per-phase voltage
+Works in actual volts and amperes.  Each iteration recomputes load and
+capacitor currents at the present voltages, accumulates segment currents
+from the leaves up (backward sweep), then pushes voltages from the source
+down (forward sweep).  Convergence is the max per-node per-phase voltage
 update, normalized by that node's nominal line-to-neutral base.
+
+Every segment is one link: the slots of its phases at the from node, a
+transfer factor ``k`` (the taps of a regulator, ``1/ratio`` for a
+transformer, 1 for a line) and its series impedance ``Z``.  One rule
+serves every kind: ``i_from = k * i_to`` and
+``v_to = k * v_from[slots] - Z @ i_to``.  A node's arrays are in the
+phase order of the segment feeding it (the source keeps its own), so the
+to side needs no index map; phase names are matched only for the from
+slots, for loads and capacitors, and in the output dicts.
 
 Nominal voltage bases propagate from the source through transformer
 ratios; regulator taps deliberately do not change the base, so per-unit
@@ -53,6 +62,12 @@ class PowerFlowError(RuntimeError):
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 100
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -122,16 +137,6 @@ def _phase_angles(source) -> dict:
     return out
 
 
-def _node_bases(model: FeederModel) -> dict:
-    base = {model.source.node: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
-    for seg in model.bfs_segments():
-        b = base[seg.from_node]
-        if seg.kind == SegmentKind.TRANSFORMER:
-            b = b / seg.ratio
-        base[seg.to_node] = b
-    return base
-
-
 def _load_current(
     load: LoadDef, v: np.ndarray, node_phases: str, v0_ln: float
 ) -> np.ndarray:
@@ -180,80 +185,71 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
             "(or an end-split) before solving"
         )
 
-    bases = _node_bases(model)
-    sref = _phase_angles(model.source)
-    order = model.bfs_segments()
-
-    seg_z = {}
-    seg_from_idx = {}
-    for seg in order:
-        seg_z[seg.id] = np.array(seg.z_total(), dtype=complex)
-        from_phases = model.node(seg.from_node).phases
-        seg_from_idx[seg.id] = [from_phases.index(p) for p in seg.phases]
+    # One link per segment in BFS order: (segment, from-node slots of its
+    # phases, transfer factor k, series impedance Z).  Node slots follow
+    # the feeding segment's phase string; the source keeps its own.
+    src = model.source.node
+    slot_phases = {src: model.node(src).phases}
+    bases = {src: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
+    links = []
+    caps_at = {}
+    for seg in model.bfs_segments():
+        k, base = 1.0, bases[seg.from_node]
+        if seg.kind == SegmentKind.REGULATOR:
+            k = np.array(seg.taps)
+        elif seg.kind == SegmentKind.TRANSFORMER:
+            k, base = 1.0 / seg.ratio, base / seg.ratio
+        upstream = slot_phases[seg.from_node]
+        slots = [upstream.index(p) for p in seg.phases]
+        links.append((seg, slots, k, np.array(seg.z_total(), dtype=complex)))
+        slot_phases[seg.to_node] = seg.phases
+        bases[seg.to_node] = base
+        if seg.shunt_kvar is not None:
+            caps_at[seg.to_node] = np.array(seg.shunt_kvar, dtype=float) * 1e3
 
     loads_at = {n.id: [] for n in model.nodes}
     for ld in model.loads:
         loads_at[ld.node].append(ld)
-    caps_at = {}
-    for seg in order:
-        if seg.shunt_kvar is not None:
-            caps_at[seg.to_node] = np.array(seg.shunt_kvar, dtype=float) * 1e3
 
     # flat start at source magnitude and angles
+    sref = _phase_angles(model.source)
     v = {
         n.id: np.array(
-            [bases[n.id] * sref[p] for p in n.phases], dtype=complex
+            [bases[n.id] * sref[p] for p in slot_phases[n.id]], dtype=complex
         )
         for n in model.nodes
     }
-    src = model.source.node
 
-    def injections() -> dict:
-        inj = {}
+    def backward() -> list:
+        """Node injections at present voltages, then i_to of every link."""
+        curr = {}
         for n in model.nodes:
-            cur = np.zeros(len(n.phases), dtype=complex)
+            phases, vn = slot_phases[n.id], v[n.id]
+            cur = np.zeros(len(phases), dtype=complex)
             for ld in loads_at[n.id]:
-                cur += _load_current(ld, v[n.id], n.phases, bases[n.id])
+                cur += _load_current(ld, vn, phases, bases[n.id])
             if n.id in caps_at:
                 # constant-Q capacitor: a load of -j kvar
-                for k in range(len(n.phases)):
-                    s0 = -1j * caps_at[n.id][k]
+                for j, q in enumerate(caps_at[n.id]):
+                    s0 = -1j * q
                     if s0 != 0:
-                        cur[k] += np.conj(s0 / v[n.id][k])
-            inj[n.id] = cur
-        return inj
-
-    def backward() -> dict:
-        curr = injections()
-        i_to = {}
-        for seg in reversed(order):
-            i = curr[seg.to_node].copy()
-            i_to[seg.id] = i
-            if seg.kind == SegmentKind.REGULATOR:
-                i_up = np.array(seg.taps) * i
-            elif seg.kind == SegmentKind.TRANSFORMER:
-                i_up = i / seg.ratio
-            else:
-                i_up = i
-            curr[seg.from_node][seg_from_idx[seg.id]] += i_up
-        return i_to
+                        cur[j] += np.conj(s0 / vn[j])
+            curr[n.id] = cur
+        i_to = []
+        for seg, slots, k, _ in reversed(links):
+            i = curr[seg.to_node]
+            curr[seg.from_node][slots] += i * k
+            i_to.append(i)
+        return i_to[::-1]
 
     trace = []
     iterations = 0
     mismatch = math.inf
     for iterations in range(1, options.max_iter + 1):
-        i_to = backward()
         mismatch = 0.0
-        for seg in order:
-            v_from = v[seg.from_node][seg_from_idx[seg.id]]
-            i = i_to[seg.id]
-            if seg.kind == SegmentKind.REGULATOR:
-                v_new = np.array(seg.taps) * v_from - seg_z[seg.id] @ i
-            elif seg.kind == SegmentKind.TRANSFORMER:
-                v_new = v_from / seg.ratio - seg.series_z_ohm * i
-            else:
-                v_new = v_from - seg_z[seg.id] @ i
-            delta = np.max(np.abs(v_new - v[seg.to_node])) / bases[seg.to_node]
+        for (seg, slots, k, z), i in zip(links, backward()):
+            v_new = v[seg.from_node][slots] * k - z @ i
+            delta = np.abs(v_new - v[seg.to_node]).max() / bases[seg.to_node]
             mismatch = max(mismatch, float(delta))
             v[seg.to_node] = v_new
         trace.append(mismatch)
@@ -272,24 +268,16 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
 
     # one more backward pass so currents are consistent with the
     # converged voltages, then assemble flows and totals
-    i_to = backward()
     flows = {}
     total_loss = 0j
-    for seg in order:
-        v_from_full = v[seg.from_node][seg_from_idx[seg.id]]
-        i = i_to[seg.id]
-        if seg.kind == SegmentKind.REGULATOR:
-            i_from = np.array(seg.taps) * i
-        elif seg.kind == SegmentKind.TRANSFORMER:
-            i_from = i / seg.ratio
-        else:
-            i_from = i
-        s_from = v_from_full * np.conj(i_from)
+    for (seg, slots, k, _), i in zip(links, backward()):
+        v_from, i_from = v[seg.from_node][slots], i * k
+        s_from = v_from * np.conj(i_from)
         s_to = v[seg.to_node] * np.conj(i)
         flows[seg.id] = SegmentFlow(
             segment_id=seg.id,
             phases=seg.phases,
-            v_from=tuple(map(complex, v_from_full)),
+            v_from=tuple(map(complex, v_from)),
             v_to=tuple(map(complex, v[seg.to_node])),
             i_from=tuple(map(complex, i_from)),
             i_to=tuple(map(complex, i)),
@@ -302,7 +290,7 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     total_shunt = 0j
     for n in model.nodes:
         for ld in loads_at[n.id]:
-            total_load += _load_power(ld, v[n.id], n.phases, bases[n.id])
+            total_load += _load_power(ld, v[n.id], slot_phases[n.id], bases[n.id])
         if n.id in caps_at:
             total_shunt += complex(np.sum(-1j * caps_at[n.id]))
 
@@ -310,18 +298,18 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     for seg in model.segments_from(src):
         total_source += sum(flows[seg.id].s_from)
 
+    # outputs list each node's phases in the node's own order
+    node_voltages = {}
     flags = []
     for n in model.nodes:
-        for k, ph in enumerate(n.phases):
-            if abs(v[n.id][k]) < COLLAPSE_PU * bases[n.id]:
+        by_phase = dict(zip(slot_phases[n.id], map(complex, v[n.id])))
+        node_voltages[n.id] = {ph: by_phase[ph] for ph in n.phases}
+        for ph in n.phases:
+            if abs(by_phase[ph]) < COLLAPSE_PU * bases[n.id]:
                 flags.append(
                     f"{EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value}:{n.id}.{ph}"
                 )
 
-    node_voltages = {
-        n.id: {ph: complex(v[n.id][k]) for k, ph in enumerate(n.phases)}
-        for n in model.nodes
-    }
     return PowerFlowSolution(
         model=model,
         node_voltages=node_voltages,

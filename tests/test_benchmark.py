@@ -7,7 +7,6 @@ import pytest
 
 from voss.benchmark import (
     COMPARISON_HEADER,
-    RhoSource,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
@@ -117,7 +116,7 @@ def test_external_rho_estimate_overrides_simulated(ieee34_stressed, solved34_str
     rows = run_multi_segment_study(
         ieee34_stressed,
         [("800", "814")],
-        rho_source=RhoSource.parse("estimate:0.5"),
+        rho_s=0.5,
         solution=solved34_stressed,
     )
     for row in rows:
@@ -126,15 +125,14 @@ def test_external_rho_estimate_overrides_simulated(ieee34_stressed, solved34_str
         assert row.c_hat == pytest.approx(expected, rel=1e-12)
 
 
-def test_rho_source_parsing():
-    assert RhoSource.parse("simulated") == RhoSource("simulated")
-    assert RhoSource.parse("estimate:0.7") == RhoSource("estimate", 0.7)
-    with pytest.raises(ValueError, match="unknown rho_s source"):
-        RhoSource.parse("bogus")
+@pytest.mark.parametrize("rho_s", [1.5, -0.1, math.nan])
+def test_rho_s_estimate_must_lie_in_unit_interval(
+    ieee34_stressed, solved34_stressed, rho_s
+):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        RhoSource.parse("estimate:1.5")
-    with pytest.raises(ValueError):
-        RhoSource.parse("estimate:abc")
+        run_multi_segment_study(
+            ieee34_stressed, [("800", "814")], rho_s=rho_s, solution=solved34_stressed
+        )
 
 
 def test_multi_study_rejects_unknown_nodes(ieee13, solved13):

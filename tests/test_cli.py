@@ -96,16 +96,32 @@ def test_sensors_writes_one_curve_per_pair(tmp_path, capsys):
     assert out.count("720 points") == 2
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["loss_curve_sensor-03_sensor-17.csv", "loss_curve_sensor-17_sensor-22.csv"],
-)
-def test_sensors_reproduces_reference_curves_byte_for_byte(tmp_path, capsys, name):
-    code, _, _ = run(
-        capsys, "sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--out-dir", str(tmp_path)
-    )
-    assert code == EXIT_OK
-    assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes()
+@pytest.fixture(scope="module")
+def bundled_outputs(tmp_path_factory):
+    """The command set of scripts/reproduce_results.py, run into one directory."""
+    out = tmp_path_factory.mktemp("bundled")
+    common = ["--out-dir", str(out)]
+    calls = []
+    for feeder in (IEEE13, IEEE34, STRESSED):
+        calls += [["solve", feeder], ["benchmark", feeder]]
+    calls += [
+        ["benchmark", STRESSED, "--paths", "800-814,816-822,828-854"],
+        ["oracle"],
+        ["sensors", SAMPLE_DAY, SAMPLE_CHAIN],
+    ]
+    for argv in calls:
+        assert main(argv + common) == EXIT_OK, argv
+    return out
+
+
+def test_bundled_commands_write_exactly_the_reference_files(bundled_outputs):
+    produced = sorted(p.name for p in bundled_outputs.iterdir())
+    assert produced == sorted(p.name for p in REFERENCE.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in REFERENCE.iterdir()))
+def test_reference_outputs_byte_for_byte(bundled_outputs, name):
+    assert (bundled_outputs / name).read_bytes() == (REFERENCE / name).read_bytes()
 
 
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):
@@ -204,3 +220,29 @@ def test_solver_options_are_checked_at_parse_time(tmp_path, capsys, option, valu
     assert f"argument {option}" in err
     assert "Traceback" not in err and "convergence" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_rho_s_source_exit_codes(tmp_path, capsys):
+    def multi(source):
+        code, _, err = run(
+            capsys, "benchmark", IEEE13, "--paths", "650-675",
+            "--rho-s-source", source, "--out-dir", str(tmp_path),
+        )
+        return code, err
+
+    def rho_s_column():
+        rows = (tmp_path / "multi_segment_ieee13.csv").read_text().splitlines()[1:]
+        return [row.split(",")[9] for row in rows]
+
+    assert multi("simulated")[0] == EXIT_OK
+    assert "0.7" not in rho_s_column()
+    assert multi("estimate:0.7")[0] == EXIT_OK
+    assert set(rho_s_column()) == {"0.7"}
+    for source, message in (
+        ("bogus", "unknown rho_s source"),
+        ("estimate:1.5", "[0, 1]"),
+        ("estimate:abc", "could not convert"),
+    ):
+        code, err = multi(source)
+        assert code == EXIT_USAGE
+        assert "argument --rho-s-source" in err and message in err

@@ -12,6 +12,7 @@ from voss.estimator import EstimateFlag
 from voss.feeder import (
     SegmentKind,
     parse_feeder_dict,
+    serialize_feeder,
     split_distributed_loads_to_ends,
 )
 from voss.powerflow import (
@@ -253,3 +254,82 @@ def test_zero_input_power_is_near_zero_at_any_threshold(solved13):
         est = true_loss_fractions(solved13, ["671-680"], ph, near_zero_fraction=0.0)
         assert est.has_flag(EstimateFlag.NEAR_ZERO_POWER)
         assert math.isnan(est.loss_fraction)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("tol", math.nan), ("tol", math.inf), ("tol", -1.0), ("tol", 0.0),
+     ("max_iter", 0), ("max_iter", -3)],
+)
+def test_solve_options_reject_values_that_cannot_converge(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveOptions(**{field: value})
+
+
+def test_segment_phase_order_is_matched_by_name():
+    # nodes list A then C; the segment lists C then A, and the load draws
+    # on A only
+    doc = two_bus_doc(kw=[30.0], kvar=[10.0], r_ohm=0.4, x_ohm=0.8, phases="CA")
+    for node in doc["nodes"]:
+        node["phases"] = "AC"
+    doc["loads"][0].update(phases="A", kw=[30.0], kvar=[10.0])
+    sol = solve(parse_feeder_dict(doc), TIGHT)
+    flow = sol.segment_flows["src-end"]
+    a, c = flow.phases.index("A"), flow.phases.index("C")
+    assert flow.s_from[a].real / 1e3 == pytest.approx(30.07, abs=0.005)
+    assert flow.s_from[c] == 0j and flow.s_to[c] == 0j
+    assert flow.s_to[a] == pytest.approx(complex(30e3, 10e3), rel=1e-9)
+    assert list(sol.node_voltages["end"]) == ["A", "C"]
+    assert sol.voltage("end", "C") == sol.voltage("src", "C")
+
+    # a capacitor's first entry belongs to the segment's first phase, C
+    doc["segments"][0]["shunt_kvar"] = [50.0, 0.0]
+    sol = solve(parse_feeder_dict(doc), TIGHT)
+    flow = sol.segment_flows["src-end"]
+    assert flow.s_to[c] == pytest.approx(complex(0.0, -50e3), rel=1e-9)
+    assert flow.s_to[a] == pytest.approx(complex(30e3, 10e3), rel=1e-9)
+    for k, ph in enumerate(flow.phases):
+        assert flow.v_from[k] == sol.voltage("src", ph)
+        assert flow.v_to[k] == sol.voltage("end", ph)
+    assert abs(sol.voltage("end", "C")) > abs(sol.voltage("src", "C"))
+    assert sol.power_balance_residual_pu() < 1e-12
+
+
+def _reversed_segment_phases(model):
+    """The same feeder with every multi-phase segment's phases reversed."""
+    doc = serialize_feeder(model)
+    for seg in doc["segments"]:
+        if len(seg["phases"]) < 2:
+            continue
+        seg["phases"] = seg["phases"][::-1]
+        if "z_ohm_per_mile" in seg:
+            seg["z_ohm_per_mile"] = [row[::-1] for row in seg["z_ohm_per_mile"][::-1]]
+        for key in ("taps", "shunt_kvar"):
+            if key in seg:
+                seg[key] = seg[key][::-1]
+    return parse_feeder_dict(doc)
+
+
+@pytest.mark.parametrize("feeder,solved", [("ieee13", "solved13"), ("ieee34", "solved34")])
+def test_solution_is_invariant_under_segment_phase_order(request, feeder, solved):
+    want = request.getfixturevalue(solved)
+    model = _reversed_segment_phases(
+        split_distributed_loads_to_ends(request.getfixturevalue(feeder))
+    )
+    assert any(s.phases != want.model.segment(s.id).phases for s in model.segments)
+    got = solve(model)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * abs(b)
+
+    for node_id, volts in want.node_voltages.items():
+        assert list(got.node_voltages[node_id]) == list(volts)
+        for ph, u in volts.items():
+            assert close(got.voltage(node_id, ph), u), (node_id, ph)
+    for seg_id, flow in want.segment_flows.items():
+        other = got.segment_flows[seg_id]
+        for ph in flow.phases:
+            j, k = other.phases.index(ph), flow.phases.index(ph)
+            for name in ("v_from", "v_to", "i_from", "i_to", "s_from", "s_to"):
+                a, b = getattr(other, name)[j], getattr(flow, name)[k]
+                assert close(a, b), (seg_id, ph, name, a, b)
