@@ -174,7 +174,7 @@ def cmd_benchmark(args) -> int:
         multi_rows = run_multi_segment_study(
             model,
             args.paths,
-            rho_s=args.rho_s_source,
+            rho_s=getattr(args, "rho_s_source", None),
             near_zero_fraction=args.near_zero_threshold,
             solution=solution,
         )
@@ -233,24 +233,40 @@ def cmd_sensors(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="voss", description=__doc__.splitlines()[0])
-    common = _Parser(add_help=False)
-    common.add_argument(
+    output = _Parser(add_help=False)
+    output.add_argument(
         "--out-dir", default=".", help="directory for output files (default: .)"
     )
+    solver = _Parser(add_help=False, parents=[output])
     defaults = SolveOptions()
-    common.add_argument(
+    solver.add_argument(
         "--tol",
         type=_typed(lambda text: SolveOptions(tol=float(text)).tol),
         default=defaults.tol,
         help=f"power-flow convergence tolerance in pu (default: {defaults.tol})",
     )
-    common.add_argument(
+    solver.add_argument(
         "--max-iter",
         type=_typed(lambda text: SolveOptions(max_iter=int(text)).max_iter),
         default=defaults.max_iter,
         help=f"power-flow iteration limit (default: {defaults.max_iter})",
     )
-    common.add_argument(
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    p_solve = sub.add_parser(
+        "solve", parents=[solver], help="run the power flow on a feeder file"
+    )
+    p_solve.add_argument("feeder", help="feeder definition file (JSON)")
+    p_solve.set_defaults(func=cmd_solve)
+
+    p_bench = sub.add_parser(
+        "benchmark",
+        parents=[solver],
+        help="compare voltage-only estimates against simulated truth",
+    )
+    p_bench.add_argument("feeder", help="feeder definition file (JSON)")
+    p_bench.add_argument(
         "--near-zero-threshold",
         type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
         default=NEAR_ZERO_POWER_FRACTION,
@@ -259,21 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"row near-zero (default: {NEAR_ZERO_POWER_FRACTION})"
         ),
     )
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_solve = sub.add_parser(
-        "solve", parents=[common], help="run the power flow on a feeder file"
-    )
-    p_solve.add_argument("feeder", help="feeder definition file (JSON)")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_bench = sub.add_parser(
-        "benchmark",
-        parents=[common],
-        help="compare voltage-only estimates against simulated truth",
-    )
-    p_bench.add_argument("feeder", help="feeder definition file (JSON)")
     p_bench.add_argument(
         "--paths",
         type=_typed(_parse_paths),
@@ -283,26 +284,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--rho-s-source",
         type=_typed(_parse_rho_s_source),
-        default=None,
-        help="'simulated' or 'estimate:<value>' power ratio for paths "
+        default=argparse.SUPPRESS,
+        help="'simulated' or 'estimate:<value>' power ratio for --paths "
         "(default: simulated)",
     )
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_oracle = sub.add_parser(
         "oracle",
-        parents=[common],
+        parents=[output],
         help="check the correction factor against a discretized line",
     )
     p_oracle.add_argument(
         "--rho-list",
-        type=_typed(_parse_rho_list),
+        type=_checked(
+            _parse_rho_list, lambda rhos: all(0 <= r <= 1 for r in rhos), "in [0, 1]"
+        ),
         default=_parse_rho_list(DEFAULT_RHO_LIST),
         help=f"comma-separated extraction fractions (default: {DEFAULT_RHO_LIST})",
     )
     p_oracle.add_argument(
         "--segments",
-        type=int,
+        type=_checked(int, lambda n: n >= 1, ">= 1"),
         default=10000,
         help="number of discretization segments (default: 10000)",
     )
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sensors = sub.add_parser(
         "sensors",
-        parents=[common],
+        parents=[output],
         help="compute loss curves from sensor voltage readings",
     )
     p_sensors.add_argument("data_csv", help="sensor_id,timestamp,voltage_v readings")
@@ -324,6 +327,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "rho_s_source" in args and not args.paths:
+            parser.error("argument --rho-s-source: applies only with --paths")
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -12,8 +12,15 @@ transformer, 1 for a line) and its series impedance ``Z``.  One rule
 serves every kind: ``i_from = k * i_to`` and
 ``v_to = k * v_from[slots] - Z @ i_to``.  A node's arrays are in the
 phase order of the segment feeding it (the source keeps its own), so the
-to side needs no index map; phase names are matched only for the from
-slots, for loads and capacitors, and in the output dicts.
+to side needs no index map; phase names are matched only while the
+tables are built and in the output dicts.
+
+Every load and capacitor bank is one injection element: branches
+``(a, b, model, s0, v0)`` between node slots resolved before the first
+sweep, ``b`` None (the neutral) for wye, ``v0`` the base times sqrt(3)
+for delta.  A capacitor is a constant-PQ wye element of ``-j kvar``.  One
+rule turns each branch into a current entering slot ``a`` and leaving
+``b``; the sweep and the load and source totals all use it.
 
 Nominal voltage bases propagate from the source through transformer
 ratios; regulator taps deliberately do not change the base, so per-unit
@@ -34,7 +41,6 @@ from .estimator import EstimateFlag, LossEstimate
 from .feeder import (
     Connection,
     FeederModel,
-    LoadDef,
     LoadModel,
     Placement,
     SegmentKind,
@@ -137,28 +143,6 @@ def _phase_angles(source) -> dict:
     return out
 
 
-def _load_current(
-    load: LoadDef, v: np.ndarray, node_phases: str, v0_ln: float
-) -> np.ndarray:
-    """Injection current drawn by one spot load at present voltages."""
-    out = np.zeros(len(node_phases), dtype=complex)
-    if load.conn == Connection.WYE:
-        for k, ph in enumerate(load.phases):
-            s0 = (load.kw[k] + 1j * load.kvar[k]) * 1e3
-            j = node_phases.index(ph)
-            out[j] += _branch_current(load.model, s0, v[j], v0_ln)
-    else:
-        v0 = v0_ln * math.sqrt(3.0)
-        for k, br in enumerate(load.branches()):
-            s0 = (load.kw[k] + 1j * load.kvar[k]) * 1e3
-            a = node_phases.index(br[0])
-            b = node_phases.index(br[1])
-            i_br = _branch_current(load.model, s0, v[a] - v[b], v0)
-            out[a] += i_br
-            out[b] -= i_br
-    return out
-
-
 def _branch_current(model: LoadModel, s0: complex, v: complex, v0: float) -> complex:
     if s0 == 0:
         return 0j
@@ -172,9 +156,17 @@ def _branch_current(model: LoadModel, s0: complex, v: complex, v0: float) -> com
     return mag * cmath.exp(1j * (cmath.phase(v) - cmath.phase(s0)))
 
 
-def _load_power(load: LoadDef, v: np.ndarray, node_phases: str, v0_ln: float) -> complex:
-    i = _load_current(load, v, node_phases, v0_ln)
-    return complex(np.sum(v * np.conj(i)))
+def _injection(branches: list, v: np.ndarray) -> np.ndarray:
+    """Current vector drawn by one injection element at node voltages v."""
+    out = np.zeros(len(v), dtype=complex)
+    for a, b, model, s0, v0 in branches:
+        if b is None:
+            out[a] += _branch_current(model, s0, v[a], v0)
+        else:
+            i = _branch_current(model, s0, v[a] - v[b], v0)
+            out[a] += i
+            out[b] -= i
+    return out
 
 
 def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFlowSolution:
@@ -192,7 +184,6 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     slot_phases = {src: model.node(src).phases}
     bases = {src: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
     links = []
-    caps_at = {}
     for seg in model.bfs_segments():
         k, base = 1.0, bases[seg.from_node]
         if seg.kind == SegmentKind.REGULATOR:
@@ -204,12 +195,28 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
         links.append((seg, slots, k, np.array(seg.z_total(), dtype=complex)))
         slot_phases[seg.to_node] = seg.phases
         bases[seg.to_node] = base
-        if seg.shunt_kvar is not None:
-            caps_at[seg.to_node] = np.array(seg.shunt_kvar, dtype=float) * 1e3
 
-    loads_at = {n.id: [] for n in model.nodes}
+    # (shunt, branches) per node: its loads in model order, then its
+    # capacitor bank, whose kvar follow the feeding segment's phases
+    elements = {n.id: [] for n in model.nodes}
     for ld in model.loads:
-        loads_at[ld.node].append(ld)
+        phases, v0 = slot_phases[ld.node], bases[ld.node]
+        if ld.conn == Connection.WYE:
+            pairs = [(p, None) for p in ld.phases]
+        else:
+            pairs, v0 = ld.branches(), v0 * math.sqrt(3.0)
+        branches = [
+            (phases.index(p), None if q is None else phases.index(q),
+             ld.model, (kw + 1j * kvar) * 1e3, v0)
+            for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
+        ]
+        elements[ld.node].append((False, branches))
+    for seg in model.segments:
+        if seg.shunt_kvar is not None:
+            elements[seg.to_node].append((True, [
+                (j, None, LoadModel.CONSTANT_PQ, -1j * (q * 1e3), bases[seg.to_node])
+                for j, q in enumerate(seg.shunt_kvar)
+            ]))
 
     # flat start at source magnitude and angles
     sref = _phase_angles(model.source)
@@ -223,18 +230,10 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     def backward() -> list:
         """Node injections at present voltages, then i_to of every link."""
         curr = {}
-        for n in model.nodes:
-            phases, vn = slot_phases[n.id], v[n.id]
-            cur = np.zeros(len(phases), dtype=complex)
-            for ld in loads_at[n.id]:
-                cur += _load_current(ld, vn, phases, bases[n.id])
-            if n.id in caps_at:
-                # constant-Q capacitor: a load of -j kvar
-                for j, q in enumerate(caps_at[n.id]):
-                    s0 = -1j * q
-                    if s0 != 0:
-                        cur[j] += np.conj(s0 / vn[j])
-            curr[n.id] = cur
+        for node, node_elements in elements.items():
+            curr[node] = np.zeros(len(v[node]), dtype=complex)
+            for _, branches in node_elements:
+                curr[node] += _injection(branches, v[node])
         i_to = []
         for seg, slots, k, _ in reversed(links):
             i = curr[seg.to_node]
@@ -242,9 +241,7 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
             i_to.append(i)
         return i_to[::-1]
 
-    trace = []
-    iterations = 0
-    mismatch = math.inf
+    trace = []  # SolveOptions guarantees max_iter >= 1 sweeps
     for iterations in range(1, options.max_iter + 1):
         mismatch = 0.0
         for (seg, slots, k, z), i in zip(links, backward()):
@@ -286,17 +283,19 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
         )
         total_loss += complex(np.sum(s_from - s_to))
 
-    total_load = 0j
-    total_shunt = 0j
-    for n in model.nodes:
-        for ld in loads_at[n.id]:
-            total_load += _load_power(ld, v[n.id], slot_phases[n.id], bases[n.id])
-        if n.id in caps_at:
-            total_shunt += complex(np.sum(-1j * caps_at[n.id]))
-
-    total_source = 0j
-    for seg in model.segments_from(src):
-        total_source += sum(flows[seg.id].s_from)
+    total_source = sum(
+        (sum(flows[s.id].s_from) for s in model.segments_from(src)), 0j
+    )
+    total_load = total_shunt = 0j
+    for node, node_elements in elements.items():
+        for shunt, branches in node_elements:
+            if shunt:
+                total_shunt += sum(s0 for _, _, _, s0, _ in branches)
+                continue
+            drawn = complex(np.sum(v[node] * np.conj(_injection(branches, v[node]))))
+            total_load += drawn
+            if node == src:  # the source also feeds the loads at its own node
+                total_source += drawn
 
     # outputs list each node's phases in the node's own order
     node_voltages = {}

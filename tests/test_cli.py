@@ -168,12 +168,22 @@ def test_iteration_cap_is_a_numerical_error(tmp_path, capsys):
         ("benchmark", IEEE34, "--paths", "bogus"),
         ("benchmark", IEEE34, "--rho-s-source", "estimate:1.5"),
         ("oracle", "--rho-list", "0.5,oops"),
+        ("oracle", "--segments", "0"),
+        ("oracle", "--rho-list", "0.5,1.5"),
+        ("oracle", "--rho-list", "nan"),
+        ("oracle", "--rho-list", "0.2,inf"),
     ],
 )
-def test_bad_usage_exits_one(capsys, argv):
+def test_bad_usage_exits_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # the default --out-dir
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
-    assert "error:" in err
+    assert "error:" in err and "Traceback" not in err
+    # a bad value is reported against the option that carried it
+    valued = [a for a in argv if a.startswith("--") and a != "--no-such-flag"]
+    if valued:
+        assert f"argument {valued[0]}" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_help_exits_zero(capsys):
@@ -246,3 +256,35 @@ def test_rho_s_source_exit_codes(tmp_path, capsys):
         code, err = multi(source)
         assert code == EXIT_USAGE
         assert "argument --rho-s-source" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", IEEE13, "--near-zero-threshold", "0.01"),
+        ("oracle", "--tol", "1e-6"),
+        ("oracle", "--max-iter", "5"),
+        ("oracle", "--near-zero-threshold", "0.01"),
+        ("sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--tol", "5"),
+        ("sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--max-iter", "5"),
+        ("sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--near-zero-threshold", "3"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {argv[-2]}" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", ["estimate:0.7", "simulated"])
+def test_rho_s_source_needs_paths(tmp_path, capsys, source):
+    code, _, err = run(
+        capsys, "benchmark", IEEE13, "--rho-s-source", source,
+        "--out-dir", str(tmp_path),
+    )
+    assert code == EXIT_USAGE
+    assert "argument --rho-s-source" in err and "--paths" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from conftest import two_bus_doc
 from voss.estimator import EstimateFlag
 from voss.feeder import (
+    Connection,
     SegmentKind,
+    expand_distributed_loads,
     parse_feeder_dict,
     serialize_feeder,
     split_distributed_loads_to_ends,
@@ -317,7 +319,11 @@ def test_solution_is_invariant_under_segment_phase_order(request, feeder, solved
         split_distributed_loads_to_ends(request.getfixturevalue(feeder))
     )
     assert any(s.phases != want.model.segment(s.id).phases for s in model.segments)
-    got = solve(model)
+    _assert_same_state(solve(model), want)
+
+
+def _assert_same_state(got, want):
+    """Every node voltage and segment flow, read by phase name, within 1e-9."""
 
     def close(a, b):
         return abs(a - b) <= 1e-9 * abs(b)
@@ -333,3 +339,56 @@ def test_solution_is_invariant_under_segment_phase_order(request, feeder, solved
             for name in ("v_from", "v_to", "i_from", "i_to", "s_from", "s_to"):
                 a, b = getattr(other, name)[j], getattr(flow, name)[k]
                 assert close(a, b), (seg_id, ph, name, a, b)
+
+
+def _permuted_load_phases(model):
+    """The same feeder with every load's phase string reordered: each
+    multi-phase wye load rotated together with its kw/kvar, each two-phase
+    delta load reversed ("AB" is the same branch as "BA")."""
+    doc = serialize_feeder(model)
+    for load in doc["loads"]:
+        if len(load["phases"]) < 2:
+            continue
+        if load["conn"] == Connection.WYE.value:
+            load["phases"] = load["phases"][1:] + load["phases"][:1]
+            for key in ("kw", "kvar"):
+                load[key] = load[key][1:] + load[key][:1]
+        elif len(load["phases"]) == 2:
+            load["phases"] = load["phases"][::-1]
+    return parse_feeder_dict(doc)
+
+
+@pytest.mark.parametrize("feeder,solved", [("ieee13", "solved13"), ("ieee34", "solved34")])
+def test_solution_is_invariant_under_load_phase_order(request, feeder, solved):
+    want = request.getfixturevalue(solved)
+    model = _permuted_load_phases(
+        split_distributed_loads_to_ends(request.getfixturevalue(feeder))
+    )
+    before = {ld.id: ld for ld in want.model.loads}
+    moved = [ld for ld in model.loads if ld.phases != before[ld.id].phases]
+    assert {ld.conn for ld in moved} == {Connection.WYE, Connection.DELTA}
+    assert any(len(set(ld.kw)) > 1 for ld in moved)
+    _assert_same_state(solve(model), want)
+
+
+def test_load_at_the_source_node_is_supplied_by_the_source():
+    doc = two_bus_doc(kw=[50.0], kvar=[20.0], r_ohm=0.5, x_ohm=0.8)
+    doc["loads"].append(dict(doc["loads"][0], id="at-src", node="src", kw=[100.0]))
+    sol = solve(parse_feeder_dict(doc), TIGHT)
+    flow = sol.segment_flows["src-end"]
+    at_src = sol.total_source_va - sum(flow.s_from)
+    assert at_src == pytest.approx(complex(100e3, 20e3), rel=1e-12)
+    assert sol.power_balance_residual_pu() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "rewrite", [split_distributed_loads_to_ends, expand_distributed_loads]
+)
+def test_distributed_load_on_a_source_segment_balances(rewrite):
+    # the end split puts half of this load on the source node
+    doc = two_bus_doc(kw=[100.0], kvar=[40.0], r_ohm=0.6, x_ohm=0.9)
+    del doc["loads"][0]["node"]
+    doc["loads"][0]["segment"] = "src-end"
+    sol = solve(rewrite(parse_feeder_dict(doc)), TIGHT)
+    assert sol.total_load_va.real == pytest.approx(100e3, rel=1e-9)
+    assert sol.power_balance_residual_pu() < 1e-12
