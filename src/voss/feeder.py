@@ -560,6 +560,14 @@ def validate_feeder(model: FeederModel) -> None:
             )
         if ld.conn == Connection.DELTA and len(ld.phases) < 2:
             raise FeederFormatError("delta loads need at least two phases", ctx)
+        # kw/kvar of a three-phase delta load belong to AB, BC, CA
+        three_phase_delta = ld.conn == Connection.DELTA and len(ld.phases) == 3
+        if three_phase_delta and ld.phases != PHASE_ORDER:
+            raise FeederFormatError(
+                f"a three-phase delta load lists its phases as {PHASE_ORDER} "
+                f"(branches AB, BC, CA), got {ld.phases!r}",
+                ctx,
+            )
         if any(x < 0 for x in ld.kw):
             raise FeederFormatError("load kW must be nonnegative", ctx)
 

@@ -10,17 +10,54 @@ Every segment is one link: the slots of its phases at the from node, a
 transfer factor ``k`` (the taps of a regulator, ``1/ratio`` for a
 transformer, 1 for a line) and its series impedance ``Z``.  One rule
 serves every kind: ``i_from = k * i_to`` and
-``v_to = k * v_from[slots] - Z @ i_to``.  A node's arrays are in the
+``v_to = k * v_from[slots] - Z @ i_to``.  A node's slots are in the
 phase order of the segment feeding it (the source keeps its own), so the
 to side needs no index map; phase names are matched only while the
 tables are built and in the output dicts.
 
-Every load and capacitor bank is one injection element: branches
-``(a, b, model, s0, v0)`` between node slots resolved before the first
-sweep, ``b`` None (the neutral) for wye, ``v0`` the base times sqrt(3)
-for delta.  A capacitor is a constant-PQ wye element of ``-j kvar``.  One
-rule turns each branch into a current entering slot ``a`` and leaving
-``b``; the sweep and the load and source totals all use it.
+Every load and capacitor bank is one injection element: branches that
+draw a current at one node slot and return it at another (the ground
+for wye), with ``v0`` the base times sqrt(3) for delta.  A capacitor is
+a constant-PQ wye element of ``-j kvar``.  The sweep and the load and
+source totals use the same injection tables.
+
+The sweep runs on tables built once per solve, the array form of
+Shirmohammadi et al. (1988) with the level view of Teng (2003).  All
+node slots sit in one complex vector in BFS order, and the links are
+grouped by tree depth.  Each sweep is:
+
+- one array expression per load model for every branch current, summed
+  into element slots and then, in element order, into node slots;
+- going up, one ``np.add.at`` per level adding ``i_to * k`` into the
+  from slots, each level's links in reversed BFS order;
+- one stacked ``np.matmul`` per phase count for every ``Z @ i_to``;
+- going down, one ``v_to = k * v_from - Z @ i_to`` per level;
+- the mismatch as one max over the non-source slots, so that a NaN
+  update ends the solve as a blow-up instead of being skipped.
+
+Same bits: every floating-point operation is the one a segment-by-segment
+sweep with numpy scalars makes, in the same order, so the results match
+that sweep to the last bit (12-digit CSVs magnify a last-bit change,
+since a sag ratio is a difference of two voltages about 1e-3 of their
+size).  Sums that several links or elements feed keep their order,
+because ``np.add.at`` applies repeated indices in sequence.  Array
+operations that round differently from the scalar ones (numpy 2.4,
+AVX-512) are avoided:
+
+- ``np.einsum`` for ``Z @ i``; a stacked ``np.matmul`` gives the bits of
+  one ``Z @ i`` per link;
+- an array complex product for the constant-Z ``v * conj(s0)``: numpy's
+  vector loop fuses multiply-adds where its scalar product does not, so
+  the product is written in real arithmetic, and the division by
+  ``v0 * v0`` as the multiply by ``1 / (v0 * v0)`` that numpy's
+  complex-by-real division performs;
+- ``a * b`` with a large temporary as ``b``: numpy reuses the temporary
+  and swaps the factors, and the fused product is not symmetric, so
+  the flows call ``np.multiply(a, b)``;
+- ``np.angle``/``np.arctan2`` for the constant-I ``cmath.phase(v)``,
+  which runs per element through ``np.frompyfunc``, and ``np.abs`` or
+  ``np.angle`` for ``abs(s0)`` and ``cmath.phase(s0)``, which are
+  computed once per branch in Python while the tables are built.
 
 Nominal voltage bases propagate from the source through transformer
 ratios; regulator taps deliberately do not change the base, so per-unit
@@ -33,7 +70,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -113,6 +150,7 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     flags: tuple = ()
+    trace: tuple = ()  # mismatch after each sweep; the last is max_mismatch
     # complex VA totals at the converged voltages, for balance checks
     total_source_va: complex = 0j
     total_load_va: complex = 0j
@@ -143,30 +181,227 @@ def _phase_angles(source) -> dict:
     return out
 
 
-def _branch_current(model: LoadModel, s0: complex, v: complex, v0: float) -> complex:
-    if s0 == 0:
-        return 0j
-    if model == LoadModel.CONSTANT_PQ:
-        return np.conj(s0 / v)
-    if model == LoadModel.CONSTANT_Z:
-        # fixed impedance |v0|^2 / conj(s0)
-        return v * np.conj(s0) / (v0 * v0)
-    # constant current magnitude at the rated power-factor angle
-    mag = abs(s0) / v0
-    return mag * cmath.exp(1j * (cmath.phase(v) - cmath.phase(s0)))
+# cmath.phase element by element: np.angle rounds differently
+_phase = np.frompyfunc(cmath.phase, 1, 1)
+
+_MODEL_ORDER = (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z, LoadModel.CONSTANT_I)
 
 
-def _injection(branches: list, v: np.ndarray) -> np.ndarray:
-    """Current vector drawn by one injection element at node voltages v."""
-    out = np.zeros(len(v), dtype=complex)
-    for a, b, model, s0, v0 in branches:
-        if b is None:
-            out[a] += _branch_current(model, s0, v[a], v0)
-        else:
-            i = _branch_current(model, s0, v[a] - v[b], v0)
-            out[a] += i
-            out[b] -= i
-    return out
+class _Branch(NamedTuple):
+    """One wye phase, delta branch or capacitor phase: current from a to b."""
+
+    a: int
+    b: int
+    model: LoadModel
+    s0: complex
+    v0: float
+
+
+class _Network:
+    """A feeder's links and injection branches as arrays over node slots.
+
+    A node slot is one phase of one node.  Slots run over the nodes in
+    BFS order, each node's phases in the order of the segment feeding it
+    (the source keeps its own); voltage vectors carry one more slot, the
+    ground, fixed at 0 V.  A segment's link slots are its to node's
+    slots, so ``up`` (the from-node slot), ``k`` and ``base`` are indexed
+    by slot, and BFS order puts each tree level in one run of slots.
+    """
+
+    def __init__(self, model: FeederModel):
+        src = model.source.node
+        self.phases = {src: model.node(src).phases}
+        self.bases = {src: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
+        self.first = {src: 0}
+        self.n_source = n = len(self.phases[src])
+        up, k, base = [0] * n, [1.0] * n, [1.0] * n
+        depth, level_ends, by_width = {src: 0}, [], {}
+        self.links = []  # (segment, first slot of its to node), BFS order
+        for seg in model.bfs_segments():
+            at, width, b = len(up), len(seg.phases), self.bases[seg.from_node]
+            taps = (1.0,) * width
+            if seg.kind == SegmentKind.REGULATOR:
+                taps = seg.taps
+            elif seg.kind == SegmentKind.TRANSFORMER:
+                taps, b = (1.0 / seg.ratio,) * width, b / seg.ratio
+            upstream = self.phases[seg.from_node]
+            up += [self.first[seg.from_node] + upstream.index(p) for p in seg.phases]
+            k += taps
+            base += [b] * width
+            self.links.append((seg, at))
+            self.phases[seg.to_node], self.bases[seg.to_node] = seg.phases, b
+            self.first[seg.to_node] = at
+            depth[seg.to_node] = depth[seg.from_node] + 1
+            if depth[seg.to_node] > len(level_ends):
+                level_ends.append(0)
+            level_ends[-1] = len(up)
+            rows, zs = by_width.setdefault(width, ([], []))
+            rows.append(range(at, at + width))
+            zs.append(seg.z_total())
+        self.n_slots = len(up)
+        self.up, self.k, self.base = np.array(up), np.array(k), np.array(base)
+        self.link_of_slot = np.repeat(
+            np.arange(len(self.links)), [len(seg.phases) for seg, _ in self.links]
+        )
+        # Z of every link stacked per phase count, and each level's link
+        # slots in reversed BFS order, so that a slot fed by several links
+        # sums them in the order of a segment-by-segment backward sweep
+        self.z_groups = [
+            (np.array(rows), np.array(zs, dtype=complex))
+            for rows, zs in by_width.values()
+        ]
+        self.levels = []
+        for lo, hi in zip([n] + level_ends, level_ends):
+            to = slice(hi - 1, lo - 1, -1)
+            self.levels.append((to, self.up[to], self.k[to]))
+        self._build_injections(model)
+
+    def _build_injections(self, model: FeederModel) -> None:
+        """Branch tables of every load and capacitor bank, by load model.
+
+        A branch draws its current at slot ``a`` and returns it at slot
+        ``b``: the ground for wye and capacitor branches, the second phase
+        for delta, whose ``v0`` is the base times sqrt(3).  A capacitor
+        is a constant-PQ wye element of ``-j kvar``.  Each element has
+        one element slot per node slot it touches; element slots are
+        summed into node slots in element order: a node's loads in model
+        order, then its capacitor bank.  Branches with s0 == 0 draw
+        nothing and are left out.
+        """
+        ground = self.n_slots
+        elements = {n.id: [] for n in model.nodes}
+        for ld in model.loads:
+            at, phases = self.first[ld.node], self.phases[ld.node]
+            v0 = self.bases[ld.node]
+            if ld.conn == Connection.WYE:
+                pairs = [(p, None) for p in ld.phases]
+            else:
+                pairs, v0 = ld.branches(), v0 * math.sqrt(3.0)
+            elements[ld.node].append((False, [
+                _Branch(at + phases.index(p),
+                        ground if q is None else at + phases.index(q),
+                        ld.model, (kw + 1j * kvar) * 1e3, v0)
+                for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
+            ]))
+        for seg in model.segments:
+            if seg.shunt_kvar is not None:
+                at, v0 = self.first[seg.to_node], self.bases[seg.to_node]
+                elements[seg.to_node].append((True, [
+                    _Branch(at + j, ground, LoadModel.CONSTANT_PQ, -1j * (q * 1e3), v0)
+                    for j, q in enumerate(seg.shunt_kvar)
+                ]))
+
+        self.shunt_va = 0j
+        self.elements = []  # (node, is a capacitor bank) of each drawing element
+        table, eslot_node, eslot_elem = [], [], []
+        for node, node_elements in elements.items():
+            for shunt, branches in node_elements:
+                if shunt:
+                    self.shunt_va += sum(br.s0 for br in branches)
+                live = [br for br in branches if br.s0 != 0]
+                if not live:
+                    continue
+                touched = sorted({br.a for br in live} | {br.b for br in live})
+                touched = [slot for slot in touched if slot != ground]
+                eslot = {slot: len(eslot_node) + j for j, slot in enumerate(touched)}
+                eslot_node += touched
+                eslot_elem += [len(self.elements)] * len(touched)
+                self.elements.append((node, shunt))
+                table += [(br, eslot[br.a], eslot.get(br.b)) for br in live]
+        self.eslot_node = np.array(eslot_node, dtype=int)
+        self.eslot_elem = np.array(eslot_elem, dtype=int)
+
+        table.sort(key=lambda row: _MODEL_ORDER.index(row[0].model))
+        brs = [br for br, _, _ in table]
+        ends = np.cumsum([0] + [sum(br.model == m for br in brs) for m in _MODEL_ORDER])
+        self.pq, self.z, self.ci = (slice(lo, hi) for lo, hi in zip(ends, ends[1:]))
+        self.br_a = np.array([br.a for br in brs], dtype=int)
+        self.br_b = np.array([br.b for br in brs], dtype=int)
+        self.s0 = np.array([br.s0 for br in brs], dtype=complex)
+        self.e_in = np.array([e_in for _, e_in, _ in table], dtype=int)
+        delta = [(j, row[2]) for j, row in enumerate(table) if row[2] is not None]
+        self.delta = np.array([j for j, _ in delta], dtype=int)
+        self.e_out = np.array([e_out for _, e_out in delta], dtype=int)
+        # constant Z: v * conj(s0) / (v0 * v0), the product in real arithmetic
+        v0 = np.array([br.v0 for br in brs[self.z]], dtype=float)
+        self.z_re, self.z_im = self.s0[self.z].real, -self.s0[self.z].imag
+        self.z_scale = 1.0 / (v0 * v0)
+        # constant I: |s0| / v0 at the angle of v less that of s0
+        self.i_mag = np.array([abs(br.s0) / br.v0 for br in brs[self.ci]])
+        self.i_angle = np.array([cmath.phase(br.s0) for br in brs[self.ci]])
+
+    def flat_start(self, source) -> np.ndarray:
+        """Source magnitudes and angles at every slot, then the ground."""
+        sref = _phase_angles(source)
+        v = [self.bases[node] * sref[p] for node in self.first
+             for p in self.phases[node]]
+        return np.array(v + [0j], dtype=complex)
+
+    def injections(self, v: np.ndarray) -> np.ndarray:
+        """Current each element draws at its element slots at voltages v:
+        every branch current counts at ``a`` and, negated, at ``b``."""
+        vb = v[self.br_a] - v[self.br_b]
+        i = np.empty(len(vb), dtype=complex)
+        i[self.pq] = np.conj(self.s0[self.pq] / vb[self.pq])
+        vz, iz = vb[self.z], i[self.z]
+        iz.real = (vz.real * self.z_re - vz.imag * self.z_im) * self.z_scale
+        iz.imag = (vz.real * self.z_im + vz.imag * self.z_re) * self.z_scale
+        angle = _phase(vb[self.ci]).astype(float) - self.i_angle
+        ii = i[self.ci]
+        ii.real = self.i_mag * np.cos(angle)
+        ii.imag = self.i_mag * np.sin(angle)
+        e = np.zeros(len(self.eslot_node), dtype=complex)
+        e[self.e_in] = i
+        e[self.e_out] -= i[self.delta]
+        return e
+
+    def currents(self, e: np.ndarray) -> np.ndarray:
+        """Node injections summed per slot, then each level's i_to * k
+        added to its from slots, from the deepest level up."""
+        i = np.zeros(self.n_slots, dtype=complex)
+        np.add.at(i, self.eslot_node, e)
+        for to, up, k in reversed(self.levels):
+            np.add.at(i, up, i[to] * k)
+        return i
+
+    def forward(self, v: np.ndarray, i: np.ndarray) -> None:
+        """v_to = k * v_from - Z @ i_to, level by level from the source."""
+        drop = np.empty(self.n_slots, dtype=complex)
+        for rows, z in self.z_groups:
+            drop[rows] = (z @ i[rows][:, :, None])[:, :, 0]
+        for to, up, k in self.levels:
+            v[to] = v[up] * k - drop[to]
+
+    def mismatch(self, v: np.ndarray, before: np.ndarray) -> float:
+        """Largest voltage update of a non-source slot over its base."""
+        s = slice(self.n_source, self.n_slots)
+        return float(np.max(np.abs(v[s] - before[s]) / self.base[s], initial=0.0))
+
+    def flows(self, v: np.ndarray, i: np.ndarray) -> tuple:
+        """SegmentFlow per segment id in BFS order, and their total loss."""
+        s = slice(self.n_source, self.n_slots)
+        v_from, i_to = v[self.up[s]], i[s]
+        i_from = i_to * self.k[s]
+        # np.multiply, not `*`: numpy may reuse a large temporary operand
+        # and swap the factors, which changes the last bit
+        s_from = np.multiply(v_from, np.conj(i_from))
+        s_to = np.multiply(v[s], np.conj(i_to))
+        loss = np.zeros(len(self.links), dtype=complex)
+        np.add.at(loss, self.link_of_slot, s_from - s_to)
+        cols = [x.tolist() for x in (v_from, v[s], i_from, i_to, s_from, s_to)]
+        flows = {}
+        for seg, at in self.links:
+            r = slice(at - self.n_source, at - self.n_source + len(seg.phases))
+            flows[seg.id] = SegmentFlow(
+                seg.id, seg.phases, *(tuple(col[r]) for col in cols)
+            )
+        return flows, sum(loss.tolist(), 0j)
+
+    def drawn(self, v: np.ndarray, e: np.ndarray) -> list:
+        """Complex power each element draws at voltages v."""
+        d = np.zeros(len(self.elements), dtype=complex)
+        np.add.at(d, self.eslot_elem, np.multiply(v[self.eslot_node], np.conj(e)))
+        return d.tolist()
 
 
 def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFlowSolution:
@@ -177,78 +412,13 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
             "(or an end-split) before solving"
         )
 
-    # One link per segment in BFS order: (segment, from-node slots of its
-    # phases, transfer factor k, series impedance Z).  Node slots follow
-    # the feeding segment's phase string; the source keeps its own.
-    src = model.source.node
-    slot_phases = {src: model.node(src).phases}
-    bases = {src: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
-    links = []
-    for seg in model.bfs_segments():
-        k, base = 1.0, bases[seg.from_node]
-        if seg.kind == SegmentKind.REGULATOR:
-            k = np.array(seg.taps)
-        elif seg.kind == SegmentKind.TRANSFORMER:
-            k, base = 1.0 / seg.ratio, base / seg.ratio
-        upstream = slot_phases[seg.from_node]
-        slots = [upstream.index(p) for p in seg.phases]
-        links.append((seg, slots, k, np.array(seg.z_total(), dtype=complex)))
-        slot_phases[seg.to_node] = seg.phases
-        bases[seg.to_node] = base
-
-    # (shunt, branches) per node: its loads in model order, then its
-    # capacitor bank, whose kvar follow the feeding segment's phases
-    elements = {n.id: [] for n in model.nodes}
-    for ld in model.loads:
-        phases, v0 = slot_phases[ld.node], bases[ld.node]
-        if ld.conn == Connection.WYE:
-            pairs = [(p, None) for p in ld.phases]
-        else:
-            pairs, v0 = ld.branches(), v0 * math.sqrt(3.0)
-        branches = [
-            (phases.index(p), None if q is None else phases.index(q),
-             ld.model, (kw + 1j * kvar) * 1e3, v0)
-            for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
-        ]
-        elements[ld.node].append((False, branches))
-    for seg in model.segments:
-        if seg.shunt_kvar is not None:
-            elements[seg.to_node].append((True, [
-                (j, None, LoadModel.CONSTANT_PQ, -1j * (q * 1e3), bases[seg.to_node])
-                for j, q in enumerate(seg.shunt_kvar)
-            ]))
-
-    # flat start at source magnitude and angles
-    sref = _phase_angles(model.source)
-    v = {
-        n.id: np.array(
-            [bases[n.id] * sref[p] for p in slot_phases[n.id]], dtype=complex
-        )
-        for n in model.nodes
-    }
-
-    def backward() -> list:
-        """Node injections at present voltages, then i_to of every link."""
-        curr = {}
-        for node, node_elements in elements.items():
-            curr[node] = np.zeros(len(v[node]), dtype=complex)
-            for _, branches in node_elements:
-                curr[node] += _injection(branches, v[node])
-        i_to = []
-        for seg, slots, k, _ in reversed(links):
-            i = curr[seg.to_node]
-            curr[seg.from_node][slots] += i * k
-            i_to.append(i)
-        return i_to[::-1]
-
+    net = _Network(model)
+    v = net.flat_start(model.source)
     trace = []  # SolveOptions guarantees max_iter >= 1 sweeps
     for iterations in range(1, options.max_iter + 1):
-        mismatch = 0.0
-        for (seg, slots, k, z), i in zip(links, backward()):
-            v_new = v[seg.from_node][slots] * k - z @ i
-            delta = np.abs(v_new - v[seg.to_node]).max() / bases[seg.to_node]
-            mismatch = max(mismatch, float(delta))
-            v[seg.to_node] = v_new
+        before = v.copy()
+        net.forward(v, net.currents(net.injections(v)))
+        mismatch = net.mismatch(v, before)
         trace.append(mismatch)
         if not math.isfinite(mismatch):
             raise PowerFlowError(
@@ -265,46 +435,30 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
 
     # one more backward pass so currents are consistent with the
     # converged voltages, then assemble flows and totals
-    flows = {}
-    total_loss = 0j
-    for (seg, slots, k, _), i in zip(links, backward()):
-        v_from, i_from = v[seg.from_node][slots], i * k
-        s_from = v_from * np.conj(i_from)
-        s_to = v[seg.to_node] * np.conj(i)
-        flows[seg.id] = SegmentFlow(
-            segment_id=seg.id,
-            phases=seg.phases,
-            v_from=tuple(map(complex, v_from)),
-            v_to=tuple(map(complex, v[seg.to_node])),
-            i_from=tuple(map(complex, i_from)),
-            i_to=tuple(map(complex, i)),
-            s_from=tuple(map(complex, s_from)),
-            s_to=tuple(map(complex, s_to)),
-        )
-        total_loss += complex(np.sum(s_from - s_to))
-
+    e = net.injections(v)
+    flows, total_loss = net.flows(v, net.currents(e))
+    src = model.source.node
     total_source = sum(
         (sum(flows[s.id].s_from) for s in model.segments_from(src)), 0j
     )
-    total_load = total_shunt = 0j
-    for node, node_elements in elements.items():
-        for shunt, branches in node_elements:
-            if shunt:
-                total_shunt += sum(s0 for _, _, _, s0, _ in branches)
-                continue
-            drawn = complex(np.sum(v[node] * np.conj(_injection(branches, v[node]))))
-            total_load += drawn
-            if node == src:  # the source also feeds the loads at its own node
-                total_source += drawn
+    total_load = 0j
+    for (node, shunt), drawn in zip(net.elements, net.drawn(v, e)):
+        if shunt:
+            continue
+        total_load += drawn
+        if node == src:  # the source also feeds the loads at its own node
+            total_source += drawn
 
     # outputs list each node's phases in the node's own order
     node_voltages = {}
     flags = []
+    volts = v.tolist()
     for n in model.nodes:
-        by_phase = dict(zip(slot_phases[n.id], map(complex, v[n.id])))
+        at = net.first[n.id]
+        by_phase = dict(zip(net.phases[n.id], volts[at:at + len(n.phases)]))
         node_voltages[n.id] = {ph: by_phase[ph] for ph in n.phases}
         for ph in n.phases:
-            if abs(by_phase[ph]) < COLLAPSE_PU * bases[n.id]:
+            if abs(by_phase[ph]) < COLLAPSE_PU * net.bases[n.id]:
                 flags.append(
                     f"{EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value}:{n.id}.{ph}"
                 )
@@ -312,17 +466,17 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     return PowerFlowSolution(
         model=model,
         node_voltages=node_voltages,
-        node_base_v=bases,
+        node_base_v=net.bases,
         segment_flows=flows,
         iterations=iterations,
         max_mismatch=mismatch,
         flags=tuple(flags),
+        trace=tuple(trace),
         total_source_va=total_source,
         total_load_va=total_load,
-        total_shunt_va=total_shunt,
+        total_shunt_va=net.shunt_va,
         total_loss_va=total_loss,
     )
-
 
 def loss_from_currents(solution: PowerFlowSolution, segment_id: str) -> complex:
     """Series loss recomputed as i^H Z i, independent of the power bookkeeping."""

@@ -142,6 +142,16 @@ def test_non_radial_feeder_is_an_input_error(tmp_path, capsys):
     assert "not radial" in err
 
 
+def test_misordered_delta_load_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    next(ld for ld in doc["loads"] if ld["id"] == "671")["phases"] = "CBA"
+    bad = tmp_path / "cba.feeder"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == EXIT_INPUT
+    assert "load 671" in err and "'CBA'" in err
+
+
 def test_malformed_sensor_csv_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("sensor_id,timestamp,voltage_v\ns1,yesterday,230\n")

@@ -264,6 +264,27 @@ def test_delta_branch_expansion():
     assert three.branches() == ("AB", "BC", "CA")
 
 
+@pytest.mark.parametrize(
+    "phases,kw,accepted",
+    [("ABC", [10.0, 20.0, 30.0], True), ("CBA", [10.0, 20.0, 30.0], False),
+     ("BCA", [10.0, 20.0, 30.0], False), ("AB", [10.0], True), ("BA", [10.0], True)],
+)
+def test_three_phase_delta_loads_list_phases_in_abc_order(phases, kw, accepted):
+    # kw/kvar of a three-phase delta load are the AB, BC, CA branches, so
+    # any other order would silently move power between branches
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    load = next(ld for ld in doc["loads"] if ld["id"] == "671")
+    assert load["conn"] == "delta" and load["phases"] == "ABC"
+    load.update(phases=phases, kw=kw, kvar=kw)
+    if accepted:
+        model = parse_feeder_dict(doc)
+        assert next(ld for ld in model.loads if ld.id == "671").phases == phases
+        return
+    with pytest.raises(FeederFormatError, match="ABC") as err:
+        parse_feeder_dict(doc)
+    assert err.value.context == "load 671"
+
+
 def test_midpoint_expansion_moves_distributed_load():
     model = parse_feeder_dict(minimal_doc())
     out = expand_distributed_loads(model)

@@ -1,6 +1,8 @@
 """Sweep solver checks against closed-form two-bus solutions and invariants."""
 
 import cmath
+import functools
+import json
 import math
 
 import pytest
@@ -11,7 +13,9 @@ from conftest import two_bus_doc
 from voss.estimator import EstimateFlag
 from voss.feeder import (
     Connection,
+    LoadModel,
     SegmentKind,
+    bundled_feeder_path,
     expand_distributed_loads,
     parse_feeder_dict,
     serialize_feeder,
@@ -195,6 +199,20 @@ def test_iteration_cap_raises_with_mismatch_trace(ieee13):
         solve(model, SolveOptions(max_iter=5))
     assert len(err.value.trace) == 5
     assert all(math.isfinite(m) for m in err.value.trace)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_sweep_is_a_blow_up_not_a_nan_solution():
+    # a constant-Z load far past what the line can carry makes the sweep
+    # diverge until the voltages overflow into inf and NaN; a NaN update
+    # must end the solve, not read as a zero mismatch
+    model = parse_feeder_dict(
+        two_bus_doc(kw=[1e7], kvar=[5e6], r_ohm=0.5, x_ohm=0.8, model="z")
+    )
+    with pytest.raises(PowerFlowError, match="numerical blow-up") as err:
+        solve(model)
+    assert not math.isfinite(err.value.trace[-1])
+    assert all(math.isfinite(m) for m in err.value.trace[:-1])
 
 
 def test_solve_rejects_unplaced_distributed_loads(ieee13):
@@ -392,3 +410,233 @@ def test_distributed_load_on_a_source_segment_balances(rewrite):
     sol = solve(rewrite(parse_feeder_dict(doc)), TIGHT)
     assert sol.total_load_va.real == pytest.approx(100e3, rel=1e-9)
     assert sol.power_balance_residual_pu() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "rewrite", [split_distributed_loads_to_ends, expand_distributed_loads]
+)
+def test_bundled_feeders_converge_in_pinned_sweep_counts(
+    rewrite, ieee13, ieee34, ieee34_stressed
+):
+    # a change to rounding or to the order of the sweep moves these
+    got = [solve(rewrite(m)).iterations for m in (ieee13, ieee34, ieee34_stressed)]
+    assert got == [9, 13, 93]
+
+
+@pytest.mark.parametrize(
+    "feeder,solved", [("ieee13", "solved13"), ("ieee34_stressed", "solved34_stressed")]
+)
+def test_converged_solution_keeps_its_mismatch_trace(request, feeder, solved):
+    sol = request.getfixturevalue(solved)
+    assert len(sol.trace) == sol.iterations
+    assert sol.trace[-1] == sol.max_mismatch < SolveOptions().tol
+    assert all(m >= SolveOptions().tol for m in sol.trace[:-1])
+    # a capped solve fails on the same path
+    model = split_distributed_loads_to_ends(request.getfixturevalue(feeder))
+    with pytest.raises(PowerFlowError) as err:
+        solve(model, SolveOptions(max_iter=sol.iterations - 1))
+    assert err.value.trace == list(sol.trace[:-1])
+
+
+# Residual oracle: the network equations checked from the converged
+# voltages alone, with load and capacitor currents recomputed here from
+# the feeder model instead of through the solver's tables.
+
+RESIDUAL = SolveOptions(tol=1e-10, max_iter=1000)
+
+
+def _load_current(model, s0, u, v0):
+    """Current drawn by one wye phase or delta branch at voltage u."""
+    if model is LoadModel.CONSTANT_PQ:
+        return (s0 / u).conjugate()
+    if model is LoadModel.CONSTANT_Z:
+        return u / (v0 * v0 / s0.conjugate()) if s0 else 0j
+    return abs(s0) / v0 * cmath.exp(1j * (cmath.phase(u) - cmath.phase(s0)))
+
+
+def _transfer(seg):
+    """Per-phase ratio k in i_from = k i_to and v_to = k v_from - Z i_to."""
+    if seg.kind is SegmentKind.REGULATOR:
+        return list(seg.taps)
+    if seg.kind is SegmentKind.TRANSFORMER:
+        return [1.0 / seg.ratio] * len(seg.phases)
+    return [1.0] * len(seg.phases)
+
+
+def assert_network_equations_hold(sol, limit=1e-8):
+    """KVL on every segment, KCL at every node and i^H Z i on every
+    segment, each in per unit, from the solution's node voltages."""
+    model, v = sol.model, sol.node_voltages
+    base_va = model.base.power_kva * 1e3
+    order = model.bfs_segments()
+    base = {model.source.node: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
+    for seg in order:
+        ratio = seg.ratio if seg.kind is SegmentKind.TRANSFORMER else 1.0
+        base[seg.to_node] = base[seg.from_node] / ratio
+    assert base == sol.node_base_v
+
+    drawn = {n.id: dict.fromkeys(n.phases, 0j) for n in model.nodes}
+    for ld in model.loads:
+        if ld.conn is Connection.WYE:
+            pairs, v0 = [(p, None) for p in ld.phases], base[ld.node]
+        else:
+            pairs, v0 = ld.branches(), base[ld.node] * math.sqrt(3.0)
+        for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar):
+            u = v[ld.node][p] - (v[ld.node][q] if q else 0j)
+            i = _load_current(ld.model, complex(kw, kvar) * 1e3, u, v0)
+            drawn[ld.node][p] += i
+            if q:
+                drawn[ld.node][q] -= i
+    for seg in model.segments:
+        for p, kvar in zip(seg.phases, seg.shunt_kvar or ()):
+            drawn[seg.to_node][p] += (-1j * kvar * 1e3 / v[seg.to_node][p]).conjugate()
+
+    # KCL from the leaves up: each segment's i_to from voltages alone
+    i_to = {}
+    fed = {n.id: dict(drawn[n.id]) for n in model.nodes}
+    for seg in reversed(order):
+        i_to[seg.id] = fed[seg.to_node]
+        for p, k in zip(seg.phases, _transfer(seg)):
+            fed[seg.from_node][p] += k * i_to[seg.id][p]
+
+    for seg in order:
+        z, k = seg.z_total(), _transfer(seg)
+        flow = sol.segment_flows[seg.id]
+        for j, p in enumerate(seg.phases):
+            drop = sum(z[j][m] * i_to[seg.id][q] for m, q in enumerate(seg.phases))
+            kvl = v[seg.to_node][p] - (k[j] * v[seg.from_node][p] - drop)
+            assert abs(kvl) / base[seg.to_node] < limit, (seg.id, p, "KVL")
+        # the solver's own currents balance at the to node
+        out = dict(drawn[seg.to_node])
+        for child in model.segments_from(seg.to_node):
+            for p, i in zip(child.phases, sol.segment_flows[child.id].i_from):
+                out[p] += i
+        for p, i in zip(seg.phases, flow.i_to):
+            kcl = i - out[p]
+            assert abs(kcl) * base[seg.to_node] / base_va < limit, (seg.id, p, "KCL")
+        loss = loss_from_currents(sol, seg.id) - flow.loss_total()
+        assert abs(loss) / base_va < limit, (seg.id, "loss")
+
+
+@pytest.mark.parametrize(
+    "rewrite", [split_distributed_loads_to_ends, expand_distributed_loads]
+)
+@pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])
+def test_bundled_solutions_satisfy_the_network_equations(request, feeder, rewrite):
+    model = rewrite(request.getfixturevalue(feeder))
+    assert_network_equations_hold(solve(model, RESIDUAL))
+
+
+@functools.cache
+def _line_codes():
+    """Per-mile impedance matrices of the bundled line segments, by width."""
+    codes = {1: [], 2: [], 3: []}
+    for name in ("ieee13.feeder", "ieee34.feeder"):
+        for seg in json.loads(bundled_feeder_path(name).read_text())["segments"]:
+            z = seg.get("z_ohm_per_mile")
+            if z is not None and z not in codes[len(z)]:
+                codes[len(z)].append(z)
+    return codes
+
+
+@st.composite
+def radial_feeders(draw):
+    """A random radial feeder document built from the bundled line codes.
+
+    The root feeds a regulator, a transformer (both three-phase), a
+    two-phase and a one-phase line; below that, up to 29 more levels of
+    1-4 links each (lines, some of them regulators without impedance)
+    hang off random nodes of the level above with any subset of their
+    parent's phases, in any order, and any node may list its phases in
+    another order than its feeding segment.  Capacitors sit on
+    random segments and on the regulator.  Every load model appears both
+    wye and delta, and the source carries a load.
+    """
+    codes = _line_codes()
+    phase_order = st.permutations("ABC").map("".join)
+    root = "n0"
+    doc = {
+        "name": "random",
+        "base": {"power_kva": 2500.0, "voltage_kv_ll": 24.9},
+        "source": {"node": root, "nominal_kv_ll": 24.9,
+                   "voltage_pu": [draw(st.floats(0.98, 1.05))] * 3},
+        "nodes": [{"id": root, "phases": draw(phase_order)}],
+        "segments": [],
+        "loads": [],
+    }
+    phases = {root: doc["nodes"][0]["phases"]}
+
+    def link(parent, seg_phases, **kind):
+        node = f"n{len(doc['nodes'])}"
+        node_phases = "".join(draw(st.permutations(seg_phases)))
+        doc["nodes"].append({"id": node, "phases": node_phases})
+        phases[node] = node_phases
+        seg = {"id": f"{parent}-{node}", "from": parent, "to": node,
+               "phases": seg_phases}
+        if kind:
+            seg.update(kind)
+        else:
+            seg.update(kind="line", length=draw(st.floats(0.01, 0.3)), unit="mi",
+                       z_ohm_per_mile=draw(st.sampled_from(codes[len(seg_phases)])))
+        if draw(st.integers(0, 4)) == 0:
+            seg["shunt_kvar"] = [draw(st.sampled_from([0.0, 25.0, 100.0]))
+                                 for _ in seg_phases]
+        doc["segments"].append(seg)
+        return node
+
+    def subset(avail, n):
+        return "".join(draw(st.permutations(avail))[:n])
+
+    level = [
+        link(root, draw(phase_order), kind="regulator",
+             taps=[draw(st.floats(0.95, 1.08)) for _ in range(3)],
+             length=0.01, unit="mi", z_ohm_per_mile=codes[3][0],
+             shunt_kvar=[50.0, 0.0, 50.0]),
+        link(root, draw(phase_order), kind="transformer", ratio=2.0,
+             series_z_ohm=[0.4, 1.2]),
+        link(root, subset(phases[root], 2)),
+        link(root, subset(phases[root], 1)),
+    ]
+    for _ in range(draw(st.integers(0, 29))):
+        level = [draw(st.sampled_from(level)) for _ in range(draw(st.integers(1, 4)))]
+        for j, parent in enumerate(level):
+            width = draw(st.integers(1, len(phases[parent])))
+            seg_phases = subset(phases[parent], width)
+            if draw(st.integers(0, 7)) == 0:
+                level[j] = link(parent, seg_phases, kind="regulator",
+                                taps=[draw(st.floats(0.95, 1.08)) for _ in seg_phases])
+            else:
+                level[j] = link(parent, seg_phases)
+
+    def load(node, conn, model):
+        avail = phases[node]
+        if conn == "delta":
+            ph = "ABC" if len(avail) == 3 and draw(st.booleans()) else subset(avail, 2)
+        else:
+            ph = subset(avail, draw(st.integers(1, len(avail))))
+        n = 1 if conn == "delta" and len(ph) == 2 else len(ph)
+        doc["loads"].append({
+            "id": f"load{len(doc['loads'])}", "node": node, "conn": conn,
+            "model": model, "phases": ph,
+            "kw": [draw(st.sampled_from([0.0, 5.0, 20.0])) for _ in range(n)],
+            "kvar": [draw(st.sampled_from([-5.0, 0.0, 10.0])) for _ in range(n)],
+        })
+
+    nodes = list(phases)
+    multi = [n for n in nodes if len(phases[n]) >= 2]
+    models = st.sampled_from(["pq", "z", "i"])
+    load(root, draw(st.sampled_from(["wye", "delta"])), draw(models))
+    for model in ("pq", "z", "i"):
+        load(draw(st.sampled_from(nodes)), "wye", model)
+        load(draw(st.sampled_from(multi)), "delta", model)
+    for _ in range(draw(st.integers(0, 20))):
+        node = draw(st.sampled_from(nodes))
+        conn = "delta" if len(phases[node]) >= 2 and draw(st.booleans()) else "wye"
+        load(node, conn, draw(models))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_feeders())
+def test_random_radial_feeders_satisfy_the_network_equations(doc):
+    assert_network_equations_hold(solve(parse_feeder_dict(doc), RESIDUAL))
