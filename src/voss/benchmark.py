@@ -14,13 +14,10 @@ tap-free line the per-phase true loss fraction equals the phasor
 voltage-drop fraction exactly, so the single-segment study's errors are
 governed purely by the small-angle bound.
 
-Every path applies the correction factor built from the power ratio
-rho_s (simulated by default, or a supplied engineering estimate for
-multi-segment paths) and the voltage ratio rho_v.  The implied
-leaked-current fraction is clamped into [0, 1] before evaluating the
-correction: angle effects on extraction-free paths land it
-epsilon-negative, and the clamp turns those into an exact factor of 1
-instead of a factor slightly above.
+Every path applies ``clamped_correction`` of the power ratio rho_s
+(simulated by default, or a supplied engineering estimate for
+multi-segment paths) and the voltage ratio rho_v, the policy the sensor
+curves and ``voss_corrected`` use.
 """
 
 from __future__ import annotations
@@ -31,9 +28,8 @@ from typing import Optional, Sequence
 
 from .estimator import (
     EstimateFlag,
-    clamp_rho,
-    correction_factor,
-    rho_from_ratios,
+    check_rho_s,
+    clamped_correction,
     small_angle_error_bound,
 )
 from .feeder import FeederModel, SegmentKind, split_distributed_loads_to_ends
@@ -81,27 +77,9 @@ class ComparisonRow:
     reason: str = ""
 
 
-def _row_reason(excluded: bool, voss: float) -> str:
-    # A rising endpoint voltage (capacitor support, light phase) makes the
-    # single-reading estimate negative; the small-angle error bound is only
-    # valid for non-rising pairs, so such rows carry an annotation.
-    if excluded:
-        return EstimateFlag.NEAR_ZERO_POWER.value
-    if voss < 0.0:
-        return EstimateFlag.NEGATIVE_DROP.value
-    return ""
-
-
 def solve_end_split(model: FeederModel, options: SolveOptions) -> PowerFlowSolution:
     """Solve the feeder with distributed loads split onto segment ends."""
     return solve(split_distributed_loads_to_ends(model), options)
-
-
-def check_rho_s(rho_s: Optional[float]) -> Optional[float]:
-    """A supplied rho_s estimate must lie in [0, 1]; None means simulated."""
-    if rho_s is not None and not 0.0 <= rho_s <= 1.0:
-        raise ValueError(f"rho_s estimate must be in [0, 1], got {rho_s}")
-    return rho_s
 
 
 def _compare_path(
@@ -137,16 +115,18 @@ def _compare_path(
         voss = 1.0 - rho_v
         est = true_loss_fractions(solution, segment_ids, ph, near_zero_fraction)
         excluded = est.has_flag(EstimateFlag.NEAR_ZERO_POWER)
+        # A rising endpoint voltage (capacitor support, light phase) makes
+        # the estimate negative; the small-angle error bound holds only for
+        # non-rising pairs, so such rows carry an annotation.
+        reason = EstimateFlag.NEGATIVE_DROP.value if voss < 0.0 else ""
+        if excluded:
+            reason = EstimateFlag.NEAR_ZERO_POWER.value
         row_rho_s = rho_s
         if row_rho_s is None:
             p_in = first.s_from[segs[0].phases.index(ph)].real
             p_out = last.s_to[segs[-1].phases.index(ph)].real
             row_rho_s = math.nan if p_in == 0.0 else p_out / p_in
-        c_hat = math.nan
-        if not math.isnan(row_rho_s):
-            c_hat = correction_factor(
-                clamp_rho(rho_from_ratios(max(row_rho_s, 0.0), rho_v))
-            )
+        c_hat = float(clamped_correction(row_rho_s, rho_v)[0])
         corrected = c_hat * voss
         abs_error = math.nan if excluded else abs(corrected - est.loss_fraction)
         rows.append(
@@ -163,7 +143,7 @@ def _compare_path(
                 rho_s=row_rho_s,
                 rho_v=rho_v,
                 excluded=excluded,
-                reason=_row_reason(excluded, voss),
+                reason=reason,
             )
         )
     return rows

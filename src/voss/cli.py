@@ -24,7 +24,6 @@ import numpy as np
 
 from .benchmark import (
     NEAR_ZERO_POWER_FRACTION,
-    check_rho_s,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
@@ -32,6 +31,7 @@ from .benchmark import (
     write_comparison_csv,
     write_plot_long_csv,
 )
+from .estimator import check_rho_s
 from .feeder import FeederFormatError, expand_distributed_loads, parse_feeder
 from .line_oracle import sweep_rho, write_sweep_csv
 from .powerflow import (

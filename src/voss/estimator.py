@@ -7,7 +7,7 @@ loss fraction; a correction factor derived from the ratio of power and
 voltage at the two ends scales the estimate back.
 
 All functions here are pure and operate on plain floats/complex numbers,
-except voss_elementwise, which applies the same arithmetic to numpy
+except clamped_correction and voss_elementwise, which also take numpy
 arrays; all are safe to call concurrently.
 """
 
@@ -35,7 +35,8 @@ class EstimateFlag(Enum):
         row is excluded from comparisons by default.
     CORRECTION_OUT_OF_RANGE: the inferred leakage fraction fell outside
         [0, 1], so the correction model's assumptions do not hold for this
-        segment (diagnostic, not an error).
+        segment (diagnostic, not an error).  The factor is clamped, to 1
+        below the range and 2/3 above it, and the value still reported.
     GAP: no sample of one sensor lies within the pairing tolerance of
         the grid point.
     POWER_STATE_SUSPECT: a sensor read below the outage threshold near
@@ -82,7 +83,7 @@ class CorrectionParams:
 
     Out-of-range values are representable (measurements can produce them);
     the operations below flag rather than reject them, except where the
-    arithmetic itself breaks down (rho_v <= 0, rho_s < 0).
+    arithmetic itself breaks down (rho_v <= 0).
     """
 
     rho_s: float
@@ -147,6 +148,11 @@ def correction_factor(rho: float) -> float:
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    return _c(rho)
+
+
+def _c(rho):
+    """c(rho) on a float or a numpy array, with the same bits per element."""
     return 1.0 - rho * (3.0 - 2.0 * rho) / (6.0 - 3.0 * rho)
 
 
@@ -154,20 +160,14 @@ def correction_factor_hat(params: CorrectionParams) -> float:
     """Correction factor estimated from measurable end-to-end ratios.
 
     Algebraically identical to ``correction_factor(1 - rho_s/rho_v)`` when
-    the inferred leakage fraction is in range.  Values above 1 indicate
-    the distributed-extraction model does not fit (flag at the call site).
+    the inferred leakage fraction is in range; the estimates use
+    ``clamped_correction``, and this ratio form is kept as its reference.
     """
     rho_s, rho_v = params.rho_s, params.rho_v
     if rho_v <= 0.0:
         raise ValueError(f"rho_v must be > 0, got {rho_v}")
     if rho_s < 0.0:
         raise ValueError(f"rho_s must be >= 0, got {rho_s}")
-    return _c_hat(rho_s, rho_v)
-
-
-def _c_hat(rho_s, rho_v):
-    # shared by the scalar and the elementwise estimate, so both give
-    # the same bits
     return 1.0 - ((rho_v - rho_s) / (rho_v + rho_s)) * ((rho_v + 2.0 * rho_s) / (3.0 * rho_v))
 
 
@@ -175,8 +175,7 @@ def rho_from_ratios(rho_s: float, rho_v: float) -> float:
     """Leakage fraction inferred from power and voltage ratios.
 
     Returns ``1 - rho_s/rho_v`` unclamped; measurement noise or model
-    mismatch can push it outside [0, 1], which callers flag as
-    CORRECTION_OUT_OF_RANGE.
+    mismatch can push it outside [0, 1] (see ``clamped_correction``).
     """
     if rho_v <= 0.0:
         raise ValueError(f"rho_v must be > 0, got {rho_v}")
@@ -188,23 +187,46 @@ def clamp_rho(rho: float) -> float:
     return min(1.0, max(0.0, rho))
 
 
+def check_rho_s(rho_s: Optional[float]) -> Optional[float]:
+    """A supplied power ratio must lie in [0, 1]; None means none supplied."""
+    if rho_s is not None and not 0.0 <= rho_s <= 1.0:
+        raise ValueError(f"rho_s must lie in [0, 1], got {rho_s}")
+    return rho_s
+
+
+def clamped_correction(rho_s, rho_v) -> tuple:
+    """The correction policy: (factor, out-of-range mask) from the ratios.
+
+    The leakage fraction rho = 1 - rho_s/rho_v is clamped into [0, 1]
+    before evaluating c(rho) = 1 - rho(3 - 2 rho)/(6 - 3 rho).  Angle
+    effects on extraction-free paths land rho epsilon-negative, and the
+    clamp turns those into an exact factor of 1 instead of one slightly
+    above.  A rho outside [0, 1] (the model does not fit) is marked in the
+    mask and gets the clamped factor, 1 below the range and 2/3 above it
+    (rho_s <= 0).  A NaN rho_s gives NaN.  Takes scalars or numpy arrays,
+    with the same bits per element either way.
+    """
+    if not np.all(np.greater(rho_v, 0.0)):
+        raise ValueError("rho_v must be > 0")
+    rho = 1.0 - np.divide(rho_s, rho_v)
+    out_of_range = ~((0.0 <= rho) & (rho <= 1.0))
+    return _c(np.clip(rho, 0.0, 1.0)), out_of_range
+
+
 def voss_corrected(seg: SegmentVoltages, params: CorrectionParams) -> LossEstimate:
     """Corrected voltage-only loss estimate for a segment with extraction.
 
-    Multiplies the raw drop by the correction factor inferred from
-    ``params``.  Flags NEGATIVE_DROP when the raw drop is negative and
+    Multiplies the raw drop by ``clamped_correction`` of ``params``.
+    Flags NEGATIVE_DROP when the raw drop is negative and
     CORRECTION_OUT_OF_RANGE when the inferred leakage fraction falls
     outside [0, 1]; in both cases the value is still reported.
     """
     raw = voss_single(seg)
-    c_hat = correction_factor_hat(params)
-    flags = set()
-    if raw < 0.0:
-        flags.add(EstimateFlag.NEGATIVE_DROP)
-    rho = rho_from_ratios(params.rho_s, params.rho_v)
-    if not (0.0 <= rho <= 1.0):
+    c_hat, out_of_range = clamped_correction(params.rho_s, params.rho_v)
+    flags = {EstimateFlag.NEGATIVE_DROP} if raw < 0.0 else set()
+    if out_of_range:
         flags.add(EstimateFlag.CORRECTION_OUT_OF_RANGE)
-    return LossEstimate(c_hat * raw, frozenset(flags))
+    return LossEstimate(float(c_hat * raw), frozenset(flags))
 
 
 def voss_elementwise(v_start, v_end, rho_s: Optional[float] = None) -> tuple:
@@ -213,21 +235,17 @@ def voss_elementwise(v_start, v_end, rho_s: Optional[float] = None) -> tuple:
     v_start and v_end are numpy arrays of endpoint magnitudes; rho_v is
     v_end/v_start per element.  Returns (loss fractions, NEGATIVE_DROP
     mask, CORRECTION_OUT_OF_RANGE mask).  Each element equals the scalar
-    function's result on the same pair bit for bit, and the inputs the
-    scalar functions reject are rejected here too.
+    function's result on the same pair bit for bit, and the inputs
+    SegmentVoltages rejects are rejected here too.
     """
     if not np.all((0.0 < v_start) & (v_start < np.inf)):
         raise ValueError("v_start must be finite and > 0")
     if not np.all((0.0 <= v_end) & (v_end < np.inf)):
         raise ValueError("v_end must be finite and >= 0")
-    raw = 1.0 - v_end / v_start
+    rho_v = v_end / v_start
+    raw = 1.0 - rho_v
     negative = raw < 0.0
     if rho_s is None:
         return raw, negative, np.zeros_like(negative)
-    if rho_s < 0.0:
-        raise ValueError(f"rho_s must be >= 0, got {rho_s}")
-    rho_v = v_end / v_start
-    if not np.all(rho_v > 0.0):
-        raise ValueError("rho_v must be > 0")
-    rho = 1.0 - rho_s / rho_v
-    return _c_hat(rho_s, rho_v) * raw, negative, ~((0.0 <= rho) & (rho <= 1.0))
+    c_hat, out_of_range = clamped_correction(rho_s, rho_v)
+    return c_hat * raw, negative, out_of_range

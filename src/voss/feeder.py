@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 FEET_PER_MILE = 5280.0
 PHASE_ORDER = "ABC"
@@ -236,7 +236,20 @@ def _pair_from_complex(z: complex) -> list:
     return [z.real, z.imag]
 
 
+def _objects(doc: dict, key: str, ctx: str) -> list:
+    """The list of objects under key (nodes, segments, loads)."""
+    value = _require(doc, key, ctx)
+    if not isinstance(value, list):
+        raise FeederFormatError(f"expected a list of objects, got {value!r}", key)
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise FeederFormatError(f"expected an object, got {item!r}", f"{key}[{i}]")
+    return value
+
+
 def _require(mapping: dict, key: str, ctx: str):
+    if not isinstance(mapping, dict):
+        raise FeederFormatError(f"expected an object, got {mapping!r}", ctx)
     if key not in mapping:
         raise FeederFormatError(f"missing required key '{key}'", ctx)
     return mapping[key]
@@ -248,6 +261,13 @@ def _number(value, ctx: str) -> float:
     x = float(value)
     if not math.isfinite(x):
         raise FeederFormatError(f"non-finite number {value!r}", ctx)
+    return x
+
+
+def _positive(value, ctx: str) -> float:
+    x = _number(value, ctx)
+    if x <= 0:
+        raise FeederFormatError(f"expected a number > 0, got {x}", ctx)
     return x
 
 
@@ -264,12 +284,12 @@ def _phase_string(value, ctx: str) -> str:
     return value
 
 
-def _numbers(value, count: int, ctx: str) -> tuple:
+def _numbers(value, count: int, ctx: str, rule=_number) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise FeederFormatError(
             f"expected a list of {count} numbers, got {value!r}", ctx
         )
-    return tuple(_number(x, ctx) for x in value)
+    return tuple(rule(x, ctx) for x in value)
 
 
 def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
@@ -280,43 +300,31 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     name = doc.get("name", "feeder")
     base_raw = _require(doc, "base", "base")
     base = BaseDef(
-        power_kva=_number(_require(base_raw, "power_kva", "base"), "base.power_kva"),
-        voltage_kv_ll=_number(
+        power_kva=_positive(_require(base_raw, "power_kva", "base"), "base.power_kva"),
+        voltage_kv_ll=_positive(
             _require(base_raw, "voltage_kv_ll", "base"), "base.voltage_kv_ll"
         ),
     )
-    if base.power_kva <= 0:
-        raise FeederFormatError(
-            f"base power_kva must be > 0, got {base.power_kva}", "base.power_kva"
-        )
-    if base.voltage_kv_ll <= 0:
-        raise FeederFormatError(
-            f"base voltage_kv_ll must be > 0, got {base.voltage_kv_ll}",
-            "base.voltage_kv_ll",
-        )
 
     src_raw = _require(doc, "source", "source")
+    node = str(_require(src_raw, "node", "source"))
     v_pu = src_raw.get("voltage_pu", 1.0)
-    if isinstance(v_pu, (int, float)):
-        v_pu = (float(v_pu),) * 3
-    else:
-        v_pu = _numbers(v_pu, 3, "source.voltage_pu")
+    if not isinstance(v_pu, (list, tuple)):
+        v_pu = [v_pu] * 3
     angles = src_raw.get("angles_deg", [0.0, -120.0, 120.0])
     source = SourceDef(
-        node=str(_require(src_raw, "node", "source")),
-        nominal_kv_ll=_number(
+        node=node,
+        nominal_kv_ll=_positive(
             _require(src_raw, "nominal_kv_ll", "source"), "source.nominal_kv_ll"
         ),
-        voltage_pu=v_pu,
+        voltage_pu=_numbers(v_pu, 3, "source.voltage_pu", _positive),
         angles_deg=_numbers(angles, 3, "source.angles_deg"),
     )
 
-    load_scale = _number(doc.get("load_scale", 1.0), "load_scale")
-    if load_scale <= 0:
-        raise FeederFormatError(f"load_scale must be > 0, got {load_scale}", "load_scale")
+    load_scale = _positive(doc.get("load_scale", 1.0), "load_scale")
 
     nodes = []
-    for i, raw in enumerate(_require(doc, "nodes", origin)):
+    for i, raw in enumerate(_objects(doc, "nodes", origin)):
         ctx = f"nodes[{i}]"
         nodes.append(
             NodeDef(
@@ -326,7 +334,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         )
 
     segments = []
-    for i, raw in enumerate(_require(doc, "segments", origin)):
+    for i, raw in enumerate(_objects(doc, "segments", origin)):
         ctx = f"segments[{i}] (id={raw.get('id', '?')})"
         seg_id = str(_require(raw, "id", ctx))
         phases = _phase_string(_require(raw, "phases", ctx), ctx)
@@ -372,9 +380,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
 
         ratio = None
         if "ratio" in raw:
-            ratio = _number(raw["ratio"], ctx)
-            if ratio <= 0:
-                raise FeederFormatError("transformer ratio must be > 0", ctx)
+            ratio = _positive(raw["ratio"], f"{ctx} ratio")
 
         series_z = None
         if "series_z_ohm" in raw:
@@ -422,7 +428,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         )
 
     loads = []
-    for i, raw in enumerate(_require(doc, "loads", origin)):
+    for i, raw in enumerate(_objects(doc, "loads", origin)):
         ctx = f"loads[{i}] (id={raw.get('id', '?')})"
         placement = (
             Placement.DISTRIBUTED if "segment" in raw else Placement.SPOT

@@ -16,7 +16,7 @@ which is what makes this module an independent check of the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,7 +70,8 @@ class OracleResult:
     loss_single: complex
     ratio: float
     i_out: float
-    v_profile: tuple
+    # read-only, complex, n + 1 points from the head; not compared
+    v_profile: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,7 @@ def simulate_uniform_line(model: UniformLineModel, n: int) -> OracleResult:
     v0 = model.head_voltage()
     seg_drop = model.zeta * half * (i_pre + i_post)
     v_profile = v0 - np.concatenate(([0.0], np.cumsum(seg_drop)))
+    v_profile.flags.writeable = False
 
     i_out = model.i_in - n * di
     return OracleResult(
@@ -120,7 +122,7 @@ def simulate_uniform_line(model: UniformLineModel, n: int) -> OracleResult:
         loss_single=complex(loss_single),
         ratio=float(ratio),
         i_out=float(i_out),
-        v_profile=tuple(complex(v) for v in v_profile),
+        v_profile=v_profile,
     )
 
 

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimator import EstimateFlag, voss_elementwise
+from .estimator import EstimateFlag, check_rho_s, voss_elementwise
 from .ioutil import format_float, write_csv
 from .timeseries import (
     format_utc,
@@ -228,8 +228,7 @@ class SensorChain:
                 f"(one per adjacent pair), got {len(self.rho_s)}"
             )
         for value in self.rho_s:
-            if value is not None and not (0.0 <= value <= 1.0):
-                raise ValueError(f"rho_s must lie in [0, 1], got {value}")
+            check_rho_s(value)
 
     def pairs(self) -> list:
         """(upstream, downstream, rho_s) per adjacent pair, feeder order."""
@@ -626,19 +625,12 @@ def parse_chain_config(path) -> ChainConfig:
     calibration = data.get("calibration", {})
     if not isinstance(calibration, dict):
         raise SensorFormatError(f"{context}: 'calibration' must be an object")
-    for sid, factor in calibration.items():
+    for sid in calibration:
         if sid not in sensors:
             raise SensorFormatError(
                 f"{context}: calibration for unknown sensor {sid!r}"
             )
-        if (
-            not isinstance(factor, (int, float))
-            or isinstance(factor, bool)
-            or not (0 < factor < math.inf)
-        ):
-            raise SensorFormatError(
-                f"{context}: calibration for {sid!r} must be a finite positive number"
-            )
+        _positive_number(calibration, sid, None, f"{context}: calibration")
     try:
         chain = SensorChain(tuple(sensors), tuple(rho_s))
     except ValueError as exc:

@@ -152,6 +152,47 @@ def test_misordered_delta_load_is_an_input_error(tmp_path, capsys):
     assert "load 671" in err and "'CBA'" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(base=5),
+        lambda d: d.update(source=[]),
+        lambda d: d.update(nodes=5),
+        lambda d: d.update(segments=[7]),
+        lambda d: d.update(loads=["671"]),
+        lambda d: d["source"].update(nominal_kv_ll=0),
+        lambda d: d["source"].update(nominal_kv_ll=-4.16),
+        lambda d: d["source"].update(voltage_pu=float("nan")),
+        lambda d: d["source"].update(voltage_pu=float("inf")),
+        lambda d: d["source"].update(voltage_pu=True),
+        lambda d: d["source"].update(voltage_pu=0.0),
+        lambda d: d["source"].update(voltage_pu=[1.0, -1.0, 1.0]),
+    ],
+    ids=[
+        "base-number",
+        "source-list",
+        "nodes-number",
+        "segment-number",
+        "load-string",
+        "nominal-zero",
+        "nominal-negative",
+        "voltage-nan",
+        "voltage-inf",
+        "voltage-bool",
+        "voltage-zero",
+        "voltage-list-negative",
+    ],
+)
+def test_malformed_feeder_document_is_an_input_error(tmp_path, capsys, edit):
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.feeder"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(bad), "--out-dir", str(tmp_path))
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and out == ""
+
+
 def test_malformed_sensor_csv_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("sensor_id,timestamp,voltage_v\ns1,yesterday,230\n")

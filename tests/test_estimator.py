@@ -9,6 +9,7 @@ why rising-voltage pairs are outside it.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from voss.estimator import (
     EstimateFlag,
     SegmentVoltages,
     clamp_rho,
+    clamped_correction,
     correction_factor,
     correction_factor_hat,
     loss_fraction_exact,
@@ -184,3 +186,35 @@ def test_corrected_estimate_flags_out_of_range_leakage():
     est = voss_corrected(SegmentVoltages(240.0, 228.0), CorrectionParams(0.99, 0.95))
     assert est.has_flag(EstimateFlag.CORRECTION_OUT_OF_RANGE)
     assert math.isfinite(est.loss_fraction)
+
+
+def test_out_of_range_leakage_gets_the_clamped_factor():
+    # below the range the factor is exactly 1, so the estimate is the raw
+    # drop; above it (rho_s < 0, reverse power at the tail) it is c(1)
+    seg = SegmentVoltages(240.0, 228.0)
+    below = voss_corrected(seg, CorrectionParams(rho_s=0.99, rho_v=0.95))
+    assert below.loss_fraction == voss_single(seg)
+    assert below.flags == {EstimateFlag.CORRECTION_OUT_OF_RANGE}
+    above = voss_corrected(seg, CorrectionParams(rho_s=-0.2, rho_v=0.95))
+    assert above.loss_fraction == correction_factor(1.0) * voss_single(seg)
+    assert above.flags == {EstimateFlag.CORRECTION_OUT_OF_RANGE}
+
+
+@given(
+    rho_s=st.floats(min_value=-2.0, max_value=2.0),
+    rho_v=st.floats(min_value=1e-3, max_value=1.5),
+)
+def test_clamped_correction_is_the_closed_form_of_the_clamped_fraction(rho_s, rho_v):
+    factor, out_of_range = clamped_correction(rho_s, rho_v)
+    rho = rho_from_ratios(rho_s, rho_v)
+    assert factor == correction_factor(clamp_rho(rho))
+    assert out_of_range == (not 0.0 <= rho <= 1.0)
+    array_factor, array_mask = clamped_correction(np.array([rho_s]), np.array([rho_v]))
+    assert array_factor[0] == factor and array_mask[0] == out_of_range
+
+
+def test_clamped_correction_passes_nan_and_rejects_bad_voltage_ratio():
+    assert math.isnan(clamped_correction(math.nan, 0.95)[0])
+    for rho_v in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="rho_v"):
+            clamped_correction(0.5, rho_v)

@@ -68,6 +68,14 @@ def test_voltage_profile_spans_line():
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
 
+def test_results_compare_and_hash_without_the_profile():
+    a = simulate_uniform_line(make(0.5), 16)
+    b = simulate_uniform_line(make(0.5), 16)
+    assert a == b and hash(a) == hash(b)
+    assert a != simulate_uniform_line(make(0.4), 16)
+    assert not a.v_profile.flags.writeable
+
+
 def test_ratio_invariant_under_scaling():
     base = simulate_uniform_line(make(0.4), 500).ratio
     for zeta, i_in, length in [

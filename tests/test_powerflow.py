@@ -5,12 +5,19 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_bus_doc
-from voss.estimator import EstimateFlag
+from voss.benchmark import run_single_segment_study
+from voss.estimator import (
+    EstimateFlag,
+    clamped_correction,
+    loss_fraction_exact,
+    voss_elementwise,
+)
 from voss.feeder import (
     Connection,
     LoadModel,
@@ -640,3 +647,30 @@ def radial_feeders(draw):
 @given(radial_feeders())
 def test_random_radial_feeders_satisfy_the_network_equations(doc):
     assert_network_equations_hold(solve(parse_feeder_dict(doc), RESIDUAL))
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_feeders())
+def test_estimator_identities_hold_on_every_line_of_random_feeders(doc):
+    # criterion 6 beyond the bundled feeders: on a tap-free line the true
+    # loss fraction is the phasor drop, the sag ratio is within the angle
+    # bound of it, and the study's correction is the sensor pipeline's
+    model = parse_feeder_dict(doc)
+    assert parse_feeder_dict(serialize_feeder(model)) == model
+    sol = solve(model, RESIDUAL)
+    for row in run_single_segment_study(model, solution=sol):
+        if row.excluded:
+            continue
+        seg = model.segment(row.line_or_path)
+        v1 = sol.voltage(seg.from_node, row.phase)
+        v2 = sol.voltage(seg.to_node, row.phase)
+        exact = loss_fraction_exact(v1, v2)
+        # true_loss takes s_from - s_to, which cancels to ~1e-16 absolute
+        assert row.true_loss == pytest.approx(exact, rel=1e-12, abs=1e-14)
+        if row.voss_single >= 0.0:
+            assert abs(exact - row.voss_single) <= row.angle_bound + 1e-12
+        assert 2.0 / 3.0 <= row.c_hat <= 1.0
+        up, down = np.array([abs(v1)]), np.array([abs(v2)])
+        loss, _, _ = voss_elementwise(up, down, row.rho_s)
+        assert loss[0] == row.voss_corrected
+        assert clamped_correction(row.rho_s, down / up)[0][0] == row.c_hat

@@ -313,10 +313,12 @@ def test_voltage_rise_is_reported_negative_and_flagged():
 
 def test_correction_out_of_band_is_flagged():
     # power ratio far above the voltage ratio pushes the estimated leak
-    # fraction negative and the correction above 1
+    # fraction negative; the factor is clamped to 1, so the point reads
+    # exactly the raw drop
     (curve,) = chain_curves([240.0] * 3, [220.0] * 3, rho_s=1.0)
     for p in curve.points:
-        assert EstimateFlag.CORRECTION_OUT_OF_RANGE.value in p.flags
+        assert p.loss_fraction == 1.0 - 220.0 / 240.0
+        assert p.flags == (EstimateFlag.CORRECTION_OUT_OF_RANGE.value,)
 
 
 def test_dropout_produces_gap_points():
