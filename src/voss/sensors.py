@@ -13,8 +13,21 @@ Inside this module a series is two numpy arrays, int64 UTC epoch
 microseconds and float64 volts, and a loss curve is three: grid
 timestamps in epoch microseconds, loss fractions, and flag bits.  The
 object views (``VoltageSeries.samples``, ``LossCurve.points``) are
-built only when read.  Ingest parses each distinct timestamp string
-once.  ``loss_curve`` splits off outage readings, calibrates and
+built only when read.
+
+Ingest reads the file in newline-aligned blocks of INGEST_BLOCK_BYTES
+and decodes each block itself, so an undecodable byte is reported with
+its line.  A block whose lines all hold three fields is split with
+str.split into three columns; a block with blank lines or a bad field
+count goes through csv.reader, and so does the rest of the file from
+the first block that holds a quote or a CR.  Either way the columns
+get the same checks, once per block: ids are stripped, only timestamp
+strings not seen before are parsed, and voltages are converted in one
+pass and range-checked as an array.  A failure names the first bad
+record, numbered as csv.reader counts them.  The checked rows are kept
+as sensor code, epoch_us and volts arrays; one stable sort by (sensor,
+time) at the end drops repeated timestamps and cuts out the series.
+``loss_curve`` splits off outage readings, calibrates and
 median-smooths each sensor once, however many pairs it belongs to.
 The array kernels (rolling median, nearest sample, grid, timestamp
 rounding and formatting) are in ``voss.timeseries``, the elementwise
@@ -31,7 +44,10 @@ scaling.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -42,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .estimator import EstimateFlag, check_rho_s, voss_elementwise
-from .ioutil import format_float, write_csv
+from .ioutil import FLOAT_FORMAT, write_csv
 from .timeseries import (
     format_utc,
     grid_points,
@@ -57,6 +73,11 @@ CURVE_HEADER = ["timestamp", "loss_fraction", "flags"]
 GRID_STEP_S = 120.0
 PAIR_TOLERANCE_S = 60.0
 SMOOTHING_WINDOW_S = 600.0
+
+# Ingest reads the file in blocks of about this many bytes, cut at line
+# ends, and checks each block's rows as columns; memory for the text in
+# flight stays bounded however long the file.
+INGEST_BLOCK_BYTES = 1 << 16
 
 # Samples below this fraction of nominal voltage are outage readings,
 # not grid state; they are flagged and kept out of the loss curve.
@@ -305,15 +326,222 @@ class LossCurve(_ArrayRecord):
         )
 
 
-def _parse_epoch_us(text: str, line_no: int) -> int:
+def _parse_epoch_us(text: str) -> int:
     try:
         ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
         # a bare timestamp is taken as UTC; astimezone rejects an offset
         # that moves the instant outside years 1-9999
         ts = ts.replace(tzinfo=UTC) if ts.tzinfo is None else ts.astimezone(UTC)
     except (ValueError, OverflowError) as exc:
-        raise SensorFormatError(f"bad timestamp {text!r}: {exc}", line=line_no) from None
+        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
     return _epoch_us(ts)
+
+
+def _line_blocks(handle):
+    """The bytes of handle after a byte-order mark, in blocks that end in a newline.
+
+    Only the last block may lack the newline.
+    """
+    carry = handle.read(len(codecs.BOM_UTF8))
+    if carry == codecs.BOM_UTF8:
+        carry = b""
+    for chunk in iter(lambda: handle.read(INGEST_BLOCK_BYTES), b""):
+        carry += chunk
+        cut = carry.rfind(b"\n") + 1
+        if cut:
+            yield carry[:cut]
+            carry = carry[cut:]
+    if carry:
+        yield carry
+
+
+class _Blocks:
+    """The text of a binary file in newline-aligned blocks.
+
+    Each block holds whole lines of about INGEST_BLOCK_BYTES, decoded as
+    UTF-8 after a leading byte-order mark is dropped.  Iteration stops
+    before the line that holds the first byte that is not UTF-8, and
+    undecodable then describes it.
+    """
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.undecodable: Optional[str] = None
+
+    def __iter__(self):
+        for block in _line_blocks(self.handle):
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                self.undecodable = (
+                    f"byte 0x{block[exc.start]:02x} is not UTF-8 ({exc.reason})"
+                )
+                good = block[: block.rfind(b"\n", 0, exc.start) + 1]
+                if good:
+                    yield good.decode("utf-8")
+                return
+            yield text
+
+
+def _lines(texts):
+    """The lines of texts as csv.reader wants them, split at LF, CR or CRLF."""
+    for text in texts:
+        yield from io.StringIO(text, newline="")
+
+
+_ROW_DELIMITERS = np.frombuffer(b",,\n", dtype=np.uint8)
+
+
+def _three_fields_each(text: str) -> bool:
+    """Whether every line of text, which ends in a newline, has two commas."""
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    delimiters = buf[(buf == ord(",")) | (buf == ord("\n"))]
+    return delimiters.size % 3 == 0 and bool(
+        (delimiters.reshape(-1, 3) == _ROW_DELIMITERS).all()
+    )
+
+
+class _Readings:
+    """Checked rows of a readings file, kept as column chunks.
+
+    A chunk is three arrays: sensor code (int32), epoch_us (int64) and
+    volts (float64).  Codes number the stripped sensor ids in order of
+    first appearance.  Each add method takes the record number of its
+    first record and returns the number of the record after its last;
+    record 1 is the header.
+    """
+
+    def __init__(self) -> None:
+        self.code_of: dict = {}  # sensor_id text as read -> code
+        self.codes: dict = {}  # stripped sensor id -> code
+        self.epoch_of: dict = {}  # timestamp text -> epoch microseconds
+        self.chunks: list = []
+
+    def add_text(self, text: str, line: int) -> int:
+        """Add the lines of a block that holds no quote and no CR."""
+        if line == 1:
+            head, _, text = text.partition("\n")
+            line = self.add_records([head.split(",") if head else []], line)
+        if not text:
+            return line
+        if not text.endswith("\n"):
+            text += "\n"
+        if not _three_fields_each(text):  # blank lines or a bad field count
+            return self.add_records(
+                list(csv.reader(io.StringIO(text, newline=""))), line
+            )
+        fields = text.replace("\n", ",").split(",")
+        del fields[-1]
+        self.add_columns(fields[0::3], fields[1::3], fields[2::3], lambda k: line + k)
+        return line + len(fields) // 3
+
+    def add_records(self, rows: list, line: int) -> int:
+        """Add records as csv.reader gives them; blank ones only take a number."""
+        if line == 1:
+            header, rows, line = rows[0], rows[1:], 2
+            if [h.strip() for h in header] != CSV_HEADER:
+                raise SensorFormatError(
+                    f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+                    line=1,
+                )
+        kept, bad = [], None
+        for k, row in enumerate(rows):
+            if len(row) == 3:
+                kept.append(k)
+            elif row:
+                bad = k
+                break
+        if kept:
+            self.add_columns(
+                *zip(*map(rows.__getitem__, kept)), lambda i: line + kept[i]
+            )
+        if bad is not None:
+            raise SensorFormatError(
+                f"expected 3 fields, got {len(rows[bad])}", line=line + bad
+            )
+        return line + len(rows)
+
+    def add_columns(self, ids, stamps, volts_text, line_of) -> None:
+        """Check and keep one chunk of rows; line_of(k) numbers row k.
+
+        A failure is reported at the first bad row, with that row's
+        first failing check in the order empty id, timestamp, voltage.
+        """
+        n = len(ids)
+        errors = []  # (row, check, message)
+        for raw in set(ids).difference(self.code_of):
+            sensor_id = raw.strip()
+            if sensor_id:
+                self.code_of[raw] = self.codes.setdefault(sensor_id, len(self.codes))
+            else:
+                errors.append((ids.index(raw), 0, "empty sensor_id"))
+        for text in set(stamps).difference(self.epoch_of):
+            try:
+                self.epoch_of[text] = _parse_epoch_us(text)
+            except ValueError as exc:
+                errors.append((stamps.index(text), 1, str(exc)))
+        try:
+            volts = np.fromiter(map(float, volts_text), np.float64, n)
+        except ValueError:
+            for k, value in enumerate(volts_text):
+                try:
+                    float(value)
+                except ValueError:
+                    break
+            errors.append((k, 2, f"bad voltage {value!r}"))
+            volts = np.fromiter(map(float, volts_text[:k]), np.float64, k)
+        out_of_range = np.flatnonzero((volts < 0.0) | ~np.isfinite(volts))
+        if out_of_range.size:
+            k = int(out_of_range[0])
+            errors.append(
+                (k, 3, f"voltage must be finite and >= 0, got {volts_text[k]}")
+            )
+        if errors:
+            k, _, message = min(errors)
+            raise SensorFormatError(message, line=line_of(k))
+        self.chunks.append(
+            (
+                np.fromiter(map(self.code_of.__getitem__, ids), np.int32, n),
+                np.fromiter(map(self.epoch_of.__getitem__, stamps), np.int64, n),
+                volts,
+            )
+        )
+
+    def series(self, nominal_voltage: float, calibration: dict) -> list:
+        """One VoltageSeries per sensor, sorted by sensor id."""
+        if not self.chunks:
+            return []
+        names = sorted(self.codes)
+        rank = np.empty(len(names), dtype=np.int32)
+        rank[[self.codes[name] for name in names]] = np.arange(len(names))
+        code, epoch_us, volts = (np.concatenate(c) for c in zip(*self.chunks))
+        # one column at a time from here, so the peak holds one spare copy
+        self.chunks.clear()
+        code = rank[code]
+        # lexsort is stable, so equal (sensor, time) keys stay in file order
+        order = np.lexsort((epoch_us, code))
+        code = code[order]
+        epoch_us = epoch_us[order]
+        volts = volts[order]
+        del order
+        first = np.ones(code.size, dtype=bool)
+        first[1:] = (code[1:] != code[:-1]) | (epoch_us[1:] != epoch_us[:-1])
+        dropped = np.bincount(code[~first], minlength=len(names))
+        code = code[first]
+        epoch_us = epoch_us[first]
+        volts = volts[first]
+        bounds = np.searchsorted(code, np.arange(len(names) + 1))
+        return [
+            VoltageSeries._unchecked(
+                name,
+                epoch_us[bounds[k] : bounds[k + 1]],
+                volts[bounds[k] : bounds[k + 1]],
+                nominal_voltage,
+                calibration.get(name, 1.0),
+                int(dropped[k]),
+            )
+            for k, name in enumerate(names)
+        ]
 
 
 def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
@@ -322,67 +550,30 @@ def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
     Rows may arrive in any order; each series comes back sorted.  A
     repeated timestamp within one sensor keeps the first reading seen in
     the file and counts the rest in duplicates_dropped.  Any malformed
-    row fails with its line number.  A leading UTF-8 byte-order mark is
-    skipped.  Returns series sorted by sensor id.
+    row fails with its line number, counted in records as csv.reader
+    yields them (blank lines included).  A leading UTF-8 byte-order mark
+    is skipped.  Returns series sorted by sensor id.
     """
-    calibration = calibration or {}
-    stamps: dict = {}  # timestamp text -> epoch microseconds
-    per_sensor: dict = {}  # sensor id -> {epoch microseconds: volts}
-    dropped: dict = {}
-    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SensorFormatError("empty file, expected header", line=1) from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise SensorFormatError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-                line=1,
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SensorFormatError(
-                    f"expected 3 fields, got {len(row)}", line=line_no
-                )
-            sensor_id = row[0].strip()
-            if not sensor_id:
-                raise SensorFormatError("empty sensor_id", line=line_no)
-            us = stamps.get(row[1])
-            if us is None:
-                us = stamps[row[1]] = _parse_epoch_us(row[1], line_no)
-            try:
-                volts = float(row[2])
-            except ValueError:
-                raise SensorFormatError(
-                    f"bad voltage {row[2]!r}", line=line_no
-                ) from None
-            if volts < 0.0 or not math.isfinite(volts):
-                raise SensorFormatError(
-                    f"voltage must be finite and >= 0, got {row[2]}", line=line_no
-                )
-            bucket = per_sensor.setdefault(sensor_id, {})
-            if us in bucket:
-                dropped[sensor_id] = dropped.get(sensor_id, 0) + 1
-            else:
-                bucket[us] = volts
-    series = []
-    for sensor_id in sorted(per_sensor):
-        bucket = per_sensor[sensor_id]
-        epoch_us = sorted(bucket)
-        series.append(
-            VoltageSeries._unchecked(
-                sensor_id,
-                epoch_us,
-                [bucket[us] for us in epoch_us],
-                nominal_voltage,
-                calibration.get(sensor_id, 1.0),
-                dropped.get(sensor_id, 0),
-            )
-        )
-    return series
+    readings = _Readings()
+    line = 1  # record number of the next record
+    with Path(path).open("rb") as handle:
+        blocks = _Blocks(handle)
+        texts = iter(blocks)
+        for text in texts:
+            if '"' in text or "\r" in text:
+                # a quoted field may hold newlines and so span blocks:
+                # csv.reader takes the rest of the file
+                reader = csv.reader(_lines(itertools.chain((text,), texts)))
+                batch = max(1, INGEST_BLOCK_BYTES // 32)  # about a block of rows
+                for rows in iter(lambda: list(itertools.islice(reader, batch)), []):
+                    line = readings.add_records(rows, line)
+                break
+            line = readings.add_text(text, line)
+    if blocks.undecodable:
+        raise SensorFormatError(blocks.undecodable, line=line)
+    if line == 1:
+        raise SensorFormatError("empty file, expected header", line=1)
+    return readings.series(nominal_voltage, calibration or {})
 
 
 def align(
@@ -520,8 +711,8 @@ def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
     rows = list(
         zip(
             format_utc(curve.timestamp_us),
-            map(format_float, curve.loss_fraction.tolist()),
-            [_FLAG_TEXT[bits] for bits in curve.flag_bits.tolist()],
+            map(FLOAT_FORMAT.__mod__, curve.loss_fraction.tolist()),
+            map(_FLAG_TEXT.__getitem__, curve.flag_bits.tolist()),
         )
     )
     write_csv(path, CURVE_HEADER, rows)

@@ -2,6 +2,7 @@
 
 import bisect
 import codecs
+import csv
 import itertools
 import json
 import math
@@ -10,7 +11,9 @@ import statistics
 import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +26,10 @@ from voss.estimator import (
     voss_corrected,
     voss_single,
 )
+from voss import sensors
 from voss.feeder import bundled_feeder_path
 from voss.sensors import (
+    CSV_HEADER,
     CurvePoint,
     LossCurve,
     SensorChain,
@@ -162,6 +167,174 @@ def test_ingest_rejects_instant_outside_datetime_range(tmp_path):
     write_readings(path, [("s1", "0001-01-01T00:00:00+01:00", 230.0)])
     with pytest.raises(SensorFormatError, match="line 2: bad timestamp"):
         ingest_csv(path)
+
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"s1,2024-03-12T00:00:00Z,230\ns1,2024-03-12T00:02:00Z,2\xff0\n",
+        b"s1,2024-03-12T00:00:00Z,230\r\ns1,2024-03-12T00:02:00Z,2\xff0\r\n",
+        b's1,2024-03-12T00:00:00Z,230\n"s1",2024-03-12T00:02:00Z,2\xff0\n',
+    ],
+)
+@pytest.mark.parametrize("block_bytes", [3, 1 << 16])
+def test_undecodable_byte_fails_with_its_line(tmp_path, body, block_bytes):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"sensor_id,timestamp,voltage_v\n" + body + b"s1,x,230\n")
+    with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
+        with pytest.raises(SensorFormatError, match="line 3: byte 0xff is not UTF-8"):
+            ingest_csv(path)
+
+
+def test_undecodable_header_fails_on_line_one(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"sensor_id,times\xe9tamp,voltage_v\n")
+    with pytest.raises(SensorFormatError, match="line 1: byte 0xe9 is not UTF-8"):
+        ingest_csv(path)
+
+
+def _reference_epoch_us(text, line_no):
+    try:
+        ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+        ts = ts.replace(tzinfo=UTC) if ts.tzinfo is None else ts.astimezone(UTC)
+    except (ValueError, OverflowError) as exc:
+        raise SensorFormatError(f"bad timestamp {text!r}: {exc}", line=line_no) from None
+    return (ts - EPOCH) // timedelta(microseconds=1)
+
+
+def reference_ingest(path):
+    """ingest_csv as one csv.reader loop with one dict entry per sample."""
+    stamps = {}
+    per_sensor = {}
+    dropped = {}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SensorFormatError("empty file, expected header", line=1) from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise SensorFormatError(
+                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+                line=1,
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise SensorFormatError(
+                    f"expected 3 fields, got {len(row)}", line=line_no
+                )
+            sensor_id = row[0].strip()
+            if not sensor_id:
+                raise SensorFormatError("empty sensor_id", line=line_no)
+            us = stamps.get(row[1])
+            if us is None:
+                us = stamps[row[1]] = _reference_epoch_us(row[1], line_no)
+            try:
+                volts = float(row[2])
+            except ValueError:
+                raise SensorFormatError(
+                    f"bad voltage {row[2]!r}", line=line_no
+                ) from None
+            if volts < 0.0 or not math.isfinite(volts):
+                raise SensorFormatError(
+                    f"voltage must be finite and >= 0, got {row[2]}", line=line_no
+                )
+            bucket = per_sensor.setdefault(sensor_id, {})
+            if us in bucket:
+                dropped[sensor_id] = dropped.get(sensor_id, 0) + 1
+            else:
+                bucket[us] = volts
+    return [
+        VoltageSeries(
+            sensor_id,
+            [(EPOCH + timedelta(microseconds=us), bucket[us]) for us in sorted(bucket)],
+            duplicates_dropped=dropped.get(sensor_id, 0),
+        )
+        for sensor_id, bucket in sorted(per_sensor.items())
+    ]
+
+
+def csv_field(text, quoted):
+    if quoted or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# ids that strip to s1 or s2, and others; 00:00Z, 00:02Z and 00:04Z in
+# several spellings; voltages as float() reads them
+INGEST_IDS = ["s1", " s1", "s1 ", "s1\n", "s2", "\ts2", "s 3", 'q"t', "a,b", "é"]
+INGEST_STAMPS = [
+    "2024-03-12T00:00:00Z",
+    "2024-03-12T01:00:00+01:00",
+    "2024-03-12T00:02:00Z",
+    " 2024-03-12T00:02:00",
+    "2024-03-12T05:32:00+05:30",
+    "2024-03-12T00:04:00+00:00",
+    "2024-03-11T19:04:00-05:00",
+]
+INGEST_VOLTS = ["230", "229.5", " 231.25", "1e2", "0", "230.0", "2_30"]
+MALFORMED_ROWS = [
+    ["s1", "2024-03-12T00:00:00Z"],
+    ["s1", "2024-03-12T00:00:00Z", "230", "x"],
+    ["  ", "2024-03-12T00:00:00Z", "230"],
+    ["s1", "not-a-time", "230"],
+    ["s1", "0001-01-01T00:00:00+01:00", "230"],
+    ["s1", "2024-03-12T00:00:00Z", "volts"],
+    ["s1", "2024-03-12T00:00:00Z", "-1"],
+    ["s1", "2024-03-12T00:00:00Z", "nan"],
+    ["s1", "2024-03-12T00:00:00Z", "inf"],
+    [" ", "not-a-time", "volts"],
+    ["s1", "not-a-time", "-1"],
+]
+HEADERS = [CSV_HEADER, [" sensor_id", "timestamp\t", "voltage_v"], ["id", "t", "v"]]
+
+
+@st.composite
+def readings_files(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(INGEST_IDS),
+                st.sampled_from(INGEST_STAMPS),
+                st.sampled_from(INGEST_VOLTS),
+            ).map(list),
+            max_size=40,
+        )
+    )
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(MALFORMED_ROWS))
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    quote = st.booleans() if draw(st.booleans()) else st.just(False)
+    ending = st.sampled_from(["\n", "\r\n", "\r"] if draw(st.booleans()) else ["\n"])
+    text = "\ufeff" if draw(st.booleans()) else ""
+    for row in [draw(st.sampled_from(HEADERS)), *rows]:
+        text += ",".join(csv_field(f, draw(quote)) for f in row) + draw(ending)
+        if draw(st.integers(0, 9)) == 0:
+            text += draw(ending)  # a blank line
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=readings_files(), block_bytes=st.sampled_from([1, 7, 40, 1 << 16]))
+def test_ingest_matches_row_loop_reference(text, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = reference_ingest(path)
+        except SensorFormatError as exc:
+            want = (exc.line, str(exc))
+        with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
+            try:
+                got = ingest_csv(path)
+            except SensorFormatError as exc:
+                got = (exc.line, str(exc))
+    assert got == want
 
 
 # ----------------------------------------------------- series and chains
