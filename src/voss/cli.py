@@ -32,7 +32,7 @@ from .benchmark import (
     write_plot_long_csv,
 )
 from .estimator import check_rho_s
-from .feeder import FeederFormatError, expand_distributed_loads, parse_feeder
+from .feeder import expand_distributed_loads, parse_feeder
 from .line_oracle import sweep_rho, write_sweep_csv
 from .powerflow import (
     PowerFlowError,
@@ -42,7 +42,6 @@ from .powerflow import (
     write_voltages_csv,
 )
 from .sensors import (
-    SensorFormatError,
     ingest_csv,
     loss_curve,
     parse_chain_config,
@@ -339,9 +338,7 @@ def main(argv=None) -> int:
     except PowerFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FeederFormatError, SensorFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # FeederFormatError and SensorFormatError are ValueErrors
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,16 +17,18 @@ built only when read.
 
 Ingest reads the file in newline-aligned blocks of INGEST_BLOCK_BYTES
 and decodes each block itself, so an undecodable byte is reported with
-its line.  A block whose lines all hold three fields is split with
-str.split into three columns; a block with blank lines or a bad field
-count goes through csv.reader, and so does the rest of the file from
-the first block that holds a quote or a CR.  Either way the columns
-get the same checks, once per block: ids are stripped, only timestamp
-strings not seen before are parsed, and voltages are converted in one
-pass and range-checked as an array.  A failure names the first bad
-record, numbered as csv.reader counts them.  The checked rows are kept
-as sensor code, epoch_us and volts arrays; one stable sort by (sensor,
-time) at the end drops repeated timestamps and cuts out the series.
+its line.  A block with no quote, no CR and exactly two commas on every
+line is cut into three columns with str.split.  A file with a blank
+line, a bad field count, quoting or CR line ends is read by one
+csv.reader from the first such block on.  Both routes check the header
+with one helper and give the columns the same checks, once per block:
+ids are stripped, only timestamp strings not seen before are parsed,
+and voltages are converted in one pass and range-checked as an array.
+A failure names the first bad record, numbered as csv.reader counts
+them (a field past csv.field_size_limit() too).  The checked rows are
+kept as sensor code, epoch_us and volts arrays; one stable sort by
+(sensor, time) at the end drops repeated timestamps and cuts out the
+series.
 ``loss_curve`` splits off outage readings, calibrates and
 median-smooths each sensor once, however many pairs it belongs to.
 The array kernels (rolling median, nearest sample, grid, timestamp
@@ -132,20 +134,13 @@ def _array(dtype):
 class _ArrayRecord:
     """Base of the frozen dataclasses that keep their data in _array fields."""
 
-    def _fill(self, *values) -> None:
-        """Assign the fields in declaration order, freezing array fields."""
-        for f, value in zip(fields(self), values):
+    def __post_init__(self) -> None:
+        """Make each array field a read-only numpy array of its dtype."""
+        for f in fields(self):
             if "dtype" in f.metadata:
-                value = np.array(value, dtype=f.metadata["dtype"])
+                value = np.array(getattr(self, f.name), dtype=f.metadata["dtype"])
                 value.flags.writeable = False
-            object.__setattr__(self, f.name, value)
-
-    @classmethod
-    def _unchecked(cls, *values):
-        """An instance from its field values, without __init__'s checks."""
-        record = cls.__new__(cls)
-        record._fill(*values)
-        return record
+                object.__setattr__(self, f.name, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -213,15 +208,23 @@ class VoltageSeries(_ArrayRecord):
             duplicates_dropped,
         )
 
+    @classmethod
+    def _unchecked(cls, *values) -> VoltageSeries:
+        """A series from its field values, without __init__'s checks."""
+        series = cls.__new__(cls)
+        series._fill(*values)
+        return series
+
+    def _fill(self, *values) -> None:
+        """Assign the fields in declaration order, then freeze the arrays."""
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+        self.__post_init__()
+
     @property
     def samples(self) -> tuple:
         """(UTC datetime, volts) pairs, built on each access."""
         return tuple(zip(map(_datetime, self.epoch_us.tolist()), self.volts.tolist()))
-
-    def span(self) -> tuple:
-        if not self.epoch_us.size:
-            raise ValueError(f"{self.sensor_id}: empty series")
-        return _datetime(int(self.epoch_us[0])), _datetime(int(self.epoch_us[-1]))
 
 
 @dataclass(frozen=True)
@@ -266,18 +269,14 @@ class CurvePoint:
     flags: tuple = ()
 
 
-def _flag_bits(flags) -> int:
-    return sum(1 << FLAG_NAMES.index(flag) for flag in set(flags))
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class LossCurve(_ArrayRecord):
     """Loss-fraction estimates for one sensed span on the aligned grid.
 
     One array entry per grid point: timestamp_us (UTC epoch
     microseconds), loss_fraction (nan at gap and outage-suspect points)
-    and flag_bits (see FLAG_NAMES).  Built from CurvePoint objects;
-    points gives them back.
+    and flag_bits (see FLAG_NAMES).  points gives one CurvePoint per
+    grid point.
     """
 
     upstream: str
@@ -288,30 +287,7 @@ class LossCurve(_ArrayRecord):
     window_s: float
     grid_step_s: float
     tolerance_s: float
-    rho_s: Optional[float]
-
-    def __init__(
-        self,
-        upstream: str,
-        downstream: str,
-        points,
-        window_s: float,
-        grid_step_s: float,
-        tolerance_s: float,
-        rho_s: Optional[float] = None,
-    ) -> None:
-        points = tuple(points)
-        self._fill(
-            upstream,
-            downstream,
-            [_epoch_us(p.timestamp) for p in points],
-            [p.loss_fraction for p in points],
-            [_flag_bits(p.flags) for p in points],
-            window_s,
-            grid_step_s,
-            tolerance_s,
-            rho_s,
-        )
+    rho_s: Optional[float] = None
 
     @property
     def points(self) -> tuple:
@@ -392,13 +368,23 @@ def _lines(texts):
 _ROW_DELIMITERS = np.frombuffer(b",,\n", dtype=np.uint8)
 
 
-def _three_fields_each(text: str) -> bool:
-    """Whether every line of text, which ends in a newline, has two commas."""
-    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+def _splittable(text: str) -> bool:
+    """Whether text has no quote, no CR and exactly two commas on each line."""
+    if '"' in text or "\r" in text:
+        return False
+    buf = np.frombuffer(text.removesuffix("\n").encode() + b"\n", dtype=np.uint8)
     delimiters = buf[(buf == ord(",")) | (buf == ord("\n"))]
     return delimiters.size % 3 == 0 and bool(
         (delimiters.reshape(-1, 3) == _ROW_DELIMITERS).all()
     )
+
+
+def _check_header(header: list) -> None:
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise SensorFormatError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+            line=1,
+        )
 
 
 class _Readings:
@@ -418,32 +404,34 @@ class _Readings:
         self.chunks: list = []
 
     def add_text(self, text: str, line: int) -> int:
-        """Add the lines of a block that holds no quote and no CR."""
+        """Add the lines of a block that _splittable accepts."""
+        fields = text.removesuffix("\n").replace("\n", ",").split(",")
         if line == 1:
-            head, _, text = text.partition("\n")
-            line = self.add_records([head.split(",") if head else []], line)
-        if not text:
-            return line
-        if not text.endswith("\n"):
-            text += "\n"
-        if not _three_fields_each(text):  # blank lines or a bad field count
-            return self.add_records(
-                list(csv.reader(io.StringIO(text, newline=""))), line
-            )
-        fields = text.replace("\n", ",").split(",")
-        del fields[-1]
+            _check_header(fields[:3])
+            del fields[:3]
+            line = 2
         self.add_columns(fields[0::3], fields[1::3], fields[2::3], lambda k: line + k)
         return line + len(fields) // 3
 
+    def add_reader(self, reader, line: int) -> int:
+        """Add every record a csv.reader yields, a block of rows at a time."""
+        batch = max(1, INGEST_BLOCK_BYTES // 32)  # about a block of rows
+        rows = []
+        try:
+            if line == 1:
+                _check_header(next(reader))
+                line = 2
+            for row in reader:
+                rows.append(row)
+                if len(rows) == batch:
+                    line, rows = self.add_records(rows, line), []
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            self.add_records(rows, line)  # a bad earlier record is reported first
+            raise SensorFormatError(str(exc), line=line + len(rows)) from None
+        return self.add_records(rows, line)
+
     def add_records(self, rows: list, line: int) -> int:
         """Add records as csv.reader gives them; blank ones only take a number."""
-        if line == 1:
-            header, rows, line = rows[0], rows[1:], 2
-            if [h.strip() for h in header] != CSV_HEADER:
-                raise SensorFormatError(
-                    f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-                    line=1,
-                )
         kept, bad = [], None
         for k, row in enumerate(rows):
             if len(row) == 3:
@@ -560,13 +548,11 @@ def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
         blocks = _Blocks(handle)
         texts = iter(blocks)
         for text in texts:
-            if '"' in text or "\r" in text:
+            if not _splittable(text):
                 # a quoted field may hold newlines and so span blocks:
                 # csv.reader takes the rest of the file
                 reader = csv.reader(_lines(itertools.chain((text,), texts)))
-                batch = max(1, INGEST_BLOCK_BYTES // 32)  # about a block of rows
-                for rows in iter(lambda: list(itertools.islice(reader, batch)), []):
-                    line = readings.add_records(rows, line)
+                line = readings.add_reader(reader, line)
                 break
             line = readings.add_text(text, line)
     if blocks.undecodable:
@@ -588,8 +574,12 @@ def align(
     spanning the overlap of the two series, and per grid point the
     nearest stored sample within tolerance_s from each side (ties go to
     the earlier sample), nan where there is none (a gap).  Raises when
-    the series do not overlap or the overlap contains no grid point.
+    the series do not overlap or the overlap contains no grid point, and
+    when grid_step_s is below 1e-6 s, since grid timestamps are whole
+    microseconds.
     """
+    if not grid_step_s >= 1e-6:
+        raise ValueError(f"grid_step_s must be at least 1e-6 s, got {grid_step_s}")
     if not series_a.epoch_us.size or not series_b.epoch_us.size:
         raise ValueError("align needs two nonempty series")
     ea, eb = series_a.epoch_us / 1e6, series_b.epoch_us / 1e6
@@ -654,7 +644,7 @@ def _pair_curve(
         v_a[paired], v_b[paired], rho_s
     )
     bits[paired] = NEGATIVE_BIT * negative + RANGE_BIT * out_of_range
-    return LossCurve._unchecked(
+    return LossCurve(
         smooth_up.sensor_id,
         smooth_down.sensor_id,
         seconds_to_us(grid),
@@ -742,13 +732,21 @@ class ChainConfig:
     smoothing_window_s: float = SMOOTHING_WINDOW_S
 
 
+def _json_number(value) -> Optional[float]:
+    """A JSON number as a float (+-inf past the float range), else None."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _positive_number(data: dict, key: str, default: float, context: str) -> float:
-    value = data.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not (
-        0 < value < math.inf
-    ):
+    value = _json_number(data.get(key, default))
+    if value is None or not 0 < value < math.inf:
         raise SensorFormatError(f"{context}: {key!r} must be a finite positive number")
-    return float(value)
+    return value
 
 
 def parse_chain_config(path) -> ChainConfig:
@@ -764,6 +762,8 @@ def parse_chain_config(path) -> ChainConfig:
         raise SensorFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # not UTF-8, or past sys.get_int_max_str_digits()
+        raise SensorFormatError(f"{path}: {exc}") from None
     context = str(path)
     if not isinstance(data, dict):
         raise SensorFormatError(f"{context}: top level must be an object")
@@ -797,7 +797,7 @@ def parse_chain_config(path) -> ChainConfig:
                 f"{context}: each pair needs keys upstream, downstream, rho_s"
             )
         key = (entry.get("upstream"), entry.get("downstream"))
-        if key not in adjacent:
+        if not all(isinstance(sid, str) for sid in key) or key not in adjacent:
             raise SensorFormatError(
                 f"{context}: pair {key[0]!r}->{key[1]!r} is not an adjacent "
                 f"pair of the sensor list"
@@ -807,12 +807,12 @@ def parse_chain_config(path) -> ChainConfig:
                 f"{context}: duplicate pair entry {key[0]!r}->{key[1]!r}"
             )
         seen.add(key)
-        value = entry.get("rho_s")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        value = _json_number(entry.get("rho_s"))
+        if value is None:
             raise SensorFormatError(
                 f"{context}: rho_s for {key[0]!r}->{key[1]!r} must be a number"
             )
-        rho_s[adjacent[key]] = float(value)
+        rho_s[adjacent[key]] = value
     calibration = data.get("calibration", {})
     if not isinstance(calibration, dict):
         raise SensorFormatError(f"{context}: 'calibration' must be an object")

@@ -201,6 +201,27 @@ def test_malformed_sensor_csv_is_an_input_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["pairs"][0].update({"upstream": ["sensor-03"]}),
+        lambda d: d["pairs"][0].update({"downstream": {"id": "sensor-17"}}),
+        lambda d: d.update({"grid_step_s": 1e-300}),
+    ],
+    ids=["upstream-list", "downstream-object", "grid-step-tiny"],
+)
+def test_malformed_chain_config_is_an_input_error(tmp_path, capsys, edit):
+    doc = json.loads(Path(SAMPLE_CHAIN).read_text())
+    edit(doc)
+    bad = tmp_path / "chain.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "sensors", SAMPLE_DAY, str(bad), "--out-dir", str(tmp_path)
+    )
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and "wrote" not in out
+
+
 def test_iteration_cap_is_a_numerical_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "solve", STRESSED, "--max-iter", "5", "--out-dir", str(tmp_path)

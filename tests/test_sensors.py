@@ -30,6 +30,7 @@ from voss import sensors
 from voss.feeder import bundled_feeder_path
 from voss.sensors import (
     CSV_HEADER,
+    ChainConfig,
     CurvePoint,
     LossCurve,
     SensorChain,
@@ -185,6 +186,25 @@ def test_undecodable_byte_fails_with_its_line(tmp_path, body, block_bytes):
     with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
         with pytest.raises(SensorFormatError, match="line 3: byte 0xff is not UTF-8"):
             ingest_csv(path)
+
+
+@pytest.mark.parametrize(
+    "second,needle",
+    [
+        ('"s1",2024-03-12T00:00:00Z,230', "line 3: field larger than field limit"),
+        ("", "line 3: field larger than field limit"),
+        ('"s1",not-a-time,230', "line 2: bad timestamp"),
+    ],
+    ids=["quoted", "blank-line", "earlier-bad-record"],
+)
+def test_field_past_csv_limit_fails_with_its_line(tmp_path, second, needle):
+    path = tmp_path / "long.csv"
+    path.write_text(
+        f"sensor_id,timestamp,voltage_v\n{second}\n"
+        f"s1,2024-03-12T00:02:00Z,{'1' * (csv.field_size_limit() + 1)}\n"
+    )
+    with pytest.raises(SensorFormatError, match=needle):
+        ingest_csv(path)
 
 
 def test_undecodable_header_fails_on_line_one(tmp_path):
@@ -562,6 +582,17 @@ def test_all_suspect_series_is_an_error():
         chain_curves([240.0] * 3, [10.0, 20.0, 30.0])
 
 
+@pytest.mark.parametrize("step", [0.0, 1e-300])
+def test_grid_step_below_a_microsecond_is_an_error(step):
+    up, down = series("up", [230.0] * 3), series("down", [229.0] * 3)
+    needle = "grid_step_s must be at least 1e-6 s"
+    with pytest.raises(ValueError, match=needle):
+        align(up, down, grid_step_s=step)
+    with pytest.raises(ValueError, match=needle):
+        chain = SensorChain(("up", "down"))
+        loss_curve(chain, {"up": up, "down": down}, grid_step_s=step)
+
+
 # ----------------------------------------------------------- chain config
 
 
@@ -632,6 +663,70 @@ def test_chain_config_rejects_bad_documents(tmp_path, edit, needle):
         parse_chain_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (lambda d: d["pairs"][0].update({"upstream": ["a"]}), "not an adjacent pair"),
+        (lambda d: d["pairs"][0].update({"downstream": {}}), "not an adjacent pair"),
+        (lambda d: d.update({"grid_step_s": 10**400}), "positive number"),
+        (lambda d: d["pairs"][0].update({"rho_s": -(10**400)}), r"\[0, 1\]"),
+    ],
+    ids=["upstream-list", "downstream-object", "step-10e400", "rho-s-minus-10e400"],
+)
+def test_chain_config_rejects_unhashable_ids_and_huge_integers(tmp_path, edit, needle):
+    doc = good_config()
+    edit(doc)
+    with pytest.raises(SensorFormatError, match=needle):
+        parse_chain_config(write_config(tmp_path, doc))
+
+
+# any JSON value: NaN, Infinity and integers past the float range too
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def chain_documents(draw):
+    """good_config() with schema keys, a pair's too, dropped or set to any value."""
+    doc = good_config()
+    pair_keys = ["upstream", "downstream", "rho_s"]
+    targets = ((doc, sorted(sensors.CHAIN_KEYS)), (doc["pairs"][0], pair_keys))
+    for target, keys in targets:
+        for key in draw(st.sets(st.sampled_from(keys))):
+            if draw(st.booleans()):
+                target[key] = draw(json_values)
+            else:
+                del target[key]
+    doc.update(draw(st.dictionaries(st.text(max_size=6), json_values, max_size=2)))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=chain_documents() | json_values)
+def test_chain_config_parser_fails_only_with_format_errors(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = parse_chain_config(path)
+        except SensorFormatError:
+            return
+    assert isinstance(cfg, ChainConfig)
+    assert cfg.chain.sensor_ids == tuple(doc["sensors"])
+    settings_s = (cfg.grid_step_s, cfg.tolerance_s, cfg.smoothing_window_s)
+    for value in (cfg.nominal_voltage_v, *settings_s, *cfg.calibration.values()):
+        assert 0.0 < value < math.inf
+
+
 def test_chain_config_reports_json_location(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text('{\n  "sensors": }\n')
@@ -639,29 +734,43 @@ def test_chain_config_reports_json_location(tmp_path):
         parse_chain_config(path)
 
 
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (b'{"sensors": ["a\xff", "b"]}', "can't decode byte 0xff"),
+        (b'{"grid_step_s": ' + b"1" * 5000 + b"}", "integer string conversion"),
+    ],
+    ids=["not-utf8", "integer-5000-digits"],
+)
+def test_chain_config_unreadable_text_is_a_format_error(tmp_path, text, needle):
+    path = tmp_path / "chain.json"
+    path.write_bytes(text)
+    with pytest.raises(SensorFormatError, match=needle) as err:
+        parse_chain_config(path)
+    assert str(path) in str(err.value)
+
+
 # -------------------------------------------------------------- curve CSV
 
 
 def test_curve_csv_golden():
+    t0_us = (T0 - EPOCH) // timedelta(microseconds=1)
     curve = LossCurve(
         upstream="up",
         downstream="down",
-        points=(
-            CurvePoint(T0, 0.05, ()),
-            CurvePoint(
-                T0 + timedelta(seconds=120), math.nan, (EstimateFlag.GAP.value,)
-            ),
-            CurvePoint(
-                T0 + timedelta(seconds=240),
-                -0.015625,
-                (EstimateFlag.NEGATIVE_DROP.value,),
-            ),
-        ),
+        timestamp_us=[t0_us, t0_us + 120_000_000, t0_us + 240_000_000],
+        loss_fraction=[0.05, math.nan, -0.015625],
+        flag_bits=[0, sensors.GAP_BIT, sensors.NEGATIVE_BIT],
         window_s=600.0,
         grid_step_s=120.0,
         tolerance_s=60.0,
         rho_s=None,
     )
+    assert curve.points[0] == CurvePoint(T0, 0.05, ())
+    assert [p.flags for p in curve.points[1:]] == [
+        (EstimateFlag.GAP.value,),
+        (EstimateFlag.NEGATIVE_DROP.value,),
+    ]
     with tempfile.TemporaryDirectory() as out:
         path = write_loss_curve_csv(curve, out)
         assert path.name == "loss_curve_up_down.csv"
