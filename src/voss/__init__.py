@@ -59,7 +59,6 @@ from .powerflow import (
     PowerFlowSolution,
     SolveOptions,
     solve,
-    true_loss_fractions,
 )
 
 __all__ = [
@@ -106,7 +105,6 @@ __all__ = [
     "solve",
     "split_distributed_loads_to_ends",
     "sweep_rho",
-    "true_loss_fractions",
     "voss_corrected",
     "voss_single",
     "write_loss_curve_csv",

@@ -3,7 +3,9 @@ against simulated true losses on a solved feeder.
 
 A line is a path of one segment: both studies build their rows with the
 same path comparison, and differ only in the paths they take and where
-rho_s comes from.
+rho_s comes from.  That comparison is the one place that defines a
+path's true loss, from the solved segment flows, and the near-zero rule
+that excludes a phase whose input power is too small to count.
 
 The studies take a solution of the feeder with distributed loads split
 half-and-half onto their segment end nodes (the convention of the
@@ -34,14 +36,13 @@ from .estimator import (
 )
 from .feeder import FeederModel, SegmentKind, split_distributed_loads_to_ends
 from .ioutil import format_float, write_csv
-from .powerflow import (
-    NEAR_ZERO_POWER_FRACTION,
-    PowerFlowSolution,
-    SolveOptions,
-    path_segment_ids,
-    solve,
-    true_loss_fractions,
-)
+from .powerflow import PowerFlowSolution, SolveOptions, solve
+
+# Fraction of the feeder power base below which a per-phase input power
+# is treated as "no signal" for loss-fraction purposes.  Chosen so the
+# single-digit-kVA spur lines on the bundled 34-node feeder fall under it
+# while every normally loaded line clears it by more than 10x.
+NEAR_ZERO_POWER_FRACTION = 2e-3
 
 COMPARISON_HEADER = [
     "feeder",
@@ -85,7 +86,7 @@ def solve_end_split(model: FeederModel, options: SolveOptions) -> PowerFlowSolut
 def _compare_path(
     solution: PowerFlowSolution,
     label: str,
-    segment_ids: Sequence[str],
+    segs: Sequence,
     near_zero_fraction: float,
     rho_s: Optional[float],
 ) -> list:
@@ -95,26 +96,29 @@ def _compare_path(
     that every segment of the path carries.  Endpoint voltage magnitudes
     give the uncorrected estimate; rho_s (None: simulated from the head
     and tail flows) and rho_v from the same endpoints give the
-    correction.  True loss counts only series dissipation on the path,
-    not power delivered to intermediate taps.
+    correction.  True loss is |sum of the segments' series dissipation|
+    over |input power| on the phase, so power delivered to intermediate
+    taps is not counted as loss.  Input power below near_zero_fraction of
+    the feeder power base excludes the row; zero input power always does,
+    and gives a NaN true loss.
     """
-    if not segment_ids:
+    if not segs:
         raise ValueError(f"path {label} has no segments")
     model = solution.model
-    segs = [model.segment(sid) for sid in segment_ids]
     shared = [p for p in segs[0].phases if all(p in s.phases for s in segs)]
-    if not shared:
-        raise ValueError(f"path {label} has no common phase")
-    first = solution.segment_flows[segs[0].id]
-    last = solution.segment_flows[segs[-1].id]
+    flows = [solution.segment_flows[s.id] for s in segs]
+    first, last = flows[0], flows[-1]
+    near_zero_va = near_zero_fraction * model.base.power_kva * 1e3
     rows = []
     for ph in shared:
         v1 = solution.voltage(segs[0].from_node, ph)
         v2 = solution.voltage(segs[-1].to_node, ph)
         rho_v = abs(v2) / abs(v1)
         voss = 1.0 - rho_v
-        est = true_loss_fractions(solution, segment_ids, ph, near_zero_fraction)
-        excluded = est.has_flag(EstimateFlag.NEAR_ZERO_POWER)
+        s_in = first.s_from[first.phases.index(ph)]
+        dissipated = sum(flow.loss(ph) for flow in flows)
+        true_loss = math.nan if s_in == 0 else abs(dissipated) / abs(s_in)
+        excluded = s_in == 0 or abs(s_in) < near_zero_va
         # A rising endpoint voltage (capacitor support, light phase) makes
         # the estimate negative; the small-angle error bound holds only for
         # non-rising pairs, so such rows carry an annotation.
@@ -123,12 +127,11 @@ def _compare_path(
             reason = EstimateFlag.NEAR_ZERO_POWER.value
         row_rho_s = rho_s
         if row_rho_s is None:
-            p_in = first.s_from[segs[0].phases.index(ph)].real
-            p_out = last.s_to[segs[-1].phases.index(ph)].real
-            row_rho_s = math.nan if p_in == 0.0 else p_out / p_in
+            p_out = last.s_to[last.phases.index(ph)].real
+            row_rho_s = math.nan if s_in.real == 0.0 else p_out / s_in.real
         c_hat = float(clamped_correction(row_rho_s, rho_v)[0])
         corrected = c_hat * voss
-        abs_error = math.nan if excluded else abs(corrected - est.loss_fraction)
+        abs_error = math.nan if excluded else abs(corrected - true_loss)
         rows.append(
             ComparisonRow(
                 feeder=model.name,
@@ -137,7 +140,7 @@ def _compare_path(
                 voss_single=voss,
                 c_hat=c_hat,
                 voss_corrected=corrected,
-                true_loss=est.loss_fraction,
+                true_loss=true_loss,
                 abs_error=abs_error,
                 angle_bound=small_angle_error_bound(v1, v2),
                 rho_s=row_rho_s,
@@ -165,7 +168,7 @@ def run_single_segment_study(
     rows = []
     for seg in model.segments:
         if seg.kind == SegmentKind.LINE:
-            rows += _compare_path(solution, seg.id, [seg.id], near_zero_fraction, None)
+            rows += _compare_path(solution, seg.id, [seg], near_zero_fraction, None)
     return rows
 
 
@@ -184,9 +187,9 @@ def run_multi_segment_study(
     check_rho_s(rho_s)
     rows = []
     for head, tail in paths:
-        seg_ids = path_segment_ids(model, head, tail)
         rows += _compare_path(
-            solution, f"{head}-{tail}", seg_ids, near_zero_fraction, rho_s
+            solution, f"{head}-{tail}", model.path_segments(head, tail),
+            near_zero_fraction, rho_s,
         )
     return rows
 

@@ -158,6 +158,16 @@ def cmd_benchmark(args) -> int:
     rows = run_single_segment_study(
         model, near_zero_fraction=args.near_zero_threshold, solution=solution
     )
+    # run every study before writing: a bad path leaves no partial output
+    multi_rows = None
+    if args.paths:
+        multi_rows = run_multi_segment_study(
+            model,
+            args.paths,
+            rho_s=getattr(args, "rho_s_source", None),
+            near_zero_fraction=args.near_zero_threshold,
+            solution=solution,
+        )
     out = _out_dir(args)
     single = out / f"single_segment_{model.name}.csv"
     write_comparison_csv(rows, single)
@@ -169,14 +179,7 @@ def cmd_benchmark(args) -> int:
     )
     print(f"wrote {single}")
     print(f"wrote {plot}")
-    if args.paths:
-        multi_rows = run_multi_segment_study(
-            model,
-            args.paths,
-            rho_s=getattr(args, "rho_s_source", None),
-            near_zero_fraction=args.near_zero_threshold,
-            solution=solution,
-        )
+    if multi_rows is not None:
         multi = out / f"multi_segment_{model.name}.csv"
         write_comparison_csv(multi_rows, multi)
         print(f"wrote {multi}")
@@ -339,8 +342,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # FeederFormatError and SensorFormatError are ValueErrors
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except KeyError as exc:  # str(exc) would quote the message
+        print("error:", *exc.args, file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -18,8 +18,10 @@ tables are built and in the output dicts.
 Every load and capacitor bank is one injection element: branches that
 draw a current at one node slot and return it at another (the ground
 for wye), with ``v0`` the base times sqrt(3) for delta.  A capacitor is
-a constant-PQ wye element of ``-j kvar``.  The sweep and the load and
-source totals use the same injection tables.
+a constant-PQ wye element of ``-j kvar``.  The tables come from one list
+of branch rows, in node order, that one stable sort groups by load
+model; one ``np.unique`` over (element, slot) keys gives the element
+slots.  The sweep and the load and source totals use the same tables.
 
 The sweep runs on tables built once per solve, the array form of
 Shirmohammadi et al. (1988) with the level view of Teng (2003).  All
@@ -70,11 +72,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .estimator import EstimateFlag, LossEstimate
+from .estimator import EstimateFlag
 from .feeder import (
     Connection,
     FeederModel,
@@ -83,12 +85,6 @@ from .feeder import (
     SegmentKind,
 )
 from .ioutil import format_float, write_csv
-
-# Fraction of the feeder power base below which a per-phase input power
-# is treated as "no signal" for loss-fraction purposes.  Chosen so the
-# single-digit-kVA spur lines on the bundled 34-node feeder fall under it
-# while every normally loaded line clears it by more than 10x.
-NEAR_ZERO_POWER_FRACTION = 2e-3
 
 COLLAPSE_PU = 0.5
 
@@ -170,9 +166,6 @@ class PowerFlowSolution:
         )
         return abs(residual) / (self.model.base.power_kva * 1e3)
 
-    def near_zero_va(self, fraction: float = NEAR_ZERO_POWER_FRACTION) -> float:
-        return fraction * self.model.base.power_kva * 1e3
-
 
 def _phase_angles(source) -> dict:
     out = {}
@@ -185,16 +178,8 @@ def _phase_angles(source) -> dict:
 _phase = np.frompyfunc(cmath.phase, 1, 1)
 
 _MODEL_ORDER = (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z, LoadModel.CONSTANT_I)
-
-
-class _Branch(NamedTuple):
-    """One wye phase, delta branch or capacitor phase: current from a to b."""
-
-    a: int
-    b: int
-    model: LoadModel
-    s0: complex
-    v0: float
+_BRANCH_ROW = [("element", int), ("a", int), ("b", int), ("rank", int),
+               ("s0", complex), ("v0", float)]
 
 
 class _Network:
@@ -262,73 +247,70 @@ class _Network:
         A branch draws its current at slot ``a`` and returns it at slot
         ``b``: the ground for wye and capacitor branches, the second phase
         for delta, whose ``v0`` is the base times sqrt(3).  A capacitor
-        is a constant-PQ wye element of ``-j kvar``.  Each element has
-        one element slot per node slot it touches; element slots are
-        summed into node slots in element order: a node's loads in model
-        order, then its capacitor bank.  Branches with s0 == 0 draw
+        is a constant-PQ wye element of ``-j kvar``.  Elements are
+        numbered in node order, a node's loads in model order and then its
+        capacitor bank, which is also the order their element slots are
+        summed into node slots in.  Each element has one element slot per
+        node slot it touches, in slot order.  Branches with s0 == 0 draw
         nothing and are left out.
         """
         ground = self.n_slots
-        elements = {n.id: [] for n in model.nodes}
+        loads = {n.id: [] for n in model.nodes}
         for ld in model.loads:
-            at, phases = self.first[ld.node], self.phases[ld.node]
-            v0 = self.bases[ld.node]
-            if ld.conn == Connection.WYE:
-                pairs = [(p, None) for p in ld.phases]
-            else:
-                pairs, v0 = ld.branches(), v0 * math.sqrt(3.0)
-            elements[ld.node].append((False, [
-                _Branch(at + phases.index(p),
-                        ground if q is None else at + phases.index(q),
-                        ld.model, (kw + 1j * kvar) * 1e3, v0)
-                for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
-            ]))
-        for seg in model.segments:
-            if seg.shunt_kvar is not None:
-                at, v0 = self.first[seg.to_node], self.bases[seg.to_node]
-                elements[seg.to_node].append((True, [
-                    _Branch(at + j, ground, LoadModel.CONSTANT_PQ, -1j * (q * 1e3), v0)
-                    for j, q in enumerate(seg.shunt_kvar)
-                ]))
-
+            loads[ld.node].append(ld)
         self.shunt_va = 0j
         self.elements = []  # (node, is a capacitor bank) of each drawing element
-        table, eslot_node, eslot_elem = [], [], []
-        for node, node_elements in elements.items():
-            for shunt, branches in node_elements:
-                if shunt:
-                    self.shunt_va += sum(br.s0 for br in branches)
-                live = [br for br in branches if br.s0 != 0]
-                if not live:
-                    continue
-                touched = sorted({br.a for br in live} | {br.b for br in live})
-                touched = [slot for slot in touched if slot != ground]
-                eslot = {slot: len(eslot_node) + j for j, slot in enumerate(touched)}
-                eslot_node += touched
-                eslot_elem += [len(self.elements)] * len(touched)
-                self.elements.append((node, shunt))
-                table += [(br, eslot[br.a], eslot.get(br.b)) for br in live]
-        self.eslot_node = np.array(eslot_node, dtype=int)
-        self.eslot_elem = np.array(eslot_elem, dtype=int)
+        rows = []  # (element, a, b, model rank, s0, v0) of each drawing branch
 
-        table.sort(key=lambda row: _MODEL_ORDER.index(row[0].model))
-        brs = [br for br, _, _ in table]
-        ends = np.cumsum([0] + [sum(br.model == m for br in brs) for m in _MODEL_ORDER])
+        def add(node, shunt, load_model, v0, branches):
+            rank = _MODEL_ORDER.index(load_model)
+            live = [(len(self.elements), a, b, rank, s0, v0)
+                    for a, b, s0 in branches if s0 != 0]
+            if live:
+                self.elements.append((node, shunt))
+                rows.extend(live)
+
+        for node, node_loads in loads.items():
+            at, phases, base = self.first[node], self.phases[node], self.bases[node]
+            slot = dict(zip(phases, range(at, at + len(phases))))
+            slot[None] = ground
+            for ld in node_loads:
+                wye = ld.conn == Connection.WYE
+                pairs = [(p, None) for p in ld.phases] if wye else ld.branches()
+                add(node, False, ld.model, base if wye else base * math.sqrt(3.0), [
+                    (slot[p], slot[q], (kw + 1j * kvar) * 1e3)
+                    for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
+                ])
+            seg = model.segment_into(node)
+            if seg is not None and seg.shunt_kvar is not None:
+                caps = [(slot[p], ground, -1j * (q * 1e3))
+                        for p, q in zip(seg.phases, seg.shunt_kvar)]
+                self.shunt_va += sum(s0 for _, _, s0 in caps)
+                add(node, True, LoadModel.CONSTANT_PQ, base, caps)
+
+        # branches grouped by model, each model's in element order
+        t = np.array(rows, dtype=_BRANCH_ROW)
+        t = t[np.argsort(t["rank"], kind="stable")]
+        ends = np.searchsorted(t["rank"], range(len(_MODEL_ORDER) + 1))
         self.pq, self.z, self.ci = (slice(lo, hi) for lo, hi in zip(ends, ends[1:]))
-        self.br_a = np.array([br.a for br in brs], dtype=int)
-        self.br_b = np.array([br.b for br in brs], dtype=int)
-        self.s0 = np.array([br.s0 for br in brs], dtype=complex)
-        self.e_in = np.array([e_in for _, e_in, _ in table], dtype=int)
-        delta = [(j, row[2]) for j, row in enumerate(table) if row[2] is not None]
-        self.delta = np.array([j for j, _ in delta], dtype=int)
-        self.e_out = np.array([e_out for _, e_out in delta], dtype=int)
+        self.br_a, self.br_b = t["a"].copy(), t["b"].copy()
+        self.s0 = t["s0"].copy()
+        self.delta = np.flatnonzero(self.br_b != ground)
+        # element slots: the distinct (element, slot) keys, element-major
+        span = self.n_slots + 1
+        keys = t["element"] * span
+        keys = np.concatenate([keys + self.br_a, (keys + self.br_b)[self.delta]])
+        eslots, at_key = np.unique(keys, return_inverse=True)
+        self.eslot_node, self.eslot_elem = eslots % span, eslots // span
+        self.e_in, self.e_out = at_key[:len(t)], at_key[len(t):]
         # constant Z: v * conj(s0) / (v0 * v0), the product in real arithmetic
-        v0 = np.array([br.v0 for br in brs[self.z]], dtype=float)
+        v0 = t["v0"][self.z]
         self.z_re, self.z_im = self.s0[self.z].real, -self.s0[self.z].imag
         self.z_scale = 1.0 / (v0 * v0)
         # constant I: |s0| / v0 at the angle of v less that of s0
-        self.i_mag = np.array([abs(br.s0) / br.v0 for br in brs[self.ci]])
-        self.i_angle = np.array([cmath.phase(br.s0) for br in brs[self.ci]])
+        ci = list(zip(self.s0[self.ci].tolist(), t["v0"][self.ci].tolist()))
+        self.i_mag = np.array([abs(s0) / v0 for s0, v0 in ci], dtype=float)
+        self.i_angle = np.array([cmath.phase(s0) for s0, _ in ci], dtype=float)
 
     def flat_start(self, source) -> np.ndarray:
         """Source magnitudes and angles at every slot, then the ground."""
@@ -478,6 +460,7 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
         total_loss_va=total_loss,
     )
 
+
 def loss_from_currents(solution: PowerFlowSolution, segment_id: str) -> complex:
     """Series loss recomputed as i^H Z i, independent of the power bookkeeping."""
     seg = solution.model.segment(segment_id)
@@ -485,50 +468,6 @@ def loss_from_currents(solution: PowerFlowSolution, segment_id: str) -> complex:
     i = np.array(flow.i_to, dtype=complex)
     z = np.array(seg.z_total(), dtype=complex)
     return complex(np.conj(i) @ z @ i)
-
-
-def path_segment_ids(model: FeederModel, head: str, tail: str) -> list:
-    """Segment ids on the downstream chain head -> tail."""
-    return [s.id for s in model.path_segments(head, tail)]
-
-
-def true_loss_fractions(
-    solution: PowerFlowSolution,
-    segment_ids: Sequence[str],
-    phase: str,
-    near_zero_fraction: float = NEAR_ZERO_POWER_FRACTION,
-) -> LossEstimate:
-    """Loss fraction of a contiguous path from the simulated complex flows.
-
-    The numerator is the sum of per-segment series dissipation on the
-    given phase, so power delivered to taps between the endpoints is not
-    counted as loss.  Input power below the near-zero threshold flags the
-    result as NearZeroPower (excluded-by-default noise); zero input power
-    is always flagged and gives a NaN loss fraction.
-    """
-    if not segment_ids:
-        raise ValueError("empty path")
-    segs = [solution.model.segment(sid) for sid in segment_ids]
-    for up, down in zip(segs, segs[1:]):
-        if down.from_node != up.to_node:
-            raise ValueError(
-                f"path breaks at {up.id} -> {down.id}: not contiguous"
-            )
-    for seg in segs:
-        if phase not in seg.phases:
-            raise ValueError(f"phase {phase} not present on segment {seg.id}")
-
-    head = solution.segment_flows[segs[0].id]
-    s_in = head.s_from[segs[0].phases.index(phase)]
-    dissipated = sum(
-        solution.segment_flows[seg.id].loss(phase) for seg in segs
-    )
-
-    flags = frozenset()
-    if s_in == 0 or abs(s_in) < solution.near_zero_va(near_zero_fraction):
-        flags = frozenset({EstimateFlag.NEAR_ZERO_POWER})
-    loss = math.nan if s_in == 0 else abs(dissipated) / abs(s_in)
-    return LossEstimate(loss, flags)
 
 
 def write_voltages_csv(solution: PowerFlowSolution, path) -> None:

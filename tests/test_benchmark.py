@@ -140,6 +140,55 @@ def test_multi_study_rejects_unknown_nodes(ieee13, solved13):
         run_multi_segment_study(ieee13, [("650", "nope")], solution=solved13)
 
 
+@pytest.mark.parametrize(
+    "head,tail,message",
+    [("650", "650", "has no segments"), ("671", "650", "not downstream")],
+    ids=["same-node", "upstream-tail"],
+)
+def test_paths_without_segments_are_rejected(ieee13, solved13, head, tail, message):
+    with pytest.raises(ValueError, match=message):
+        run_multi_segment_study(ieee13, [(head, tail)], solution=solved13)
+
+
+def test_path_loss_counts_only_series_dissipation(ieee13, solved13):
+    segs = ieee13.path_segments("650", "671")
+    assert [s.id for s in segs] == ["650-632", "632-671"]
+    rows = run_multi_segment_study(ieee13, [("650", "671")], solution=solved13)
+    row = next(r for r in rows if r.phase == "A")
+    # complex series dissipation: its magnitude is the quantity a sag
+    # ratio estimates, unlike the real-power-only fraction; the load
+    # tapped at 632 is not loss
+    per_seg = sum(solved13.segment_flows[s.id].loss("A") for s in segs)
+    s_in = solved13.segment_flows["650-632"].s_from[0]
+    assert row.true_loss == pytest.approx(abs(per_seg) / abs(s_in), rel=1e-9)
+    s_out = solved13.segment_flows["632-671"].s_to[0]
+    assert row.true_loss < abs(s_in - s_out) / abs(s_in)
+    assert not row.excluded
+
+
+def test_dead_phase_yields_nan_true_loss(rows34):
+    # A and C exist on 836-862 but feed nothing downstream
+    rows = [r for r in rows34 if r.line_or_path == "836-862"]
+    assert [r.phase for r in rows] == ["A", "B", "C"]
+    for row in rows:
+        dead = row.phase in "AC"
+        assert row.excluded == dead
+        assert math.isnan(row.true_loss) == dead
+
+
+def test_zero_input_power_is_near_zero_at_any_threshold(ieee13, solved13):
+    # 671-680 feeds nothing: with a zero threshold its phases are still
+    # excluded, with NaN loss, instead of dividing zero by zero
+    rows = run_single_segment_study(ieee13, solution=solved13, near_zero_fraction=0.0)
+    dead = [r for r in rows if r.line_or_path == "671-680"]
+    assert [r.phase for r in dead] == ["A", "B", "C"]
+    for row in dead:
+        assert row.excluded
+        assert row.reason == EstimateFlag.NEAR_ZERO_POWER.value
+        assert math.isnan(row.true_loss) and math.isnan(row.abs_error)
+    assert not any(r.excluded for r in rows if r.line_or_path != "671-680")
+
+
 def test_comparison_csv_round_trip_format(rows13, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_comparison_csv(rows13, a)

@@ -360,3 +360,22 @@ def test_rho_s_source_needs_paths(tmp_path, capsys, source):
     assert "argument --rho-s-source" in err and "--paths" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        ("800-800", "path 800-800 has no segments"),
+        ("814-800", "800 is not downstream of 814"),
+        ("800-nope", "unknown node in path 800-nope"),
+    ],
+    ids=["same-node", "upstream-tail", "unknown-node"],
+)
+def test_bad_path_is_an_input_error_with_no_output(tmp_path, capsys, paths, message):
+    code, out, err = run(
+        capsys, "benchmark", IEEE34, "--paths", paths, "--out-dir", str(tmp_path)
+    )
+    assert code == EXIT_INPUT
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not any(tmp_path.iterdir())

@@ -1,5 +1,7 @@
-"""Executable documentation and the names the benchmark harness wraps."""
+"""Executable documentation and the names the benchmark harness and the
+scripts take from voss."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -33,5 +35,47 @@ def test_every_traced_boundary_resolves():
         f"{module}.{attr}"
         for module, attr, _, _ in namespace["BOUNDARIES"]
         if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
+
+
+def _voss_imports(path):
+    """(module, name) of every voss import in a file, function bodies too;
+    name is None for a plain ``import voss.x``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] == "voss":
+                yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "voss":
+                    yield alias.name, None
+
+
+def _resolves(module, name):
+    mod = importlib.import_module(module)
+    if name is None or hasattr(mod, name):
+        return True
+    try:  # `from voss import cli` names a submodule
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_voss_name_imported_by_bench_and_scripts_resolves():
+    # bench/checks.py and scripts/make_feeders.py import inside functions,
+    # so a deleted name would break them only when they run
+    imports = {
+        path.relative_to(ROOT).as_posix(): list(_voss_imports(path))
+        for folder in ("bench", "scripts")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert imports["bench/checks.py"] and imports["scripts/make_feeders.py"]
+    missing = [
+        f"{rel}: {module}.{name}" if name else f"{rel}: {module}"
+        for rel, names in imports.items()
+        for module, name in names
+        if not _resolves(module, name)
     ]
     assert missing == []

@@ -32,9 +32,7 @@ from voss.powerflow import (
     PowerFlowError,
     SolveOptions,
     loss_from_currents,
-    path_segment_ids,
     solve,
-    true_loss_fractions,
     write_flows_csv,
     write_voltages_csv,
 )
@@ -227,41 +225,6 @@ def test_solve_rejects_unplaced_distributed_loads(ieee13):
         solve(ieee13)
 
 
-def test_path_loss_counts_only_series_dissipation(solved13):
-    ids = path_segment_ids(solved13.model, "650", "671")
-    assert ids == ["650-632", "632-671"]
-    est = true_loss_fractions(solved13, ids, "A")
-    # complex series dissipation: its magnitude is the quantity a sag
-    # ratio estimates, unlike the real-power-only fraction
-    per_seg = sum(solved13.segment_flows[sid].loss("A") for sid in ids)
-    s_in = solved13.segment_flows["650-632"].s_from[0]
-    assert est.loss_fraction == pytest.approx(abs(per_seg) / abs(s_in), rel=1e-9)
-    assert not est.flags
-
-
-def test_path_validation_errors():
-    # reuse a tiny model; the checks fire before any flow lookup
-    model = parse_feeder_dict(two_bus_doc(kw=[10.0], kvar=[5.0], r_ohm=0.5, x_ohm=0.5))
-    sol = solve(model)
-    with pytest.raises(ValueError, match="empty path"):
-        true_loss_fractions(sol, [], "A")
-    with pytest.raises(ValueError, match="phase B"):
-        true_loss_fractions(sol, ["src-end"], "B")
-
-
-def test_non_contiguous_path_is_rejected(solved13):
-    with pytest.raises(ValueError, match="not contiguous"):
-        true_loss_fractions(solved13, ["650-632", "671-692"], "A")
-
-
-def test_dead_phase_yields_nan_with_near_zero_flag(solved34):
-    # A and C exist on 836-862 but feed nothing downstream
-    for ph, dead in (("A", True), ("B", False), ("C", True)):
-        est = true_loss_fractions(solved34, ["836-862"], ph)
-        assert (EstimateFlag.NEAR_ZERO_POWER in est.flags) == dead
-        assert math.isnan(est.loss_fraction) == dead
-
-
 def test_csv_writers_are_deterministic(solved13, tmp_path):
     for writer, name, header in (
         (write_voltages_csv, "v.csv", "node,phase,magnitude_v,angle_deg"),
@@ -272,15 +235,6 @@ def test_csv_writers_are_deterministic(solved13, tmp_path):
         writer(solved13, b)
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == header
-
-
-def test_zero_input_power_is_near_zero_at_any_threshold(solved13):
-    # 671-680 feeds nothing: with a zero threshold its phases are still
-    # excluded, with NaN loss, instead of dividing zero by zero
-    for ph in "ABC":
-        est = true_loss_fractions(solved13, ["671-680"], ph, near_zero_fraction=0.0)
-        assert est.has_flag(EstimateFlag.NEAR_ZERO_POWER)
-        assert math.isnan(est.loss_fraction)
 
 
 @pytest.mark.parametrize(
