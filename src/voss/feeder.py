@@ -1,12 +1,18 @@
 """Radial feeder data model and its on-disk format.
 
-A feeder file is a JSON document with top-level keys ``name``, ``base``,
-``source``, ``nodes``, ``segments``, ``loads`` and an optional
-``load_scale``.  Impedances are row-major ``[[re, im], ...]`` matrices in
-ohms per mile ordered like the segment's phase string; lengths carry an
-explicit unit (``ft`` or ``mi``).  See docs/feeder_schema.md for the full
-schema.  The bundled IEEE 13-node and 34-node definitions live in
-``voss/data`` and are loaded with :func:`bundled_feeder_path`.
+A feeder file is a UTF-8 JSON document (a leading byte-order mark is
+skipped) with top-level keys ``name``, ``base``, ``source``, ``nodes``,
+``segments``, ``loads`` and an optional ``load_scale``.  Impedances are
+row-major ``[[re, im], ...]`` matrices in ohms per mile ordered like the
+segment's phase string; lengths carry an explicit unit (``ft`` or
+``mi``).  See docs/feeder_schema.md for the full schema.  The bundled
+IEEE 13-node and 34-node definitions live in ``voss/data`` and are
+loaded with :func:`bundled_feeder_path`.
+
+A load sits at exactly one of its ``node`` and its ``segment``; a set
+``segment`` is what "distributed" means.  ``_KIND_KEYS`` names the keys
+each segment kind takes.  Numbers follow :func:`voss.ioutil.json_number`
+(never a bool) and must be finite, even an integer past the float range.
 
 Models are immutable; transformations return new models.
 """
@@ -19,6 +25,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from typing import Optional
+
+from .ioutil import json_number
 
 FEET_PER_MILE = 5280.0
 PHASE_ORDER = "ABC"
@@ -51,11 +59,6 @@ class SegmentKind(Enum):
     REGULATOR = "regulator"
 
 
-class Placement(Enum):
-    SPOT = "spot"
-    DISTRIBUTED = "distributed"
-
-
 class Connection(Enum):
     WYE = "wye"
     DELTA = "delta"
@@ -65,6 +68,15 @@ class LoadModel(Enum):
     CONSTANT_PQ = "pq"
     CONSTANT_Z = "z"
     CONSTANT_I = "i"
+
+
+# (required, optional) kind-specific keys; the parser rejects the others
+_KIND_KEYS = {
+    SegmentKind.LINE: (("length", "unit", "z_ohm_per_mile"), ()),
+    SegmentKind.TRANSFORMER: (("ratio", "series_z_ohm"), ()),
+    SegmentKind.REGULATOR: (("taps",), ("length", "unit", "z_ohm_per_mile")),
+}
+_KIND_SPECIFIC = frozenset().union(*(r + o for r, o in _KIND_KEYS.values()))
 
 
 @dataclass(frozen=True)
@@ -117,14 +129,14 @@ class SegmentDef:
 class LoadDef:
     """A spot load at a node or a load distributed along a segment.
 
-    For wye loads ``phases`` lists phase-to-neutral connections; for delta
-    loads a 3-character string means the three branches AB, BC, CA and a
+    Exactly one of ``node`` and ``segment`` is set.  For wye loads
+    ``phases`` lists phase-to-neutral connections; for delta loads a
+    3-character string means the three branches AB, BC, CA and a
     2-character string a single branch between the named phases.  kw/kvar
     are per connection, ordered to match.
     """
 
     id: str
-    placement: Placement
     conn: Connection
     model: LoadModel
     phases: str
@@ -220,16 +232,9 @@ class FeederModel:
 
 
 def _complex_from_pair(value, ctx: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise FeederFormatError(f"expected [re, im] pair, got {value!r}", ctx)
-    re, im = float(value[0]), float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise FeederFormatError(f"non-finite impedance entry {value!r}", ctx)
-    return complex(re, im)
+    return complex(_number(value[0], ctx), _number(value[1], ctx))
 
 
 def _pair_from_complex(z: complex) -> list:
@@ -256,11 +261,11 @@ def _require(mapping: dict, key: str, ctx: str):
 
 
 def _number(value, ctx: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    x = json_number(value)
+    if x is None:
         raise FeederFormatError(f"expected a number, got {value!r}", ctx)
-    x = float(value)
     if not math.isfinite(x):
-        raise FeederFormatError(f"non-finite number {value!r}", ctx)
+        raise FeederFormatError(f"non-finite number {x}", ctx)
     return x
 
 
@@ -269,6 +274,15 @@ def _positive(value, ctx: str) -> float:
     if x <= 0:
         raise FeederFormatError(f"expected a number > 0, got {x}", ctx)
     return x
+
+
+def _member(enum, value, ctx: str):
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(repr(m.value) for m in enum)
+        message = f"expected one of {choices}, got {value!r}"
+        raise FeederFormatError(message, ctx) from None
 
 
 def _phase_string(value, ctx: str) -> str:
@@ -338,15 +352,24 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         ctx = f"segments[{i}] (id={raw.get('id', '?')})"
         seg_id = str(_require(raw, "id", ctx))
         phases = _phase_string(_require(raw, "phases", ctx), ctx)
-        kind_raw = raw.get("kind", "line")
-        try:
-            kind = SegmentKind(kind_raw)
-        except ValueError:
-            raise FeederFormatError(f"unknown segment kind {kind_raw!r}", ctx)
+        kind = _member(SegmentKind, raw.get("kind", "line"), f"{ctx} kind")
+        required, optional = _KIND_KEYS[kind]
+        missing = [key for key in required if key not in raw]
+        if missing:
+            raise FeederFormatError(
+                f"{kind.value} segments need {' and '.join(map(repr, missing))}",
+                ctx,
+            )
+        stray = sorted(_KIND_SPECIFIC.intersection(raw).difference(required, optional))
+        if stray:
+            raise FeederFormatError(
+                f"{kind.value} segments take no {' or '.join(map(repr, stray))}",
+                ctx,
+            )
 
         length_miles = 0.0
-        if "length" in raw:
-            length = _number(raw["length"], ctx)
+        if "length" in raw or "unit" in raw:
+            length = _number(_require(raw, "length", ctx), ctx)
             unit = raw.get("unit")
             if unit == "ft":
                 length_miles = length / FEET_PER_MILE
@@ -361,22 +384,17 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
 
         z_per_mile = None
         if "z_ohm_per_mile" in raw:
-            zraw = raw["z_ohm_per_mile"]
-            n = len(phases)
-            if not isinstance(zraw, list) or len(zraw) != n:
-                raise FeederFormatError(
-                    f"z_ohm_per_mile must be a {n}x{n} matrix", ctx
-                )
-            rows = []
-            for r, rrow in enumerate(zraw):
-                if not isinstance(rrow, list) or len(rrow) != n:
-                    raise FeederFormatError(
-                        f"z_ohm_per_mile must be a {n}x{n} matrix", ctx
-                    )
-                rows.append(
-                    tuple(_complex_from_pair(e, f"{ctx}.z[{r}]") for e in rrow)
-                )
-            z_per_mile = tuple(rows)
+            zraw, n = raw["z_ohm_per_mile"], len(phases)
+            if not (
+                isinstance(zraw, list)
+                and len(zraw) == n
+                and all(isinstance(row, list) and len(row) == n for row in zraw)
+            ):
+                raise FeederFormatError(f"z_ohm_per_mile must be a {n}x{n} matrix", ctx)
+            z_per_mile = tuple(
+                tuple(_complex_from_pair(e, f"{ctx}.z[{r}]") for e in row)
+                for r, row in enumerate(zraw)
+            )
 
         ratio = None
         if "ratio" in raw:
@@ -399,18 +417,6 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         if "shunt_kvar" in raw:
             shunt = _numbers(raw["shunt_kvar"], len(phases), ctx)
 
-        if kind == SegmentKind.TRANSFORMER:
-            if ratio is None or series_z is None:
-                raise FeederFormatError(
-                    "transformer segments need 'ratio' and 'series_z_ohm'", ctx
-                )
-        if kind == SegmentKind.REGULATOR and taps is None:
-            raise FeederFormatError("regulator segments need 'taps'", ctx)
-        if kind == SegmentKind.LINE and z_per_mile is None:
-            raise FeederFormatError("line segments need 'z_ohm_per_mile'", ctx)
-        if kind == SegmentKind.LINE and "length" not in raw:
-            raise FeederFormatError("line segments need 'length'", ctx)
-
         segments.append(
             SegmentDef(
                 id=seg_id,
@@ -427,38 +433,24 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
             )
         )
 
+    def scaled(value, ctx: str) -> float:
+        return _number(_number(value, ctx) * load_scale, ctx)
+
     loads = []
     for i, raw in enumerate(_objects(doc, "loads", origin)):
         ctx = f"loads[{i}] (id={raw.get('id', '?')})"
-        placement = (
-            Placement.DISTRIBUTED if "segment" in raw else Placement.SPOT
-        )
-        if "placement" in raw:
-            try:
-                placement = Placement(raw["placement"])
-            except ValueError:
-                raise FeederFormatError(
-                    f"unknown placement {raw['placement']!r}", ctx
-                )
-        try:
-            conn = Connection(raw.get("conn", "wye"))
-            model = LoadModel(raw.get("model", "pq"))
-        except ValueError as exc:
-            raise FeederFormatError(str(exc), ctx)
+        conn = _member(Connection, raw.get("conn", "wye"), f"{ctx} conn")
+        model = _member(LoadModel, raw.get("model", "pq"), f"{ctx} model")
         phases = _phase_string(_require(raw, "phases", ctx), ctx)
         count = 1 if (conn == Connection.DELTA and len(phases) == 2) else len(phases)
-        kw = _numbers(_require(raw, "kw", ctx), count, f"{ctx} kw")
-        kvar = _numbers(_require(raw, "kvar", ctx), count, f"{ctx} kvar")
-        load_id = str(raw.get("id", f"load{i}"))
         loads.append(
             LoadDef(
-                id=load_id,
-                placement=placement,
+                id=str(raw.get("id", f"load{i}")),
                 conn=conn,
                 model=model,
                 phases=phases,
-                kw=tuple(x * load_scale for x in kw),
-                kvar=tuple(x * load_scale for x in kvar),
+                kw=_numbers(_require(raw, "kw", ctx), count, f"{ctx} kw", scaled),
+                kvar=_numbers(_require(raw, "kvar", ctx), count, f"{ctx} kvar", scaled),
                 node=str(raw["node"]) if "node" in raw else None,
                 segment=str(raw["segment"]) if "segment" in raw else None,
             )
@@ -477,30 +469,28 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
 
 
 def parse_feeder(path) -> FeederModel:
-    """Parse and validate a feeder file."""
-    with open(path) as fh:
-        text = fh.read()
+    """Parse and validate a feeder file (UTF-8, a leading BOM skipped)."""
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8-sig") as fh:
+            doc = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise FeederFormatError(
             f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}"
-        )
+        ) from None
+    except ValueError as exc:  # not UTF-8, or past sys.get_int_max_str_digits()
+        raise FeederFormatError(str(exc), str(path)) from None
     return parse_feeder_dict(doc, origin=str(path))
 
 
 def validate_feeder(model: FeederModel) -> None:
     """Check structural invariants; raises FeederFormatError on violation."""
-    node_ids = [n.id for n in model.nodes]
-    if len(set(node_ids)) != len(node_ids):
-        dupes = sorted({x for x in node_ids if node_ids.count(x) > 1})
-        raise FeederFormatError(f"duplicate node ids {dupes}")
-    seg_ids = [s.id for s in model.segments]
-    if len(set(seg_ids)) != len(seg_ids):
-        dupes = sorted({x for x in seg_ids if seg_ids.count(x) > 1})
-        raise FeederFormatError(f"duplicate segment ids {dupes}")
+    for what, items in (("node", model.nodes), ("segment", model.segments)):
+        ids = [x.id for x in items]
+        if len(set(ids)) != len(ids):
+            dupes = sorted({x for x in ids if ids.count(x) > 1})
+            raise FeederFormatError(f"duplicate {what} ids {dupes}")
 
-    known = set(node_ids)
+    known = set(model._node_by_id)
     if model.source.node not in known:
         raise FeederFormatError(f"source node {model.source.node!r} not defined")
 
@@ -546,8 +536,12 @@ def validate_feeder(model: FeederModel) -> None:
 
     for ld in model.loads:
         ctx = f"load {ld.id}"
-        if ld.placement == Placement.SPOT:
-            if ld.node is None or ld.node not in known:
+        if (ld.node is None) == (ld.segment is None):
+            raise FeederFormatError(
+                "a load needs exactly one of 'node' and 'segment'", ctx
+            )
+        if ld.segment is None:
+            if ld.node not in known:
                 raise FeederFormatError(f"unknown load node {ld.node!r}", ctx)
             avail = set(model.node(ld.node).phases)
         else:
@@ -605,7 +599,7 @@ def serialize_feeder(model: FeederModel) -> dict:
             "phases": s.phases,
             "kind": s.kind.value,
         }
-        if s.kind != SegmentKind.TRANSFORMER:
+        if "length" in sum(_KIND_KEYS[s.kind], ()):
             raw["length"] = s.length_miles
             raw["unit"] = "mi"
         if s.z_per_mile is not None:
@@ -624,7 +618,6 @@ def serialize_feeder(model: FeederModel) -> dict:
     for ld in model.loads:
         raw = {
             "id": ld.id,
-            "placement": ld.placement.value,
             "conn": ld.conn.value,
             "model": ld.model.value,
             "phases": ld.phases,
@@ -650,14 +643,14 @@ def expand_distributed_loads(model: FeederModel) -> FeederModel:
     """
     dist_by_seg: dict = {}
     for ld in model.loads:
-        if ld.placement == Placement.DISTRIBUTED:
+        if ld.segment is not None:
             dist_by_seg.setdefault(ld.segment, []).append(ld)
     if not dist_by_seg:
         return model
 
     new_nodes = list(model.nodes)
     new_segments = []
-    new_loads = [ld for ld in model.loads if ld.placement == Placement.SPOT]
+    new_loads = [ld for ld in model.loads if ld.segment is None]
     for seg in model.segments:
         if seg.id not in dist_by_seg:
             new_segments.append(seg)
@@ -673,9 +666,7 @@ def expand_distributed_loads(model: FeederModel) -> FeederModel:
             replace(seg, id=f"{seg.id}~b", from_node=mid_id, length_miles=half)
         )
         for ld in dist_by_seg[seg.id]:
-            new_loads.append(
-                replace(ld, placement=Placement.SPOT, node=mid_id, segment=None)
-            )
+            new_loads.append(replace(ld, node=mid_id, segment=None))
 
     out = FeederModel(
         name=model.name,
@@ -696,11 +687,11 @@ def split_distributed_loads_to_ends(model: FeederModel) -> FeederModel:
     which is the convention the reference distribution simulators use for
     these test feeders.  Total load is preserved exactly.
     """
-    if not any(ld.placement == Placement.DISTRIBUTED for ld in model.loads):
+    if all(ld.segment is None for ld in model.loads):
         return model
     new_loads = []
     for ld in model.loads:
-        if ld.placement != Placement.DISTRIBUTED:
+        if ld.segment is None:
             new_loads.append(ld)
             continue
         seg = model.segment(ld.segment)
@@ -709,7 +700,6 @@ def split_distributed_loads_to_ends(model: FeederModel) -> FeederModel:
                 replace(
                     ld,
                     id=f"{ld.id}~{tag}",
-                    placement=Placement.SPOT,
                     node=node_id,
                     segment=None,
                     kw=tuple(x / 2.0 for x in ld.kw),

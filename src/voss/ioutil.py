@@ -1,8 +1,10 @@
-"""Small shared helpers for deterministic CSV output."""
+"""Small shared helpers: the JSON number rule and deterministic CSV output."""
 
 from __future__ import annotations
 
 import csv
+import math
+from typing import Optional
 
 # Shortest round-trippable-ish decimal form, stable across runs; every
 # float cell of an output CSV is written with it.
@@ -12,6 +14,19 @@ FLOAT_FORMAT = "%.12g"
 def format_float(x: float) -> str:
     """x written with FLOAT_FORMAT."""
     return FLOAT_FORMAT % x
+
+
+def json_number(value) -> Optional[float]:
+    """A JSON number as a float (+-inf past the float range), else None.
+
+    A bool is never a number.  Feeder files and chain configs both use it.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def write_csv(path, header, rows) -> None:

@@ -81,7 +81,6 @@ from .feeder import (
     Connection,
     FeederModel,
     LoadModel,
-    Placement,
     SegmentKind,
 )
 from .ioutil import format_float, write_csv
@@ -388,7 +387,7 @@ class _Network:
 
 def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFlowSolution:
     """Solve the feeder; raises PowerFlowError when sweeps do not settle."""
-    if any(ld.placement == Placement.DISTRIBUTED for ld in model.loads):
+    if any(ld.segment is not None for ld in model.loads):
         raise ValueError(
             "model has distributed loads; apply expand_distributed_loads "
             "(or an end-split) before solving"
@@ -397,23 +396,25 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     net = _Network(model)
     v = net.flat_start(model.source)
     trace = []  # SolveOptions guarantees max_iter >= 1 sweeps
-    for iterations in range(1, options.max_iter + 1):
-        before = v.copy()
-        net.forward(v, net.currents(net.injections(v)))
-        mismatch = net.mismatch(v, before)
-        trace.append(mismatch)
-        if not math.isfinite(mismatch):
+    # PowerFlowError reports a diverging sweep; numpy's warnings would repeat it
+    with np.errstate(all="ignore"):
+        for iterations in range(1, options.max_iter + 1):
+            before = v.copy()
+            net.forward(v, net.currents(net.injections(v)))
+            mismatch = net.mismatch(v, before)
+            trace.append(mismatch)
+            if not math.isfinite(mismatch):
+                raise PowerFlowError(
+                    f"numerical blow-up after {iterations} sweeps", trace
+                )
+            if mismatch < options.tol:
+                break
+        else:
             raise PowerFlowError(
-                f"numerical blow-up after {iterations} sweeps", trace
+                f"no convergence in {options.max_iter} sweeps "
+                f"(last mismatch {mismatch:.3e} pu)",
+                trace,
             )
-        if mismatch < options.tol:
-            break
-    else:
-        raise PowerFlowError(
-            f"no convergence in {options.max_iter} sweeps "
-            f"(last mismatch {mismatch:.3e} pu)",
-            trace,
-        )
 
     # one more backward pass so currents are consistent with the
     # converged voltages, then assemble flows and totals

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .estimator import EstimateFlag, check_rho_s, voss_elementwise
-from .ioutil import FLOAT_FORMAT, write_csv
+from .ioutil import FLOAT_FORMAT, json_number, write_csv
 from .timeseries import (
     format_utc,
     grid_points,
@@ -732,18 +732,8 @@ class ChainConfig:
     smoothing_window_s: float = SMOOTHING_WINDOW_S
 
 
-def _json_number(value) -> Optional[float]:
-    """A JSON number as a float (+-inf past the float range), else None."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _positive_number(data: dict, key: str, default: float, context: str) -> float:
-    value = _json_number(data.get(key, default))
+    value = json_number(data.get(key, default))
     if value is None or not 0 < value < math.inf:
         raise SensorFormatError(f"{context}: {key!r} must be a finite positive number")
     return value
@@ -807,7 +797,7 @@ def parse_chain_config(path) -> ChainConfig:
                 f"{context}: duplicate pair entry {key[0]!r}->{key[1]!r}"
             )
         seen.add(key)
-        value = _json_number(entry.get("rho_s"))
+        value = json_number(entry.get("rho_s"))
         if value is None:
             raise SensorFormatError(
                 f"{context}: rho_s for {key[0]!r}->{key[1]!r} must be a number"

@@ -1,10 +1,11 @@
-"""Shared fixtures: parsed bundled feeders and cached solutions.
+"""Shared fixtures (parsed bundled feeders, cached solutions) and inputs.
 
 Session scope keeps the suite fast; everything here is immutable
 (frozen dataclasses), so sharing across tests is safe.
 """
 
 import pytest
+from hypothesis import strategies as st
 
 from voss.benchmark import run_single_segment_study
 from voss.feeder import (
@@ -14,6 +15,19 @@ from voss.feeder import (
     split_distributed_loads_to_ends,
 )
 from voss.powerflow import solve
+
+# any JSON value: NaN, Infinity and integers past the float range too
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command-line entry points, exit codes, and output files."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,10 @@ def test_misordered_delta_load_is_an_input_error(tmp_path, capsys):
         lambda d: d["source"].update(voltage_pu=True),
         lambda d: d["source"].update(voltage_pu=0.0),
         lambda d: d["source"].update(voltage_pu=[1.0, -1.0, 1.0]),
+        lambda d: d["loads"][0].update(kw=[10**400] * len(d["loads"][0]["kw"])),
+        lambda d: d.update(load_scale=10**400),
+        lambda d: d["segments"][1].update(ratio=2.0),
+        lambda d: d["loads"][0].update(segment=d["segments"][1]["id"]),
     ],
     ids=[
         "base-number",
@@ -181,6 +186,10 @@ def test_misordered_delta_load_is_an_input_error(tmp_path, capsys):
         "voltage-bool",
         "voltage-zero",
         "voltage-list-negative",
+        "kw-10e400",
+        "load-scale-10e400",
+        "line-with-ratio",
+        "load-at-node-and-segment",
     ],
 )
 def test_malformed_feeder_document_is_an_input_error(tmp_path, capsys, edit):
@@ -220,6 +229,27 @@ def test_malformed_chain_config_is_an_input_error(tmp_path, capsys, edit):
     )
     assert code == EXIT_INPUT
     assert err.startswith("error:") and "wrote" not in out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["loads"][0].update(kw=[1e308] * len(d["loads"][0]["kw"])),
+        lambda d: d.update(load_scale=1e6),
+    ],
+    ids=["kw-1e308", "load-scale-1e6"],
+)
+def test_diverging_solve_reports_one_error_and_no_warnings(tmp_path, capsys, edit):
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    edit(doc)
+    bad = tmp_path / "diverging.feeder"
+    bad.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "solve", str(bad), "--out-dir", str(tmp_path))
+    assert caught == []
+    assert code == EXIT_NUMERICAL
+    assert err.splitlines() == [err.strip()] and err.startswith("error:")
 
 
 def test_iteration_cap_is_a_numerical_error(tmp_path, capsys):

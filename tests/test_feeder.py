@@ -4,14 +4,16 @@ import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import json_values
 from voss.feeder import (
     FEET_PER_MILE,
     Connection,
     FeederFormatError,
     LoadModel,
     NotRadialError,
-    Placement,
     SegmentKind,
     bundled_feeder_path,
     expand_distributed_loads,
@@ -152,6 +154,7 @@ def mutate(edit):
         (lambda d: d["loads"][0].update({"kw": [-1.0]}), "kw"),
         (lambda d: d["loads"][0].update({"kw": [1.0, 2.0]}), "kw"),
         (lambda d: d["segments"][0].update({"unit": "km"}), "unit"),
+        (lambda d: d["segments"][0].update({"unit": ["ft"]}), "'ft' or 'mi'"),
         (lambda d: d["segments"][0].update({"z_ohm_per_mile": Z1}), "z_ohm_per_mile"),
         (lambda d: d["segments"][0].pop("length"), "length"),
         (lambda d: d["base"].update({"power_kva": 0.0}), "power_kva"),
@@ -253,7 +256,7 @@ def test_delta_branch_expansion():
     # a two-phase delta load is a single phase-to-phase branch
     doc["loads"][1].update({"conn": "delta", "kw": [6.0], "kvar": [2.0]})
     model = parse_feeder_dict(doc)
-    dist = next(ld for ld in model.loads if ld.placement is Placement.DISTRIBUTED)
+    dist = next(ld for ld in model.loads if ld.segment is not None)
     assert dist.conn is Connection.DELTA
     assert dist.branches() == ("AB",)
     assert dist.kw == (6.0,)
@@ -298,7 +301,7 @@ def test_midpoint_expansion_moves_distributed_load():
     moved = [ld for ld in out.loads if ld.node == "a-b~mid"]
     assert len(moved) == 1
     assert moved[0].kw == (6.0, 8.0)
-    assert all(ld.placement is Placement.SPOT for ld in out.loads)
+    assert all(ld.segment is None for ld in out.loads)
 
 
 def test_midpoint_expansion_keeps_shunt_at_far_end():
@@ -355,3 +358,188 @@ def test_bfs_order_parents_before_children(ieee34):
         assert seg.from_node in seen
         seen.add(seg.to_node)
     assert len(seen) == len(ieee34.nodes)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["loads"][0].update({"segment": "b-c"}),
+        lambda d: d["loads"][1].update({"node": "a"}),
+        lambda d: d["loads"][0].pop("node"),
+    ],
+    ids=["spot-with-segment", "distributed-with-node", "neither"],
+)
+def test_load_sits_at_exactly_one_of_node_and_segment(edit):
+    with pytest.raises(FeederFormatError, match="exactly one of 'node' and 'segment'"):
+        parse_feeder_dict(mutate(edit))
+
+
+@pytest.mark.parametrize(
+    "pair", [[True, False], [0.3, True], ["0.3", 0.6], [0.3], [float("nan"), 0.6]]
+)
+def test_impedance_pair_parts_are_numbers(pair):
+    doc = minimal_doc()
+    doc["segments"][1]["z_ohm_per_mile"] = [[pair]]
+    with pytest.raises(FeederFormatError, match="number|pair"):
+        parse_feeder_dict(doc)
+
+
+TRANSFORMER = {
+    "id": "b-c",
+    "from": "b",
+    "to": "c",
+    "phases": "A",
+    "kind": "transformer",
+    "ratio": 2.0,
+    "series_z_ohm": [0.01, 0.02],
+}
+
+
+LINE = minimal_doc()["segments"][1]
+REGULATOR = {**LINE, "kind": "regulator", "taps": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "segment,needle",
+    [
+        ({**LINE, "ratio": 2.0}, "line segments take no 'ratio' \\["),
+        ({**LINE, "taps": [1.0]}, "line segments take no 'taps' \\["),
+        ({**LINE, "series_z_ohm": [0.1, 0.2]}, "take no 'series_z_ohm' \\["),
+        ({**TRANSFORMER, "length": 1.0}, "transformer segments take no 'length' \\["),
+        (
+            {**TRANSFORMER, "length": 1.0, "unit": "mi"},
+            "transformer segments take no 'length' or 'unit' \\[",
+        ),
+        ({**TRANSFORMER, "taps": [1.0]}, "transformer segments take no 'taps' \\["),
+        ({**REGULATOR, "ratio": 2.0}, "regulator segments take no 'ratio' \\["),
+        ({**TRANSFORMER, "ratio": None}, "transformer segments need 'ratio' \\["),
+        ({**REGULATOR, "taps": None}, "regulator segments need 'taps' \\["),
+        ({**LINE, "unit": None}, "line segments need 'unit' \\["),
+        ({**REGULATOR, "length": None}, "missing required key 'length' \\["),
+        ({**LINE, "kind": "bus"}, "expected one of 'line', 'transformer', 'regulator'"),
+    ],
+)
+def test_segment_kind_takes_only_its_keys(segment, needle):
+    doc = minimal_doc()
+    doc["segments"][1] = {k: v for k, v in segment.items() if v is not None}
+    with pytest.raises(FeederFormatError, match=needle):
+        parse_feeder_dict(doc)
+
+
+def test_regulator_length_and_impedance_are_optional():
+    doc = minimal_doc()
+    raw = doc["segments"][1]
+    for key in ("length", "unit", "z_ohm_per_mile"):
+        del raw[key]
+    raw.update(kind="regulator", taps=[1.05])
+    model = parse_feeder_dict(doc)
+    assert model.segment("b-c").length_miles == 0.0
+    assert parse_feeder_dict(serialize_feeder(model)) == model
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["loads"][0].update({"kw": [10**400]}),
+        lambda d: d["segments"][1].update({"length": 10**400}),
+        lambda d: d["segments"][1].update({"z_ohm_per_mile": [[[0.3, 10**400]]]}),
+        lambda d: d.update({"load_scale": 10**400}),
+        lambda d: d["loads"][0].update({"kvar": [-(10**400)]}),
+        lambda d: d.update({"load_scale": 1e300}) or d["loads"][0].update({"kw": [1e10]}),
+    ],
+    ids=["kw", "length", "z_ohm_per_mile", "load_scale", "kvar", "scaled-kw"],
+)
+def test_numbers_past_the_float_range_are_rejected(edit):
+    with pytest.raises(FeederFormatError, match="non-finite number -?inf"):
+        parse_feeder_dict(mutate(edit))
+
+
+def test_feeder_file_may_start_with_a_byte_order_mark(tmp_path, ieee13):
+    path = tmp_path / "bom.feeder"
+    text = bundled_feeder_path("ieee13.feeder").read_text(encoding="utf-8")
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_feeder(path) == ieee13
+
+
+@pytest.mark.parametrize(
+    "data,needle",
+    [
+        (b'{"name": "x\xff"}', "can't decode byte 0xff"),
+        (b'{"load_scale": ' + b"9" * 5000 + b"}", "digits"),
+    ],
+    ids=["not-utf8", "integer-digit-limit"],
+)
+def test_unreadable_feeder_file_names_its_path(tmp_path, data, needle):
+    path = tmp_path / "bad.feeder"
+    path.write_bytes(data)
+    with pytest.raises(FeederFormatError, match=needle) as err:
+        parse_feeder(path)
+    assert err.value.context == str(path)
+
+
+def fuzz_base_doc():
+    """minimal_doc() plus a transformer and a regulator, all lists fresh."""
+    doc = minimal_doc()
+    doc["nodes"] += [{"id": "d", "phases": "AB"}, {"id": "e", "phases": "AB"}]
+    doc["segments"] += [
+        {**TRANSFORMER, "id": "b-d", "to": "d", "phases": "AB"},
+        {"id": "d-e", "from": "d", "to": "e", "phases": "AB", "kind": "regulator",
+         "taps": [1.0, 1.05], "length": 10.0, "unit": "ft", "z_ohm_per_mile": Z2},
+    ]
+    return copy.deepcopy(doc)
+
+
+TOP_KEYS = ["name", "base", "source", "load_scale", "nodes", "segments", "loads"]
+SEGMENT_KEYS = [
+    "id", "from", "to", "phases", "kind", "shunt_kvar",
+    "length", "unit", "z_ohm_per_mile", "ratio", "series_z_ohm", "taps",
+]
+LOAD_KEYS = ["id", "node", "segment", "conn", "model", "phases", "kw", "kvar"]
+
+# any JSON value, or one the schema gives a meaning to
+feeder_values = json_values | st.sampled_from(
+    ["line", "transformer", "regulator", "delta", "z", "ft", "mi", "AB", "b", "a-b",
+     [0.3, 0.6], [1.0, 1.05], [True, False]]
+)
+
+
+@st.composite
+def feeder_documents(draw):
+    """fuzz_base_doc() with a few keys, at any level, dropped or set to any value."""
+    doc = fuzz_base_doc()
+    targets = [
+        (doc, TOP_KEYS),
+        (doc["base"], ["power_kva", "voltage_kv_ll"]),
+        (doc["source"], ["node", "nominal_kv_ll", "voltage_pu", "angles_deg"]),
+        *((node, ["id", "phases"]) for node in doc["nodes"]),
+        *((seg, SEGMENT_KEYS) for seg in doc["segments"]),
+        *((ld, LOAD_KEYS) for ld in doc["loads"]),
+        (doc["segments"][0]["z_ohm_per_mile"][1][0], [0, 1]),
+        (doc["loads"][1]["kw"], [0, 1]),
+    ]
+    for target, keys in draw(st.lists(st.sampled_from(targets), max_size=4)):
+        key = draw(st.sampled_from(keys))
+        if isinstance(target, list) or draw(st.booleans()):
+            target[key] = draw(feeder_values)
+        else:
+            target.pop(key, None)
+    return doc
+
+
+def _with_kw(value):
+    doc = fuzz_base_doc()
+    doc["loads"][0]["kw"] = [value]
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=feeder_documents() | json_values)
+@example(doc=_with_kw(10**400))
+@example(doc=_with_kw(True))
+def test_feeder_parser_fails_only_with_format_errors(doc):
+    try:
+        model = parse_feeder_dict(doc)
+    except FeederFormatError:
+        return
+    # a model that parses is finite and canonical
+    assert parse_feeder_dict(serialize_feeder(model)) == model

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values
 from voss.estimator import (
     CorrectionParams,
     EstimateFlag,
@@ -678,20 +679,6 @@ def test_chain_config_rejects_unhashable_ids_and_huge_integers(tmp_path, edit, n
     edit(doc)
     with pytest.raises(SensorFormatError, match=needle):
         parse_chain_config(write_config(tmp_path, doc))
-
-
-# any JSON value: NaN, Infinity and integers past the float range too
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([10**400, -(10**400)])
-    | st.floats()
-    | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
 
 
 @st.composite
