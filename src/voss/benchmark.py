@@ -25,17 +25,18 @@ curves and ``voss_corrected`` use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .estimator import (
     EstimateFlag,
-    check_rho_s,
+    check_rho,
     clamped_correction,
     small_angle_error_bound,
 )
 from .feeder import FeederModel, SegmentKind, split_distributed_loads_to_ends
-from .ioutil import format_float, write_csv
+from .ioutil import FLOAT_FORMAT, format_float, write_csv
 from .powerflow import PowerFlowSolution, SolveOptions, solve
 
 # Fraction of the feeder power base below which a per-phase input power
@@ -44,21 +45,12 @@ from .powerflow import PowerFlowSolution, SolveOptions, solve
 # while every normally loaded line clears it by more than 10x.
 NEAR_ZERO_POWER_FRACTION = 2e-3
 
-COMPARISON_HEADER = [
-    "feeder",
-    "line_or_path",
-    "phase",
-    "voss_single",
-    "c_hat",
-    "voss_corrected",
-    "true_loss",
-    "abs_error",
-    "angle_bound",
-    "rho_s",
-    "rho_v",
-    "excluded",
-    "reason",
-]
+
+def check_near_zero_fraction(fraction: float) -> float:
+    """The near-zero threshold is a finite fraction >= 0 of the power base."""
+    if not 0.0 <= fraction < math.inf:
+        raise ValueError(f"near_zero_fraction must be finite and >= 0, got {fraction}")
+    return fraction
 
 
 @dataclass(frozen=True)
@@ -76,6 +68,9 @@ class ComparisonRow:
     rho_v: float
     excluded: bool
     reason: str = ""
+
+
+COMPARISON_HEADER = [f.name for f in fields(ComparisonRow)]
 
 
 def solve_end_split(model: FeederModel, options: SolveOptions) -> PowerFlowSolution:
@@ -165,6 +160,7 @@ def run_single_segment_study(
     marked excluded; their loss columns are reported (NaN when the input
     power is exactly zero) but carry no meaning.
     """
+    check_near_zero_fraction(near_zero_fraction)
     rows = []
     for seg in model.segments:
         if seg.kind == SegmentKind.LINE:
@@ -184,7 +180,8 @@ def run_multi_segment_study(
 
     rho_s is simulated from the flows when None, else a fixed estimate.
     """
-    check_rho_s(rho_s)
+    check_rho(rho_s, "rho_s")
+    check_near_zero_fraction(near_zero_fraction)
     rows = []
     for head, tail in paths:
         rows += _compare_path(
@@ -202,50 +199,26 @@ def excluded_lines(rows: Sequence) -> list:
     return sorted(k for k, v in by_line.items() if all(v))
 
 
+# How a ComparisonRow field is written, by its declared type
+_FORMAT = dict(str=str, float=FLOAT_FORMAT.__mod__, bool=("false", "true").__getitem__)
+
+
 def write_comparison_csv(rows: Sequence, path) -> None:
-    out = []
-    for r in rows:
-        out.append(
-            [
-                r.feeder,
-                r.line_or_path,
-                r.phase,
-                format_float(r.voss_single),
-                format_float(r.c_hat),
-                format_float(r.voss_corrected),
-                format_float(r.true_loss),
-                format_float(r.abs_error),
-                format_float(r.angle_bound),
-                format_float(r.rho_s),
-                format_float(r.rho_v),
-                "true" if r.excluded else "false",
-                r.reason,
-            ]
-        )
-    write_csv(path, COMPARISON_HEADER, out)
+    """One line per ComparisonRow, one column per field in declaration order."""
+    columns = [
+        map(_FORMAT[f.type], map(attrgetter(f.name), rows))
+        for f in fields(ComparisonRow)
+    ]
+    write_csv(path, COMPARISON_HEADER, list(zip(*columns)))
 
 
 def write_plot_long_csv(rows: Sequence, path) -> None:
     """Long-format series for external plotting tools."""
-    out = []
-    for r in rows:
-        for series, value in (
-            ("voss_single", r.voss_single),
-            ("voss_corrected", r.voss_corrected),
-            ("true_loss", r.true_loss),
-        ):
-            out.append(
-                [
-                    r.feeder,
-                    r.line_or_path,
-                    r.phase,
-                    series,
-                    format_float(value),
-                    "true" if r.excluded else "false",
-                ]
-            )
-    write_csv(
-        path,
-        ["feeder", "line_or_path", "phase", "series", "value", "excluded"],
-        out,
-    )
+    header = ["feeder", "line_or_path", "phase", "series", "value", "excluded"]
+    out = [
+        [r.feeder, r.line_or_path, r.phase, name,
+         format_float(getattr(r, name)), _FORMAT["bool"](r.excluded)]
+        for r in rows
+        for name in ("voss_single", "voss_corrected", "true_loss")
+    ]
+    write_csv(path, header, out)

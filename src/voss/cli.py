@@ -10,13 +10,14 @@ long format, rendering left to external tools) and byte-identical
 across runs with identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 input or parse error,
-3 numerical failure.
+3 numerical failure.  Each flag's value is checked at parse time by the
+library rule of the call it feeds, so a value that call rejects is a
+usage error here, reported with the rule's message.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .benchmark import (
     NEAR_ZERO_POWER_FRACTION,
+    check_near_zero_fraction,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
@@ -31,9 +33,9 @@ from .benchmark import (
     write_comparison_csv,
     write_plot_long_csv,
 )
-from .estimator import check_rho_s
+from .estimator import check_rho
 from .feeder import expand_distributed_loads, parse_feeder
-from .line_oracle import sweep_rho, write_sweep_csv
+from .line_oracle import check_segment_count, sweep_rho, write_sweep_csv
 from .powerflow import (
     PowerFlowError,
     SolveOptions,
@@ -85,14 +87,14 @@ def _parse_rho_s_source(text: str):
     if text == "simulated":
         return None
     if text.startswith("estimate:"):
-        return check_rho_s(float(text.split(":", 1)[1]))
+        return check_rho(float(text.split(":", 1)[1]), "rho_s")
     raise ValueError(
         f"unknown rho_s source {text!r} (use 'simulated' or 'estimate:<value>')"
     )
 
 
 def _parse_rho_list(text: str) -> list:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [check_rho(float(tok)) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError("no rho values given")
     return values
@@ -108,18 +110,6 @@ def _typed(parse):
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return wrapper
-
-
-def _checked(convert, valid, rule: str):
-    """An argparse type: convert the text, then reject values not valid."""
-
-    def parse(text):
-        value = convert(text)
-        if not valid(value):
-            raise ValueError(f"must be {rule}, got {text}")
-        return value
-
-    return _typed(parse)
 
 
 def _out_dir(args) -> Path:
@@ -270,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("feeder", help="feeder definition file (JSON)")
     p_bench.add_argument(
         "--near-zero-threshold",
-        type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+        type=_typed(lambda text: check_near_zero_fraction(float(text))),
         default=NEAR_ZERO_POWER_FRACTION,
         help=(
             "input power below this fraction of the feeder base marks a "
@@ -299,15 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument(
         "--rho-list",
-        type=_checked(
-            _parse_rho_list, lambda rhos: all(0 <= r <= 1 for r in rhos), "in [0, 1]"
-        ),
+        type=_typed(_parse_rho_list),
         default=_parse_rho_list(DEFAULT_RHO_LIST),
         help=f"comma-separated extraction fractions (default: {DEFAULT_RHO_LIST})",
     )
     p_oracle.add_argument(
         "--segments",
-        type=_checked(int, lambda n: n >= 1, ">= 1"),
+        type=_typed(lambda text: check_segment_count(int(text))),
         default=10000,
         help="number of discretization segments (default: 10000)",
     )

@@ -6,9 +6,9 @@ with distributed extraction along its length the drop overestimates the
 loss fraction; a correction factor derived from the ratio of power and
 voltage at the two ends scales the estimate back.
 
-All functions here are pure and operate on plain floats/complex numbers,
-except clamped_correction and voss_elementwise, which also take numpy
-arrays; all are safe to call concurrently.
+All functions here are pure and operate on plain floats/complex numbers;
+rho_from_ratios, clamp_rho, clamped_correction and voss_elementwise also
+take numpy arrays.  All are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -66,10 +66,15 @@ class SegmentVoltages:
     v_end: float
 
     def __post_init__(self) -> None:
-        if not (self.v_start > 0.0) or not math.isfinite(self.v_start):
-            raise ValueError(f"v_start must be finite and > 0, got {self.v_start}")
-        if self.v_end < 0.0 or not math.isfinite(self.v_end):
-            raise ValueError(f"v_end must be finite and >= 0, got {self.v_end}")
+        _check_ends(self.v_start, self.v_end)
+
+
+def _check_ends(v_start, v_end) -> None:
+    """v_start finite and > 0, v_end finite and >= 0; scalars or numpy arrays."""
+    if not np.all((0.0 < v_start) & (v_start < np.inf)):
+        raise ValueError(f"v_start must be finite and > 0, got {v_start}")
+    if not np.all((0.0 <= v_end) & (v_end < np.inf)):
+        raise ValueError(f"v_end must be finite and >= 0, got {v_end}")
 
 
 @dataclass(frozen=True)
@@ -146,9 +151,7 @@ def correction_factor(rho: float) -> float:
     c decreases from 1 at rho=0 (pure through-flow) to 2/3 at rho=1 (all
     current extracted by the far end).
     """
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    return _c(rho)
+    return _c(check_rho(rho))
 
 
 def _c(rho):
@@ -164,53 +167,50 @@ def correction_factor_hat(params: CorrectionParams) -> float:
     ``clamped_correction``, and this ratio form is kept as its reference.
     """
     rho_s, rho_v = params.rho_s, params.rho_v
-    if rho_v <= 0.0:
-        raise ValueError(f"rho_v must be > 0, got {rho_v}")
+    rho_from_ratios(rho_s, rho_v)  # the rho_v > 0 rule
     if rho_s < 0.0:
         raise ValueError(f"rho_s must be >= 0, got {rho_s}")
     return 1.0 - ((rho_v - rho_s) / (rho_v + rho_s)) * ((rho_v + 2.0 * rho_s) / (3.0 * rho_v))
 
 
-def rho_from_ratios(rho_s: float, rho_v: float) -> float:
-    """Leakage fraction inferred from power and voltage ratios.
+def rho_from_ratios(rho_s, rho_v):
+    """Leakage fraction ``1 - rho_s/rho_v`` from power and voltage ratios.
 
-    Returns ``1 - rho_s/rho_v`` unclamped; measurement noise or model
-    mismatch can push it outside [0, 1] (see ``clamped_correction``).
+    rho_v must be > 0.  Unclamped: noise or model mismatch can push it
+    outside [0, 1] (see ``clamped_correction``).  Takes numpy arrays too.
     """
-    if rho_v <= 0.0:
-        raise ValueError(f"rho_v must be > 0, got {rho_v}")
-    return 1.0 - rho_s / rho_v
+    if not np.all(np.greater(rho_v, 0.0)):
+        raise ValueError(f"rho_v must be > 0, got {np.min(rho_v)}")
+    return 1.0 - np.divide(rho_s, rho_v)
 
 
-def clamp_rho(rho: float) -> float:
-    """Clamp an inferred leakage fraction into the model's [0, 1] domain."""
-    return min(1.0, max(0.0, rho))
+def clamp_rho(rho):
+    """Clamp a leakage fraction into the model's [0, 1] domain; NaN stays NaN."""
+    return np.clip(rho, 0.0, 1.0)
 
 
-def check_rho_s(rho_s: Optional[float]) -> Optional[float]:
-    """A supplied power ratio must lie in [0, 1]; None means none supplied."""
-    if rho_s is not None and not 0.0 <= rho_s <= 1.0:
-        raise ValueError(f"rho_s must lie in [0, 1], got {rho_s}")
-    return rho_s
+def check_rho(rho: Optional[float], name: str = "rho") -> Optional[float]:
+    """rho, or a supplied power ratio rho_s, must lie in [0, 1]; None passes."""
+    if rho is not None and not 0.0 <= rho <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {rho}")
+    return rho
 
 
 def clamped_correction(rho_s, rho_v) -> tuple:
     """The correction policy: (factor, out-of-range mask) from the ratios.
 
-    The leakage fraction rho = 1 - rho_s/rho_v is clamped into [0, 1]
-    before evaluating c(rho) = 1 - rho(3 - 2 rho)/(6 - 3 rho).  Angle
-    effects on extraction-free paths land rho epsilon-negative, and the
-    clamp turns those into an exact factor of 1 instead of one slightly
-    above.  A rho outside [0, 1] (the model does not fit) is marked in the
-    mask and gets the clamped factor, 1 below the range and 2/3 above it
-    (rho_s <= 0).  A NaN rho_s gives NaN.  Takes scalars or numpy arrays,
-    with the same bits per element either way.
+    The leakage fraction ``rho_from_ratios(rho_s, rho_v)`` goes through
+    ``clamp_rho`` before evaluating c(rho) = 1 - rho(3 - 2 rho)/(6 - 3 rho).
+    Angle effects on extraction-free paths land rho epsilon-negative, and
+    the clamp turns those into an exact factor of 1 instead of one
+    slightly above.  A rho outside [0, 1] (the model does not fit) is
+    marked in the mask and gets the clamped factor, 1 below the range and
+    2/3 above it (rho_s <= 0).  A NaN rho_s gives NaN.  Takes scalars or
+    numpy arrays, with the same bits per element either way.
     """
-    if not np.all(np.greater(rho_v, 0.0)):
-        raise ValueError("rho_v must be > 0")
-    rho = 1.0 - np.divide(rho_s, rho_v)
+    rho = rho_from_ratios(rho_s, rho_v)
     out_of_range = ~((0.0 <= rho) & (rho <= 1.0))
-    return _c(np.clip(rho, 0.0, 1.0)), out_of_range
+    return _c(clamp_rho(rho)), out_of_range
 
 
 def voss_corrected(seg: SegmentVoltages, params: CorrectionParams) -> LossEstimate:
@@ -235,13 +235,10 @@ def voss_elementwise(v_start, v_end, rho_s: Optional[float] = None) -> tuple:
     v_start and v_end are numpy arrays of endpoint magnitudes; rho_v is
     v_end/v_start per element.  Returns (loss fractions, NEGATIVE_DROP
     mask, CORRECTION_OUT_OF_RANGE mask).  Each element equals the scalar
-    function's result on the same pair bit for bit, and the inputs
-    SegmentVoltages rejects are rejected here too.
+    function's result on the same pair bit for bit, and _check_ends
+    rejects what SegmentVoltages rejects.
     """
-    if not np.all((0.0 < v_start) & (v_start < np.inf)):
-        raise ValueError("v_start must be finite and > 0")
-    if not np.all((0.0 <= v_end) & (v_end < np.inf)):
-        raise ValueError("v_end must be finite and >= 0")
+    _check_ends(v_start, v_end)
     rho_v = v_end / v_start
     raw = 1.0 - rho_v
     negative = raw < 0.0

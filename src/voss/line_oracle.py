@@ -16,12 +16,12 @@ which is what makes this module an independent check of the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import correction_factor
+from .estimator import check_rho, correction_factor
 from .ioutil import format_float, write_csv
 
 
@@ -50,8 +50,7 @@ class UniformLineModel:
             raise ValueError(f"length must be finite and > 0, got {self.length}")
         if not (self.i_in > 0.0 and math.isfinite(self.i_in)):
             raise ValueError(f"i_in must be finite and > 0, got {self.i_in}")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
+        check_rho(self.rho)
         if self.zeta == 0:
             raise ValueError("zeta must be nonzero")
 
@@ -82,6 +81,13 @@ class SweepRow:
     deviation: float
 
 
+def check_segment_count(n: int) -> int:
+    """A discretized line has at least one segment."""
+    if not n >= 1:
+        raise ValueError(f"segment count must be >= 1, got {n}")
+    return n
+
+
 def simulate_uniform_line(model: UniformLineModel, n: int) -> OracleResult:
     """Run the lumped-extraction discretization with n extraction points.
 
@@ -90,8 +96,7 @@ def simulate_uniform_line(model: UniformLineModel, n: int) -> OracleResult:
     segment with the same endpoints would show.  Current is conserved
     exactly: i_out == i_in - extracted.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_segment_count(n)
     dx = model.length / n
     di = model.rho * model.i_in / n
 
@@ -152,16 +157,9 @@ def sweep_rho(
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     """Write sweep rows as CSV with a fixed header and row order."""
+    header = [f.name for f in fields(SweepRow)]
     write_csv(
         path,
-        ["rho", "oracle_ratio", "c_formula", "deviation"],
-        [
-            [
-                format_float(row.rho),
-                format_float(row.oracle_ratio),
-                format_float(row.c_formula),
-                format_float(row.deviation),
-            ]
-            for row in rows
-        ],
+        header,
+        [[format_float(getattr(row, name)) for name in header] for row in rows],
     )

@@ -38,6 +38,12 @@ Times in seconds are ``epoch_us / 1e6``, which equals
 ``datetime.timestamp()`` bit for bit (within 2**53 us, about 285 years,
 of 1970), so grid and alignment arithmetic is the same as on datetimes.
 
+Each setting has one rule, applied on every way in: _check_scale (nominal
+voltage and calibration, finite and > 0) in VoltageSeries and ingest_csv,
+timeseries.check_seconds (window, grid step, tolerance) in loss_curve and
+align, estimator.check_rho for rho_s.  ChainConfig's fields give the chain
+config's keys, defaults and rules, so the config applies the same ones.
+
 Scaling both series of a pair by the same factor leaves the curve
 unchanged; for power-of-two factors the output is bit-identical, since
 every step (calibration, median, ratio) then commutes exactly with the
@@ -54,14 +60,16 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .estimator import EstimateFlag, check_rho_s, voss_elementwise
+from .estimator import EstimateFlag, check_rho, voss_elementwise
 from .ioutil import FLOAT_FORMAT, json_number, write_csv
 from .timeseries import (
+    check_seconds,
     format_utc,
     grid_points,
     nearest_index,
@@ -72,6 +80,7 @@ from .timeseries import (
 CSV_HEADER = ["sensor_id", "timestamp", "voltage_v"]
 CURVE_HEADER = ["timestamp", "loss_fraction", "flags"]
 
+NOMINAL_VOLTAGE = 230.0
 GRID_STEP_S = 120.0
 PAIR_TOLERANCE_S = 60.0
 SMOOTHING_WINDOW_S = 600.0
@@ -116,6 +125,13 @@ class SensorFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _check_scale(name: str, value: float) -> float:
+    """A nominal voltage or a calibration factor is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _epoch_us(ts: datetime) -> int:
@@ -177,16 +193,14 @@ class VoltageSeries(_ArrayRecord):
         self,
         sensor_id: str,
         samples,
-        nominal_voltage: float = 230.0,
+        nominal_voltage: float = NOMINAL_VOLTAGE,
         calibration: float = 1.0,
         duplicates_dropped: int = 0,
     ) -> None:
         if not sensor_id:
             raise ValueError("sensor_id must be nonempty")
-        if not (nominal_voltage > 0.0):
-            raise ValueError(f"nominal_voltage must be > 0, got {nominal_voltage}")
-        if not (calibration > 0.0):
-            raise ValueError(f"calibration must be > 0, got {calibration}")
+        _check_scale("nominal_voltage", nominal_voltage)
+        _check_scale("calibration", calibration)
         samples = tuple(samples)
         prev = None
         for ts, volts in samples:
@@ -252,7 +266,7 @@ class SensorChain:
                 f"(one per adjacent pair), got {len(self.rho_s)}"
             )
         for value in self.rho_s:
-            check_rho_s(value)
+            check_rho(value, "rho_s")
 
     def pairs(self) -> list:
         """(upstream, downstream, rho_s) per adjacent pair, feeder order."""
@@ -532,7 +546,7 @@ class _Readings:
         ]
 
 
-def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
+def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
     """Read sensor_id,timestamp,voltage_v rows into per-sensor series.
 
     Rows may arrive in any order; each series comes back sorted.  A
@@ -540,8 +554,13 @@ def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
     the file and counts the rest in duplicates_dropped.  Any malformed
     row fails with its line number, counted in records as csv.reader
     yields them (blank lines included).  A leading UTF-8 byte-order mark
-    is skipped.  Returns series sorted by sensor id.
+    is skipped.  Returns series sorted by sensor id.  nominal_voltage and
+    the calibration factors (by sensor id, default 1) meet VoltageSeries's rule.
     """
+    calibration = calibration or {}
+    _check_scale("nominal_voltage", nominal_voltage)
+    for factor in calibration.values():
+        _check_scale("calibration", factor)
     readings = _Readings()
     line = 1  # record number of the next record
     with Path(path).open("rb") as handle:
@@ -559,7 +578,7 @@ def ingest_csv(path, nominal_voltage: float = 230.0, calibration=None) -> list:
         raise SensorFormatError(blocks.undecodable, line=line)
     if line == 1:
         raise SensorFormatError("empty file, expected header", line=1)
-    return readings.series(nominal_voltage, calibration or {})
+    return readings.series(nominal_voltage, calibration)
 
 
 def align(
@@ -575,11 +594,10 @@ def align(
     nearest stored sample within tolerance_s from each side (ties go to
     the earlier sample), nan where there is none (a gap).  Raises when
     the series do not overlap or the overlap contains no grid point, and
-    when grid_step_s is below 1e-6 s, since grid timestamps are whole
-    microseconds.
+    when grid_step_s or tolerance_s breaks its check_seconds rule.
     """
-    if not grid_step_s >= 1e-6:
-        raise ValueError(f"grid_step_s must be at least 1e-6 s, got {grid_step_s}")
+    check_seconds("grid_step_s", grid_step_s)
+    check_seconds("tolerance_s", tolerance_s)
     if not series_a.epoch_us.size or not series_b.epoch_us.size:
         raise ValueError("align needs two nonempty series")
     ea, eb = series_a.epoch_us / 1e6, series_b.epoch_us / 1e6
@@ -673,15 +691,14 @@ def loss_curve(
     (corrected when the pair has a rho_s, raw otherwise).  Grid points
     lost to an outage reading carry PowerStateSuspect; unpaired points
     carry Gap; negative drops are reported and flagged, never clamped.
+    Each setting must pass check_seconds; a window_s of 0 is no smoothing.
     """
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:
         raise ValueError(f"sensors missing from series map: {missing}")
-    if not all(map(math.isfinite, (window_s, grid_step_s, tolerance_s))):
-        raise ValueError(
-            f"window_s, grid_step_s and tolerance_s must be finite, got "
-            f"{window_s}, {grid_step_s}, {tolerance_s}"
-        )
+    check_seconds("window_s", window_s)
+    check_seconds("grid_step_s", grid_step_s)
+    check_seconds("tolerance_s", tolerance_s)
     smoothed = {sid: _smoothed(series[sid], window_s) for sid in chain.sensor_ids}
     return [
         _pair_curve(
@@ -709,34 +726,44 @@ def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
     return path
 
 
-CHAIN_KEYS = {
-    "sensors",
-    "pairs",
-    "nominal_voltage_v",
-    "calibration",
-    "grid_step_s",
-    "tolerance_s",
-    "smoothing_window_s",
-}
+def _setting(default: float, rule, name: str):
+    """A ChainConfig number read from the key of its name, checked by rule."""
+    return field(default=default, metadata={"rule": partial(rule, name)})
 
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Parsed chain configuration: who to pair and with what settings."""
+    """Parsed chain configuration: who to pair and with what settings.
 
-    chain: SensorChain
-    nominal_voltage_v: float = 230.0
+    Each field is read from the config key of its name, and chain from
+    the keys sensors and pairs.  A number field carries its default and
+    the rule of the library call it feeds.
+    """
+
+    chain: SensorChain = field(metadata={"keys": ("sensors", "pairs")})
+    nominal_voltage_v: float = _setting(
+        NOMINAL_VOLTAGE, _check_scale, "nominal_voltage"
+    )
     calibration: dict = field(default_factory=dict)
-    grid_step_s: float = GRID_STEP_S
-    tolerance_s: float = PAIR_TOLERANCE_S
-    smoothing_window_s: float = SMOOTHING_WINDOW_S
+    grid_step_s: float = _setting(GRID_STEP_S, check_seconds, "grid_step_s")
+    tolerance_s: float = _setting(PAIR_TOLERANCE_S, check_seconds, "tolerance_s")
+    smoothing_window_s: float = _setting(SMOOTHING_WINDOW_S, check_seconds, "window_s")
 
 
-def _positive_number(data: dict, key: str, default: float, context: str) -> float:
-    value = json_number(data.get(key, default))
-    if value is None or not 0 < value < math.inf:
-        raise SensorFormatError(f"{context}: {key!r} must be a finite positive number")
-    return value
+CHAIN_KEYS = frozenset(
+    key for f in fields(ChainConfig) for key in f.metadata.get("keys", (f.name,))
+)
+
+
+def _config_number(value, rule, where: str) -> float:
+    """value as a JSON number that rule accepts, else a SensorFormatError."""
+    number = json_number(value)
+    if number is None:
+        raise SensorFormatError(f"{where} must be a number")
+    try:
+        return rule(number)
+    except ValueError as exc:
+        raise SensorFormatError(f"{where}: {exc}") from None
 
 
 def parse_chain_config(path) -> ChainConfig:
@@ -797,12 +824,11 @@ def parse_chain_config(path) -> ChainConfig:
                 f"{context}: duplicate pair entry {key[0]!r}->{key[1]!r}"
             )
         seen.add(key)
-        value = json_number(entry.get("rho_s"))
-        if value is None:
-            raise SensorFormatError(
-                f"{context}: rho_s for {key[0]!r}->{key[1]!r} must be a number"
-            )
-        rho_s[adjacent[key]] = value
+        rho_s[adjacent[key]] = _config_number(
+            entry.get("rho_s"),
+            partial(check_rho, name="rho_s"),
+            f"{context}: rho_s for {key[0]!r}->{key[1]!r}",
+        )
     calibration = data.get("calibration", {})
     if not isinstance(calibration, dict):
         raise SensorFormatError(f"{context}: 'calibration' must be an object")
@@ -811,18 +837,20 @@ def parse_chain_config(path) -> ChainConfig:
             raise SensorFormatError(
                 f"{context}: calibration for unknown sensor {sid!r}"
             )
-        _positive_number(calibration, sid, None, f"{context}: calibration")
+    factor_rule = partial(_check_scale, "calibration")
+    calibration = {
+        sid: _config_number(f, factor_rule, f"{context}: calibration for {sid!r}")
+        for sid, f in calibration.items()
+    }
     try:
         chain = SensorChain(tuple(sensors), tuple(rho_s))
     except ValueError as exc:
         raise SensorFormatError(f"{context}: {exc}") from None
-    return ChainConfig(
-        chain=chain,
-        nominal_voltage_v=_positive_number(data, "nominal_voltage_v", 230.0, context),
-        calibration={sid: float(f) for sid, f in calibration.items()},
-        grid_step_s=_positive_number(data, "grid_step_s", GRID_STEP_S, context),
-        tolerance_s=_positive_number(data, "tolerance_s", PAIR_TOLERANCE_S, context),
-        smoothing_window_s=_positive_number(
-            data, "smoothing_window_s", SMOOTHING_WINDOW_S, context
-        ),
-    )
+    settings = {
+        f.name: _config_number(
+            data.get(f.name, f.default), f.metadata["rule"], f"{context}: {f.name!r}"
+        )
+        for f in fields(ChainConfig)
+        if "rule" in f.metadata
+    }
+    return ChainConfig(chain, calibration=calibration, **settings)

@@ -17,6 +17,18 @@ import numpy as np
 # the sampling.
 MEDIAN_BLOCK_CELLS = 1 << 20
 
+# The least value of each time setting, in seconds; each must also be finite.
+# Grid timestamps are whole microseconds, so a step is at least one.
+LEAST_SECONDS = {"window_s": 0.0, "grid_step_s": 1e-6, "tolerance_s": 0.0}
+
+
+def check_seconds(name: str, value: float) -> float:
+    """value, if it is finite and at least LEAST_SECONDS[name]."""
+    least = LEAST_SECONDS[name]
+    if not least <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= {least:g} s, got {value}")
+    return value
+
 
 def nearest_index(epochs: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
     """Index into sorted epochs of the sample nearest each t within tol, else -1.
@@ -56,8 +68,7 @@ def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
     is the identity.  Median rather than mean keeps single-sample
     telemetry glitches out of the curve.
     """
-    if not window_s >= 0.0:
-        raise ValueError(f"window_s must be >= 0, got {window_s}")
+    check_seconds("window_s", window_s)
     epoch_s = np.asarray(epoch_s, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     n = values.size

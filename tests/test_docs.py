@@ -4,9 +4,13 @@ scripts take from voss."""
 import ast
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from voss.feeder import _KIND_KEYS, SegmentKind
+from voss.sensors import CHAIN_KEYS, ChainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PYTHON_BLOCKS = re.findall(
@@ -79,3 +83,40 @@ def test_every_voss_name_imported_by_bench_and_scripts_resolves():
         if not _resolves(module, name)
     ]
     assert missing == []
+
+
+def _table_rows(doc, header):
+    """The cells of each row of the markdown table in docs/doc under header."""
+    lines = (ROOT / "docs" / doc).read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2 :]:  # past the |---| row
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_chain_config_key_table_lists_chain_config_keys_and_defaults():
+    rows = _table_rows("sensor_chain_schema.md", "| key | default | meaning |")
+    defaults = {key.strip("`"): default for key, default, _ in rows}
+    assert set(defaults) == CHAIN_KEYS
+    numbers = {
+        f.name: f.default for f in fields(ChainConfig) if isinstance(f.default, float)
+    }
+    assert sorted(numbers) == [
+        "grid_step_s", "nominal_voltage_v", "smoothing_window_s", "tolerance_s"
+    ]
+    assert {key: float(defaults[key]) for key in numbers} == numbers
+
+
+def test_feeder_kind_table_is_the_readers_table():
+    rows = _table_rows("feeder_schema.md", "| kind | required | optional |")
+
+    def keys(cell):
+        return tuple(re.findall(r"`([^`]+)`", cell))
+
+    documented = {
+        SegmentKind(kind.strip("`")): (keys(required), keys(optional))
+        for kind, required, optional in rows
+    }
+    assert documented == _KIND_KEYS

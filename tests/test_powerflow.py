@@ -500,28 +500,51 @@ def _line_codes():
     return codes
 
 
+@functools.cache
+def _strategy(make, *args):
+    """make(*args), built once: a deep tree draws thousands of times, and
+    building a strategy per draw took most of the test's time."""
+    return make(*args)
+
+
 @st.composite
 def radial_feeders(draw):
     """A random radial feeder document built from the bundled line codes.
 
     The root feeds a regulator, a transformer (both three-phase), a
-    two-phase and a one-phase line; below that, up to 29 more levels of
+    two-phase and a one-phase line; below that, up to 59 more levels of
     1-4 links each (lines, some of them regulators without impedance)
     hang off random nodes of the level above with any subset of their
     parent's phases, in any order, and any node may list its phases in
     another order than its feeding segment.  Capacitors sit on
     random segments and on the regulator.  Every load model appears both
-    wye and delta, and the source carries a load.
+    wye and delta, and the source carries a load.  Loads sit at nodes,
+    and on 1-10 line segments loads are distributed along the segment.
     """
     codes = _line_codes()
-    phase_order = st.permutations("ABC").map("".join)
+
+    def integer(low, high):
+        return draw(_strategy(st.integers, low, high))
+
+    def one_of(*values):
+        return draw(_strategy(st.sampled_from, values))
+
+    def coin():
+        return draw(_strategy(st.booleans))
+
+    def subset(avail, n):
+        return "".join(draw(_strategy(st.permutations, avail))[:n])
+
+    def taps(n):
+        return [draw(_strategy(st.floats, 0.95, 1.08)) for _ in range(n)]
+
     root = "n0"
     doc = {
         "name": "random",
         "base": {"power_kva": 2500.0, "voltage_kv_ll": 24.9},
         "source": {"node": root, "nominal_kv_ll": 24.9,
                    "voltage_pu": [draw(st.floats(0.98, 1.05))] * 3},
-        "nodes": [{"id": root, "phases": draw(phase_order)}],
+        "nodes": [{"id": root, "phases": subset("ABC", 3)}],
         "segments": [],
         "loads": [],
     }
@@ -529,7 +552,7 @@ def radial_feeders(draw):
 
     def link(parent, seg_phases, **kind):
         node = f"n{len(doc['nodes'])}"
-        node_phases = "".join(draw(st.permutations(seg_phases)))
+        node_phases = subset(seg_phases, 3)
         doc["nodes"].append({"id": node, "phases": node_phases})
         phases[node] = node_phases
         seg = {"id": f"{parent}-{node}", "from": parent, "to": node,
@@ -537,70 +560,79 @@ def radial_feeders(draw):
         if kind:
             seg.update(kind)
         else:
-            seg.update(kind="line", length=draw(st.floats(0.01, 0.3)), unit="mi",
-                       z_ohm_per_mile=draw(st.sampled_from(codes[len(seg_phases)])))
-        if draw(st.integers(0, 4)) == 0:
-            seg["shunt_kvar"] = [draw(st.sampled_from([0.0, 25.0, 100.0]))
-                                 for _ in seg_phases]
+            width = len(seg_phases)
+            seg.update(kind="line", length=draw(_strategy(st.floats, 0.01, 0.3)),
+                       unit="mi", z_ohm_per_mile=codes[width][
+                           integer(0, len(codes[width]) - 1)])
+        if integer(0, 4) == 0:
+            seg["shunt_kvar"] = [one_of(0.0, 25.0, 100.0) for _ in seg_phases]
         doc["segments"].append(seg)
         return node
 
-    def subset(avail, n):
-        return "".join(draw(st.permutations(avail))[:n])
-
     level = [
-        link(root, draw(phase_order), kind="regulator",
-             taps=[draw(st.floats(0.95, 1.08)) for _ in range(3)],
+        link(root, subset("ABC", 3), kind="regulator", taps=taps(3),
              length=0.01, unit="mi", z_ohm_per_mile=codes[3][0],
              shunt_kvar=[50.0, 0.0, 50.0]),
-        link(root, draw(phase_order), kind="transformer", ratio=2.0,
+        link(root, subset("ABC", 3), kind="transformer", ratio=2.0,
              series_z_ohm=[0.4, 1.2]),
         link(root, subset(phases[root], 2)),
         link(root, subset(phases[root], 1)),
     ]
-    for _ in range(draw(st.integers(0, 29))):
-        level = [draw(st.sampled_from(level)) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(integer(0, 59)):
+        parents = st.sampled_from(level)
+        level = [draw(parents) for _ in range(integer(1, 4))]
         for j, parent in enumerate(level):
-            width = draw(st.integers(1, len(phases[parent])))
-            seg_phases = subset(phases[parent], width)
-            if draw(st.integers(0, 7)) == 0:
+            seg_phases = subset(phases[parent], integer(1, len(phases[parent])))
+            if integer(0, 7) == 0:
                 level[j] = link(parent, seg_phases, kind="regulator",
-                                taps=[draw(st.floats(0.95, 1.08)) for _ in seg_phases])
+                                taps=taps(len(seg_phases)))
             else:
                 level[j] = link(parent, seg_phases)
 
-    def load(node, conn, model):
-        avail = phases[node]
+    def load(node, conn, model, segment=None):
+        """A spot load at node, or a load distributed along the segment."""
+        avail = segment["phases"] if segment else phases[node]
         if conn == "delta":
-            ph = "ABC" if len(avail) == 3 and draw(st.booleans()) else subset(avail, 2)
+            ph = "ABC" if len(avail) == 3 and coin() else subset(avail, 2)
         else:
-            ph = subset(avail, draw(st.integers(1, len(avail))))
+            ph = subset(avail, integer(1, len(avail)))
         n = 1 if conn == "delta" and len(ph) == 2 else len(ph)
         doc["loads"].append({
-            "id": f"load{len(doc['loads'])}", "node": node, "conn": conn,
-            "model": model, "phases": ph,
-            "kw": [draw(st.sampled_from([0.0, 5.0, 20.0])) for _ in range(n)],
-            "kvar": [draw(st.sampled_from([-5.0, 0.0, 10.0])) for _ in range(n)],
+            "id": f"load{len(doc['loads'])}", "conn": conn, "model": model,
+            "phases": ph, **({"segment": segment["id"]} if segment else {"node": node}),
+            "kw": [one_of(0.0, 5.0, 20.0) for _ in range(n)],
+            "kvar": [one_of(-5.0, 0.0, 10.0) for _ in range(n)],
         })
 
-    nodes = list(phases)
-    multi = [n for n in nodes if len(phases[n]) >= 2]
-    models = st.sampled_from(["pq", "z", "i"])
-    load(root, draw(st.sampled_from(["wye", "delta"])), draw(models))
+    def conn_for(avail):
+        return "delta" if len(avail) >= 2 and coin() else "wye"
+
+    nodes = st.sampled_from(list(phases))
+    multi = st.sampled_from([n for n in phases if len(phases[n]) >= 2])
+    load(root, one_of("wye", "delta"), one_of("pq", "z", "i"))
     for model in ("pq", "z", "i"):
-        load(draw(st.sampled_from(nodes)), "wye", model)
-        load(draw(st.sampled_from(multi)), "delta", model)
-    for _ in range(draw(st.integers(0, 20))):
-        node = draw(st.sampled_from(nodes))
-        conn = "delta" if len(phases[node]) >= 2 and draw(st.booleans()) else "wye"
-        load(node, conn, draw(models))
+        load(draw(nodes), "wye", model)
+        load(draw(multi), "delta", model)
+    for _ in range(integer(0, 20)):
+        node = draw(nodes)
+        load(node, conn_for(phases[node]), one_of("pq", "z", "i"))
+    lines = [seg for seg in doc["segments"] if seg["kind"] == "line"]
+    for seg in draw(st.lists(st.sampled_from(lines), min_size=1, max_size=10,
+                             unique_by=lambda seg: seg["id"])):
+        load(None, conn_for(seg["phases"]), one_of("pq", "z", "i"), segment=seg)
     return doc
+
+
+# every random tree runs under both distributed-load conventions
+REWRITES = (split_distributed_loads_to_ends, expand_distributed_loads)
 
 
 @settings(max_examples=60, deadline=None)
 @given(radial_feeders())
 def test_random_radial_feeders_satisfy_the_network_equations(doc):
-    assert_network_equations_hold(solve(parse_feeder_dict(doc), RESIDUAL))
+    model = parse_feeder_dict(doc)
+    for rewrite in REWRITES:
+        assert_network_equations_hold(solve(rewrite(model), RESIDUAL))
 
 
 @settings(max_examples=60, deadline=None)
@@ -611,20 +643,22 @@ def test_estimator_identities_hold_on_every_line_of_random_feeders(doc):
     # bound of it, and the study's correction is the sensor pipeline's
     model = parse_feeder_dict(doc)
     assert parse_feeder_dict(serialize_feeder(model)) == model
-    sol = solve(model, RESIDUAL)
-    for row in run_single_segment_study(model, solution=sol):
-        if row.excluded:
-            continue
-        seg = model.segment(row.line_or_path)
-        v1 = sol.voltage(seg.from_node, row.phase)
-        v2 = sol.voltage(seg.to_node, row.phase)
-        exact = loss_fraction_exact(v1, v2)
-        # true_loss takes s_from - s_to, which cancels to ~1e-16 absolute
-        assert row.true_loss == pytest.approx(exact, rel=1e-12, abs=1e-14)
-        if row.voss_single >= 0.0:
-            assert abs(exact - row.voss_single) <= row.angle_bound + 1e-12
-        assert 2.0 / 3.0 <= row.c_hat <= 1.0
-        up, down = np.array([abs(v1)]), np.array([abs(v2)])
-        loss, _, _ = voss_elementwise(up, down, row.rho_s)
-        assert loss[0] == row.voss_corrected
-        assert clamped_correction(row.rho_s, down / up)[0][0] == row.c_hat
+    for rewrite in REWRITES:
+        spot = rewrite(model)
+        sol = solve(spot, RESIDUAL)
+        for row in run_single_segment_study(spot, solution=sol):
+            if row.excluded:
+                continue
+            seg = spot.segment(row.line_or_path)
+            v1 = sol.voltage(seg.from_node, row.phase)
+            v2 = sol.voltage(seg.to_node, row.phase)
+            exact = loss_fraction_exact(v1, v2)
+            # true_loss takes s_from - s_to, which cancels to ~1e-16 absolute
+            assert row.true_loss == pytest.approx(exact, rel=1e-12, abs=1e-14)
+            if row.voss_single >= 0.0:
+                assert abs(exact - row.voss_single) <= row.angle_bound + 1e-12
+            assert 2.0 / 3.0 <= row.c_hat <= 1.0
+            up, down = np.array([abs(v1)]), np.array([abs(v2)])
+            loss, _, _ = voss_elementwise(up, down, row.rho_s)
+            assert loss[0] == row.voss_corrected
+            assert clamped_correction(row.rho_s, down / up)[0][0] == row.c_hat

@@ -586,7 +586,7 @@ def test_all_suspect_series_is_an_error():
 @pytest.mark.parametrize("step", [0.0, 1e-300])
 def test_grid_step_below_a_microsecond_is_an_error(step):
     up, down = series("up", [230.0] * 3), series("down", [229.0] * 3)
-    needle = "grid_step_s must be at least 1e-6 s"
+    needle = "grid_step_s must be finite and >= 1e-06 s"
     with pytest.raises(ValueError, match=needle):
         align(up, down, grid_step_s=step)
     with pytest.raises(ValueError, match=needle):
@@ -652,7 +652,7 @@ def test_chain_config_round_trip(tmp_path):
         (lambda d: d["pairs"][0].update({"rho_s": 1.4}), r"\[0, 1\]"),
         (lambda d: d.update({"calibration": {"zz": 1.0}}), "unknown sensor"),
         (lambda d: d.update({"calibration": {"a": 0.0}}), "positive"),
-        (lambda d: d.update({"grid_step_s": -120}), "positive number"),
+        (lambda d: d.update({"grid_step_s": -120}), "grid_step_s must be finite"),
         (lambda d: d["pairs"][0].pop("rho_s"), "must be a number"),
         (lambda d: d["pairs"][0].update({"note": "x"}), "needs keys"),
     ],
@@ -669,7 +669,7 @@ def test_chain_config_rejects_bad_documents(tmp_path, edit, needle):
     [
         (lambda d: d["pairs"][0].update({"upstream": ["a"]}), "not an adjacent pair"),
         (lambda d: d["pairs"][0].update({"downstream": {}}), "not an adjacent pair"),
-        (lambda d: d.update({"grid_step_s": 10**400}), "positive number"),
+        (lambda d: d.update({"grid_step_s": 10**400}), "grid_step_s must be finite"),
         (lambda d: d["pairs"][0].update({"rho_s": -(10**400)}), r"\[0, 1\]"),
     ],
     ids=["upstream-list", "downstream-object", "step-10e400", "rho-s-minus-10e400"],
@@ -709,9 +709,11 @@ def test_chain_config_parser_fails_only_with_format_errors(doc):
             return
     assert isinstance(cfg, ChainConfig)
     assert cfg.chain.sensor_ids == tuple(doc["sensors"])
-    settings_s = (cfg.grid_step_s, cfg.tolerance_s, cfg.smoothing_window_s)
-    for value in (cfg.nominal_voltage_v, *settings_s, *cfg.calibration.values()):
+    for value in (cfg.nominal_voltage_v, *cfg.calibration.values()):
         assert 0.0 < value < math.inf
+    for value in (cfg.tolerance_s, cfg.smoothing_window_s):
+        assert 0.0 <= value < math.inf
+    assert 1e-6 <= cfg.grid_step_s < math.inf
 
 
 def test_chain_config_reports_json_location(tmp_path):
