@@ -8,7 +8,6 @@ three-phase power-flow solver on the bundled IEEE test feeders.
 
 from .benchmark import (
     ComparisonRow,
-    excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
 )
@@ -17,11 +16,9 @@ from .estimator import (
     EstimateFlag,
     LossEstimate,
     SegmentVoltages,
-    clamp_rho,
     correction_factor,
     correction_factor_hat,
     loss_fraction_exact,
-    rho_from_ratios,
     small_angle_error_bound,
     voss_corrected,
     voss_single,
@@ -35,7 +32,6 @@ from .feeder import (
     SegmentDef,
     SegmentKind,
     bundled_feeder_path,
-    expand_distributed_loads,
     parse_feeder,
     serialize_feeder,
     split_distributed_loads_to_ends,
@@ -47,11 +43,9 @@ from .sensors import (
     SensorChain,
     SensorFormatError,
     VoltageSeries,
-    align,
     ingest_csv,
     loss_curve,
     parse_chain_config,
-    rolling_median,
     write_loss_curve_csv,
 )
 from .powerflow import (
@@ -83,20 +77,14 @@ __all__ = [
     "SolveOptions",
     "UniformLineModel",
     "VoltageSeries",
-    "align",
     "bundled_feeder_path",
-    "clamp_rho",
     "correction_factor",
     "correction_factor_hat",
-    "excluded_lines",
-    "expand_distributed_loads",
     "ingest_csv",
     "loss_curve",
     "loss_fraction_exact",
     "parse_chain_config",
     "parse_feeder",
-    "rho_from_ratios",
-    "rolling_median",
     "run_multi_segment_study",
     "run_single_segment_study",
     "serialize_feeder",

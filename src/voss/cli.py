@@ -333,9 +333,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except KeyError as exc:  # str(exc) would quote the message
-        print("error:", *exc.args, file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

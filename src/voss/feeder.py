@@ -10,9 +10,11 @@ IEEE 13-node and 34-node definitions live in ``voss/data`` and are
 loaded with :func:`bundled_feeder_path`.
 
 A load sits at exactly one of its ``node`` and its ``segment``; a set
-``segment`` is what "distributed" means.  ``_KIND_KEYS`` names the keys
-each segment kind takes.  Numbers follow :func:`voss.ioutil.json_number`
-(never a bool) and must be finite, even an integer past the float range.
+``segment`` is what "distributed" means.  Each element takes only the
+keys the schema names for it, and ``_KIND_KEYS`` names the keys each
+segment kind adds to the common ones.  Numbers follow
+:func:`voss.ioutil.json_number` (never a bool) and must be finite, even
+an integer past the float range.
 
 Models are immutable; transformations return new models.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from typing import Optional
@@ -70,13 +72,14 @@ class LoadModel(Enum):
     CONSTANT_I = "i"
 
 
-# (required, optional) kind-specific keys; the parser rejects the others
+# a segment takes the common keys plus its kind's (required, optional)
+# keys; the parser rejects the others
+_SEGMENT_KEYS = frozenset(("id", "from", "to", "phases", "kind", "shunt_kvar"))
 _KIND_KEYS = {
     SegmentKind.LINE: (("length", "unit", "z_ohm_per_mile"), ()),
     SegmentKind.TRANSFORMER: (("ratio", "series_z_ohm"), ()),
     SegmentKind.REGULATOR: (("taps",), ("length", "unit", "z_ohm_per_mile")),
 }
-_KIND_SPECIFIC = frozenset().union(*(r + o for r, o in _KIND_KEYS.values()))
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ class FeederModel:
     def path_segments(self, from_node: str, to_node: str) -> list:
         """The downstream segment chain from one node to a descendant."""
         if from_node not in self._node_by_id or to_node not in self._node_by_id:
-            raise KeyError(f"unknown node in path {from_node}-{to_node}")
+            raise ValueError(f"unknown node in path {from_node}-{to_node}")
         path = []
         cur = to_node
         while cur != from_node:
@@ -252,9 +255,25 @@ def _objects(doc: dict, key: str, ctx: str) -> list:
     return value
 
 
+# the keys of every element but a segment are its dataclass's field names
+_KEYS = {
+    cls: frozenset(f.name for f in fields(cls))
+    for cls in (FeederModel, BaseDef, SourceDef, NodeDef, LoadDef)
+}
+_KEYS[FeederModel] |= {"load_scale"}
+
+
+def _object(value, cls, ctx: str) -> dict:
+    """value, which must be an object with no key outside _KEYS[cls]."""
+    if not isinstance(value, dict):
+        raise FeederFormatError(f"expected an object, got {value!r}", ctx)
+    unknown = sorted(set(value).difference(_KEYS[cls]))
+    if unknown:
+        raise FeederFormatError(f"unknown keys {unknown}", ctx)
+    return value
+
+
 def _require(mapping: dict, key: str, ctx: str):
-    if not isinstance(mapping, dict):
-        raise FeederFormatError(f"expected an object, got {mapping!r}", ctx)
     if key not in mapping:
         raise FeederFormatError(f"missing required key '{key}'", ctx)
     return mapping[key]
@@ -310,9 +329,10 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     """Build and validate a FeederModel from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise FeederFormatError("feeder document must be a JSON object", origin)
+    _object(doc, FeederModel, origin)
 
     name = doc.get("name", "feeder")
-    base_raw = _require(doc, "base", "base")
+    base_raw = _object(_require(doc, "base", "base"), BaseDef, "base")
     base = BaseDef(
         power_kva=_positive(_require(base_raw, "power_kva", "base"), "base.power_kva"),
         voltage_kv_ll=_positive(
@@ -320,7 +340,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         ),
     )
 
-    src_raw = _require(doc, "source", "source")
+    src_raw = _object(_require(doc, "source", "source"), SourceDef, "source")
     node = str(_require(src_raw, "node", "source"))
     v_pu = src_raw.get("voltage_pu", 1.0)
     if not isinstance(v_pu, (list, tuple)):
@@ -340,6 +360,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     nodes = []
     for i, raw in enumerate(_objects(doc, "nodes", origin)):
         ctx = f"nodes[{i}]"
+        _object(raw, NodeDef, ctx)
         nodes.append(
             NodeDef(
                 id=str(_require(raw, "id", ctx)),
@@ -360,7 +381,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
                 f"{kind.value} segments need {' and '.join(map(repr, missing))}",
                 ctx,
             )
-        stray = sorted(_KIND_SPECIFIC.intersection(raw).difference(required, optional))
+        stray = sorted(set(raw).difference(_SEGMENT_KEYS, required, optional))
         if stray:
             raise FeederFormatError(
                 f"{kind.value} segments take no {' or '.join(map(repr, stray))}",
@@ -439,6 +460,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     loads = []
     for i, raw in enumerate(_objects(doc, "loads", origin)):
         ctx = f"loads[{i}] (id={raw.get('id', '?')})"
+        _object(raw, LoadDef, ctx)
         conn = _member(Connection, raw.get("conn", "wye"), f"{ctx} conn")
         model = _member(LoadModel, raw.get("model", "pq"), f"{ctx} model")
         phases = _phase_string(_require(raw, "phases", ctx), ctx)

@@ -37,14 +37,13 @@ grouped by tree depth.  Each sweep is:
 - the mismatch as one max over the non-source slots, so that a NaN
   update ends the solve as a blow-up instead of being skipped.
 
-Same bits: every floating-point operation is the one a segment-by-segment
-sweep with numpy scalars makes, in the same order, so the results match
-that sweep to the last bit (12-digit CSVs magnify a last-bit change,
-since a sag ratio is a difference of two voltages about 1e-3 of their
-size).  Sums that several links or elements feed keep their order,
-because ``np.add.at`` applies repeated indices in sequence.  Array
-operations that round differently from the scalar ones (numpy 2.4,
-AVX-512) are avoided:
+Same bits: the committed ``bench/reference`` CSVs pin the results to the
+last bit (12-digit CSVs magnify a last-bit change, since a sag ratio is
+a difference of two voltages about 1e-3 of their size), so every
+floating-point operation keeps its order and its rounding.  Sums that
+several links or elements feed keep their order, because ``np.add.at``
+applies repeated indices in sequence.  Array operations that round
+differently from the scalar ones (numpy 2.4, AVX-512) are avoided:
 
 - ``np.einsum`` for ``Z @ i``; a stacked ``np.matmul`` gives the bits of
   one ``Z @ i`` per link;

@@ -134,6 +134,15 @@ def _check_scale(name: str, value: float) -> float:
     return value
 
 
+def _bad_reading(volts: np.ndarray, shown) -> Optional[tuple]:
+    """(index, message) of the first reading not finite and >= 0, else None."""
+    bad = np.flatnonzero(~((0.0 <= volts) & (volts < np.inf)))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k, f"voltage must be finite and >= 0, got {shown[k]}"
+
+
 def _epoch_us(ts: datetime) -> int:
     return (ts - EPOCH) // _ONE_US
 
@@ -203,20 +212,22 @@ class VoltageSeries(_ArrayRecord):
         _check_scale("calibration", calibration)
         samples = tuple(samples)
         prev = None
-        for ts, volts in samples:
+        for ts, _ in samples:
             if ts.tzinfo is None:
                 raise ValueError(f"{sensor_id}: naive timestamp {ts}")
             if prev is not None and ts <= prev:
                 raise ValueError(
                     f"{sensor_id}: timestamps not strictly increasing at {ts}"
                 )
-            if volts < 0.0 or not math.isfinite(volts):
-                raise ValueError(f"{sensor_id}: bad voltage {volts} at {ts}")
             prev = ts
+        readings = [volts for _, volts in samples]
+        bad = _bad_reading(np.asarray(readings), readings)
+        if bad:
+            raise ValueError(f"{sensor_id}: {bad[1]} at {samples[bad[0]][0]}")
         self._fill(
             sensor_id,
             [_epoch_us(ts) for ts, _ in samples],
-            [volts for _, volts in samples],
+            readings,
             nominal_voltage,
             calibration,
             duplicates_dropped,
@@ -492,12 +503,9 @@ class _Readings:
                     break
             errors.append((k, 2, f"bad voltage {value!r}"))
             volts = np.fromiter(map(float, volts_text[:k]), np.float64, k)
-        out_of_range = np.flatnonzero((volts < 0.0) | ~np.isfinite(volts))
-        if out_of_range.size:
-            k = int(out_of_range[0])
-            errors.append(
-                (k, 3, f"voltage must be finite and >= 0, got {volts_text[k]}")
-            )
+        bad = _bad_reading(volts, volts_text)
+        if bad:
+            errors.append((bad[0], 3, bad[1]))
         if errors:
             k, _, message = min(errors)
             raise SensorFormatError(message, line=line_of(k))
@@ -593,13 +601,17 @@ def align(
     spanning the overlap of the two series, and per grid point the
     nearest stored sample within tolerance_s from each side (ties go to
     the earlier sample), nan where there is none (a gap).  Raises when
-    the series do not overlap or the overlap contains no grid point, and
-    when grid_step_s or tolerance_s breaks its check_seconds rule.
+    either series is empty, when the series do not overlap or the overlap
+    contains no grid point, and when grid_step_s or tolerance_s breaks its
+    check_seconds rule.
     """
     check_seconds("grid_step_s", grid_step_s)
     check_seconds("tolerance_s", tolerance_s)
     if not series_a.epoch_us.size or not series_b.epoch_us.size:
-        raise ValueError("align needs two nonempty series")
+        raise ValueError(
+            f"no usable samples for pair {series_a.sensor_id!r}->"
+            f"{series_b.sensor_id!r}"
+        )
     ea, eb = series_a.epoch_us / 1e6, series_b.epoch_us / 1e6
     start = max(float(ea[0]), float(eb[0]))
     end = min(float(ea[-1]), float(eb[-1]))
@@ -644,11 +656,6 @@ def _pair_curve(
     tolerance_s: float,
 ) -> LossCurve:
     (smooth_up, outage_up), (smooth_down, outage_down) = up, down
-    if not smooth_up.epoch_us.size or not smooth_down.epoch_us.size:
-        raise ValueError(
-            f"no usable samples for pair {smooth_up.sensor_id!r}->"
-            f"{smooth_down.sensor_id!r}"
-        )
     grid, v_a, v_b = align(smooth_up, smooth_down, grid_step_s, tolerance_s)
     loss = np.full(grid.size, np.nan)
     bits = np.zeros(grid.size, dtype=np.uint8)

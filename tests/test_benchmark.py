@@ -136,7 +136,7 @@ def test_rho_s_estimate_must_lie_in_unit_interval(
 
 
 def test_multi_study_rejects_unknown_nodes(ieee13, solved13):
-    with pytest.raises(KeyError, match="unknown node"):
+    with pytest.raises(ValueError, match="unknown node"):
         run_multi_segment_study(ieee13, [("650", "nope")], solution=solved13)
 
 

@@ -274,6 +274,9 @@ def test_iteration_cap_is_a_numerical_error(tmp_path, capsys):
         ("oracle", "--rho-list", "0.5,1.5"),
         ("oracle", "--rho-list", "nan"),
         ("oracle", "--rho-list", "0.2,inf"),
+        ("benchmark", IEEE34, "--paths", ","),
+        ("benchmark", IEEE34, "--paths", "800-814,-822"),
+        ("oracle", "--rho-list", ","),
     ],
 )
 def test_bad_usage_exits_one(tmp_path, monkeypatch, capsys, argv):

@@ -111,6 +111,12 @@ def test_angle_error_bound_fails_for_rising_voltage():
     assert gap > small_angle_error_bound(v1, v2)
 
 
+@pytest.mark.parametrize("function", [loss_fraction_exact, small_angle_error_bound])
+def test_phasor_forms_reject_a_zero_start(function):
+    with pytest.raises(ValueError, match="v_start must be nonzero"):
+        function(0j, 1.0 + 0j)
+
+
 def test_bound_uses_end_to_start_ratio():
     v1 = 2.0 + 0j
     v2 = cmath.rect(1.0, math.radians(2.0))

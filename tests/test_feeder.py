@@ -159,6 +159,24 @@ def mutate(edit):
         (lambda d: d["segments"][0].pop("length"), "length"),
         (lambda d: d["base"].update({"power_kva": 0.0}), "power_kva"),
         (lambda d: d["source"].update({"voltage_pu": [1.0, 1.0]}), "voltage_pu"),
+        (lambda d: d["nodes"][1].update({"phases": "AA"}), "repeated phase 'A'"),
+        (lambda d: d["segments"][1].update({"length": -1.0}), "length must be >= 0"),
+        (lambda d: d["source"].update({"node": "zz"}), "source node 'zz' not defined"),
+        (lambda d: d["nodes"][0].update({"phases": "A"}), "not available at upstream"),
+        (lambda d: d.update({"base": 5}), "expected an object, got 5 [base]"),
+        # an unknown key at each level, named with the element's path
+        (lambda d: d.update({"comment": ""}), "unknown keys ['comment'] [<dict>]"),
+        (lambda d: d["base"].update({"kva": 1.0}), "unknown keys ['kva'] [base]"),
+        (lambda d: d["source"].update({"kv": 1.0}), "unknown keys ['kv'] [source]"),
+        (lambda d: d["nodes"][1].update({"x": 0}), "unknown keys ['x'] [nodes[1]]"),
+        (
+            lambda d: d["segments"][0].update({"lenght": 1.0}),
+            "line segments take no 'lenght' [segments[0] (id=a-b)]",
+        ),
+        (
+            lambda d: d["loads"][0].update({"pf": 0.9}),
+            "unknown keys ['pf'] [loads[0] (id=spot-c)]",
+        ),
     ],
 )
 def test_validation_rejects_malformed_documents(edit, needle):
@@ -265,6 +283,9 @@ def test_delta_branch_expansion():
         if ld.conn is Connection.DELTA and len(ld.phases) == 3
     )
     assert three.branches() == ("AB", "BC", "CA")
+    wye = next(ld for ld in model.loads if ld.conn is Connection.WYE)
+    with pytest.raises(ValueError, match="only applies to delta loads"):
+        wye.branches()
 
 
 @pytest.mark.parametrize(
@@ -341,7 +362,7 @@ def test_model_lookups(ieee13):
     assert chain == ["650-632", "632-671", "671-692", "692-675"]
     with pytest.raises(ValueError):
         ieee13.path_segments("675", "650")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown node"):
         ieee13.path_segments("650", "nope")
     kinds = {s.kind for s in ieee13.segments}
     assert kinds == {SegmentKind.LINE, SegmentKind.TRANSFORMER, SegmentKind.REGULATOR}
@@ -417,6 +438,7 @@ REGULATOR = {**LINE, "kind": "regulator", "taps": [1.0]}
         ({**LINE, "unit": None}, "line segments need 'unit' \\["),
         ({**REGULATOR, "length": None}, "missing required key 'length' \\["),
         ({**LINE, "kind": "bus"}, "expected one of 'line', 'transformer', 'regulator'"),
+        ({**REGULATOR, "tap": 1.0}, "regulator segments take no 'tap' \\["),
     ],
 )
 def test_segment_kind_takes_only_its_keys(segment, needle):
@@ -505,7 +527,10 @@ feeder_values = json_values | st.sampled_from(
 
 @st.composite
 def feeder_documents(draw):
-    """fuzz_base_doc() with a few keys, at any level, dropped or set to any value."""
+    """fuzz_base_doc() with a few keys, at any level, dropped or set to any value.
+
+    A set key may be one the schema does not know, which must fail.
+    """
     doc = fuzz_base_doc()
     targets = [
         (doc, TOP_KEYS),
@@ -518,6 +543,8 @@ def feeder_documents(draw):
         (doc["loads"][1]["kw"], [0, 1]),
     ]
     for target, keys in draw(st.lists(st.sampled_from(targets), max_size=4)):
+        if isinstance(target, dict):
+            keys = keys + ["unknown"]  # a key at no level of the schema
         key = draw(st.sampled_from(keys))
         if isinstance(target, list) or draw(st.booleans()):
             target[key] = draw(feeder_values)
@@ -541,5 +568,6 @@ def test_feeder_parser_fails_only_with_format_errors(doc):
         model = parse_feeder_dict(doc)
     except FeederFormatError:
         return
+    assert '"unknown":' not in json.dumps(doc)
     # a model that parses is finite and canonical
     assert parse_feeder_dict(serialize_feeder(model)) == model

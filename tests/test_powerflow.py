@@ -4,6 +4,7 @@ import cmath
 import functools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -488,6 +489,86 @@ def test_bundled_solutions_satisfy_the_network_equations(request, feeder, rewrit
     assert_network_equations_hold(solve(model, RESIDUAL))
 
 
+def _constant_z(model):
+    """The end-split model with every load constant-Z and no capacitor bank
+    (the solver treats banks as constant-PQ), so its solution is linear."""
+    model = split_distributed_loads_to_ends(model)
+    return replace(
+        model,
+        segments=tuple(replace(seg, shunt_kvar=None) for seg in model.segments),
+        loads=tuple(replace(ld, model=LoadModel.CONSTANT_Z) for ld in model.loads),
+    )
+
+
+def assert_linear_oracle_agrees(model, limit=1e-9):
+    """Solve a constant-Z feeder without the sweep, as one dense modified
+    nodal system, and compare with the sweep in per unit.
+
+    The unknowns are the non-source node-phase voltages and the link
+    currents i_to: one KVL row v_to = k v_from - Z i_to per link phase and
+    one KCL row per node phase.  With the currents as unknowns a
+    zero-impedance switch or an impedance-free regulator stays solvable."""
+    src = model.source
+    base = {src.node: src.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
+    for seg in model.bfs_segments():
+        ratio = seg.ratio if seg.kind is SegmentKind.TRANSFORMER else 1.0
+        base[seg.to_node] = base[seg.from_node] / ratio
+    fixed = {
+        (src.node, p): pu * base[src.node] * cmath.exp(1j * math.radians(deg))
+        for p, pu, deg in zip("ABC", src.voltage_pu, src.angles_deg)
+    }
+    keys = [(n.id, p) for n in model.nodes if n.id != src.node for p in n.phases]
+    volt = {key: k for k, key in enumerate(keys)}
+    links = [(seg.id, p) for seg in model.segments for p in seg.phases]
+    cur = {key: len(keys) + k for k, key in enumerate(links)}
+    a = np.zeros((len(volt) + len(cur),) * 2, dtype=complex)
+    b = np.zeros(len(volt) + len(cur), dtype=complex)
+
+    def add(row, key, coeff):
+        """coeff * v[key] on row; a source voltage moves to the right side."""
+        if key in volt:
+            a[row, volt[key]] += coeff
+        else:
+            b[row] -= coeff * fixed[key]
+
+    for seg in model.segments:
+        z, k = seg.z_total(), _transfer(seg)
+        for j, p in enumerate(seg.phases):
+            row = cur[seg.id, p]  # KVL, and i_to's column in the KCL rows
+            add(row, (seg.to_node, p), 1.0)
+            add(row, (seg.from_node, p), -k[j])
+            for m, q in enumerate(seg.phases):
+                a[row, cur[seg.id, q]] += z[j][m]
+            a[volt[seg.to_node, p], row] += 1.0
+            if (seg.from_node, p) in volt:
+                a[volt[seg.from_node, p], row] -= k[j]
+    for ld in model.loads:
+        if ld.node == src.node:
+            continue
+        if ld.conn is Connection.WYE:
+            pairs, v0 = [(p, None) for p in ld.phases], base[ld.node]
+        else:
+            pairs, v0 = ld.branches(), base[ld.node] * math.sqrt(3.0)
+        for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar):
+            y = complex(kw, -kvar) * 1e3 / (v0 * v0)  # conj(s0) / v0^2
+            ends = [(p, 1.0)] + ([(q, -1.0)] if q else [])
+            for row_phase, row_sign in ends:
+                for col_phase, col_sign in ends:
+                    row = volt[ld.node, row_phase]
+                    add(row, (ld.node, col_phase), -row_sign * col_sign * y)
+
+    v = np.linalg.solve(a, b)
+    sol = solve(model, TIGHT)
+    for (node, p), k in volt.items():
+        gap = abs(sol.node_voltages[node][p] - v[k]) / base[node]
+        assert gap < limit, (node, p, gap)
+
+
+@pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])
+def test_bundled_constant_z_feeders_match_the_linear_oracle(request, feeder):
+    assert_linear_oracle_agrees(_constant_z(request.getfixturevalue(feeder)))
+
+
 @functools.cache
 def _line_codes():
     """Per-mile impedance matrices of the bundled line segments, by width."""
@@ -633,6 +714,12 @@ def test_random_radial_feeders_satisfy_the_network_equations(doc):
     model = parse_feeder_dict(doc)
     for rewrite in REWRITES:
         assert_network_equations_hold(solve(rewrite(model), RESIDUAL))
+
+
+@settings(max_examples=20, deadline=None)
+@given(radial_feeders())
+def test_random_constant_z_feeders_match_the_linear_oracle(doc):
+    assert_linear_oracle_agrees(_constant_z(parse_feeder_dict(doc)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ import random
 import statistics
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -366,10 +367,26 @@ def test_series_rejects_disordered_or_bad_samples():
         VoltageSeries("s", ((T0, 230.0), (T0, 231.0)))
     with pytest.raises(ValueError, match="naive"):
         VoltageSeries("s", ((datetime(2024, 3, 12), 230.0),))
-    with pytest.raises(ValueError, match="bad voltage"):
+    needle = "s: voltage must be finite and >= 0, got -1.0 at"
+    with pytest.raises(ValueError, match=needle):
         VoltageSeries("s", ((T0, -1.0),))
     with pytest.raises(ValueError, match="nominal_voltage"):
         VoltageSeries("s", (), nominal_voltage=0.0)
+    with pytest.raises(ValueError, match="sensor_id must be nonempty"):
+        VoltageSeries("", ())
+
+
+def test_records_are_equal_only_in_type_and_every_field():
+    a = series("s", [230.0, 231.0])
+    assert a == series("s", [230.0, 231.0])
+    assert a != series("s", [230.0, 232.0])
+    assert a != series("s", [230.0, 231.0], calibration=1.01)
+    assert a != (a.sensor_id, a.epoch_us, a.volts)
+    curve = LossCurve("a", "b", [0, 120_000_000], [0.01, math.nan], [0, 1], 60, 120, 30)
+    assert curve == replace(curve)
+    assert curve != replace(curve, loss_fraction=[0.02, math.nan])
+    assert curve != replace(curve, rho_s=0.5)
+    assert curve != a
 
 
 def test_chain_defaults_and_validation():
