@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from typing import Optional
 
 # Shortest round-trippable-ish decimal form, stable across runs; every
@@ -29,6 +31,17 @@ def json_number(value) -> Optional[float]:
         return math.inf if value > 0 else -math.inf
 
 
+def open_output(path):
+    """path opened for writing after the file there (a symlink's target) is
+    removed, not truncated: ext4 writes out truncated or renamed-over data.
+    A replaced file keeps neither its permissions nor its hard links."""
+    target = os.path.realpath(path)
+    if os.path.isfile(target):
+        with contextlib.suppress(OSError):
+            os.unlink(target)
+    return open(path, "w", newline="")
+
+
 def write_csv(path, header, rows) -> None:
     """Write rows of str cells with a fixed header.
 
@@ -42,7 +55,7 @@ def write_csv(path, header, rows) -> None:
     text = None
     if width > 1 and set(map(len, lines)) == {width}:
         text = "\n".join(map(",".join, lines))
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         if (
             text is not None
             and text.count(",") == (width - 1) * len(lines)

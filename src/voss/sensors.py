@@ -18,12 +18,12 @@ built only when read.
 Ingest reads the file in newline-aligned blocks of INGEST_BLOCK_BYTES
 and decodes each block itself, so an undecodable byte is reported with
 its line.  A block with no quote, no CR and exactly two commas on every
-line is cut into three columns with str.split.  A file with a blank
-line, a bad field count, quoting or CR line ends is read by one
-csv.reader from the first such block on.  Both routes check the header
-with one helper and give the columns the same checks, once per block:
-ids are stripped, only timestamp strings not seen before are parsed,
-and voltages are converted in one pass and range-checked as an array.
+line not blank is cut into three columns with str.split.  A file with a
+bad field count, quoting, CR line ends or a very long line is read by
+one csv.reader from the first such block on.  Both routes check the
+header with one helper and give the columns the same checks, once per
+block: ids are stripped, new timestamp strings are parsed (canonical
+ones as arrays), and voltages are converted and range-checked as arrays.
 A failure names the first bad record, numbered as csv.reader counts
 them (a field past csv.field_size_limit() too).  The checked rows are
 kept as sensor code, epoch_us and volts arrays; one stable sort by
@@ -32,7 +32,7 @@ series.
 ``loss_curve`` splits off outage readings, calibrates and
 median-smooths each sensor once, however many pairs it belongs to.
 The array kernels (rolling median, nearest sample, grid, timestamp
-rounding and formatting) are in ``voss.timeseries``, the elementwise
+parsing and rounding) are in ``voss.timeseries``, the elementwise
 estimate in ``voss.estimator``.
 Times in seconds are ``epoch_us / 1e6``, which equals
 ``datetime.timestamp()`` bit for bit (within 2**53 us, about 285 years,
@@ -67,12 +67,13 @@ from typing import Optional
 import numpy as np
 
 from .estimator import EstimateFlag, check_rho, voss_elementwise
-from .ioutil import FLOAT_FORMAT, json_number, write_csv
+from .ioutil import FLOAT_FORMAT, json_number, open_output
+from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import (
     check_seconds,
-    format_utc,
     grid_points,
     nearest_index,
+    parse_canonical_us,
     rolling_median,
     seconds_to_us,
 )
@@ -390,18 +391,17 @@ def _lines(texts):
         yield from io.StringIO(text, newline="")
 
 
-_ROW_DELIMITERS = np.frombuffer(b",,\n", dtype=np.uint8)
-
-
-def _splittable(text: str) -> bool:
-    """Whether text has no quote, no CR and exactly two commas on each line."""
-    if '"' in text or "\r" in text:
-        return False
+def _splittable(text: str) -> Optional[np.ndarray]:
+    """Which lines are blank, if text has no quote, no CR, two commas on each other
+    line and no room for a field past csv.field_size_limit(); else None."""
+    if '"' in text or "\r" in text or len(text) > csv.field_size_limit():
+        return None
     buf = np.frombuffer(text.removesuffix("\n").encode() + b"\n", dtype=np.uint8)
-    delimiters = buf[(buf == ord(",")) | (buf == ord("\n"))]
-    return delimiters.size % 3 == 0 and bool(
-        (delimiters.reshape(-1, 3) == _ROW_DELIMITERS).all()
-    )
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.searchsorted(ends, np.flatnonzero(buf == ord(",")))
+    blank = np.diff(ends, prepend=-1) == 1
+    two = np.bincount(commas, minlength=ends.size) == 2 * ~blank
+    return blank if two.all() else None
 
 
 def _check_header(header: list) -> None:
@@ -428,15 +428,21 @@ class _Readings:
         self.epoch_of: dict = {}  # timestamp text -> epoch microseconds
         self.chunks: list = []
 
-    def add_text(self, text: str, line: int) -> int:
-        """Add the lines of a block that _splittable accepts."""
-        fields = text.removesuffix("\n").replace("\n", ",").split(",")
+    def add_text(self, text: str, line: int, blank: np.ndarray) -> int:
+        """Add a block given _splittable's answer; a blank line only takes a number."""
+        text = text.removesuffix("\n")
+        if blank.any():
+            text = "\n".join(filter(None, text.split("\n")))
+        fields = text.replace("\n", ",").split(",") if text else []
+        rows = np.flatnonzero(~blank)  # the line in the block of each row
         if line == 1:
-            _check_header(fields[:3])
+            _check_header([] if blank[0] else fields[:3])
             del fields[:3]
-            line = 2
-        self.add_columns(fields[0::3], fields[1::3], fields[2::3], lambda k: line + k)
-        return line + len(fields) // 3
+            rows = rows[1:]
+        self.add_columns(
+            fields[0::3], fields[1::3], fields[2::3], lambda k: line + int(rows[k])
+        )
+        return line + blank.size
 
     def add_reader(self, reader, line: int) -> int:
         """Add every record a csv.reader yields, a block of rows at a time."""
@@ -488,7 +494,9 @@ class _Readings:
                 self.code_of[raw] = self.codes.setdefault(sensor_id, len(self.codes))
             else:
                 errors.append((ids.index(raw), 0, "empty sensor_id"))
-        for text in set(stamps).difference(self.epoch_of):
+        new = set(stamps).difference(self.epoch_of)
+        self.epoch_of.update(parse_canonical_us(list(new)))
+        for text in new.difference(self.epoch_of):
             try:
                 self.epoch_of[text] = _parse_epoch_us(text)
             except ValueError as exc:
@@ -575,13 +583,13 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
         blocks = _Blocks(handle)
         texts = iter(blocks)
         for text in texts:
-            if not _splittable(text):
+            if (blank := _splittable(text)) is None:
                 # a quoted field may hold newlines and so span blocks:
                 # csv.reader takes the rest of the file
                 reader = csv.reader(_lines(itertools.chain((text,), texts)))
                 line = readings.add_reader(reader, line)
                 break
-            line = readings.add_text(text, line)
+            line = readings.add_text(text, line, blank)
     if blocks.undecodable:
         raise SensorFormatError(blocks.undecodable, line=line)
     if line == 1:
@@ -722,14 +730,21 @@ def curve_filename(curve: LossCurve) -> str:
 def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
     """One row per grid point: timestamp,loss_fraction,flags (';'-joined)."""
     path = Path(out_dir) / curve_filename(curve)
-    rows = list(
-        zip(
-            format_utc(curve.timestamp_us),
-            map(FLOAT_FORMAT.__mod__, curve.loss_fraction.tolist()),
-            map(_FLAG_TEXT.__getitem__, curve.flag_bits.tolist()),
-        )
-    )
-    write_csv(path, CURVE_HEADER, rows)
+    day, time_of_day = np.divmod(curve.timestamp_us, 86_400_000_000)
+    columns = (day, time_of_day, curve.loss_fraction.view(np.int64))
+    keys, at = zip(*(np.unique(column, return_inverse=True) for column in columns))
+    clock = np.datetime_as_string(keys[1].astype("M8[us]"), timezone="UTC").tolist()
+    vocabulary = [  # the text of each distinct key and the separator after it
+        *(t + "T" for t in np.datetime_as_string(keys[0].astype("M8[D]")).tolist()),
+        # as datetime.isoformat() writes a time: microseconds only when nonzero
+        *(t.partition("T")[2].replace(".000000", "") + "," for t in clock),
+        *(FLOAT_FORMAT % value + "," for value in keys[2].view(np.float64).tolist()),
+        *(text + "\n" for text in _FLAG_TEXT),
+    ]
+    index = np.column_stack((*at, curve.flag_bits)) + np.cumsum([0, *map(len, keys)])
+    with open_output(path) as fh:
+        fh.write(",".join(CURVE_HEADER) + "\n")
+        fh.write("".join(np.array(vocabulary, dtype=object)[index.ravel()].tolist()))
     return path
 
 

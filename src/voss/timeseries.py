@@ -3,7 +3,7 @@
 Times are float64 epoch seconds or int64 epoch microseconds.  Each
 kernel gives exactly what a scalar formulation gives: statistics.median
 over a window, a scan for the nearest sample, datetime.fromtimestamp and
-datetime.isoformat.  The tests compare them against those oracles.
+datetime.fromisoformat.  The tests compare them against those oracles.
 """
 
 from __future__ import annotations
@@ -103,12 +103,34 @@ def seconds_to_us(seconds: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
-def format_utc(epoch_us: np.ndarray) -> list:
-    """datetime.isoformat() of each UTC instant, with Z for +00:00."""
-    stamps = epoch_us.astype("datetime64[us]")
-    text = np.datetime_as_string(stamps, unit="s", timezone="UTC").astype(object)
-    fractional = epoch_us % 1_000_000 != 0  # isoformat shows microseconds only then
-    text[fractional] = np.datetime_as_string(
-        stamps[fractional], unit="us", timezone="UTC"
-    )
-    return text.tolist()
+# A canonical timestamp: 0 is an ASCII digit, + is + or -, a Z suffix reads
+# as +00:00.  Its digit pairs (century, year, month, day, hour, minute, second,
+# offset hours, minutes) are at most _STAMP_MOST.
+_STAMP = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
+_STAMP_SPAN = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint32)
+_STAMP_MOST = np.array([99, 99, 12, 31, 23, 59, 59, 23, 59])
+_FIRST_S, _LAST_S = -62_135_596_800, 253_402_300_799  # 0001-01-01, 9999-12-31T23:59:59
+
+
+def parse_canonical_us(texts: list) -> dict:
+    """Epoch microseconds of each canonical timestamp text, as datetime.fromisoformat
+    reads it: YYYY-MM-DDTHH:MM:SS then Z or +HH:MM/-HH:MM in ASCII digits, all fields
+    in range, the instant in years 1-9999 UTC.  Other texts are left out."""
+    size = np.fromiter(map(len, texts), np.int64, len(texts))
+    chars = np.array(texts, dtype="<U25").view(np.uint32).reshape(-1, 25)  # cut to 25
+    chars[(size == 20) & (chars[:, 19] == ord("Z")), 19:] = _STAMP[19:]
+    digits = chars - _STAMP  # a character below the template's wraps round
+    form = digits <= _STAMP_SPAN
+    form[:, 19] |= chars[:, 19] == ord("-")
+    pick = np.flatnonzero(form.all(axis=1) & (size <= 25))
+    numbers = digits[pick][:, _STAMP_SPAN > 0].reshape(-1, 9, 2) @ np.array([10, 1])
+    century, year, month, day, hour, minute, second, off_h, off_m = numbers.T
+    first = (century * 100 + year - 1970).astype("M8[Y]").astype("M8[M]") + (month - 1)
+    date = first.astype("M8[D]") + (day - 1)
+    offset = np.where(chars[pick, 19] == ord("-"), -60, 60) * (off_h * 60 + off_m)
+    seconds = ((date.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second - offset
+    good = (numbers <= _STAMP_MOST).all(axis=1) & (century + year > 0) & (month > 0)
+    good &= date.astype("M8[M]") == first  # the day is one of its month's
+    good &= (_FIRST_S <= seconds) & (seconds <= _LAST_S)
+    epoch_us = (seconds[good] * 1_000_000).tolist()
+    return dict(zip(map(texts.__getitem__, pick[good].tolist()), epoch_us))

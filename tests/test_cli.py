@@ -125,6 +125,33 @@ def test_reference_outputs_byte_for_byte(bundled_outputs, name):
     assert (bundled_outputs / name).read_bytes() == (REFERENCE / name).read_bytes()
 
 
+def test_rerun_into_a_populated_out_dir_replaces_every_output(tmp_path, capsys):
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    calls = [["solve", IEEE13], ["sensors", SAMPLE_DAY, SAMPLE_CHAIN]]
+    names = [
+        "voltages_ieee13.csv",
+        "flows_ieee13.csv",
+        "loss_curve_sensor-03_sensor-17.csv",
+        "loss_curve_sensor-17_sensor-22.csv",
+    ]
+    for name in names:  # stale outputs, longer than the new ones
+        (out / name).write_text("stale\n" * 100_000)
+    linked = out / names[2]
+    linked.unlink()
+    linked.symlink_to(elsewhere / "curve.csv")
+    (elsewhere / "curve.csv").write_text("stale\n" * 100_000)
+    for _ in range(2):
+        for argv in calls:
+            assert run(capsys, *argv, "--out-dir", str(out))[0] == EXIT_OK
+        assert linked.is_symlink()
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            assert (out / name).read_bytes() == (REFERENCE / name).read_bytes()
+    assert (elsewhere / "curve.csv").read_bytes() == (REFERENCE / names[2]).read_bytes()
+
+
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.feeder"))
     assert code == EXIT_INPUT

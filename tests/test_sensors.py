@@ -3,10 +3,12 @@
 import bisect
 import codecs
 import csv
+import io
 import itertools
 import json
 import math
 import random
+import re
 import statistics
 import tempfile
 from collections import Counter
@@ -16,8 +18,9 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import json_values
@@ -32,6 +35,8 @@ from voss import sensors
 from voss.feeder import bundled_feeder_path
 from voss.sensors import (
     CSV_HEADER,
+    CURVE_HEADER,
+    FLAG_NAMES,
     ChainConfig,
     CurvePoint,
     LossCurve,
@@ -46,7 +51,7 @@ from voss.sensors import (
     rolling_median,
     write_loss_curve_csv,
 )
-from voss.timeseries import MEDIAN_BLOCK_CELLS
+from voss.timeseries import MEDIAN_BLOCK_CELLS, parse_canonical_us
 
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
@@ -314,13 +319,61 @@ MALFORMED_ROWS = [
 HEADERS = [CSV_HEADER, [" sensor_id", "timestamp\t", "voltage_v"], ["id", "t", "v"]]
 
 
+CANONICAL_STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(Z|[+-]\d\d:[0-5]\d)", re.A)
+
+
+def stamp_text(year, month, day, hour, minute, second, offset):
+    date = f"{year:04d}-{month:02d}-{day:02d}"
+    return f"{date}T{hour:02d}:{minute:02d}:{second:02d}{offset}"
+
+
+# canonical texts with each field at and just past its range, and the
+# same texts spelt in ways only datetime.fromisoformat reads (or rejects)
+offsets = st.just("Z") | st.builds(
+    "{}{:02d}:{:02d}".format,
+    st.sampled_from("+-"),
+    st.sampled_from([0, 1, 5, 23, 24]),
+    st.sampled_from([0, 30, 59, 60]),
+)
+canonical_stamps = st.builds(
+    stamp_text,
+    st.sampled_from([0, 1, 1900, 1970, 2000, 2023, 2024, 9999]) | st.integers(1, 9999),
+    st.integers(0, 13),
+    st.sampled_from([0, 1, 28, 29, 30, 31, 32]),
+    st.sampled_from([0, 12, 23, 24]),
+    st.sampled_from([0, 59, 60]),
+    st.sampled_from([0, 1, 59, 60]),
+    offsets,
+)
+STAMP_SPELLINGS = [
+    lambda t: t,
+    lambda t: t.replace("Z", "z"),
+    lambda t: t.replace("T", " "),
+    lambda t: t.replace("T", "t"),
+    lambda t: t[:19] + ".5" + t[19:],
+    lambda t: t[:19] + ".000000" + t[19:],
+    lambda t: f" {t}",
+    lambda t: f"{t}\t",
+    lambda t: t[:19],
+    lambda t: t[:19] + "+0000",
+    lambda t: t.replace("0", "\u0660"),  # ARABIC-INDIC DIGIT ZERO
+    lambda t: t.replace("1", "\uff11", 1),  # FULLWIDTH DIGIT ONE
+    lambda t: t + "0",
+    lambda t: t[:-1],
+    lambda t: t[:19] + "~" + t[20:],
+]
+stamps = st.builds(
+    lambda t, spell: spell(t), canonical_stamps, st.sampled_from(STAMP_SPELLINGS)
+)
+
+
 @st.composite
 def readings_files(draw):
     rows = draw(
         st.lists(
             st.tuples(
                 st.sampled_from(INGEST_IDS),
-                st.sampled_from(INGEST_STAMPS),
+                st.sampled_from(INGEST_STAMPS) | stamps,
                 st.sampled_from(INGEST_VOLTS),
             ).map(list),
             max_size=40,
@@ -357,6 +410,79 @@ def test_ingest_matches_row_loop_reference(text, block_bytes):
             except SensorFormatError as exc:
                 got = (exc.line, str(exc))
     assert got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts=st.lists(stamps, max_size=20))
+@example(
+    texts=[
+        "1900-02-29T00:00:00Z",
+        "2000-02-29T00:00:00Z",
+        "2023-02-29T00:00:00Z",
+        "2024-02-29T23:59:59-23:59",
+        "0001-01-01T00:00:00Z",
+        "0001-01-01T00:59:59+01:00",
+        "0001-01-01T01:00:00+01:00",
+        "9999-12-31T23:59:59Z",
+        "9999-12-31T23:00:00-01:00",
+        "9999-12-31T22:59:59-01:00",
+        "2024-03-12T24:00:00Z",
+        "2024-03-12T00:00:60Z",
+        "2024-03-12T00:00:00+24:00",
+        "2024-03-12T00:00:00-24:00",
+        "2024-03-12T00:00:00-00:00",
+        "2024-03-12T00:00:00Z\x00",
+        "0000-12-31T23:00:00-01:00",
+        "2024-03-12T00:00:00~05:30",
+        "2024-03-12T00:00:00,05:30",
+    ]
+)
+def test_canonical_stamps_parse_as_parse_epoch_us_does(texts):
+    # the array parse takes exactly the canonical texts _parse_epoch_us
+    # accepts (offset minutes below 60), with its values
+    want = {}
+    for text in texts:
+        try:
+            epoch_us = sensors._parse_epoch_us(text)
+        except ValueError:
+            continue
+        if CANONICAL_STAMP.fullmatch(text):
+            want[text] = epoch_us
+    assert parse_canonical_us(texts) == want
+
+
+def test_blank_lines_keep_the_block_route_and_their_line_numbers(tmp_path):
+    rows = [f"s1,2024-03-12T00:{k // 60:02d}:{k % 60:02d}Z,230" for k in range(40)]
+    lines = ["sensor_id,timestamp,voltage_v", ""]
+    for k, row in enumerate(rows):
+        lines += [row, ""] if k % 7 == 0 else [row]
+    lines += ["", "s1,2024-03-12T01:00:00Z,volts", "s1,later-bad,230"]
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(lines) + "\n")
+    bad_line = lines.index("s1,2024-03-12T01:00:00Z,volts") + 1
+    with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", 100):  # many blocks
+        with mock.patch.object(sensors.csv, "reader", side_effect=AssertionError):
+            with pytest.raises(SensorFormatError) as err:
+                ingest_csv(path)
+    assert (err.value.line, str(err.value)) == (
+        bad_line,
+        f"line {bad_line}: bad voltage 'volts'",
+    )
+    with pytest.raises(SensorFormatError) as want:
+        reference_ingest(path)
+    assert want.value.line == bad_line
+    path.write_text("\n".join(lines[:-3]) + "\n\n")
+    with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", 100):
+        with mock.patch.object(sensors.csv, "reader", side_effect=AssertionError):
+            got = ingest_csv(path)
+    assert got == reference_ingest(path)
+
+
+def test_blank_first_line_is_a_bad_header(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\nsensor_id,timestamp,voltage_v\ns1,2024-03-12T00:00:00Z,230\n")
+    with pytest.raises(SensorFormatError, match="line 1: expected header .*got ''$"):
+        ingest_csv(path)
 
 
 # ----------------------------------------------------- series and chains
@@ -787,6 +913,75 @@ def test_curve_csv_golden():
             "2024-03-12T00:02:00Z,nan,Gap\n"
             "2024-03-12T00:04:00Z,-0.015625,NegativeDrop\n"
         )
+
+
+def format_utc(epoch_us):
+    """datetime.isoformat() of each UTC instant, with Z for +00:00."""
+    stamps = epoch_us.astype("datetime64[us]")
+    text = np.datetime_as_string(stamps, unit="s", timezone="UTC").astype(object)
+    fractional = epoch_us % 1_000_000 != 0  # isoformat shows microseconds only then
+    text[fractional] = np.datetime_as_string(
+        stamps[fractional], unit="us", timezone="UTC"
+    )
+    return text.tolist()
+
+
+def reference_curve_csv(curve):
+    """The curve file as one csv.writer row per grid point."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CURVE_HEADER)
+    for stamp, value, bits in zip(
+        format_utc(curve.timestamp_us),
+        curve.loss_fraction.tolist(),
+        curve.flag_bits.tolist(),
+    ):
+        flags = ";".join(name for k, name in enumerate(FLAG_NAMES) if bits >> k & 1)
+        writer.writerow([stamp, "%.12g" % value, flags])
+    return out.getvalue().encode()
+
+
+FIRST_US = (datetime.min.replace(tzinfo=UTC) - EPOCH) // timedelta(microseconds=1)
+LAST_US = (datetime.max.replace(tzinfo=UTC) - EPOCH) // timedelta(microseconds=1)
+
+
+@st.composite
+def curve_stamps(draw):
+    """Grid stamps from any start and step, or stamps in any order."""
+    n = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(FIRST_US, LAST_US), min_size=n, max_size=n))
+    step = draw(
+        st.sampled_from([1, 999_999, 1_000_000, 7_000_001, 120_000_000, 86_400_000_000])
+        | st.integers(1, 10**11)
+    )
+    start = draw(st.integers(FIRST_US, LAST_US - 30 * step))
+    return [start + k * step for k in range(n)]
+
+
+loss_values = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_curve_csv_matches_row_by_row_reference(data):
+    stamps = data.draw(curve_stamps())
+    n = len(stamps)
+    curve = LossCurve(
+        "up",
+        "down",
+        stamps,
+        data.draw(st.lists(loss_values, min_size=n, max_size=n)),
+        data.draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)),
+        600.0,
+        120.0,
+        60.0,
+    )
+    with tempfile.TemporaryDirectory() as out:
+        got = write_loss_curve_csv(curve, out).read_bytes()
+    assert got == reference_curve_csv(curve)
 
 
 def test_bundled_sample_day_pipeline():
