@@ -20,6 +20,14 @@ Every path applies ``clamped_correction`` of the power ratio rho_s
 (simulated by default, or a supplied engineering estimate for
 multi-segment paths) and the voltage ratio rho_v, the policy the sensor
 curves and ``voss_corrected`` use.
+
+A study compares all its paths in one call, on the solution's state
+arrays: each ComparisonRow field is one array column, with one
+``clamped_correction`` call for every row.  Each column keeps the bits
+of the scalar arithmetic, row by row: magnitudes are ``np.hypot`` (as
+``abs()`` is), angles ``cmath.phase`` per element, and a path's segment
+losses are added one segment at a time in path order, never by a
+pairwise ``np.sum``.
 """
 
 from __future__ import annotations
@@ -29,15 +37,12 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .estimator import (
-    EstimateFlag,
-    check_rho,
-    clamped_correction,
-    small_angle_error_bound,
-)
+import numpy as np
+
+from .estimator import EstimateFlag, check_rho, clamped_correction
 from .feeder import FeederModel, SegmentKind, split_distributed_loads_to_ends
-from .ioutil import FLOAT_FORMAT, format_float, write_csv
-from .powerflow import PowerFlowSolution, SolveOptions, solve
+from .ioutil import FLOAT_FORMAT, write_csv
+from .powerflow import PowerFlowSolution, SolveOptions, _phase, solve
 
 # Fraction of the feeder power base below which a per-phase input power
 # is treated as "no signal" for loss-fraction purposes.  Chosen so the
@@ -78,81 +83,77 @@ def solve_end_split(model: FeederModel, options: SolveOptions) -> PowerFlowSolut
     return solve(split_distributed_loads_to_ends(model), options)
 
 
-def _compare_path(
-    solution: PowerFlowSolution,
-    label: str,
-    segs: Sequence,
-    near_zero_fraction: float,
-    rho_s: Optional[float],
-) -> list:
-    """ComparisonRows of one contiguous path, one per shared phase.
+def _compare_path(solution: PowerFlowSolution, paths: Sequence,
+                  near_zero_fraction: float, rho_s: Optional[float]) -> dict:
+    """ComparisonRow columns of contiguous paths, given as (label, segments).
 
-    The phases are those of the head segment, in its phase-string order,
-    that every segment of the path carries.  Endpoint voltage magnitudes
-    give the uncorrected estimate; rho_s (None: simulated from the head
-    and tail flows) and rho_v from the same endpoints give the
-    correction.  True loss is |sum of the segments' series dissipation|
-    over |input power| on the phase, so power delivered to intermediate
-    taps is not counted as loss.  Input power below near_zero_fraction of
-    the feeder power base excludes the row; zero input power always does,
-    and gives a NaN true loss.
+    A path has one row per phase of its head segment, in that segment's
+    phase-string order, that every segment of the path carries.  Endpoint
+    voltage magnitudes give the uncorrected estimate; rho_s (None:
+    simulated from the head and tail flows) and rho_v from the same
+    endpoints give the correction, in one ``clamped_correction`` call.
+    True loss is |sum of the segments' series dissipation|, added in path
+    order, over |input power| on the phase, so power delivered to
+    intermediate taps is not counted as loss.  Input power below
+    near_zero_fraction of the feeder power base excludes the row; zero
+    input power always does, and gives a NaN true loss.
     """
-    if not segs:
-        raise ValueError(f"path {label} has no segments")
-    model = solution.model
-    shared = [p for p in segs[0].phases if all(p in s.phases for s in segs)]
-    flows = [solution.segment_flows[s.id] for s in segs]
-    first, last = flows[0], flows[-1]
-    near_zero_va = near_zero_fraction * model.base.power_kva * 1e3
-    rows = []
-    for ph in shared:
-        v1 = solution.voltage(segs[0].from_node, ph)
-        v2 = solution.voltage(segs[-1].to_node, ph)
-        rho_v = abs(v2) / abs(v1)
-        voss = 1.0 - rho_v
-        s_in = first.s_from[first.phases.index(ph)]
-        dissipated = sum(flow.loss(ph) for flow in flows)
-        true_loss = math.nan if s_in == 0 else abs(dissipated) / abs(s_in)
-        excluded = s_in == 0 or abs(s_in) < near_zero_va
-        # A rising endpoint voltage (capacitor support, light phase) makes
-        # the estimate negative; the small-angle error bound holds only for
-        # non-rising pairs, so such rows carry an annotation.
-        reason = EstimateFlag.NEGATIVE_DROP.value if voss < 0.0 else ""
-        if excluded:
-            reason = EstimateFlag.NEAR_ZERO_POWER.value
-        row_rho_s = rho_s
-        if row_rho_s is None:
-            p_out = last.s_to[last.phases.index(ph)].real
-            row_rho_s = math.nan if s_in.real == 0.0 else p_out / s_in.real
-        c_hat = float(clamped_correction(row_rho_s, rho_v)[0])
-        corrected = c_hat * voss
-        abs_error = math.nan if excluded else abs(corrected - true_loss)
-        rows.append(
-            ComparisonRow(
-                feeder=model.name,
-                line_or_path=label,
-                phase=ph,
-                voss_single=voss,
-                c_hat=c_hat,
-                voss_corrected=corrected,
-                true_loss=true_loss,
-                abs_error=abs_error,
-                angle_bound=small_angle_error_bound(v1, v2),
-                rho_s=row_rho_s,
-                rho_v=rho_v,
-                excluded=excluded,
-                reason=reason,
-            )
-        )
-    return rows
+    slots = solution.slots
+    labels, phases, members = [], [], []
+    for label, segs in paths:
+        if not segs:
+            raise ValueError(f"path {label} has no segments")
+        rows = [dict(zip(seg.phases, slots.rows(seg))) for seg in segs]
+        for ph in segs[0].phases:
+            if all(ph in by_phase for by_phase in rows):
+                labels.append(label)
+                phases.append(ph)
+                members.append([by_phase[ph] for by_phase in rows])
+    head, tail = [m[0] for m in members], [m[-1] for m in members]
+    dissipated = slots.s_from - slots.s_to
+    lost = dissipated[head]
+    for j in range(1, max(map(len, members), default=1)):
+        deep = [k for k, m in enumerate(members) if len(m) > j]
+        lost[deep] += dissipated[[members[k][j] for k in deep]]
+    v1, v2, s_in = slots.v_from[head], slots.v_to[tail], slots.s_from[head]
+    near_zero_va = near_zero_fraction * solution.model.base.power_kva * 1e3
+    with np.errstate(all="ignore"):
+        rho_v = np.hypot(v2.real, v2.imag) / np.hypot(v1.real, v1.imag)
+        s_in_va = np.hypot(s_in.real, s_in.imag)
+        true_loss = np.where(s_in == 0, np.nan, np.hypot(lost.real, lost.imag) / s_in_va)
+        if rho_s is None:
+            p_out = slots.s_to.real[tail]
+            rho_s = np.where(s_in.real == 0.0, np.nan, p_out / s_in.real)
+        else:
+            rho_s = np.array([rho_s] * len(labels), dtype=float)
+    excluded = (s_in == 0) | (s_in_va < near_zero_va)
+    voss = 1.0 - rho_v
+    c_hat = clamped_correction(rho_s, rho_v)[0]
+    corrected = c_hat * voss
+    dtheta = np.where(v2 != 0, _phase(v2).astype(float) - _phase(v1).astype(float), 0.0)
+    # A rising endpoint voltage (capacitor support, light phase) makes
+    # the estimate negative; the small-angle error bound holds only for
+    # non-rising pairs, so such rows carry an annotation.
+    reason = [EstimateFlag.NEAR_ZERO_POWER.value if out else
+              EstimateFlag.NEGATIVE_DROP.value if rise else ""
+              for out, rise in zip(excluded.tolist(), (voss < 0.0).tolist())]
+    return dict(
+        feeder=[solution.model.name] * len(labels), line_or_path=labels, phase=phases,
+        voss_single=voss, c_hat=c_hat, voss_corrected=corrected, true_loss=true_loss,
+        abs_error=np.where(excluded, np.nan, np.abs(corrected - true_loss)),
+        angle_bound=2.0 * rho_v * np.abs(np.sin(dtheta / 2.0)),
+        rho_s=rho_s, rho_v=rho_v, excluded=excluded, reason=reason,
+    )
 
 
-def run_single_segment_study(
-    model: FeederModel,
-    *,
-    solution: PowerFlowSolution,
-    near_zero_fraction: float = NEAR_ZERO_POWER_FRACTION,
-) -> list:
+def _rows(columns: dict) -> list:
+    """ComparisonRows from _compare_path columns, with Python scalars."""
+    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    return list(map(ComparisonRow, *values))
+
+
+def run_single_segment_study(model: FeederModel, *, solution: PowerFlowSolution,
+                             near_zero_fraction: float = NEAR_ZERO_POWER_FRACTION) -> list:
     """One ComparisonRow per phase of every line segment.
 
     Each line is a path of one segment with a simulated rho_s.  Rows
@@ -161,11 +162,8 @@ def run_single_segment_study(
     power is exactly zero) but carry no meaning.
     """
     check_near_zero_fraction(near_zero_fraction)
-    rows = []
-    for seg in model.segments:
-        if seg.kind == SegmentKind.LINE:
-            rows += _compare_path(solution, seg.id, [seg], near_zero_fraction, None)
-    return rows
+    lines = [(seg.id, [seg]) for seg in model.segments if seg.kind == SegmentKind.LINE]
+    return _rows(_compare_path(solution, lines, near_zero_fraction, None))
 
 
 def run_multi_segment_study(
@@ -182,13 +180,8 @@ def run_multi_segment_study(
     """
     check_rho(rho_s, "rho_s")
     check_near_zero_fraction(near_zero_fraction)
-    rows = []
-    for head, tail in paths:
-        rows += _compare_path(
-            solution, f"{head}-{tail}", model.path_segments(head, tail),
-            near_zero_fraction, rho_s,
-        )
-    return rows
+    paths = [(f"{head}-{tail}", model.path_segments(head, tail)) for head, tail in paths]
+    return _rows(_compare_path(solution, paths, near_zero_fraction, rho_s))
 
 
 def excluded_lines(rows: Sequence) -> list:
@@ -217,7 +210,7 @@ def write_plot_long_csv(rows: Sequence, path) -> None:
     header = ["feeder", "line_or_path", "phase", "series", "value", "excluded"]
     out = [
         [r.feeder, r.line_or_path, r.phase, name,
-         format_float(getattr(r, name)), _FORMAT["bool"](r.excluded)]
+         FLOAT_FORMAT % getattr(r, name), _FORMAT["bool"](r.excluded)]
         for r in rows
         for name in ("voss_single", "voss_corrected", "true_loss")
     ]

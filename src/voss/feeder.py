@@ -319,14 +319,14 @@ def _phase_string(value, ctx: str) -> str:
 
 def _numbers(value, count: int, ctx: str, rule=_number) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise FeederFormatError(
-            f"expected a list of {count} numbers, got {value!r}", ctx
-        )
+        raise FeederFormatError(f"expected a list of {count} numbers, got {value!r}", ctx)
     return tuple(rule(x, ctx) for x in value)
 
 
 def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     """Build and validate a FeederModel from a parsed JSON document."""
+    import marshal
+
     if not isinstance(doc, dict):
         raise FeederFormatError("feeder document must be a JSON object", origin)
     _object(doc, FeederModel, origin)
@@ -368,7 +368,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
             )
         )
 
-    segments = []
+    segments, matrices = [], {}
     for i, raw in enumerate(_objects(doc, "segments", origin)):
         ctx = f"segments[{i}] (id={raw.get('id', '?')})"
         seg_id = str(_require(raw, "id", ctx))
@@ -377,16 +377,12 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         required, optional = _KIND_KEYS[kind]
         missing = [key for key in required if key not in raw]
         if missing:
-            raise FeederFormatError(
-                f"{kind.value} segments need {' and '.join(map(repr, missing))}",
-                ctx,
-            )
+            message = f"{kind.value} segments need {' and '.join(map(repr, missing))}"
+            raise FeederFormatError(message, ctx)
         stray = sorted(set(raw).difference(_SEGMENT_KEYS, required, optional))
         if stray:
-            raise FeederFormatError(
-                f"{kind.value} segments take no {' or '.join(map(repr, stray))}",
-                ctx,
-            )
+            message = f"{kind.value} segments take no {' or '.join(map(repr, stray))}"
+            raise FeederFormatError(message, ctx)
 
         length_miles = 0.0
         if "length" in raw or "unit" in raw:
@@ -405,54 +401,41 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
 
         z_per_mile = None
         if "z_ohm_per_mile" in raw:
+            # parsed and checked once per distinct raw matrix: the marshal
+            # bytes of (n, raw) tell true from 1 and -0.0 from 0.0, and a
+            # failing matrix is never stored, so it fails with its own context
             zraw, n = raw["z_ohm_per_mile"], len(phases)
-            if not (
-                isinstance(zraw, list)
-                and len(zraw) == n
-                and all(isinstance(row, list) and len(row) == n for row in zraw)
-            ):
-                raise FeederFormatError(f"z_ohm_per_mile must be a {n}x{n} matrix", ctx)
-            z_per_mile = tuple(
-                tuple(_complex_from_pair(e, f"{ctx}.z[{r}]") for e in row)
-                for r, row in enumerate(zraw)
-            )
+            try:
+                key = marshal.dumps((n, zraw), 2)
+            except ValueError:  # a Python object no JSON document holds
+                key = object()
+            if key not in matrices:
+                if not (
+                    isinstance(zraw, list)
+                    and len(zraw) == n
+                    and all(isinstance(row, list) and len(row) == n for row in zraw)
+                ):
+                    raise FeederFormatError(f"z_ohm_per_mile must be a {n}x{n} matrix", ctx)
+                matrices[key] = tuple(
+                    tuple(_complex_from_pair(e, f"{ctx}.z[{r}]") for e in row)
+                    for r, row in enumerate(zraw)
+                )
+            z_per_mile = matrices[key]
 
-        ratio = None
-        if "ratio" in raw:
-            ratio = _positive(raw["ratio"], f"{ctx} ratio")
+        ratio = _positive(raw["ratio"], f"{ctx} ratio") if "ratio" in raw else None
+        series_z = _complex_from_pair(raw["series_z_ohm"], ctx) if "series_z_ohm" in raw else None
+        taps = _numbers(raw["taps"], len(phases), ctx) if "taps" in raw else None
+        for t in taps or ():
+            if not (TAP_MIN <= t <= TAP_MAX):
+                raise FeederFormatError(f"tap {t} outside [{TAP_MIN}, {TAP_MAX}]", ctx)
+        shunt = _numbers(raw["shunt_kvar"], len(phases), ctx) if "shunt_kvar" in raw else None
 
-        series_z = None
-        if "series_z_ohm" in raw:
-            series_z = _complex_from_pair(raw["series_z_ohm"], ctx)
-
-        taps = None
-        if "taps" in raw:
-            taps = _numbers(raw["taps"], len(phases), ctx)
-            for t in taps:
-                if not (TAP_MIN <= t <= TAP_MAX):
-                    raise FeederFormatError(
-                        f"tap {t} outside [{TAP_MIN}, {TAP_MAX}]", ctx
-                    )
-
-        shunt = None
-        if "shunt_kvar" in raw:
-            shunt = _numbers(raw["shunt_kvar"], len(phases), ctx)
-
-        segments.append(
-            SegmentDef(
-                id=seg_id,
-                from_node=str(_require(raw, "from", ctx)),
-                to_node=str(_require(raw, "to", ctx)),
-                phases=phases,
-                kind=kind,
-                length_miles=length_miles,
-                z_per_mile=z_per_mile,
-                ratio=ratio,
-                series_z_ohm=series_z,
-                taps=taps,
-                shunt_kvar=shunt,
-            )
-        )
+        segments.append(SegmentDef(
+            id=seg_id, from_node=str(_require(raw, "from", ctx)),
+            to_node=str(_require(raw, "to", ctx)), phases=phases, kind=kind,
+            length_miles=length_miles, z_per_mile=z_per_mile, ratio=ratio,
+            series_z_ohm=series_z, taps=taps, shunt_kvar=shunt,
+        ))
 
     def scaled(value, ctx: str) -> float:
         return _number(_number(value, ctx) * load_scale, ctx)
@@ -465,18 +448,13 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         model = _member(LoadModel, raw.get("model", "pq"), f"{ctx} model")
         phases = _phase_string(_require(raw, "phases", ctx), ctx)
         count = 1 if (conn == Connection.DELTA and len(phases) == 2) else len(phases)
-        loads.append(
-            LoadDef(
-                id=str(raw.get("id", f"load{i}")),
-                conn=conn,
-                model=model,
-                phases=phases,
-                kw=_numbers(_require(raw, "kw", ctx), count, f"{ctx} kw", scaled),
-                kvar=_numbers(_require(raw, "kvar", ctx), count, f"{ctx} kvar", scaled),
-                node=str(raw["node"]) if "node" in raw else None,
-                segment=str(raw["segment"]) if "segment" in raw else None,
-            )
-        )
+        loads.append(LoadDef(
+            id=str(raw.get("id", f"load{i}")), conn=conn, model=model, phases=phases,
+            kw=_numbers(_require(raw, "kw", ctx), count, f"{ctx} kw", scaled),
+            kvar=_numbers(_require(raw, "kvar", ctx), count, f"{ctx} kvar", scaled),
+            node=str(raw["node"]) if "node" in raw else None,
+            segment=str(raw["segment"]) if "segment" in raw else None,
+        ))
 
     model = FeederModel(
         name=str(name),
@@ -512,7 +490,7 @@ def validate_feeder(model: FeederModel) -> None:
             dupes = sorted({x for x in ids if ids.count(x) > 1})
             raise FeederFormatError(f"duplicate {what} ids {dupes}")
 
-    known = set(model._node_by_id)
+    known = model._node_by_id
     if model.source.node not in known:
         raise FeederFormatError(f"source node {model.source.node!r} not defined")
 
@@ -523,63 +501,46 @@ def validate_feeder(model: FeederModel) -> None:
             if end not in known:
                 raise FeederFormatError(f"unknown node {end!r}", ctx)
         if s.to_node in incoming:
-            raise NotRadialError(
-                f"not radial: node {s.to_node} fed by both "
-                f"{incoming[s.to_node]} and {s.id}"
-            )
+            raise NotRadialError(f"not radial: node {s.to_node} fed by both "
+                                 f"{incoming[s.to_node]} and {s.id}")
         if s.to_node == model.source.node:
-            raise NotRadialError(
-                f"not radial: segment {s.id} feeds the source node"
-            )
+            raise NotRadialError(f"not radial: segment {s.id} feeds the source node")
         incoming[s.to_node] = s.id
-
-        from_phases = set(model.node(s.from_node).phases)
-        if not set(s.phases) <= from_phases:
-            raise FeederFormatError(
-                f"phases {s.phases} not available at upstream node {s.from_node}",
-                ctx,
-            )
-        if set(model.node(s.to_node).phases) != set(s.phases):
-            raise FeederFormatError(
-                f"node {s.to_node} phases must match its feeding segment ({s.phases})",
-                ctx,
-            )
+        if not set(s.phases) <= set(known[s.from_node].phases):
+            message = f"phases {s.phases} not available at upstream node {s.from_node}"
+            raise FeederFormatError(message, ctx)
+        if set(known[s.to_node].phases) != set(s.phases):
+            message = f"node {s.to_node} phases must match its feeding segment ({s.phases})"
+            raise FeederFormatError(message, ctx)
 
     # Reachability doubles as the cycle check: a connected graph where
     # every non-source node has exactly one parent and the source none is
     # a tree.  One parent per node also keeps the BFS finite.
     reached = {model.source.node} | {s.to_node for s in model.bfs_segments()}
-    unreached = sorted(known - reached)
+    unreached = sorted(set(known) - reached)
     if unreached:
-        raise NotRadialError(
-            f"not radial: nodes not reachable from source "
-            f"(cycle or island): {', '.join(unreached)}"
-        )
+        raise NotRadialError("not radial: nodes not reachable from source "
+                             f"(cycle or island): {', '.join(unreached)}")
 
     for ld in model.loads:
         ctx = f"load {ld.id}"
         if (ld.node is None) == (ld.segment is None):
-            raise FeederFormatError(
-                "a load needs exactly one of 'node' and 'segment'", ctx
-            )
+            raise FeederFormatError("a load needs exactly one of 'node' and 'segment'", ctx)
         if ld.segment is None:
             if ld.node not in known:
                 raise FeederFormatError(f"unknown load node {ld.node!r}", ctx)
-            avail = set(model.node(ld.node).phases)
+            avail = set(known[ld.node].phases)
         else:
             seg = model._seg_by_id.get(ld.segment)
             if seg is None:
                 raise FeederFormatError(f"unknown load segment {ld.segment!r}", ctx)
             if seg.kind != SegmentKind.LINE:
-                raise FeederFormatError(
-                    "distributed loads are only supported on line segments", ctx
-                )
+                message = "distributed loads are only supported on line segments"
+                raise FeederFormatError(message, ctx)
             avail = set(seg.phases)
         if not set(ld.phases) <= avail:
-            raise FeederFormatError(
-                f"load phases {ld.phases} not available ({''.join(sorted(avail))})",
-                ctx,
-            )
+            message = f"load phases {ld.phases} not available ({''.join(sorted(avail))})"
+            raise FeederFormatError(message, ctx)
         if ld.conn == Connection.DELTA and len(ld.phases) < 2:
             raise FeederFormatError("delta loads need at least two phases", ctx)
         # kw/kvar of a three-phase delta load belong to AB, BC, CA

@@ -13,9 +13,9 @@ from typing import Optional
 FLOAT_FORMAT = "%.12g"
 
 
-def format_float(x: float) -> str:
-    """x written with FLOAT_FORMAT."""
-    return FLOAT_FORMAT % x
+def format_column(values) -> list:
+    """Each value of a float array written with FLOAT_FORMAT."""
+    return list(map(FLOAT_FORMAT.__mod__, values.tolist()))
 
 
 def json_number(value) -> Optional[float]:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import check_rho, correction_factor
-from .ioutil import format_float, write_csv
+from .ioutil import FLOAT_FORMAT, write_csv
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,5 @@ def sweep_rho(rhos: Sequence[float], n: int) -> list[SweepRow]:
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     """Write sweep rows as CSV with a fixed header and row order."""
     header = [f.name for f in fields(SweepRow)]
-    write_csv(
-        path,
-        header,
-        [[format_float(getattr(row, name)) for name in header] for row in rows],
-    )
+    cells = [[FLOAT_FORMAT % getattr(row, name) for name in header] for row in rows]
+    write_csv(path, header, cells)

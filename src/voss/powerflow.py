@@ -25,25 +25,35 @@ slots.  The sweep and the load and source totals use the same tables.
 
 The sweep runs on tables built once per solve, the array form of
 Shirmohammadi et al. (1988) with the level view of Teng (2003).  All
-node slots sit in one complex vector in BFS order, and the links are
-grouped by tree depth.  Each sweep is:
+node slots sit in one complex vector in BFS order; the links of one tree
+level are one run of slots ``lo:hi``, and the tables decide once per
+level which step it takes.  Each sweep is:
 
 - one array expression per load model for every branch current, summed
   into element slots and then, in element order, into node slots;
-- going up, one ``np.add.at`` per level adding ``i_to * k`` into the
-  from slots, each level's links in reversed BFS order;
-- one stacked ``np.matmul`` per phase count for every ``Z @ i_to``;
-- going down, one ``v_to = k * v_from - Z @ i_to`` per level;
+- going up, per level, ``i[up] += i[lo:hi] * k``: no ``* k`` where every
+  k is 1.0 (all but the levels with a tap or ratio), and ``np.add.at``
+  over the level's links in reversed BFS order only where a from slot
+  repeats (one node feeds several of them on one phase);
+- one stacked ``np.matmul`` per phase count for every ``Z @ i_to``, with
+  Z stacked once from each distinct per-mile matrix times the lengths;
+- going down, per level, ``np.subtract(v[up], drop[lo:hi], out=v[lo:hi])``,
+  or ``v[up] * k - drop[lo:hi]`` on a level with a tap or ratio;
 - the mismatch as one max over the non-source slots, so that a NaN
   update ends the solve as a blow-up instead of being skipped.
+
+The solution keeps the converged network and its state arrays; its
+``node_voltages`` and ``segment_flows`` build an entry when it is read.
 
 Same bits: the committed ``bench/reference`` CSVs pin the results to the
 last bit (12-digit CSVs magnify a last-bit change, since a sag ratio is
 a difference of two voltages about 1e-3 of their size), so every
 floating-point operation keeps its order and its rounding.  Sums that
 several links or elements feed keep their order, because ``np.add.at``
-applies repeated indices in sequence.  Array operations that round
-differently from the scalar ones (numpy 2.4, AVX-512) are avoided:
+applies repeated indices in sequence; ``+=`` on distinct slots and a
+skipped ``* 1.0`` leave every value as it was, which tests check after
+each sweep.  Array operations that round differently from the scalar
+ones (numpy 2.4, AVX-512) are avoided:
 
 - ``np.einsum`` for ``Z @ i``; a stacked ``np.matmul`` gives the bits of
   one ``Z @ i`` per link;
@@ -55,10 +65,14 @@ differently from the scalar ones (numpy 2.4, AVX-512) are avoided:
 - ``a * b`` with a large temporary as ``b``: numpy reuses the temporary
   and swaps the factors, and the fused product is not symmetric, so
   the flows call ``np.multiply(a, b)``;
-- ``np.angle``/``np.arctan2`` for the constant-I ``cmath.phase(v)``,
-  which runs per element through ``np.frompyfunc``, and ``np.abs`` or
-  ``np.angle`` for ``abs(s0)`` and ``cmath.phase(s0)``, which are
-  computed once per branch in Python while the tables are built.
+- ``np.abs`` of a complex array for ``abs()``: it differed on 35% of
+  200,000 random complexes, where ``np.hypot(x.real, x.imag)`` matched
+  all of them, so every magnitude is ``np.hypot``;
+- ``np.angle``/``np.arctan2`` for ``cmath.phase``: they differed on 7%,
+  so every angle runs ``cmath.phase`` per element through
+  ``np.frompyfunc``.  ``np.sin``, ``np.cos`` and a multiply by
+  ``180.0 / math.pi`` matched ``math.sin``, ``math.cos`` and
+  ``math.degrees`` on 400,000 values.
 
 Nominal voltage bases propagate from the source through transformer
 ratios; regulator taps deliberately do not change the base, so per-unit
@@ -70,19 +84,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .estimator import EstimateFlag
-from .feeder import (
-    Connection,
-    FeederModel,
-    LoadModel,
-    SegmentKind,
-)
-from .ioutil import format_float, write_csv
+from .feeder import Connection, FeederModel, LoadModel, SegmentKind
+from .ioutil import format_column, write_csv
 
 COLLAPSE_PU = 0.5
 
@@ -135,12 +144,28 @@ class SegmentFlow:
         return sum(self.s_from) - sum(self.s_to)
 
 
+class _Lazy(Mapping):
+    """Read-only mapping of keys to ``build(keys[key])``, built when read."""
+
+    def __init__(self, keys: dict, build):
+        self._keys, self._build = keys, build
+
+    def __getitem__(self, key):
+        return self._build(self._keys[key])
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 @dataclass(frozen=True)
 class PowerFlowSolution:
     model: FeederModel
-    node_voltages: dict  # node id -> dict phase -> complex volts (L-N)
+    node_voltages: Mapping  # node id -> dict phase -> complex volts (L-N)
     node_base_v: dict  # node id -> nominal L-N volts
-    segment_flows: dict  # segment id -> SegmentFlow
+    segment_flows: Mapping  # segment id -> SegmentFlow
     iterations: int
     max_mismatch: float
     flags: tuple = ()
@@ -150,6 +175,9 @@ class PowerFlowSolution:
     total_load_va: complex = 0j
     total_shunt_va: complex = 0j
     total_loss_va: complex = 0j
+    # the settled _Network whose arrays node_voltages and segment_flows
+    # build their entries from
+    slots: Optional[_Network] = field(default=None, repr=False, compare=False)
 
     def voltage(self, node_id: str, phase: str) -> complex:
         return self.node_voltages[node_id][phase]
@@ -165,19 +193,26 @@ class PowerFlowSolution:
         return abs(residual) / (self.model.base.power_kva * 1e3)
 
 
-def _phase_angles(source) -> dict:
-    out = {}
-    for ph, ang, pu in zip("ABC", source.angles_deg, source.voltage_pu):
-        out[ph] = pu * cmath.exp(1j * math.radians(ang))
-    return out
-
-
 # cmath.phase element by element: np.angle rounds differently
 _phase = np.frompyfunc(cmath.phase, 1, 1)
 
 _MODEL_ORDER = (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z, LoadModel.CONSTANT_I)
 _BRANCH_ROW = [("element", int), ("a", int), ("b", int), ("rank", int),
                ("s0", complex), ("v0", float)]
+
+
+def _stacked_z(segs: list) -> np.ndarray:
+    """The z_total() of each segment, stacked.  Each distinct per-mile
+    matrix object becomes an array once and is scaled by a length vector:
+    numpy's complex times float has the bits of Python's."""
+    scaled = [s.kind != SegmentKind.TRANSFORMER and s.z_per_mile is not None for s in segs]
+    table = {}  # id of a matrix -> its number and the matrix
+    pick = [table.setdefault(id(z), (len(table), z))[0]
+            for z in (s.z_per_mile if k else s.z_total() for s, k in zip(segs, scaled))]
+    z = np.array([m for _, m in table.values()], dtype=complex)[pick]
+    lengths = [s.length_miles for s, k in zip(segs, scaled) if k]
+    z[scaled] = z[scaled] * np.array(lengths, dtype=float)[:, None, None]
+    return z
 
 
 class _Network:
@@ -197,7 +232,7 @@ class _Network:
         self.bases = {src: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
         self.first = {src: 0}
         self.n_source = n = len(self.phases[src])
-        up, k, base = [0] * n, [1.0] * n, [1.0] * n
+        up, k, base = [0] * n, [1.0] * n, [self.bases[src]] * n
         depth, level_ends, by_width = {src: 0}, [], {}
         self.links = []  # (segment, first slot of its to node), BFS order
         for seg in model.bfs_segments():
@@ -218,25 +253,23 @@ class _Network:
             if depth[seg.to_node] > len(level_ends):
                 level_ends.append(0)
             level_ends[-1] = len(up)
-            rows, zs = by_width.setdefault(width, ([], []))
-            rows.append(range(at, at + width))
-            zs.append(seg.z_total())
+            rows, segs = by_width.setdefault(width, ([], []))
+            rows.append(at)
+            segs.append(seg)
         self.n_slots = len(up)
         self.up, self.k, self.base = np.array(up), np.array(k), np.array(base)
         self.link_of_slot = np.repeat(
             np.arange(len(self.links)), [len(seg.phases) for seg, _ in self.links]
         )
-        # Z of every link stacked per phase count, and each level's link
-        # slots in reversed BFS order, so that a slot fed by several links
-        # sums them in the order of a segment-by-segment backward sweep
-        self.z_groups = [
-            (np.array(rows), np.array(zs, dtype=complex))
-            for rows, zs in by_width.values()
+        self.z_groups = [(np.array(rows)[:, None] + np.arange(width), _stacked_z(segs))
+                         for width, (rows, segs) in by_width.items()]
+        # each level's slots lo:hi, their from slots, their k (None when
+        # every k is 1.0) and whether a from slot repeats in the level
+        self.levels = [
+            (lo, hi, self.up[lo:hi], None if k[lo:hi].count(1.0) == hi - lo else self.k[lo:hi],
+             len(set(up[lo:hi])) < hi - lo)
+            for lo, hi in zip([n] + level_ends, level_ends)
         ]
-        self.levels = []
-        for lo, hi in zip([n] + level_ends, level_ends):
-            to = slice(hi - 1, lo - 1, -1)
-            self.levels.append((to, self.up[to], self.k[to]))
         self._build_injections(model)
 
     def _build_injections(self, model: FeederModel) -> None:
@@ -306,15 +339,15 @@ class _Network:
         self.z_re, self.z_im = self.s0[self.z].real, -self.s0[self.z].imag
         self.z_scale = 1.0 / (v0 * v0)
         # constant I: |s0| / v0 at the angle of v less that of s0
-        ci = list(zip(self.s0[self.ci].tolist(), t["v0"][self.ci].tolist()))
-        self.i_mag = np.array([abs(s0) / v0 for s0, v0 in ci], dtype=float)
-        self.i_angle = np.array([cmath.phase(s0) for s0, _ in ci], dtype=float)
+        s0 = self.s0[self.ci]
+        self.i_mag = np.hypot(s0.real, s0.imag) / t["v0"][self.ci]
+        self.i_angle = _phase(s0).astype(float)
 
     def flat_start(self, source) -> np.ndarray:
         """Source magnitudes and angles at every slot, then the ground."""
-        sref = _phase_angles(source)
-        v = [self.bases[node] * sref[p] for node in self.first
-             for p in self.phases[node]]
+        sref = {ph: pu * cmath.exp(1j * math.radians(ang))
+                for ph, ang, pu in zip("ABC", source.angles_deg, source.voltage_pu)}
+        v = [self.bases[node] * sref[p] for node in self.first for p in self.phases[node]]
         return np.array(v + [0j], dtype=complex)
 
     def injections(self, v: np.ndarray) -> np.ndarray:
@@ -337,11 +370,16 @@ class _Network:
 
     def currents(self, e: np.ndarray) -> np.ndarray:
         """Node injections summed per slot, then each level's i_to * k
-        added to its from slots, from the deepest level up."""
+        added to its from slots, from the deepest level up; where a from
+        slot repeats, in reversed BFS order by ``np.add.at``."""
         i = np.zeros(self.n_slots, dtype=complex)
         np.add.at(i, self.eslot_node, e)
-        for to, up, k in reversed(self.levels):
-            np.add.at(i, up, i[to] * k)
+        for lo, hi, up, k, fan in reversed(self.levels):
+            x = i[lo:hi] if k is None else i[lo:hi] * k
+            if fan:
+                np.add.at(i, up[::-1], x[::-1])
+            else:
+                i[up] += x
         return i
 
     def forward(self, v: np.ndarray, i: np.ndarray) -> None:
@@ -349,33 +387,55 @@ class _Network:
         drop = np.empty(self.n_slots, dtype=complex)
         for rows, z in self.z_groups:
             drop[rows] = (z @ i[rows][:, :, None])[:, :, 0]
-        for to, up, k in self.levels:
-            v[to] = v[up] * k - drop[to]
+        for lo, hi, up, k, _ in self.levels:
+            if k is None:
+                np.subtract(v[up], drop[lo:hi], out=v[lo:hi])
+            else:
+                v[lo:hi] = v[up] * k - drop[lo:hi]
 
     def mismatch(self, v: np.ndarray, before: np.ndarray) -> float:
         """Largest voltage update of a non-source slot over its base."""
         s = slice(self.n_source, self.n_slots)
         return float(np.max(np.abs(v[s] - before[s]) / self.base[s], initial=0.0))
 
-    def flows(self, v: np.ndarray, i: np.ndarray) -> tuple:
-        """SegmentFlow per segment id in BFS order, and their total loss."""
+    def settle(self, model: FeederModel, v: np.ndarray, i: np.ndarray) -> None:
+        """Keep the state: ``v`` at every slot, and per link row r (slot
+        ``n_source + r``) its v_from, v_to, i_from, i_to, s_from and s_to;
+        and ``node_rows``, the slot of each node phase in model order, each
+        node's phases in the node's own order."""
         s = slice(self.n_source, self.n_slots)
-        v_from, i_to = v[self.up[s]], i[s]
-        i_from = i_to * self.k[s]
+        self.v, self.v_from, self.v_to, self.i_to = v, v[self.up[s]], v[s], i[s]
+        self.i_from = self.i_to * self.k[s]
         # np.multiply, not `*`: numpy may reuse a large temporary operand
         # and swap the factors, which changes the last bit
-        s_from = np.multiply(v_from, np.conj(i_from))
-        s_to = np.multiply(v[s], np.conj(i_to))
+        self.s_from = np.multiply(self.v_from, np.conj(self.i_from))
+        self.s_to = np.multiply(self.v_to, np.conj(self.i_to))
+        self.node_rows = np.array([self.first[n.id] + self.phases[n.id].index(ph)
+                                   for n in model.nodes for ph in n.phases], dtype=int)
+
+    def rows(self, seg) -> range:
+        """The link rows of a segment, in its phase order."""
+        at = self.first[seg.to_node] - self.n_source
+        return range(at, at + len(seg.phases))
+
+    def voltages(self, node) -> dict:
+        """A node's complex volts by phase, in the node's own phase order."""
+        at = self.first[node.id]
+        by_phase = dict(zip(self.phases[node.id], self.v[at:at + len(node.phases)].tolist()))
+        return {ph: by_phase[ph] for ph in node.phases}
+
+    def flow(self, seg) -> SegmentFlow:
+        """A segment's SegmentFlow, read from the link columns."""
+        rows = self.rows(seg)
+        r = slice(rows.start, rows.stop)
+        cols = (self.v_from, self.v_to, self.i_from, self.i_to, self.s_from, self.s_to)
+        return SegmentFlow(seg.id, seg.phases, *(tuple(c[r].tolist()) for c in cols))
+
+    def loss(self) -> complex:
+        """Total series loss, summed per link and then in BFS order."""
         loss = np.zeros(len(self.links), dtype=complex)
-        np.add.at(loss, self.link_of_slot, s_from - s_to)
-        cols = [x.tolist() for x in (v_from, v[s], i_from, i_to, s_from, s_to)]
-        flows = {}
-        for seg, at in self.links:
-            r = slice(at - self.n_source, at - self.n_source + len(seg.phases))
-            flows[seg.id] = SegmentFlow(
-                seg.id, seg.phases, *(tuple(col[r]) for col in cols)
-            )
-        return flows, sum(loss.tolist(), 0j)
+        np.add.at(loss, self.link_of_slot, self.s_from - self.s_to)
+        return sum(loss.tolist(), 0j)
 
     def drawn(self, v: np.ndarray, e: np.ndarray) -> list:
         """Complex power each element draws at voltages v."""
@@ -418,10 +478,10 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     # one more backward pass so currents are consistent with the
     # converged voltages, then assemble flows and totals
     e = net.injections(v)
-    flows, total_loss = net.flows(v, net.currents(e))
+    net.settle(model, v, net.currents(e))
     src = model.source.node
     total_source = sum(
-        (sum(flows[s.id].s_from) for s in model.segments_from(src)), 0j
+        (sum(net.flow(s).s_from) for s in model.segments_from(src)), 0j
     )
     total_load = 0j
     for (node, shunt), drawn in zip(net.elements, net.drawn(v, e)):
@@ -432,32 +492,25 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
             total_source += drawn
 
     # outputs list each node's phases in the node's own order
-    node_voltages = {}
-    flags = []
-    volts = v.tolist()
-    for n in model.nodes:
-        at = net.first[n.id]
-        by_phase = dict(zip(net.phases[n.id], volts[at:at + len(n.phases)]))
-        node_voltages[n.id] = {ph: by_phase[ph] for ph in n.phases}
-        for ph in n.phases:
-            if abs(by_phase[ph]) < COLLAPSE_PU * net.bases[n.id]:
-                flags.append(
-                    f"{EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value}:{n.id}.{ph}"
-                )
+    u = v[net.node_rows]
+    low = np.flatnonzero(np.hypot(u.real, u.imag) < COLLAPSE_PU * net.base[net.node_rows])
+    names = [f"{n.id}.{ph}" for n in model.nodes for ph in n.phases] if low.size else []
+    flag = EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value
 
     return PowerFlowSolution(
         model=model,
-        node_voltages=node_voltages,
+        node_voltages=_Lazy(model._node_by_id, net.voltages),
         node_base_v=net.bases,
-        segment_flows=flows,
+        segment_flows=_Lazy({seg.id: seg for seg, _ in net.links}, net.flow),
         iterations=iterations,
         max_mismatch=mismatch,
-        flags=tuple(flags),
+        flags=tuple(f"{flag}:{names[j]}" for j in low.tolist()),
         trace=tuple(trace),
         total_source_va=total_source,
         total_load_va=total_load,
         total_shunt_va=net.shunt_va,
-        total_loss_va=total_loss,
+        total_loss_va=net.loss(),
+        slots=net,
     )
 
 
@@ -471,34 +524,26 @@ def loss_from_currents(solution: PowerFlowSolution, segment_id: str) -> complex:
 
 
 def write_voltages_csv(solution: PowerFlowSolution, path) -> None:
-    rows = []
-    for n in solution.model.nodes:
-        for ph in n.phases:
-            u = solution.node_voltages[n.id][ph]
-            rows.append(
-                [n.id, ph, format_float(abs(u)),
-                 format_float(math.degrees(cmath.phase(u)))]
-            )
-    write_csv(path, ["node", "phase", "magnitude_v", "angle_deg"], rows)
+    slots, nodes = solution.slots, solution.model.nodes
+    u = slots.v[slots.node_rows]
+    columns = (
+        [n.id for n in nodes for _ in n.phases],
+        "".join(n.phases for n in nodes),
+        format_column(np.hypot(u.real, u.imag)),
+        # math.degrees(x) is x * (180.0 / math.pi)
+        format_column(_phase(u).astype(float) * (180.0 / math.pi)),
+    )
+    write_csv(path, ["node", "phase", "magnitude_v", "angle_deg"], list(zip(*columns)))
 
 
 def write_flows_csv(solution: PowerFlowSolution, path) -> None:
-    rows = []
-    for seg in solution.model.segments:
-        flow = solution.segment_flows[seg.id]
-        for k, ph in enumerate(flow.phases):
-            rows.append(
-                [
-                    seg.id,
-                    ph,
-                    format_float(flow.s_from[k].real / 1e3),
-                    format_float(flow.s_from[k].imag / 1e3),
-                    format_float(flow.s_to[k].real / 1e3),
-                    format_float(flow.s_to[k].imag / 1e3),
-                ]
-            )
-    write_csv(
-        path,
-        ["segment", "phase", "p_in_kw", "q_in_kvar", "p_out_kw", "q_out_kvar"],
-        rows,
+    slots, segs = solution.slots, solution.model.segments
+    rows = [r for seg in segs for r in slots.rows(seg)]
+    s_from, s_to = slots.s_from[rows], slots.s_to[rows]
+    columns = (
+        [seg.id for seg in segs for _ in seg.phases],
+        "".join(seg.phases for seg in segs),
+        *(format_column(x / 1e3) for x in (s_from.real, s_from.imag, s_to.real, s_to.imag)),
     )
+    header = ["segment", "phase", "p_in_kw", "q_in_kvar", "p_out_kw", "q_out_kvar"]
+    write_csv(path, header, list(zip(*columns)))

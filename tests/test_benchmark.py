@@ -4,9 +4,14 @@ import math
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_powerflow import RESIDUAL, REWRITES, _bits, radial_feeders
 from voss.benchmark import (
     COMPARISON_HEADER,
+    NEAR_ZERO_POWER_FRACTION,
+    ComparisonRow,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
@@ -14,9 +19,16 @@ from voss.benchmark import (
     write_comparison_csv,
     write_plot_long_csv,
 )
-from voss.estimator import EstimateFlag, clamp_rho, correction_factor, rho_from_ratios
-from voss.feeder import SegmentKind
-from voss.powerflow import SolveOptions
+from voss.estimator import (
+    EstimateFlag,
+    clamp_rho,
+    clamped_correction,
+    correction_factor,
+    rho_from_ratios,
+    small_angle_error_bound,
+)
+from voss.feeder import SegmentKind, parse_feeder_dict
+from voss.powerflow import SolveOptions, solve
 
 STRESSED_PATHS = [("800", "814"), ("816", "822"), ("828", "854")]
 
@@ -249,3 +261,128 @@ def test_rows_follow_the_head_segment_phase_order(two_bus):
         for row in rows:
             v_src, v_end = sol.voltage("src", row.phase), sol.voltage("end", row.phase)
             assert row.voss_single == 1.0 - abs(v_end) / abs(v_src)
+
+
+# Study oracle: the path comparison as it ran before the array study, one
+# path and one phase at a time in Python floats, on the same solution.
+# Every field of every row must have the same bits, NaN payloads too.
+
+
+def _scalar_compare_path(solution, label, segs, near_zero_fraction, rho_s):
+    if not segs:
+        raise ValueError(f"path {label} has no segments")
+    model = solution.model
+    shared = [p for p in segs[0].phases if all(p in s.phases for s in segs)]
+    flows = [solution.segment_flows[s.id] for s in segs]
+    first, last = flows[0], flows[-1]
+    near_zero_va = near_zero_fraction * model.base.power_kva * 1e3
+    rows = []
+    for ph in shared:
+        v1 = solution.voltage(segs[0].from_node, ph)
+        v2 = solution.voltage(segs[-1].to_node, ph)
+        rho_v = abs(v2) / abs(v1)
+        voss = 1.0 - rho_v
+        s_in = first.s_from[first.phases.index(ph)]
+        dissipated = sum(flow.loss(ph) for flow in flows)
+        true_loss = math.nan if s_in == 0 else abs(dissipated) / abs(s_in)
+        excluded = s_in == 0 or abs(s_in) < near_zero_va
+        reason = EstimateFlag.NEGATIVE_DROP.value if voss < 0.0 else ""
+        if excluded:
+            reason = EstimateFlag.NEAR_ZERO_POWER.value
+        row_rho_s = rho_s
+        if row_rho_s is None:
+            p_out = last.s_to[last.phases.index(ph)].real
+            row_rho_s = math.nan if s_in.real == 0.0 else p_out / s_in.real
+        c_hat = float(clamped_correction(row_rho_s, rho_v)[0])
+        corrected = c_hat * voss
+        abs_error = math.nan if excluded else abs(corrected - true_loss)
+        rows.append(ComparisonRow(
+            model.name, label, ph, voss, c_hat, corrected, true_loss, abs_error,
+            small_angle_error_bound(v1, v2), row_rho_s, rho_v, excluded, reason))
+    return rows
+
+
+def _scalar_single(model, solution, near_zero_fraction=NEAR_ZERO_POWER_FRACTION):
+    return [row for seg in model.segments if seg.kind == SegmentKind.LINE
+            for row in _scalar_compare_path(solution, seg.id, [seg], near_zero_fraction, None)]
+
+
+def _scalar_multi(model, paths, solution, rho_s=None):
+    return [row for head, tail in paths for row in _scalar_compare_path(
+        solution, f"{head}-{tail}", model.path_segments(head, tail),
+        NEAR_ZERO_POWER_FRACTION, rho_s)]
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for row, oracle in zip(got, want):
+        for f in fields(ComparisonRow):
+            a, b = getattr(row, f.name), getattr(oracle, f.name)
+            assert type(a) is type(b) and _bits(a) == _bits(b), (oracle, f.name)
+
+
+@pytest.mark.parametrize("feeder,solved", [
+    ("ieee13", "solved13"), ("ieee34", "solved34"), ("ieee34_stressed", "solved34_stressed"),
+])
+def test_array_study_matches_the_scalar_oracle_on_bundled_feeders(request, feeder, solved):
+    model, sol = request.getfixturevalue(feeder), request.getfixturevalue(solved)
+    _assert_same_rows(run_single_segment_study(model, solution=sol), _scalar_single(model, sol))
+    for fraction in (0.0, 0.05):
+        _assert_same_rows(
+            run_single_segment_study(model, solution=sol, near_zero_fraction=fraction),
+            _scalar_single(model, sol, fraction))
+
+
+@pytest.mark.parametrize("rho_s", [None, 0.7, 0.0, 1.0])
+def test_array_study_matches_the_scalar_oracle_on_stressed_paths(
+    ieee34_stressed, solved34_stressed, rho_s
+):
+    got = run_multi_segment_study(
+        ieee34_stressed, STRESSED_PATHS, rho_s=rho_s, solution=solved34_stressed)
+    _assert_same_rows(got, _scalar_multi(ieee34_stressed, STRESSED_PATHS, solved34_stressed, rho_s))
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_feeders(), st.data())
+def test_array_study_matches_the_scalar_oracle_on_random_paths(doc, data):
+    model = parse_feeder_dict(doc)
+    for rewrite in REWRITES:
+        spot = rewrite(model)
+        sol = solve(spot, RESIDUAL)
+        _assert_same_rows(run_single_segment_study(spot, solution=sol), _scalar_single(spot, sol))
+        # a tail anywhere and a head any number of levels above it
+        paths = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            chain = [data.draw(st.sampled_from([n.id for n in spot.nodes[1:]]))]
+            while spot.segment_into(chain[-1]) is not None:
+                chain.append(spot.segment_into(chain[-1]).from_node)
+            paths.append((data.draw(st.sampled_from(chain[1:])), chain[0]))
+        for rho_s in (None, data.draw(st.sampled_from([0.0, 0.35, 1.0]))):
+            got = run_multi_segment_study(spot, paths, rho_s=rho_s, solution=sol)
+            _assert_same_rows(got, _scalar_multi(spot, paths, sol, rho_s))
+
+
+def test_array_study_matches_the_scalar_oracle_at_zero_input_power(two_bus):
+    model = two_bus(kw=[0.0, 0.0], kvar=[0.0, 0.0], r_ohm=0.4, x_ohm=0.8, phases="AB")
+    sol = solve_end_split(model, SolveOptions())
+    rows = run_single_segment_study(model, solution=sol)
+    assert all(r.excluded and math.isnan(r.true_loss) and math.isnan(r.rho_s) for r in rows)
+    _assert_same_rows(rows, _scalar_single(model, sol))
+    paths = [("src", "end")]
+    _assert_same_rows(run_multi_segment_study(model, paths, solution=sol),
+                      _scalar_multi(model, paths, sol))
+
+
+def test_collapsed_endpoint_fails_as_the_scalar_form_does(two_bus):
+    model = two_bus(kw=[30.0, 20.0], kvar=[10.0, 5.0], r_ohm=0.4, x_ohm=0.8, phases="CA")
+    sol = solve_end_split(model, SolveOptions())
+    sol.slots.v[sol.slots.first["end"] + 1] = 0j  # phase A at the end node
+    assert sol.voltage("end", "A") == 0j
+    with pytest.raises(ValueError) as want:
+        _scalar_single(model, sol)
+    with pytest.raises(ValueError) as got:
+        run_single_segment_study(model, solution=sol)
+    assert str(got.value) == str(want.value) == "rho_v must be > 0, got 0.0"
+    with pytest.raises(ValueError) as got:
+        run_multi_segment_study(model, [("src", "end")], solution=sol)
+    assert str(got.value) == str(want.value)

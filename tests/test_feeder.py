@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -571,3 +572,35 @@ def test_feeder_parser_fails_only_with_format_errors(doc):
     assert '"unknown":' not in json.dumps(doc)
     # a model that parses is finite and canonical
     assert parse_feeder_dict(serialize_feeder(model)) == model
+
+
+def _chain_doc(z_bc, z_cd):
+    """minimal_doc with one more phase-A line, c-d, after b-c."""
+    doc = minimal_doc()
+    doc["nodes"].append({"id": "d", "phases": "A"})
+    doc["segments"][1]["z_ohm_per_mile"] = z_bc
+    doc["segments"].append(dict(doc["segments"][1], id="c-d", to="d", z_ohm_per_mile=z_cd))
+    doc["segments"][2]["from"] = "c"
+    return doc
+
+
+@pytest.mark.parametrize("z_bc,z_cd,message", [
+    ([[[1, 0.6]]], [[[True, 0.6]]], "expected a number, got True [segments[2] (id=c-d).z[0]]"),
+    ([[[0.3, 0.6]]], [[[0.3, math.nan]]], "non-finite number nan [segments[2] (id=c-d).z[0]]"),
+    ([[[0.3, math.nan]]], [[[0.3, math.nan]]], "non-finite number nan [segments[1] (id=b-c).z[0]]"),
+    ([[[0.3, 0.6]]], [[[0.3, 0.6], [0.3, 0.6]]], "z_ohm_per_mile must be a 1x1 matrix [segments[2] (id=c-d)]"),
+], ids=["true-for-1", "nan", "nan-twice", "shape"])
+def test_a_matrix_like_an_earlier_one_fails_with_its_own_context(z_bc, z_cd, message):
+    # the parsed-matrix memo must not pass a matrix that only compares
+    # equal to an earlier good one
+    with pytest.raises(FeederFormatError) as err:
+        parse_feeder_dict(_chain_doc(z_bc, z_cd))
+    assert str(err.value) == message
+
+
+def test_equal_matrices_are_parsed_once_and_signed_zeros_kept_apart():
+    model = parse_feeder_dict(_chain_doc([[[0.3, 0.0]]], [[[0.3, -0.0]]]))
+    z_bc, z_cd = (model.segment(s).z_per_mile[0][0] for s in ("b-c", "c-d"))
+    assert math.copysign(1.0, z_bc.imag) == 1.0 and math.copysign(1.0, z_cd.imag) == -1.0
+    model = parse_feeder_dict(_chain_doc([[[1, 0.6]]], [[[1.0, 0.6]]]))
+    assert model.segment("b-c").z_per_mile == model.segment("c-d").z_per_mile == ((1 + 0.6j,),)

@@ -4,7 +4,8 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import replace
+import struct
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_bus_doc
+from voss import powerflow
 from voss.benchmark import run_single_segment_study
 from voss.estimator import (
     EstimateFlag,
@@ -749,3 +751,174 @@ def test_estimator_identities_hold_on_every_line_of_random_feeders(doc):
             loss, _, _ = voss_elementwise(up, down, row.rho_s)
             assert loss[0] == row.voss_corrected
             assert clamped_correction(row.rho_s, down / up)[0][0] == row.c_hat
+
+
+# Sweep oracle: the sweep as every level ran before the per-level choice,
+# one np.add.at over the level's links in reversed BFS order going up and
+# one v_to = v_from * k - drop going down, with Z stacked from z_total().
+# The fused steps must give the same bits after every sweep.
+
+
+class _OracleNetwork(powerflow._Network):
+    def __init__(self, model):
+        super().__init__(model)
+        by_width = {}
+        for seg, at in self.links:
+            rows, zs = by_width.setdefault(len(seg.phases), ([], []))
+            rows.append(range(at, at + len(seg.phases)))
+            zs.append(seg.z_total())
+        self.z_groups = [(np.array(rows), np.array(zs, dtype=complex))
+                         for rows, zs in by_width.values()]
+
+    def currents(self, e):
+        i = np.zeros(self.n_slots, dtype=complex)
+        np.add.at(i, self.eslot_node, e)
+        for lo, hi, *_ in reversed(self.levels):
+            to = slice(hi - 1, lo - 1, -1)
+            np.add.at(i, self.up[to], i[to] * self.k[to])
+        return i
+
+    def forward(self, v, i):
+        drop = np.empty(self.n_slots, dtype=complex)
+        for rows, z in self.z_groups:
+            drop[rows] = (z @ i[rows][:, :, None])[:, :, 0]
+        for lo, hi, *_ in self.levels:
+            to = slice(hi - 1, lo - 1, -1)
+            v[to] = v[self.up[to]] * self.k[to] - drop[to]
+
+
+def _bits(x):
+    """x with every float and complex as its IEEE bit patterns."""
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in x.items())
+    if isinstance(x, (float, complex)):
+        return struct.pack("<dd", x.real, x.imag)
+    return x
+
+
+def _oracle_solve(model, options=SolveOptions()):
+    """The solve as it assembled its solution before the state arrays: one
+    SegmentFlow and one node dict per element, on the oracle sweep."""
+    net = _OracleNetwork(model)
+    v = net.flat_start(model.source)
+    trace = []
+    with np.errstate(all="ignore"):
+        for iterations in range(1, options.max_iter + 1):
+            before = v.copy()
+            net.forward(v, net.currents(net.injections(v)))
+            trace.append(net.mismatch(v, before))
+            if trace[-1] < options.tol:
+                break
+    e = net.injections(v)
+    i = net.currents(e)
+    s = slice(net.n_source, net.n_slots)
+    v_from, i_to = v[net.up[s]], i[s]
+    i_from = i_to * net.k[s]
+    s_from = np.multiply(v_from, np.conj(i_from))
+    s_to = np.multiply(v[s], np.conj(i_to))
+    loss = np.zeros(len(net.links), dtype=complex)
+    np.add.at(loss, net.link_of_slot, s_from - s_to)
+    cols = [x.tolist() for x in (v_from, v[s], i_from, i_to, s_from, s_to)]
+    flows = {}
+    for seg, at in net.links:
+        r = slice(at - net.n_source, at - net.n_source + len(seg.phases))
+        flows[seg.id] = powerflow.SegmentFlow(seg.id, seg.phases, *(tuple(c[r]) for c in cols))
+    src = model.source.node
+    total_source = sum((sum(flows[s.id].s_from) for s in model.segments_from(src)), 0j)
+    total_load = 0j
+    for (node, shunt), drawn in zip(net.elements, net.drawn(v, e)):
+        if shunt:
+            continue
+        total_load += drawn
+        if node == src:
+            total_source += drawn
+    node_voltages, flags, volts = {}, [], v.tolist()
+    for n in model.nodes:
+        at = net.first[n.id]
+        by_phase = dict(zip(net.phases[n.id], volts[at:at + len(n.phases)]))
+        node_voltages[n.id] = {ph: by_phase[ph] for ph in n.phases}
+        flags += [f"{EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value}:{n.id}.{ph}"
+                  for ph in n.phases if abs(by_phase[ph]) < 0.5 * net.bases[n.id]]
+    return powerflow.PowerFlowSolution(
+        model, node_voltages, net.bases, flows, iterations, trace[-1], tuple(flags),
+        tuple(trace), total_source, total_load, net.shunt_va, sum(loss.tolist(), 0j))
+
+
+def assert_sweeps_match_the_oracle(model, sweeps):
+    """Bit-equal Z, v after each of `sweeps` sweeps, and solutions."""
+    net, oracle = powerflow._Network(model), _OracleNetwork(model)
+    for (rows, z), (want_rows, want_z) in zip(net.z_groups, oracle.z_groups):
+        assert np.array_equal(rows, want_rows)
+        assert z.tobytes() == want_z.tobytes()
+    v = net.flat_start(model.source)
+    want = v.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(sweeps):
+            net.forward(v, net.currents(net.injections(v)))
+            oracle.forward(want, oracle.currents(oracle.injections(want)))
+            assert v.tobytes() == want.tobytes()
+    got, want = solve(model), _oracle_solve(model)
+    for name in ("iterations", "max_mismatch", "flags", "trace", "node_base_v",
+                 "total_source_va", "total_load_va", "total_shunt_va", "total_loss_va"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert list(got.node_voltages) == list(want.node_voltages)
+    assert list(got.segment_flows) == list(want.segment_flows)
+    for node_id, volts in want.node_voltages.items():
+        assert _bits(got.node_voltages[node_id]) == _bits(volts)
+    for seg_id, flow in want.segment_flows.items():
+        assert _bits(astuple(got.segment_flows[seg_id])) == _bits(astuple(flow))
+
+
+def _fan_and_tap_doc():
+    """Node a feeds three links at one level, one of them a tapped
+    regulator; node b feeds two plain lines on phase A one level down."""
+    doc = two_bus_doc([30.0, 20.0, 25.0], [10.0, 5.0, 15.0], 0.3, 0.6, phases="ABC")
+    z = doc["segments"][0]["z_ohm_per_mile"]
+    doc["nodes"] = [{"id": n, "phases": p} for n, p in (
+        ("src", "ABC"), ("a", "ABC"), ("b", "ABC"), ("c", "AC"), ("d", "ABC"),
+        ("e", "AB"), ("f", "A"))]
+
+    def line(frm, to, phases, **kind):
+        n = len(phases)
+        return {"id": f"{frm}-{to}", "from": frm, "to": to, "phases": phases,
+                "kind": "line", "length": 0.4, "unit": "mi",
+                "z_ohm_per_mile": [row[:n] for row in z[:n]], **kind}
+
+    doc["segments"] = [
+        line("src", "a", "ABC"), line("a", "b", "ABC"),
+        line("a", "c", "CA", shunt_kvar=[50.0, 50.0]),
+        line("a", "d", "ABC", kind="regulator", taps=[1.05, 1.025, 0.99]),
+        line("b", "e", "BA"), line("b", "f", "A"),
+    ]
+    doc["loads"] = [
+        {"id": f"L{n}", "node": n, "model": m, "conn": "wye", "phases": p,
+         "kw": [40.0] * len(p), "kvar": [12.0] * len(p)}
+        for n, m, p in (("b", "pq", "ABC"), ("c", "z", "AC"), ("d", "i", "ABC"),
+                        ("e", "pq", "AB"), ("f", "z", "A"))
+    ]
+    return doc
+
+
+def test_fused_sweep_matches_the_oracle_on_a_fan_with_a_tap():
+    model = parse_feeder_dict(_fan_and_tap_doc())
+    levels = powerflow._Network(model).levels
+    # (fans out, has taps) per level: the fan with a tap, then a plain fan
+    assert [(fan, k is not None) for *_, k, fan in levels] == [
+        (False, False), (True, True), (True, False)]
+    assert_sweeps_match_the_oracle(model, 120)
+
+
+@pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])
+@pytest.mark.parametrize("rewrite", REWRITES)
+def test_fused_sweep_matches_the_oracle_on_bundled_feeders(request, feeder, rewrite):
+    assert_sweeps_match_the_oracle(rewrite(request.getfixturevalue(feeder)), 120)
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_feeders())
+def test_fused_sweep_matches_the_oracle_on_random_feeders(doc):
+    model = parse_feeder_dict(doc)
+    for rewrite in REWRITES:
+        assert_sweeps_match_the_oracle(rewrite(model), 40)
