@@ -333,16 +333,15 @@ def main():
         print(f"wrote {path}")
 
     sys.path.insert(0, str(ROOT / "src"))
-    from voss.feeder import parse_feeder, expand_distributed_loads
+    from voss.feeder import parse_feeder
 
     for fname in files:
         model = parse_feeder(DATA / fname)
-        expanded = expand_distributed_loads(model)
         n_dist = sum(1 for ld in model.loads if ld.segment is not None)
         print(
             f"  {model.name}: {len(model.nodes)} nodes, "
             f"{len(model.segments)} segments, {len(model.loads)} loads "
-            f"({n_dist} distributed; expands to {len(expanded.nodes)} nodes)"
+            f"({n_dist} distributed)"
         )
 
 

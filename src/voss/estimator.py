@@ -58,8 +58,12 @@ class SegmentVoltages:
     """Voltage magnitudes at the two ends of a series segment.
 
     Units are irrelevant as long as both ends use the same one: the
-    estimate depends only on the ratio, so constant transformer turns
-    ratios and per-unit scalings cancel.
+    estimate depends only on the ratio, so a common per-unit scaling
+    cancels.  A transformer turns ratio or a regulator tap cancels only
+    when both ends are on the same side of every such device; across
+    one, the ratio carries the device's voltage change.  On ieee34, the
+    path 800-890 crosses two regulators and the transformer, and its
+    phase A reads voss_single 0.855 against a true loss fraction of 0.172.
     """
 
     v_start: float

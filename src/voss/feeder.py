@@ -16,19 +16,21 @@ segment kind adds to the common ones.  Numbers follow
 :func:`voss.ioutil.json_number` (never a bool) and must be finite, even
 an integer past the float range.
 
-Models are immutable; transformations return new models.
+Models are immutable; transformations return new models.  Every way of
+building a model checks it (see :class:`FeederModel`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from typing import Optional
 
-from .ioutil import json_number
+from .ioutil import PATH_SEPARATORS, json_number
 
 FEET_PER_MILE = 5280.0
 PHASE_ORDER = "ABC"
@@ -173,6 +175,14 @@ class BaseDef:
 
 @dataclass(frozen=True)
 class FeederModel:
+    """A radial feeder; every way of building one checks it.
+
+    One pass builds each index by the rule it must satisfy and raises
+    FeederFormatError (NotRadialError for the tree rules) at the first
+    violation: the name, duplicate node ids, duplicate segment ids, the
+    source, each segment, reachability, each load.
+    """
+
     name: str
     base: BaseDef
     source: SourceDef
@@ -181,15 +191,88 @@ class FeederModel:
     loads: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "_node_by_id", {n.id: n for n in self.nodes})
-        object.__setattr__(self, "_seg_by_id", {s.id: s for s in self.segments})
-        object.__setattr__(
-            self, "_seg_into", {s.to_node: s for s in self.segments}
-        )
-        children: dict = {n.id: [] for n in self.nodes}
+        name = self.name
+        if not isinstance(name, str) or not name or not PATH_SEPARATORS.isdisjoint(name):
+            message = f"expected a nonempty name without a path separator, got {name!r}"
+            raise FeederFormatError(message, "name")
+        known = {n.id: n for n in self.nodes}
+        by_id = {s.id: s for s in self.segments}
+        for what, items, index in (("node", self.nodes, known), ("segment", self.segments, by_id)):
+            if len(index) != len(items):
+                dupes = sorted(i for i, c in Counter(x.id for x in items).items() if c > 1)
+                raise FeederFormatError(f"duplicate {what} ids {dupes}")
+
+        src = self.source.node
+        if src not in known:
+            raise FeederFormatError(f"source node {src!r} not defined")
+        into, children = {}, {n: [] for n in known}
         for s in self.segments:
-            children.setdefault(s.from_node, []).append(s)
-        object.__setattr__(self, "_children", children)
+            ctx = f"segment {s.id}"
+            for end in (s.from_node, s.to_node):
+                if end not in known:
+                    raise FeederFormatError(f"unknown node {end!r}", ctx)
+            if s.to_node in into:
+                raise NotRadialError(f"not radial: node {s.to_node} fed by both "
+                                     f"{into[s.to_node].id} and {s.id}")
+            if s.to_node == src:
+                raise NotRadialError(f"not radial: segment {s.id} feeds the source node")
+            into[s.to_node] = s
+            children[s.from_node].append(s)
+            if not set(s.phases) <= set(known[s.from_node].phases):
+                message = f"phases {s.phases} not available at upstream node {s.from_node}"
+                raise FeederFormatError(message, ctx)
+            if set(known[s.to_node].phases) != set(s.phases):
+                message = f"node {s.to_node} phases must match its feeding segment ({s.phases})"
+                raise FeederFormatError(message, ctx)
+
+        # The tree levels, by breadth-first search from the source.  It
+        # doubles as the cycle check: a connected graph where every
+        # non-source node has exactly one parent and the source none is a
+        # tree.  One parent per node also keeps the search finite.
+        levels = [tuple(children[src])]
+        while levels[-1]:
+            levels.append(tuple(c for s in levels[-1] for c in children[s.to_node]))
+        levels.pop()
+        reached = {src}.union(s.to_node for level in levels for s in level)
+        if len(reached) != len(known):
+            unreached = sorted(set(known) - reached)
+            raise NotRadialError("not radial: nodes not reachable from source "
+                                 f"(cycle or island): {', '.join(unreached)}")
+
+        for ld in self.loads:
+            ctx = f"load {ld.id}"
+            if (ld.node is None) == (ld.segment is None):
+                raise FeederFormatError("a load needs exactly one of 'node' and 'segment'", ctx)
+            if ld.segment is None:
+                if ld.node not in known:
+                    raise FeederFormatError(f"unknown load node {ld.node!r}", ctx)
+                avail = set(known[ld.node].phases)
+            else:
+                seg = by_id.get(ld.segment)
+                if seg is None:
+                    raise FeederFormatError(f"unknown load segment {ld.segment!r}", ctx)
+                if seg.kind != SegmentKind.LINE:
+                    message = "distributed loads are only supported on line segments"
+                    raise FeederFormatError(message, ctx)
+                avail = set(seg.phases)
+            if not set(ld.phases) <= avail:
+                message = f"load phases {ld.phases} not available ({''.join(sorted(avail))})"
+                raise FeederFormatError(message, ctx)
+            if ld.conn == Connection.DELTA and len(ld.phases) < 2:
+                raise FeederFormatError("delta loads need at least two phases", ctx)
+            # kw/kvar of a three-phase delta load belong to AB, BC, CA
+            if ld.conn == Connection.DELTA and len(ld.phases) == 3 and ld.phases != PHASE_ORDER:
+                raise FeederFormatError(
+                    f"a three-phase delta load lists its phases as {PHASE_ORDER} "
+                    f"(branches AB, BC, CA), got {ld.phases!r}",
+                    ctx,
+                )
+            if any(x < 0 for x in ld.kw):
+                raise FeederFormatError("load kW must be nonnegative", ctx)
+
+        for attr, index in (("_node_by_id", known), ("_seg_by_id", by_id), ("_seg_into", into),
+                            ("_children", children), ("_levels", levels)):
+            object.__setattr__(self, attr, index)
 
     def node(self, node_id: str) -> NodeDef:
         return self._node_by_id[node_id]
@@ -205,16 +288,7 @@ class FeederModel:
 
     def bfs_segments(self) -> list:
         """Segments in breadth-first order from the source."""
-        order = []
-        frontier = [self.source.node]
-        while frontier:
-            nxt = []
-            for node_id in frontier:
-                for seg in self._children.get(node_id, ()):
-                    order.append(seg)
-                    nxt.append(seg.to_node)
-            frontier = nxt
-        return order
+        return [seg for level in self._levels for seg in level]
 
     def path_segments(self, from_node: str, to_node: str) -> list:
         """The downstream segment chain from one node to a descendant."""
@@ -456,16 +530,14 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
             segment=str(raw["segment"]) if "segment" in raw else None,
         ))
 
-    model = FeederModel(
-        name=str(name),
+    return FeederModel(
+        name=name,
         base=base,
         source=source,
         nodes=tuple(nodes),
         segments=tuple(segments),
         loads=tuple(loads),
     )
-    validate_feeder(model)
-    return model
 
 
 def parse_feeder(path) -> FeederModel:
@@ -480,79 +552,6 @@ def parse_feeder(path) -> FeederModel:
     except ValueError as exc:  # not UTF-8, or past sys.get_int_max_str_digits()
         raise FeederFormatError(str(exc), str(path)) from None
     return parse_feeder_dict(doc, origin=str(path))
-
-
-def validate_feeder(model: FeederModel) -> None:
-    """Check structural invariants; raises FeederFormatError on violation."""
-    for what, items in (("node", model.nodes), ("segment", model.segments)):
-        ids = [x.id for x in items]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({x for x in ids if ids.count(x) > 1})
-            raise FeederFormatError(f"duplicate {what} ids {dupes}")
-
-    known = model._node_by_id
-    if model.source.node not in known:
-        raise FeederFormatError(f"source node {model.source.node!r} not defined")
-
-    incoming: dict = {}
-    for s in model.segments:
-        ctx = f"segment {s.id}"
-        for end in (s.from_node, s.to_node):
-            if end not in known:
-                raise FeederFormatError(f"unknown node {end!r}", ctx)
-        if s.to_node in incoming:
-            raise NotRadialError(f"not radial: node {s.to_node} fed by both "
-                                 f"{incoming[s.to_node]} and {s.id}")
-        if s.to_node == model.source.node:
-            raise NotRadialError(f"not radial: segment {s.id} feeds the source node")
-        incoming[s.to_node] = s.id
-        if not set(s.phases) <= set(known[s.from_node].phases):
-            message = f"phases {s.phases} not available at upstream node {s.from_node}"
-            raise FeederFormatError(message, ctx)
-        if set(known[s.to_node].phases) != set(s.phases):
-            message = f"node {s.to_node} phases must match its feeding segment ({s.phases})"
-            raise FeederFormatError(message, ctx)
-
-    # Reachability doubles as the cycle check: a connected graph where
-    # every non-source node has exactly one parent and the source none is
-    # a tree.  One parent per node also keeps the BFS finite.
-    reached = {model.source.node} | {s.to_node for s in model.bfs_segments()}
-    unreached = sorted(set(known) - reached)
-    if unreached:
-        raise NotRadialError("not radial: nodes not reachable from source "
-                             f"(cycle or island): {', '.join(unreached)}")
-
-    for ld in model.loads:
-        ctx = f"load {ld.id}"
-        if (ld.node is None) == (ld.segment is None):
-            raise FeederFormatError("a load needs exactly one of 'node' and 'segment'", ctx)
-        if ld.segment is None:
-            if ld.node not in known:
-                raise FeederFormatError(f"unknown load node {ld.node!r}", ctx)
-            avail = set(known[ld.node].phases)
-        else:
-            seg = model._seg_by_id.get(ld.segment)
-            if seg is None:
-                raise FeederFormatError(f"unknown load segment {ld.segment!r}", ctx)
-            if seg.kind != SegmentKind.LINE:
-                message = "distributed loads are only supported on line segments"
-                raise FeederFormatError(message, ctx)
-            avail = set(seg.phases)
-        if not set(ld.phases) <= avail:
-            message = f"load phases {ld.phases} not available ({''.join(sorted(avail))})"
-            raise FeederFormatError(message, ctx)
-        if ld.conn == Connection.DELTA and len(ld.phases) < 2:
-            raise FeederFormatError("delta loads need at least two phases", ctx)
-        # kw/kvar of a three-phase delta load belong to AB, BC, CA
-        three_phase_delta = ld.conn == Connection.DELTA and len(ld.phases) == 3
-        if three_phase_delta and ld.phases != PHASE_ORDER:
-            raise FeederFormatError(
-                f"a three-phase delta load lists its phases as {PHASE_ORDER} "
-                f"(branches AB, BC, CA), got {ld.phases!r}",
-                ctx,
-            )
-        if any(x < 0 for x in ld.kw):
-            raise FeederFormatError("load kW must be nonnegative", ctx)
 
 
 def serialize_feeder(model: FeederModel) -> dict:
@@ -651,16 +650,8 @@ def expand_distributed_loads(model: FeederModel) -> FeederModel:
         for ld in dist_by_seg[seg.id]:
             new_loads.append(replace(ld, node=mid_id, segment=None))
 
-    out = FeederModel(
-        name=model.name,
-        base=model.base,
-        source=model.source,
-        nodes=tuple(new_nodes),
-        segments=tuple(new_segments),
-        loads=tuple(new_loads),
-    )
-    validate_feeder(out)
-    return out
+    return replace(model, nodes=tuple(new_nodes), segments=tuple(new_segments),
+                   loads=tuple(new_loads))
 
 
 def split_distributed_loads_to_ends(model: FeederModel) -> FeederModel:
@@ -689,9 +680,7 @@ def split_distributed_loads_to_ends(model: FeederModel) -> FeederModel:
                     kvar=tuple(x / 2.0 for x in ld.kvar),
                 )
             )
-    out = replace(model, loads=tuple(new_loads))
-    validate_feeder(out)
-    return out
+    return replace(model, loads=tuple(new_loads))
 
 
 def bundled_feeder_path(name: str):

@@ -12,6 +12,9 @@ from typing import Optional
 # float cell of an output CSV is written with it.
 FLOAT_FORMAT = "%.12g"
 
+# a name that goes into an output file name holds none of these
+PATH_SEPARATORS = frozenset(filter(None, ("/", os.sep, os.altsep)))
+
 
 def format_column(values) -> list:
     """Each value of a float array written with FLOAT_FORMAT."""

@@ -233,29 +233,27 @@ class _Network:
         self.first = {src: 0}
         self.n_source = n = len(self.phases[src])
         up, k, base = [0] * n, [1.0] * n, [self.bases[src]] * n
-        depth, level_ends, by_width = {src: 0}, [], {}
+        ends, by_width = [n], {}  # ends: the first slot past each level
         self.links = []  # (segment, first slot of its to node), BFS order
-        for seg in model.bfs_segments():
-            at, width, b = len(up), len(seg.phases), self.bases[seg.from_node]
-            taps = (1.0,) * width
-            if seg.kind == SegmentKind.REGULATOR:
-                taps = seg.taps
-            elif seg.kind == SegmentKind.TRANSFORMER:
-                taps, b = (1.0 / seg.ratio,) * width, b / seg.ratio
-            upstream = self.phases[seg.from_node]
-            up += [self.first[seg.from_node] + upstream.index(p) for p in seg.phases]
-            k += taps
-            base += [b] * width
-            self.links.append((seg, at))
-            self.phases[seg.to_node], self.bases[seg.to_node] = seg.phases, b
-            self.first[seg.to_node] = at
-            depth[seg.to_node] = depth[seg.from_node] + 1
-            if depth[seg.to_node] > len(level_ends):
-                level_ends.append(0)
-            level_ends[-1] = len(up)
-            rows, segs = by_width.setdefault(width, ([], []))
-            rows.append(at)
-            segs.append(seg)
+        for level in model._levels:
+            for seg in level:
+                at, width, b = len(up), len(seg.phases), self.bases[seg.from_node]
+                taps = (1.0,) * width
+                if seg.kind == SegmentKind.REGULATOR:
+                    taps = seg.taps
+                elif seg.kind == SegmentKind.TRANSFORMER:
+                    taps, b = (1.0 / seg.ratio,) * width, b / seg.ratio
+                upstream = self.phases[seg.from_node]
+                up += [self.first[seg.from_node] + upstream.index(p) for p in seg.phases]
+                k += taps
+                base += [b] * width
+                self.links.append((seg, at))
+                self.phases[seg.to_node], self.bases[seg.to_node] = seg.phases, b
+                self.first[seg.to_node] = at
+                rows, segs = by_width.setdefault(width, ([], []))
+                rows.append(at)
+                segs.append(seg)
+            ends.append(len(up))
         self.n_slots = len(up)
         self.up, self.k, self.base = np.array(up), np.array(k), np.array(base)
         self.link_of_slot = np.repeat(
@@ -268,7 +266,7 @@ class _Network:
         self.levels = [
             (lo, hi, self.up[lo:hi], None if k[lo:hi].count(1.0) == hi - lo else self.k[lo:hi],
              len(set(up[lo:hi])) < hi - lo)
-            for lo, hi in zip([n] + level_ends, level_ends)
+            for lo, hi in zip(ends, ends[1:])
         ]
         self._build_injections(model)
 

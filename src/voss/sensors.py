@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 
 from .estimator import EstimateFlag, check_rho, voss_elementwise
-from .ioutil import FLOAT_FORMAT, json_number, open_output
+from .ioutil import FLOAT_FORMAT, PATH_SEPARATORS, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import (
     check_seconds,
@@ -723,8 +723,11 @@ def loss_curve(
     ]
 
 
+_CURVE_FILE = "loss_curve_{}_{}.csv"  # of the upstream and downstream ids
+
+
 def curve_filename(curve: LossCurve) -> str:
-    return f"loss_curve_{curve.upstream}_{curve.downstream}.csv"
+    return _CURVE_FILE.format(curve.upstream, curve.downstream)
 
 
 def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
@@ -875,4 +878,17 @@ def parse_chain_config(path) -> ChainConfig:
         for f in fields(ChainConfig)
         if "rule" in f.metadata
     }
+    files: dict = {}  # each pair's curve file name -> the pair
+    for up, down, _ in chain.pairs():
+        name = _CURVE_FILE.format(up, down)
+        for sid in (up, down):
+            if not PATH_SEPARATORS.isdisjoint(sid):
+                raise SensorFormatError(f"{context}: sensor id {sid!r} holds a path separator, "
+                                        f"so {name} would leave the output directory")
+        if name in files:
+            first = "->".join(map(repr, files[name]))
+            raise SensorFormatError(
+                f"{context}: pairs {first} and {up!r}->{down!r} would both write {name}"
+            )
+        files[name] = (up, down)
     return ChainConfig(chain, calibration=calibration, **settings)

@@ -199,6 +199,8 @@ def test_misordered_delta_load_is_an_input_error(tmp_path, capsys):
         lambda d: d.update(load_scale=10**400),
         lambda d: d["segments"][1].update(ratio=2.0),
         lambda d: d["loads"][0].update(segment=d["segments"][1]["id"]),
+        lambda d: d.update(name=["x", 1]),
+        lambda d: d.update(name="sub/ieee13"),
     ],
     ids=[
         "base-number",
@@ -217,6 +219,8 @@ def test_misordered_delta_load_is_an_input_error(tmp_path, capsys):
         "load-scale-10e400",
         "line-with-ratio",
         "load-at-node-and-segment",
+        "name-list",
+        "name-with-separator",
     ],
 )
 def test_malformed_feeder_document_is_an_input_error(tmp_path, capsys, edit):
@@ -439,3 +443,37 @@ def test_bad_path_is_an_input_error_with_no_output(tmp_path, capsys, paths, mess
     assert err == f"error: {message}\n"
     assert out == ""
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "sensors,message",
+    [
+        (
+            ["a", "b_c", "a_b", "c"],
+            "pairs 'a'->'b_c' and 'a_b'->'c' would both write loss_curve_a_b_c.csv",
+        ),
+        (
+            ["a", "b", "x/y"],
+            "sensor id 'x/y' holds a path separator, "
+            "so loss_curve_b_x/y.csv would leave the output directory",
+        ),
+    ],
+    ids=["colliding-curve-files", "separator-in-sensor-id"],
+)
+def test_chain_whose_curve_files_collide_or_escape_is_an_input_error(
+    tmp_path, capsys, sensors, message
+):
+    data = tmp_path / "readings.csv"
+    data.write_text("sensor_id,timestamp,voltage_v\n" + "".join(
+        f"{sid},2024-03-12T00:0{t}:00Z,{230 - i}\n"
+        for t in range(3) for i, sid in enumerate(sensors)
+    ))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"sensors": sensors}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "sensors", str(data), str(chain), "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT
+    assert err == f"error: {chain}: {message}\n"
+    assert out == ""
+    assert not out_dir.exists()
+

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,9 @@ from voss.feeder import (
     FEET_PER_MILE,
     Connection,
     FeederFormatError,
+    FeederModel,
     LoadModel,
+    NodeDef,
     NotRadialError,
     SegmentKind,
     bundled_feeder_path,
@@ -604,3 +607,59 @@ def test_equal_matrices_are_parsed_once_and_signed_zeros_kept_apart():
     assert math.copysign(1.0, z_bc.imag) == 1.0 and math.copysign(1.0, z_cd.imag) == -1.0
     model = parse_feeder_dict(_chain_doc([[[1, 0.6]]], [[[1.0, 0.6]]]))
     assert model.segment("b-c").z_per_mile == model.segment("c-d").z_per_mile == ((1 + 0.6j,),)
+
+
+@pytest.mark.parametrize("name", [["x", 1], "sub/ieee13", "", 13, None, True])
+def test_feeder_name_is_a_nonempty_string_without_a_path_separator(name):
+    with pytest.raises(FeederFormatError) as err:
+        parse_feeder_dict(mutate(lambda d: d.update(name=name)))
+    assert err.value.context == "name"
+    assert str(err.value) == (
+        f"expected a nonempty name without a path separator, got {name!r} [name]"
+    )
+    assert parse_feeder_dict(mutate(lambda d: d.pop("name"))).name == "feeder"
+    assert parse_feeder_dict(mutate(lambda d: d.update(name="ieee13 v2.1"))).name == "ieee13 v2.1"
+
+
+# A model checks itself however it is built: by hand, each broken model
+# below fails with the message and context the parser gives its document.
+GOOD = parse_feeder_dict(minimal_doc())
+A_C = {**minimal_doc()["segments"][1], "id": "a-c", "from": "a"}
+
+
+@pytest.mark.parametrize(
+    "edit,change,error,message",
+    [
+        (lambda d: d["nodes"].append({"id": "a", "phases": "AB"}),
+         {"nodes": GOOD.nodes + (NodeDef("a", "AB"),)},
+         FeederFormatError, "duplicate node ids ['a']"),
+        (lambda d: d["segments"].append(A_C),
+         {"segments": GOOD.segments + (replace(GOOD.segment("b-c"), id="a-c", from_node="a"),)},
+         NotRadialError, "not radial: node c fed by both b-c and a-c"),
+        (lambda d: d["nodes"].append({"id": "z", "phases": "A"}),
+         {"nodes": GOOD.nodes + (NodeDef("z", "A"),)},
+         NotRadialError, "not radial: nodes not reachable from source (cycle or island): z"),
+        (lambda d: d["loads"][1].update(segment="zz"),
+         {"loads": (GOOD.loads[0], replace(GOOD.loads[1], segment="zz"))},
+         FeederFormatError, "unknown load segment 'zz' [load dist-ab]"),
+    ],
+    ids=["duplicate-node", "two-parents", "unreachable", "unknown-load-segment"],
+)
+def test_a_model_built_by_hand_checks_itself_as_the_parser_does(edit, change, error, message):
+    with pytest.raises(error) as parsed:
+        parse_feeder_dict(mutate(edit))
+    with pytest.raises(error) as built:
+        FeederModel(**{**{f.name: getattr(GOOD, f.name) for f in fields(FeederModel)}, **change})
+    assert str(parsed.value) == str(built.value) == message
+    assert parsed.value.context == built.value.context
+    assert type(parsed.value) is type(built.value)
+
+
+def test_a_replaced_model_checks_itself(ieee13):
+    at = next(i for i, ld in enumerate(ieee13.loads) if ld.node is not None)
+    loads = list(ieee13.loads)
+    loads[at] = replace(loads[at], node="zz")
+    with pytest.raises(FeederFormatError) as err:
+        replace(ieee13, loads=tuple(loads))
+    assert str(err.value) == f"unknown load node 'zz' [load {loads[at].id}]"
+    assert err.value.context == f"load {loads[at].id}"

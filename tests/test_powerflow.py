@@ -922,3 +922,39 @@ def test_fused_sweep_matches_the_oracle_on_random_feeders(doc):
     model = parse_feeder_dict(doc)
     for rewrite in REWRITES:
         assert_sweeps_match_the_oracle(rewrite(model), 40)
+
+
+def assert_levels_follow_node_depth(model):
+    """_Network's level bounds against the ones derived, as the network
+    once derived them, from each node's depth along bfs_segments(); and
+    bfs_segments() against a frontier walk over segments_from()."""
+    order, frontier = [], [model.source.node]
+    while frontier:
+        level = [seg for node_id in frontier for seg in model.segments_from(node_id)]
+        order += level
+        frontier = [seg.to_node for seg in level]
+    assert model.bfs_segments() == order
+    net = powerflow._Network(model)
+    depth, ends, at = {model.source.node: 0}, [], net.n_source
+    for seg in model.bfs_segments():
+        depth[seg.to_node] = depth[seg.from_node] + 1
+        if depth[seg.to_node] > len(ends):
+            ends.append(0)
+        at += len(seg.phases)
+        ends[-1] = at
+    assert [(lo, hi) for lo, hi, *_ in net.levels] == list(zip([net.n_source] + ends, ends))
+    assert [seg for seg, _ in net.links] == model.bfs_segments()
+
+
+@pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])
+@pytest.mark.parametrize("rewrite", REWRITES)
+def test_network_levels_follow_node_depth_on_bundled_feeders(request, feeder, rewrite):
+    assert_levels_follow_node_depth(rewrite(request.getfixturevalue(feeder)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_feeders())
+def test_network_levels_follow_node_depth_on_random_feeders(doc):
+    model = parse_feeder_dict(doc)
+    for rewrite in REWRITES:
+        assert_levels_follow_node_depth(rewrite(model))
