@@ -146,6 +146,15 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
     )
 
 
+def _check_solution(model: FeederModel, solution: PowerFlowSolution) -> None:
+    """Raise unless solution is of model's segments (the end split keeps the tuple)."""
+    theirs = solution.model.segments
+    if theirs is not model.segments and theirs != model.segments:
+        raise ValueError(f"a study takes a solution of its model's segments, but the "
+                         f"solution's model ({solution.model.name}, {len(theirs)} segments) "
+                         f"has other segments than {model.name} ({len(model.segments)})")
+
+
 def _rows(columns: dict) -> list:
     """ComparisonRows from _compare_path columns, with Python scalars."""
     values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
@@ -162,6 +171,7 @@ def run_single_segment_study(model: FeederModel, *, solution: PowerFlowSolution,
     power is exactly zero) but carry no meaning.
     """
     check_near_zero_fraction(near_zero_fraction)
+    _check_solution(model, solution)
     lines = [(seg.id, [seg]) for seg in model.segments if seg.kind == SegmentKind.LINE]
     return _rows(_compare_path(solution, lines, near_zero_fraction, None))
 
@@ -180,6 +190,7 @@ def run_multi_segment_study(
     """
     check_rho(rho_s, "rho_s")
     check_near_zero_fraction(near_zero_fraction)
+    _check_solution(model, solution)
     paths = [(f"{head}-{tail}", model.path_segments(head, tail)) for head, tail in paths]
     return _rows(_compare_path(solution, paths, near_zero_fraction, rho_s))
 

@@ -11,8 +11,10 @@ loaded with :func:`bundled_feeder_path`.
 
 A load sits at exactly one of its ``node`` and its ``segment``; a set
 ``segment`` is what "distributed" means.  Each element takes only the
-keys the schema names for it, and ``_KIND_KEYS`` names the keys each
-segment kind adds to the common ones.  Numbers follow
+keys the schema names for it: its dataclass's field names, but for the
+segment fields ``_FILE_KEYS`` renames, and ``_KIND_KEYS`` names the keys
+each segment kind adds to the common ones.  The reader checks keys, and
+:func:`serialize_feeder` writes them, from these tables.  Numbers follow
 :func:`voss.ioutil.json_number` (never a bool) and must be finite, even
 an integer past the float range.
 
@@ -25,12 +27,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
 from typing import Optional
 
-from .ioutil import PATH_SEPARATORS, json_number
+from .ioutil import NOT_IN_FILE_NAMES, json_number
 
 FEET_PER_MILE = 5280.0
 PHASE_ORDER = "ABC"
@@ -76,7 +78,6 @@ class LoadModel(Enum):
 
 # a segment takes the common keys plus its kind's (required, optional)
 # keys; the parser rejects the others
-_SEGMENT_KEYS = frozenset(("id", "from", "to", "phases", "kind", "shunt_kvar"))
 _KIND_KEYS = {
     SegmentKind.LINE: (("length", "unit", "z_ohm_per_mile"), ()),
     SegmentKind.TRANSFORMER: (("ratio", "series_z_ohm"), ()),
@@ -192,8 +193,8 @@ class FeederModel:
 
     def __post_init__(self):
         name = self.name
-        if not isinstance(name, str) or not name or not PATH_SEPARATORS.isdisjoint(name):
-            message = f"expected a nonempty name without a path separator, got {name!r}"
+        if not isinstance(name, str) or not name or not NOT_IN_FILE_NAMES.isdisjoint(name):
+            message = f"expected a nonempty name without a path separator or NUL, got {name!r}"
             raise FeederFormatError(message, "name")
         known = {n.id: n for n in self.nodes}
         by_id = {s.id: s for s in self.segments}
@@ -314,10 +315,6 @@ def _complex_from_pair(value, ctx: str) -> complex:
     return complex(_number(value[0], ctx), _number(value[1], ctx))
 
 
-def _pair_from_complex(z: complex) -> list:
-    return [z.real, z.imag]
-
-
 def _objects(doc: dict, key: str, ctx: str) -> list:
     """The list of objects under key (nodes, segments, loads)."""
     value = _require(doc, key, ctx)
@@ -329,12 +326,21 @@ def _objects(doc: dict, key: str, ctx: str) -> list:
     return value
 
 
-# the keys of every element but a segment are its dataclass's field names
+# an element's keys are its dataclass's field names, but for these
+# segment fields; a segment's common keys are those no kind names
+_FILE_KEYS = {"from_node": "from", "to_node": "to", "length_miles": "length",
+              "z_per_mile": "z_ohm_per_mile"}
+_SEGMENT_KEYS = frozenset(
+    _FILE_KEYS.get(f.name, f.name) for f in fields(SegmentDef)
+).difference(*sum(_KIND_KEYS.values(), ()))
 _KEYS = {
     cls: frozenset(f.name for f in fields(cls))
     for cls in (FeederModel, BaseDef, SourceDef, NodeDef, LoadDef)
 }
 _KEYS[FeederModel] |= {"load_scale"}
+# the keys a file carries after another: a written length is in miles, and
+# written loads are already scaled
+_KEYS_AFTER = {"length": {"unit": "mi"}, "source": {"load_scale": 1.0}}
 
 
 def _object(value, cls, ctx: str) -> dict:
@@ -554,64 +560,32 @@ def parse_feeder(path) -> FeederModel:
     return parse_feeder_dict(doc, origin=str(path))
 
 
+def _json(value):
+    """A model value as a feeder file holds it: an element as an object of
+    its keys (a segment's common and kind keys only, None fields left
+    out), an enum by its value, a complex as [re, im], a tuple as a list."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, tuple):
+        return list(map(_json, value))
+    if not is_dataclass(value):
+        return value
+    keys = (_SEGMENT_KEYS.union(*_KIND_KEYS[value.kind]) if isinstance(value, SegmentDef)
+            else _KEYS[type(value)])
+    doc = {}
+    for f in fields(value):
+        key, item = _FILE_KEYS.get(f.name, f.name), getattr(value, f.name)
+        if item is not None and key in keys:
+            doc[key] = _json(item)
+            doc.update(_KEYS_AFTER.get(key, ()))
+    return doc
+
+
 def serialize_feeder(model: FeederModel) -> dict:
     """Canonical JSON-compatible dict; parse(serialize(m)) == m."""
-    doc: dict = {
-        "name": model.name,
-        "base": {
-            "power_kva": model.base.power_kva,
-            "voltage_kv_ll": model.base.voltage_kv_ll,
-        },
-        "source": {
-            "node": model.source.node,
-            "nominal_kv_ll": model.source.nominal_kv_ll,
-            "voltage_pu": list(model.source.voltage_pu),
-            "angles_deg": list(model.source.angles_deg),
-        },
-        "load_scale": 1.0,
-        "nodes": [{"id": n.id, "phases": n.phases} for n in model.nodes],
-        "segments": [],
-        "loads": [],
-    }
-    for s in model.segments:
-        raw: dict = {
-            "id": s.id,
-            "from": s.from_node,
-            "to": s.to_node,
-            "phases": s.phases,
-            "kind": s.kind.value,
-        }
-        if "length" in sum(_KIND_KEYS[s.kind], ()):
-            raw["length"] = s.length_miles
-            raw["unit"] = "mi"
-        if s.z_per_mile is not None:
-            raw["z_ohm_per_mile"] = [
-                [_pair_from_complex(z) for z in row] for row in s.z_per_mile
-            ]
-        if s.ratio is not None:
-            raw["ratio"] = s.ratio
-        if s.series_z_ohm is not None:
-            raw["series_z_ohm"] = _pair_from_complex(s.series_z_ohm)
-        if s.taps is not None:
-            raw["taps"] = list(s.taps)
-        if s.shunt_kvar is not None:
-            raw["shunt_kvar"] = list(s.shunt_kvar)
-        doc["segments"].append(raw)
-    for ld in model.loads:
-        raw = {
-            "id": ld.id,
-            "conn": ld.conn.value,
-            "model": ld.model.value,
-            "phases": ld.phases,
-            "kw": list(ld.kw),
-            "kvar": list(ld.kvar),
-        }
-        if ld.node is not None:
-            raw["node"] = ld.node
-        if ld.segment is not None:
-            raw["segment"] = ld.segment
-        doc["loads"].append(raw)
-    return doc
+    return _json(model)
 
 
 def expand_distributed_loads(model: FeederModel) -> FeederModel:

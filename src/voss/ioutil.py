@@ -12,8 +12,9 @@ from typing import Optional
 # float cell of an output CSV is written with it.
 FLOAT_FORMAT = "%.12g"
 
-# a name that goes into an output file name holds none of these
-PATH_SEPARATORS = frozenset(filter(None, ("/", os.sep, os.altsep)))
+# a name that goes into an output file name holds none of these: a path
+# separator, or NUL, which no file name can hold
+NOT_IN_FILE_NAMES = frozenset(filter(None, ("/", os.sep, os.altsep, "\0")))
 
 
 def format_column(values) -> list:

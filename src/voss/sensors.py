@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 
 from .estimator import EstimateFlag, check_rho, voss_elementwise
-from .ioutil import FLOAT_FORMAT, PATH_SEPARATORS, json_number, open_output
+from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import (
     check_seconds,
@@ -253,13 +253,17 @@ class VoltageSeries(_ArrayRecord):
         return tuple(zip(map(_datetime, self.epoch_us.tolist()), self.volts.tolist()))
 
 
+_CURVE_FILE = "loss_curve_{}_{}.csv"  # of the upstream and downstream ids
+
+
 @dataclass(frozen=True)
 class SensorChain:
     """Sensors in feeder order with a power-ratio estimate per span.
 
     rho_s has one entry per adjacent pair.  None means no engineering
     estimate is available and that span uses the raw uncorrected
-    estimate.
+    estimate.  Each pair's curve file must be a file of the output
+    directory, and no other pair's.
     """
 
     sensor_ids: tuple
@@ -279,6 +283,17 @@ class SensorChain:
             )
         for value in self.rho_s:
             check_rho(value, "rho_s")
+        files: dict = {}  # each pair's curve file name -> the pair
+        for up, down, _ in self.pairs():
+            name = _CURVE_FILE.format(up, down)
+            for sid in (up, down):
+                if not NOT_IN_FILE_NAMES.isdisjoint(str(sid)):
+                    raise ValueError(f"sensor id {sid!r} holds a path separator or NUL, "
+                                     f"so {name!r} would not be a file of the output directory")
+            if name in files:
+                first = "->".join(map(repr, files[name]))
+                raise ValueError(f"pairs {first} and {up!r}->{down!r} would both write {name}")
+            files[name] = (up, down)
 
     def pairs(self) -> list:
         """(upstream, downstream, rho_s) per adjacent pair, feeder order."""
@@ -723,9 +738,6 @@ def loss_curve(
     ]
 
 
-_CURVE_FILE = "loss_curve_{}_{}.csv"  # of the upstream and downstream ids
-
-
 def curve_filename(curve: LossCurve) -> str:
     return _CURVE_FILE.format(curve.upstream, curve.downstream)
 
@@ -878,17 +890,4 @@ def parse_chain_config(path) -> ChainConfig:
         for f in fields(ChainConfig)
         if "rule" in f.metadata
     }
-    files: dict = {}  # each pair's curve file name -> the pair
-    for up, down, _ in chain.pairs():
-        name = _CURVE_FILE.format(up, down)
-        for sid in (up, down):
-            if not PATH_SEPARATORS.isdisjoint(sid):
-                raise SensorFormatError(f"{context}: sensor id {sid!r} holds a path separator, "
-                                        f"so {name} would leave the output directory")
-        if name in files:
-            first = "->".join(map(repr, files[name]))
-            raise SensorFormatError(
-                f"{context}: pairs {first} and {up!r}->{down!r} would both write {name}"
-            )
-        files[name] = (up, down)
     return ChainConfig(chain, calibration=calibration, **settings)

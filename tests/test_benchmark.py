@@ -27,7 +27,12 @@ from voss.estimator import (
     rho_from_ratios,
     small_angle_error_bound,
 )
-from voss.feeder import SegmentKind, parse_feeder_dict
+from voss.feeder import (
+    SegmentKind,
+    expand_distributed_loads,
+    parse_feeder_dict,
+    split_distributed_loads_to_ends,
+)
 from voss.powerflow import SolveOptions, solve
 
 STRESSED_PATHS = [("800", "814"), ("816", "822"), ("828", "854")]
@@ -145,6 +150,34 @@ def test_rho_s_estimate_must_lie_in_unit_interval(
         run_multi_segment_study(
             ieee34_stressed, [("800", "814")], rho_s=rho_s, solution=solved34_stressed
         )
+
+
+@pytest.mark.parametrize(
+    "feeder,solve_as",
+    [("ieee34", expand_distributed_loads), ("ieee13", split_distributed_loads_to_ends)],
+    ids=["midpoint-expansion", "another-feeder"],
+)
+def test_studies_refuse_a_solution_of_other_segments(request, ieee34, feeder, solve_as):
+    model = request.getfixturevalue(feeder)
+    solution = solve(solve_as(ieee34))
+    message = (
+        "a study takes a solution of its model's segments, but the solution's model "
+        f"(ieee34, {len(solution.model.segments)} segments) has other segments than "
+        f"{model.name} ({len(model.segments)})"
+    )
+    with pytest.raises(ValueError) as single:
+        run_single_segment_study(model, solution=solution)
+    with pytest.raises(ValueError) as multi:
+        run_multi_segment_study(model, [], solution=solution)
+    assert str(single.value) == str(multi.value) == message
+
+
+def test_studies_take_a_solution_of_equal_segments(ieee13, solved13, rows13):
+    # the end split keeps the model's own segments; an equal copy is accepted too
+    assert solved13.model.segments is ieee13.segments
+    copy = replace(ieee13, segments=tuple(map(replace, ieee13.segments)))
+    assert copy.segments is not ieee13.segments
+    assert repr(run_single_segment_study(copy, solution=solved13)) == repr(rows13)
 
 
 def test_multi_study_rejects_unknown_nodes(ieee13, solved13):

@@ -233,6 +233,20 @@ def test_malformed_feeder_document_is_an_input_error(tmp_path, capsys, edit):
     assert err.startswith("error:") and out == ""
 
 
+def test_nul_in_feeder_name_is_an_input_error_before_the_solve(tmp_path, capsys):
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    doc["name"] = "a\0b"
+    bad = tmp_path / "nul.feeder"
+    bad.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "solve", str(bad), "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT
+    assert err == ("error: expected a nonempty name without a path separator or NUL, "
+                   "got 'a\\x00b' [name]\n")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_malformed_sensor_csv_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("sensor_id,timestamp,voltage_v\ns1,yesterday,230\n")
@@ -454,11 +468,16 @@ def test_bad_path_is_an_input_error_with_no_output(tmp_path, capsys, paths, mess
         ),
         (
             ["a", "b", "x/y"],
-            "sensor id 'x/y' holds a path separator, "
-            "so loss_curve_b_x/y.csv would leave the output directory",
+            "sensor id 'x/y' holds a path separator or NUL, "
+            "so 'loss_curve_b_x/y.csv' would not be a file of the output directory",
+        ),
+        (
+            ["a", "b", "c\0d"],
+            "sensor id 'c\\x00d' holds a path separator or NUL, "
+            "so 'loss_curve_b_c\\x00d.csv' would not be a file of the output directory",
         ),
     ],
-    ids=["colliding-curve-files", "separator-in-sensor-id"],
+    ids=["colliding-curve-files", "separator-in-sensor-id", "nul-in-sensor-id"],
 )
 def test_chain_whose_curve_files_collide_or_escape_is_an_input_error(
     tmp_path, capsys, sensors, message

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from voss.feeder import _KIND_KEYS, SegmentKind
+from voss.feeder import _KIND_KEYS, _SEGMENT_KEYS, SegmentKind
 from voss.sensors import CHAIN_KEYS, ChainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,3 +120,9 @@ def test_feeder_kind_table_is_the_readers_table():
         for kind, required, optional in rows
     }
     assert documented == _KIND_KEYS
+
+
+def test_feeder_common_keys_are_the_readers_common_keys():
+    text = (ROOT / "docs" / "feeder_schema.md").read_text()
+    listed = re.findall(r"`([^`]+)`", re.search(r"^Common keys: (.*?)\.$", text, re.M)[1])
+    assert sorted(listed) == sorted(_SEGMENT_KEYS)

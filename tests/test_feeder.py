@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import json_values
+from test_powerflow import radial_feeders
 from voss.feeder import (
     FEET_PER_MILE,
     Connection,
@@ -108,6 +109,69 @@ def test_round_trip_serialization_is_identity(ieee13, ieee34):
         doc = serialize_feeder(model)
         assert doc["load_scale"] == 1.0
         assert parse_feeder_dict(doc) == model
+
+
+def _serialized_by_hand(model):
+    """The feeder writer spelled out key by key: the oracle of serialize_feeder."""
+    def pair(z):
+        return [z.real, z.imag]
+
+    doc = {
+        "name": model.name,
+        "base": {"power_kva": model.base.power_kva, "voltage_kv_ll": model.base.voltage_kv_ll},
+        "source": {
+            "node": model.source.node,
+            "nominal_kv_ll": model.source.nominal_kv_ll,
+            "voltage_pu": list(model.source.voltage_pu),
+            "angles_deg": list(model.source.angles_deg),
+        },
+        "load_scale": 1.0,
+        "nodes": [{"id": n.id, "phases": n.phases} for n in model.nodes],
+        "segments": [],
+        "loads": [],
+    }
+    for s in model.segments:
+        raw = {"id": s.id, "from": s.from_node, "to": s.to_node, "phases": s.phases,
+               "kind": s.kind.value}
+        if s.kind != SegmentKind.TRANSFORMER:
+            raw["length"] = s.length_miles
+            raw["unit"] = "mi"
+        if s.z_per_mile is not None:
+            raw["z_ohm_per_mile"] = [[pair(z) for z in row] for row in s.z_per_mile]
+        if s.ratio is not None:
+            raw["ratio"] = s.ratio
+        if s.series_z_ohm is not None:
+            raw["series_z_ohm"] = pair(s.series_z_ohm)
+        if s.taps is not None:
+            raw["taps"] = list(s.taps)
+        if s.shunt_kvar is not None:
+            raw["shunt_kvar"] = list(s.shunt_kvar)
+        doc["segments"].append(raw)
+    for ld in model.loads:
+        raw = {"id": ld.id, "conn": ld.conn.value, "model": ld.model.value,
+               "phases": ld.phases, "kw": list(ld.kw), "kvar": list(ld.kvar)}
+        if ld.node is not None:
+            raw["node"] = ld.node
+        if ld.segment is not None:
+            raw["segment"] = ld.segment
+        doc["loads"].append(raw)
+    return doc
+
+
+def assert_written_as_by_hand(model):
+    for spot in (model, expand_distributed_loads(model), split_distributed_loads_to_ends(model)):
+        assert json.dumps(serialize_feeder(spot)) == json.dumps(_serialized_by_hand(spot))
+
+
+@pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])
+def test_bundled_feeders_are_written_byte_for_byte_as_by_hand(request, feeder):
+    assert_written_as_by_hand(request.getfixturevalue(feeder))
+
+
+@settings(max_examples=40, deadline=None)
+@given(radial_feeders())
+def test_random_feeders_are_written_byte_for_byte_as_by_hand(doc):
+    assert_written_as_by_hand(parse_feeder_dict(doc))
 
 
 def test_length_units_convert_to_miles():
@@ -609,13 +673,13 @@ def test_equal_matrices_are_parsed_once_and_signed_zeros_kept_apart():
     assert model.segment("b-c").z_per_mile == model.segment("c-d").z_per_mile == ((1 + 0.6j,),)
 
 
-@pytest.mark.parametrize("name", [["x", 1], "sub/ieee13", "", 13, None, True])
+@pytest.mark.parametrize("name", [["x", 1], "sub/ieee13", "a\0b", "", 13, None, True])
 def test_feeder_name_is_a_nonempty_string_without_a_path_separator(name):
     with pytest.raises(FeederFormatError) as err:
         parse_feeder_dict(mutate(lambda d: d.update(name=name)))
     assert err.value.context == "name"
     assert str(err.value) == (
-        f"expected a nonempty name without a path separator, got {name!r} [name]"
+        f"expected a nonempty name without a path separator or NUL, got {name!r} [name]"
     )
     assert parse_feeder_dict(mutate(lambda d: d.pop("name"))).name == "feeder"
     assert parse_feeder_dict(mutate(lambda d: d.update(name="ieee13 v2.1"))).name == "ieee13 v2.1"

@@ -530,6 +530,32 @@ def test_chain_defaults_and_validation():
         SensorChain(("a", "b"), (1.2,))
 
 
+CURVE_FILE_CLASHES = [
+    (("a", "b_c", "a_b", "c"),
+     "pairs 'a'->'b_c' and 'a_b'->'c' would both write loss_curve_a_b_c.csv"),
+    (("a", "b", "x/y"),
+     "sensor id 'x/y' holds a path separator or NUL, "
+     "so 'loss_curve_b_x/y.csv' would not be a file of the output directory"),
+    (("a", "b", "c\0d"),
+     "sensor id 'c\\x00d' holds a path separator or NUL, "
+     "so 'loss_curve_b_c\\x00d.csv' would not be a file of the output directory"),
+]
+
+
+@pytest.mark.parametrize("sensor_ids,message", CURVE_FILE_CLASHES,
+                         ids=["colliding", "separator", "nul"])
+def test_a_chain_built_by_hand_checks_its_curve_files_as_the_config_does(
+    tmp_path, sensor_ids, message
+):
+    with pytest.raises(ValueError) as built:
+        SensorChain(sensor_ids)
+    assert str(built.value) == message
+    path = write_config(tmp_path, {"sensors": list(sensor_ids)})
+    with pytest.raises(SensorFormatError) as parsed:
+        parse_chain_config(path)
+    assert str(parsed.value) == f"{path}: {message}"
+
+
 # ------------------------------------------------------------- alignment
 
 
