@@ -25,35 +25,55 @@ slots.  The sweep and the load and source totals use the same tables.
 
 The sweep runs on tables built once per solve, the array form of
 Shirmohammadi et al. (1988) with the level view of Teng (2003).  All
-node slots sit in one complex vector in BFS order; the links of one tree
-level are one run of slots ``lo:hi``, and the tables decide once per
-level which step it takes.  Each sweep is:
+node slots sit in one complex vector in BFS order, and the links of one
+tree level are one run of slots ``lo:hi``.  Each sweep is:
 
 - one array expression per load model for every branch current, summed
   into element slots and then, in element order, into node slots;
-- going up, per level, ``i[up] += i[lo:hi] * k``: no ``* k`` where every
-  k is 1.0 (all but the levels with a tap or ratio), and ``np.add.at``
-  over the level's links in reversed BFS order only where a from slot
-  repeats (one node feeds several of them on one phase);
+- going up, each link's ``i_to * k`` added to its from slot, from the
+  deepest level up;
 - one stacked ``np.matmul`` per phase count for every ``Z @ i_to``, with
   Z stacked once from each distinct per-mile matrix times the lengths;
-- going down, per level, ``np.subtract(v[up], drop[lo:hi], out=v[lo:hi])``,
-  or ``v[up] * k - drop[lo:hi]`` on a level with a tap or ratio;
+- going down, each link's ``v_to = v_from * k - drop``, from the source;
 - the mismatch as one max over the non-source slots, so that a NaN
   update ends the solve as a blow-up instead of being skipped.
 
-The solution keeps the converged network and its state arrays; its
-``node_voltages`` and ``segment_flows`` build an entry when it is read.
+The up and down steps have two kernels, and a network picks one when it
+is built.  The array kernel takes one step per level and decides once
+per level which: ``i[up] += i[lo:hi] * k`` going up, with no ``* k``
+where every k is 1.0 (all but the levels with a tap or ratio) and
+``np.add.at`` over the level's links in reversed BFS order only where a
+from slot repeats (one node feeds several of them on one phase); going
+down, ``np.subtract(v[up], drop[lo:hi], out=v[lo:hi])``, or
+``v[up] * k - drop[lo:hi]`` on a level with a tap or ratio.  The scalar
+kernel runs one Python statement per link slot, over ``(slot, up, k)``
+rows in BFS order and the lists of ``tolist()``: ``i[up] += i[slot] * k``
+in reversed BFS order, then ``v[slot] = v[up] * k - drop[slot]`` in BFS
+order, the ``* k`` skipped where k is 1.0.  A numpy call costs a few
+microseconds whatever its size, so a tree whose levels hold a few slots
+sweeps faster one slot at a time: the scalar kernel runs where the mean
+level width (link slots per level) is below ``_SCALAR_WIDTH``, as on
+every bundled feeder (4-8), and the array kernel on wide trees such as
+the 10k-node generated feeder (about 1,260).
 
 Same bits: the committed ``bench/reference`` CSVs pin the results to the
 last bit (12-digit CSVs magnify a last-bit change, since a sag ratio is
 a difference of two voltages about 1e-3 of their size), so every
 floating-point operation keeps its order and its rounding.  Sums that
 several links or elements feed keep their order, because ``np.add.at``
-applies repeated indices in sequence; ``+=`` on distinct slots and a
-skipped ``* 1.0`` leave every value as it was, which tests check after
-each sweep.  Array operations that round differently from the scalar
-ones (numpy 2.4, AVX-512) are avoided:
+applies repeated indices in sequence and the scalar kernel adds in the
+same reversed BFS order; ``+=`` on distinct slots and a skipped ``* 1.0``
+leave every value as it was, which tests check after each sweep, on
+both kernels.  Complex add and subtract are one IEEE operation per part
+in numpy and CPython alike.  The scalar kernel holds each k that is not
+1.0 as a ``complex``, so ``x * k`` is CPython's complex-by-complex
+product on every version, the one numpy computes for a complex array
+times a float one; Python 3.14 multiplies a complex by a float part by
+part, which differs in signed zeros and non-finite values.  The
+injections, ``Z @ i`` and the mismatch stay numpy on both kernels, since
+CPython's complex division and ``abs()`` round differently from numpy's.
+Array operations that round differently from the scalar ones (numpy 2.4,
+AVX-512) are avoided:
 
 - ``np.einsum`` for ``Z @ i``; a stacked ``np.matmul`` gives the bits of
   one ``Z @ i`` per link;
@@ -94,6 +114,13 @@ from .feeder import Connection, FeederModel, LoadModel, SegmentKind
 from .ioutil import format_column, write_csv
 
 COLLAPSE_PU = 0.5
+# Below this mean level width (link slots per level) the scalar kernel
+# sweeps faster than the array kernel.  Measured on bench/gen_feeder.py
+# trees (seed 1, end split, 20 levels), per currents + forward, 2-vCPU
+# Xeon VM, Python 3.11, numpy 2.4: at 8.6 slots per level scalar 64 us,
+# array 78-115 us; at 12.9 both 82-126 us; at 17.2 scalar 118-154 us,
+# array 110-128 us; at 21.5 scalar 134-139 us, array 81-90 us.
+_SCALAR_WIDTH = 12.0
 
 
 class PowerFlowError(RuntimeError):
@@ -268,6 +295,12 @@ class _Network:
              len(set(up[lo:hi])) < hi - lo)
             for lo, hi in zip(ends, ends[1:])
         ]
+        # the scalar kernel's rows: each link slot, its from slot and its
+        # k (None where it is 1.0), in BFS order
+        self.scalar = self.n_slots - n < _SCALAR_WIDTH * len(self.levels)
+        self.chain = [(s, u, None if t == 1.0 else complex(t))
+                      for s, u, t in zip(range(n, self.n_slots), up[n:], k[n:])
+                      ] if self.scalar else None
         self._build_injections(model)
 
     def _build_injections(self, model: FeederModel) -> None:
@@ -367,11 +400,18 @@ class _Network:
         return e
 
     def currents(self, e: np.ndarray) -> np.ndarray:
-        """Node injections summed per slot, then each level's i_to * k
-        added to its from slots, from the deepest level up; where a from
-        slot repeats, in reversed BFS order by ``np.add.at``."""
+        """Node injections summed per slot, then each link's i_to * k
+        added to its from slot in reversed BFS order: one slot at a time
+        on the scalar kernel; per level, from the deepest up, on the array
+        kernel, by ``np.add.at`` where a from slot repeats."""
         i = np.zeros(self.n_slots, dtype=complex)
         np.add.at(i, self.eslot_node, e)
+        if self.scalar:
+            il = i.tolist()
+            for s, up, k in reversed(self.chain):
+                il[up] += il[s] if k is None else il[s] * k
+            i[:] = il
+            return i
         for lo, hi, up, k, fan in reversed(self.levels):
             x = i[lo:hi] if k is None else i[lo:hi] * k
             if fan:
@@ -381,10 +421,17 @@ class _Network:
         return i
 
     def forward(self, v: np.ndarray, i: np.ndarray) -> None:
-        """v_to = k * v_from - Z @ i_to, level by level from the source."""
+        """v_to = k * v_from - Z @ i_to from the source down: slot by slot
+        on the scalar kernel, level by level on the array kernel."""
         drop = np.empty(self.n_slots, dtype=complex)
         for rows, z in self.z_groups:
             drop[rows] = (z @ i[rows][:, :, None])[:, :, 0]
+        if self.scalar:
+            vl, dl = v.tolist(), drop.tolist()
+            for s, up, k in self.chain:
+                vl[s] = vl[up] - dl[s] if k is None else vl[up] * k - dl[s]
+            v[:] = vl
+            return
         for lo, hi, up, k, _ in self.levels:
             if k is None:
                 np.subtract(v[up], drop[lo:hi], out=v[lo:hi])

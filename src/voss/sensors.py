@@ -586,7 +586,8 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
     row fails with its line number, counted in records as csv.reader
     yields them (blank lines included).  A leading UTF-8 byte-order mark
     is skipped.  Returns series sorted by sensor id.  nominal_voltage and
-    the calibration factors (by sensor id, default 1) meet VoltageSeries's rule.
+    the calibration factors (by sensor id, default 1) meet VoltageSeries's
+    rule, and every calibrated sensor id has rows in the file.
     """
     calibration = calibration or {}
     _check_scale("nominal_voltage", nominal_voltage)
@@ -609,6 +610,11 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
         raise SensorFormatError(blocks.undecodable, line=line)
     if line == 1:
         raise SensorFormatError("empty file, expected header", line=1)
+    unread = sorted(calibration.keys() - readings.codes.keys())
+    if unread:
+        raise ValueError(
+            f"{path}: calibration for sensors with no rows: {', '.join(map(repr, unread))}"
+        )
     return readings.series(nominal_voltage, calibration)
 
 

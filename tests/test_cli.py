@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from voss.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from voss import cli
+from voss.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from voss.feeder import bundled_feeder_path
 
 IEEE13 = str(bundled_feeder_path("ieee13.feeder"))
@@ -339,6 +340,38 @@ def test_bad_usage_exits_one(tmp_path, monkeypatch, capsys, argv):
 def test_help_exits_zero(capsys):
     for argv in (["--help"], ["solve", "--help"], ["sensors", "--help"]):
         assert run(capsys, *argv)[0] == EXIT_OK
+
+
+def test_one_parser_serves_every_call_as_fresh_ones_would(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default --out-dir
+    out = ("--out-dir", str(tmp_path))
+    calls = [
+        ("oracle", "--rho-list", "0.5,oops"),
+        ("benchmark", IEEE13, "--rho-s-source", "simulated"),
+        ("oracle", "--rho-list", "0.5", "--segments", "10", *out),
+        ("solve", IEEE13, *out),
+        ("solve", IEEE13, "--max-iter", "0"),
+        ("oracle", "--segments", "10", *out),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", build_parser)  # a new parser per call
+        fresh = [run(capsys, *argv) for argv in calls]
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        reused = [run(capsys, *argv) for argv in calls]
+    finally:
+        cli._parser.cache_clear()
+    assert [code for code, _, _ in fresh] == [
+        EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert reused == fresh
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -756,7 +757,8 @@ def test_estimator_identities_hold_on_every_line_of_random_feeders(doc):
 # Sweep oracle: the sweep as every level ran before the per-level choice,
 # one np.add.at over the level's links in reversed BFS order going up and
 # one v_to = v_from * k - drop going down, with Z stacked from z_total().
-# The fused steps must give the same bits after every sweep.
+# The per-level steps of the array kernel, and the scalar kernel, must
+# give the same bits after every sweep.
 
 
 class _OracleNetwork(powerflow._Network):
@@ -847,8 +849,16 @@ def _oracle_solve(model, options=SolveOptions()):
 
 
 def assert_sweeps_match_the_oracle(model, sweeps):
-    """Bit-equal Z, v after each of `sweeps` sweeps, and solutions."""
+    """Bit-equal Z, v after each of `sweeps` sweeps, and solutions, on
+    each kernel: every _Network built under the patch takes it."""
+    for scalar in (True, False):
+        with mock.patch.object(powerflow, "_SCALAR_WIDTH", math.inf if scalar else 0.0):
+            _assert_kernel_matches_the_oracle(model, sweeps, scalar)
+
+
+def _assert_kernel_matches_the_oracle(model, sweeps, scalar):
     net, oracle = powerflow._Network(model), _OracleNetwork(model)
+    assert net.scalar == scalar
     for (rows, z), (want_rows, want_z) in zip(net.z_groups, oracle.z_groups):
         assert np.array_equal(rows, want_rows)
         assert z.tobytes() == want_z.tobytes()
@@ -922,6 +932,30 @@ def test_fused_sweep_matches_the_oracle_on_random_feeders(doc):
     model = parse_feeder_dict(doc)
     for rewrite in REWRITES:
         assert_sweeps_match_the_oracle(rewrite(model), 40)
+
+
+@pytest.mark.parametrize("rewrite", REWRITES)
+def test_bundled_feeders_take_the_scalar_kernel(ieee13, ieee34, ieee34_stressed, rewrite):
+    for model in (ieee13, ieee34, ieee34_stressed):
+        assert powerflow._Network(rewrite(model)).scalar
+
+
+def _star_doc(arms):
+    """The source feeds `arms` loaded three-phase lines: one level of
+    3 * arms slots."""
+    doc = two_bus_doc([30.0, 20.0, 25.0], [10.0, 5.0, 15.0], 0.3, 0.6, phases="ABC")
+    line, load = doc["segments"][0], doc["loads"][0]
+    doc["nodes"] = [{"id": "src", "phases": "ABC"}] + [
+        {"id": f"n{j}", "phases": "ABC"} for j in range(arms)]
+    doc["segments"] = [dict(line, id=f"src-n{j}", to=f"n{j}") for j in range(arms)]
+    doc["loads"] = [dict(load, id=f"L{j}", node=f"n{j}") for j in range(arms)]
+    return doc
+
+
+def test_a_wide_star_takes_the_array_kernel():
+    model = parse_feeder_dict(_star_doc(20))
+    assert not powerflow._Network(model).scalar
+    assert_sweeps_match_the_oracle(model, 40)
 
 
 def assert_levels_follow_node_depth(model):

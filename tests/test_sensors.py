@@ -136,6 +136,17 @@ def test_ingest_applies_nominal_and_calibration(tmp_path):
     assert got.calibration == 1.02
 
 
+def test_calibration_for_a_sensor_with_no_rows_is_refused(tmp_path):
+    path = tmp_path / "cal.csv"
+    write_readings(path, [("s1", "2024-03-12T00:00:00Z", 230.0)])
+    with pytest.raises(ValueError, match=r"no rows: 'a typo', 'typo'$"):
+        ingest_csv(path, calibration={"typo": 1.01, "s1": 1.02, "a typo": 0.99})
+    header_only = tmp_path / "empty.csv"
+    write_readings(header_only, [])
+    with pytest.raises(ValueError, match=r"no rows: 's1'$"):
+        ingest_csv(header_only, calibration={"s1": 1.02})
+
+
 def test_naive_timestamps_are_read_as_utc(tmp_path):
     path = tmp_path / "naive.csv"
     write_readings(path, [("s1", "2024-03-12T00:00:00", 230.0)])
