@@ -31,6 +31,10 @@ kept as sensor code, epoch_us and volts arrays; one stable sort by
 series.
 ``loss_curve`` splits off outage readings, calibrates and
 median-smooths each sensor once, however many pairs it belongs to.
+The curves of one call share their grid's timestamp text: each distinct
+grid instant of the chain is formatted once, so the curve writer formats
+only the loss and flag columns.  A curve built by hand has no shared
+text and gets its own when it is written.
 The array kernels (rolling median, nearest sample, grid, timestamp
 parsing and rounding) are in ``voss.timeseries``, the elementwise
 estimate in ``voss.estimator``.
@@ -111,7 +115,8 @@ _FLAG_TUPLES = tuple(
     tuple(name for k, name in enumerate(FLAG_NAMES) if bits >> k & 1)
     for bits in range(1 << len(FLAG_NAMES))
 )
-_FLAG_TEXT = tuple(";".join(flags) for flags in _FLAG_TUPLES)
+# the last cell of a curve-file row, by flag bits
+_FLAG_CELLS = np.array([";".join(flags) + "\n" for flags in _FLAG_TUPLES], dtype=object)
 
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
@@ -319,6 +324,10 @@ class LossCurve(_ArrayRecord):
     and flag_bits (see FLAG_NAMES).  points gives one CurvePoint per
     grid point.
     """
+
+    # The curve file's timestamp cells, which loss_curve shares among the
+    # curves of one chain; not a field, so a curve made otherwise has None.
+    _stamp_cells = None
 
     upstream: str
     downstream: str
@@ -736,36 +745,71 @@ def loss_curve(
     check_seconds("grid_step_s", grid_step_s)
     check_seconds("tolerance_s", tolerance_s)
     smoothed = {sid: _smoothed(series[sid], window_s) for sid in chain.sensor_ids}
-    return [
+    curves = [
         _pair_curve(
             smoothed[up], smoothed[dn], rho_s, window_s, grid_step_s, tolerance_s
         )
         for up, dn, rho_s in chain.pairs()
     ]
+    for curve, cells in zip(curves, _timestamp_cells([c.timestamp_us for c in curves])):
+        object.__setattr__(curve, "_stamp_cells", cells)
+    return curves
 
 
 def curve_filename(curve: LossCurve) -> str:
     return _CURVE_FILE.format(curve.upstream, curve.downstream)
 
 
+def _timestamp_cells(grids: list) -> list:
+    """The timestamp cells of each grid's rows, each distinct instant formatted once.
+
+    A cell is the instant as datetime.isoformat() writes it, with Z for
+    +00:00, and the comma that ends the cell.  Equal grids share one
+    read-only object array.
+    """
+    keys = [grid.tobytes() for grid in grids]
+    distinct = dict(zip(keys, grids))
+    instants, at = np.unique(np.concatenate(list(distinct.values())), return_inverse=True)
+    day, time_of_day = np.divmod(instants, 86_400_000_000)
+    (days, day_at), (times, time_at) = (
+        np.unique(column, return_inverse=True) for column in (day, time_of_day)
+    )
+    day_text = np.array(
+        [t + "T" for t in np.datetime_as_string(days.astype("M8[D]")).tolist()],
+        dtype=object,
+    )
+    clock = np.datetime_as_string(times.astype("M8[us]"), timezone="UTC").tolist()
+    # as datetime.isoformat() writes a time: microseconds only when nonzero
+    time_text = np.array(
+        [t.partition("T")[2].replace(".000000", "") + "," for t in clock], dtype=object
+    )
+    cells = (day_text[day_at] + time_text[time_at])[at]
+    cells.flags.writeable = False
+    ends = np.cumsum([grid.size for grid in distinct.values()])
+    shared = dict(zip(distinct, np.split(cells, ends[:-1])))
+    return [shared[key] for key in keys]
+
+
 def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
-    """One row per grid point: timestamp,loss_fraction,flags (';'-joined)."""
+    """One row per grid point: timestamp,loss_fraction,flags (';'-joined).
+
+    The curves of one loss_curve call share the timestamp text of their
+    grid instants, so the writer formats only the loss and flag columns;
+    a curve built by hand gets its own timestamp text, made the same way.
+    Each distinct loss value is formatted once.
+    """
     path = Path(out_dir) / curve_filename(curve)
-    day, time_of_day = np.divmod(curve.timestamp_us, 86_400_000_000)
-    columns = (day, time_of_day, curve.loss_fraction.view(np.int64))
-    keys, at = zip(*(np.unique(column, return_inverse=True) for column in columns))
-    clock = np.datetime_as_string(keys[1].astype("M8[us]"), timezone="UTC").tolist()
-    vocabulary = [  # the text of each distinct key and the separator after it
-        *(t + "T" for t in np.datetime_as_string(keys[0].astype("M8[D]")).tolist()),
-        # as datetime.isoformat() writes a time: microseconds only when nonzero
-        *(t.partition("T")[2].replace(".000000", "") + "," for t in clock),
-        *(FLOAT_FORMAT % value + "," for value in keys[2].view(np.float64).tolist()),
-        *(text + "\n" for text in _FLAG_TEXT),
-    ]
-    index = np.column_stack((*at, curve.flag_bits)) + np.cumsum([0, *map(len, keys)])
+    stamps = curve._stamp_cells
+    if stamps is None:
+        (stamps,) = _timestamp_cells([curve.timestamp_us])
+    keys, at = np.unique(curve.loss_fraction.view(np.int64), return_inverse=True)
+    losses = [FLOAT_FORMAT % value + "," for value in keys.view(np.float64).tolist()]
+    rows = np.column_stack(
+        (stamps, np.array(losses, dtype=object)[at], _FLAG_CELLS[curve.flag_bits])
+    )
     with open_output(path) as fh:
         fh.write(",".join(CURVE_HEADER) + "\n")
-        fh.write("".join(np.array(vocabulary, dtype=object)[index.ravel()].tolist()))
+        fh.write("".join(rows.ravel().tolist()))
     return path
 
 

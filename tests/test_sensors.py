@@ -1051,6 +1051,103 @@ def test_bundled_sample_day_pipeline():
     assert second[suspect] == 7  # evening outage readings
 
 
+def assert_files_match_reference(curves):
+    with tempfile.TemporaryDirectory() as out:
+        for curve in curves:
+            got = write_loss_curve_csv(curve, out).read_bytes()
+            assert got == reference_curve_csv(curve)
+
+
+def shared_cells(curves):
+    """The size of the one array of timestamp cells behind every curve's rows."""
+    (table,) = {id(c._stamp_cells.base): c._stamp_cells.base for c in curves}.values()
+    return table.size
+
+
+def test_sample_day_curves_share_one_timestamp_table():
+    cfg = parse_chain_config(bundled_feeder_path("sample_chain.json"))
+    got = ingest_csv(
+        bundled_feeder_path("sample_day.csv"),
+        nominal_voltage=cfg.nominal_voltage_v,
+        calibration=cfg.calibration,
+    )
+    curves = loss_curve(
+        cfg.chain,
+        {s.sensor_id: s for s in got},
+        window_s=cfg.smoothing_window_s,
+        grid_step_s=cfg.grid_step_s,
+        tolerance_s=cfg.tolerance_s,
+    )
+    assert curves[0]._stamp_cells is curves[1]._stamp_cells  # one grid, one text
+    assert shared_cells(curves) == 720
+    assert_files_match_reference(curves)
+
+
+def staggered_chain(step_s):
+    """Curves of three sensors sampled every step_s that start and stop at
+    different grid points, with gaps and an outage reading; the grids cross
+    a midnight."""
+    start = T0 - timedelta(seconds=40 * step_s)
+    layout = {"a": (0, 100, range(10, 15)), "b": (7, 90, range(30, 34)), "c": (19, 60, (41,))}
+    data = {}
+    for n, (sid, (first, count, gaps)) in enumerate(layout.items()):
+        values = [
+            None if k in gaps else 226.0 - n + (k * 7 % 11) * 0.3 for k in range(count)
+        ]
+        values[count // 2] = 20.0  # below half of nominal: an outage reading
+        data[sid] = series(
+            sid, values, start=start + timedelta(seconds=first * step_s), step_s=step_s
+        )
+    chain = SensorChain(tuple(layout), (0.5, None))
+    return loss_curve(chain, data, window_s=0.0, grid_step_s=step_s, tolerance_s=step_s / 4)
+
+
+@pytest.mark.parametrize("step_s", [60.0, 7.0, 0.25])
+def test_staggered_chain_curves_match_row_by_row_reference(step_s):
+    curves = staggered_chain(step_s)
+    stamps = np.concatenate([c.timestamp_us for c in curves])
+    assert np.unique(stamps).size < stamps.size  # the two grids overlap
+    assert shared_cells(curves) == stamps.size  # unequal grids keep their own cells
+    assert any(c.flag_bits.any() for c in curves)
+    if step_s < 1:
+        assert (stamps % 1_000_000 != 0).any()  # microseconds in some stamps
+    assert_files_match_reference(curves)
+
+
+def test_pairs_apart_in_time_format_only_their_own_instants():
+    hour = [230.0 + k % 3 for k in range(31)]
+    later = T0 + timedelta(days=300)
+    b_samples = series("b", hour).samples + series("b", hour, start=later).samples
+    data = {
+        "a": series("a", [231.0] * 31),
+        "b": VoltageSeries("b", b_samples),
+        "c": series("c", [229.0] * 31, start=later),
+    }
+    curves = loss_curve(SensorChain(("a", "b", "c")), data)
+    assert [c.timestamp_us.size for c in curves] == [31, 31]
+    assert shared_cells(curves) == 62  # not the 300 days between the pairs
+    assert_files_match_reference(curves)
+
+
+def test_replaced_curve_writes_the_same_bytes():
+    (curve,) = staggered_chain(60.0)[1:]
+    rebuilt = replace(curve, rho_s=curve.rho_s)
+    assert rebuilt == curve and repr(rebuilt) == repr(curve)
+    assert rebuilt._stamp_cells is None  # its own text, made by the writer
+    with tempfile.TemporaryDirectory() as out:
+        shared = write_loss_curve_csv(curve, out).read_bytes()
+        assert write_loss_curve_csv(rebuilt, out).read_bytes() == shared
+    assert shared == reference_curve_csv(curve)
+
+
+def test_successive_calls_write_their_own_timestamps():
+    first = staggered_chain(60.0)
+    second = staggered_chain(0.25)
+    assert first[0]._stamp_cells.base is not second[0]._stamp_cells.base
+    for curves in (first, second, first):  # no call's text outlives its curves
+        assert_files_match_reference(curves)
+
+
 def test_byte_order_mark_is_skipped(tmp_path):
     readings = tmp_path / "excel.csv"
     readings.write_bytes(
