@@ -326,11 +326,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "rho_s_source" in args and not args.paths:
             parser.error("argument --rho-s-source: applies only with --paths")
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_USAGE
+    except SystemExit as exc:  # _Parser.error (EXIT_USAGE) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except PowerFlowError as exc:

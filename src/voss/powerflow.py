@@ -19,9 +19,9 @@ Every load and capacitor bank is one injection element: branches that
 draw a current at one node slot and return it at another (the ground
 for wye), with ``v0`` the base times sqrt(3) for delta.  A capacitor is
 a constant-PQ wye element of ``-j kvar``.  The tables come from one list
-of branch rows, in node order, that one stable sort groups by load
-model; one ``np.unique`` over (element, slot) keys gives the element
-slots.  The sweep and the load and source totals use the same tables.
+of branch rows per load model, each in node order, laid end to end; one
+``np.unique`` over (element, slot) keys gives the element slots.  The
+sweep and the load and source totals use the same tables.
 
 The sweep runs on tables built once per solve, the array form of
 Shirmohammadi et al. (1988) with the level view of Teng (2003).  All
@@ -103,6 +103,7 @@ ones just like in the published feeder solutions.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -224,8 +225,7 @@ class PowerFlowSolution:
 _phase = np.frompyfunc(cmath.phase, 1, 1)
 
 _MODEL_ORDER = (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z, LoadModel.CONSTANT_I)
-_BRANCH_ROW = [("element", int), ("a", int), ("b", int), ("rank", int),
-               ("s0", complex), ("v0", float)]
+_BRANCH_ROW = [("element", int), ("a", int), ("b", int), ("s0", complex), ("v0", float)]
 
 
 def _stacked_z(segs: list) -> np.ndarray:
@@ -322,15 +322,14 @@ class _Network:
             loads[ld.node].append(ld)
         self.shunt_va = 0j
         self.elements = []  # (node, is a capacitor bank) of each drawing element
-        rows = []  # (element, a, b, model rank, s0, v0) of each drawing branch
+        # (element, a, b, s0, v0) of each drawing branch, by load model
+        rows = {load_model: [] for load_model in _MODEL_ORDER}
 
         def add(node, shunt, load_model, v0, branches):
-            rank = _MODEL_ORDER.index(load_model)
-            live = [(len(self.elements), a, b, rank, s0, v0)
-                    for a, b, s0 in branches if s0 != 0]
+            live = [(len(self.elements), a, b, s0, v0) for a, b, s0 in branches if s0 != 0]
             if live:
                 self.elements.append((node, shunt))
-                rows.extend(live)
+                rows[load_model].extend(live)
 
         for node, node_loads in loads.items():
             at, phases, base = self.first[node], self.phases[node], self.bases[node]
@@ -351,9 +350,8 @@ class _Network:
                 add(node, True, LoadModel.CONSTANT_PQ, base, caps)
 
         # branches grouped by model, each model's in element order
-        t = np.array(rows, dtype=_BRANCH_ROW)
-        t = t[np.argsort(t["rank"], kind="stable")]
-        ends = np.searchsorted(t["rank"], range(len(_MODEL_ORDER) + 1))
+        t = np.array([row for group in rows.values() for row in group], dtype=_BRANCH_ROW)
+        ends = [0, *itertools.accumulate(map(len, rows.values()))]
         self.pq, self.z, self.ci = (slice(lo, hi) for lo, hi in zip(ends, ends[1:]))
         self.br_a, self.br_b = t["a"].copy(), t["b"].copy()
         self.s0 = t["s0"].copy()

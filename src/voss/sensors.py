@@ -15,15 +15,16 @@ timestamps in epoch microseconds, loss fractions, and flag bits.  The
 object views (``VoltageSeries.samples``, ``LossCurve.points``) are
 built only when read.
 
-Ingest reads the file in newline-aligned blocks of INGEST_BLOCK_BYTES
-and decodes each block itself, so an undecodable byte is reported with
-its line.  A block with no quote, no CR and exactly two commas on every
-line not blank is cut into three columns with str.split.  A file with a
-bad field count, quoting, CR line ends or a very long line is read by
-one csv.reader from the first such block on.  Both routes check the
-header with one helper and give the columns the same checks, once per
-block: ids are stripped, new timestamp strings are parsed (canonical
-ones as arrays), and voltages are converted and range-checked as arrays.
+Ingest reads the file in blocks of about INGEST_BLOCK_BYTES, cut at any
+line break csv.reader knows (LF, CRLF or CR), and decodes each block
+itself, so an undecodable byte is reported with its line.  A block with
+no quote, no CR and exactly two commas on every line not blank is cut
+into three columns with str.split.  A file with a bad field count,
+quoting, CR line ends or a very long line is read by one csv.reader
+from the first such block on.  Both routes check the header with one
+helper and give the columns the same checks, once per block: ids are
+stripped, new timestamp strings are parsed (canonical ones as arrays),
+and voltages are converted and range-checked as arrays.
 A failure names the first bad record, numbered as csv.reader counts
 them (a field past csv.field_size_limit() too).  The checked rows are
 kept as sensor code, epoch_us and volts arrays; one stable sort by
@@ -363,31 +364,20 @@ def _parse_epoch_us(text: str) -> int:
     return _epoch_us(ts)
 
 
-def _line_blocks(handle):
-    """The bytes of handle after a byte-order mark, in blocks that end in a newline.
-
-    Only the last block may lack the newline.
-    """
-    carry = handle.read(len(codecs.BOM_UTF8))
-    if carry == codecs.BOM_UTF8:
-        carry = b""
-    for chunk in iter(lambda: handle.read(INGEST_BLOCK_BYTES), b""):
-        carry += chunk
-        cut = carry.rfind(b"\n") + 1
-        if cut:
-            yield carry[:cut]
-            carry = carry[cut:]
-    if carry:
-        yield carry
+def _line_end(buf: bytes, end: int) -> int:
+    """The end of the last line break in buf[:end] whose kind is known, else 0:
+    an LF, a CRLF, or a CR before buf[end - 1], which may start a CRLF."""
+    return max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end - 1)) + 1
 
 
 class _Blocks:
-    """The text of a binary file in newline-aligned blocks.
+    """The text of a binary file in blocks cut at line breaks.
 
-    Each block holds whole lines of about INGEST_BLOCK_BYTES, decoded as
-    UTF-8 after a leading byte-order mark is dropped.  Iteration stops
-    before the line that holds the first byte that is not UTF-8, and
-    undecodable then describes it.
+    Each block holds whole lines of about INGEST_BLOCK_BYTES, cut at any
+    line break csv.reader knows (LF, CRLF or CR), decoded as UTF-8 after
+    a leading byte-order mark is dropped.  Iteration stops before the
+    line that holds the first byte that is not UTF-8, and undecodable
+    then describes it.
     """
 
     def __init__(self, handle) -> None:
@@ -395,16 +385,23 @@ class _Blocks:
         self.undecodable: Optional[str] = None
 
     def __iter__(self):
-        for block in _line_blocks(self.handle):
+        read = partial(self.handle.read, INGEST_BLOCK_BYTES)
+        carry = self.handle.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
+        for chunk in itertools.chain(iter(read, b""), [b""]):  # b"": end of file
+            carry += chunk
+            cut = _line_end(carry, len(carry)) if chunk else len(carry)
+            if not cut:
+                continue
+            block, carry = carry[:cut], carry[cut:]
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 self.undecodable = (
                     f"byte 0x{block[exc.start]:02x} is not UTF-8 ({exc.reason})"
                 )
-                good = block[: block.rfind(b"\n", 0, exc.start) + 1]
-                if good:
-                    yield good.decode("utf-8")
+                # the byte is not a line break, so a CR just before it ends a line
+                if good := _line_end(block, exc.start + 1):
+                    yield block[:good].decode("utf-8")
                 return
             yield text
 
@@ -883,10 +880,8 @@ def parse_chain_config(path) -> ChainConfig:
         raise SensorFormatError(
             f"{context}: 'sensors' must be a nonempty list of sensor ids"
         )
-    adjacent = {
-        (sensors[i], sensors[i + 1]): i for i in range(max(len(sensors) - 1, 0))
-    }
-    rho_s: list = [None] * max(len(sensors) - 1, 0)
+    adjacent = {pair: i for i, pair in enumerate(zip(sensors, sensors[1:]))}
+    rho_s: list = [None] * (len(sensors) - 1)
     pairs = data.get("pairs", [])
     if not isinstance(pairs, list):
         raise SensorFormatError(f"{context}: 'pairs' must be a list")

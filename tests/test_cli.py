@@ -1,5 +1,7 @@
 """Command-line entry points, exit codes, and output files."""
 
+import contextlib
+import io
 import json
 import warnings
 from pathlib import Path
@@ -16,6 +18,39 @@ STRESSED = str(bundled_feeder_path("ieee34-stressed.feeder"))
 SAMPLE_DAY = str(bundled_feeder_path("sample_day.csv"))
 SAMPLE_CHAIN = str(bundled_feeder_path("sample_chain.json"))
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+# what the bundled command set prints, with its --out-dir as <out>
+BUNDLED_STDOUT = """\
+ieee13: converged in 9 iterations, max mismatch 1.002e-09 pu, power balance 4.657e-17 pu
+wrote <out>/voltages_ieee13.csv
+wrote <out>/flows_ieee13.csv
+ieee13: 23 line-phase rows, excluded lines: 671-680
+wrote <out>/single_segment_ieee13.csv
+wrote <out>/plot_long_ieee13.csv
+ieee34: converged in 13 iterations, max mismatch 3.933e-09 pu, power balance 2.328e-16 pu
+wrote <out>/voltages_ieee34.csv
+wrote <out>/flows_ieee34.csv
+ieee34: 74 line-phase rows, excluded lines: 854-856, 858-864
+wrote <out>/single_segment_ieee34.csv
+wrote <out>/plot_long_ieee34.csv
+ieee34-stressed: converged in 93 iterations, max mismatch 8.908e-09 pu, power balance 5.268e-16 pu
+warning: VoltageCollapseSuspect:890.A
+wrote <out>/voltages_ieee34-stressed.csv
+wrote <out>/flows_ieee34-stressed.csv
+ieee34-stressed: 74 line-phase rows, excluded lines: 858-864
+wrote <out>/single_segment_ieee34-stressed.csv
+wrote <out>/plot_long_ieee34-stressed.csv
+ieee34-stressed: 74 line-phase rows, excluded lines: 858-864
+wrote <out>/single_segment_ieee34-stressed.csv
+wrote <out>/plot_long_ieee34-stressed.csv
+wrote <out>/multi_segment_ieee34-stressed.csv
+n=10000: worst |oracle - formula| = 2.455e-09 at rho=0.9
+wrote <out>/oracle_sweep.csv
+note: sensor-17: dropped 1 duplicate timestamp(s), kept first
+sensor-03->sensor-17: 720 points (60 flagged)
+wrote <out>/loss_curve_sensor-03_sensor-17.csv
+sensor-17->sensor-22: 720 points (37 flagged)
+wrote <out>/loss_curve_sensor-17_sensor-22.csv
+"""
 
 
 def run(capsys, *argv):
@@ -100,7 +135,8 @@ def test_sensors_writes_one_curve_per_pair(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def bundled_outputs(tmp_path_factory):
-    """The command set of scripts/reproduce_results.py, run into one directory."""
+    """The command set of scripts/reproduce_results.py, run into one directory:
+    that directory and the text the commands print."""
     out = tmp_path_factory.mktemp("bundled")
     common = ["--out-dir", str(out)]
     calls = []
@@ -111,19 +147,26 @@ def bundled_outputs(tmp_path_factory):
         ["oracle"],
         ["sensors", SAMPLE_DAY, SAMPLE_CHAIN],
     ]
-    for argv in calls:
-        assert main(argv + common) == EXIT_OK, argv
-    return out
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for argv in calls:
+            assert main(argv + common) == EXIT_OK, argv
+    return out, stdout.getvalue()
 
 
 def test_bundled_commands_write_exactly_the_reference_files(bundled_outputs):
-    produced = sorted(p.name for p in bundled_outputs.iterdir())
+    produced = sorted(p.name for p in bundled_outputs[0].iterdir())
     assert produced == sorted(p.name for p in REFERENCE.iterdir())
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in REFERENCE.iterdir()))
 def test_reference_outputs_byte_for_byte(bundled_outputs, name):
-    assert (bundled_outputs / name).read_bytes() == (REFERENCE / name).read_bytes()
+    assert (bundled_outputs[0] / name).read_bytes() == (REFERENCE / name).read_bytes()
+
+
+def test_bundled_commands_print_the_recorded_text(bundled_outputs):
+    out, stdout = bundled_outputs
+    assert stdout.replace(str(out), "<out>") == BUNDLED_STDOUT
 
 
 def test_rerun_into_a_populated_out_dir_replaces_every_output(tmp_path, capsys):

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -671,6 +672,26 @@ def test_equal_matrices_are_parsed_once_and_signed_zeros_kept_apart():
     assert math.copysign(1.0, z_bc.imag) == 1.0 and math.copysign(1.0, z_cd.imag) == -1.0
     model = parse_feeder_dict(_chain_doc([[[1, 0.6]]], [[[1.0, 0.6]]]))
     assert model.segment("b-c").z_per_mile == model.segment("c-d").z_per_mile == ((1 + 0.6j,),)
+
+
+class _Float(float):
+    """A float that marshal cannot dump, as no JSON document holds."""
+
+
+def test_matrices_marshal_cannot_key_parse_as_plain_ones(ieee13):
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    for seg in doc["segments"]:
+        if "z_ohm_per_mile" in seg:
+            seg["z_ohm_per_mile"] = [
+                [[_Float(x) for x in pair] for pair in row] for row in seg["z_ohm_per_mile"]
+            ]
+    assert parse_feeder_dict(doc) == ieee13
+    doc["segments"][0]["z_ohm_per_mile"][0][0][0] = Decimal("0.3")
+    with pytest.raises(FeederFormatError) as err:
+        parse_feeder_dict(doc)
+    assert str(err.value) == (
+        "expected a number, got Decimal('0.3') [segments[0] (id=650-632).z[0]]"
+    )
 
 
 @pytest.mark.parametrize("name", [["x", 1], "sub/ieee13", "a\0b", "", 13, None, True])

@@ -195,15 +195,49 @@ def test_ingest_rejects_instant_outside_datetime_range(tmp_path):
         b"s1,2024-03-12T00:00:00Z,230\ns1,2024-03-12T00:02:00Z,2\xff0\n",
         b"s1,2024-03-12T00:00:00Z,230\r\ns1,2024-03-12T00:02:00Z,2\xff0\r\n",
         b's1,2024-03-12T00:00:00Z,230\n"s1",2024-03-12T00:02:00Z,2\xff0\n',
+        b"s1,2024-03-12T00:00:00Z,230\rs1,2024-03-12T00:02:00Z,2\xff0\r",
+        b's1,2024-03-12T00:00:00Z,230\r"s1",2024-03-12T00:02:00Z,2\xff0\r',
+        b'"s\n1",2024-03-12T00:00:00Z,230\ns1,2024-03-12T00:02:00Z,2\xff0\n',
+        b'"s\r\n1",2024-03-12T00:00:00Z,230\r\ns1,2024-03-12T00:02:00Z,2\xff0\r\n',
+        b'"s\r1",2024-03-12T00:00:00Z,230\rs1,2024-03-12T00:02:00Z,2\xff0\r',
+        b"s1,2024-03-12T00:00:00Z,230\r\xff1,2024-03-12T00:02:00Z,230\r",
     ],
 )
-@pytest.mark.parametrize("block_bytes", [3, 1 << 16])
+@pytest.mark.parametrize("block_bytes", [1, 2, 3, 7, 1 << 16])
 def test_undecodable_byte_fails_with_its_line(tmp_path, body, block_bytes):
+    end = body[len(body.rstrip(b"\r\n")) :]  # the body's line break, on every line
     path = tmp_path / "bytes.csv"
-    path.write_bytes(b"sensor_id,timestamp,voltage_v\n" + body + b"s1,x,230\n")
+    path.write_bytes(b"sensor_id,timestamp,voltage_v" + end + body + b"s1,x,230" + end)
     with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
         with pytest.raises(SensorFormatError, match="line 3: byte 0xff is not UTF-8"):
             ingest_csv(path)
+
+
+def test_bad_record_before_an_undecodable_byte_fails_first_with_cr_ends(tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(
+        b"sensor_id,timestamp,voltage_v\rs1,not-a-time,230\r"
+        b"s1,2024-03-12T00:02:00Z,2\xff0\r"
+    )
+    with pytest.raises(SensorFormatError, match="line 2: bad timestamp 'not-a-time'"):
+        ingest_csv(path)
+
+
+def test_cr_ended_file_is_read_in_bounded_blocks(tmp_path):
+    lines = ["sensor_id,timestamp,voltage_v"] + [
+        f"s1,2024-03-12T00:{k:02d}:00Z,230" for k in range(40)
+    ]
+    text = "".join(line + "\r" for line in lines)
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", 100):
+        with path.open("rb") as handle:
+            blocks = list(sensors._Blocks(handle))
+        got = ingest_csv(path)
+    assert "".join(blocks) == text
+    assert len(blocks) > 1
+    assert max(map(len, blocks)) <= 100 + max(len(line) + 1 for line in lines)
+    assert got == reference_ingest(path)
 
 
 @pytest.mark.parametrize(
@@ -242,21 +276,36 @@ def _reference_epoch_us(text, line_no):
 
 
 def reference_ingest(path):
-    """ingest_csv as one csv.reader loop with one dict entry per sample."""
+    """ingest_csv as one csv.reader loop with one dict entry per sample.
+
+    A byte that is not UTF-8 ends the file before the line that holds it
+    (a line ends at LF, CR or CRLF), and fails at the record after the
+    last one read.
+    """
     stamps = {}
     per_sensor = {}
     dropped = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    data = Path(path).read_bytes()
+    undecodable = None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        undecodable = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        head = data[: exc.start]
+        data = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+    with io.StringIO(data.decode("utf-8-sig"), newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
-            raise SensorFormatError("empty file, expected header", line=1) from None
+            message = undecodable or "empty file, expected header"
+            raise SensorFormatError(message, line=1) from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise SensorFormatError(
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
                 line=1,
             )
+        line_no = 1
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -285,6 +334,8 @@ def reference_ingest(path):
                 dropped[sensor_id] = dropped.get(sensor_id, 0) + 1
             else:
                 bucket[us] = volts
+    if undecodable:
+        raise SensorFormatError(undecodable, line=line_no + 1)
     return [
         VoltageSeries(
             sensor_id,
@@ -402,15 +453,26 @@ def readings_files(draw):
             text += draw(ending)  # a blank line
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    return text
+    data = text.encode()
+    if draw(st.integers(0, 3)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + data[at:]
+    return data
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=readings_files(), block_bytes=st.sampled_from([1, 7, 40, 1 << 16]))
-def test_ingest_matches_row_loop_reference(text, block_bytes):
+@given(data=readings_files(), block_bytes=st.sampled_from([1, 7, 40, 1 << 16]))
+@example(  # a CR just before the byte ends its line, a CR just after it too
+    data=b"sensor_id,timestamp,voltage_v\rs1,2024-03-12T00:00:00Z,230\r\xc3\r", block_bytes=7
+)
+@example(
+    data=b"sensor_id,timestamp,voltage_v\ns1,2024-03-12T00:00:00Z,230\r\xff\ns1,x,230\n",
+    block_bytes=1,
+)
+def test_ingest_matches_row_loop_reference(data, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "readings.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(data)
         try:
             want = reference_ingest(path)
         except SensorFormatError as exc:
