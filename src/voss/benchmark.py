@@ -24,10 +24,10 @@ curves and ``voss_corrected`` use.
 A study compares all its paths in one call, on the solution's state
 arrays: each ComparisonRow field is one array column, with one
 ``clamped_correction`` call for every row.  Each column keeps the bits
-of the scalar arithmetic, row by row: magnitudes are ``np.hypot`` (as
-``abs()`` is), angles ``cmath.phase`` per element, and a path's segment
-losses are added one segment at a time in path order, never by a
-pairwise ``np.sum``.
+of the scalar arithmetic, row by row: magnitudes and angles are
+``estimator.magnitude`` and ``estimator.angle`` (the bits of ``abs()``
+and ``cmath.phase``), and a path's segment losses are added one segment
+at a time in path order, never by a pairwise ``np.sum``.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import EstimateFlag, check_rho, clamped_correction
+from .estimator import EstimateFlag, angle, check_rho, clamped_correction, magnitude
 from .feeder import FeederModel, SegmentKind, split_distributed_loads_to_ends
 from .ioutil import FLOAT_FORMAT, write_csv
-from .powerflow import PowerFlowSolution, SolveOptions, _phase, solve
+from .powerflow import PowerFlowSolution, SolveOptions, solve
 
 # Fraction of the feeder power base below which a per-phase input power
 # is treated as "no signal" for loss-fraction purposes.  Chosen so the
@@ -118,9 +118,9 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
     v1, v2, s_in = slots.v_from[head], slots.v_to[tail], slots.s_from[head]
     near_zero_va = near_zero_fraction * solution.model.base.power_kva * 1e3
     with np.errstate(all="ignore"):
-        rho_v = np.hypot(v2.real, v2.imag) / np.hypot(v1.real, v1.imag)
-        s_in_va = np.hypot(s_in.real, s_in.imag)
-        true_loss = np.where(s_in == 0, np.nan, np.hypot(lost.real, lost.imag) / s_in_va)
+        rho_v = magnitude(v2) / magnitude(v1)
+        s_in_va = magnitude(s_in)
+        true_loss = np.where(s_in == 0, np.nan, magnitude(lost) / s_in_va)
         if rho_s is None:
             p_out = slots.s_to.real[tail]
             rho_s = np.where(s_in.real == 0.0, np.nan, p_out / s_in.real)
@@ -130,7 +130,7 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
     voss = 1.0 - rho_v
     c_hat = clamped_correction(rho_s, rho_v)[0]
     corrected = c_hat * voss
-    dtheta = np.where(v2 != 0, _phase(v2).astype(float) - _phase(v1).astype(float), 0.0)
+    dtheta = np.where(v2 != 0, angle(v2) - angle(v1), 0.0)
     # A rising endpoint voltage (capacitor support, light phase) makes
     # the estimate negative; the small-angle error bound holds only for
     # non-rising pairs, so such rows carry an annotation.

@@ -68,19 +68,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_paths(text: str) -> list:
-    """'head-tail,head-tail' -> [(head, tail), ...]."""
-    pairs = []
+    """'head-tail,head-tail' -> the stripped tokens, each with a "-" between
+    two nonempty sides; cmd_benchmark resolves them against the feeder."""
+    tokens = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        head, sep, tail = token.partition("-")
-        if not sep or not head or not tail:
+        if "-" not in token[1:-1]:
             raise ValueError(f"bad path {token!r}, expected HEAD-TAIL")
-        pairs.append((head, tail))
-    if not pairs:
+        tokens.append(token)
+    if not tokens:
         raise ValueError("no paths given")
-    return pairs
+    return tokens
+
+
+def _resolve_path(token: str, node_ids) -> tuple:
+    """(head, tail) of a --paths token, split at the one "-" whose two sides
+    are both node ids.  With no such "-", the split at the first one, whose
+    unknown node the study reports; with several, a ValueError."""
+    splits = [(token[:k], token[k + 1:]) for k in range(1, len(token) - 1) if token[k] == "-"]
+    known = [(head, tail) for head, tail in splits if head in node_ids and tail in node_ids]
+    if len(known) > 1:
+        readings = " or ".join(f"{head!r} to {tail!r}" for head, tail in known)
+        raise ValueError(f"path {token!r} is ambiguous: {readings}")
+    return known[0] if known else splits[0]
 
 
 def _parse_rho_s_source(text: str):
@@ -152,9 +164,10 @@ def cmd_benchmark(args) -> int:
     # run every study before writing: a bad path leaves no partial output
     multi_rows = None
     if args.paths:
+        node_ids = {node.id for node in model.nodes}
         multi_rows = run_multi_segment_study(
             model,
-            args.paths,
+            [_resolve_path(token, node_ids) for token in args.paths],
             rho_s=getattr(args, "rho_s_source", None),
             near_zero_fraction=args.near_zero_threshold,
             solution=solution,
@@ -272,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--paths",
         type=_typed(_parse_paths),
         default=None,
-        help="comma-separated head-tail node pairs for the multi-segment study",
+        help="comma-separated head-tail node pairs for the multi-segment study; "
+        "a node id may hold '-' (the split whose sides are both node ids is "
+        "taken) but not ','",
     )
     p_bench.add_argument(
         "--rho-s-source",

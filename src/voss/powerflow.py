@@ -85,14 +85,12 @@ AVX-512) are avoided:
 - ``a * b`` with a large temporary as ``b``: numpy reuses the temporary
   and swaps the factors, and the fused product is not symmetric, so
   the flows call ``np.multiply(a, b)``;
-- ``np.abs`` of a complex array for ``abs()``: it differed on 35% of
-  200,000 random complexes, where ``np.hypot(x.real, x.imag)`` matched
-  all of them, so every magnitude is ``np.hypot``;
-- ``np.angle``/``np.arctan2`` for ``cmath.phase``: they differed on 7%,
-  so every angle runs ``cmath.phase`` per element through
-  ``np.frompyfunc``.  ``np.sin``, ``np.cos`` and a multiply by
-  ``180.0 / math.pi`` matched ``math.sin``, ``math.cos`` and
-  ``math.degrees`` on 400,000 values.
+- ``np.abs`` and ``np.angle`` where ``abs()`` and ``cmath.phase`` are
+  meant: ``estimator.magnitude`` and ``estimator.angle`` keep the bits
+  of the scalar calls (the mismatch keeps numpy's ``np.abs``, on both
+  kernels).  ``np.sin``, ``np.cos`` and a multiply by ``180.0 / math.pi``
+  matched ``math.sin``, ``math.cos`` and ``math.degrees`` on 400,000
+  values.
 
 Nominal voltage bases propagate from the source through transformer
 ratios; regulator taps deliberately do not change the base, so per-unit
@@ -110,7 +108,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .estimator import EstimateFlag
+from .estimator import EstimateFlag, angle, magnitude
 from .feeder import Connection, FeederModel, LoadModel, SegmentKind
 from .ioutil import format_column, write_csv
 
@@ -220,9 +218,6 @@ class PowerFlowSolution:
         )
         return abs(residual) / (self.model.base.power_kva * 1e3)
 
-
-# cmath.phase element by element: np.angle rounds differently
-_phase = np.frompyfunc(cmath.phase, 1, 1)
 
 _MODEL_ORDER = (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z, LoadModel.CONSTANT_I)
 _BRANCH_ROW = [("element", int), ("a", int), ("b", int), ("s0", complex), ("v0", float)]
@@ -369,8 +364,8 @@ class _Network:
         self.z_scale = 1.0 / (v0 * v0)
         # constant I: |s0| / v0 at the angle of v less that of s0
         s0 = self.s0[self.ci]
-        self.i_mag = np.hypot(s0.real, s0.imag) / t["v0"][self.ci]
-        self.i_angle = _phase(s0).astype(float)
+        self.i_mag = magnitude(s0) / t["v0"][self.ci]
+        self.i_angle = angle(s0)
 
     def flat_start(self, source) -> np.ndarray:
         """Source magnitudes and angles at every slot, then the ground."""
@@ -388,10 +383,10 @@ class _Network:
         vz, iz = vb[self.z], i[self.z]
         iz.real = (vz.real * self.z_re - vz.imag * self.z_im) * self.z_scale
         iz.imag = (vz.real * self.z_im + vz.imag * self.z_re) * self.z_scale
-        angle = _phase(vb[self.ci]).astype(float) - self.i_angle
+        theta = angle(vb[self.ci]) - self.i_angle
         ii = i[self.ci]
-        ii.real = self.i_mag * np.cos(angle)
-        ii.imag = self.i_mag * np.sin(angle)
+        ii.real = self.i_mag * np.cos(theta)
+        ii.imag = self.i_mag * np.sin(theta)
         e = np.zeros(len(self.eslot_node), dtype=complex)
         e[self.e_in] = i
         e[self.e_out] -= i[self.delta]
@@ -536,7 +531,7 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
 
     # outputs list each node's phases in the node's own order
     u = v[net.node_rows]
-    low = np.flatnonzero(np.hypot(u.real, u.imag) < COLLAPSE_PU * net.base[net.node_rows])
+    low = np.flatnonzero(magnitude(u) < COLLAPSE_PU * net.base[net.node_rows])
     names = [f"{n.id}.{ph}" for n in model.nodes for ph in n.phases] if low.size else []
     flag = EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value
 
@@ -572,9 +567,9 @@ def write_voltages_csv(solution: PowerFlowSolution, path) -> None:
     columns = (
         [n.id for n in nodes for _ in n.phases],
         "".join(n.phases for n in nodes),
-        format_column(np.hypot(u.real, u.imag)),
+        format_column(magnitude(u)),
         # math.degrees(x) is x * (180.0 / math.pi)
-        format_column(_phase(u).astype(float) * (180.0 / math.pi)),
+        format_column(angle(u) * (180.0 / math.pi)),
     )
     write_csv(path, ["node", "phase", "magnitude_v", "angle_deg"], list(zip(*columns)))
 

@@ -37,11 +37,9 @@ grid instant of the chain is formatted once, so the curve writer formats
 only the loss and flag columns.  A curve built by hand has no shared
 text and gets its own when it is written.
 The array kernels (rolling median, nearest sample, grid, timestamp
-parsing and rounding) are in ``voss.timeseries``, the elementwise
-estimate in ``voss.estimator``.
-Times in seconds are ``epoch_us / 1e6``, which equals
-``datetime.timestamp()`` bit for bit (within 2**53 us, about 285 years,
-of 1970), so grid and alignment arithmetic is the same as on datetimes.
+parsing and rounding) and the conversions between datetimes and epoch
+microseconds are in ``voss.timeseries``, the elementwise estimate in
+``voss.estimator``.
 
 Each setting has one rule, applied on every way in: _check_scale (nominal
 voltage and calibration, finite and > 0) in VoltageSeries and ingest_csv,
@@ -64,7 +62,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -76,11 +74,13 @@ from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import (
     check_seconds,
+    datetime_to_us,
     grid_points,
     nearest_index,
-    parse_canonical_us,
+    parse_timestamps,
     rolling_median,
     seconds_to_us,
+    us_to_datetime,
 )
 
 CSV_HEADER = ["sensor_id", "timestamp", "voltage_v"]
@@ -93,7 +93,11 @@ SMOOTHING_WINDOW_S = 600.0
 
 # Ingest reads the file in blocks of about this many bytes, cut at line
 # ends, and checks each block's rows as columns; memory for the text in
-# flight stays bounded however long the file.
+# flight stays bounded however long the file.  A block longer than
+# csv.field_size_limit() (128 KiB by default) always goes to the
+# csv.reader route, so the size stays well below that: with 128 KiB blocks,
+# ingest of the generated two-week sensor set (bench/gen_sensors.py, seed 1)
+# took 125 ms against 77 ms (2-vCPU Xeon VM, Python 3.11).
 INGEST_BLOCK_BYTES = 1 << 16
 
 # Samples below this fraction of nominal voltage are outage readings,
@@ -118,10 +122,6 @@ _FLAG_TUPLES = tuple(
 )
 # the last cell of a curve-file row, by flag bits
 _FLAG_CELLS = np.array([";".join(flags) + "\n" for flags in _FLAG_TUPLES], dtype=object)
-
-UTC = timezone.utc
-EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
-_ONE_US = timedelta(microseconds=1)
 
 
 class SensorFormatError(ValueError):
@@ -148,14 +148,6 @@ def _bad_reading(volts: np.ndarray, shown) -> Optional[tuple]:
         return None
     k = int(bad[0])
     return k, f"voltage must be finite and >= 0, got {shown[k]}"
-
-
-def _epoch_us(ts: datetime) -> int:
-    return (ts - EPOCH) // _ONE_US
-
-
-def _datetime(epoch_us: int) -> datetime:
-    return EPOCH + timedelta(microseconds=epoch_us)
 
 
 def _array(dtype):
@@ -233,7 +225,7 @@ class VoltageSeries(_ArrayRecord):
             raise ValueError(f"{sensor_id}: {bad[1]} at {samples[bad[0]][0]}")
         self._fill(
             sensor_id,
-            [_epoch_us(ts) for ts, _ in samples],
+            [datetime_to_us(ts) for ts, _ in samples],
             readings,
             nominal_voltage,
             calibration,
@@ -256,7 +248,7 @@ class VoltageSeries(_ArrayRecord):
     @property
     def samples(self) -> tuple:
         """(UTC datetime, volts) pairs, built on each access."""
-        return tuple(zip(map(_datetime, self.epoch_us.tolist()), self.volts.tolist()))
+        return tuple(zip(map(us_to_datetime, self.epoch_us.tolist()), self.volts.tolist()))
 
 
 _CURVE_FILE = "loss_curve_{}_{}.csv"  # of the upstream and downstream ids
@@ -344,24 +336,13 @@ class LossCurve(_ArrayRecord):
     def points(self) -> tuple:
         """One CurvePoint per grid point, built on each access."""
         return tuple(
-            CurvePoint(_datetime(us), loss, _FLAG_TUPLES[bits])
+            CurvePoint(us_to_datetime(us), loss, _FLAG_TUPLES[bits])
             for us, loss, bits in zip(
                 self.timestamp_us.tolist(),
                 self.loss_fraction.tolist(),
                 self.flag_bits.tolist(),
             )
         )
-
-
-def _parse_epoch_us(text: str) -> int:
-    try:
-        ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-        # a bare timestamp is taken as UTC; astimezone rejects an offset
-        # that moves the instant outside years 1-9999
-        ts = ts.replace(tzinfo=UTC) if ts.tzinfo is None else ts.astimezone(UTC)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
-    return _epoch_us(ts)
 
 
 def _line_end(buf: bytes, end: int) -> int:
@@ -437,10 +418,11 @@ class _Readings:
     """Checked rows of a readings file, kept as column chunks.
 
     A chunk is three arrays: sensor code (int32), epoch_us (int64) and
-    volts (float64).  Codes number the stripped sensor ids in order of
-    first appearance.  Each add method takes the record number of its
-    first record and returns the number of the record after its last;
-    record 1 is the header.
+    volts (float64).  Codes number the stripped sensor ids as they first
+    arrive, in the hash order of each chunk's new ids; no output depends
+    on the numbering, because series() ranks sensors by name.  Each add
+    method takes the record number of its first record and returns the
+    number of the record after its last; record 1 is the header.
     """
 
     def __init__(self) -> None:
@@ -515,13 +497,9 @@ class _Readings:
                 self.code_of[raw] = self.codes.setdefault(sensor_id, len(self.codes))
             else:
                 errors.append((ids.index(raw), 0, "empty sensor_id"))
-        new = set(stamps).difference(self.epoch_of)
-        self.epoch_of.update(parse_canonical_us(list(new)))
-        for text in new.difference(self.epoch_of):
-            try:
-                self.epoch_of[text] = _parse_epoch_us(text)
-            except ValueError as exc:
-                errors.append((stamps.index(text), 1, str(exc)))
+        epoch_of, messages = parse_timestamps(list(set(stamps).difference(self.epoch_of)))
+        self.epoch_of.update(epoch_of)
+        errors += [(stamps.index(text), 1, message) for text, message in messages.items()]
         try:
             volts = np.fromiter(map(float, volts_text), np.float64, n)
         except ValueError:

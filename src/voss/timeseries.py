@@ -1,16 +1,25 @@
-"""Array kernels for UTC time series held as numpy arrays.
+"""Array kernels for UTC time series held as numpy arrays, and the one
+reading of a timestamp text.
 
 Times are float64 epoch seconds or int64 epoch microseconds.  Each
 kernel gives exactly what a scalar formulation gives: statistics.median
 over a window, a scan for the nearest sample, datetime.fromtimestamp and
 datetime.fromisoformat.  The tests compare them against those oracles.
+Times in seconds are ``epoch_us / 1e6``, which equals
+``datetime.timestamp()`` bit for bit (within 2**53 us, about 285 years,
+of 1970), so grid and alignment arithmetic is the same as on datetimes.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+UTC = timezone.utc
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_ONE_US = timedelta(microseconds=1)
 
 # The rolling median sorts its windows in blocks of at most this many
 # cells (rows x widest window), so memory stays bounded however dense
@@ -134,3 +143,38 @@ def parse_canonical_us(texts: list) -> dict:
     good &= (_FIRST_S <= seconds) & (seconds <= _LAST_S)
     epoch_us = (seconds[good] * 1_000_000).tolist()
     return dict(zip(map(texts.__getitem__, pick[good].tolist()), epoch_us))
+
+
+def datetime_to_us(ts: datetime) -> int:
+    """Epoch microseconds of an aware datetime."""
+    return (ts - EPOCH) // _ONE_US
+
+
+def us_to_datetime(epoch_us: int) -> datetime:
+    """The UTC datetime of epoch microseconds."""
+    return EPOCH + timedelta(microseconds=epoch_us)
+
+
+def parse_timestamps(texts: list) -> tuple:
+    """(epoch microseconds by text, message by text) of distinct timestamp texts.
+
+    Each text is read as datetime.fromisoformat reads it once stripped,
+    with Z for +00:00; a time with no offset is taken as UTC.  Canonical
+    texts are read as arrays by parse_canonical_us.  A text that does not
+    parse, or whose offset moves the instant outside years 1-9999, gets
+    the message ``bad timestamp <text>: <reason>`` in place of a value.
+    """
+    epoch_us = parse_canonical_us(texts)
+    messages = {}
+    for text in texts:
+        if text in epoch_us:
+            continue
+        try:
+            ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+            # astimezone rejects an offset that moves the instant out of range
+            ts = ts.replace(tzinfo=UTC) if ts.tzinfo is None else ts.astimezone(UTC)
+        except (ValueError, OverflowError) as exc:
+            messages[text] = f"bad timestamp {text!r}: {exc}"
+        else:
+            epoch_us[text] = datetime_to_us(ts)
+    return epoch_us, messages

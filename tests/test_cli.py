@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import two_bus_doc
 from voss import cli
+from voss.benchmark import run_multi_segment_study, solve_end_split, write_comparison_csv
 from voss.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
-from voss.feeder import bundled_feeder_path
+from voss.feeder import bundled_feeder_path, parse_feeder
+from voss.powerflow import SolveOptions
 
 IEEE13 = str(bundled_feeder_path("ieee13.feeder"))
 IEEE34 = str(bundled_feeder_path("ieee34.feeder"))
@@ -533,6 +536,51 @@ def test_bad_path_is_an_input_error_with_no_output(tmp_path, capsys, paths, mess
     assert err == f"error: {message}\n"
     assert out == ""
     assert not any(tmp_path.iterdir())
+
+
+def _hyphen_chain(tmp_path):
+    """A feeder file whose line runs s -> a -> a-b -> b-c -> c, each node loaded."""
+    doc = two_bus_doc([30.0], [10.0], 0.3, 0.6)
+    line, load = doc["segments"][0], doc["loads"][0]
+    ids = ["s", "a", "a-b", "b-c", "c"]
+    doc["source"]["node"] = "s"
+    doc["nodes"] = [{"id": node, "phases": "A"} for node in ids]
+    doc["segments"] = [dict(line, id=f"line{k}", **{"from": up, "to": down})
+                       for k, (up, down) in enumerate(zip(ids, ids[1:]))]
+    doc["loads"] = [dict(load, id=f"L{k}", node=node) for k, node in enumerate(ids[1:])]
+    path = tmp_path / "hyphens.feeder"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_paths_split_where_both_sides_are_node_ids(tmp_path, capsys):
+    feeder = _hyphen_chain(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "benchmark", str(feeder), "--paths", "a-b-b-c, s-a-b",
+                       "--out-dir", str(out_dir))
+    assert (code, err) == (EXIT_OK, "")
+    model = parse_feeder(feeder)
+    rows = run_multi_segment_study(model, [("a-b", "b-c"), ("s", "a-b")],
+                                   solution=solve_end_split(model, SolveOptions()))
+    want = tmp_path / "want.csv"
+    write_comparison_csv(rows, want)
+    assert (out_dir / "multi_segment_twobus.csv").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        ("a-b-c", "path 'a-b-c' is ambiguous: 'a' to 'b-c' or 'a-b' to 'c'"),
+        ("a-x-c", "unknown node in path a-x-c"),
+    ],
+    ids=["two-readings", "no-reading"],
+)
+def test_path_with_other_than_one_reading_is_an_input_error(tmp_path, capsys, paths, message):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "benchmark", str(_hyphen_chain(tmp_path)),
+                         "--paths", paths, "--out-dir", str(out_dir))
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,21 @@ def test_every_voss_name_imported_by_bench_and_scripts_resolves():
     assert missing == []
 
 
+def test_no_voss_module_imports_a_private_name_of_another():
+    # a rule such as the bits of a magnitude has one owner; a module that
+    # needs it calls the owner's public name instead of borrowing a helper
+    borrowed = [
+        f"{path.name}: {'.' * node.level}{node.module or ''}.{alias.name}"
+        for path in sorted((ROOT / "src" / "voss").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "voss")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert borrowed == []
+
+
 def _table_rows(doc, header):
     """The cells of each row of the markdown table in docs/doc under header."""
     lines = (ROOT / "docs" / doc).read_text().splitlines()

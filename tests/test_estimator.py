@@ -18,11 +18,13 @@ from voss.estimator import (
     CorrectionParams,
     EstimateFlag,
     SegmentVoltages,
+    angle,
     clamp_rho,
     clamped_correction,
     correction_factor,
     correction_factor_hat,
     loss_fraction_exact,
+    magnitude,
     rho_from_ratios,
     small_angle_error_bound,
     voss_corrected,
@@ -224,3 +226,33 @@ def test_clamped_correction_passes_nan_and_rejects_bad_voltage_ratio():
     for rho_v in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="rho_v"):
             clamped_correction(0.5, rho_v)
+
+
+PAYLOAD_NAN = float(np.array([0x7FF8000000000001]).view(np.float64)[0])
+
+
+@given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=40))
+@example([complex(0.0, PAYLOAD_NAN), complex(1.27e308, 1.27e308),
+          complex(5.258254097303389e71, 1.2989613532907898e-252)])
+def test_magnitude_and_angle_keep_the_bits_of_abs_and_phase(values):
+    # the studies and the solver's outputs rest on these bits (see their
+    # docstrings); a NaN's payload is not kept, and no output shows it
+    def bits(x):
+        return np.where(np.isnan(x), np.nan, x).tobytes()
+
+    def size(x):  # abs() raises where |x| overflows, and magnitude gives inf
+        try:
+            return abs(x)
+        except OverflowError:
+            return math.inf
+
+    z = np.array(values, dtype=complex)
+    with np.errstate(over="ignore"):
+        assert bits(magnitude(z)) == bits(np.array([size(x) for x in values]))
+    try:
+        phases = np.array([cmath.phase(x) for x in values], dtype=float)
+    except OverflowError:  # cmath.phase of 5.3e71+1.3e-252j: the angle underflows
+        with pytest.raises(OverflowError):
+            angle(z)
+    else:
+        assert bits(angle(z)) == bits(phases)

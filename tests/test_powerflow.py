@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import json
 import math
 import struct
@@ -757,11 +758,20 @@ def test_estimator_identities_hold_on_every_line_of_random_feeders(doc):
 # Sweep oracle: the sweep as every level ran before the per-level choice,
 # one np.add.at over the level's links in reversed BFS order going up and
 # one v_to = v_from * k - drop going down, with Z stacked from z_total().
-# The per-level steps of the array kernel, and the scalar kernel, must
-# give the same bits after every sweep.
+# The injections and the mismatch are built here from the model, not from
+# the solver's branch tables.  The per-level steps of the array kernel, and
+# the scalar kernel, must give the same bits after every sweep.
+
+ORACLE_MODELS = (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z, LoadModel.CONSTANT_I)
 
 
 class _OracleNetwork(powerflow._Network):
+    """The solver's slot layout and links, with the oracle's own injection
+    elements: one per load and per capacitor bank, in node order, each
+    node's loads in the feeder's order and then its bank (a constant-PQ
+    wye element of -j kvar).  Branches that draw nothing are left out,
+    and so are elements left with no branch."""
+
     def __init__(self, model):
         super().__init__(model)
         by_width = {}
@@ -771,10 +781,87 @@ class _OracleNetwork(powerflow._Network):
             zs.append(seg.z_total())
         self.z_groups = [(np.array(rows), np.array(zs, dtype=complex))
                          for rows, zs in by_width.values()]
+        base = {model.source.node: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
+        for seg in model.bfs_segments():
+            ratio = seg.ratio if seg.kind is SegmentKind.TRANSFORMER else 1.0
+            base[seg.to_node] = base[seg.from_node] / ratio
+        self.slot_base = np.array([base[n] for n in self.first for _ in self.phases[n]])
+        ground = self.n_slots
+        self.elements, self.shunt_va = [], 0j
+        branches = []  # (element, a, b, s0, v0, load model), element order
+        for node in model.nodes:
+            at = self.first[node.id]
+            slot = {p: at + j for j, p in enumerate(self.phases[node.id])}
+            slot[None] = ground
+            elements = []  # (is a bank, load model, v0, [(p, q, s0)])
+            for ld in model.loads:
+                if ld.node != node.id:
+                    continue
+                if ld.conn is Connection.WYE:
+                    pairs, v0 = [(p, None) for p in ld.phases], base[node.id]
+                else:
+                    pairs, v0 = ld.branches(), base[node.id] * math.sqrt(3.0)
+                elements.append((False, ld.model, v0, [
+                    (p, q, complex(kw, kvar) * 1e3)
+                    for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)]))
+            seg = model.segment_into(node.id)
+            if seg is not None and seg.shunt_kvar is not None:
+                caps = [(p, None, -1j * (q * 1e3)) for p, q in zip(seg.phases, seg.shunt_kvar)]
+                self.shunt_va += sum(s0 for *_, s0 in caps)
+                elements.append((True, LoadModel.CONSTANT_PQ, base[node.id], caps))
+            for shunt, load_model, v0, pairs in elements:
+                live = [(slot[p], slot[q], s0) for p, q, s0 in pairs if s0 != 0]
+                if live:
+                    branches += [(len(self.elements), a, b, s0, v0, load_model)
+                                 for a, b, s0 in live]
+                    self.elements.append((node.id, shunt))
+        self.branches = branches
+        # the slots each element touches, in slot order
+        touched = [set() for _ in self.elements]
+        for element, a, b, *_ in branches:
+            touched[element].update({a, b} - {ground})
+        self.element_slots = [sorted(slots) for slots in touched]
+
+    def injections(self, v):
+        """Per element, a dict of its slots to the current it draws there.
+
+        Branch currents are taken per load model, over that model's
+        branches in element order, with the solver's arithmetic: numpy's
+        complex division for PQ, v * conj(s0) in real arithmetic for Z,
+        and abs() and cmath.phase for I.  Each branch current counts at
+        its slot a and, negated, at its slot b, unless b is the ground.
+        """
+        element, a, b, s0, v0, models = zip(*self.branches)
+        s0, v0 = np.array(s0), np.array(v0)
+        vb = v[list(a)] - v[list(b)]
+        i = np.empty(len(vb), dtype=complex)
+        pq, z, ci = (np.array([m is model for m in models]) for model in ORACLE_MODELS)
+        i[pq] = np.conj(s0[pq] / vb[pq])
+        u, s, scale = vb[z], s0[z], 1.0 / (v0[z] * v0[z])
+        iz = np.empty(len(u), dtype=complex)
+        iz.real = (u.real * s.real + u.imag * s.imag) * scale
+        iz.imag = (u.imag * s.real - u.real * s.imag) * scale
+        i[z] = iz
+        pairs = list(zip(vb[ci].tolist(), s0[ci].tolist(), v0[ci].tolist()))
+        theta = np.array([cmath.phase(x) - cmath.phase(y) for x, y, _ in pairs])
+        size = np.array([abs(y) / base for _, y, base in pairs])
+        ii = np.empty(len(pairs), dtype=complex)
+        ii.real = size * np.cos(theta)
+        ii.imag = size * np.sin(theta)
+        i[ci] = ii
+        e = [dict.fromkeys(slots, 0j) for slots in self.element_slots]
+        for k, a_k, b_k, x in zip(element, a, b, i.tolist()):
+            e[k][a_k] += x
+            if b_k != self.n_slots:
+                e[k][b_k] -= x
+        return e
 
     def currents(self, e):
-        i = np.zeros(self.n_slots, dtype=complex)
-        np.add.at(i, self.eslot_node, e)
+        node = [0j] * self.n_slots
+        for by_slot in e:
+            for slot, x in by_slot.items():
+                node[slot] += x
+        i = np.array(node, dtype=complex)
         for lo, hi, *_ in reversed(self.levels):
             to = slice(hi - 1, lo - 1, -1)
             np.add.at(i, self.up[to], i[to] * self.k[to])
@@ -787,6 +874,20 @@ class _OracleNetwork(powerflow._Network):
         for lo, hi, *_ in self.levels:
             to = slice(hi - 1, lo - 1, -1)
             v[to] = v[self.up[to]] * self.k[to] - drop[to]
+
+    def mismatch(self, v, before):
+        """Largest |update| over the base of a non-source node phase; NaN
+        if any update is NaN, 0 with no such phase."""
+        s = slice(self.n_source, self.n_slots)
+        updates = (np.abs(v[s] - before[s]) / self.slot_base[s]).tolist()
+        return math.nan if any(map(math.isnan, updates)) else max(updates, default=0.0)
+
+    def drawn(self, v, e):
+        """Complex power each element draws, summed over its slots in order."""
+        slots = [slot for by_slot in e for slot in by_slot]
+        currents = np.array([x for by_slot in e for x in by_slot.values()], dtype=complex)
+        power = iter(np.multiply(v[slots], np.conj(currents)).tolist())
+        return [sum(itertools.islice(power, len(by_slot)), 0j) for by_slot in e]
 
 
 def _bits(x):

@@ -51,7 +51,7 @@ from voss.sensors import (
     rolling_median,
     write_loss_curve_csv,
 )
-from voss.timeseries import MEDIAN_BLOCK_CELLS, parse_canonical_us
+from voss.timeseries import MEDIAN_BLOCK_CELLS, parse_canonical_us, parse_timestamps
 
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
@@ -510,18 +510,39 @@ def test_ingest_matches_row_loop_reference(data, block_bytes):
         "2024-03-12T00:00:00,05:30",
     ]
 )
-def test_canonical_stamps_parse_as_parse_epoch_us_does(texts):
-    # the array parse takes exactly the canonical texts _parse_epoch_us
-    # accepts (offset minutes below 60), with its values
-    want = {}
+def test_timestamp_texts_parse_as_fromisoformat_reads_them(texts):
+    # parse_timestamps reads each text as the reference does, value or
+    # message, and its array parse takes exactly the canonical texts the
+    # reference accepts (offset minutes below 60), with their values
+    texts = list(dict.fromkeys(texts))
+    want, messages = {}, {}
     for text in texts:
         try:
-            epoch_us = sensors._parse_epoch_us(text)
-        except ValueError:
-            continue
-        if CANONICAL_STAMP.fullmatch(text):
-            want[text] = epoch_us
-    assert parse_canonical_us(texts) == want
+            want[text] = _reference_epoch_us(text, None)
+        except SensorFormatError as exc:
+            messages[text] = str(exc)
+    assert parse_timestamps(texts) == (want, messages)
+    canonical = {text: us for text, us in want.items() if CANONICAL_STAMP.fullmatch(text)}
+    assert parse_canonical_us(texts) == canonical
+
+
+def test_a_canonical_file_of_several_blocks_takes_the_split_route(tmp_path):
+    # at the shipped block size every block stays under csv.field_size_limit(),
+    # so no block of a canonical file falls back to csv.reader
+    path = tmp_path / "long.csv"
+    stamps = np.datetime_as_string(
+        np.datetime64("2024-03-12T00:00:00") + np.arange(4000) * np.timedelta64(120, "s")
+    )
+    path.write_text("sensor_id,timestamp,voltage_v\n" + "".join(
+        f"s{k},{stamp}Z,{230 - k}.{j % 10}\n"
+        for j, stamp in enumerate(stamps.tolist()) for k in range(3)
+    ))
+    with mock.patch.object(sensors._Readings, "add_text", autospec=True,
+                           side_effect=sensors._Readings.add_text) as add_text:
+        with mock.patch.object(sensors.csv, "reader", side_effect=AssertionError):
+            got = ingest_csv(path)
+    assert add_text.call_count >= 3  # blocks
+    assert got == reference_ingest(path)
 
 
 def test_blank_lines_keep_the_block_route_and_their_line_numbers(tmp_path):
