@@ -10,9 +10,10 @@ long format, rendering left to external tools) and byte-identical
 across runs with identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 input or parse error,
-3 numerical failure.  Each flag's value is checked at parse time by the
-library rule of the call it feeds, so a value that call rejects is a
-usage error here, reported with the rule's message.
+3 numerical failure (non-convergence or any other ArithmeticError).
+Each flag's value is checked at parse time by the library rule of the
+call it feeds, so a value that call rejects is a usage error here,
+reported with the rule's message.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except PowerFlowError as exc:
+    except (PowerFlowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # FeederFormatError and SensorFormatError are ValueErrors

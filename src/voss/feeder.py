@@ -30,12 +30,15 @@ from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
+from itertools import permutations
 from typing import Optional
 
 from .ioutil import NOT_IN_FILE_NAMES, json_number
 
 FEET_PER_MILE = 5280.0
 PHASE_ORDER = "ABC"
+# the 15 phase strings: one to three of A, B and C, none repeated, in any order
+_PHASE_STRINGS = frozenset("".join(p) for n in (1, 2, 3) for p in permutations(PHASE_ORDER, n))
 
 # Regulator taps are per-phase ratio multipliers; standard 32-step
 # regulators cover +-10%.
@@ -46,8 +49,8 @@ TAP_MAX = 1.1
 class FeederFormatError(ValueError):
     """A feeder file failed to parse or validate.
 
-    ``context`` points at the offending element (JSON location for syntax
-    errors, element path like ``segments[3] (id=632-671)`` otherwise).
+    ``context`` points at the offending element: a JSON location, a document
+    path like ``segments[3] (id=632-671)``, or a model element (``segment 632-671``).
     """
 
     def __init__(self, message: str, context: str = ""):
@@ -178,10 +181,12 @@ class BaseDef:
 class FeederModel:
     """A radial feeder; every way of building one checks it.
 
-    One pass builds each index by the rule it must satisfy and raises
-    FeederFormatError (NotRadialError for the tree rules) at the first
-    violation: the name, duplicate node ids, duplicate segment ids, the
-    source, each segment, reachability, each load.
+    One pass checks each value and builds each index by the rule it must
+    satisfy, and raises FeederFormatError (NotRadialError for the tree
+    rules) at the first violation: the name; three source voltages and
+    angles; numbers > 0; every phase string; duplicate node and segment
+    ids; the source node; each segment (length, taps, shunt_kvar, ends,
+    phases); reachability; each load (kw and kvar counts, then the rest).
     """
 
     name: str
@@ -196,6 +201,21 @@ class FeederModel:
         if not isinstance(name, str) or not name or not NOT_IN_FILE_NAMES.isdisjoint(name):
             message = f"expected a nonempty name without a path separator or NUL, got {name!r}"
             raise FeederFormatError(message, "name")
+        base, source = self.base, self.source
+        _count(source.voltage_pu, 3, "source.voltage_pu")
+        _count(source.angles_deg, 3, "source.angles_deg")
+        numbers = [(base.power_kva, "base.power_kva"), (base.voltage_kv_ll, "base.voltage_kv_ll"),
+                   (source.nominal_kv_ll, "source.nominal_kv_ll")]
+        numbers += [(v, "source.voltage_pu") for v in source.voltage_pu]
+        numbers += [(s.ratio, f"segment {s.id} ratio")
+                    for s in self.segments if s.ratio is not None]
+        for x, ctx in numbers:
+            if not 0 < x < math.inf:
+                raise FeederFormatError(f"expected a number > 0, got {x}", ctx)
+        for tag, group in (("node", self.nodes), ("segment", self.segments), ("load", self.loads)):
+            for item in group:
+                if item.phases not in _PHASE_STRINGS:
+                    raise _phase_error(item.phases, f"{tag} {item.id}")
         known = {n.id: n for n in self.nodes}
         by_id = {s.id: s for s in self.segments}
         for what, items, index in (("node", self.nodes, known), ("segment", self.segments, by_id)):
@@ -203,12 +223,20 @@ class FeederModel:
                 dupes = sorted(i for i, c in Counter(x.id for x in items).items() if c > 1)
                 raise FeederFormatError(f"duplicate {what} ids {dupes}")
 
-        src = self.source.node
+        src = source.node
         if src not in known:
             raise FeederFormatError(f"source node {src!r} not defined")
         into, children = {}, {n: [] for n in known}
         for s in self.segments:
             ctx = f"segment {s.id}"
+            if not 0 <= s.length_miles < math.inf:
+                raise FeederFormatError("length must be >= 0", ctx)
+            for values in (s.taps, s.shunt_kvar):
+                if values is not None:
+                    _count(values, len(s.phases), ctx)
+            for t in s.taps or ():
+                if not TAP_MIN <= t <= TAP_MAX:
+                    raise FeederFormatError(f"tap {t} outside [{TAP_MIN}, {TAP_MAX}]", ctx)
             for end in (s.from_node, s.to_node):
                 if end not in known:
                     raise FeederFormatError(f"unknown node {end!r}", ctx)
@@ -242,6 +270,9 @@ class FeederModel:
 
         for ld in self.loads:
             ctx = f"load {ld.id}"
+            count = 1 if ld.conn == Connection.DELTA and len(ld.phases) == 2 else len(ld.phases)
+            _count(ld.kw, count, f"{ctx} kw")
+            _count(ld.kvar, count, f"{ctx} kvar")
             if (ld.node is None) == (ld.segment is None):
                 raise FeederFormatError("a load needs exactly one of 'node' and 'segment'", ctx)
             if ld.segment is None:
@@ -309,6 +340,20 @@ class FeederModel:
         return path
 
 
+def _count(values, count: int, ctx: str) -> None:
+    if len(values) != count:
+        raise FeederFormatError(f"expected a list of {count} numbers, got {values!r}", ctx)
+
+
+def _phase_error(phases, ctx: str) -> FeederFormatError:
+    for i, ch in enumerate(phases if isinstance(phases, str) else ()):
+        if ch not in PHASE_ORDER:
+            return FeederFormatError(f"unknown phase '{ch}'", ctx)
+        if ch in phases[:i]:
+            return FeederFormatError(f"repeated phase '{ch}'", ctx)
+    return FeederFormatError(f"expected a phase string, got {phases!r}", ctx)
+
+
 def _complex_from_pair(value, ctx: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise FeederFormatError(f"expected [re, im] pair, got {value!r}", ctx)
@@ -368,13 +413,6 @@ def _number(value, ctx: str) -> float:
     return x
 
 
-def _positive(value, ctx: str) -> float:
-    x = _number(value, ctx)
-    if x <= 0:
-        raise FeederFormatError(f"expected a number > 0, got {x}", ctx)
-    return x
-
-
 def _member(enum, value, ctx: str):
     try:
         return enum(value)
@@ -385,21 +423,14 @@ def _member(enum, value, ctx: str):
 
 
 def _phase_string(value, ctx: str) -> str:
-    if not isinstance(value, str) or value == "":
+    if not isinstance(value, str):
         raise FeederFormatError(f"expected a phase string, got {value!r}", ctx)
-    seen = set()
-    for ch in value:
-        if ch not in PHASE_ORDER:
-            raise FeederFormatError(f"unknown phase '{ch}'", ctx)
-        if ch in seen:
-            raise FeederFormatError(f"repeated phase '{ch}'", ctx)
-        seen.add(ch)
     return value
 
 
-def _numbers(value, count: int, ctx: str, rule=_number) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise FeederFormatError(f"expected a list of {count} numbers, got {value!r}", ctx)
+def _numbers(value, ctx: str, rule=_number) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise FeederFormatError(f"expected a list of numbers, got {value!r}", ctx)
     return tuple(rule(x, ctx) for x in value)
 
 
@@ -414,10 +445,8 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     name = doc.get("name", "feeder")
     base_raw = _object(_require(doc, "base", "base"), BaseDef, "base")
     base = BaseDef(
-        power_kva=_positive(_require(base_raw, "power_kva", "base"), "base.power_kva"),
-        voltage_kv_ll=_positive(
-            _require(base_raw, "voltage_kv_ll", "base"), "base.voltage_kv_ll"
-        ),
+        power_kva=_number(_require(base_raw, "power_kva", "base"), "base.power_kva"),
+        voltage_kv_ll=_number(_require(base_raw, "voltage_kv_ll", "base"), "base.voltage_kv_ll"),
     )
 
     src_raw = _object(_require(doc, "source", "source"), SourceDef, "source")
@@ -428,14 +457,16 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     angles = src_raw.get("angles_deg", [0.0, -120.0, 120.0])
     source = SourceDef(
         node=node,
-        nominal_kv_ll=_positive(
+        nominal_kv_ll=_number(
             _require(src_raw, "nominal_kv_ll", "source"), "source.nominal_kv_ll"
         ),
-        voltage_pu=_numbers(v_pu, 3, "source.voltage_pu", _positive),
-        angles_deg=_numbers(angles, 3, "source.angles_deg"),
+        voltage_pu=_numbers(v_pu, "source.voltage_pu"),
+        angles_deg=_numbers(angles, "source.angles_deg"),
     )
 
-    load_scale = _positive(doc.get("load_scale", 1.0), "load_scale")
+    load_scale = _number(doc.get("load_scale", 1.0), "load_scale")
+    if load_scale <= 0:
+        raise FeederFormatError(f"expected a number > 0, got {load_scale}", "load_scale")
 
     nodes = []
     for i, raw in enumerate(_objects(doc, "nodes", origin)):
@@ -476,8 +507,6 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
                 raise FeederFormatError(
                     f"length requires unit 'ft' or 'mi', got {unit!r}", ctx
                 )
-            if length_miles < 0:
-                raise FeederFormatError("length must be >= 0", ctx)
 
         z_per_mile = None
         if "z_ohm_per_mile" in raw:
@@ -502,13 +531,10 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
                 )
             z_per_mile = matrices[key]
 
-        ratio = _positive(raw["ratio"], f"{ctx} ratio") if "ratio" in raw else None
+        ratio = _number(raw["ratio"], f"{ctx} ratio") if "ratio" in raw else None
         series_z = _complex_from_pair(raw["series_z_ohm"], ctx) if "series_z_ohm" in raw else None
-        taps = _numbers(raw["taps"], len(phases), ctx) if "taps" in raw else None
-        for t in taps or ():
-            if not (TAP_MIN <= t <= TAP_MAX):
-                raise FeederFormatError(f"tap {t} outside [{TAP_MIN}, {TAP_MAX}]", ctx)
-        shunt = _numbers(raw["shunt_kvar"], len(phases), ctx) if "shunt_kvar" in raw else None
+        taps = _numbers(raw["taps"], ctx) if "taps" in raw else None
+        shunt = _numbers(raw["shunt_kvar"], ctx) if "shunt_kvar" in raw else None
 
         segments.append(SegmentDef(
             id=seg_id, from_node=str(_require(raw, "from", ctx)),
@@ -526,12 +552,11 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         _object(raw, LoadDef, ctx)
         conn = _member(Connection, raw.get("conn", "wye"), f"{ctx} conn")
         model = _member(LoadModel, raw.get("model", "pq"), f"{ctx} model")
-        phases = _phase_string(_require(raw, "phases", ctx), ctx)
-        count = 1 if (conn == Connection.DELTA and len(phases) == 2) else len(phases)
         loads.append(LoadDef(
-            id=str(raw.get("id", f"load{i}")), conn=conn, model=model, phases=phases,
-            kw=_numbers(_require(raw, "kw", ctx), count, f"{ctx} kw", scaled),
-            kvar=_numbers(_require(raw, "kvar", ctx), count, f"{ctx} kvar", scaled),
+            id=str(raw.get("id", f"load{i}")), conn=conn, model=model,
+            phases=_phase_string(_require(raw, "phases", ctx), ctx),
+            kw=_numbers(_require(raw, "kw", ctx), f"{ctx} kw", scaled),
+            kvar=_numbers(_require(raw, "kvar", ctx), f"{ctx} kvar", scaled),
             node=str(raw["node"]) if "node" in raw else None,
             segment=str(raw["segment"]) if "segment" in raw else None,
         ))

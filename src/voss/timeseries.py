@@ -117,6 +117,7 @@ def seconds_to_us(seconds: np.ndarray) -> np.ndarray:
 # offset hours, minutes) are at most _STAMP_MOST.
 _STAMP = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
 _STAMP_SPAN = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint32)
+_STAMP_TENS = np.flatnonzero(_STAMP_SPAN)[::2]  # each pair's ones digit follows
 _STAMP_MOST = np.array([99, 99, 12, 31, 23, 59, 59, 23, 59])
 _FIRST_S, _LAST_S = -62_135_596_800, 253_402_300_799  # 0001-01-01, 9999-12-31T23:59:59
 
@@ -132,7 +133,8 @@ def parse_canonical_us(texts: list) -> dict:
     form = digits <= _STAMP_SPAN
     form[:, 19] |= chars[:, 19] == ord("-")
     pick = np.flatnonzero(form.all(axis=1) & (size <= 25))
-    numbers = digits[pick][:, _STAMP_SPAN > 0].reshape(-1, 9, 2) @ np.array([10, 1])
+    rows = digits[pick]
+    numbers = rows[:, _STAMP_TENS].astype(np.int64) * 10 + rows[:, _STAMP_TENS + 1]
     century, year, month, day, hour, minute, second, off_h, off_m = numbers.T
     first = (century * 100 + year - 1970).astype("M8[Y]").astype("M8[M]") + (month - 1)
     date = first.astype("M8[D]") + (day - 1)

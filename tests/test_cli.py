@@ -344,6 +344,20 @@ def test_diverging_solve_reports_one_error_and_no_warnings(tmp_path, capsys, edi
     assert err.splitlines() == [err.strip()] and err.startswith("error:")
 
 
+def test_arithmetic_error_is_a_numerical_error(tmp_path, capsys):
+    # the reader accepts this load; the angle of its constant current
+    # overflows in cmath.phase
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    next(ld for ld in doc["loads"] if ld["id"] == "692").update(kw=[1e300], kvar=[1e-300])
+    bad = tmp_path / "overflow.feeder"
+    bad.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "solve", str(bad), "--out-dir", str(out_dir))
+    assert code == EXIT_NUMERICAL
+    assert err == "error: math range error\n" and out == ""
+    assert not out_dir.exists()
+
+
 def test_iteration_cap_is_a_numerical_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "solve", STRESSED, "--max-iter", "5", "--out-dir", str(tmp_path)

@@ -1,10 +1,12 @@
 """Feeder file parsing, validation, and load-placement rewrites."""
 
+import ast
 import copy
 import json
 import math
 from dataclasses import fields, replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import json_values
 from test_powerflow import radial_feeders
+from voss import feeder as feeder_module
 from voss.feeder import (
     FEET_PER_MILE,
     Connection,
@@ -748,3 +751,82 @@ def test_a_replaced_model_checks_itself(ieee13):
         replace(ieee13, loads=tuple(loads))
     assert str(err.value) == f"unknown load node 'zz' [load {loads[at].id}]"
     assert err.value.context == f"load {loads[at].id}"
+
+
+def _ieee13_doc(section, element_id=None, **change):
+    """The ieee13 document with one base, source, node, segment or load edited."""
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    target = doc[section]
+    if element_id is not None:
+        target = next(x for x in target if x["id"] == element_id)
+    target.update(change)
+    return doc
+
+
+def _replaced(model, section, element_id=None, **change):
+    """model with one base, source, node, segment or load changed by replace."""
+    value = getattr(model, section)
+    if element_id is None:
+        return replace(model, **{section: replace(value, **change)})
+    items = tuple(replace(x, **change) if x.id == element_id else x for x in value)
+    return replace(model, **{section: items})
+
+
+# each value rule the model's pass states, broken in a document and in a model
+@pytest.mark.parametrize(
+    "section,element_id,in_doc,in_model",
+    [
+        ("segments", "650-632", {"taps": [5.0, 1.05, 1.06875]}, {"taps": (5.0, 1.05, 1.06875)}),
+        ("segments", "632-633", {"length": -1.0, "unit": "mi"}, {"length_miles": -1.0}),
+        ("segments", "632-633", None, {"length_miles": math.nan}),
+        ("segments", "632-633", None, {"length_miles": math.inf}),
+        ("base", None, {"power_kva": -5.0}, {"power_kva": -5.0}),
+        ("source", None, {"voltage_pu": [1.0, 1.0]}, {"voltage_pu": (1.0, 1.0)}),
+        ("segments", "633-634", {"ratio": 0.0}, {"ratio": 0.0}),
+        ("nodes", "650", {"phases": "ABCA"}, {"phases": "ABCA"}),
+        ("loads", "634", {"kw": []}, {"kw": ()}),
+    ],
+    ids=["tap", "negative-length", "nan-length", "inf-length", "power-base", "two-voltages",
+         "zero-ratio", "repeated-phase", "no-kw"],
+)
+def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id, in_doc,
+                                                     in_model):
+    with pytest.raises(FeederFormatError) as built:
+        _replaced(ieee13, section, element_id, **in_model)
+    if in_doc is None:  # the reader's number rule stops NaN and inf in a document
+        assert str(built.value) == f"length must be >= 0 [segment {element_id}]"
+        return
+    with pytest.raises(FeederFormatError) as parsed:
+        parse_feeder_dict(_ieee13_doc(section, element_id, **in_doc))
+    assert str(built.value) == str(parsed.value)
+    assert built.value.context == parsed.value.context
+
+
+# the messages of the value rules FeederModel states, which the reader must not
+MODEL_RULES = ("unknown phase", "repeated phase", "length must be >= 0", "tap ",
+               "expected a number > 0")
+
+
+def test_the_reader_states_none_of_the_model_value_rules():
+    tree = ast.parse(Path(feeder_module.__file__).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    # parse_feeder_dict and every module function it names, and so on
+    reader, todo = set(), ["parse_feeder_dict"]
+    while todo:
+        name = todo.pop()
+        if name not in reader:
+            reader.add(name)
+            todo += [n.id for n in ast.walk(functions[name])
+                     if isinstance(n, ast.Name) and n.id in functions]
+    assert {"_numbers", "_number", "_phase_string", "_objects"} <= reader
+    stated = []
+    for name in sorted(reader):
+        for stmt in ast.walk(functions[name]):
+            if not isinstance(stmt, ast.stmt) or hasattr(stmt, "body"):
+                continue  # a compound statement's parts are visited on their own
+            texts = [c.value for c in ast.walk(stmt)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            stated += [(name, rule, "load_scale" in texts) for rule in MODEL_RULES
+                       if any(rule in t for t in texts)]
+    # the reader's own rule is load_scale > 0
+    assert stated == [("parse_feeder_dict", "expected a number > 0", True)]
