@@ -210,11 +210,12 @@ class FeederModel:
         numbers += [(s.ratio, f"segment {s.id} ratio")
                     for s in self.segments if s.ratio is not None]
         for x, ctx in numbers:
-            if not 0 < x < math.inf:
-                raise FeederFormatError(f"expected a number > 0, got {x}", ctx)
+            number = json_number(x)
+            if number is None or not 0 < number < math.inf:
+                raise FeederFormatError(f"expected a number > 0, got {x!r}", ctx)
         for tag, group in (("node", self.nodes), ("segment", self.segments), ("load", self.loads)):
             for item in group:
-                if item.phases not in _PHASE_STRINGS:
+                if not isinstance(item.phases, str) or item.phases not in _PHASE_STRINGS:
                     raise _phase_error(item.phases, f"{tag} {item.id}")
         known = {n.id: n for n in self.nodes}
         by_id = {s.id: s for s in self.segments}
@@ -229,7 +230,8 @@ class FeederModel:
         into, children = {}, {n: [] for n in known}
         for s in self.segments:
             ctx = f"segment {s.id}"
-            if not 0 <= s.length_miles < math.inf:
+            length = json_number(s.length_miles)
+            if length is None or not 0 <= length < math.inf:
                 raise FeederFormatError("length must be >= 0", ctx)
             for values in (s.taps, s.shunt_kvar):
                 if values is not None:
@@ -340,8 +342,15 @@ class FeederModel:
         return path
 
 
+# numbers as json_number takes them, by exact type: the fast test for most values
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 def _count(values, count: int, ctx: str) -> None:
-    if len(values) != count:
+    """values is a list or tuple of count numbers."""
+    if not (isinstance(values, (list, tuple)) and len(values) == count
+            and (_PLAIN_NUMBERS.issuperset(map(type, values))
+                 or all(json_number(x) is not None for x in values))):
         raise FeederFormatError(f"expected a list of {count} numbers, got {values!r}", ctx)
 
 
@@ -582,6 +591,8 @@ def parse_feeder(path) -> FeederModel:
         ) from None
     except ValueError as exc:  # not UTF-8, or past sys.get_int_max_str_digits()
         raise FeederFormatError(str(exc), str(path)) from None
+    except RecursionError:
+        raise FeederFormatError("invalid JSON: nested too deeply", str(path)) from None
     return parse_feeder_dict(doc, origin=str(path))
 
 

@@ -43,9 +43,11 @@ microseconds are in ``voss.timeseries``, the elementwise estimate in
 
 Each setting has one rule, applied on every way in: _check_scale (nominal
 voltage and calibration, finite and > 0) in VoltageSeries and ingest_csv,
-timeseries.check_seconds (window, grid step, tolerance) in loss_curve and
-align, estimator.check_rho for rho_s.  ChainConfig's fields give the chain
-config's keys, defaults and rules, so the config applies the same ones.
+timeseries.check_seconds (window, grid step, tolerance) in rolling_median
+and align, estimator.check_rho for rho_s.  ChainConfig's fields give the
+chain config's keys, defaults and rules, so the config applies the same
+ones.  A VoltageSeries and a LossCurve check their own rules (see their
+docstrings) however they are built.
 
 Scaling both series of a pair by the same factor leaves the curve
 unchanged; for power-of-two factors the output is bit-identical, since
@@ -159,12 +161,18 @@ class _ArrayRecord:
     """Base of the frozen dataclasses that keep their data in _array fields."""
 
     def __post_init__(self) -> None:
-        """Make each array field a read-only numpy array of its dtype."""
+        """Make each array field a read-only numpy array of its dtype, and
+        check that they are 1-D columns of one length."""
+        shapes = {}
         for f in fields(self):
             if "dtype" in f.metadata:
                 value = np.array(getattr(self, f.name), dtype=f.metadata["dtype"])
                 value.flags.writeable = False
                 object.__setattr__(self, f.name, value)
+                shapes[f.name] = value.shape
+        if any(len(s) != 1 for s in shapes.values()) or len(set(shapes.values())) > 1:
+            raise ValueError(f"{', '.join(shapes)} must be 1-D columns of one length, "
+                             f"got shapes {', '.join(map(str, shapes.values()))}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -183,11 +191,15 @@ class _ArrayRecord:
 class VoltageSeries(_ArrayRecord):
     """Sorted voltage-magnitude samples from one sensor.
 
-    Built from (aware datetime, volts) pairs with strictly increasing
-    timestamps; gaps are simply missing entries.  Stored as epoch_us
-    (int64 UTC epoch microseconds) and volts (float64); samples gives
-    the pairs back.  calibration multiplies readings before any use and
-    defaults to 1.
+    Stored as epoch_us (int64 UTC epoch microseconds) and volts
+    (float64); samples gives the (UTC datetime, volts) pairs back, and
+    gaps are simply missing entries.  calibration multiplies readings
+    before any use and defaults to 1.  The constructor takes (aware
+    datetime, volts) pairs and from_arrays the two columns; either way
+    the series meets one rule set: a nonempty sensor_id, nominal_voltage
+    and calibration finite and > 0, epoch_us strictly increasing, and
+    every reading finite and >= 0.  A failure names the sensor and the
+    instant in UTC.
     """
 
     sensor_id: str
@@ -197,53 +209,41 @@ class VoltageSeries(_ArrayRecord):
     calibration: float
     duplicates_dropped: int
 
-    def __init__(
-        self,
-        sensor_id: str,
-        samples,
-        nominal_voltage: float = NOMINAL_VOLTAGE,
-        calibration: float = 1.0,
-        duplicates_dropped: int = 0,
-    ) -> None:
-        if not sensor_id:
-            raise ValueError("sensor_id must be nonempty")
-        _check_scale("nominal_voltage", nominal_voltage)
-        _check_scale("calibration", calibration)
+    def __init__(self, sensor_id: str, samples, nominal_voltage: float = NOMINAL_VOLTAGE,
+                 calibration: float = 1.0, duplicates_dropped: int = 0) -> None:
         samples = tuple(samples)
-        prev = None
         for ts, _ in samples:
             if ts.tzinfo is None:
                 raise ValueError(f"{sensor_id}: naive timestamp {ts}")
-            if prev is not None and ts <= prev:
-                raise ValueError(
-                    f"{sensor_id}: timestamps not strictly increasing at {ts}"
-                )
-            prev = ts
-        readings = [volts for _, volts in samples]
-        bad = _bad_reading(np.asarray(readings), readings)
-        if bad:
-            raise ValueError(f"{sensor_id}: {bad[1]} at {samples[bad[0]][0]}")
-        self._fill(
-            sensor_id,
-            [datetime_to_us(ts) for ts, _ in samples],
-            readings,
-            nominal_voltage,
-            calibration,
-            duplicates_dropped,
-        )
+        epoch_us = [datetime_to_us(ts) for ts, _ in samples]
+        volts = [v for _, v in samples]
+        self._fill(sensor_id, epoch_us, volts, nominal_voltage, calibration, duplicates_dropped)
 
     @classmethod
-    def _unchecked(cls, *values) -> VoltageSeries:
-        """A series from its field values, without __init__'s checks."""
+    def from_arrays(cls, sensor_id: str, epoch_us, volts, nominal_voltage: float = NOMINAL_VOLTAGE,
+                    calibration: float = 1.0, duplicates_dropped: int = 0) -> VoltageSeries:
+        """A series from its epoch_us and volts columns, checked as __init__ checks."""
         series = cls.__new__(cls)
-        series._fill(*values)
+        series._fill(sensor_id, epoch_us, volts, nominal_voltage, calibration, duplicates_dropped)
         return series
 
     def _fill(self, *values) -> None:
-        """Assign the fields in declaration order, then freeze the arrays."""
+        """Assign the fields in declaration order, then freeze and check them."""
         for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
-        self.__post_init__()
+        super().__post_init__()
+        if not self.sensor_id:
+            raise ValueError("sensor_id must be nonempty")
+        _check_scale("nominal_voltage", self.nominal_voltage)
+        _check_scale("calibration", self.calibration)
+        step = np.flatnonzero(np.diff(self.epoch_us) <= 0)
+        if step.size:
+            raise ValueError(f"{self.sensor_id}: timestamps not strictly increasing "
+                             f"at {us_to_datetime(int(self.epoch_us[step[0] + 1]))}")
+        bad = _bad_reading(self.volts, self.volts)
+        if bad:
+            when = us_to_datetime(int(self.epoch_us[bad[0]]))
+            raise ValueError(f"{self.sensor_id}: {bad[1]} at {when}")
 
     @property
     def samples(self) -> tuple:
@@ -315,7 +315,8 @@ class LossCurve(_ArrayRecord):
     One array entry per grid point: timestamp_us (UTC epoch
     microseconds), loss_fraction (nan at gap and outage-suspect points)
     and flag_bits (see FLAG_NAMES).  points gives one CurvePoint per
-    grid point.
+    grid point.  However it is built, the three columns have one length
+    and every flag_bits value is below 16, one bit per flag name.
     """
 
     # The curve file's timestamp cells, which loss_curve shares among the
@@ -331,6 +332,13 @@ class LossCurve(_ArrayRecord):
     grid_step_s: float
     tolerance_s: float
     rho_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        bad = np.flatnonzero(self.flag_bits >= len(_FLAG_TUPLES))
+        if bad.size:
+            raise ValueError(f"flag_bits must be below {len(_FLAG_TUPLES)}, "
+                             f"got {self.flag_bits[bad[0]]} at index {bad[0]}")
 
     @property
     def points(self) -> tuple:
@@ -549,15 +557,9 @@ class _Readings:
         volts = volts[first]
         bounds = np.searchsorted(code, np.arange(len(names) + 1))
         return [
-            VoltageSeries._unchecked(
-                name,
-                epoch_us[bounds[k] : bounds[k + 1]],
-                volts[bounds[k] : bounds[k + 1]],
-                nominal_voltage,
-                calibration.get(name, 1.0),
-                int(dropped[k]),
-            )
-            for k, name in enumerate(names)
+            VoltageSeries.from_arrays(name, epoch_us[lo:hi], volts[lo:hi], nominal_voltage,
+                                      calibration.get(name, 1.0), int(dropped[k]))
+            for k, (name, lo, hi) in enumerate(zip(names, bounds, bounds[1:]))
         ]
 
 
@@ -653,9 +655,7 @@ def _smoothed(series: VoltageSeries, window_s: float) -> tuple:
         epoch_us / 1e6, series.volts[clean] * series.calibration, window_s
     )
     return (
-        VoltageSeries._unchecked(
-            series.sensor_id, epoch_us, smoothed, series.nominal_voltage, 1.0, 0
-        ),
+        VoltageSeries.from_arrays(series.sensor_id, epoch_us, smoothed, series.nominal_voltage),
         series.epoch_us[~clean] / 1e6,
     )
 
@@ -711,14 +711,12 @@ def loss_curve(
     (corrected when the pair has a rho_s, raw otherwise).  Grid points
     lost to an outage reading carry PowerStateSuspect; unpaired points
     carry Gap; negative drops are reported and flagged, never clamped.
-    Each setting must pass check_seconds; a window_s of 0 is no smoothing.
+    rolling_median checks window_s and align the grid_step_s and
+    tolerance_s, each by check_seconds; a window_s of 0 is no smoothing.
     """
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:
         raise ValueError(f"sensors missing from series map: {missing}")
-    check_seconds("window_s", window_s)
-    check_seconds("grid_step_s", grid_step_s)
-    check_seconds("tolerance_s", tolerance_s)
     smoothed = {sid: _smoothed(series[sid], window_s) for sid in chain.sensor_ids}
     curves = [
         _pair_curve(
@@ -843,6 +841,8 @@ def parse_chain_config(path) -> ChainConfig:
         ) from None
     except ValueError as exc:  # not UTF-8, or past sys.get_int_max_str_digits()
         raise SensorFormatError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise SensorFormatError(f"{path}: invalid JSON: nested too deeply") from None
     context = str(path)
     if not isinstance(data, dict):
         raise SensorFormatError(f"{context}: top level must be an object")

@@ -323,6 +323,32 @@ def test_malformed_chain_config_is_an_input_error(tmp_path, capsys, edit):
     assert err.startswith("error:") and "wrote" not in out
 
 
+@pytest.mark.parametrize("scale,shown", [(0, "0.0"), (-1, "-1.0")])
+def test_load_scale_not_above_zero_is_an_input_error(tmp_path, capsys, scale, shown):
+    doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())
+    doc["load_scale"] = scale
+    bad = tmp_path / "scaled.feeder"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(bad), "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: expected a number > 0, got {shown} [load_scale]\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    nested = "[" * 100_000
+    feeder = tmp_path / "nested.feeder"
+    feeder.write_text(nested)
+    code, out, err = run(capsys, "solve", str(feeder), "--out-dir", str(tmp_path))
+    assert (code, out, err) == (
+        EXIT_INPUT, "", f"error: invalid JSON: nested too deeply [{feeder}]\n")
+    chain = tmp_path / "nested.json"
+    chain.write_text('{"sensors": ' + nested + "}")
+    code, out, err = run(capsys, "sensors", SAMPLE_DAY, str(chain), "--out-dir", str(tmp_path))
+    assert (code, out, err) == (
+        EXIT_INPUT, "", f"error: {chain}: invalid JSON: nested too deeply\n")
+
+
 @pytest.mark.parametrize(
     "edit",
     [

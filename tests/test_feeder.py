@@ -802,6 +802,33 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
     assert built.value.context == parsed.value.context
 
 
+# a value of a type no document can give fails naming its element
+@pytest.mark.parametrize(
+    "section,element_id,change,message",
+    [
+        ("nodes", "650", {"phases": ["A", "B", "C"]},
+         "expected a phase string, got ['A', 'B', 'C'] [node 650]"),
+        ("loads", "634", {"kw": None}, "expected a list of 3 numbers, got None [load 634 kw]"),
+        ("base", None, {"power_kva": "5000"},
+         "expected a number > 0, got '5000' [base.power_kva]"),
+        ("loads", "634", {"kvar": ("1", 2.0, 3.0)},
+         "expected a list of 3 numbers, got ('1', 2.0, 3.0) [load 634 kvar]"),
+        ("segments", "650-632", {"taps": (1.0, None, 1.0)},
+         "expected a list of 3 numbers, got (1.0, None, 1.0) [segment 650-632]"),
+        ("segments", "632-633", {"length_miles": "0.1"}, "length must be >= 0 [segment 632-633]"),
+        ("source", None, {"angles_deg": 0.0},
+         "expected a list of 3 numbers, got 0.0 [source.angles_deg]"),
+    ],
+    ids=["phases-list", "kw-none", "power-base-text", "kvar-text", "tap-none", "length-text",
+         "angles-number"],
+)
+def test_a_replaced_model_with_a_wrong_type_fails_naming_its_element(ieee13, section,
+                                                                     element_id, change, message):
+    with pytest.raises(FeederFormatError) as built:
+        _replaced(ieee13, section, element_id, **change)
+    assert str(built.value) == message
+
+
 # the messages of the value rules FeederModel states, which the reader must not
 MODEL_RULES = ("unknown phase", "repeated phase", "length must be >= 0", "tap ",
                "expected a number > 0")

@@ -609,6 +609,79 @@ def test_records_are_equal_only_in_type_and_every_field():
     assert curve != a
 
 
+def _columns(samples):
+    """The epoch_us and volts arrays of (datetime, volts) pairs."""
+    epoch_us = [(ts - EPOCH) // timedelta(microseconds=1) for ts, _ in samples]
+    return np.array(epoch_us, dtype=np.int64), np.array([v for _, v in samples])
+
+
+T1 = T0 + timedelta(minutes=2)
+PLUS_TWO = timezone(timedelta(hours=2))
+NOT_INCREASING = "s: timestamps not strictly increasing at 2024-03-12 "
+BAD_READING = "s: voltage must be finite and >= 0, got "
+
+
+@pytest.mark.parametrize(
+    "samples,message",
+    [
+        (((T0, 230.0), (T0, 231.0)), NOT_INCREASING + "00:00:00+00:00"),
+        (((T1, 230.0), (T0, 231.0)), NOT_INCREASING + "00:00:00+00:00"),
+        # an error names the instant in UTC, whatever offset the datetime has
+        (((T0, 230.0), (T0.astimezone(PLUS_TWO), 231.0)), NOT_INCREASING + "00:00:00+00:00"),
+        (((T0, 230.0), (T1, -1.0)), BAD_READING + "-1.0 at 2024-03-12 00:02:00+00:00"),
+        (((T0, math.nan),), BAD_READING + "nan at 2024-03-12 00:00:00+00:00"),
+        (((T0, math.inf),), BAD_READING + "inf at 2024-03-12 00:00:00+00:00"),
+    ],
+    ids=["repeated-instant", "backwards", "offset", "negative", "nan", "inf"],
+)
+def test_a_series_from_arrays_fails_as_one_from_datetimes(samples, message):
+    with pytest.raises(ValueError) as from_datetimes:
+        VoltageSeries("s", samples)
+    with pytest.raises(ValueError) as from_arrays:
+        VoltageSeries.from_arrays("s", *_columns(samples))
+    assert str(from_arrays.value) == str(from_datetimes.value) == message
+
+
+def test_a_series_from_arrays_equals_one_from_datetimes():
+    samples = ((T0, 230.0), (T1, 229.5))
+    kwargs = {"nominal_voltage": 240.0, "calibration": 1.5, "duplicates_dropped": 2}
+    built = VoltageSeries.from_arrays("s", *_columns(samples), **kwargs)
+    assert built == VoltageSeries("s", samples, **kwargs)
+    assert built.samples == samples
+    assert VoltageSeries.from_arrays("s", [], []) == VoltageSeries("s", ())
+
+
+@pytest.mark.parametrize(
+    "epoch_us,volts,shapes",
+    [([0, 120_000_000], [230.0], "(2,), (1,)"), ([[0]], [[230.0]], "(1, 1), (1, 1)"),
+     (0, 230.0, "(), ()")],
+    ids=["ragged", "2-d", "scalars"],
+)
+def test_a_series_needs_two_columns_of_one_length(epoch_us, volts, shapes):
+    message = f"epoch_us, volts must be 1-D columns of one length, got shapes {shapes}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VoltageSeries.from_arrays("s", epoch_us, volts)
+
+
+def test_a_ragged_curve_fails_on_construction():
+    message = ("timestamp_us, loss_fraction, flag_bits must be 1-D columns of one length, "
+               "got shapes (3,), (1,), (2,)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LossCurve("a", "b", [0, 120_000_000, 240_000_000], [0.1], [0, 0], 600.0, 120.0, 60.0)
+    curve = LossCurve("a", "b", [0, 120_000_000], [0.1, 0.2], [0, 0], 600.0, 120.0, 60.0)
+    with pytest.raises(ValueError, match=re.escape("got shapes (2,), (1,), (2,)")):
+        replace(curve, loss_fraction=[0.1])
+
+
+def test_flag_bits_past_the_flag_names_fail_on_construction():
+    curve = LossCurve("a", "b", [0, 120_000_000], [0.1, math.nan], [0, 15], 600.0, 120.0, 60.0)
+    assert curve.points[1].flags == FLAG_NAMES
+    with pytest.raises(ValueError, match="^flag_bits must be below 16, got 16 at index 1$"):
+        replace(curve, flag_bits=[0, 16])
+    with pytest.raises(ValueError, match="^flag_bits must be below 16, got 255 at index 0$"):
+        LossCurve("a", "b", [0], [0.1], np.array([255]), 600.0, 120.0, 60.0)
+
+
 def test_chain_defaults_and_validation():
     chain = SensorChain(("a", "b", "c"))
     assert chain.rho_s == (None, None)
