@@ -342,15 +342,10 @@ class FeederModel:
         return path
 
 
-# numbers as json_number takes them, by exact type: the fast test for most values
-_PLAIN_NUMBERS = frozenset((int, float))
-
-
 def _count(values, count: int, ctx: str) -> None:
     """values is a list or tuple of count numbers."""
     if not (isinstance(values, (list, tuple)) and len(values) == count
-            and (_PLAIN_NUMBERS.issuperset(map(type, values))
-                 or all(json_number(x) is not None for x in values))):
+            and all(json_number(x) is not None for x in values)):
         raise FeederFormatError(f"expected a list of {count} numbers, got {values!r}", ctx)
 
 

@@ -651,9 +651,9 @@ def _smoothed(series: VoltageSeries, window_s: float) -> tuple:
     """(clean samples, calibrated and median-smoothed; outage epoch seconds)."""
     clean = ~(series.volts < POWER_SUSPECT_FRACTION * series.nominal_voltage)
     epoch_us = series.epoch_us[clean]
-    smoothed = rolling_median(
-        epoch_us / 1e6, series.volts[clean] * series.calibration, window_s
-    )
+    with np.errstate(over="ignore"):  # an inf reading fails from_arrays below
+        volts = series.volts[clean] * series.calibration
+    smoothed = rolling_median(epoch_us / 1e6, volts, window_s)
     return (
         VoltageSeries.from_arrays(series.sensor_id, epoch_us, smoothed, series.nominal_voltage),
         series.epoch_us[~clean] / 1e6,

@@ -349,6 +349,23 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
         EXIT_INPUT, "", f"error: {chain}: invalid JSON: nested too deeply\n")
 
 
+def test_an_overflowing_calibrated_reading_fails_even_where_no_pair_reads_it(tmp_path, capsys):
+    # a's last reading, times a's calibration, is inf; it lies past every
+    # sample of b, so no grid point pairs it, yet its series is refused
+    rows = [f"{sid},2024-03-12T00:0{k}:00Z,230" for k in range(4) for sid in "ab"]
+    readings = tmp_path / "in.csv"
+    readings.write_text("\n".join(
+        ["sensor_id,timestamp,voltage_v", *rows, "a,2024-03-12T01:00:00Z,1e308", ""]))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"sensors": ["a", "b"], "calibration": {"a": 10}}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "sensors", str(readings), str(chain), "--out-dir", str(out_dir))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("error: a: voltage must be finite and >= 0, "
+                   "got inf at 2024-03-12 01:00:00+00:00\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
