@@ -36,7 +36,7 @@ from .feeder import (
     serialize_feeder,
     split_distributed_loads_to_ends,
 )
-from .line_oracle import UniformLineModel, simulate_uniform_line, sweep_rho
+from .line_oracle import sweep_rho
 from .sensors import (
     ChainConfig,
     LossCurve,
@@ -75,7 +75,6 @@ __all__ = [
     "SensorChain",
     "SensorFormatError",
     "SolveOptions",
-    "UniformLineModel",
     "VoltageSeries",
     "bundled_feeder_path",
     "correction_factor",
@@ -88,7 +87,6 @@ __all__ = [
     "run_multi_segment_study",
     "run_single_segment_study",
     "serialize_feeder",
-    "simulate_uniform_line",
     "small_angle_error_bound",
     "solve",
     "split_distributed_loads_to_ends",

@@ -25,7 +25,7 @@ from voss.feeder import (
     parse_feeder,
     split_distributed_loads_to_ends,
 )
-from voss.line_oracle import UniformLineModel, simulate_uniform_line, sweep_rho
+from voss.line_oracle import sweep_rho
 from voss.powerflow import solve
 from voss.sensors import (
     SensorChain,
@@ -100,7 +100,6 @@ def study_multi(key):
     return way
 
 
-LINE = dict(length=1.0, zeta=0.3 + 0.2j, i_in=1.0)
 PAIR = {"upstream": "a", "downstream": "b"}
 CURVE = (SensorChain(("up", "down")), {"up": UP, "down": DOWN})
 
@@ -118,7 +117,6 @@ SETTINGS = {
     "rho": (
         [
             lambda v, ctx: correction_factor(v),
-            lambda v, ctx: UniformLineModel(rho=v, **LINE),
             lambda v, ctx: sweep_rho([v], 10),
             flag("oracle", "--rho-list", "{}"),
         ],
@@ -137,7 +135,6 @@ SETTINGS = {
     ),
     "segment count": (
         [
-            lambda n, ctx: simulate_uniform_line(UniformLineModel(rho=0.5, **LINE), n),
             lambda n, ctx: sweep_rho([0.5], n),
             flag("oracle", "--segments", "{}"),
         ],
