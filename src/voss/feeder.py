@@ -24,13 +24,14 @@ building a model checks it (see :class:`FeederModel`).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
-from itertools import permutations
+from itertools import chain, filterfalse, permutations
 from typing import Optional
 
 from .ioutil import NOT_IN_FILE_NAMES, json_number
@@ -183,10 +184,12 @@ class FeederModel:
 
     One pass checks each value and builds each index by the rule it must
     satisfy, and raises FeederFormatError (NotRadialError for the tree
-    rules) at the first violation: the name; three source voltages and
-    angles; numbers > 0; every phase string; duplicate node and segment
-    ids; the source node; each segment (length, taps, shunt_kvar, ends,
-    phases); reachability; each load (kw and kvar counts, then the rest).
+    rules) at the first violation: the name; three finite source voltages
+    and angles; numbers > 0; every id (a string) and phase string;
+    duplicate node and segment ids; the source node; each segment (kind,
+    length, taps, shunt_kvar, finite impedances, ends, phases);
+    reachability; each load (conn and model, kw and kvar counts of finite
+    numbers, then the rest).  Enum fields hold members, not their values.
     """
 
     name: str
@@ -215,6 +218,9 @@ class FeederModel:
                 raise FeederFormatError(f"expected a number > 0, got {x!r}", ctx)
         for tag, group in (("node", self.nodes), ("segment", self.segments), ("load", self.loads)):
             for item in group:
+                if not isinstance(item.id, str):
+                    raise FeederFormatError(f"expected a string id, got {item.id!r}",
+                                            f"{tag} {item.id}")
                 if not isinstance(item.phases, str) or item.phases not in _PHASE_STRINGS:
                     raise _phase_error(item.phases, f"{tag} {item.id}")
         known = {n.id: n for n in self.nodes}
@@ -225,11 +231,14 @@ class FeederModel:
                 raise FeederFormatError(f"duplicate {what} ids {dupes}")
 
         src = source.node
-        if src not in known:
+        if not isinstance(src, str) or src not in known:
             raise FeederFormatError(f"source node {src!r} not defined")
         into, children = {}, {n: [] for n in known}
+        finite_z = set()  # ids of the z_per_mile matrices found finite
         for s in self.segments:
             ctx = f"segment {s.id}"
+            if not isinstance(s.kind, SegmentKind):
+                raise _member_error(SegmentKind, s.kind, f"{ctx} kind")
             length = json_number(s.length_miles)
             if length is None or not 0 <= length < math.inf:
                 raise FeederFormatError("length must be >= 0", ctx)
@@ -239,8 +248,13 @@ class FeederModel:
             for t in s.taps or ():
                 if not TAP_MIN <= t <= TAP_MAX:
                     raise FeederFormatError(f"tap {t} outside [{TAP_MIN}, {TAP_MAX}]", ctx)
+            if s.z_per_mile is not None and id(s.z_per_mile) not in finite_z:
+                _finite(chain.from_iterable(s.z_per_mile), ctx)
+                finite_z.add(id(s.z_per_mile))
+            if s.series_z_ohm is not None:
+                _finite((s.series_z_ohm,), ctx)
             for end in (s.from_node, s.to_node):
-                if end not in known:
+                if not isinstance(end, str) or end not in known:
                     raise FeederFormatError(f"unknown node {end!r}", ctx)
             if s.to_node in into:
                 raise NotRadialError(f"not radial: node {s.to_node} fed by both "
@@ -272,17 +286,21 @@ class FeederModel:
 
         for ld in self.loads:
             ctx = f"load {ld.id}"
+            if not isinstance(ld.conn, Connection):
+                raise _member_error(Connection, ld.conn, f"{ctx} conn")
+            if not isinstance(ld.model, LoadModel):
+                raise _member_error(LoadModel, ld.model, f"{ctx} model")
             count = 1 if ld.conn == Connection.DELTA and len(ld.phases) == 2 else len(ld.phases)
             _count(ld.kw, count, f"{ctx} kw")
             _count(ld.kvar, count, f"{ctx} kvar")
             if (ld.node is None) == (ld.segment is None):
                 raise FeederFormatError("a load needs exactly one of 'node' and 'segment'", ctx)
             if ld.segment is None:
-                if ld.node not in known:
+                if not isinstance(ld.node, str) or ld.node not in known:
                     raise FeederFormatError(f"unknown load node {ld.node!r}", ctx)
                 avail = set(known[ld.node].phases)
             else:
-                seg = by_id.get(ld.segment)
+                seg = by_id.get(ld.segment) if isinstance(ld.segment, str) else None
                 if seg is None:
                     raise FeederFormatError(f"unknown load segment {ld.segment!r}", ctx)
                 if seg.kind != SegmentKind.LINE:
@@ -343,10 +361,22 @@ class FeederModel:
 
 
 def _count(values, count: int, ctx: str) -> None:
-    """values is a list or tuple of count numbers."""
+    """values is a list or tuple of count finite numbers."""
     if not (isinstance(values, (list, tuple)) and len(values) == count
-            and all(json_number(x) is not None for x in values)):
+            and None not in (numbers := list(map(json_number, values)))):
         raise FeederFormatError(f"expected a list of {count} numbers, got {values!r}", ctx)
+    _finite(numbers, ctx)
+
+
+def _finite(values, ctx: str) -> None:
+    """Every value, real or complex, is finite."""
+    for x in filterfalse(cmath.isfinite, values):
+        raise FeederFormatError(f"non-finite number {x}", ctx)
+
+
+def _member_error(enum, value, ctx: str) -> FeederFormatError:
+    """An enum field holds a member, not the value a file spells it by."""
+    return FeederFormatError(f"expected a {enum.__name__}, got {value!r}", ctx)
 
 
 def _phase_error(phases, ctx: str) -> FeederFormatError:

@@ -763,7 +763,7 @@ def _ieee13_doc(section, element_id=None, **change):
     return doc
 
 
-def _replaced(model, section, element_id=None, **change):
+def _replaced(model, section, element_id=None, /, **change):
     """model with one base, source, node, segment or load changed by replace."""
     value = getattr(model, section)
     if element_id is None:
@@ -818,12 +818,48 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
         ("segments", "632-633", {"length_miles": "0.1"}, "length must be >= 0 [segment 632-633]"),
         ("source", None, {"angles_deg": 0.0},
          "expected a list of 3 numbers, got 0.0 [source.angles_deg]"),
+        ("segments", "632-633", {"kind": "line"},
+         "expected a SegmentKind, got 'line' [segment 632-633 kind]"),
+        ("loads", "646", {"conn": "delta"}, "expected a Connection, got 'delta' [load 646 conn]"),
+        ("loads", "634", {"model": "z"}, "expected a LoadModel, got 'z' [load 634 model]"),
+        ("nodes", "650", {"id": ["650"]}, "expected a string id, got ['650'] [node ['650']]"),
+        ("segments", "632-633", {"to_node": ["633"]}, "unknown node ['633'] [segment 632-633]"),
+        ("loads", "632-671", {"segment": ["632-671"]},
+         "unknown load segment ['632-671'] [load 632-671]"),
+        ("source", None, {"node": ["650"]}, "source node ['650'] not defined"),
     ],
     ids=["phases-list", "kw-none", "power-base-text", "kvar-text", "tap-none", "length-text",
-         "angles-number"],
+         "angles-number", "kind-text", "conn-text", "model-text", "id-list", "to-node-list",
+         "load-segment-list", "source-node-list"],
 )
 def test_a_replaced_model_with_a_wrong_type_fails_naming_its_element(ieee13, section,
                                                                      element_id, change, message):
+    with pytest.raises(FeederFormatError) as built:
+        _replaced(ieee13, section, element_id, **change)
+    assert str(built.value) == message
+
+
+# NaN and inf fail as the number rule fails them in a document
+@pytest.mark.parametrize(
+    "section,element_id,change,message",
+    [
+        ("loads", "634", {"kw": (math.nan, 120.0, 120.0)}, "non-finite number nan [load 634 kw]"),
+        ("loads", "634", {"kvar": (110.0, -math.inf, 90.0)},
+         "non-finite number -inf [load 634 kvar]"),
+        ("segments", "692-675", {"shunt_kvar": (200.0, math.inf, 200.0)},
+         "non-finite number inf [segment 692-675]"),
+        ("source", None, {"angles_deg": (0.0, math.nan, 120.0)},
+         "non-finite number nan [source.angles_deg]"),
+        ("segments", "632-633", {"z_per_mile": ((0.3 + 1j, 0j, 0j), (0j, complex(math.nan, 1.0),
+                                                                     0j), (0j, 0j, 0.3 + 1j))},
+         "non-finite number (nan+1j) [segment 632-633]"),
+        ("segments", "633-634", {"series_z_ohm": complex(0.005, math.inf)},
+         "non-finite number (0.005+infj) [segment 633-634]"),
+    ],
+    ids=["kw-nan", "kvar-inf", "shunt-inf", "angle-nan", "z-nan", "series-z-inf"],
+)
+def test_a_replaced_model_with_a_non_finite_number_fails_naming_its_element(
+        ieee13, section, element_id, change, message):
     with pytest.raises(FeederFormatError) as built:
         _replaced(ieee13, section, element_id, **change)
     assert str(built.value) == message

@@ -991,6 +991,8 @@ def test_chain_config_round_trip(tmp_path):
         (lambda d: d.update({"grid_step_s": -120}), "grid_step_s must be finite"),
         (lambda d: d["pairs"][0].pop("rho_s"), "must be a number"),
         (lambda d: d["pairs"][0].update({"note": "x"}), "needs keys"),
+        (lambda d: d.update({"pairs": {"upstream": "a", "downstream": "b"}}),
+         "'pairs' must be a list"),
     ],
 )
 def test_chain_config_rejects_bad_documents(tmp_path, edit, needle):
