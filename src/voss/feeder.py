@@ -185,11 +185,10 @@ class FeederModel:
     One pass checks each value and builds each index by the rule it must
     satisfy, and raises FeederFormatError (NotRadialError for the tree
     rules) at the first violation: the name; three finite source voltages
-    and angles; numbers > 0; every id (a string) and phase string;
-    duplicate node and segment ids; the source node; each segment (kind,
-    length, taps, shunt_kvar, finite impedances, ends, phases);
-    reachability; each load (conn and model, kw and kvar counts of finite
-    numbers, then the rest).  Enum fields hold members, not their values.
+    and angles; numbers > 0; string ids and phase strings; duplicate ids;
+    the source node; each segment (kind, length, taps, shunt_kvar, finite
+    impedances, ends, phases); reachability; each load (conn, model, kw
+    and kvar counts of finite numbers, then the rest).
     """
 
     name: str
@@ -219,8 +218,7 @@ class FeederModel:
         for tag, group in (("node", self.nodes), ("segment", self.segments), ("load", self.loads)):
             for item in group:
                 if not isinstance(item.id, str):
-                    raise FeederFormatError(f"expected a string id, got {item.id!r}",
-                                            f"{tag} {item.id}")
+                    raise FeederFormatError(f"expected a string id, got {item.id!r}", tag)
                 if not isinstance(item.phases, str) or item.phases not in _PHASE_STRINGS:
                     raise _phase_error(item.phases, f"{tag} {item.id}")
         known = {n.id: n for n in self.nodes}
@@ -238,7 +236,7 @@ class FeederModel:
         for s in self.segments:
             ctx = f"segment {s.id}"
             if not isinstance(s.kind, SegmentKind):
-                raise _member_error(SegmentKind, s.kind, f"{ctx} kind")
+                raise FeederFormatError(f"expected a SegmentKind, got {s.kind!r}", f"{ctx} kind")
             length = json_number(s.length_miles)
             if length is None or not 0 <= length < math.inf:
                 raise FeederFormatError("length must be >= 0", ctx)
@@ -287,9 +285,9 @@ class FeederModel:
         for ld in self.loads:
             ctx = f"load {ld.id}"
             if not isinstance(ld.conn, Connection):
-                raise _member_error(Connection, ld.conn, f"{ctx} conn")
+                raise FeederFormatError(f"expected a Connection, got {ld.conn!r}", f"{ctx} conn")
             if not isinstance(ld.model, LoadModel):
-                raise _member_error(LoadModel, ld.model, f"{ctx} model")
+                raise FeederFormatError(f"expected a LoadModel, got {ld.model!r}", f"{ctx} model")
             count = 1 if ld.conn == Connection.DELTA and len(ld.phases) == 2 else len(ld.phases)
             _count(ld.kw, count, f"{ctx} kw")
             _count(ld.kvar, count, f"{ctx} kvar")
@@ -372,11 +370,6 @@ def _finite(values, ctx: str) -> None:
     """Every value, real or complex, is finite."""
     for x in filterfalse(cmath.isfinite, values):
         raise FeederFormatError(f"non-finite number {x}", ctx)
-
-
-def _member_error(enum, value, ctx: str) -> FeederFormatError:
-    """An enum field holds a member, not the value a file spells it by."""
-    return FeederFormatError(f"expected a {enum.__name__}, got {value!r}", ctx)
 
 
 def _phase_error(phases, ctx: str) -> FeederFormatError:

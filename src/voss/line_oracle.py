@@ -1,12 +1,10 @@
 """Discretized oracle for a line with uniformly distributed extraction.
 
-A fraction rho of one fixed line's input current is drawn off as n equal
-lumped extractions at segment midpoints.  The ratio of its loss to that
-of one lumped segment with the same endpoint drop converges to
-``correction_factor(rho)`` as O(1/n^2), an independent check of the formula.
+n equal extractions at segment midpoints draw a fraction rho of one fixed
+line's input current; the current between them is constant, so each piece's
+loss is exact.  The total's ratio to one lumped segment's loss at the same
+drop tends to ``correction_factor(rho)`` as O(1/n^2), checking the formula.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -38,8 +36,7 @@ def check_segment_count(n: int) -> int:
 
 
 def _row(rho: float, n: int) -> SweepRow:
-    """rho's row: the loss of n midpoint extractions (i^2 * zeta * dx, exact
-    at the constant current between them) over the drop times the head current."""
+    """rho's row: the loss of n midpoint extractions over drop times head current."""
     c = correction_factor(rho)
     check_segment_count(n)
     dx = _LENGTH / n

@@ -822,7 +822,7 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
          "expected a SegmentKind, got 'line' [segment 632-633 kind]"),
         ("loads", "646", {"conn": "delta"}, "expected a Connection, got 'delta' [load 646 conn]"),
         ("loads", "634", {"model": "z"}, "expected a LoadModel, got 'z' [load 634 model]"),
-        ("nodes", "650", {"id": ["650"]}, "expected a string id, got ['650'] [node ['650']]"),
+        ("nodes", "650", {"id": ["650"]}, "expected a string id, got ['650'] [node]"),
         ("segments", "632-633", {"to_node": ["633"]}, "unknown node ['633'] [segment 632-633]"),
         ("loads", "632-671", {"segment": ["632-671"]},
          "unknown load segment ['632-671'] [load 632-671]"),
