@@ -16,7 +16,7 @@ from .ioutil import FLOAT_FORMAT, write_csv
 
 # The one line every sweep runs.  Impedance, length and input current cancel
 # from the ratio only in exact arithmetic: oracle_sweep.csv pins the bits this
-# complex impedance gives, and a real-valued ratio moves 5 of its 9 deviations.
+# complex impedance gives; a real-valued ratio moves 5 of its 9 deviation cells.
 _ZETA, _LENGTH, _I_IN = 0.3 + 0.2j, 1.0, 1.0
 
 
