@@ -3,8 +3,8 @@
 A feeder file is a UTF-8 JSON document (a leading byte-order mark is
 skipped) with top-level keys ``name``, ``base``, ``source``, ``nodes``,
 ``segments``, ``loads`` and an optional ``load_scale``.  Impedances are
-row-major ``[[re, im], ...]`` matrices in ohms per mile ordered like the
-segment's phase string; lengths carry an explicit unit (``ft`` or
+row-major matrices of ``[re, im]`` pairs in ohms per mile ordered like
+the segment's phase string; lengths carry an explicit unit (``ft`` or
 ``mi``).  See docs/feeder_schema.md for the full schema.  The bundled
 IEEE 13-node and 34-node definitions live in ``voss/data`` and are
 loaded with :func:`bundled_feeder_path`.
@@ -14,12 +14,13 @@ A load sits at exactly one of its ``node`` and its ``segment``; a set
 keys the schema names for it: its dataclass's field names, but for the
 segment fields ``_FILE_KEYS`` renames, and ``_KIND_KEYS`` names the keys
 each segment kind adds to the common ones.  The reader checks keys, and
-:func:`serialize_feeder` writes them, from these tables.  Numbers follow
-:func:`voss.ioutil.json_number` (never a bool) and must be finite, even
-an integer past the float range.
+:func:`serialize_feeder` writes them, from these tables.  The reader
+checks only the JSON form (numbers follow :func:`voss.ioutil.json_number`,
+never a bool) and ``load_scale``, which is no model field.
 
 Models are immutable; transformations return new models.  Every way of
-building a model checks it (see :class:`FeederModel`).
+building a model checks it (see :class:`FeederModel`), so every value
+rule, finiteness too, is stated once, in the model.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class SegmentDef:
     def z_total(self) -> tuple:
         """Series impedance matrix in ohms for the whole segment."""
         if self.kind == SegmentKind.TRANSFORMER:
-            z = self.series_z_ohm or 0j
+            z = self.series_z_ohm
             n = len(self.phases)
             return tuple(
                 tuple(z if i == j else 0j for j in range(n)) for i in range(n)
@@ -185,10 +186,14 @@ class FeederModel:
     One pass checks each value and builds each index by the rule it must
     satisfy, and raises FeederFormatError (NotRadialError for the tree
     rules) at the first violation: the name; three finite source voltages
-    and angles; numbers > 0; string ids and phase strings; duplicate ids;
-    the source node; each segment (kind, length, taps, shunt_kvar, finite
-    impedances, ends, phases); reachability; each load (conn, model, kw
-    and kvar counts of finite numbers, then the rest).
+    and angles; numbers > 0 (a transformer's ratio is required); string
+    ids and phase strings; duplicate ids; the source node; each segment
+    (kind, length, taps, required on a regulator, shunt_kvar, the
+    impedances: z_per_mile, required on a line, an n x n table for the
+    segment's n phases, and series_z_ohm, required on a transformer, of
+    finite real or complex numbers; ends, phases); reachability; each
+    load (conn, model, kw and kvar counts of finite numbers, then the
+    rest).
     """
 
     name: str
@@ -209,8 +214,8 @@ class FeederModel:
         numbers = [(base.power_kva, "base.power_kva"), (base.voltage_kv_ll, "base.voltage_kv_ll"),
                    (source.nominal_kv_ll, "source.nominal_kv_ll")]
         numbers += [(v, "source.voltage_pu") for v in source.voltage_pu]
-        numbers += [(s.ratio, f"segment {s.id} ratio")
-                    for s in self.segments if s.ratio is not None]
+        numbers += [(s.ratio, f"segment {s.id} ratio") for s in self.segments
+                    if s.ratio is not None or s.kind == SegmentKind.TRANSFORMER]
         for x, ctx in numbers:
             number = json_number(x)
             if number is None or not 0 < number < math.inf:
@@ -232,25 +237,30 @@ class FeederModel:
         if not isinstance(src, str) or src not in known:
             raise FeederFormatError(f"source node {src!r} not defined")
         into, children = {}, {n: [] for n in known}
-        finite_z = set()  # ids of the z_per_mile matrices found finite
+        sound_z = set()  # (id, n) of the z_per_mile matrices found sound for n phases
         for s in self.segments:
-            ctx = f"segment {s.id}"
+            ctx, n, z = f"segment {s.id}", len(s.phases), s.z_per_mile
             if not isinstance(s.kind, SegmentKind):
                 raise FeederFormatError(f"expected a SegmentKind, got {s.kind!r}", f"{ctx} kind")
             length = json_number(s.length_miles)
             if length is None or not 0 <= length < math.inf:
-                raise FeederFormatError("length must be >= 0", ctx)
-            for values in (s.taps, s.shunt_kvar):
-                if values is not None:
-                    _count(values, len(s.phases), ctx)
+                message = f"length must be finite and >= 0, got {s.length_miles!r}"
+                raise FeederFormatError(message, ctx)
+            if s.taps is not None or s.kind == SegmentKind.REGULATOR:
+                _count(s.taps, n, ctx)
+            if s.shunt_kvar is not None:
+                _count(s.shunt_kvar, n, ctx)
             for t in s.taps or ():
                 if not TAP_MIN <= t <= TAP_MAX:
                     raise FeederFormatError(f"tap {t} outside [{TAP_MIN}, {TAP_MAX}]", ctx)
-            if s.z_per_mile is not None and id(s.z_per_mile) not in finite_z:
-                _finite(chain.from_iterable(s.z_per_mile), ctx)
-                finite_z.add(id(s.z_per_mile))
-            if s.series_z_ohm is not None:
-                _finite((s.series_z_ohm,), ctx)
+            if (z is not None or s.kind == SegmentKind.LINE) and (id(z), n) not in sound_z:
+                if not (isinstance(z, (list, tuple)) and len(z) == n
+                        and all(isinstance(row, (list, tuple)) and len(row) == n for row in z)):
+                    raise FeederFormatError(f"z_ohm_per_mile must be a {n}x{n} matrix", ctx)
+                _impedances(chain.from_iterable(z), ctx)
+                sound_z.add((id(z), n))
+            if s.series_z_ohm is not None or s.kind == SegmentKind.TRANSFORMER:
+                _impedances((s.series_z_ohm,), ctx)
             for end in (s.from_node, s.to_node):
                 if not isinstance(end, str) or end not in known:
                     raise FeederFormatError(f"unknown node {end!r}", ctx)
@@ -372,6 +382,17 @@ def _finite(values, ctx: str) -> None:
         raise FeederFormatError(f"non-finite number {x}", ctx)
 
 
+def _impedances(values, ctx: str) -> None:
+    """Every value is a finite complex or real number; a real one is a
+    json_number, never a bool or a string, and infinite past the float
+    range."""
+    for x in values:
+        number = x if isinstance(x, complex) else json_number(x)
+        if number is None:
+            raise FeederFormatError(f"expected a real or complex number, got {x!r}", ctx)
+        _finite((number,), ctx)
+
+
 def _phase_error(phases, ctx: str) -> FeederFormatError:
     for i, ch in enumerate(phases if isinstance(phases, str) else ()):
         if ch not in PHASE_ORDER:
@@ -435,8 +456,6 @@ def _number(value, ctx: str) -> float:
     x = json_number(value)
     if x is None:
         raise FeederFormatError(f"expected a number, got {value!r}", ctx)
-    if not math.isfinite(x):
-        raise FeederFormatError(f"non-finite number {x}", ctx)
     return x
 
 
@@ -449,16 +468,10 @@ def _member(enum, value, ctx: str):
         raise FeederFormatError(message, ctx) from None
 
 
-def _phase_string(value, ctx: str) -> str:
-    if not isinstance(value, str):
-        raise FeederFormatError(f"expected a phase string, got {value!r}", ctx)
-    return value
-
-
-def _numbers(value, ctx: str, rule=_number) -> tuple:
+def _numbers(value, ctx: str, scale: float = 1.0) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise FeederFormatError(f"expected a list of numbers, got {value!r}", ctx)
-    return tuple(rule(x, ctx) for x in value)
+    return tuple(_number(x, ctx) * scale for x in value)
 
 
 def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
@@ -492,7 +505,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     )
 
     load_scale = _number(doc.get("load_scale", 1.0), "load_scale")
-    if load_scale <= 0:
+    if not 0 < load_scale < math.inf:
         raise FeederFormatError(f"expected a number > 0, got {load_scale}", "load_scale")
 
     nodes = []
@@ -502,7 +515,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         nodes.append(
             NodeDef(
                 id=str(_require(raw, "id", ctx)),
-                phases=_phase_string(_require(raw, "phases", ctx), ctx),
+                phases=_require(raw, "phases", ctx),
             )
         )
 
@@ -510,7 +523,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     for i, raw in enumerate(_objects(doc, "segments", origin)):
         ctx = f"segments[{i}] (id={raw.get('id', '?')})"
         seg_id = str(_require(raw, "id", ctx))
-        phases = _phase_string(_require(raw, "phases", ctx), ctx)
+        phases = _require(raw, "phases", ctx)
         kind = _member(SegmentKind, raw.get("kind", "line"), f"{ctx} kind")
         required, optional = _KIND_KEYS[kind]
         missing = [key for key in required if key not in raw]
@@ -537,21 +550,17 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
 
         z_per_mile = None
         if "z_ohm_per_mile" in raw:
-            # parsed and checked once per distinct raw matrix: the marshal
-            # bytes of (n, raw) tell true from 1 and -0.0 from 0.0, and a
-            # failing matrix is never stored, so it fails with its own context
-            zraw, n = raw["z_ohm_per_mile"], len(phases)
+            # parsed once per distinct raw matrix: its marshal bytes tell
+            # true from 1 and -0.0 from 0.0, and a failing matrix is never
+            # stored, so it fails with its own context
+            zraw = raw["z_ohm_per_mile"]
             try:
-                key = marshal.dumps((n, zraw), 2)
+                key = marshal.dumps(zraw, 2)
             except ValueError:  # a Python object no JSON document holds
                 key = object()
             if key not in matrices:
-                if not (
-                    isinstance(zraw, list)
-                    and len(zraw) == n
-                    and all(isinstance(row, list) and len(row) == n for row in zraw)
-                ):
-                    raise FeederFormatError(f"z_ohm_per_mile must be a {n}x{n} matrix", ctx)
+                if not (isinstance(zraw, list) and all(isinstance(row, list) for row in zraw)):
+                    raise FeederFormatError(f"expected a list of lists, got {zraw!r}", ctx)
                 matrices[key] = tuple(
                     tuple(_complex_from_pair(e, f"{ctx}.z[{r}]") for e in row)
                     for r, row in enumerate(zraw)
@@ -570,9 +579,6 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
             series_z_ohm=series_z, taps=taps, shunt_kvar=shunt,
         ))
 
-    def scaled(value, ctx: str) -> float:
-        return _number(_number(value, ctx) * load_scale, ctx)
-
     loads = []
     for i, raw in enumerate(_objects(doc, "loads", origin)):
         ctx = f"loads[{i}] (id={raw.get('id', '?')})"
@@ -581,9 +587,9 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         model = _member(LoadModel, raw.get("model", "pq"), f"{ctx} model")
         loads.append(LoadDef(
             id=str(raw.get("id", f"load{i}")), conn=conn, model=model,
-            phases=_phase_string(_require(raw, "phases", ctx), ctx),
-            kw=_numbers(_require(raw, "kw", ctx), f"{ctx} kw", scaled),
-            kvar=_numbers(_require(raw, "kvar", ctx), f"{ctx} kvar", scaled),
+            phases=_require(raw, "phases", ctx),
+            kw=_numbers(_require(raw, "kw", ctx), f"{ctx} kw", load_scale),
+            kvar=_numbers(_require(raw, "kvar", ctx), f"{ctx} kvar", load_scale),
             node=str(raw["node"]) if "node" in raw else None,
             segment=str(raw["segment"]) if "segment" in raw else None,
         ))
@@ -614,16 +620,18 @@ def parse_feeder(path) -> FeederModel:
     return parse_feeder_dict(doc, origin=str(path))
 
 
-def _json(value):
+def _json(value, pairs: bool = False):
     """A model value as a feeder file holds it: an element as an object of
     its keys (a segment's common and kind keys only, None fields left
-    out), an enum by its value, a complex as [re, im], a tuple as a list."""
+    out), an enum by its value, a tuple as a list, and with pairs (set for
+    the impedances, whose real numbers a file holds as pairs too) each
+    number as [re, im]."""
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, complex):
+    if isinstance(value, (tuple, list)):
+        return [_json(x, pairs) for x in value]
+    if pairs:
         return [value.real, value.imag]
-    if isinstance(value, tuple):
-        return list(map(_json, value))
     if not is_dataclass(value):
         return value
     keys = (_SEGMENT_KEYS.union(*_KIND_KEYS[value.kind]) if isinstance(value, SegmentDef)
@@ -632,7 +640,7 @@ def _json(value):
     for f in fields(value):
         key, item = _FILE_KEYS.get(f.name, f.name), getattr(value, f.name)
         if item is not None and key in keys:
-            doc[key] = _json(item)
+            doc[key] = _json(item, f.name in ("z_per_mile", "series_z_ohm"))
             doc.update(_KEYS_AFTER.get(key, ()))
     return doc
 

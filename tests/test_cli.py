@@ -3,10 +3,15 @@
 import contextlib
 import io
 import json
+import random
+import tempfile
 import warnings
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import two_bus_doc
 from voss import cli
@@ -677,3 +682,75 @@ def test_chain_whose_curve_files_collide_or_escape_is_an_input_error(
     assert out == ""
     assert not out_dir.exists()
 
+
+
+FALL_BACK_DAY = datetime(2024, 11, 2, tzinfo=timezone.utc)
+
+
+def _stamp(t_s, offset_min):
+    """The instant FALL_BACK_DAY + t_s as wall time at a UTC offset of offset_min."""
+    wall = FALL_BACK_DAY + timedelta(seconds=t_s, minutes=offset_min)
+    sign, minutes = "+-"[offset_min < 0], abs(offset_min)
+    return f"{wall:%Y-%m-%dT%H:%M:%S}{sign}{minutes // 60:02d}:{minutes % 60:02d}"
+
+
+@st.composite
+def sensor_runs(draw):
+    """(readings text, chain config) of 2-4 sensors over up to two days.
+
+    Each sensor writes its stamps at its own UTC offset, from -12:00 to
+    +14:00, and may add fall-back twins: a reading an hour later at an
+    offset an hour less, so both show one wall time.  Its readings are
+    all normal, all below the outage threshold (half of 230 V), or
+    either; its span may miss every other sensor's, or hold no reading.
+    """
+    ids = [f"s{k}" for k in range(draw(st.integers(2, 4)))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # readings, twins, order
+    rows = []
+    for sensor in ids:
+        start = draw(st.sampled_from([0, 3600]) | st.integers(0, 2 * 86400))
+        step = draw(st.sampled_from([60, 120, 300, 1800]))
+        count = draw(st.integers(1, min(60, (2 * 86400 - start) // step + 1)))
+        count *= rng.random() > 0.05
+        offset = draw(st.integers(-11 * 60, 14 * 60))
+        normal, outage, either = (225.0, 240.0), (0.0, 114.0), (0.0, 240.0)
+        low, high = draw(st.sampled_from([normal, normal, normal, outage, either]))
+        for k in range(count):
+            t = start + k * step
+            rows.append((sensor, _stamp(t, offset), rng.uniform(low, high)))
+            if rng.random() < 0.1:
+                rows.append((sensor, _stamp(t + 3600, offset - 60), rng.uniform(low, high)))
+    rng.shuffle(rows)
+    text = "sensor_id,timestamp,voltage_v\n" + "".join(f"{s},{t},{v:.3f}\n" for s, t, v in rows)
+    chain = {
+        "sensors": ids,
+        "pairs": [{"upstream": a, "downstream": b, "rho_s": draw(st.sampled_from([0.0, 0.5, 1.0]))}
+                  for a, b in zip(ids, ids[1:]) if draw(st.booleans())],
+        "grid_step_s": draw(st.sampled_from([60, 120, 600])),
+        "tolerance_s": draw(st.sampled_from([0, 60, 300])),
+        "smoothing_window_s": draw(st.sampled_from([0, 600])),
+    }
+    return text, chain
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=sensor_runs())
+def test_sensors_end_to_end_write_every_curve_or_fail_with_one_error(run):
+    text, chain = run
+    with tempfile.TemporaryDirectory() as tmp:
+        readings, config, out = Path(tmp, "readings.csv"), Path(tmp, "chain.json"), Path(tmp, "out")
+        readings.write_text(text)
+        config.write_text(json.dumps(chain))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(["sensors", str(readings), str(config), "--out-dir", str(out)])
+        err = stderr.getvalue()
+        if code == EXIT_INPUT:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            return
+        assert (code, err) == (EXIT_OK, "")
+        ids = chain["sensors"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"loss_curve_{a}_{b}.csv" for a, b in zip(ids, ids[1:]))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import json_values
 from test_powerflow import radial_feeders
 from voss import feeder as feeder_module
+from voss.benchmark import solve_end_split
 from voss.feeder import (
     FEET_PER_MILE,
     Connection,
@@ -31,9 +32,11 @@ from voss.feeder import (
     serialize_feeder,
     split_distributed_loads_to_ends,
 )
+from voss.powerflow import PowerFlowError, SolveOptions
 
 Z1 = [[[0.3, 0.6]]]
 Z2 = [[[0.3, 0.6], [0.05, 0.1]], [[0.05, 0.1], [0.31, 0.59]]]
+Z2_MODEL = ((0.3 + 0.6j, 0.05 + 0.1j), (0.05 + 0.1j, 0.31 + 0.59j))  # Z2 in a model
 
 
 def minimal_doc():
@@ -232,7 +235,8 @@ def mutate(edit):
         (lambda d: d["base"].update({"power_kva": 0.0}), "power_kva"),
         (lambda d: d["source"].update({"voltage_pu": [1.0, 1.0]}), "voltage_pu"),
         (lambda d: d["nodes"][1].update({"phases": "AA"}), "repeated phase 'A'"),
-        (lambda d: d["segments"][1].update({"length": -1.0}), "length must be >= 0"),
+        (lambda d: d["segments"][1].update({"length": -1.0}),
+         "length must be finite and >= 0, got -1.0"),
         (lambda d: d["source"].update({"node": "zz"}), "source node 'zz' not defined"),
         (lambda d: d["nodes"][0].update({"phases": "A"}), "not available at upstream"),
         (lambda d: d.update({"base": 5}), "expected an object, got 5 [base]"),
@@ -532,20 +536,26 @@ def test_regulator_length_and_impedance_are_optional():
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,message",
     [
-        lambda d: d["loads"][0].update({"kw": [10**400]}),
-        lambda d: d["segments"][1].update({"length": 10**400}),
-        lambda d: d["segments"][1].update({"z_ohm_per_mile": [[[0.3, 10**400]]]}),
-        lambda d: d.update({"load_scale": 10**400}),
-        lambda d: d["loads"][0].update({"kvar": [-(10**400)]}),
-        lambda d: d.update({"load_scale": 1e300}) or d["loads"][0].update({"kw": [1e10]}),
+        (lambda d: d["loads"][0].update({"kw": [10**400]}),
+         "non-finite number inf [load spot-c kw]"),
+        (lambda d: d["segments"][1].update({"length": 10**400}),
+         "length must be finite and >= 0, got inf [segment b-c]"),
+        (lambda d: d["segments"][1].update({"z_ohm_per_mile": [[[0.3, 10**400]]]}),
+         "non-finite number (0.3+infj) [segment b-c]"),
+        (lambda d: d.update({"load_scale": 10**400}), "expected a number > 0, got inf [load_scale]"),
+        (lambda d: d["loads"][0].update({"kvar": [-(10**400)]}),
+         "non-finite number -inf [load spot-c kvar]"),
+        (lambda d: d.update({"load_scale": 1e300}) or d["loads"][0].update({"kw": [1e10]}),
+         "non-finite number inf [load spot-c kw]"),
     ],
     ids=["kw", "length", "z_ohm_per_mile", "load_scale", "kvar", "scaled-kw"],
 )
-def test_numbers_past_the_float_range_are_rejected(edit):
-    with pytest.raises(FeederFormatError, match="non-finite number -?inf"):
+def test_numbers_past_the_float_range_are_rejected(edit, message):
+    with pytest.raises(FeederFormatError) as err:
         parse_feeder_dict(mutate(edit))
+    assert str(err.value) == message
 
 
 def test_feeder_file_may_start_with_a_byte_order_mark(tmp_path, ieee13):
@@ -657,16 +667,25 @@ def _chain_doc(z_bc, z_cd):
 
 @pytest.mark.parametrize("z_bc,z_cd,message", [
     ([[[1, 0.6]]], [[[True, 0.6]]], "expected a number, got True [segments[2] (id=c-d).z[0]]"),
-    ([[[0.3, 0.6]]], [[[0.3, math.nan]]], "non-finite number nan [segments[2] (id=c-d).z[0]]"),
-    ([[[0.3, math.nan]]], [[[0.3, math.nan]]], "non-finite number nan [segments[1] (id=b-c).z[0]]"),
-    ([[[0.3, 0.6]]], [[[0.3, 0.6], [0.3, 0.6]]], "z_ohm_per_mile must be a 1x1 matrix [segments[2] (id=c-d)]"),
+    ([[[0.3, 0.6]]], [[[0.3, math.nan]]], "non-finite number (0.3+nanj) [segment c-d]"),
+    ([[[0.3, math.nan]]], [[[0.3, math.nan]]], "non-finite number (0.3+nanj) [segment b-c]"),
+    ([[[0.3, 0.6]]], [[[0.3, 0.6], [0.3, 0.6]]], "z_ohm_per_mile must be a 1x1 matrix [segment c-d]"),
 ], ids=["true-for-1", "nan", "nan-twice", "shape"])
 def test_a_matrix_like_an_earlier_one_fails_with_its_own_context(z_bc, z_cd, message):
-    # the parsed-matrix memo must not pass a matrix that only compares
-    # equal to an earlier good one
+    # neither the reader's parsed-matrix memo nor the model's checked-matrix
+    # memo may pass a matrix that only compares equal to an earlier good one
     with pytest.raises(FeederFormatError) as err:
         parse_feeder_dict(_chain_doc(z_bc, z_cd))
     assert str(err.value) == message
+
+
+def test_a_matrix_sound_for_one_phase_count_is_checked_again_for_another():
+    doc = minimal_doc()
+    doc["segments"].reverse()  # b-c, one phase, comes first
+    doc["segments"][1]["z_ohm_per_mile"] = Z1  # parsed once, for both segments
+    with pytest.raises(FeederFormatError) as err:
+        parse_feeder_dict(doc)
+    assert str(err.value) == "z_ohm_per_mile must be a 2x2 matrix [segment a-b]"
 
 
 def test_equal_matrices_are_parsed_once_and_signed_zeros_kept_apart():
@@ -779,24 +798,28 @@ def _replaced(model, section, element_id=None, /, **change):
     [
         ("segments", "650-632", {"taps": [5.0, 1.05, 1.06875]}, {"taps": (5.0, 1.05, 1.06875)}),
         ("segments", "632-633", {"length": -1.0, "unit": "mi"}, {"length_miles": -1.0}),
-        ("segments", "632-633", None, {"length_miles": math.nan}),
-        ("segments", "632-633", None, {"length_miles": math.inf}),
+        ("segments", "632-633", {"length": math.nan, "unit": "mi"}, {"length_miles": math.nan}),
+        ("segments", "632-633", {"length": math.inf, "unit": "mi"}, {"length_miles": math.inf}),
         ("base", None, {"power_kva": -5.0}, {"power_kva": -5.0}),
+        ("base", None, {"voltage_kv_ll": math.nan}, {"voltage_kv_ll": math.nan}),
         ("source", None, {"voltage_pu": [1.0, 1.0]}, {"voltage_pu": (1.0, 1.0)}),
         ("segments", "633-634", {"ratio": 0.0}, {"ratio": 0.0}),
         ("nodes", "650", {"phases": "ABCA"}, {"phases": "ABCA"}),
         ("loads", "634", {"kw": []}, {"kw": ()}),
+        ("loads", "634", {"kw": [160.0, math.inf, 120.0]}, {"kw": (160.0, math.inf, 120.0)}),
+        ("segments", "684-652", {"z_ohm_per_mile": [[[math.nan, 1.0]]]},
+         {"z_per_mile": ((complex(math.nan, 1.0),),)}),
+        ("segments", "632-633", {"z_ohm_per_mile": Z2}, {"z_per_mile": Z2_MODEL}),
+        ("nodes", "650", {"phases": ["A", "B", "C"]}, {"phases": ["A", "B", "C"]}),
     ],
-    ids=["tap", "negative-length", "nan-length", "inf-length", "power-base", "two-voltages",
-         "zero-ratio", "repeated-phase", "no-kw"],
+    ids=["tap", "negative-length", "nan-length", "inf-length", "power-base", "nan-voltage-base",
+         "two-voltages", "zero-ratio", "repeated-phase", "no-kw", "inf-kw", "nan-z", "z-2x2",
+         "phases-list"],
 )
 def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id, in_doc,
                                                      in_model):
     with pytest.raises(FeederFormatError) as built:
         _replaced(ieee13, section, element_id, **in_model)
-    if in_doc is None:  # the reader's number rule stops NaN and inf in a document
-        assert str(built.value) == f"length must be >= 0 [segment {element_id}]"
-        return
     with pytest.raises(FeederFormatError) as parsed:
         parse_feeder_dict(_ieee13_doc(section, element_id, **in_doc))
     assert str(built.value) == str(parsed.value)
@@ -807,8 +830,6 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
 @pytest.mark.parametrize(
     "section,element_id,change,message",
     [
-        ("nodes", "650", {"phases": ["A", "B", "C"]},
-         "expected a phase string, got ['A', 'B', 'C'] [node 650]"),
         ("loads", "634", {"kw": None}, "expected a list of 3 numbers, got None [load 634 kw]"),
         ("base", None, {"power_kva": "5000"},
          "expected a number > 0, got '5000' [base.power_kva]"),
@@ -816,7 +837,17 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
          "expected a list of 3 numbers, got ('1', 2.0, 3.0) [load 634 kvar]"),
         ("segments", "650-632", {"taps": (1.0, None, 1.0)},
          "expected a list of 3 numbers, got (1.0, None, 1.0) [segment 650-632]"),
-        ("segments", "632-633", {"length_miles": "0.1"}, "length must be >= 0 [segment 632-633]"),
+        ("segments", "632-633", {"length_miles": "0.1"},
+         "length must be finite and >= 0, got '0.1' [segment 632-633]"),
+        ("segments", "633-634", {"ratio": None}, "expected a number > 0, got None [segment 633-634 ratio]"),
+        ("segments", "650-632", {"taps": None}, "expected a list of 3 numbers, got None [segment 650-632]"),
+        ("segments", "632-633", {"z_per_mile": None}, "z_ohm_per_mile must be a 3x3 matrix [segment 632-633]"),
+        ("segments", "684-652", {"z_per_mile": ((True,),)},
+         "expected a real or complex number, got True [segment 684-652]"),
+        ("segments", "633-634", {"series_z_ohm": None},
+         "expected a real or complex number, got None [segment 633-634]"),
+        ("segments", "633-634", {"series_z_ohm": "0.1"},
+         "expected a real or complex number, got '0.1' [segment 633-634]"),
         ("source", None, {"angles_deg": 0.0},
          "expected a list of 3 numbers, got 0.0 [source.angles_deg]"),
         ("segments", "632-633", {"kind": "line"},
@@ -829,7 +860,8 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
          "unknown load segment ['632-671'] [load 632-671]"),
         ("source", None, {"node": ["650"]}, "source node ['650'] not defined"),
     ],
-    ids=["phases-list", "kw-none", "power-base-text", "kvar-text", "tap-none", "length-text",
+    ids=["kw-none", "power-base-text", "kvar-text", "tap-none", "length-text", "transformer-no-ratio",
+         "regulator-no-taps", "line-no-z", "z-bool", "transformer-no-series-z", "series-z-text",
          "angles-number", "kind-text", "conn-text", "model-text", "id-list", "to-node-list",
          "load-segment-list", "source-node-list"],
 )
@@ -855,8 +887,9 @@ def test_a_replaced_model_with_a_wrong_type_fails_naming_its_element(ieee13, sec
          "non-finite number (nan+1j) [segment 684-652]"),
         ("segments", "633-634", {"series_z_ohm": complex(0.005, math.inf)},
          "non-finite number (0.005+infj) [segment 633-634]"),
+        ("segments", "633-634", {"series_z_ohm": 10**400}, "non-finite number inf [segment 633-634]"),
     ],
-    ids=["kw-nan", "kvar-inf", "shunt-inf", "angle-nan", "z-nan", "series-z-inf"],
+    ids=["kw-nan", "kvar-inf", "shunt-inf", "angle-nan", "z-nan", "series-z-inf", "series-z-huge"],
 )
 def test_a_replaced_model_with_a_non_finite_number_fails_naming_its_element(
         ieee13, section, element_id, change, message):
@@ -866,8 +899,8 @@ def test_a_replaced_model_with_a_non_finite_number_fails_naming_its_element(
 
 
 # the messages of the value rules FeederModel states, which the reader must not
-MODEL_RULES = ("unknown phase", "repeated phase", "length must be >= 0", "tap ",
-               "expected a number > 0")
+MODEL_RULES = ("unknown phase", "repeated phase", "phase string", "finite", "matrix",
+               "real or complex", "tap ", "expected a number > 0")
 
 
 def test_the_reader_states_none_of_the_model_value_rules():
@@ -881,7 +914,7 @@ def test_the_reader_states_none_of_the_model_value_rules():
             reader.add(name)
             todo += [n.id for n in ast.walk(functions[name])
                      if isinstance(n, ast.Name) and n.id in functions]
-    assert {"_numbers", "_number", "_phase_string", "_objects"} <= reader
+    assert {"_numbers", "_number", "_complex_from_pair", "_objects"} <= reader
     stated = []
     for name in sorted(reader):
         for stmt in ast.walk(functions[name]):
@@ -893,3 +926,46 @@ def test_the_reader_states_none_of_the_model_value_rules():
                        if any(rule in t for t in texts)]
     # the reader's own rule is load_scale > 0
     assert stated == [("parse_feeder_dict", "expected a number > 0", True)]
+
+
+BUNDLED = {name: parse_feeder(bundled_feeder_path(f"{name}.feeder"))
+           for name in ("ieee13", "ieee34", "ieee34-stressed")}
+Z3_REAL = ((0.3, 0.1, 0.1), (0.1, 0.3, 0.1), (0.1, 0.1, 0.3))
+# values no model field should take, and a few it may
+HOSTILE = [None, True, False, "0.1", {"re": 0.1}, (), (1.0, 2.0), ((1.0,), (2.0,), (3.0,)),
+           math.nan, math.inf, -math.inf, complex(math.nan, 1.0), 10**400, 1.0,
+           Z2_MODEL, ((0.3,),), Z3_REAL]
+
+
+@st.composite
+def replaced_fields(draw):
+    """(feeder, section, element id, {field: value}) for _replaced on a bundled model."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    section = draw(st.sampled_from(["nodes", "segments", "loads", "base", "source"]))
+    element = getattr(BUNDLED[name], section)
+    element_id = None
+    if isinstance(element, tuple):
+        element = draw(st.sampled_from(element))
+        element_id = element.id
+    field = draw(st.sampled_from([f.name for f in fields(element)]))
+    return name, section, element_id, {field: draw(st.sampled_from(HOSTILE))}
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=replaced_fields())
+@example(case=("ieee13", "segments", "632-633", {"z_per_mile": Z2_MODEL}))
+@example(case=("ieee13", "segments", "633-634", {"series_z_ohm": 10**400}))
+@example(case=("ieee13", "segments", "633-634", {"series_z_ohm": "0.1"}))
+@example(case=("ieee13", "segments", "684-652", {"z_per_mile": ((True,),)}))
+@example(case=("ieee13", "segments", "632-633", {"z_per_mile": Z3_REAL}))
+def test_a_replaced_model_fails_checked_or_solves_and_reads_back(case):
+    name, section, element_id, change = case
+    try:
+        model = _replaced(BUNDLED[name], section, element_id, **change)
+    except FeederFormatError:
+        return
+    try:
+        solve_end_split(model, SolveOptions())
+    except PowerFlowError:
+        pass
+    parse_feeder_dict(json.loads(json.dumps(serialize_feeder(model))))
