@@ -738,7 +738,8 @@ def sensor_runs(draw):
 def test_sensors_end_to_end_write_every_curve_or_fail_with_one_error(run):
     text, chain = run
     with tempfile.TemporaryDirectory() as tmp:
-        readings, config, out = Path(tmp, "readings.csv"), Path(tmp, "chain.json"), Path(tmp, "out")
+        readings, config = Path(tmp, "readings.csv"), Path(tmp, "chain.json")
+        out = Path(tmp, "out")
         readings.write_text(text)
         config.write_text(json.dumps(chain))
         stdout, stderr = io.StringIO(), io.StringIO()

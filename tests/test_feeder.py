@@ -544,7 +544,8 @@ def test_regulator_length_and_impedance_are_optional():
          "length must be finite and >= 0, got inf [segment b-c]"),
         (lambda d: d["segments"][1].update({"z_ohm_per_mile": [[[0.3, 10**400]]]}),
          "non-finite number (0.3+infj) [segment b-c]"),
-        (lambda d: d.update({"load_scale": 10**400}), "expected a number > 0, got inf [load_scale]"),
+        (lambda d: d.update({"load_scale": 10**400}),
+         "expected a number > 0, got inf [load_scale]"),
         (lambda d: d["loads"][0].update({"kvar": [-(10**400)]}),
          "non-finite number -inf [load spot-c kvar]"),
         (lambda d: d.update({"load_scale": 1e300}) or d["loads"][0].update({"kw": [1e10]}),
@@ -669,7 +670,8 @@ def _chain_doc(z_bc, z_cd):
     ([[[1, 0.6]]], [[[True, 0.6]]], "expected a number, got True [segments[2] (id=c-d).z[0]]"),
     ([[[0.3, 0.6]]], [[[0.3, math.nan]]], "non-finite number (0.3+nanj) [segment c-d]"),
     ([[[0.3, math.nan]]], [[[0.3, math.nan]]], "non-finite number (0.3+nanj) [segment b-c]"),
-    ([[[0.3, 0.6]]], [[[0.3, 0.6], [0.3, 0.6]]], "z_ohm_per_mile must be a 1x1 matrix [segment c-d]"),
+    ([[[0.3, 0.6]]], [[[0.3, 0.6], [0.3, 0.6]]],
+     "z_ohm_per_mile must be a 1x1 matrix [segment c-d]"),
 ], ids=["true-for-1", "nan", "nan-twice", "shape"])
 def test_a_matrix_like_an_earlier_one_fails_with_its_own_context(z_bc, z_cd, message):
     # neither the reader's parsed-matrix memo nor the model's checked-matrix
@@ -839,9 +841,12 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
          "expected a list of 3 numbers, got (1.0, None, 1.0) [segment 650-632]"),
         ("segments", "632-633", {"length_miles": "0.1"},
          "length must be finite and >= 0, got '0.1' [segment 632-633]"),
-        ("segments", "633-634", {"ratio": None}, "expected a number > 0, got None [segment 633-634 ratio]"),
-        ("segments", "650-632", {"taps": None}, "expected a list of 3 numbers, got None [segment 650-632]"),
-        ("segments", "632-633", {"z_per_mile": None}, "z_ohm_per_mile must be a 3x3 matrix [segment 632-633]"),
+        ("segments", "633-634", {"ratio": None},
+         "expected a number > 0, got None [segment 633-634 ratio]"),
+        ("segments", "650-632", {"taps": None},
+         "expected a list of 3 numbers, got None [segment 650-632]"),
+        ("segments", "632-633", {"z_per_mile": None},
+         "z_ohm_per_mile must be a 3x3 matrix [segment 632-633]"),
         ("segments", "684-652", {"z_per_mile": ((True,),)},
          "expected a real or complex number, got True [segment 684-652]"),
         ("segments", "633-634", {"series_z_ohm": None},
@@ -860,10 +865,10 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
          "unknown load segment ['632-671'] [load 632-671]"),
         ("source", None, {"node": ["650"]}, "source node ['650'] not defined"),
     ],
-    ids=["kw-none", "power-base-text", "kvar-text", "tap-none", "length-text", "transformer-no-ratio",
-         "regulator-no-taps", "line-no-z", "z-bool", "transformer-no-series-z", "series-z-text",
-         "angles-number", "kind-text", "conn-text", "model-text", "id-list", "to-node-list",
-         "load-segment-list", "source-node-list"],
+    ids=["kw-none", "power-base-text", "kvar-text", "tap-none", "length-text",
+         "transformer-no-ratio", "regulator-no-taps", "line-no-z", "z-bool",
+         "transformer-no-series-z", "series-z-text", "angles-number", "kind-text", "conn-text",
+         "model-text", "id-list", "to-node-list", "load-segment-list", "source-node-list"],
 )
 def test_a_replaced_model_with_a_wrong_type_fails_naming_its_element(ieee13, section,
                                                                      element_id, change, message):
@@ -887,7 +892,8 @@ def test_a_replaced_model_with_a_wrong_type_fails_naming_its_element(ieee13, sec
          "non-finite number (nan+1j) [segment 684-652]"),
         ("segments", "633-634", {"series_z_ohm": complex(0.005, math.inf)},
          "non-finite number (0.005+infj) [segment 633-634]"),
-        ("segments", "633-634", {"series_z_ohm": 10**400}, "non-finite number inf [segment 633-634]"),
+        ("segments", "633-634", {"series_z_ohm": 10**400},
+         "non-finite number inf [segment 633-634]"),
     ],
     ids=["kw-nan", "kvar-inf", "shunt-inf", "angle-nan", "z-nan", "series-z-inf", "series-z-huge"],
 )
