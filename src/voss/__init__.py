@@ -33,7 +33,6 @@ from .feeder import (
     SegmentKind,
     bundled_feeder_path,
     parse_feeder,
-    serialize_feeder,
     split_distributed_loads_to_ends,
 )
 from .line_oracle import sweep_rho
@@ -86,7 +85,6 @@ __all__ = [
     "parse_feeder",
     "run_multi_segment_study",
     "run_single_segment_study",
-    "serialize_feeder",
     "small_angle_error_bound",
     "solve",
     "split_distributed_loads_to_ends",

@@ -58,6 +58,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_RHO_LIST = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
+# excluded line ids voss benchmark prints before a count of the rest; its
+# CSVs mark every one
+EXCLUDED_SHOWN = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,10 +181,11 @@ def cmd_benchmark(args) -> int:
     write_comparison_csv(rows, single)
     plot = out / f"plot_long_{model.name}.csv"
     write_plot_long_csv(rows, plot)
-    print(
-        f"{model.name}: {len(rows)} line-phase rows, "
-        f"excluded lines: {', '.join(excluded_lines(rows)) or 'none'}"
-    )
+    excluded = excluded_lines(rows)
+    shown = ", ".join(excluded[:EXCLUDED_SHOWN]) or "none"
+    if len(excluded) > EXCLUDED_SHOWN:
+        shown += f" and {len(excluded) - EXCLUDED_SHOWN} more"
+    print(f"{model.name}: {len(rows)} line-phase rows, excluded lines: {shown}")
     print(f"wrote {single}")
     print(f"wrote {plot}")
     if multi_rows is not None:

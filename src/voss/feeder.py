@@ -13,10 +13,13 @@ A load sits at exactly one of its ``node`` and its ``segment``; a set
 ``segment`` is what "distributed" means.  Each element takes only the
 keys the schema names for it: its dataclass's field names, but for the
 segment fields ``_FILE_KEYS`` renames, and ``_KIND_KEYS`` names the keys
-each segment kind adds to the common ones.  The reader checks keys, and
-:func:`serialize_feeder` writes them, from these tables.  The reader
-checks only the JSON form (numbers follow :func:`voss.ioutil.json_number`,
-never a bool) and ``load_scale``, which is no model field.
+each segment kind adds to the common ones.  The reader checks a file's
+keys against these tables.  A model rejects, in the reader's words, a
+segment field whose key its kind does not take, unless the field holds
+its default (None, or a length of 0).  The reader checks only the JSON
+form (numbers follow :func:`voss.ioutil.json_number`, never a bool) and
+``load_scale``, which is no model field.  Models are read, never
+written: the package has no feeder writer.
 
 Models are immutable; transformations return new models.  Every way of
 building a model checks it (see :class:`FeederModel`), so every value
@@ -29,7 +32,7 @@ import cmath
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from itertools import chain, filterfalse, permutations
@@ -188,12 +191,13 @@ class FeederModel:
     rules) at the first violation: the name; three finite source voltages
     and angles; numbers > 0 (a transformer's ratio is required); string
     ids and phase strings; duplicate ids; the source node; each segment
-    (kind, length, taps, required on a regulator, shunt_kvar, the
-    impedances: z_per_mile, required on a line, an n x n table for the
-    segment's n phases, and series_z_ohm, required on a transformer, of
-    finite real or complex numbers; ends, phases); reachability; each
-    load (conn, model, kw and kvar counts of finite numbers, then the
-    rest).
+    (kind, length, each field whose key the kind does not take at its
+    default, None or a length of 0; taps, required on a regulator,
+    shunt_kvar, the impedances: z_per_mile, required on a line, an n x n
+    table for the segment's n phases, and series_z_ohm, required on a
+    transformer, of finite real or complex numbers; ends, phases);
+    reachability; each load (conn, model, kw and kvar counts of finite
+    numbers, then the rest).
     """
 
     name: str
@@ -215,7 +219,7 @@ class FeederModel:
                    (source.nominal_kv_ll, "source.nominal_kv_ll")]
         numbers += [(v, "source.voltage_pu") for v in source.voltage_pu]
         numbers += [(s.ratio, f"segment {s.id} ratio") for s in self.segments
-                    if s.ratio is not None or s.kind == SegmentKind.TRANSFORMER]
+                    if s.kind == SegmentKind.TRANSFORMER]
         for x, ctx in numbers:
             number = json_number(x)
             if number is None or not 0 < number < math.inf:
@@ -246,7 +250,13 @@ class FeederModel:
             if length is None or not 0 <= length < math.inf:
                 message = f"length must be finite and >= 0, got {s.length_miles!r}"
                 raise FeederFormatError(message, ctx)
-            if s.taps is not None or s.kind == SegmentKind.REGULATOR:
+            # None is compared by identity: == may not give a bool
+            stray = [key for name, key, default in _NOT_TAKEN[s.kind]
+                     if (value := getattr(s, name)) is not default
+                     and (default is None or value != default)]
+            if stray:
+                raise _not_taken(s.kind, stray, ctx)
+            if s.kind == SegmentKind.REGULATOR:
                 _count(s.taps, n, ctx)
             if s.shunt_kvar is not None:
                 _count(s.shunt_kvar, n, ctx)
@@ -259,7 +269,7 @@ class FeederModel:
                     raise FeederFormatError(f"z_ohm_per_mile must be a {n}x{n} matrix", ctx)
                 _impedances(chain.from_iterable(z), ctx)
                 sound_z.add((id(z), n))
-            if s.series_z_ohm is not None or s.kind == SegmentKind.TRANSFORMER:
+            if s.kind == SegmentKind.TRANSFORMER:
                 _impedances((s.series_z_ohm,), ctx)
             for end in (s.from_node, s.to_node):
                 if not isinstance(end, str) or end not in known:
@@ -298,7 +308,8 @@ class FeederModel:
                 raise FeederFormatError(f"expected a Connection, got {ld.conn!r}", f"{ctx} conn")
             if not isinstance(ld.model, LoadModel):
                 raise FeederFormatError(f"expected a LoadModel, got {ld.model!r}", f"{ctx} model")
-            count = 1 if ld.conn == Connection.DELTA and len(ld.phases) == 2 else len(ld.phases)
+            delta = ld.conn == Connection.DELTA
+            count = 1 if delta and len(ld.phases) == 2 else len(ld.phases)
             _count(ld.kw, count, f"{ctx} kw")
             _count(ld.kvar, count, f"{ctx} kvar")
             if (ld.node is None) == (ld.segment is None):
@@ -318,16 +329,16 @@ class FeederModel:
             if not set(ld.phases) <= avail:
                 message = f"load phases {ld.phases} not available ({''.join(sorted(avail))})"
                 raise FeederFormatError(message, ctx)
-            if ld.conn == Connection.DELTA and len(ld.phases) < 2:
+            if delta and len(ld.phases) < 2:
                 raise FeederFormatError("delta loads need at least two phases", ctx)
             # kw/kvar of a three-phase delta load belong to AB, BC, CA
-            if ld.conn == Connection.DELTA and len(ld.phases) == 3 and ld.phases != PHASE_ORDER:
+            if delta and len(ld.phases) == 3 and ld.phases != PHASE_ORDER:
                 raise FeederFormatError(
                     f"a three-phase delta load lists its phases as {PHASE_ORDER} "
                     f"(branches AB, BC, CA), got {ld.phases!r}",
                     ctx,
                 )
-            if any(x < 0 for x in ld.kw):
+            if min(ld.kw) < 0:
                 raise FeederFormatError("load kW must be nonnegative", ctx)
 
         for attr, index in (("_node_by_id", known), ("_seg_by_id", by_id), ("_seg_into", into),
@@ -373,7 +384,8 @@ def _count(values, count: int, ctx: str) -> None:
     if not (isinstance(values, (list, tuple)) and len(values) == count
             and None not in (numbers := list(map(json_number, values)))):
         raise FeederFormatError(f"expected a list of {count} numbers, got {values!r}", ctx)
-    _finite(numbers, ctx)
+    if not math.isfinite(sum(numbers)):  # a finite sum has only finite terms
+        _finite(numbers, ctx)
 
 
 def _finite(values, ctx: str) -> None:
@@ -391,6 +403,11 @@ def _impedances(values, ctx: str) -> None:
         if number is None:
             raise FeederFormatError(f"expected a real or complex number, got {x!r}", ctx)
         _finite((number,), ctx)
+
+
+def _not_taken(kind: SegmentKind, keys, ctx: str) -> FeederFormatError:
+    message = f"{kind.value} segments take no {' or '.join(map(repr, sorted(keys)))}"
+    return FeederFormatError(message, ctx)
 
 
 def _phase_error(phases, ctx: str) -> FeederFormatError:
@@ -423,17 +440,20 @@ def _objects(doc: dict, key: str, ctx: str) -> list:
 # segment fields; a segment's common keys are those no kind names
 _FILE_KEYS = {"from_node": "from", "to_node": "to", "length_miles": "length",
               "z_per_mile": "z_ohm_per_mile"}
-_SEGMENT_KEYS = frozenset(
-    _FILE_KEYS.get(f.name, f.name) for f in fields(SegmentDef)
-).difference(*sum(_KIND_KEYS.values(), ()))
+_SEGMENT_FIELDS = {f: _FILE_KEYS.get(f.name, f.name) for f in fields(SegmentDef)}
+_SEGMENT_KEYS = frozenset(_SEGMENT_FIELDS.values()).difference(*sum(_KIND_KEYS.values(), ()))
+# per kind, the (field, key, default) of each field whose key only other
+# kinds take; a model leaves these fields at their defaults
+_NOT_TAKEN = {
+    kind: tuple((f.name, key, f.default) for f, key in _SEGMENT_FIELDS.items()
+                if key not in _SEGMENT_KEYS.union(*keys))
+    for kind, keys in _KIND_KEYS.items()
+}
 _KEYS = {
     cls: frozenset(f.name for f in fields(cls))
     for cls in (FeederModel, BaseDef, SourceDef, NodeDef, LoadDef)
 }
 _KEYS[FeederModel] |= {"load_scale"}
-# the keys a file carries after another: a written length is in miles, and
-# written loads are already scaled
-_KEYS_AFTER = {"length": {"unit": "mi"}, "source": {"load_scale": 1.0}}
 
 
 def _object(value, cls, ctx: str) -> dict:
@@ -530,10 +550,9 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         if missing:
             message = f"{kind.value} segments need {' and '.join(map(repr, missing))}"
             raise FeederFormatError(message, ctx)
-        stray = sorted(set(raw).difference(_SEGMENT_KEYS, required, optional))
+        stray = set(raw).difference(_SEGMENT_KEYS, required, optional)
         if stray:
-            message = f"{kind.value} segments take no {' or '.join(map(repr, stray))}"
-            raise FeederFormatError(message, ctx)
+            raise _not_taken(kind, stray, ctx)
 
         length_miles = 0.0
         if "length" in raw or "unit" in raw:
@@ -618,36 +637,6 @@ def parse_feeder(path) -> FeederModel:
     except RecursionError:
         raise FeederFormatError("invalid JSON: nested too deeply", str(path)) from None
     return parse_feeder_dict(doc, origin=str(path))
-
-
-def _json(value, pairs: bool = False):
-    """A model value as a feeder file holds it: an element as an object of
-    its keys (a segment's common and kind keys only, None fields left
-    out), an enum by its value, a tuple as a list, and with pairs (set for
-    the impedances, whose real numbers a file holds as pairs too) each
-    number as [re, im]."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
-        return [_json(x, pairs) for x in value]
-    if pairs:
-        return [value.real, value.imag]
-    if not is_dataclass(value):
-        return value
-    keys = (_SEGMENT_KEYS.union(*_KIND_KEYS[value.kind]) if isinstance(value, SegmentDef)
-            else _KEYS[type(value)])
-    doc = {}
-    for f in fields(value):
-        key, item = _FILE_KEYS.get(f.name, f.name), getattr(value, f.name)
-        if item is not None and key in keys:
-            doc[key] = _json(item, f.name in ("z_per_mile", "series_z_ohm"))
-            doc.update(_KEYS_AFTER.get(key, ()))
-    return doc
-
-
-def serialize_feeder(model: FeederModel) -> dict:
-    """Canonical JSON-compatible dict; parse(serialize(m)) == m."""
-    return _json(model)
 
 
 def expand_distributed_loads(model: FeederModel) -> FeederModel:

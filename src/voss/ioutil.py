@@ -26,7 +26,10 @@ def json_number(value) -> Optional[float]:
     """A JSON number as a float (+-inf past the float range), else None.
 
     A bool is never a number.  Feeder files and chain configs both use it.
+    An exact float is returned as it is, which float() would also give.
     """
+    if type(value) is float:
+        return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return None
     try:

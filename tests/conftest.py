@@ -1,4 +1,5 @@
-"""Shared fixtures (parsed bundled feeders, cached solutions) and inputs.
+"""Shared fixtures (parsed bundled feeders, cached solutions), inputs, and
+the test-side feeder writer.
 
 Session scope keeps the suite fast; everything here is immutable
 (frozen dataclasses), so sharing across tests is safe.
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from voss.benchmark import run_single_segment_study
 from voss.feeder import (
+    SegmentKind,
     bundled_feeder_path,
     parse_feeder,
     parse_feeder_dict,
@@ -68,6 +70,55 @@ def rows13(ieee13, solved13):
 @pytest.fixture(scope="session")
 def rows34(ieee34, solved34):
     return run_single_segment_study(ieee34, solution=solved34)
+
+
+def document_of(model):
+    """model as a feeder document, spelled out key by key: every set field
+    under its file key, a length in miles, impedances as [re, im] pairs and
+    loads already scaled."""
+    def pair(z):
+        return [z.real, z.imag]
+
+    doc = {
+        "name": model.name,
+        "base": {"power_kva": model.base.power_kva, "voltage_kv_ll": model.base.voltage_kv_ll},
+        "source": {
+            "node": model.source.node,
+            "nominal_kv_ll": model.source.nominal_kv_ll,
+            "voltage_pu": list(model.source.voltage_pu),
+            "angles_deg": list(model.source.angles_deg),
+        },
+        "load_scale": 1.0,
+        "nodes": [{"id": n.id, "phases": n.phases} for n in model.nodes],
+        "segments": [],
+        "loads": [],
+    }
+    for s in model.segments:
+        raw = {"id": s.id, "from": s.from_node, "to": s.to_node, "phases": s.phases,
+               "kind": s.kind.value}
+        if s.kind != SegmentKind.TRANSFORMER:
+            raw["length"] = s.length_miles
+            raw["unit"] = "mi"
+        if s.z_per_mile is not None:
+            raw["z_ohm_per_mile"] = [[pair(z) for z in row] for row in s.z_per_mile]
+        if s.ratio is not None:
+            raw["ratio"] = s.ratio
+        if s.series_z_ohm is not None:
+            raw["series_z_ohm"] = pair(s.series_z_ohm)
+        if s.taps is not None:
+            raw["taps"] = list(s.taps)
+        if s.shunt_kvar is not None:
+            raw["shunt_kvar"] = list(s.shunt_kvar)
+        doc["segments"].append(raw)
+    for ld in model.loads:
+        raw = {"id": ld.id, "conn": ld.conn.value, "model": ld.model.value,
+               "phases": ld.phases, "kw": list(ld.kw), "kvar": list(ld.kvar)}
+        if ld.node is not None:
+            raw["node"] = ld.node
+        if ld.segment is not None:
+            raw["segment"] = ld.segment
+        doc["loads"].append(raw)
+    return doc
 
 
 def two_bus_doc(

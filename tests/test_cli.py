@@ -1,6 +1,7 @@
 """Command-line entry points, exit codes, and output files."""
 
 import contextlib
+import csv
 import io
 import json
 import random
@@ -95,6 +96,23 @@ def test_benchmark_reports_excluded_lines(tmp_path, capsys):
     assert len(single) == 1 + 74
     assert (tmp_path / "plot_long_ieee34.csv").exists()
     assert not (tmp_path / "multi_segment_ieee34.csv").exists()
+
+
+def test_benchmark_prints_the_first_excluded_lines_and_counts_the_rest(tmp_path, capsys):
+    # a loaded line and seven unloaded spurs, each carrying no power
+    doc = two_bus_doc(kw=[10.0], kvar=[5.0], r_ohm=0.3, x_ohm=0.6)
+    spurs = [f"end-s{k}" for k in range(cli.EXCLUDED_SHOWN + 2)]
+    for spur in spurs:
+        doc["nodes"].append({"id": spur, "phases": "A"})
+        doc["segments"].append({**doc["segments"][0], "id": spur, "from": "end", "to": spur})
+    feeder = tmp_path / "spurs.json"
+    feeder.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "benchmark", str(feeder), "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    shown = ", ".join(spurs[: cli.EXCLUDED_SHOWN])
+    assert out.splitlines()[0] == f"twobus: 8 line-phase rows, excluded lines: {shown} and 2 more"
+    rows = csv.DictReader((tmp_path / "single_segment_twobus.csv").read_text().splitlines())
+    assert sorted(r["line_or_path"] for r in rows if r["excluded"] == "true") == spurs
 
 
 def test_benchmark_paths_add_multi_segment_study(tmp_path, capsys):

@@ -141,3 +141,58 @@ def test_feeder_common_keys_are_the_readers_common_keys():
     text = (ROOT / "docs" / "feeder_schema.md").read_text()
     listed = re.findall(r"`([^`]+)`", re.search(r"^Common keys: (.*?)\.$", text, re.M)[1])
     assert sorted(listed) == sorted(_SEGMENT_KEYS)
+
+
+SOURCES = {path.name: ast.parse(path.read_text(), str(path))
+           for path in sorted((ROOT / "src" / "voss").glob("*.py"))}
+
+
+def _loaded_names(tree):
+    """Every name a tree reads, as a bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_voss_module_imports_a_name_it_never_uses():
+    # no linter runs on src/voss; a re-export others wrap is marked noqa: F401
+    unused = []
+    for name, tree in SOURCES.items():
+        if name == "__init__.py":
+            continue
+        lines = (ROOT / "src" / "voss" / name).read_text().splitlines()
+        used = set(_loaded_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{name}:{alias.lineno}: {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used
+                    and "# noqa: F401" not in lines[alias.lineno - 1]
+                ]
+    assert unused == []
+
+
+def test_every_private_voss_module_name_is_used():
+    # a module-level _name read nowhere in src/voss but by its own
+    # definition is left over from removed code
+    defined, reads = [], []
+    for name, tree in SOURCES.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                targets = [n.id for t in stmt.targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                targets = []
+            defined += [(name, t, stmt) for t in targets
+                        if t.startswith("_") and not t.startswith("__")]
+            reads.append((stmt, set(_loaded_names(stmt))))
+    unused = [f"{name}: {target}" for name, target, stmt in defined
+              if not any(target in names for other, names in reads if other is not stmt)]
+    assert unused == []

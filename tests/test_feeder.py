@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import json_values
-from test_powerflow import radial_feeders
+from conftest import document_of, json_values
 from voss import feeder as feeder_module
 from voss.benchmark import solve_end_split
 from voss.feeder import (
@@ -29,7 +28,6 @@ from voss.feeder import (
     expand_distributed_loads,
     parse_feeder,
     parse_feeder_dict,
-    serialize_feeder,
     split_distributed_loads_to_ends,
 )
 from voss.powerflow import PowerFlowError, SolveOptions
@@ -113,72 +111,9 @@ def test_bundled_fixtures_parse_with_expected_shape(ieee13, ieee34, ieee34_stres
 
 def test_round_trip_serialization_is_identity(ieee13, ieee34):
     for model in (ieee13, ieee34):
-        doc = serialize_feeder(model)
+        doc = document_of(model)
         assert doc["load_scale"] == 1.0
         assert parse_feeder_dict(doc) == model
-
-
-def _serialized_by_hand(model):
-    """The feeder writer spelled out key by key: the oracle of serialize_feeder."""
-    def pair(z):
-        return [z.real, z.imag]
-
-    doc = {
-        "name": model.name,
-        "base": {"power_kva": model.base.power_kva, "voltage_kv_ll": model.base.voltage_kv_ll},
-        "source": {
-            "node": model.source.node,
-            "nominal_kv_ll": model.source.nominal_kv_ll,
-            "voltage_pu": list(model.source.voltage_pu),
-            "angles_deg": list(model.source.angles_deg),
-        },
-        "load_scale": 1.0,
-        "nodes": [{"id": n.id, "phases": n.phases} for n in model.nodes],
-        "segments": [],
-        "loads": [],
-    }
-    for s in model.segments:
-        raw = {"id": s.id, "from": s.from_node, "to": s.to_node, "phases": s.phases,
-               "kind": s.kind.value}
-        if s.kind != SegmentKind.TRANSFORMER:
-            raw["length"] = s.length_miles
-            raw["unit"] = "mi"
-        if s.z_per_mile is not None:
-            raw["z_ohm_per_mile"] = [[pair(z) for z in row] for row in s.z_per_mile]
-        if s.ratio is not None:
-            raw["ratio"] = s.ratio
-        if s.series_z_ohm is not None:
-            raw["series_z_ohm"] = pair(s.series_z_ohm)
-        if s.taps is not None:
-            raw["taps"] = list(s.taps)
-        if s.shunt_kvar is not None:
-            raw["shunt_kvar"] = list(s.shunt_kvar)
-        doc["segments"].append(raw)
-    for ld in model.loads:
-        raw = {"id": ld.id, "conn": ld.conn.value, "model": ld.model.value,
-               "phases": ld.phases, "kw": list(ld.kw), "kvar": list(ld.kvar)}
-        if ld.node is not None:
-            raw["node"] = ld.node
-        if ld.segment is not None:
-            raw["segment"] = ld.segment
-        doc["loads"].append(raw)
-    return doc
-
-
-def assert_written_as_by_hand(model):
-    for spot in (model, expand_distributed_loads(model), split_distributed_loads_to_ends(model)):
-        assert json.dumps(serialize_feeder(spot)) == json.dumps(_serialized_by_hand(spot))
-
-
-@pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])
-def test_bundled_feeders_are_written_byte_for_byte_as_by_hand(request, feeder):
-    assert_written_as_by_hand(request.getfixturevalue(feeder))
-
-
-@settings(max_examples=40, deadline=None)
-@given(radial_feeders())
-def test_random_feeders_are_written_byte_for_byte_as_by_hand(doc):
-    assert_written_as_by_hand(parse_feeder_dict(doc))
 
 
 def test_length_units_convert_to_miles():
@@ -423,8 +358,8 @@ def test_end_split_halves_demand_at_both_ends():
 
 def test_rewrites_leave_spot_only_models_unchanged(ieee13):
     spot_only = parse_feeder_dict(
-        {**serialize_feeder(ieee13), "loads": [
-            l for l in serialize_feeder(ieee13)["loads"] if "node" in l
+        {**document_of(ieee13), "loads": [
+            l for l in document_of(ieee13)["loads"] if "node" in l
         ]}
     )
     assert expand_distributed_loads(spot_only) == spot_only
@@ -532,7 +467,7 @@ def test_regulator_length_and_impedance_are_optional():
     raw.update(kind="regulator", taps=[1.05])
     model = parse_feeder_dict(doc)
     assert model.segment("b-c").length_miles == 0.0
-    assert parse_feeder_dict(serialize_feeder(model)) == model
+    assert parse_feeder_dict(document_of(model)) == model
 
 
 @pytest.mark.parametrize(
@@ -653,7 +588,7 @@ def test_feeder_parser_fails_only_with_format_errors(doc):
         return
     assert '"unknown":' not in json.dumps(doc)
     # a model that parses is finite and canonical
-    assert parse_feeder_dict(serialize_feeder(model)) == model
+    assert parse_feeder_dict(document_of(model)) == model
 
 
 def _chain_doc(z_bc, z_cd):
@@ -864,11 +799,28 @@ def test_a_replaced_model_fails_as_its_document_does(ieee13, section, element_id
         ("loads", "632-671", {"segment": ["632-671"]},
          "unknown load segment ['632-671'] [load 632-671]"),
         ("source", None, {"node": ["650"]}, "source node ['650'] not defined"),
+        ("segments", "632-633", {"taps": (1.0, 1.0, 1.0)},
+         "line segments take no 'taps' [segment 632-633]"),
+        ("segments", "632-633", {"ratio": 2.0}, "line segments take no 'ratio' [segment 632-633]"),
+        ("segments", "632-633", {"series_z_ohm": 0.1j},
+         "line segments take no 'series_z_ohm' [segment 632-633]"),
+        ("segments", "633-634", {"taps": (1.0, 1.0, 1.0)},
+         "transformer segments take no 'taps' [segment 633-634]"),
+        ("segments", "633-634", {"z_per_mile": Z2_MODEL},
+         "transformer segments take no 'z_ohm_per_mile' [segment 633-634]"),
+        ("segments", "633-634", {"length_miles": 1.0},
+         "transformer segments take no 'length' [segment 633-634]"),
+        ("segments", "650-632", {"ratio": 1.0},
+         "regulator segments take no 'ratio' [segment 650-632]"),
+        ("segments", "650-632", {"series_z_ohm": 0.1j},
+         "regulator segments take no 'series_z_ohm' [segment 650-632]"),
     ],
     ids=["kw-none", "power-base-text", "kvar-text", "tap-none", "length-text",
          "transformer-no-ratio", "regulator-no-taps", "line-no-z", "z-bool",
          "transformer-no-series-z", "series-z-text", "angles-number", "kind-text", "conn-text",
-         "model-text", "id-list", "to-node-list", "load-segment-list", "source-node-list"],
+         "model-text", "id-list", "to-node-list", "load-segment-list", "source-node-list",
+         "line-taps", "line-ratio", "line-series-z", "transformer-taps", "transformer-z",
+         "transformer-length", "regulator-ratio", "regulator-series-z"],
 )
 def test_a_replaced_model_with_a_wrong_type_fails_naming_its_element(ieee13, section,
                                                                      element_id, change, message):
@@ -964,6 +916,11 @@ def replaced_fields(draw):
 @example(case=("ieee13", "segments", "633-634", {"series_z_ohm": "0.1"}))
 @example(case=("ieee13", "segments", "684-652", {"z_per_mile": ((True,),)}))
 @example(case=("ieee13", "segments", "632-633", {"z_per_mile": Z3_REAL}))
+@example(case=("ieee13", "segments", "632-633", {"taps": (1.0, 1.0, 1.0)}))
+@example(case=("ieee13", "segments", "632-633", {"ratio": 2.0}))
+@example(case=("ieee13", "segments", "632-633", {"series_z_ohm": 0.1j}))
+@example(case=("ieee13", "segments", "650-632", {"ratio": 1.0}))
+@example(case=("ieee13", "segments", "633-634", {"length_miles": 1.0}))
 def test_a_replaced_model_fails_checked_or_solves_and_reads_back(case):
     name, section, element_id, change = case
     try:
@@ -974,4 +931,4 @@ def test_a_replaced_model_fails_checked_or_solves_and_reads_back(case):
         solve_end_split(model, SolveOptions())
     except PowerFlowError:
         pass
-    parse_feeder_dict(json.loads(json.dumps(serialize_feeder(model))))
+    assert parse_feeder_dict(json.loads(json.dumps(document_of(model)))) == model

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import two_bus_doc
+from conftest import document_of, two_bus_doc
 from voss import powerflow
 from voss.benchmark import run_single_segment_study
 from voss.estimator import (
@@ -30,7 +30,6 @@ from voss.feeder import (
     bundled_feeder_path,
     expand_distributed_loads,
     parse_feeder_dict,
-    serialize_feeder,
     split_distributed_loads_to_ends,
 )
 from voss.powerflow import (
@@ -283,7 +282,7 @@ def test_segment_phase_order_is_matched_by_name():
 
 def _reversed_segment_phases(model):
     """The same feeder with every multi-phase segment's phases reversed."""
-    doc = serialize_feeder(model)
+    doc = document_of(model)
     for seg in doc["segments"]:
         if len(seg["phases"]) < 2:
             continue
@@ -329,7 +328,7 @@ def _permuted_load_phases(model):
     """The same feeder with every load's phase string reordered: each
     multi-phase wye load rotated together with its kw/kvar, each two-phase
     delta load reversed ("AB" is the same branch as "BA")."""
-    doc = serialize_feeder(model)
+    doc = document_of(model)
     for load in doc["loads"]:
         if len(load["phases"]) < 2:
             continue
@@ -733,7 +732,7 @@ def test_estimator_identities_hold_on_every_line_of_random_feeders(doc):
     # loss fraction is the phasor drop, the sag ratio is within the angle
     # bound of it, and the study's correction is the sensor pipeline's
     model = parse_feeder_dict(doc)
-    assert parse_feeder_dict(serialize_feeder(model)) == model
+    assert parse_feeder_dict(document_of(model)) == model
     for rewrite in REWRITES:
         spot = rewrite(model)
         sol = solve(spot, RESIDUAL)
