@@ -5,7 +5,8 @@ A line is a path of one segment: both studies build their rows with the
 same path comparison, and differ only in the paths they take and where
 rho_s comes from.  That comparison is the one place that defines a
 path's true loss, from the solved segment flows, and the near-zero rule
-that excludes a phase whose input power is too small to count.
+that excludes a phase whose input power is below a fixed fraction of the
+feeder power base.
 
 The studies take a solution of the feeder with distributed loads split
 half-and-half onto their segment end nodes (the convention of the
@@ -32,7 +33,6 @@ at a time in path order, never by a pairwise ``np.sum``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -49,13 +49,6 @@ from .powerflow import PowerFlowSolution, SolveOptions, solve
 # single-digit-kVA spur lines on the bundled 34-node feeder fall under it
 # while every normally loaded line clears it by more than 10x.
 NEAR_ZERO_POWER_FRACTION = 2e-3
-
-
-def check_near_zero_fraction(fraction: float) -> float:
-    """The near-zero threshold is a finite fraction >= 0 of the power base."""
-    if not 0.0 <= fraction < math.inf:
-        raise ValueError(f"near_zero_fraction must be finite and >= 0, got {fraction}")
-    return fraction
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ def solve_end_split(model: FeederModel, options: SolveOptions) -> PowerFlowSolut
 
 
 def _compare_path(solution: PowerFlowSolution, paths: Sequence,
-                  near_zero_fraction: float, rho_s: Optional[float]) -> dict:
+                  rho_s: Optional[float]) -> dict:
     """ComparisonRow columns of contiguous paths, given as (label, segments).
 
     A path has one row per phase of its head segment, in that segment's
@@ -95,8 +88,9 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
     True loss is |sum of the segments' series dissipation|, added in path
     order, over |input power| on the phase, so power delivered to
     intermediate taps is not counted as loss.  Input power below
-    near_zero_fraction of the feeder power base excludes the row; zero
-    input power always does, and gives a NaN true loss.
+    NEAR_ZERO_POWER_FRACTION of the feeder power base excludes the row;
+    zero input power always does, also where that threshold underflows to
+    0 (a base below about 1.2e-321 kVA), and gives a NaN true loss.
     """
     slots = solution.slots
     labels, phases, members = [], [], []
@@ -116,7 +110,7 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
         deep = [k for k, m in enumerate(members) if len(m) > j]
         lost[deep] += dissipated[[members[k][j] for k in deep]]
     v1, v2, s_in = slots.v_from[head], slots.v_to[tail], slots.s_from[head]
-    near_zero_va = near_zero_fraction * solution.model.base.power_kva * 1e3
+    near_zero_va = NEAR_ZERO_POWER_FRACTION * solution.model.base.power_kva * 1e3
     with np.errstate(all="ignore"):
         rho_v = magnitude(v2) / magnitude(v1)
         s_in_va = magnitude(s_in)
@@ -161,8 +155,7 @@ def _rows(columns: dict) -> list:
     return list(map(ComparisonRow, *values))
 
 
-def run_single_segment_study(model: FeederModel, *, solution: PowerFlowSolution,
-                             near_zero_fraction: float = NEAR_ZERO_POWER_FRACTION) -> list:
+def run_single_segment_study(model: FeederModel, *, solution: PowerFlowSolution) -> list:
     """One ComparisonRow per phase of every line segment.
 
     Each line is a path of one segment with a simulated rho_s.  Rows
@@ -170,10 +163,9 @@ def run_single_segment_study(model: FeederModel, *, solution: PowerFlowSolution,
     marked excluded; their loss columns are reported (NaN when the input
     power is exactly zero) but carry no meaning.
     """
-    check_near_zero_fraction(near_zero_fraction)
     _check_solution(model, solution)
     lines = [(seg.id, [seg]) for seg in model.segments if seg.kind == SegmentKind.LINE]
-    return _rows(_compare_path(solution, lines, near_zero_fraction, None))
+    return _rows(_compare_path(solution, lines, None))
 
 
 def run_multi_segment_study(
@@ -182,17 +174,15 @@ def run_multi_segment_study(
     *,
     solution: PowerFlowSolution,
     rho_s: Optional[float] = None,
-    near_zero_fraction: float = NEAR_ZERO_POWER_FRACTION,
 ) -> list:
     """ComparisonRows for downstream node-pair paths (head, tail).
 
     rho_s is simulated from the flows when None, else a fixed estimate.
     """
     check_rho(rho_s, "rho_s")
-    check_near_zero_fraction(near_zero_fraction)
     _check_solution(model, solution)
     paths = [(f"{head}-{tail}", model.path_segments(head, tail)) for head, tail in paths]
-    return _rows(_compare_path(solution, paths, near_zero_fraction, rho_s))
+    return _rows(_compare_path(solution, paths, rho_s))
 
 
 def excluded_lines(rows: Sequence) -> list:

@@ -4,10 +4,10 @@ Four subcommands: ``solve`` runs the radial power flow on a feeder file
 and writes node/segment CSVs; ``benchmark`` compares the voltage-only
 estimates against simulated truth per line and per path; ``oracle``
 checks the distributed-extraction correction factor against a
-discretized line simulation; ``sensors`` turns a day of field voltage
-readings into loss curves.  All outputs are plain CSV (plot data in
-long format, rendering left to external tools) and byte-identical
-across runs with identical inputs.
+discretized line simulation at rho = 0.1, 0.2, ..., 0.9; ``sensors``
+turns a day of field voltage readings into loss curves.  All outputs
+are plain CSV (plot data in long format, rendering left to external
+tools) and byte-identical across runs with identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 input or parse error,
 3 numerical failure (non-convergence or any other ArithmeticError).
@@ -26,8 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import (
-    NEAR_ZERO_POWER_FRACTION,
-    check_near_zero_fraction,
     excluded_lines,
     run_multi_segment_study,
     run_single_segment_study,
@@ -57,7 +55,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-DEFAULT_RHO_LIST = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 # excluded line ids voss benchmark prints before a count of the rest; its
 # CSVs mark every one
 EXCLUDED_SHOWN = 5
@@ -110,13 +107,6 @@ def _parse_rho_s_source(text: str):
     )
 
 
-def _parse_rho_list(text: str) -> list:
-    values = [check_rho(float(tok)) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError("no rho values given")
-    return values
-
-
 def _typed(parse):
     """Adapt a ValueError-raising parser to argparse's error reporting."""
 
@@ -162,9 +152,7 @@ def cmd_solve(args) -> int:
 def cmd_benchmark(args) -> int:
     model = parse_feeder(args.feeder)
     solution = solve_end_split(model, _options(args))
-    rows = run_single_segment_study(
-        model, near_zero_fraction=args.near_zero_threshold, solution=solution
-    )
+    rows = run_single_segment_study(model, solution=solution)
     # run every study before writing: a bad path leaves no partial output
     multi_rows = None
     if args.paths:
@@ -173,7 +161,6 @@ def cmd_benchmark(args) -> int:
             model,
             [_resolve_path(token, node_ids) for token in args.paths],
             rho_s=getattr(args, "rho_s_source", None),
-            near_zero_fraction=args.near_zero_threshold,
             solution=solution,
         )
     out = _out_dir(args)
@@ -196,7 +183,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    rows = sweep_rho(args.rho_list, args.segments)
+    rows = sweep_rho((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), args.segments)
     out = _out_dir(args)
     path = out / "oracle_sweep.csv"
     write_sweep_csv(rows, path)
@@ -278,15 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("feeder", help="feeder definition file (JSON)")
     p_bench.add_argument(
-        "--near-zero-threshold",
-        type=_typed(lambda text: check_near_zero_fraction(float(text))),
-        default=NEAR_ZERO_POWER_FRACTION,
-        help=(
-            "input power below this fraction of the feeder base marks a "
-            f"row near-zero (default: {NEAR_ZERO_POWER_FRACTION})"
-        ),
-    )
-    p_bench.add_argument(
         "--paths",
         type=_typed(_parse_paths),
         default=None,
@@ -307,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle",
         parents=[output],
         help="check the correction factor against a discretized line",
-    )
-    p_oracle.add_argument(
-        "--rho-list",
-        type=_typed(_parse_rho_list),
-        default=_parse_rho_list(DEFAULT_RHO_LIST),
-        help=f"comma-separated extraction fractions (default: {DEFAULT_RHO_LIST})",
     )
     p_oracle.add_argument(
         "--segments",

@@ -103,6 +103,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -110,7 +111,7 @@ import numpy as np
 
 from .estimator import EstimateFlag, angle, magnitude
 from .feeder import Connection, FeederModel, LoadModel, SegmentKind
-from .ioutil import format_column, write_csv
+from .ioutil import format_column, json_number, write_csv
 
 COLLAPSE_PU = 0.5
 # Below this mean level width (link slots per level) the scalar kernel
@@ -136,10 +137,12 @@ class SolveOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        tol = json_number(self.tol)
+        if tol is None or not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

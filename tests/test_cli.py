@@ -132,20 +132,11 @@ def test_benchmark_paths_add_multi_segment_study(tmp_path, capsys):
 
 
 def test_oracle_sweep_outputs_requested_points(tmp_path, capsys):
-    code, out, _ = run(
-        capsys,
-        "oracle",
-        "--rho-list",
-        "0.3,0.6",
-        "--segments",
-        "500",
-        "--out-dir",
-        str(tmp_path),
-    )
+    code, out, _ = run(capsys, "oracle", "--segments", "500", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
-    assert "worst |oracle - formula|" in out
+    assert out.startswith("n=500: worst |oracle - formula|")
     lines = (tmp_path / "oracle_sweep.csv").read_text().splitlines()
-    assert len(lines) == 1 + 2
+    assert [line.split(",")[0] for line in lines] == ["rho"] + [f"0.{k}" for k in range(1, 10)]
 
 
 def test_sensors_writes_one_curve_per_pair(tmp_path, capsys):
@@ -441,14 +432,14 @@ def test_iteration_cap_is_a_numerical_error(tmp_path, capsys):
         ("solve", IEEE13, "--no-such-flag"),
         ("benchmark", IEEE34, "--paths", "bogus"),
         ("benchmark", IEEE34, "--rho-s-source", "estimate:1.5"),
-        ("oracle", "--rho-list", "0.5,oops"),
+        ("oracle", "--rho-list", "0.5"),
         ("oracle", "--segments", "0"),
-        ("oracle", "--rho-list", "0.5,1.5"),
-        ("oracle", "--rho-list", "nan"),
-        ("oracle", "--rho-list", "0.2,inf"),
+        ("benchmark", IEEE34, "--near-zero-threshold", "0.1"),
+        ("solve", IEEE13, "--max-iter", "150.0"),
+        ("benchmark", IEEE34, "--max-iter", "True"),
         ("benchmark", IEEE34, "--paths", ","),
         ("benchmark", IEEE34, "--paths", "800-814,-822"),
-        ("oracle", "--rho-list", ","),
+        ("solve", IEEE13, "--tol", "True"),
     ],
 )
 def test_bad_usage_exits_one(tmp_path, monkeypatch, capsys, argv):
@@ -456,9 +447,12 @@ def test_bad_usage_exits_one(tmp_path, monkeypatch, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "error:" in err and "Traceback" not in err
-    # a bad value is reported against the option that carried it
+    # a bad value is reported against the option that carried it, and a
+    # removed flag as an unrecognized argument
     valued = [a for a in argv if a.startswith("--") and a != "--no-such-flag"]
-    if valued:
+    if valued and valued[0] in ("--rho-list", "--near-zero-threshold"):
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    elif valued:
         assert f"argument {valued[0]}" in err
     assert not any(tmp_path.iterdir())
 
@@ -472,9 +466,9 @@ def test_one_parser_serves_every_call_as_fresh_ones_would(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)  # the default --out-dir
     out = ("--out-dir", str(tmp_path))
     calls = [
-        ("oracle", "--rho-list", "0.5,oops"),
+        ("oracle", "--segments", "oops"),
         ("benchmark", IEEE13, "--rho-s-source", "simulated"),
-        ("oracle", "--rho-list", "0.5", "--segments", "10", *out),
+        ("oracle", "--segments", "20", *out),
         ("solve", IEEE13, *out),
         ("solve", IEEE13, "--max-iter", "0"),
         ("oracle", "--segments", "10", *out),
@@ -498,26 +492,6 @@ def test_one_parser_serves_every_call_as_fresh_ones_would(tmp_path, monkeypatch,
         EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
     assert reused == fresh
     assert len(built) == 1
-
-
-@pytest.mark.parametrize(
-    "value,expected", [("0", EXIT_OK), ("nan", EXIT_USAGE), ("-1", EXIT_USAGE)]
-)
-def test_near_zero_threshold_edge_values(tmp_path, capsys, value, expected):
-    code, out, err = run(
-        capsys,
-        "benchmark",
-        IEEE13,
-        "--near-zero-threshold",
-        value,
-        "--out-dir",
-        str(tmp_path),
-    )
-    assert code == expected
-    assert "Traceback" not in err
-    if expected == EXIT_OK:
-        # the line with exactly zero input power is still excluded
-        assert "excluded lines: 671-680" in out
 
 
 @pytest.mark.parametrize(

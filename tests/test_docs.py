@@ -1,6 +1,7 @@
 """Executable documentation and the names the benchmark harness and the
 scripts take from voss."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -9,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from voss.cli import build_parser
 from voss.feeder import _KIND_KEYS, _SEGMENT_KEYS, SegmentKind
 from voss.sensors import CHAIN_KEYS, ChainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
-PYTHON_BLOCKS = re.findall(
-    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S
-)
+README = (ROOT / "README.md").read_text()
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
 
 
 def test_readme_has_python_examples():
@@ -27,6 +28,17 @@ def test_readme_has_python_examples():
 )
 def test_readme_python_block_runs(source):
     exec(compile(source, "README.md", "exec"), {})
+
+
+def test_readme_command_line_names_the_flags_the_parser_takes():
+    section = re.search(r"^## Command line\n(.*?)^## ", README, re.M | re.S)[1]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    accepted = {option for parser in subcommands.choices.values()
+                for action in parser._actions for option in action.option_strings
+                if option.startswith("--")}
+    assert documented - {"--help"} == accepted - {"--help"}
 
 
 def test_every_traced_boundary_resolves():

@@ -244,11 +244,19 @@ def test_csv_writers_are_deterministic(solved13, tmp_path):
 @pytest.mark.parametrize(
     "field,value",
     [("tol", math.nan), ("tol", math.inf), ("tol", -1.0), ("tol", 0.0),
-     ("max_iter", 0), ("max_iter", -3)],
+     ("max_iter", 0), ("max_iter", -3),
+     # a bool is no number, so tol=True is not a 1 pu tolerance that would
+     # stop after one sweep; a sweep count is an integer
+     ("tol", True), ("max_iter", True), ("max_iter", 150.0)],
 )
 def test_solve_options_reject_values_that_cannot_converge(field, value):
     with pytest.raises(ValueError, match=field):
         SolveOptions(**{field: value})
+
+
+def test_solve_options_take_numpy_integers(ieee34_stressed):
+    options = SolveOptions(max_iter=np.int64(200))
+    assert solve(split_distributed_loads_to_ends(ieee34_stressed), options).iterations == 93
 
 
 def test_segment_phase_order_is_matched_by_name():

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from voss.benchmark import run_multi_segment_study, run_single_segment_study
+from voss.benchmark import run_multi_segment_study
 from voss.cli import EXIT_USAGE, build_parser
 from voss.estimator import clamp_rho, clamped_correction, correction_factor
 from voss.feeder import (
@@ -26,7 +26,7 @@ from voss.feeder import (
     split_distributed_loads_to_ends,
 )
 from voss.line_oracle import sweep_rho
-from voss.powerflow import solve
+from voss.powerflow import SolveOptions, solve
 from voss.sensors import (
     SensorChain,
     VoltageSeries,
@@ -83,11 +83,6 @@ def readings(ctx):
     return path
 
 
-def study_single(value, ctx):
-    model, solution = ctx["feeder"]
-    run_single_segment_study(model, solution=solution, near_zero_fraction=value)
-
-
 def study_multi(key):
     """The multi-segment study on one ieee13 path, with the value as key."""
 
@@ -105,20 +100,28 @@ CURVE = (SensorChain(("up", "down")), {"up": UP, "down": DOWN})
 
 # setting -> (ways in, values accepted, values rejected)
 SETTINGS = {
-    "near_zero_fraction": (
+    "tol": (
         [
-            study_single,
-            study_multi("near_zero_fraction"),
-            flag("benchmark", "f", "--near-zero-threshold", "{}"),
+            lambda v, ctx: SolveOptions(tol=v),
+            flag("solve", "f", "--tol", "{}"),
+            flag("benchmark", "f", "--tol", "{}"),
         ],
-        [0.0, 2e-3, 1e9],
-        [NAN, -1.0, INF],
+        [1e-8, 1.0],
+        [0.0, -1.0, NAN, INF],
+    ),
+    "max_iter": (
+        [
+            lambda n, ctx: SolveOptions(max_iter=n),
+            flag("solve", "f", "--max-iter", "{}"),
+            flag("benchmark", "f", "--max-iter", "{}"),
+        ],
+        [1, 200],
+        [0, -1],
     ),
     "rho": (
         [
             lambda v, ctx: correction_factor(v),
             lambda v, ctx: sweep_rho([v], 10),
-            flag("oracle", "--rho-list", "{}"),
         ],
         [0.0, 0.5, 1.0],
         [-0.1, 1.5, NAN, INF],
