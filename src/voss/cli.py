@@ -107,6 +107,14 @@ def _parse_rho_s_source(text: str):
     )
 
 
+def _count(text: str):
+    """text as an int if it reads as one, else as it is, for a count rule to refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _typed(parse):
     """Adapt a ValueError-raising parser to argparse's error reporting."""
 
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solver.add_argument(
         "--max-iter",
-        type=_typed(lambda text: SolveOptions(max_iter=int(text)).max_iter),
+        type=_typed(lambda text: SolveOptions(max_iter=_count(text)).max_iter),
         default=defaults.max_iter,
         help=f"power-flow iteration limit (default: {defaults.max_iter})",
     )
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument(
         "--segments",
-        type=_typed(lambda text: check_segment_count(int(text))),
+        type=_typed(lambda text: check_segment_count(_count(text))),
         default=10000,
         help="number of discretization segments (default: 10000)",
     )

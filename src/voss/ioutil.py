@@ -1,10 +1,11 @@
-"""Small shared helpers: the JSON number rule and deterministic CSV output."""
+"""Small shared helpers: the JSON number and count rules, and deterministic CSV output."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import math
+import numbers
 import os
 from typing import Optional
 
@@ -36,6 +37,13 @@ def json_number(value) -> Optional[float]:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def check_count(name: str, value):
+    """value, if it is an integer (a numpy one too, never a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    return value
 
 
 def open_output(path):

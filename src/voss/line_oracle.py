@@ -7,12 +7,13 @@ drop tends to ``correction_factor(rho)`` as O(1/n^2), checking the formula.
 """
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .estimator import correction_factor
-from .ioutil import FLOAT_FORMAT, write_csv
+from .ioutil import FLOAT_FORMAT, check_count, write_csv
 
 # The one line every sweep runs.  Impedance, length and input current cancel
 # from the ratio only in exact arithmetic: oracle_sweep.csv pins the bits this
@@ -28,11 +29,8 @@ class SweepRow:
     deviation: float
 
 
-def check_segment_count(n: int) -> int:
-    """A discretized line has at least one segment."""
-    if not n >= 1:
-        raise ValueError(f"segment count must be >= 1, got {n}")
-    return n
+# a discretized line has a whole number of segments, at least one
+check_segment_count = partial(check_count, "segment count")
 
 
 def _row(rho: float, n: int) -> SweepRow:

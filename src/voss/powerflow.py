@@ -103,7 +103,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -111,7 +110,7 @@ import numpy as np
 
 from .estimator import EstimateFlag, angle, magnitude
 from .feeder import Connection, FeederModel, LoadModel, SegmentKind
-from .ioutil import format_column, json_number, write_csv
+from .ioutil import check_count, format_column, json_number, write_csv
 
 COLLAPSE_PU = 0.5
 # Below this mean level width (link slots per level) the scalar kernel
@@ -140,9 +139,7 @@ class SolveOptions:
         tol = json_number(self.tol)
         if tol is None or not 0.0 < tol < math.inf:
             raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)

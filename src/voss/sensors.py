@@ -17,7 +17,8 @@ built only when read.
 
 Ingest reads the file in blocks of about INGEST_BLOCK_BYTES, cut at any
 line break csv.reader knows (LF, CRLF or CR), and decodes each block
-itself, so an undecodable byte is reported with its line.  A block with
+itself, so an undecodable byte is reported with its line.  The block's
+bytes, not a re-encoding of its text, are scanned once: a block with
 no quote, no CR and exactly two commas on every line not blank is cut
 into three columns with str.split.  A file with a bad field count,
 quoting, CR line ends or a very long line is read by one csv.reader
@@ -31,7 +32,9 @@ kept as sensor code, epoch_us and volts arrays; one stable sort by
 (sensor, time) at the end drops repeated timestamps and cuts out the
 series.
 ``loss_curve`` splits off outage readings, calibrates and
-median-smooths each sensor once, however many pairs it belongs to.
+median-smooths each sensor once, however many pairs it belongs to, and
+aligns each sensor once per grid: an interior sensor's two pairs share
+its nearest samples when their grids are equal.
 The curves of one call share their grid's timestamp text: each distinct
 grid instant of the chain is formatted once, so the curve writer formats
 only the loss and flag columns.  A curve built by hand has no shared
@@ -364,9 +367,10 @@ class _Blocks:
 
     Each block holds whole lines of about INGEST_BLOCK_BYTES, cut at any
     line break csv.reader knows (LF, CRLF or CR), decoded as UTF-8 after
-    a leading byte-order mark is dropped.  Iteration stops before the
-    line that holds the first byte that is not UTF-8, and undecodable
-    then describes it.
+    a leading byte-order mark is dropped; iteration yields (text, bytes)
+    pairs, the bytes being those the text was decoded from.  Iteration
+    stops before the line that holds the first byte that is not UTF-8,
+    and undecodable then describes it.
     """
 
     def __init__(self, handle) -> None:
@@ -390,9 +394,9 @@ class _Blocks:
                 )
                 # the byte is not a line break, so a CR just before it ends a line
                 if good := _line_end(block, exc.start + 1):
-                    yield block[:good].decode("utf-8")
+                    yield block[:good].decode("utf-8"), block[:good]
                 return
-            yield text
+            yield text, block
 
 
 def _lines(texts):
@@ -401,12 +405,13 @@ def _lines(texts):
         yield from io.StringIO(text, newline="")
 
 
-def _splittable(text: str) -> Optional[np.ndarray]:
+def _splittable(text: str, raw: bytes) -> Optional[np.ndarray]:
     """Which lines are blank, if text has no quote, no CR, two commas on each other
-    line and no room for a field past csv.field_size_limit(); else None."""
-    if '"' in text or "\r" in text or len(text) > csv.field_size_limit():
+    line and no room for a field past csv.field_size_limit(); else None.  Scans
+    raw, text's UTF-8 bytes, in its place: no byte of a multibyte character is ASCII."""
+    if b'"' in raw or b"\r" in raw or len(text) > csv.field_size_limit():
         return None
-    buf = np.frombuffer(text.removesuffix("\n").encode() + b"\n", dtype=np.uint8)
+    buf = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     commas = np.searchsorted(ends, np.flatnonzero(buf == ord(",")))
     blank = np.diff(ends, prepend=-1) == 1
@@ -583,12 +588,13 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
     line = 1  # record number of the next record
     with Path(path).open("rb") as handle:
         blocks = _Blocks(handle)
-        texts = iter(blocks)
-        for text in texts:
-            if (blank := _splittable(text)) is None:
+        pieces = iter(blocks)
+        for text, raw in pieces:
+            if (blank := _splittable(text, raw)) is None:
                 # a quoted field may hold newlines and so span blocks:
                 # csv.reader takes the rest of the file
-                reader = csv.reader(_lines(itertools.chain((text,), texts)))
+                rest = (later for later, _ in pieces)
+                reader = csv.reader(_lines(itertools.chain((text,), rest)))
                 line = readings.add_reader(reader, line)
                 break
             line = readings.add_text(text, line, blank)
@@ -602,6 +608,38 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
             f"{path}: calibration for sensors with no rows: {', '.join(map(repr, unread))}"
         )
     return readings.series(nominal_voltage, calibration)
+
+
+def _pair_grid(
+    series_a: VoltageSeries, series_b: VoltageSeries, grid_step_s: float, tolerance_s: float
+) -> np.ndarray:
+    """align's grid for the pair, after align's checks."""
+    check_seconds("grid_step_s", grid_step_s)
+    check_seconds("tolerance_s", tolerance_s)
+    if not series_a.epoch_us.size or not series_b.epoch_us.size:
+        raise ValueError(
+            f"no usable samples for pair {series_a.sensor_id!r}->"
+            f"{series_b.sensor_id!r}"
+        )
+    start = max(float(series_a.epoch_us[0] / 1e6), float(series_b.epoch_us[0] / 1e6))
+    end = min(float(series_a.epoch_us[-1] / 1e6), float(series_b.epoch_us[-1] / 1e6))
+    if start > end:
+        raise ValueError(
+            f"series {series_a.sensor_id!r} and {series_b.sensor_id!r} do not overlap"
+        )
+    grid = grid_points(start, end, grid_step_s)
+    if not grid.size:
+        raise ValueError(
+            f"overlap of {series_a.sensor_id!r} and {series_b.sensor_id!r} "
+            f"contains no grid point at step {grid_step_s} s"
+        )
+    return grid
+
+
+def _on_grid(series: VoltageSeries, grid: np.ndarray, tolerance_s: float) -> np.ndarray:
+    """Per grid point the volts of the nearest sample within tolerance_s, else nan."""
+    index = nearest_index(series.epoch_us / 1e6, grid, tolerance_s)
+    return np.where(index >= 0, series.volts[index], np.nan)
 
 
 def align(
@@ -620,31 +658,8 @@ def align(
     contains no grid point, and when grid_step_s or tolerance_s breaks its
     check_seconds rule.
     """
-    check_seconds("grid_step_s", grid_step_s)
-    check_seconds("tolerance_s", tolerance_s)
-    if not series_a.epoch_us.size or not series_b.epoch_us.size:
-        raise ValueError(
-            f"no usable samples for pair {series_a.sensor_id!r}->"
-            f"{series_b.sensor_id!r}"
-        )
-    ea, eb = series_a.epoch_us / 1e6, series_b.epoch_us / 1e6
-    start = max(float(ea[0]), float(eb[0]))
-    end = min(float(ea[-1]), float(eb[-1]))
-    if start > end:
-        raise ValueError(
-            f"series {series_a.sensor_id!r} and {series_b.sensor_id!r} do not overlap"
-        )
-    grid = grid_points(start, end, grid_step_s)
-    if not grid.size:
-        raise ValueError(
-            f"overlap of {series_a.sensor_id!r} and {series_b.sensor_id!r} "
-            f"contains no grid point at step {grid_step_s} s"
-        )
-    sides = []
-    for epochs, series in ((ea, series_a), (eb, series_b)):
-        index = nearest_index(epochs, grid, tolerance_s)
-        sides.append(np.where(index >= 0, series.volts[index], np.nan))
-    return (grid, *sides)
+    grid = _pair_grid(series_a, series_b, grid_step_s, tolerance_s)
+    return grid, _on_grid(series_a, grid, tolerance_s), _on_grid(series_b, grid, tolerance_s)
 
 
 def _smoothed(series: VoltageSeries, window_s: float) -> tuple:
@@ -660,16 +675,10 @@ def _smoothed(series: VoltageSeries, window_s: float) -> tuple:
     )
 
 
-def _pair_curve(
-    up: tuple,
-    down: tuple,
-    rho_s: Optional[float],
-    window_s: float,
-    grid_step_s: float,
-    tolerance_s: float,
-) -> LossCurve:
-    (smooth_up, outage_up), (smooth_down, outage_down) = up, down
-    grid, v_a, v_b = align(smooth_up, smooth_down, grid_step_s, tolerance_s)
+def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float],
+                window_s: float, grid_step_s: float, tolerance_s: float) -> LossCurve:
+    """One pair's curve; up and down are (sensor id, outage epoch seconds, volts on grid)."""
+    (up_id, outage_up, v_a), (down_id, outage_down, v_b) = up, down
     loss = np.full(grid.size, np.nan)
     bits = np.zeros(grid.size, dtype=np.uint8)
     gap = np.isnan(v_a) | np.isnan(v_b)
@@ -682,17 +691,8 @@ def _pair_curve(
         v_a[paired], v_b[paired], rho_s
     )
     bits[paired] = NEGATIVE_BIT * negative + RANGE_BIT * out_of_range
-    return LossCurve(
-        smooth_up.sensor_id,
-        smooth_down.sensor_id,
-        seconds_to_us(grid),
-        loss,
-        bits,
-        window_s,
-        grid_step_s,
-        tolerance_s,
-        rho_s,
-    )
+    return LossCurve(up_id, down_id, seconds_to_us(grid), loss, bits,
+                     window_s, grid_step_s, tolerance_s, rho_s)
 
 
 def loss_curve(
@@ -718,12 +718,16 @@ def loss_curve(
     if missing:
         raise ValueError(f"sensors missing from series map: {missing}")
     smoothed = {sid: _smoothed(series[sid], window_s) for sid in chain.sensor_ids}
-    curves = [
-        _pair_curve(
-            smoothed[up], smoothed[dn], rho_s, window_s, grid_step_s, tolerance_s
-        )
-        for up, dn, rho_s in chain.pairs()
-    ]
+    curves, last = [], (None, None)  # the last pair's grid, its downstream volts on it
+    for up, dn, rho_s in chain.pairs():
+        (smooth_up, outage_up), (smooth_dn, outage_dn) = smoothed[up], smoothed[dn]
+        grid = _pair_grid(smooth_up, smooth_dn, grid_step_s, tolerance_s)
+        # this pair's upstream sensor is the last pair's downstream one
+        shared = np.array_equal(grid, last[0])
+        v_up = last[1] if shared else _on_grid(smooth_up, grid, tolerance_s)
+        last = grid, _on_grid(smooth_dn, grid, tolerance_s)
+        curves.append(_pair_curve(grid, (up, outage_up, v_up), (dn, outage_dn, last[1]),
+                                  rho_s, window_s, grid_step_s, tolerance_s))
     for curve, cells in zip(curves, _timestamp_cells([c.timestamp_us for c in curves])):
         object.__setattr__(curve, "_stamp_cells", cells)
     return curves

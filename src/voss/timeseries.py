@@ -25,6 +25,8 @@ _ONE_US = timedelta(microseconds=1)
 # cells (rows x widest window), so memory stays bounded however dense
 # the sampling.
 MEDIAN_BLOCK_CELLS = 1 << 20
+# A block whose windows are at most this wide is sorted by a sorting network.
+NETWORK_WIDTH = 8
 
 # The least value of each time setting, in seconds; each must also be finite.
 # Grid timestamps are whole microseconds, so a step is at least one.
@@ -76,6 +78,12 @@ def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
     for an even count), so a window shorter than the sampling interval
     is the identity.  Median rather than mean keeps single-sample
     telemetry glitches out of the curve.
+
+    A block of windows at most NETWORK_WIDTH wide is sorted by an odd-even
+    transposition network, an np.minimum/np.maximum pair per step on whole
+    columns, which sorts bit for bit as sorted() does when values that
+    compare equal have equal bits: no NaN and no -0.0.  Other blocks go to
+    np.sort, a stable one if a -0.0 is present, so that +-0 keep their order.
     """
     check_seconds("window_s", window_s)
     epoch_s = np.asarray(epoch_s, dtype=np.float64)
@@ -87,19 +95,29 @@ def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
     half = window_s / 2.0
     lo = np.searchsorted(epoch_s, epoch_s - half, side="left")
     width = np.searchsorted(epoch_s, epoch_s + half, side="right") - lo
+    signed_zero = np.signbit(values[values == 0]).any()
+    network = not (signed_zero or np.isnan(values).any())
     rows = max(1, MEDIAN_BLOCK_CELLS // int(width.max()))
     for start in range(0, n, rows):
         w = width[start : start + rows]
-        cols = np.arange(w.max())
-        block = values[np.minimum(lo[start : start + rows, None] + cols, n - 1)]
-        block[cols >= w[:, None]] = np.inf  # padding sorts after every value
-        block.sort(axis=1)
+        cols = np.arange(w.max())[:, None]
+        # one column of windows per row: block[k, i] is row i's k-th sample
+        block = values[np.minimum(lo[start : start + rows] + cols, n - 1)]
+        block[cols >= w] = np.inf  # padding sorts after every value
+        if network and cols.size <= NETWORK_WIDTH:
+            for step in range(cols.size):
+                a = block[step % 2 : cols.size - 1 : 2]
+                b = block[step % 2 + 1 : cols.size : 2]
+                a[...], b[...] = np.minimum(a, b), np.maximum(a, b)
+        else:
+            block.sort(axis=0, kind="stable" if signed_zero else None)
         r = np.arange(w.size)
         mid = w // 2
-        median = block[r, mid]
+        median = block[mid, r]
         even = np.flatnonzero(w % 2 == 0)
-        with np.errstate(over="ignore"):  # huge values overflow to inf, as in Python
-            median[even] = (block[even, mid[even] - 1] + median[even]) / 2
+        # huge values overflow to inf, and inf - inf is nan, as in Python
+        with np.errstate(over="ignore", invalid="ignore"):
+            median[even] = (block[mid[even] - 1, even] + median[even]) / 2
         out[start : start + rows] = median
     return out
 
@@ -144,6 +162,8 @@ def parse_canonical_us(texts: list) -> dict:
     good &= date.astype("M8[M]") == first  # the day is one of its month's
     good &= (_FIRST_S <= seconds) & (seconds <= _LAST_S)
     epoch_us = (seconds[good] * 1_000_000).tolist()
+    if len(epoch_us) == len(texts):  # every text canonical
+        return dict(zip(texts, epoch_us))
     return dict(zip(map(texts.__getitem__, pick[good].tolist()), epoch_us))
 
 
@@ -168,6 +188,8 @@ def parse_timestamps(texts: list) -> tuple:
     """
     epoch_us = parse_canonical_us(texts)
     messages = {}
+    if len(epoch_us) == len(texts):
+        return epoch_us, messages
     for text in texts:
         if text in epoch_us:
             continue

@@ -544,13 +544,13 @@ def test_rho_s_source_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("solve", IEEE13, "--near-zero-threshold", "0.01"),
+        ("solve", IEEE13, "--paths", "650-671"),
         ("oracle", "--tol", "1e-6"),
         ("oracle", "--max-iter", "5"),
-        ("oracle", "--near-zero-threshold", "0.01"),
+        ("oracle", "--paths", "650-671"),
         ("sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--tol", "5"),
         ("sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--max-iter", "5"),
-        ("sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--near-zero-threshold", "3"),
+        ("sensors", SAMPLE_DAY, SAMPLE_CHAIN, "--segments", "3"),
     ],
 )
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, argv):

@@ -29,6 +29,7 @@ from voss.estimator import (
     EstimateFlag,
     SegmentVoltages,
     voss_corrected,
+    voss_elementwise,
     voss_single,
 )
 from voss import sensors
@@ -232,8 +233,10 @@ def test_cr_ended_file_is_read_in_bounded_blocks(tmp_path):
     path.write_bytes(text.encode())
     with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", 100):
         with path.open("rb") as handle:
-            blocks = list(sensors._Blocks(handle))
+            pieces = list(sensors._Blocks(handle))
         got = ingest_csv(path)
+    blocks = [block for block, _ in pieces]
+    assert all(raw == block.encode() for block, raw in pieces)
     assert "".join(blocks) == text
     assert len(blocks) > 1
     assert max(map(len, blocks)) <= 100 + max(len(line) + 1 for line in lines)
@@ -577,6 +580,51 @@ def test_blank_first_line_is_a_bad_header(tmp_path):
     path.write_text("\nsensor_id,timestamp,voltage_v\ns1,2024-03-12T00:00:00Z,230\n")
     with pytest.raises(SensorFormatError, match="line 1: expected header .*got ''$"):
         ingest_csv(path)
+
+
+def splittable_by_text(text):
+    """_splittable's answer read off the text: blank lines, or None."""
+    if '"' in text or "\r" in text or len(text) > csv.field_size_limit():
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    blank = [not line for line in lines]
+    if any(line.count(",") != 2 * (not b) for line, b in zip(lines, blank)):
+        return None
+    return blank
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sensor_id,timestamp,voltage_v\nsé,2024-03-12T00:00:00Z,230\n\n€1,x,1",
+        "\n\u00e9\u20ac\U0001f600,2024-03-12T00:00:00Z,230\n",
+        "a,\u00e9,b,c\n",  # three commas
+        "\u00e9" * 30 + ",a,b\n",  # 35 characters, 65 bytes: within a limit of 40
+        "\u00e9" * 40 + ",a,b\n",  # 45 characters: past it
+        "sé,\"q\",1\n",
+    ],
+)
+def test_splittable_scans_the_bytes_as_it_would_the_text(text):
+    limit = csv.field_size_limit(40)
+    try:
+        got = sensors._splittable(text, text.encode())
+        want = splittable_by_text(text)
+    finally:
+        csv.field_size_limit(limit)
+    assert (got if got is None else got.tolist()) == want
+
+
+def test_splittable_answers_on_the_part_before_an_undecodable_byte(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(
+        "sensor_id,timestamp,voltage_v\nsé,2024-03-12T00:00:00Z,230\n\n".encode()
+        + b"s1,2024-03-12T00:02:00Z,2\xff0\n"
+    )
+    with path.open("rb") as handle:
+        blocks = sensors._Blocks(handle)
+        (text, raw), = blocks
+    assert blocks.undecodable and raw == text.encode() and text.count("\n") == 3
+    assert sensors._splittable(text, raw).tolist() == splittable_by_text(text)
 
 
 # ----------------------------------------------------- series and chains
@@ -928,6 +976,41 @@ def test_grid_step_below_a_microsecond_is_an_error(step):
     with pytest.raises(ValueError, match=needle):
         chain = SensorChain(("up", "down"))
         loss_curve(chain, {"up": up, "down": down}, grid_step_s=step)
+
+
+def test_each_curve_of_a_chain_is_its_pair_alone():
+    # "a" stops and "c" starts a day into "b"'s two days, so b has two grids
+    # of one size; b-c and c-d share one grid
+    rng = random.Random(4)
+
+    def readings(count, level):
+        values = [None if rng.random() < 0.02 else 20.0 if rng.random() < 0.005
+                  else level + rng.gauss(0.0, 1.0) for _ in range(count)]
+        values[0] = values[-1] = level
+        return values
+
+    data = {
+        "a": series("a", readings(720, 231.0)),
+        "b": series("b", readings(1440, 230.0)),
+        "c": series("c", readings(720, 229.0), start=T0 + timedelta(days=1)),
+        "d": series("d", readings(720, 228.0), start=T0 + timedelta(days=1), calibration=1.01),
+    }
+    chain = SensorChain(tuple(data), (0.5, None, 0.3))
+    curves = loss_curve(chain, data)
+    grids = [curve.timestamp_us for curve in curves]
+    assert grids[0].size == grids[1].size and grids[0][-1] < grids[1][0]
+    assert np.array_equal(grids[1], grids[2])
+    assert any(curve.flag_bits.any() for curve in curves)
+    for curve, (up, down, rho_s) in zip(curves, chain.pairs()):
+        assert loss_curve(SensorChain((up, down), (rho_s,)), data) == [curve]
+        (smooth_up, _), (smooth_down, _) = (sensors._smoothed(data[sid], 600.0)
+                                            for sid in (up, down))
+        grid, v_a, v_b = align(smooth_up, smooth_down)
+        assert curve.timestamp_us.tolist() == [round(t * 1e6) for t in grid.tolist()]
+        paired = ~(np.isnan(v_a) | np.isnan(v_b))
+        assert np.isnan(curve.loss_fraction[~paired]).all()
+        loss = voss_elementwise(v_a[paired], v_b[paired], rho_s)[0]
+        assert np.array_equal(curve.loss_fraction[paired], loss)
 
 
 # ----------------------------------------------------------- chain config
@@ -1409,6 +1492,46 @@ def test_rolling_median_dense_sampling_spans_several_blocks():
         hi = bisect.bisect_right(epochs, t + half)
         expected.append(statistics.median(values[lo:hi]))
     assert rolling_median(epochs, values, window).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [(0.0, 229.5, 230.0, math.inf, -math.inf), (0.0, -0.0, 229.5, math.inf)],
+    ids=["repeats-and-inf", "signed-zeros"],
+)
+def test_rolling_median_gives_statistics_median_bits_on_narrow_windows(pool):
+    # widest windows of 1 to 8 samples are sorted by the network (unless a -0.0
+    # is present), 9 by np.sort; either way the bits are statistics.median's
+    rng = random.Random(11)
+    widest = set()
+    for _ in range(400):
+        epochs = quarter_second_epochs([rng.randint(1, 8) for _ in range(rng.randint(1, 30))])
+        values = [rng.choice(pool) for _ in epochs]
+        window = rng.randint(0, 36) / 4
+        widest.add(max(bisect.bisect_right(epochs, t + window / 2)
+                       - bisect.bisect_left(epochs, t - window / 2) for t in epochs))
+        got = rolling_median(epochs, values, window)
+        assert got.tobytes() == np.array(oracle_median(epochs, values, window)).tobytes()
+    assert widest >= set(range(1, 10))
+
+
+def test_rolling_median_with_a_nan_sorts_as_np_sort_does():
+    # each window padded with inf to the widest, sorted by np.sort (a NaN goes
+    # after the padding), and its middle taken
+    rng = random.Random(12)
+    epochs = quarter_second_epochs([rng.randint(1, 8) for _ in range(60)])
+    values = [rng.choice((math.nan, 229.5, 230.0, 231.0, math.inf)) for _ in epochs]
+    for window in (0.0, 3.0, 6.0, 20.0):
+        half = window / 2
+        bounds = [(bisect.bisect_left(epochs, t - half), bisect.bisect_right(epochs, t + half))
+                  for t in epochs]
+        widest = max(hi - lo for lo, hi in bounds)
+        want = []
+        for lo, hi in bounds:
+            block = np.sort(values[lo:hi] + [math.inf] * (widest - hi + lo))
+            mid = (hi - lo) // 2
+            want.append(block[mid] if (hi - lo) % 2 else (block[mid - 1] + block[mid]) / 2)
+        assert rolling_median(epochs, values, window).tobytes() == np.array(want).tobytes()
 
 
 def integer_series(sensor_id, start, gaps):

@@ -116,7 +116,7 @@ SETTINGS = {
             flag("benchmark", "f", "--max-iter", "{}"),
         ],
         [1, 200],
-        [0, -1],
+        [0, -1, 1.5, True],
     ),
     "rho": (
         [
@@ -142,7 +142,7 @@ SETTINGS = {
             flag("oracle", "--segments", "{}"),
         ],
         [1, 7],
-        [0, -3],
+        [0, -3, 1.5, True],
     ),
     "nominal_voltage": (
         [
