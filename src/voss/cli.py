@@ -101,16 +101,17 @@ def _parse_rho_s_source(text: str):
     if text == "simulated":
         return None
     if text.startswith("estimate:"):
-        return check_rho(float(text.split(":", 1)[1]), "rho_s")
+        return check_rho(_read(float, text.split(":", 1)[1]), "rho_s")
     raise ValueError(
         f"unknown rho_s source {text!r} (use 'simulated' or 'estimate:<value>')"
     )
 
 
-def _count(text: str):
-    """text as an int if it reads as one, else as it is, for a count rule to refuse."""
+def _read(kind, text: str):
+    """text as kind (int or float) if it reads as one, else as it is, for the
+    setting's rule to refuse in its own words."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
         return text
 
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solver.add_argument(
         "--max-iter",
-        type=_typed(lambda text: SolveOptions(max_iter=_count(text)).max_iter),
+        type=_typed(lambda text: SolveOptions(max_iter=_read(int, text)).max_iter),
         default=defaults.max_iter,
         help=f"power-flow iteration limit (default: {defaults.max_iter})",
     )
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument(
         "--segments",
-        type=_typed(lambda text: check_segment_count(_count(text))),
+        type=_typed(lambda text: check_segment_count(_read(int, text))),
         default=10000,
         help="number of discretization segments (default: 10000)",
     )

@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from .ioutil import json_number
+
 
 class EstimateFlag(Enum):
     """Quality flags of a loss estimate, a sensor curve point or a solve.
@@ -33,7 +35,7 @@ class EstimateFlag(Enum):
         is reported as-is, never clamped.
     NEAR_ZERO_POWER: input power at the segment head is below the
         near-zero threshold; the ratio is numerically meaningless and the
-        row is excluded from comparisons by default.
+        row is excluded from comparisons.
     CORRECTION_OUT_OF_RANGE: the inferred leakage fraction fell outside
         [0, 1], so the correction model's assumptions do not hold for this
         segment (diagnostic, not an error).  The factor is clamped, to 1
@@ -219,11 +221,15 @@ def clamp_rho(rho):
     return np.clip(rho, 0.0, 1.0)
 
 
-def check_rho(rho: Optional[float], name: str = "rho") -> Optional[float]:
-    """rho, or a supplied power ratio rho_s, must lie in [0, 1]; None passes."""
-    if rho is not None and not 0.0 <= rho <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {rho}")
-    return rho
+def check_rho(rho, name: str = "rho") -> Optional[float]:
+    """rho, or a supplied power ratio rho_s, as a float if it is a number
+    (ioutil.json_number: never a bool) in [0, 1]; None passes."""
+    if rho is None:
+        return None
+    number = json_number(rho)
+    if number is None or not 0.0 <= number <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {rho if number is None else number}")
+    return number
 
 
 def clamped_correction(rho_s, rho_v) -> tuple:

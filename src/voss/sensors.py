@@ -32,13 +32,12 @@ kept as sensor code, epoch_us and volts arrays; one stable sort by
 (sensor, time) at the end drops repeated timestamps and cuts out the
 series.
 ``loss_curve`` splits off outage readings, calibrates and
-median-smooths each sensor once, however many pairs it belongs to, and
-aligns each sensor once per grid: an interior sensor's two pairs share
-its nearest samples when their grids are equal.
-The curves of one call share their grid's timestamp text: each distinct
-grid instant of the chain is formatted once, so the curve writer formats
-only the loss and flag columns.  A curve built by hand has no shared
-text and gets its own when it is written.
+median-smooths each sensor once, however many pairs it belongs to.  It
+shares work between pairs by one rule: a pair whose grid equals the
+previous pair's takes that pair's downstream nearest samples as its
+upstream ones, and its timestamp text; a pair on any other grid makes
+both anew.  So the curve writer formats only the loss and flag columns,
+and a curve built by hand gets its timestamp text when it is written.
 The array kernels (rolling median, nearest sample, grid, timestamp
 parsing and rounding) and the conversions between datetimes and epoch
 microseconds are in ``voss.timeseries``, the elementwise estimate in
@@ -47,10 +46,11 @@ microseconds are in ``voss.timeseries``, the elementwise estimate in
 Each setting has one rule, applied on every way in: _check_scale (nominal
 voltage and calibration, finite and > 0) in VoltageSeries and ingest_csv,
 timeseries.check_seconds (window, grid step, tolerance) in rolling_median
-and align, estimator.check_rho for rho_s.  ChainConfig's fields give the
-chain config's keys, defaults and rules, so the config applies the same
-ones.  A VoltageSeries and a LossCurve check their own rules (see their
-docstrings) however they are built.
+and align, estimator.check_rho for rho_s.  Each reads its value through
+ioutil.json_number, so a bool or a string is not a number.  ChainConfig's
+fields give the chain config's keys, defaults and rules, and the config
+hands every present value to its rule.  A VoltageSeries and a LossCurve
+check their own rules (see their docstrings) however they are built.
 
 Scaling both series of a pair by the same factor leaves the curve
 unchanged; for power-of-two factors the output is bit-identical, since
@@ -139,11 +139,14 @@ class SensorFormatError(ValueError):
         super().__init__(message)
 
 
-def _check_scale(name: str, value: float) -> float:
-    """A nominal voltage or a calibration factor is finite and > 0."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-    return value
+def _check_scale(name: str, value) -> float:
+    """A nominal voltage or a calibration factor is a number (ioutil.json_number:
+    never a bool), finite and > 0; returned as a float."""
+    number = json_number(value)
+    if number is None or not 0.0 < number < math.inf:
+        shown = value if number is None else number
+        raise ValueError(f"{name} must be finite and positive, got {shown}")
+    return number
 
 
 def _bad_reading(volts: np.ndarray, shown) -> Optional[tuple]:
@@ -322,8 +325,8 @@ class LossCurve(_ArrayRecord):
     and every flag_bits value is below 16, one bit per flag name.
     """
 
-    # The curve file's timestamp cells, which loss_curve shares among the
-    # curves of one chain; not a field, so a curve made otherwise has None.
+    # The curve file's timestamp cells, which loss_curve shares between
+    # pairs on one grid; not a field, so a curve made otherwise has None.
     _stamp_cells = None
 
     upstream: str
@@ -331,10 +334,6 @@ class LossCurve(_ArrayRecord):
     timestamp_us: np.ndarray = _array(np.int64)
     loss_fraction: np.ndarray = _array(np.float64)
     flag_bits: np.ndarray = _array(np.uint8)
-    window_s: float
-    grid_step_s: float
-    tolerance_s: float
-    rho_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -676,7 +675,7 @@ def _smoothed(series: VoltageSeries, window_s: float) -> tuple:
 
 
 def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float],
-                window_s: float, grid_step_s: float, tolerance_s: float) -> LossCurve:
+                tolerance_s: float) -> LossCurve:
     """One pair's curve; up and down are (sensor id, outage epoch seconds, volts on grid)."""
     (up_id, outage_up, v_a), (down_id, outage_down, v_b) = up, down
     loss = np.full(grid.size, np.nan)
@@ -691,8 +690,7 @@ def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float]
         v_a[paired], v_b[paired], rho_s
     )
     bits[paired] = NEGATIVE_BIT * negative + RANGE_BIT * out_of_range
-    return LossCurve(up_id, down_id, seconds_to_us(grid), loss, bits,
-                     window_s, grid_step_s, tolerance_s, rho_s)
+    return LossCurve(up_id, down_id, seconds_to_us(grid), loss, bits)
 
 
 def loss_curve(
@@ -713,6 +711,8 @@ def loss_curve(
     carry Gap; negative drops are reported and flagged, never clamped.
     rolling_median checks window_s and align the grid_step_s and
     tolerance_s, each by check_seconds; a window_s of 0 is no smoothing.
+    A pair whose grid equals the previous pair's shares its downstream
+    nearest samples and its timestamp cells; other pairs make their own.
     """
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:
@@ -726,10 +726,11 @@ def loss_curve(
         shared = np.array_equal(grid, last[0])
         v_up = last[1] if shared else _on_grid(smooth_up, grid, tolerance_s)
         last = grid, _on_grid(smooth_dn, grid, tolerance_s)
-        curves.append(_pair_curve(grid, (up, outage_up, v_up), (dn, outage_dn, last[1]),
-                                  rho_s, window_s, grid_step_s, tolerance_s))
-    for curve, cells in zip(curves, _timestamp_cells([c.timestamp_us for c in curves])):
+        curve = _pair_curve(grid, (up, outage_up, v_up), (dn, outage_dn, last[1]),
+                            rho_s, tolerance_s)
+        cells = curves[-1]._stamp_cells if shared else _timestamp_cells(curve.timestamp_us)
         object.__setattr__(curve, "_stamp_cells", cells)
+        curves.append(curve)
     return curves
 
 
@@ -737,17 +738,15 @@ def curve_filename(curve: LossCurve) -> str:
     return _CURVE_FILE.format(curve.upstream, curve.downstream)
 
 
-def _timestamp_cells(grids: list) -> list:
-    """The timestamp cells of each grid's rows, each distinct instant formatted once.
+def _timestamp_cells(timestamp_us: np.ndarray) -> np.ndarray:
+    """The timestamp cells of one grid's rows, a read-only object array.
 
     A cell is the instant as datetime.isoformat() writes it, with Z for
-    +00:00, and the comma that ends the cell.  Equal grids share one
-    read-only object array.
+    +00:00, and the comma that ends the cell.  Each distinct day and
+    time of day of the grid is formatted once; loss_curve shares the
+    cells between pairs on equal grids.
     """
-    keys = [grid.tobytes() for grid in grids]
-    distinct = dict(zip(keys, grids))
-    instants, at = np.unique(np.concatenate(list(distinct.values())), return_inverse=True)
-    day, time_of_day = np.divmod(instants, 86_400_000_000)
+    day, time_of_day = np.divmod(timestamp_us, 86_400_000_000)
     (days, day_at), (times, time_at) = (
         np.unique(column, return_inverse=True) for column in (day, time_of_day)
     )
@@ -760,25 +759,24 @@ def _timestamp_cells(grids: list) -> list:
     time_text = np.array(
         [t.partition("T")[2].replace(".000000", "") + "," for t in clock], dtype=object
     )
-    cells = (day_text[day_at] + time_text[time_at])[at]
+    cells = day_text[day_at] + time_text[time_at]
     cells.flags.writeable = False
-    ends = np.cumsum([grid.size for grid in distinct.values()])
-    shared = dict(zip(distinct, np.split(cells, ends[:-1])))
-    return [shared[key] for key in keys]
+    return cells
 
 
 def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
     """One row per grid point: timestamp,loss_fraction,flags (';'-joined).
 
-    The curves of one loss_curve call share the timestamp text of their
-    grid instants, so the writer formats only the loss and flag columns;
-    a curve built by hand gets its own timestamp text, made the same way.
-    Each distinct loss value is formatted once.
+    A curve from loss_curve carries its timestamp cells, shared with the
+    previous pair's when their grids are equal, so the writer formats only
+    the loss and flag columns; a curve built by hand gets its cells here
+    from the same _timestamp_cells.  Each distinct loss value is formatted
+    once.
     """
     path = Path(out_dir) / curve_filename(curve)
     stamps = curve._stamp_cells
     if stamps is None:
-        (stamps,) = _timestamp_cells([curve.timestamp_us])
+        stamps = _timestamp_cells(curve.timestamp_us)
     keys, at = np.unique(curve.loss_fraction.view(np.int64), return_inverse=True)
     losses = [FLOAT_FORMAT % value + "," for value in keys.view(np.float64).tolist()]
     rows = np.column_stack(
@@ -820,12 +818,11 @@ CHAIN_KEYS = frozenset(
 
 
 def _config_number(value, rule, where: str) -> float:
-    """value as a JSON number that rule accepts, else a SensorFormatError."""
-    number = json_number(value)
-    if number is None:
+    """rule's float of a present value, else a SensorFormatError."""
+    if value is None:
         raise SensorFormatError(f"{where} must be a number")
     try:
-        return rule(number)
+        return rule(value)
     except ValueError as exc:
         raise SensorFormatError(f"{where}: {exc}") from None
 

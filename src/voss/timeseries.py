@@ -17,6 +17,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from .ioutil import json_number
+
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 _ONE_US = timedelta(microseconds=1)
@@ -33,12 +35,15 @@ NETWORK_WIDTH = 8
 LEAST_SECONDS = {"window_s": 0.0, "grid_step_s": 1e-6, "tolerance_s": 0.0}
 
 
-def check_seconds(name: str, value: float) -> float:
-    """value, if it is finite and at least LEAST_SECONDS[name]."""
+def check_seconds(name: str, value) -> float:
+    """value as a float, if it is a number (ioutil.json_number: never a bool)
+    that is finite and at least LEAST_SECONDS[name]."""
     least = LEAST_SECONDS[name]
-    if not least <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= {least:g} s, got {value}")
-    return value
+    number = json_number(value)
+    if number is None or not least <= number < math.inf:
+        shown = value if number is None else number
+        raise ValueError(f"{name} must be finite and >= {least:g} s, got {shown}")
+    return number
 
 
 def nearest_index(epochs: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
@@ -84,6 +89,9 @@ def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
     columns, which sorts bit for bit as sorted() does when values that
     compare equal have equal bits: no NaN and no -0.0.  Other blocks go to
     np.sort, a stable one if a -0.0 is present, so that +-0 keep their order.
+    Short windows are padded to the block's widest with inf, or with NaN
+    when a value is NaN, so the padding sorts after every value and each
+    window's median is the one np.sort gives on that window alone.
     """
     check_seconds("window_s", window_s)
     epoch_s = np.asarray(epoch_s, dtype=np.float64)
@@ -96,14 +104,15 @@ def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
     lo = np.searchsorted(epoch_s, epoch_s - half, side="left")
     width = np.searchsorted(epoch_s, epoch_s + half, side="right") - lo
     signed_zero = np.signbit(values[values == 0]).any()
-    network = not (signed_zero or np.isnan(values).any())
+    nan = np.isnan(values).any()
+    network = not (signed_zero or nan)
     rows = max(1, MEDIAN_BLOCK_CELLS // int(width.max()))
     for start in range(0, n, rows):
         w = width[start : start + rows]
         cols = np.arange(w.max())[:, None]
         # one column of windows per row: block[k, i] is row i's k-th sample
         block = values[np.minimum(lo[start : start + rows] + cols, n - 1)]
-        block[cols >= w] = np.inf  # padding sorts after every value
+        block[cols >= w] = np.nan if nan else np.inf  # sorts after every value
         if network and cols.size <= NETWORK_WIDTH:
             for step in range(cols.size):
                 a = block[step % 2 : cols.size - 1 : 2]

@@ -1,7 +1,12 @@
 """Feeder-wide comparison studies: row inventory, exclusions, corrections."""
 
 import math
+import re
+import runpy
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -419,3 +424,18 @@ def test_collapsed_endpoint_fails_as_the_scalar_form_does(two_bus):
     with pytest.raises(ValueError) as got:
         run_multi_segment_study(model, [("src", "end")], solution=sol)
     assert str(got.value) == str(want.value)
+
+
+def test_calibration_script_still_picks_the_stressed_fixture_scale():
+    # the acceptance table rests on the ieee34-stressed fixture, whose load
+    # scale scripts/calibrate_load_scale.py chose; it must still choose it
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "scripts/calibrate_load_scale.py"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    pick = re.search(r"^best refined k = (\S+) \(feasible=(\w+),", run.stdout, re.M)
+    assert pick and pick[2] == "True", run.stdout
+    scale = runpy.run_path(str(root / "scripts" / "make_feeders.py"))["STRESSED_LOAD_SCALE"]
+    assert float(pick[1]) == scale

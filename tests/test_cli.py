@@ -534,7 +534,7 @@ def test_rho_s_source_exit_codes(tmp_path, capsys):
     for source, message in (
         ("bogus", "unknown rho_s source"),
         ("estimate:1.5", "[0, 1]"),
-        ("estimate:abc", "could not convert"),
+        ("estimate:abc", "rho_s must lie in [0, 1], got abc"),
     ):
         code, err = multi(source)
         assert code == EXIT_USAGE

@@ -650,10 +650,10 @@ def test_records_are_equal_only_in_type_and_every_field():
     assert a != series("s", [230.0, 232.0])
     assert a != series("s", [230.0, 231.0], calibration=1.01)
     assert a != (a.sensor_id, a.epoch_us, a.volts)
-    curve = LossCurve("a", "b", [0, 120_000_000], [0.01, math.nan], [0, 1], 60, 120, 30)
+    curve = LossCurve("a", "b", [0, 120_000_000], [0.01, math.nan], [0, 1])
     assert curve == replace(curve)
     assert curve != replace(curve, loss_fraction=[0.02, math.nan])
-    assert curve != replace(curve, rho_s=0.5)
+    assert curve != replace(curve, downstream="c")
     assert curve != a
 
 
@@ -715,19 +715,19 @@ def test_a_ragged_curve_fails_on_construction():
     message = ("timestamp_us, loss_fraction, flag_bits must be 1-D columns of one length, "
                "got shapes (3,), (1,), (2,)")
     with pytest.raises(ValueError, match=re.escape(message)):
-        LossCurve("a", "b", [0, 120_000_000, 240_000_000], [0.1], [0, 0], 600.0, 120.0, 60.0)
-    curve = LossCurve("a", "b", [0, 120_000_000], [0.1, 0.2], [0, 0], 600.0, 120.0, 60.0)
+        LossCurve("a", "b", [0, 120_000_000, 240_000_000], [0.1], [0, 0])
+    curve = LossCurve("a", "b", [0, 120_000_000], [0.1, 0.2], [0, 0])
     with pytest.raises(ValueError, match=re.escape("got shapes (2,), (1,), (2,)")):
         replace(curve, loss_fraction=[0.1])
 
 
 def test_flag_bits_past_the_flag_names_fail_on_construction():
-    curve = LossCurve("a", "b", [0, 120_000_000], [0.1, math.nan], [0, 15], 600.0, 120.0, 60.0)
+    curve = LossCurve("a", "b", [0, 120_000_000], [0.1, math.nan], [0, 15])
     assert curve.points[1].flags == FLAG_NAMES
     with pytest.raises(ValueError, match="^flag_bits must be below 16, got 16 at index 1$"):
         replace(curve, flag_bits=[0, 16])
     with pytest.raises(ValueError, match="^flag_bits must be below 16, got 255 at index 0$"):
-        LossCurve("a", "b", [0], [0.1], np.array([255]), 600.0, 120.0, 60.0)
+        LossCurve("a", "b", [0], [0.1], np.array([255]))
 
 
 def test_chain_defaults_and_validation():
@@ -1067,7 +1067,7 @@ def test_chain_config_round_trip(tmp_path):
             ),
             "duplicate pair",
         ),
-        (lambda d: d["pairs"][0].update({"rho_s": "high"}), "must be a number"),
+        (lambda d: d["pairs"][0].update({"rho_s": "high"}), r"\[0, 1\], got high$"),
         (lambda d: d["pairs"][0].update({"rho_s": 1.4}), r"\[0, 1\]"),
         (lambda d: d.update({"calibration": {"zz": 1.0}}), "unknown sensor"),
         (lambda d: d.update({"calibration": {"a": 0.0}}), "positive"),
@@ -1171,10 +1171,6 @@ def test_curve_csv_golden():
         timestamp_us=[t0_us, t0_us + 120_000_000, t0_us + 240_000_000],
         loss_fraction=[0.05, math.nan, -0.015625],
         flag_bits=[0, sensors.GAP_BIT, sensors.NEGATIVE_BIT],
-        window_s=600.0,
-        grid_step_s=120.0,
-        tolerance_s=60.0,
-        rho_s=None,
     )
     assert curve.points[0] == CurvePoint(T0, 0.05, ())
     assert [p.flags for p in curve.points[1:]] == [
@@ -1253,9 +1249,6 @@ def test_curve_csv_matches_row_by_row_reference(data):
         stamps,
         data.draw(st.lists(loss_values, min_size=n, max_size=n)),
         data.draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)),
-        600.0,
-        120.0,
-        60.0,
     )
     with tempfile.TemporaryDirectory() as out:
         got = write_loss_curve_csv(curve, out).read_bytes()
@@ -1299,10 +1292,19 @@ def assert_files_match_reference(curves):
             assert got == reference_curve_csv(curve)
 
 
-def shared_cells(curves):
-    """The size of the one array of timestamp cells behind every curve's rows."""
-    (table,) = {id(c._stamp_cells.base): c._stamp_cells.base for c in curves}.values()
-    return table.size
+def traced(make):
+    """(make()'s curves, nearest-sample lookups made, timestamp-cell arrays made)."""
+    with mock.patch.object(sensors, "_on_grid", wraps=sensors._on_grid) as lookups, \
+            mock.patch.object(sensors, "_timestamp_cells", wraps=sensors._timestamp_cells) as cells:
+        curves = make()
+    return curves, lookups.call_count, cells.call_count
+
+
+def own_cells(curves):
+    """Whether each curve has timestamp cells of its own grid's length, shared with no other."""
+    return len({id(c._stamp_cells) for c in curves}) == len(curves) and all(
+        c._stamp_cells.size == c.timestamp_us.size for c in curves
+    )
 
 
 def test_sample_day_curves_share_one_timestamp_table():
@@ -1312,24 +1314,24 @@ def test_sample_day_curves_share_one_timestamp_table():
         nominal_voltage=cfg.nominal_voltage_v,
         calibration=cfg.calibration,
     )
-    curves = loss_curve(
+    curves, lookups, tables = traced(lambda: loss_curve(
         cfg.chain,
         {s.sensor_id: s for s in got},
         window_s=cfg.smoothing_window_s,
         grid_step_s=cfg.grid_step_s,
         tolerance_s=cfg.tolerance_s,
-    )
+    ))
     assert curves[0]._stamp_cells is curves[1]._stamp_cells  # one grid, one text
-    assert shared_cells(curves) == 720
+    assert curves[0]._stamp_cells.size == 720
+    assert (lookups, tables) == (3, 1)  # the interior sensor is looked up once
     assert_files_match_reference(curves)
 
 
-def staggered_chain(step_s):
-    """Curves of three sensors sampled every step_s that start and stop at
-    different grid points, with gaps and an outage reading; the grids cross
-    a midnight."""
+def chain_of(layout, step_s):
+    """Curves of sensors sampled every step_s, each laid out as (first sample,
+    count, missing samples) in steps from 40 steps before T0, with an outage
+    reading at its middle sample; the first pair has a rho_s."""
     start = T0 - timedelta(seconds=40 * step_s)
-    layout = {"a": (0, 100, range(10, 15)), "b": (7, 90, range(30, 34)), "c": (19, 60, (41,))}
     data = {}
     for n, (sid, (first, count, gaps)) in enumerate(layout.items()):
         values = [
@@ -1339,19 +1341,39 @@ def staggered_chain(step_s):
         data[sid] = series(
             sid, values, start=start + timedelta(seconds=first * step_s), step_s=step_s
         )
-    chain = SensorChain(tuple(layout), (0.5, None))
+    chain = SensorChain(tuple(layout), (0.5,) + (None,) * (len(layout) - 2))
     return loss_curve(chain, data, window_s=0.0, grid_step_s=step_s, tolerance_s=step_s / 4)
+
+
+def staggered_chain(step_s):
+    """Curves of three sensors that start and stop at different grid points,
+    with gaps and an outage reading; the grids cross a midnight."""
+    layout = {"a": (0, 100, range(10, 15)), "b": (7, 90, range(30, 34)), "c": (19, 60, (41,))}
+    return chain_of(layout, step_s)
 
 
 @pytest.mark.parametrize("step_s", [60.0, 7.0, 0.25])
 def test_staggered_chain_curves_match_row_by_row_reference(step_s):
-    curves = staggered_chain(step_s)
+    curves, lookups, tables = traced(lambda: staggered_chain(step_s))
     stamps = np.concatenate([c.timestamp_us for c in curves])
     assert np.unique(stamps).size < stamps.size  # the two grids overlap
-    assert shared_cells(curves) == stamps.size  # unequal grids keep their own cells
+    assert own_cells(curves)  # unequal grids keep their own cells
+    assert (lookups, tables) == (4, 2)
     assert any(c.flag_bits.any() for c in curves)
     if step_s < 1:
         assert (stamps % 1_000_000 != 0).any()  # microseconds in some stamps
+    assert_files_match_reference(curves)
+
+
+def test_a_grid_that_comes_back_after_another_is_made_again():
+    # pair grids g1, g2, g1: only adjacent pairs share
+    layout = {"a": (40, 21, ()), "b": (0, 101, range(10, 15)), "c": (0, 101, (70,)),
+              "d": (40, 21, ())}
+    curves, lookups, tables = traced(lambda: chain_of(layout, 60.0))
+    first, middle, last = (c.timestamp_us for c in curves)
+    assert np.array_equal(first, last) and middle.size > first.size
+    assert own_cells(curves)
+    assert (lookups, tables) == (6, 3)
     assert_files_match_reference(curves)
 
 
@@ -1366,25 +1388,30 @@ def test_pairs_apart_in_time_format_only_their_own_instants():
     }
     curves = loss_curve(SensorChain(("a", "b", "c")), data)
     assert [c.timestamp_us.size for c in curves] == [31, 31]
-    assert shared_cells(curves) == 62  # not the 300 days between the pairs
+    assert own_cells(curves)  # not the 300 days between the pairs
     assert_files_match_reference(curves)
 
 
-def test_replaced_curve_writes_the_same_bytes():
-    (curve,) = staggered_chain(60.0)[1:]
-    rebuilt = replace(curve, rho_s=curve.rho_s)
-    assert rebuilt == curve and repr(rebuilt) == repr(curve)
-    assert rebuilt._stamp_cells is None  # its own text, made by the writer
+def test_replaced_and_hand_built_curves_write_the_same_bytes():
+    layout = {"a": (0, 60, (9,)), "b": (0, 60, ()), "c": (0, 60, (50,))}
+    first, curve = chain_of(layout, 60.0)
+    assert curve._stamp_cells is first._stamp_cells  # one grid, one text
+    rebuilt = replace(curve)
+    by_hand = LossCurve(curve.upstream, curve.downstream, curve.timestamp_us,
+                        curve.loss_fraction, curve.flag_bits)
+    assert rebuilt == by_hand == curve and repr(rebuilt) == repr(curve)
+    assert rebuilt._stamp_cells is by_hand._stamp_cells is None  # text made by the writer
     with tempfile.TemporaryDirectory() as out:
         shared = write_loss_curve_csv(curve, out).read_bytes()
         assert write_loss_curve_csv(rebuilt, out).read_bytes() == shared
+        assert write_loss_curve_csv(by_hand, out).read_bytes() == shared
     assert shared == reference_curve_csv(curve)
 
 
 def test_successive_calls_write_their_own_timestamps():
     first = staggered_chain(60.0)
     second = staggered_chain(0.25)
-    assert first[0]._stamp_cells.base is not second[0]._stamp_cells.base
+    assert first[0]._stamp_cells is not second[0]._stamp_cells
     for curves in (first, second, first):  # no call's text outlives its curves
         assert_files_match_reference(curves)
 
@@ -1516,8 +1543,8 @@ def test_rolling_median_gives_statistics_median_bits_on_narrow_windows(pool):
 
 
 def test_rolling_median_with_a_nan_sorts_as_np_sort_does():
-    # each window padded with inf to the widest, sorted by np.sort (a NaN goes
-    # after the padding), and its middle taken
+    # each window sorted on its own by np.sort (a NaN goes last), and its
+    # middle taken, however wide the other windows are
     rng = random.Random(12)
     epochs = quarter_second_epochs([rng.randint(1, 8) for _ in range(60)])
     values = [rng.choice((math.nan, 229.5, 230.0, 231.0, math.inf)) for _ in epochs]
@@ -1525,10 +1552,9 @@ def test_rolling_median_with_a_nan_sorts_as_np_sort_does():
         half = window / 2
         bounds = [(bisect.bisect_left(epochs, t - half), bisect.bisect_right(epochs, t + half))
                   for t in epochs]
-        widest = max(hi - lo for lo, hi in bounds)
         want = []
         for lo, hi in bounds:
-            block = np.sort(values[lo:hi] + [math.inf] * (widest - hi + lo))
+            block = np.sort(values[lo:hi])
             mid = (hi - lo) // 2
             want.append(block[mid] if (hi - lo) % 2 else (block[mid - 1] + block[mid]) / 2)
         assert rolling_median(epochs, values, window).tobytes() == np.array(want).tobytes()

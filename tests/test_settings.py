@@ -124,7 +124,7 @@ SETTINGS = {
             lambda v, ctx: sweep_rho([v], 10),
         ],
         [0.0, 0.5, 1.0],
-        [-0.1, 1.5, NAN, INF],
+        [-0.1, 1.5, NAN, INF, True],
     ),
     "rho_s": (
         [
@@ -134,7 +134,7 @@ SETTINGS = {
             flag("benchmark", "f", "--paths", "a-b", "--rho-s-source", "estimate:{}"),
         ],
         [0.0, 0.5, 1.0],
-        [-0.1, 1.5, NAN, INF],
+        [-0.1, 1.5, NAN, INF, True, "high"],
     ),
     "segment count": (
         [
@@ -151,7 +151,7 @@ SETTINGS = {
             config(lambda d, v: d.update(nominal_voltage_v=v)),
         ],
         [230.0, 1e-3],
-        [0.0, -5.0, NAN, INF],
+        [0.0, -5.0, NAN, INF, True],
     ),
     "calibration": (
         [
@@ -160,7 +160,7 @@ SETTINGS = {
             config(lambda d, v: d.update(calibration={"a": v})),
         ],
         [1.0, 0.5],
-        [0.0, -1.0, NAN, INF],
+        [0.0, -1.0, NAN, INF, True],
     ),
     "window_s": (
         [
@@ -169,7 +169,7 @@ SETTINGS = {
             config(lambda d, v: d.update(smoothing_window_s=v)),
         ],
         [0.0, 600.0],
-        [-1.0, NAN, INF],
+        [-1.0, NAN, INF, True, "600"],
     ),
     "grid_step_s": (
         [
@@ -178,7 +178,7 @@ SETTINGS = {
             config(lambda d, v: d.update(grid_step_s=v)),
         ],
         [1e-6, 120.0],
-        [1e-7, 0.0, -120.0, NAN, INF],
+        [1e-7, 0.0, -120.0, NAN, INF, True],
     ),
     "tolerance_s": (
         [
@@ -187,7 +187,7 @@ SETTINGS = {
             config(lambda d, v: d.update(tolerance_s=v)),
         ],
         [0.0, 60.0],
-        [-1.0, NAN, INF],
+        [-1.0, NAN, INF, True],
     ),
 }
 
