@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SolveOptions()
     solver.add_argument(
         "--tol",
-        type=_typed(lambda text: SolveOptions(tol=float(text)).tol),
+        type=_typed(lambda text: SolveOptions(tol=_read(float, text)).tol),
         default=defaults.tol,
         help=f"power-flow convergence tolerance in pu (default: {defaults.tol})",
     )

@@ -17,15 +17,18 @@ built only when read.
 
 Ingest reads the file in blocks of about INGEST_BLOCK_BYTES, cut at any
 line break csv.reader knows (LF, CRLF or CR), and decodes each block
-itself, so an undecodable byte is reported with its line.  The block's
+itself, so an undecodable byte is reported with its line; each chunk of
+a line longer than a block is scanned for a line end once.  The block's
 bytes, not a re-encoding of its text, are scanned once: a block with
 no quote, no CR and exactly two commas on every line not blank is cut
 into three columns with str.split.  A file with a bad field count,
-quoting, CR line ends or a very long line is read by one csv.reader
-from the first such block on.  Both routes check the header with one
-helper and give the columns the same checks, once per block: ids are
-stripped, new timestamp strings are parsed (canonical ones as arrays),
-and voltages are converted and range-checked as arrays.
+quoting, CR line ends or a line longer in bytes than
+csv.field_size_limit() (no field has more characters than its line has
+bytes) is read by one csv.reader from the first such block on.  Both
+routes check the header with one helper and give the columns the same
+checks, once per block: ids are stripped, new timestamp strings are
+parsed (canonical ones as arrays), and voltages are converted and
+range-checked as arrays.
 A failure names the first bad record, numbered as csv.reader counts
 them (a field past csv.field_size_limit() too).  The checked rows are
 kept as sensor code, epoch_us and volts arrays; one stable sort by
@@ -98,12 +101,16 @@ SMOOTHING_WINDOW_S = 600.0
 
 # Ingest reads the file in blocks of about this many bytes, cut at line
 # ends, and checks each block's rows as columns; memory for the text in
-# flight stays bounded however long the file.  A block longer than
-# csv.field_size_limit() (128 KiB by default) always goes to the
-# csv.reader route, so the size stays well below that: with 128 KiB blocks,
-# ingest of the generated two-week sensor set (bench/gen_sensors.py, seed 1)
-# took 125 ms against 77 ms (2-vCPU Xeon VM, Python 3.11).
-INGEST_BLOCK_BYTES = 1 << 16
+# flight stays bounded however long the file.  Each block pays a fixed
+# cost (the route scan, one timestamp parse, per-block sets), so larger
+# blocks save time until the cache no longer holds one.  Ingest of the
+# generated two-week sensor set (bench/gen_sensors.py, seed 1; 3.8 MB)
+# took 48.4 ms at 64 KiB and 44 to 46 ms at every size from 192 KiB to
+# 1 MiB; 256 KiB is the smallest power of two on that level.  One pass's
+# tracemalloc peak, which holds a block's text and its fields, was 6.6 MB
+# at 64 KiB, 7.9 MB at 256 KiB and 17.5 MB at 1 MiB (2-vCPU Xeon VM,
+# Python 3.11, numpy 2.4).
+INGEST_BLOCK_BYTES = 1 << 18
 
 # Samples below this fraction of nominal voltage are outage readings,
 # not grid state; they are flagged and kept out of the loss curve.
@@ -378,13 +385,24 @@ class _Blocks:
 
     def __iter__(self):
         read = partial(self.handle.read, INGEST_BLOCK_BYTES)
-        carry = self.handle.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
-        for chunk in itertools.chain(iter(read, b""), [b""]):  # b"": end of file
-            carry += chunk
-            cut = _line_end(carry, len(carry)) if chunk else len(carry)
-            if not cut:
+        head = self.handle.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
+        first = read()  # scanned with head; a file no longer than head is one block
+        # the chunks of a line not yet ended: no line break of known kind is in
+        # them, only perhaps a CR as their last byte, so each chunk is scanned once
+        carry: list = [] if first else [head]
+        chunks = itertools.chain([head + first] if first else [], iter(read, b""), [b""])
+        for chunk in chunks:  # b"": end of file
+            if not chunk:
+                block, carry = b"".join(carry), []
+                if not block:
+                    continue
+            elif cut := _line_end(chunk, len(chunk)):
+                block, carry = b"".join([*carry, chunk[:cut]]), [chunk[cut:]]
+            elif carry and carry[-1].endswith(b"\r"):  # a CR, and no LF after it
+                block, carry = b"".join(carry), [chunk]
+            else:
+                carry.append(chunk)
                 continue
-            block, carry = carry[:cut], carry[cut:]
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -404,16 +422,20 @@ def _lines(texts):
         yield from io.StringIO(text, newline="")
 
 
-def _splittable(text: str, raw: bytes) -> Optional[np.ndarray]:
-    """Which lines are blank, if text has no quote, no CR, two commas on each other
-    line and no room for a field past csv.field_size_limit(); else None.  Scans
-    raw, text's UTF-8 bytes, in its place: no byte of a multibyte character is ASCII."""
-    if b'"' in raw or b"\r" in raw or len(text) > csv.field_size_limit():
+def _splittable(raw: bytes) -> Optional[np.ndarray]:
+    """Which lines of raw, a block's UTF-8 bytes, are blank, if raw has no quote, no
+    CR, two commas on each other line and no line longer in bytes, its LF included,
+    than csv.field_size_limit(); else None.  No byte of a multibyte character is
+    ASCII, and no field has more characters than its line has bytes."""
+    if b'"' in raw or b"\r" in raw:
         return None
     buf = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
+    widths = np.diff(ends, prepend=-1)
+    if widths.max() > csv.field_size_limit():
+        return None
     commas = np.searchsorted(ends, np.flatnonzero(buf == ord(",")))
-    blank = np.diff(ends, prepend=-1) == 1
+    blank = widths == 1
     two = np.bincount(commas, minlength=ends.size) == 2 * ~blank
     return blank if two.all() else None
 
@@ -589,7 +611,7 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
         blocks = _Blocks(handle)
         pieces = iter(blocks)
         for text, raw in pieces:
-            if (blank := _splittable(text, raw)) is None:
+            if (blank := _splittable(raw)) is None:
                 # a quoted field may hold newlines and so span blocks:
                 # csv.reader takes the rest of the file
                 rest = (later for later, _ in pieces)

@@ -501,6 +501,7 @@ def test_one_parser_serves_every_call_as_fresh_ones_would(tmp_path, monkeypatch,
         ("--tol", "inf"),
         ("--tol", "-1"),
         ("--tol", "0"),
+        ("--tol", "abc"),
         ("--max-iter", "0"),
         ("--max-iter", "-3"),
     ],
@@ -510,7 +511,7 @@ def test_solver_options_are_checked_at_parse_time(tmp_path, capsys, option, valu
         capsys, "solve", IEEE13, option, value, "--out-dir", str(tmp_path)
     )
     assert code == EXIT_USAGE
-    assert f"argument {option}" in err
+    assert f"argument {option}: {option[2:].replace('-', '_')} must be" in err
     assert "Traceback" not in err and "convergence" not in err
     assert not any(tmp_path.iterdir())
 

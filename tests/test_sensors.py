@@ -243,6 +243,52 @@ def test_cr_ended_file_is_read_in_bounded_blocks(tmp_path):
     assert got == reference_ingest(path)
 
 
+def reference_blocks(data, block_bytes):
+    """_Blocks's cuts of data (no byte-order mark), found by scanning all that
+    is carried: after each read, one block up to the last line break read, a
+    CR that is the last byte read waiting as it may start a CRLF."""
+    blocks, start = [], 0
+    for end in range(3 + block_bytes, len(data) + block_bytes, block_bytes):
+        carried = data[start:end]
+        cut = max(carried.rfind(b"\n"), carried.rfind(b"\r", 0, len(carried) - 1)) + 1
+        if cut:
+            blocks.append(carried[:cut])
+            start += cut
+    return blocks + [data[start:]] if start < len(data) else blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(
+        st.sampled_from([b"a", b",", b"\r", b"\n", b"\r\n", "\u00e9".encode(), b"x" * 40])
+    ).map(b"".join),
+    block_bytes=st.sampled_from([1, 2, 3, 7, 16]),
+)
+def test_blocks_are_cut_at_the_last_line_end_read(data, block_bytes):
+    with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
+        got = [raw for _, raw in sensors._Blocks(io.BytesIO(data))]
+    assert got == reference_blocks(data, block_bytes)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_line_of_hundreds_of_chunks_is_one_block(tmp_path, end):
+    # a line of 500 chunks is its own block and reads as the reference reads it
+    long_id = "s" + "x" * 49_999
+    lines = ["sensor_id,timestamp,voltage_v", "s1,2024-03-12T00:00:00Z,230",
+             f"{long_id},2024-03-12T00:02:00Z,231", "s1,2024-03-12T00:02:00Z,232"]
+    data = ("\ufeff" + "".join(line + end for line in lines)).encode()
+    path = tmp_path / "long.csv"
+    path.write_bytes(data)
+    with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", 100):
+        with path.open("rb") as handle:
+            raws = [raw for _, raw in sensors._Blocks(handle)]
+        got = ingest_csv(path)
+    assert b"".join(raws) == data.removeprefix(codecs.BOM_UTF8)
+    assert [raw for raw in raws if long_id.encode() in raw] == [(lines[2] + end).encode()]
+    assert got == reference_ingest(path)
+    assert [s.sensor_id for s in got] == ["s1", long_id]
+
+
 @pytest.mark.parametrize(
     "second,needle",
     [
@@ -530,11 +576,13 @@ def test_timestamp_texts_parse_as_fromisoformat_reads_them(texts):
 
 
 def test_a_canonical_file_of_several_blocks_takes_the_split_route(tmp_path):
-    # at the shipped block size every block stays under csv.field_size_limit(),
-    # so no block of a canonical file falls back to csv.reader
+    # a canonical file's lines are short, so no block of it falls back to
+    # csv.reader at the shipped block size, though that is longer than
+    # csv.field_size_limit()
     path = tmp_path / "long.csv"
-    stamps = np.datetime_as_string(
-        np.datetime64("2024-03-12T00:00:00") + np.arange(4000) * np.timedelta64(120, "s")
+    stamps = np.datetime_as_string(  # three rows of about 30 bytes per stamp
+        np.datetime64("2024-03-12T00:00:00")
+        + np.arange(sensors.INGEST_BLOCK_BYTES // 30) * np.timedelta64(120, "s")
     )
     path.write_text("sensor_id,timestamp,voltage_v\n" + "".join(
         f"s{k},{stamp}Z,{230 - k}.{j % 10}\n"
@@ -546,6 +594,46 @@ def test_a_canonical_file_of_several_blocks_takes_the_split_route(tmp_path):
             got = ingest_csv(path)
     assert add_text.call_count >= 3  # blocks
     assert got == reference_ingest(path)
+
+
+@pytest.fixture
+def field_limit():
+    """csv.field_size_limit() set to 1000 for one test."""
+    shipped = csv.field_size_limit(1000)
+    yield 1000
+    csv.field_size_limit(shipped)
+
+
+def test_the_route_goes_by_the_longest_line_in_bytes(tmp_path, field_limit):
+    rows = [f"s{k % 3},2024-03-12T{k // 180:02d}:{k // 3 % 60:02d}:00Z,{230 + k % 7}"
+            for k in range(400)]
+    path = tmp_path / "route.csv"
+    # a canonical block many times the limit takes the split route
+    path.write_text("\n".join(["sensor_id,timestamp,voltage_v", *rows]) + "\n")
+    assert path.stat().st_size > 8 * field_limit
+    with mock.patch.object(sensors.csv, "reader", side_effect=AssertionError):
+        got = ingest_csv(path)
+    assert got == reference_ingest(path) and len(got) == 3
+    # one line past the limit in bytes, not in characters, sends its block
+    # to csv.reader, which reads it as the split route would
+    wide = "\u00e9" * (field_limit // 2 + 1)
+    assert len(wide) < field_limit < len(wide.encode())
+    rows[200] = f"{wide},2024-03-12T09:00:00Z,231"
+    path.write_text("\n".join(["sensor_id,timestamp,voltage_v", *rows]) + "\n")
+    with mock.patch.object(sensors.csv, "reader", wraps=csv.reader) as reader:
+        got = ingest_csv(path)
+    assert reader.call_count == 1
+    assert got == reference_ingest(path) and got[-1].sensor_id == wide
+    # a field past the limit fails at its own line, whether csv.reader
+    # takes the file from its first block or from a later one
+    rows[300] = f"s1,2024-03-12T09:00:00Z,{'1' * (field_limit + 1)}"
+    path.write_text("\n".join(["sensor_id,timestamp,voltage_v", *rows]) + "\n")
+    needle = f"line 302: field larger than field limit ({field_limit})"
+    for block_bytes in (100, sensors.INGEST_BLOCK_BYTES):
+        with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
+            with pytest.raises(SensorFormatError) as err:
+                ingest_csv(path)
+        assert (err.value.line, str(err.value)) == (302, needle)
 
 
 def test_blank_lines_keep_the_block_route_and_their_line_numbers(tmp_path):
@@ -583,10 +671,14 @@ def test_blank_first_line_is_a_bad_header(tmp_path):
 
 
 def splittable_by_text(text):
-    """_splittable's answer read off the text: blank lines, or None."""
-    if '"' in text or "\r" in text or len(text) > csv.field_size_limit():
+    """_splittable's answer read off the text: blank lines, or None.  A line
+    longer than csv.field_size_limit() in UTF-8 bytes, its line end included
+    (a last line without one counts one), leaves the text to csv.reader."""
+    if '"' in text or "\r" in text:
         return None
     lines = text.removesuffix("\n").split("\n")
+    if max(len(line.encode()) + 1 for line in lines) > csv.field_size_limit():
+        return None
     blank = [not line for line in lines]
     if any(line.count(",") != 2 * (not b) for line, b in zip(lines, blank)):
         return None
@@ -599,15 +691,16 @@ def splittable_by_text(text):
         "sensor_id,timestamp,voltage_v\nsé,2024-03-12T00:00:00Z,230\n\n€1,x,1",
         "\n\u00e9\u20ac\U0001f600,2024-03-12T00:00:00Z,230\n",
         "a,\u00e9,b,c\n",  # three commas
-        "\u00e9" * 30 + ",a,b\n",  # 35 characters, 65 bytes: within a limit of 40
-        "\u00e9" * 40 + ",a,b\n",  # 45 characters: past it
+        "\u00e9" * 17 + ",ab,c\n",  # 23 characters, 40 bytes: within a limit of 40
+        "\u00e9" * 17 + ",ab,cd\n",  # 24 characters, 41 bytes: past it
+        "s1,a,b\n" * 10,  # 70 bytes in lines of 7: within it
         "sé,\"q\",1\n",
     ],
 )
 def test_splittable_scans_the_bytes_as_it_would_the_text(text):
     limit = csv.field_size_limit(40)
     try:
-        got = sensors._splittable(text, text.encode())
+        got = sensors._splittable(text.encode())
         want = splittable_by_text(text)
     finally:
         csv.field_size_limit(limit)
@@ -624,7 +717,7 @@ def test_splittable_answers_on_the_part_before_an_undecodable_byte(tmp_path):
         blocks = sensors._Blocks(handle)
         (text, raw), = blocks
     assert blocks.undecodable and raw == text.encode() and text.count("\n") == 3
-    assert sensors._splittable(text, raw).tolist() == splittable_by_text(text)
+    assert sensors._splittable(raw).tolist() == splittable_by_text(text)
 
 
 # ----------------------------------------------------- series and chains
