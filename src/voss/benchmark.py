@@ -49,6 +49,7 @@ from .powerflow import PowerFlowSolution, SolveOptions, solve
 # single-digit-kVA spur lines on the bundled 34-node feeder fall under it
 # while every normally loaded line clears it by more than 10x.
 NEAR_ZERO_POWER_FRACTION = 2e-3
+_LINE = SegmentKind.LINE  # a member read through its class costs Python-level enum code
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,11 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
             raise ValueError(f"path {label} has no segments")
         rows = [dict(zip(seg.phases, slots.rows(seg))) for seg in segs]
         for ph in segs[0].phases:
-            if all(ph in by_phase for by_phase in rows):
+            member = [by_phase.get(ph) for by_phase in rows]  # None: a segment lacks ph
+            if None not in member:
                 labels.append(label)
                 phases.append(ph)
-                members.append([by_phase[ph] for by_phase in rows])
+                members.append(member)
     head, tail = [m[0] for m in members], [m[-1] for m in members]
     dissipated = slots.s_from - slots.s_to
     lost = dissipated[head]
@@ -164,7 +166,7 @@ def run_single_segment_study(model: FeederModel, *, solution: PowerFlowSolution)
     power is exactly zero) but carry no meaning.
     """
     _check_solution(model, solution)
-    lines = [(seg.id, [seg]) for seg in model.segments if seg.kind == SegmentKind.LINE]
+    lines = [(seg.id, [seg]) for seg in model.segments if seg.kind is _LINE]
     return _rows(_compare_path(solution, lines, None))
 
 

@@ -32,7 +32,7 @@ import cmath
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from itertools import chain, filterfalse, permutations
@@ -44,6 +44,8 @@ FEET_PER_MILE = 5280.0
 PHASE_ORDER = "ABC"
 # the 15 phase strings: one to three of A, B and C, none repeated, in any order
 _PHASE_STRINGS = frozenset("".join(p) for n in (1, 2, 3) for p in permutations(PHASE_ORDER, n))
+# (a, b) for each two phase strings where b has every phase of a
+_WITHIN = frozenset((a, b) for a in _PHASE_STRINGS for b in _PHASE_STRINGS if set(a) <= set(b))
 
 # Regulator taps are per-phase ratio multipliers; standard 32-step
 # regulators cover +-10%.
@@ -83,6 +85,15 @@ class LoadModel(Enum):
     CONSTANT_Z = "z"
     CONSTANT_I = "i"
 
+
+# Members as module globals, compared by identity: on Python 3.11 reading
+# a member through its class costs about 15 times a global, and a dict
+# keyed by members calls the Python-level Enum.__hash__, so the model
+# pass reads its tables by member value.
+_LINE, _TRANSFORMER, _REGULATOR = SegmentKind.LINE, SegmentKind.TRANSFORMER, SegmentKind.REGULATOR
+_DELTA = Connection.DELTA
+# each enum's value -> member table, which the reader reads in place of Enum(value)
+_MEMBERS = {enum: {m.value: m for m in enum} for enum in (SegmentKind, Connection, LoadModel)}
 
 # a segment takes the common keys plus its kind's (required, optional)
 # keys; the parser rejects the others
@@ -125,18 +136,12 @@ class SegmentDef:
 
     def z_total(self) -> tuple:
         """Series impedance matrix in ohms for the whole segment."""
-        if self.kind == SegmentKind.TRANSFORMER:
-            z = self.series_z_ohm
-            n = len(self.phases)
-            return tuple(
-                tuple(z if i == j else 0j for j in range(n)) for i in range(n)
-            )
+        n, z = len(self.phases), self.series_z_ohm
+        if self.kind is _TRANSFORMER:
+            return tuple(tuple(z if i == j else 0j for j in range(n)) for i in range(n))
         if self.z_per_mile is None:
-            n = len(self.phases)
             return tuple(tuple(0j for _ in range(n)) for _ in range(n))
-        return tuple(
-            tuple(zij * self.length_miles for zij in row) for row in self.z_per_mile
-        )
+        return tuple(tuple(zij * self.length_miles for zij in row) for row in self.z_per_mile)
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ class LoadDef:
 
     def branches(self) -> tuple:
         """Delta branch phase pairs, e.g. ('AB', 'BC', 'CA')."""
-        if self.conn != Connection.DELTA:
+        if self.conn is not _DELTA:
             raise ValueError("branches() only applies to delta loads")
         if len(self.phases) == 3:
             return ("AB", "BC", "CA")
@@ -219,7 +224,7 @@ class FeederModel:
                    (source.nominal_kv_ll, "source.nominal_kv_ll")]
         numbers += [(v, "source.voltage_pu") for v in source.voltage_pu]
         numbers += [(s.ratio, f"segment {s.id} ratio") for s in self.segments
-                    if s.kind == SegmentKind.TRANSFORMER]
+                    if s.kind is _TRANSFORMER]
         for x, ctx in numbers:
             number = json_number(x)
             if number is None or not 0 < number < math.inf:
@@ -243,33 +248,33 @@ class FeederModel:
         into, children = {}, {n: [] for n in known}
         sound_z = set()  # (id, n) of the z_per_mile matrices found sound for n phases
         for s in self.segments:
-            ctx, n, z = f"segment {s.id}", len(s.phases), s.z_per_mile
-            if not isinstance(s.kind, SegmentKind):
-                raise FeederFormatError(f"expected a SegmentKind, got {s.kind!r}", f"{ctx} kind")
+            ctx, n, z, kind = f"segment {s.id}", len(s.phases), s.z_per_mile, s.kind
+            if not isinstance(kind, SegmentKind):
+                raise FeederFormatError(f"expected a SegmentKind, got {kind!r}", f"{ctx} kind")
             length = json_number(s.length_miles)
             if length is None or not 0 <= length < math.inf:
                 message = f"length must be finite and >= 0, got {s.length_miles!r}"
                 raise FeederFormatError(message, ctx)
             # None is compared by identity: == may not give a bool
-            stray = [key for name, key, default in _NOT_TAKEN[s.kind]
+            stray = [key for name, key, default in _NOT_TAKEN[kind._value_]
                      if (value := getattr(s, name)) is not default
                      and (default is None or value != default)]
             if stray:
-                raise _not_taken(s.kind, stray, ctx)
-            if s.kind == SegmentKind.REGULATOR:
+                raise _not_taken(kind, stray, ctx)
+            if kind is _REGULATOR:
                 _count(s.taps, n, ctx)
             if s.shunt_kvar is not None:
                 _count(s.shunt_kvar, n, ctx)
             for t in s.taps or ():
                 if not TAP_MIN <= t <= TAP_MAX:
                     raise FeederFormatError(f"tap {t} outside [{TAP_MIN}, {TAP_MAX}]", ctx)
-            if (z is not None or s.kind == SegmentKind.LINE) and (id(z), n) not in sound_z:
+            if (z is not None or kind is _LINE) and (id(z), n) not in sound_z:
                 if not (isinstance(z, (list, tuple)) and len(z) == n
                         and all(isinstance(row, (list, tuple)) and len(row) == n for row in z)):
                     raise FeederFormatError(f"z_ohm_per_mile must be a {n}x{n} matrix", ctx)
                 _impedances(chain.from_iterable(z), ctx)
                 sound_z.add((id(z), n))
-            if s.kind == SegmentKind.TRANSFORMER:
+            if kind is _TRANSFORMER:
                 _impedances((s.series_z_ohm,), ctx)
             for end in (s.from_node, s.to_node):
                 if not isinstance(end, str) or end not in known:
@@ -281,10 +286,11 @@ class FeederModel:
                 raise NotRadialError(f"not radial: segment {s.id} feeds the source node")
             into[s.to_node] = s
             children[s.from_node].append(s)
-            if not set(s.phases) <= set(known[s.from_node].phases):
+            if (s.phases, known[s.from_node].phases) not in _WITHIN:
                 message = f"phases {s.phases} not available at upstream node {s.from_node}"
                 raise FeederFormatError(message, ctx)
-            if set(known[s.to_node].phases) != set(s.phases):
+            fed = known[s.to_node].phases
+            if len(fed) != n or (fed, s.phases) not in _WITHIN:
                 message = f"node {s.to_node} phases must match its feeding segment ({s.phases})"
                 raise FeederFormatError(message, ctx)
 
@@ -308,7 +314,7 @@ class FeederModel:
                 raise FeederFormatError(f"expected a Connection, got {ld.conn!r}", f"{ctx} conn")
             if not isinstance(ld.model, LoadModel):
                 raise FeederFormatError(f"expected a LoadModel, got {ld.model!r}", f"{ctx} model")
-            delta = ld.conn == Connection.DELTA
+            delta = ld.conn is _DELTA
             count = 1 if delta and len(ld.phases) == 2 else len(ld.phases)
             _count(ld.kw, count, f"{ctx} kw")
             _count(ld.kvar, count, f"{ctx} kvar")
@@ -317,27 +323,25 @@ class FeederModel:
             if ld.segment is None:
                 if not isinstance(ld.node, str) or ld.node not in known:
                     raise FeederFormatError(f"unknown load node {ld.node!r}", ctx)
-                avail = set(known[ld.node].phases)
+                avail = known[ld.node].phases
             else:
                 seg = by_id.get(ld.segment) if isinstance(ld.segment, str) else None
                 if seg is None:
                     raise FeederFormatError(f"unknown load segment {ld.segment!r}", ctx)
-                if seg.kind != SegmentKind.LINE:
+                if seg.kind is not _LINE:
                     message = "distributed loads are only supported on line segments"
                     raise FeederFormatError(message, ctx)
-                avail = set(seg.phases)
-            if not set(ld.phases) <= avail:
+                avail = seg.phases
+            if (ld.phases, avail) not in _WITHIN:
                 message = f"load phases {ld.phases} not available ({''.join(sorted(avail))})"
                 raise FeederFormatError(message, ctx)
             if delta and len(ld.phases) < 2:
                 raise FeederFormatError("delta loads need at least two phases", ctx)
             # kw/kvar of a three-phase delta load belong to AB, BC, CA
             if delta and len(ld.phases) == 3 and ld.phases != PHASE_ORDER:
-                raise FeederFormatError(
-                    f"a three-phase delta load lists its phases as {PHASE_ORDER} "
-                    f"(branches AB, BC, CA), got {ld.phases!r}",
-                    ctx,
-                )
+                message = (f"a three-phase delta load lists its phases as {PHASE_ORDER} "
+                           f"(branches AB, BC, CA), got {ld.phases!r}")
+                raise FeederFormatError(message, ctx)
             if min(ld.kw) < 0:
                 raise FeederFormatError("load kW must be nonnegative", ctx)
 
@@ -365,24 +369,26 @@ class FeederModel:
         """The downstream segment chain from one node to a descendant."""
         if from_node not in self._node_by_id or to_node not in self._node_by_id:
             raise ValueError(f"unknown node in path {from_node}-{to_node}")
-        path = []
-        cur = to_node
+        path, cur = [], to_node
         while cur != from_node:
             seg = self._seg_into.get(cur)
             if seg is None:
-                raise ValueError(
-                    f"{to_node} is not downstream of {from_node}"
-                )
+                raise ValueError(f"{to_node} is not downstream of {from_node}")
             path.append(seg)
             cur = seg.from_node
         path.reverse()
         return path
 
 
+_FLOAT = frozenset({float})
+
+
 def _count(values, count: int, ctx: str) -> None:
-    """values is a list or tuple of count finite numbers."""
+    """values is a list or tuple of count finite numbers; plain floats, as
+    the reader gives, are json_numbers as they are."""
     if not (isinstance(values, (list, tuple)) and len(values) == count
-            and None not in (numbers := list(map(json_number, values)))):
+            and (_FLOAT.issuperset(map(type, numbers := values))
+                 or None not in (numbers := list(map(json_number, values))))):
         raise FeederFormatError(f"expected a list of {count} numbers, got {values!r}", ctx)
     if not math.isfinite(sum(numbers)):  # a finite sum has only finite terms
         _finite(numbers, ctx)
@@ -442,11 +448,11 @@ _FILE_KEYS = {"from_node": "from", "to_node": "to", "length_miles": "length",
               "z_per_mile": "z_ohm_per_mile"}
 _SEGMENT_FIELDS = {f: _FILE_KEYS.get(f.name, f.name) for f in fields(SegmentDef)}
 _SEGMENT_KEYS = frozenset(_SEGMENT_FIELDS.values()).difference(*sum(_KIND_KEYS.values(), ()))
-# per kind, the (field, key, default) of each field whose key only other
-# kinds take; a model leaves these fields at their defaults
+# per kind value, the (field, key, default) of each field whose key only
+# other kinds take; a model leaves these fields at their defaults
 _NOT_TAKEN = {
-    kind: tuple((f.name, key, f.default) for f, key in _SEGMENT_FIELDS.items()
-                if key not in _SEGMENT_KEYS.union(*keys))
+    kind.value: tuple((f.name, key, f.default) for f, key in _SEGMENT_FIELDS.items()
+                      if key not in _SEGMENT_KEYS.union(*keys))
     for kind, keys in _KIND_KEYS.items()
 }
 _KEYS = {
@@ -460,9 +466,8 @@ def _object(value, cls, ctx: str) -> dict:
     """value, which must be an object with no key outside _KEYS[cls]."""
     if not isinstance(value, dict):
         raise FeederFormatError(f"expected an object, got {value!r}", ctx)
-    unknown = sorted(set(value).difference(_KEYS[cls]))
-    if unknown:
-        raise FeederFormatError(f"unknown keys {unknown}", ctx)
+    if not _KEYS[cls].issuperset(value):
+        raise FeederFormatError(f"unknown keys {sorted(set(value).difference(_KEYS[cls]))}", ctx)
     return value
 
 
@@ -480,9 +485,13 @@ def _number(value, ctx: str) -> float:
 
 
 def _member(enum, value, ctx: str):
+    """The member of enum whose value is value, or value if it is one, as
+    Enum(value) gives; an unhashable value names no member."""
     try:
-        return enum(value)
-    except ValueError:
+        return _MEMBERS[enum][value]
+    except (KeyError, TypeError):
+        if type(value) is enum:
+            return value
         choices = ", ".join(repr(m.value) for m in enum)
         message = f"expected one of {choices}, got {value!r}"
         raise FeederFormatError(message, ctx) from None
@@ -491,7 +500,7 @@ def _member(enum, value, ctx: str):
 def _numbers(value, ctx: str, scale: float = 1.0) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise FeederFormatError(f"expected a list of numbers, got {value!r}", ctx)
-    return tuple(_number(x, ctx) * scale for x in value)
+    return tuple([(x if type(x) is float else _number(x, ctx)) * scale for x in value])
 
 
 def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
@@ -504,10 +513,8 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
 
     name = doc.get("name", "feeder")
     base_raw = _object(_require(doc, "base", "base"), BaseDef, "base")
-    base = BaseDef(
-        power_kva=_number(_require(base_raw, "power_kva", "base"), "base.power_kva"),
-        voltage_kv_ll=_number(_require(base_raw, "voltage_kv_ll", "base"), "base.voltage_kv_ll"),
-    )
+    base = BaseDef(_number(_require(base_raw, "power_kva", "base"), "base.power_kva"),
+                   _number(_require(base_raw, "voltage_kv_ll", "base"), "base.voltage_kv_ll"))
 
     src_raw = _object(_require(doc, "source", "source"), SourceDef, "source")
     node = str(_require(src_raw, "node", "source"))
@@ -515,14 +522,9 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     if not isinstance(v_pu, (list, tuple)):
         v_pu = [v_pu] * 3
     angles = src_raw.get("angles_deg", [0.0, -120.0, 120.0])
-    source = SourceDef(
-        node=node,
-        nominal_kv_ll=_number(
-            _require(src_raw, "nominal_kv_ll", "source"), "source.nominal_kv_ll"
-        ),
-        voltage_pu=_numbers(v_pu, "source.voltage_pu"),
-        angles_deg=_numbers(angles, "source.angles_deg"),
-    )
+    nominal = _number(_require(src_raw, "nominal_kv_ll", "source"), "source.nominal_kv_ll")
+    source = SourceDef(node, nominal, _numbers(v_pu, "source.voltage_pu"),
+                       _numbers(angles, "source.angles_deg"))
 
     load_scale = _number(doc.get("load_scale", 1.0), "load_scale")
     if not 0 < load_scale < math.inf:
@@ -532,12 +534,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
     for i, raw in enumerate(_objects(doc, "nodes", origin)):
         ctx = f"nodes[{i}]"
         _object(raw, NodeDef, ctx)
-        nodes.append(
-            NodeDef(
-                id=str(_require(raw, "id", ctx)),
-                phases=_require(raw, "phases", ctx),
-            )
-        )
+        nodes.append(NodeDef(str(_require(raw, "id", ctx)), _require(raw, "phases", ctx)))
 
     segments, matrices = [], {}
     for i, raw in enumerate(_objects(doc, "segments", origin)):
@@ -563,9 +560,7 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
             elif unit == "mi":
                 length_miles = length
             else:
-                raise FeederFormatError(
-                    f"length requires unit 'ft' or 'mi', got {unit!r}", ctx
-                )
+                raise FeederFormatError(f"length requires unit 'ft' or 'mi', got {unit!r}", ctx)
 
         z_per_mile = None
         if "z_ohm_per_mile" in raw:
@@ -591,11 +586,10 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         taps = _numbers(raw["taps"], ctx) if "taps" in raw else None
         shunt = _numbers(raw["shunt_kvar"], ctx) if "shunt_kvar" in raw else None
 
+        # positional: a keyword call of a dataclass costs about half as much again
         segments.append(SegmentDef(
-            id=seg_id, from_node=str(_require(raw, "from", ctx)),
-            to_node=str(_require(raw, "to", ctx)), phases=phases, kind=kind,
-            length_miles=length_miles, z_per_mile=z_per_mile, ratio=ratio,
-            series_z_ohm=series_z, taps=taps, shunt_kvar=shunt,
+            seg_id, str(_require(raw, "from", ctx)), str(_require(raw, "to", ctx)), phases,
+            kind, length_miles, z_per_mile, ratio, series_z, taps, shunt,
         ))
 
     loads = []
@@ -605,22 +599,15 @@ def parse_feeder_dict(doc: dict, origin: str = "<dict>") -> FeederModel:
         conn = _member(Connection, raw.get("conn", "wye"), f"{ctx} conn")
         model = _member(LoadModel, raw.get("model", "pq"), f"{ctx} model")
         loads.append(LoadDef(
-            id=str(raw.get("id", f"load{i}")), conn=conn, model=model,
-            phases=_require(raw, "phases", ctx),
-            kw=_numbers(_require(raw, "kw", ctx), f"{ctx} kw", load_scale),
-            kvar=_numbers(_require(raw, "kvar", ctx), f"{ctx} kvar", load_scale),
-            node=str(raw["node"]) if "node" in raw else None,
-            segment=str(raw["segment"]) if "segment" in raw else None,
+            str(raw["id"]) if "id" in raw else f"load{i}", conn, model,
+            _require(raw, "phases", ctx),
+            _numbers(_require(raw, "kw", ctx), f"{ctx} kw", load_scale),
+            _numbers(_require(raw, "kvar", ctx), f"{ctx} kvar", load_scale),
+            str(raw["node"]) if "node" in raw else None,
+            str(raw["segment"]) if "segment" in raw else None,
         ))
 
-    return FeederModel(
-        name=name,
-        base=base,
-        source=source,
-        nodes=tuple(nodes),
-        segments=tuple(segments),
-        loads=tuple(loads),
-    )
+    return FeederModel(name, base, source, tuple(nodes), tuple(segments), tuple(loads))
 
 
 def parse_feeder(path) -> FeederModel:
@@ -646,7 +633,8 @@ def expand_distributed_loads(model: FeederModel) -> FeederModel:
     segments joined at a new node named ``<segment id>~mid``, and the full
     load becomes a spot load there.  Node count grows by exactly the
     number of segments that carry distributed loads; total load is
-    preserved exactly.
+    preserved exactly.  The new elements are built field by field (every
+    other field kept), and the new model checks itself as any model does.
     """
     dist_by_seg: dict = {}
     for ld in model.loads:
@@ -662,21 +650,19 @@ def expand_distributed_loads(model: FeederModel) -> FeederModel:
         if seg.id not in dist_by_seg:
             new_segments.append(seg)
             continue
-        mid_id = f"{seg.id}~mid"
-        new_nodes.append(NodeDef(id=mid_id, phases=seg.phases))
+        mid_id, phases, kind = f"{seg.id}~mid", seg.phases, seg.kind
+        z, ratio, series_z, taps = seg.z_per_mile, seg.ratio, seg.series_z_ohm, seg.taps
+        new_nodes.append(NodeDef(mid_id, phases))
         half = seg.length_miles / 2.0
-        new_segments.append(
-            replace(seg, id=f"{seg.id}~a", to_node=mid_id, length_miles=half,
-                    shunt_kvar=None)
-        )
-        new_segments.append(
-            replace(seg, id=f"{seg.id}~b", from_node=mid_id, length_miles=half)
-        )
-        for ld in dist_by_seg[seg.id]:
-            new_loads.append(replace(ld, node=mid_id, segment=None))
+        new_segments.append(SegmentDef(f"{seg.id}~a", seg.from_node, mid_id, phases, kind,
+                                       half, z, ratio, series_z, taps, None))
+        new_segments.append(SegmentDef(f"{seg.id}~b", mid_id, seg.to_node, phases, kind,
+                                       half, z, ratio, series_z, taps, seg.shunt_kvar))
+        new_loads += [LoadDef(ld.id, ld.conn, ld.model, ld.phases, ld.kw, ld.kvar, mid_id, None)
+                      for ld in dist_by_seg[seg.id]]
 
-    return replace(model, nodes=tuple(new_nodes), segments=tuple(new_segments),
-                   loads=tuple(new_loads))
+    return FeederModel(model.name, model.base, model.source, tuple(new_nodes),
+                       tuple(new_segments), tuple(new_loads))
 
 
 def split_distributed_loads_to_ends(model: FeederModel) -> FeederModel:
@@ -684,7 +670,9 @@ def split_distributed_loads_to_ends(model: FeederModel) -> FeederModel:
 
     Keeps every line segment internally tap-free (no synthetic nodes),
     which is the convention the reference distribution simulators use for
-    these test feeders.  Total load is preserved exactly.
+    these test feeders.  Total load is preserved exactly.  The new loads
+    are built field by field (every other field kept), and the new model
+    checks itself as any model does.
     """
     if all(ld.segment is None for ld in model.loads):
         return model
@@ -694,18 +682,13 @@ def split_distributed_loads_to_ends(model: FeederModel) -> FeederModel:
             new_loads.append(ld)
             continue
         seg = model.segment(ld.segment)
-        for tag, node_id in (("from", seg.from_node), ("to", seg.to_node)):
-            new_loads.append(
-                replace(
-                    ld,
-                    id=f"{ld.id}~{tag}",
-                    node=node_id,
-                    segment=None,
-                    kw=tuple(x / 2.0 for x in ld.kw),
-                    kvar=tuple(x / 2.0 for x in ld.kvar),
-                )
-            )
-    return replace(model, loads=tuple(new_loads))
+        kw, kvar = tuple([x / 2.0 for x in ld.kw]), tuple([x / 2.0 for x in ld.kvar])
+        new_loads.append(LoadDef(f"{ld.id}~from", ld.conn, ld.model, ld.phases, kw, kvar,
+                                 seg.from_node, None))
+        new_loads.append(LoadDef(f"{ld.id}~to", ld.conn, ld.model, ld.phases, kw, kvar,
+                                 seg.to_node, None))
+    return FeederModel(model.name, model.base, model.source, model.nodes, model.segments,
+                       tuple(new_loads))
 
 
 def bundled_feeder_path(name: str):

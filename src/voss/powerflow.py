@@ -219,7 +219,13 @@ class PowerFlowSolution:
         return abs(residual) / (self.model.base.power_kva * 1e3)
 
 
-_MODEL_ORDER = (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z, LoadModel.CONSTANT_I)
+# members as module globals, and the branch tables keyed by load model
+# value: a member read through its class, and a dict keyed by members,
+# run Python-level enum code per element (see voss.feeder)
+_WYE, _TRANSFORMER, _REGULATOR = Connection.WYE, SegmentKind.TRANSFORMER, SegmentKind.REGULATOR
+_MODEL_ORDER = tuple(m.value for m in (LoadModel.CONSTANT_PQ, LoadModel.CONSTANT_Z,
+                                        LoadModel.CONSTANT_I))
+_PQ = LoadModel.CONSTANT_PQ.value
 _BRANCH_ROW = [("element", int), ("a", int), ("b", int), ("s0", complex), ("v0", float)]
 
 
@@ -227,7 +233,7 @@ def _stacked_z(segs: list) -> np.ndarray:
     """The z_total() of each segment, stacked.  Each distinct per-mile
     matrix object becomes an array once and is scaled by a length vector:
     numpy's complex times float has the bits of Python's."""
-    scaled = [s.kind != SegmentKind.TRANSFORMER and s.z_per_mile is not None for s in segs]
+    scaled = [s.kind is not _TRANSFORMER and s.z_per_mile is not None for s in segs]
     table = {}  # id of a matrix -> its number and the matrix
     pick = [table.setdefault(id(z), (len(table), z))[0]
             for z in (s.z_per_mile if k else s.z_total() for s, k in zip(segs, scaled))]
@@ -250,34 +256,35 @@ class _Network:
 
     def __init__(self, model: FeederModel):
         src = model.source.node
-        self.phases = {src: model.node(src).phases}
-        self.bases = {src: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
-        self.first = {src: 0}
-        self.n_source = n = len(self.phases[src])
-        up, k, base = [0] * n, [1.0] * n, [self.bases[src]] * n
+        self.phases = phases = {src: model.node(src).phases}
+        self.bases = bases = {src: model.source.nominal_kv_ll * 1e3 / math.sqrt(3.0)}
+        self.first = first = {src: 0}
+        self.n_source = n = len(phases[src])
+        up, k, base = [0] * n, [1.0] * n, [bases[src]] * n
         ends, by_width = [n], {}  # ends: the first slot past each level
         self.links = []  # (segment, first slot of its to node), BFS order
         for level in model._levels:
             for seg in level:
-                at, width, b = len(up), len(seg.phases), self.bases[seg.from_node]
-                taps = (1.0,) * width
-                if seg.kind == SegmentKind.REGULATOR:
+                at, width, kind, frm = len(up), len(seg.phases), seg.kind, seg.from_node
+                b, taps = bases[frm], (1.0,) * width
+                if kind is _REGULATOR:
                     taps = seg.taps
-                elif seg.kind == SegmentKind.TRANSFORMER:
+                elif kind is _TRANSFORMER:
                     taps, b = (1.0 / seg.ratio,) * width, b / seg.ratio
-                upstream = self.phases[seg.from_node]
-                up += [self.first[seg.from_node] + upstream.index(p) for p in seg.phases]
+                upstream, at_from = phases[frm], first[frm]
+                up += [at_from + upstream.index(p) for p in seg.phases]
                 k += taps
                 base += [b] * width
                 self.links.append((seg, at))
-                self.phases[seg.to_node], self.bases[seg.to_node] = seg.phases, b
-                self.first[seg.to_node] = at
+                phases[seg.to_node], bases[seg.to_node], first[seg.to_node] = seg.phases, b, at
                 rows, segs = by_width.setdefault(width, ([], []))
                 rows.append(at)
                 segs.append(seg)
             ends.append(len(up))
         self.n_slots = len(up)
         self.up, self.k, self.base = np.array(up), np.array(k), np.array(base)
+        # the non-source slots, whose updates the mismatch compares
+        self.changed, self.changed_base = slice(n, self.n_slots), self.base[n:]
         self.link_of_slot = np.repeat(
             np.arange(len(self.links)), [len(seg.phases) for seg, _ in self.links]
         )
@@ -316,33 +323,36 @@ class _Network:
         for ld in model.loads:
             loads[ld.node].append(ld)
         self.shunt_va = 0j
-        self.elements = []  # (node, is a capacitor bank) of each drawing element
-        # (element, a, b, s0, v0) of each drawing branch, by load model
+        self.elements = elements = []  # (node, is a capacitor bank) of each drawing element
+        # (element, a, b, s0, v0) of each drawing branch, by load model value
         rows = {load_model: [] for load_model in _MODEL_ORDER}
-
-        def add(node, shunt, load_model, v0, branches):
-            live = [(len(self.elements), a, b, s0, v0) for a, b, s0 in branches if s0 != 0]
-            if live:
-                self.elements.append((node, shunt))
-                rows[load_model].extend(live)
-
+        into = model._seg_into
         for node, node_loads in loads.items():
+            seg = into.get(node)
+            shunt = None if seg is None else seg.shunt_kvar
+            if not node_loads and shunt is None:
+                continue  # a node without loads or a capacitor bank adds no element
             at, phases, base = self.first[node], self.phases[node], self.bases[node]
             slot = dict(zip(phases, range(at, at + len(phases))))
             slot[None] = ground
             for ld in node_loads:
-                wye = ld.conn == Connection.WYE
-                pairs = [(p, None) for p in ld.phases] if wye else ld.branches()
-                add(node, False, ld.model, base if wye else base * math.sqrt(3.0), [
-                    (slot[p], slot[q], (kw + 1j * kvar) * 1e3)
-                    for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
-                ])
-            seg = model.segment_into(node)
-            if seg is not None and seg.shunt_kvar is not None:
-                caps = [(slot[p], ground, -1j * (q * 1e3))
-                        for p, q in zip(seg.phases, seg.shunt_kvar)]
-                self.shunt_va += sum(s0 for _, _, s0 in caps)
-                add(node, True, LoadModel.CONSTANT_PQ, base, caps)
+                wye, e = ld.conn is _WYE, len(elements)
+                pairs = zip(ld.phases, itertools.repeat(None)) if wye else ld.branches()
+                v0 = base if wye else base * math.sqrt(3.0)
+                live = [(e, slot[p], slot[q], s0, v0)
+                        for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
+                        if (s0 := (kw + 1j * kvar) * 1e3) != 0]
+                if live:
+                    elements.append((node, False))
+                    rows[ld.model._value_] += live
+            if shunt is not None:
+                caps = [-1j * (q * 1e3) for q in shunt]
+                self.shunt_va += sum(caps)
+                live = [(len(elements), slot[p], ground, s0, base)
+                        for p, s0 in zip(seg.phases, caps) if s0 != 0]
+                if live:
+                    elements.append((node, True))
+                    rows[_PQ] += live
 
         # branches grouped by model, each model's in element order
         t = np.array([row for group in rows.values() for row in group], dtype=_BRANCH_ROW)
@@ -433,8 +443,8 @@ class _Network:
 
     def mismatch(self, v: np.ndarray, before: np.ndarray) -> float:
         """Largest voltage update of a non-source slot over its base."""
-        s = slice(self.n_source, self.n_slots)
-        return float(np.max(np.abs(v[s] - before[s]) / self.base[s], initial=0.0))
+        s = self.changed
+        return float((np.abs(v[s] - before[s]) / self.changed_base).max(initial=0.0))
 
     def settle(self, model: FeederModel, v: np.ndarray, i: np.ndarray) -> None:
         """Keep the state: ``v`` at every slot, and per link row r (slot
@@ -485,10 +495,8 @@ class _Network:
 def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFlowSolution:
     """Solve the feeder; raises PowerFlowError when sweeps do not settle."""
     if any(ld.segment is not None for ld in model.loads):
-        raise ValueError(
-            "model has distributed loads; apply expand_distributed_loads "
-            "(or an end-split) before solving"
-        )
+        raise ValueError("model has distributed loads; apply expand_distributed_loads "
+                         "(or an end-split) before solving")
 
     net = _Network(model)
     v = net.flat_start(model.source)
@@ -501,26 +509,19 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
             mismatch = net.mismatch(v, before)
             trace.append(mismatch)
             if not math.isfinite(mismatch):
-                raise PowerFlowError(
-                    f"numerical blow-up after {iterations} sweeps", trace
-                )
+                raise PowerFlowError(f"numerical blow-up after {iterations} sweeps", trace)
             if mismatch < options.tol:
                 break
         else:
-            raise PowerFlowError(
-                f"no convergence in {options.max_iter} sweeps "
-                f"(last mismatch {mismatch:.3e} pu)",
-                trace,
-            )
+            raise PowerFlowError(f"no convergence in {options.max_iter} sweeps "
+                                 f"(last mismatch {mismatch:.3e} pu)", trace)
 
     # one more backward pass so currents are consistent with the
     # converged voltages, then assemble flows and totals
     e = net.injections(v)
     net.settle(model, v, net.currents(e))
     src = model.source.node
-    total_source = sum(
-        (sum(net.flow(s).s_from) for s in model.segments_from(src)), 0j
-    )
+    total_source = sum((sum(net.flow(s).s_from) for s in model.segments_from(src)), 0j)
     total_load = 0j
     for (node, shunt), drawn in zip(net.elements, net.drawn(v, e)):
         if shunt:

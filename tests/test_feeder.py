@@ -7,12 +7,14 @@ import math
 from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import document_of, json_values
+from test_powerflow import _bits, radial_feeders
 from voss import feeder as feeder_module
 from voss.benchmark import solve_end_split
 from voss.feeder import (
@@ -23,6 +25,7 @@ from voss.feeder import (
     LoadModel,
     NodeDef,
     NotRadialError,
+    SegmentDef,
     SegmentKind,
     bundled_feeder_path,
     expand_distributed_loads,
@@ -114,6 +117,63 @@ def test_round_trip_serialization_is_identity(ieee13, ieee34):
         doc = document_of(model)
         assert doc["load_scale"] == 1.0
         assert parse_feeder_dict(doc) == model
+
+
+def _read_kind(value):
+    """minimal_doc with segment b-c of kind value, given the keys that kind needs."""
+    doc = minimal_doc()
+    seg = doc["segments"][1]
+    kind = value.value if isinstance(value, SegmentKind) else value
+    if kind == "transformer":
+        for key in ("length", "unit", "z_ohm_per_mile"):
+            del seg[key]
+        seg.update(ratio=2.0, series_z_ohm=[0.1, 0.2])
+    if kind == "regulator":
+        seg["taps"] = [1.0]
+    seg["kind"] = value
+    return doc, lambda model: model.segment("b-c").kind, "segments[1] (id=b-c) kind"
+
+
+def _read_conn(value):
+    """minimal_doc with load dist-ab (phases AB) of conn value."""
+    doc = minimal_doc()
+    doc["loads"][1]["conn"] = value
+    if value in ("delta", Connection.DELTA):  # one AB branch
+        doc["loads"][1].update(kw=[6.0], kvar=[2.0])
+    return doc, lambda model: model.loads[1].conn, "loads[1] (id=dist-ab) conn"
+
+
+def _read_model(value):
+    doc = minimal_doc()
+    doc["loads"][1]["model"] = value
+    return doc, lambda model: model.loads[1].model, "loads[1] (id=dist-ab) model"
+
+
+# each enum the reader reads, with the choices its message lists
+ENUM_READS = [(SegmentKind, _read_kind, "'line', 'transformer', 'regulator'"),
+              (Connection, _read_conn, "'wye', 'delta'"),
+              (LoadModel, _read_model, "'pq', 'z', 'i'")]
+
+
+@pytest.mark.parametrize("enum,read,choices", ENUM_READS, ids=["kind", "conn", "model"])
+@pytest.mark.parametrize("value", ["wrong", "LINE", 1, 1.0, True, None, [], {}, [1], {"a": 1}])
+def test_an_enum_value_no_member_has_fails_as_enum_call_does(enum, read, choices, value):
+    with pytest.raises(ValueError):  # Enum(value) names no member either
+        enum(value)
+    doc, _, ctx = read(value)
+    with pytest.raises(FeederFormatError) as err:  # never a TypeError, for [] and {} too
+        parse_feeder_dict(doc)
+    assert str(err.value) == f"expected one of {choices}, got {value!r} [{ctx}]"
+    assert err.value.context == ctx
+
+
+@pytest.mark.parametrize("enum,read,choices", ENUM_READS, ids=["kind", "conn", "model"])
+def test_each_member_value_reads_as_its_member(enum, read, choices):
+    for member in enum:
+        # a member itself, in a document built in Python, reads as Enum(member) does
+        for value in (member.value, member):
+            doc, field, _ = read(value)
+            assert field(parse_feeder_dict(doc)) is enum(value) is member
 
 
 def test_length_units_convert_to_miles():
@@ -364,6 +424,95 @@ def test_rewrites_leave_spot_only_models_unchanged(ieee13):
     )
     assert expand_distributed_loads(spot_only) == spot_only
     assert split_distributed_loads_to_ends(spot_only) == spot_only
+
+
+def _expand_by_replace(model):
+    """expand_distributed_loads as dataclasses.replace states it: each new
+    element is an old one with the named fields changed."""
+    dist_by_seg = {}
+    for ld in model.loads:
+        if ld.segment is not None:
+            dist_by_seg.setdefault(ld.segment, []).append(ld)
+    nodes, segments = list(model.nodes), []
+    loads = [ld for ld in model.loads if ld.segment is None]
+    for seg in model.segments:
+        if seg.id not in dist_by_seg:
+            segments.append(seg)
+            continue
+        mid = f"{seg.id}~mid"
+        nodes.append(NodeDef(id=mid, phases=seg.phases))
+        half = seg.length_miles / 2.0
+        segments.append(replace(seg, id=f"{seg.id}~a", to_node=mid, length_miles=half,
+                                shunt_kvar=None))
+        segments.append(replace(seg, id=f"{seg.id}~b", from_node=mid, length_miles=half))
+        loads += [replace(ld, node=mid, segment=None) for ld in dist_by_seg[seg.id]]
+    return replace(model, nodes=tuple(nodes), segments=tuple(segments), loads=tuple(loads))
+
+
+def _split_by_replace(model):
+    """split_distributed_loads_to_ends as dataclasses.replace states it."""
+    loads = []
+    for ld in model.loads:
+        if ld.segment is None:
+            loads.append(ld)
+            continue
+        seg = model.segment(ld.segment)
+        for tag, node in (("from", seg.from_node), ("to", seg.to_node)):
+            loads.append(replace(ld, id=f"{ld.id}~{tag}", node=node, segment=None,
+                                 kw=tuple(x / 2.0 for x in ld.kw),
+                                 kvar=tuple(x / 2.0 for x in ld.kvar)))
+    return replace(model, loads=tuple(loads))
+
+
+def _field_bits(model):
+    """Every field of the model and of each of its elements, floats and
+    complex numbers as their bit patterns."""
+    return [(f.name, _bits(getattr(model, f.name))) for f in fields(FeederModel)
+            if f.name not in ("nodes", "segments", "loads")] + [
+        (section, [(type(x), [(f.name, _bits(getattr(x, f.name))) for f in fields(x)])
+                   for x in getattr(model, section)])
+        for section in ("nodes", "segments", "loads")
+    ]
+
+
+def _assert_rewrites_match_their_replace_oracle(model):
+    """Each rewrite builds its oracle's model field for field and bit for
+    bit, and that model runs one whole FeederModel pass."""
+    assert any(ld.segment is not None for ld in model.loads)
+    check, checked = FeederModel.__post_init__, []
+
+    def spy(self):
+        check(self)
+        checked.append(self)
+
+    for rewrite, oracle in ((expand_distributed_loads, _expand_by_replace),
+                            (split_distributed_loads_to_ends, _split_by_replace)):
+        with mock.patch.object(FeederModel, "__post_init__", spy):
+            out = rewrite(model)
+        assert len(checked) == 1 and checked.pop() is out
+        assert _field_bits(out) == _field_bits(oracle(model))
+
+
+def test_rewrites_build_their_replace_oracles_on_the_bundled_feeders(ieee13, ieee34,
+                                                                     ieee34_stressed):
+    for model in (ieee13, ieee34, ieee34_stressed):
+        _assert_rewrites_match_their_replace_oracle(model)
+    # the midpoint rewrite of ieee13 in full: ids, halves, the ~mid node
+    # and the shunt bank left on the far half
+    out = expand_distributed_loads(ieee13)
+    seg = ieee13.segment("632-671")
+    assert out.node("632-671~mid") == NodeDef("632-671~mid", seg.phases)
+    assert out.segment("632-671~a") == SegmentDef(
+        "632-671~a", "632", "632-671~mid", seg.phases, seg.kind, seg.length_miles / 2.0,
+        seg.z_per_mile, seg.ratio, seg.series_z_ohm, seg.taps, None)
+    assert out.segment("632-671~b") == replace(
+        seg, id="632-671~b", from_node="632-671~mid", length_miles=seg.length_miles / 2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_feeders())
+def test_rewrites_build_their_replace_oracles_on_random_trees(doc):
+    _assert_rewrites_match_their_replace_oracle(parse_feeder_dict(doc))
 
 
 def test_model_lookups(ieee13):
