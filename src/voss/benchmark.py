@@ -17,18 +17,15 @@ tap-free line the per-phase true loss fraction equals the phasor
 voltage-drop fraction exactly, so the single-segment study's errors are
 governed purely by the small-angle bound.
 
-Every path applies ``clamped_correction`` of the power ratio rho_s
-(simulated by default, or a supplied engineering estimate for
-multi-segment paths) and the voltage ratio rho_v, the policy the sensor
-curves and ``voss_corrected`` use.
-
 A study compares all its paths in one call, on the solution's state
-arrays: each ComparisonRow field is one array column, with one
-``clamped_correction`` call for every row.  Each column keeps the bits
-of the scalar arithmetic, row by row: magnitudes and angles are
-``estimator.magnitude`` and ``estimator.angle`` (the bits of ``abs()``
-and ``cmath.phase``), and a path's segment losses are added one segment
-at a time in path order, never by a pairwise ``np.sum``.
+arrays: each ComparisonRow field is one array column.  One call of
+``estimator.voss_estimate``, the policy of the sensor curves and
+``voss_corrected``, gives every row's estimate, and one call of
+``estimator.small_angle_error_bound`` every angle bound.  Each column
+keeps the bits of the scalar arithmetic, row by row: magnitudes and
+angles are ``estimator.magnitude`` and ``estimator.angle`` (the bits of
+``abs()`` and ``cmath.phase``), and a path's segment losses are added
+one segment at a time in path order, never by a pairwise ``np.sum``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import EstimateFlag, angle, check_rho, clamped_correction, magnitude
+from .estimator import (EstimateFlag, check_rho, magnitude, small_angle_error_bound,
+                        voss_estimate)
 from .feeder import FeederModel, SegmentKind, split_distributed_loads_to_ends
 from .ioutil import FLOAT_FORMAT, write_csv
 from .powerflow import PowerFlowSolution, SolveOptions, solve
@@ -54,6 +52,22 @@ _LINE = SegmentKind.LINE  # a member read through its class costs Python-level e
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One phase of one path; the fields are the comparison CSV's columns.
+
+    line_or_path is the line's segment id or "head-tail".  voss_single is
+    the raw drop 1 - rho_v, c_hat the clamped correction factor of rho_s
+    and rho_v, and voss_corrected their product (``voss_estimate``).
+    true_loss is path truth, abs_error |voss_corrected - true_loss| (NaN
+    on excluded rows), angle_bound ``small_angle_error_bound`` of the end
+    phasors, rho_v = |V tail|/|V head|, and rho_s the supplied power
+    ratio or the simulated P(tail)/P(head).  reason holds one value:
+    NearZeroPower on an excluded row, which wins over NegativeDrop (a
+    negative raw drop), else "".  It never holds CorrectionOutOfRange: a
+    clamped factor shows only in c_hat and the rho columns.  Under a
+    simulated rho_s, rho_s and c_hat (so voss_corrected too) are NaN
+    where the head's real power is 0.
+    """
+
     feeder: str
     line_or_path: str
     phase: str
@@ -82,16 +96,14 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
     """ComparisonRow columns of contiguous paths, given as (label, segments).
 
     A path has one row per phase of its head segment, in that segment's
-    phase-string order, that every segment of the path carries.  Endpoint
-    voltage magnitudes give the uncorrected estimate; rho_s (None:
-    simulated from the head and tail flows) and rho_v from the same
-    endpoints give the correction, in one ``clamped_correction`` call.
-    True loss is |sum of the segments' series dissipation|, added in path
-    order, over |input power| on the phase, so power delivered to
-    intermediate taps is not counted as loss.  Input power below
-    NEAR_ZERO_POWER_FRACTION of the feeder power base excludes the row;
-    zero input power always does, also where that threshold underflows to
-    0 (a base below about 1.2e-321 kVA), and gives a NaN true loss.
+    phase-string order, that every segment of the path carries.  rho_s
+    None is simulated from the head and tail flows.  True loss is |sum of
+    the segments' series dissipation|, added in path order, over |input
+    power| on the phase, so power delivered to intermediate taps is not
+    counted as loss.  Input power below NEAR_ZERO_POWER_FRACTION of the
+    feeder power base excludes the row; zero input power always does,
+    also where that threshold underflows to 0 (a base below about
+    1.2e-321 kVA), and gives a NaN true loss.
     """
     slots = solution.slots
     labels, phases, members = [], [], []
@@ -123,21 +135,18 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
         else:
             rho_s = np.array([rho_s] * len(labels), dtype=float)
     excluded = (s_in == 0) | (s_in_va < near_zero_va)
-    voss = 1.0 - rho_v
-    c_hat = clamped_correction(rho_s, rho_v)[0]
-    corrected = c_hat * voss
-    dtheta = np.where(v2 != 0, angle(v2) - angle(v1), 0.0)
+    voss, c_hat, corrected, negative, _ = voss_estimate(rho_v, rho_s)
     # A rising endpoint voltage (capacitor support, light phase) makes
     # the estimate negative; the small-angle error bound holds only for
     # non-rising pairs, so such rows carry an annotation.
     reason = [EstimateFlag.NEAR_ZERO_POWER.value if out else
               EstimateFlag.NEGATIVE_DROP.value if rise else ""
-              for out, rise in zip(excluded.tolist(), (voss < 0.0).tolist())]
+              for out, rise in zip(excluded.tolist(), negative.tolist())]
     return dict(
         feeder=[solution.model.name] * len(labels), line_or_path=labels, phase=phases,
         voss_single=voss, c_hat=c_hat, voss_corrected=corrected, true_loss=true_loss,
         abs_error=np.where(excluded, np.nan, np.abs(corrected - true_loss)),
-        angle_bound=2.0 * rho_v * np.abs(np.sin(dtheta / 2.0)),
+        angle_bound=small_angle_error_bound(v1, v2),
         rho_s=rho_s, rho_v=rho_v, excluded=excluded, reason=reason,
     )
 

@@ -4,18 +4,19 @@ The core estimate for one line segment is the relative voltage drop
 ``1 - v_end/v_start`` computed from voltage magnitudes alone.  For a line
 with distributed extraction along its length the drop overestimates the
 loss fraction; a correction factor derived from the ratio of power and
-voltage at the two ends scales the estimate back.
+voltage at the two ends scales the estimate back.  ``voss_estimate`` is
+that policy, written once: the studies, the sensor curves, voss_single
+and voss_corrected take their estimates from it.
 
 All functions here are pure and operate on plain floats/complex numbers;
-rho_from_ratios, clamp_rho, clamped_correction and voss_elementwise also
-take numpy arrays, and magnitude and angle take only those.  All are safe
-to call concurrently.
+rho_from_ratios, clamp_rho, clamped_correction, voss_estimate,
+small_angle_error_bound, magnitude and angle also take numpy arrays.
+All are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -73,10 +74,10 @@ class SegmentVoltages:
     v_end: float
 
     def __post_init__(self) -> None:
-        _check_ends(self.v_start, self.v_end)
+        check_ends(self.v_start, self.v_end)
 
 
-def _check_ends(v_start, v_end) -> None:
+def check_ends(v_start, v_end) -> None:
     """v_start finite and > 0, v_end finite and >= 0; scalars or numpy arrays."""
     if not np.all((0.0 < v_start) & (v_start < np.inf)):
         raise ValueError(f"v_start must be finite and > 0, got {v_start}")
@@ -129,23 +130,20 @@ _phase = np.frompyfunc(cmath.phase, 1, 1)
 
 
 def angle(z: np.ndarray) -> np.ndarray:
-    """cmath.phase of each element, as a float array.
+    """cmath.phase of each element, as a float array (a float for a complex).
 
     Not ``np.angle`` or ``np.arctan2``: they differed from cmath.phase on
     7% of 200,000 random complexes, so each element goes through
     cmath.phase itself.
     """
-    return _phase(z).astype(float)
+    phase = _phase(z)
+    return phase.astype(float) if isinstance(phase, np.ndarray) else phase
 
 
 def voss_single(seg: SegmentVoltages) -> float:
-    """Relative voltage drop across one segment, from magnitudes only.
-
-    Computed as ``1 - v_end/v_start`` rather than via squared magnitudes,
-    which avoids cancellation for small drops.  Negative when the end
-    voltage exceeds the start voltage; callers flag, never clamp.
-    """
-    return 1.0 - seg.v_end / seg.v_start
+    """Relative voltage drop across one segment, from magnitudes only:
+    voss_estimate's raw drop of the ratio v_end/v_start."""
+    return voss_estimate(seg.v_end / seg.v_start)[0]
 
 
 def loss_fraction_exact(v_start: complex, v_end: complex) -> float:
@@ -162,18 +160,20 @@ def loss_fraction_exact(v_start: complex, v_end: complex) -> float:
     return abs(v_start - v_end) / mag
 
 
-def small_angle_error_bound(v_start: complex, v_end: complex) -> float:
+def small_angle_error_bound(v_start, v_end):
     """Upper bound on |loss_fraction_exact - voss_single| for one segment.
 
     The bound is 2 * (|v_end|/|v_start|) * |sin(dtheta/2)| where dtheta is
     the angle difference across the segment.  It holds whenever
-    |v_end| <= |v_start| (the normal direction of power flow).
+    |v_end| <= |v_start| (the normal direction of power flow).  Takes two
+    complexes, or two complex arrays element by element; magnitudes and
+    angles are ``magnitude`` and ``angle``.
     """
-    v1 = abs(v_start)
-    if v1 == 0.0:
+    v1 = magnitude(v_start)
+    if (v1 == 0.0).any():
         raise ValueError("v_start must be nonzero")
-    dtheta = cmath.phase(v_end) - cmath.phase(v_start) if v_end != 0 else 0.0
-    return 2.0 * (abs(v_end) / v1) * abs(math.sin(dtheta / 2.0))
+    dtheta = angle(v_end) - angle(v_start)
+    return 2.0 * (magnitude(v_end) / v1) * np.abs(np.sin(dtheta / 2.0))
 
 
 def correction_factor(rho: float) -> float:
@@ -249,36 +249,29 @@ def clamped_correction(rho_s, rho_v) -> tuple:
     return _c(clamp_rho(rho)), out_of_range
 
 
-def voss_corrected(seg: SegmentVoltages, params: CorrectionParams) -> LossEstimate:
-    """Corrected voltage-only loss estimate for a segment with extraction.
+def voss_estimate(rho_v, rho_s=None, correction_rho_v=None) -> tuple:
+    """(raw drop, factor, loss fraction, NEGATIVE_DROP mask,
+    CORRECTION_OUT_OF_RANGE mask) of voltage ratios rho_v = v_end/v_start.
 
-    Multiplies the raw drop by ``clamped_correction`` of ``params``.
-    Flags NEGATIVE_DROP when the raw drop is negative and
-    CORRECTION_OUT_OF_RANGE when the inferred leakage fraction falls
-    outside [0, 1]; in both cases the value is still reported.
+    The raw drop is ``1 - rho_v`` (no squared magnitudes: no cancellation
+    for small drops); a negative one is flagged, never clamped.  With no
+    rho_s, the factor is 1.0, the mask False and the loss the raw drop
+    itself; else ``clamped_correction`` of rho_s and correction_rho_v
+    (default rho_v) gives the factor and the mask, and the loss is factor
+    times raw drop.  Floats or numpy arrays, with the same bits either way.
     """
-    raw = voss_single(seg)
-    c_hat, out_of_range = clamped_correction(params.rho_s, params.rho_v)
-    flags = {EstimateFlag.NEGATIVE_DROP} if raw < 0.0 else set()
-    if out_of_range:
-        flags.add(EstimateFlag.CORRECTION_OUT_OF_RANGE)
-    return LossEstimate(float(c_hat * raw), frozenset(flags))
-
-
-def voss_elementwise(v_start, v_end, rho_s: Optional[float] = None) -> tuple:
-    """voss_single, or voss_corrected with this rho_s, over arrays of pairs.
-
-    v_start and v_end are numpy arrays of endpoint magnitudes; rho_v is
-    v_end/v_start per element.  Returns (loss fractions, NEGATIVE_DROP
-    mask, CORRECTION_OUT_OF_RANGE mask).  Each element equals the scalar
-    function's result on the same pair bit for bit, and _check_ends
-    rejects what SegmentVoltages rejects.
-    """
-    _check_ends(v_start, v_end)
-    rho_v = v_end / v_start
     raw = 1.0 - rho_v
-    negative = raw < 0.0
     if rho_s is None:
-        return raw, negative, np.zeros_like(negative)
-    c_hat, out_of_range = clamped_correction(rho_s, rho_v)
-    return c_hat * raw, negative, out_of_range
+        return raw, 1.0, raw, raw < 0.0, False
+    rho_v = rho_v if correction_rho_v is None else correction_rho_v
+    factor, out_of_range = clamped_correction(rho_s, rho_v)
+    return raw, factor, factor * raw, raw < 0.0, out_of_range
+
+
+def voss_corrected(seg: SegmentVoltages, params: CorrectionParams) -> LossEstimate:
+    """``voss_estimate`` of one segment's drop, corrected by the factor of
+    the ratios in ``params``, with its flags; a flagged value is still
+    reported."""
+    _, _, loss, *masks = voss_estimate(seg.v_end / seg.v_start, params.rho_s, params.rho_v)
+    flags = (EstimateFlag.NEGATIVE_DROP, EstimateFlag.CORRECTION_OUT_OF_RANGE)
+    return LossEstimate(float(loss), frozenset(f for f, on in zip(flags, masks) if on))

@@ -34,17 +34,12 @@ them (a field past csv.field_size_limit() too).  The checked rows are
 kept as sensor code, epoch_us and volts arrays; one stable sort by
 (sensor, time) at the end drops repeated timestamps and cuts out the
 series.
-``loss_curve`` splits off outage readings, calibrates and
-median-smooths each sensor once, however many pairs it belongs to.  It
-shares work between pairs by one rule: a pair whose grid equals the
-previous pair's takes that pair's downstream nearest samples as its
-upstream ones, and its timestamp text; a pair on any other grid makes
-both anew.  So the curve writer formats only the loss and flag columns,
-and a curve built by hand gets its timestamp text when it is written.
-The array kernels (rolling median, nearest sample, grid, timestamp
-parsing and rounding) and the conversions between datetimes and epoch
-microseconds are in ``voss.timeseries``, the elementwise estimate in
-``voss.estimator``.
+``loss_curve`` smooths each sensor once, however many pairs it belongs
+to, and shares one grid's lookups and timestamp text between adjacent
+pairs by the one rule its docstring states.  The array kernels (rolling
+median, nearest sample, grid, timestamp parsing and rounding) and the
+conversions between datetimes and epoch microseconds are in
+``voss.timeseries``, the estimate policy in ``voss.estimator``.
 
 Each setting has one rule, applied on every way in: _check_scale (nominal
 voltage and calibration, finite and > 0) in VoltageSeries and ingest_csv,
@@ -77,7 +72,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimator import EstimateFlag, check_rho, voss_elementwise
+from .estimator import EstimateFlag, check_ends, check_rho, voss_estimate
 from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import (
@@ -708,9 +703,9 @@ def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float]
     )
     bits[gap] = GAP_BIT + SUSPECT_BIT * near_outage
     paired = ~gap
-    loss[paired], negative, out_of_range = voss_elementwise(
-        v_a[paired], v_b[paired], rho_s
-    )
+    v_up, v_down = v_a[paired], v_b[paired]
+    check_ends(v_up, v_down)  # a calibration may underflow volts to 0
+    _, _, loss[paired], negative, out_of_range = voss_estimate(v_down / v_up, rho_s)
     bits[paired] = NEGATIVE_BIT * negative + RANGE_BIT * out_of_range
     return LossCurve(up_id, down_id, seconds_to_us(grid), loss, bits)
 
@@ -733,8 +728,9 @@ def loss_curve(
     carry Gap; negative drops are reported and flagged, never clamped.
     rolling_median checks window_s and align the grid_step_s and
     tolerance_s, each by check_seconds; a window_s of 0 is no smoothing.
-    A pair whose grid equals the previous pair's shares its downstream
-    nearest samples and its timestamp cells; other pairs make their own.
+    A pair whose grid equals the previous pair's takes that pair's
+    downstream nearest samples as its upstream ones, and its timestamp
+    cells; other pairs make their own.
     """
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:

@@ -1,5 +1,6 @@
 """Feeder-wide comparison studies: row inventory, exclusions, corrections."""
 
+import cmath
 import math
 import re
 import runpy
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_powerflow import RESIDUAL, REWRITES, _bits, radial_feeders
+from test_powerflow import RESIDUAL, REWRITES, _bits, assert_drop_identity, radial_feeders
 from voss.benchmark import (
     COMPARISON_HEADER,
     NEAR_ZERO_POWER_FRACTION,
@@ -30,7 +31,6 @@ from voss.estimator import (
     clamped_correction,
     correction_factor,
     rho_from_ratios,
-    small_angle_error_bound,
 )
 from voss.feeder import (
     SegmentKind,
@@ -290,6 +290,17 @@ def test_one_segment_paths_match_single_study(request, feeder, solved):
             assert got == want or (got != got and want != want), field.name
 
 
+@pytest.mark.parametrize("feeder,solved", [
+    ("ieee13", "solved13"), ("ieee34", "solved34"), ("ieee34_stressed", "solved34_stressed"),
+])
+def test_every_bundled_line_row_meets_the_drop_identity(request, feeder, solved):
+    model, sol = request.getfixturevalue(feeder), request.getfixturevalue(solved)
+    for row in run_single_segment_study(model, solution=sol):
+        seg = model.segment(row.line_or_path)
+        assert_drop_identity(
+            row, sol.voltage(seg.from_node, row.phase), sol.voltage(seg.to_node, row.phase))
+
+
 def test_rows_follow_the_head_segment_phase_order(two_bus):
     model = two_bus(
         kw=[30.0, 20.0], kvar=[10.0, 5.0], r_ohm=0.4, x_ohm=0.8, phases="CA"
@@ -337,9 +348,12 @@ def _scalar_compare_path(solution, label, segs, near_zero_fraction, rho_s):
         c_hat = float(clamped_correction(row_rho_s, rho_v)[0])
         corrected = c_hat * voss
         abs_error = math.nan if excluded else abs(corrected - true_loss)
+        # the angle bound as small_angle_error_bound defines it, in scalars
+        dtheta = cmath.phase(v2) - cmath.phase(v1) if v2 != 0 else 0.0
+        bound = 2.0 * rho_v * abs(math.sin(dtheta / 2.0))
         rows.append(ComparisonRow(
             model.name, label, ph, voss, c_hat, corrected, true_loss, abs_error,
-            small_angle_error_bound(v1, v2), row_rho_s, rho_v, excluded, reason))
+            bound, row_rho_s, rho_v, excluded, reason))
     return rows
 
 

@@ -28,6 +28,7 @@ from voss.estimator import (
     rho_from_ratios,
     small_angle_error_bound,
     voss_corrected,
+    voss_estimate,
     voss_single,
 )
 
@@ -226,6 +227,46 @@ def test_clamped_correction_passes_nan_and_rejects_bad_voltage_ratio():
     for rho_v in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="rho_v"):
             clamped_correction(0.5, rho_v)
+
+
+@given(
+    rho_v=st.floats(min_value=1e-3, max_value=1.5),
+    rho_s=st.one_of(st.none(), st.floats(min_value=-2.0, max_value=2.0)),
+)
+def test_estimate_policy_has_the_same_bits_on_floats_and_arrays(rho_v, rho_s):
+    # (raw drop, factor, loss, NEGATIVE_DROP mask, CORRECTION_OUT_OF_RANGE mask)
+    scalar = voss_estimate(rho_v, rho_s)
+    array = voss_estimate(np.array([rho_v]), rho_s)
+    for got, want in zip(array, scalar):
+        assert np.broadcast_to(got, (1,))[0] == want
+    raw, factor, loss, negative, out_of_range = scalar
+    assert raw == 1.0 - rho_v and negative == (raw < 0.0)
+    if rho_s is None:
+        # no correction: the raw drop itself, not a product with 1
+        assert (factor, out_of_range) == (1.0, False) and array[2] is array[0]
+    else:
+        assert (factor, out_of_range) == clamped_correction(rho_s, rho_v)
+        assert loss == factor * raw
+
+
+def test_corrected_estimate_takes_the_correction_ratio_from_its_params():
+    # the drop is the segment's; the factor is that of the params' rho_v
+    seg = SegmentVoltages(240.0, 228.0)
+    est = voss_corrected(seg, CorrectionParams(rho_s=0.5, rho_v=0.8))
+    factor = clamped_correction(0.5, 0.8)[0]
+    assert est.loss_fraction == factor * voss_single(seg) and not est.flags
+
+
+@given(st.lists(st.tuples(
+    st.builds(cmath.rect, magnitudes, angles),
+    st.one_of(st.just(0j), st.builds(cmath.rect, magnitudes, angles)),
+), min_size=1, max_size=10))
+def test_angle_bound_takes_complex_arrays_element_by_element(pairs):
+    v1, v2 = (np.array(column, dtype=complex) for column in zip(*pairs))
+    bounds = small_angle_error_bound(v1, v2)
+    assert bounds.tolist() == [float(small_angle_error_bound(a, b)) for a, b in pairs]
+    with pytest.raises(ValueError, match="v_start must be nonzero"):
+        small_angle_error_bound(np.append(v1, 0j), np.append(v2, 1.0))
 
 
 PAYLOAD_NAN = float(np.array([0x7FF8000000000001]).view(np.float64)[0])

@@ -29,7 +29,7 @@ from voss.estimator import (
     EstimateFlag,
     SegmentVoltages,
     voss_corrected,
-    voss_elementwise,
+    voss_estimate,
     voss_single,
 )
 from voss import sensors
@@ -951,6 +951,21 @@ def chain_curves(up_vals, down_vals, rho_s=None, window_s=60.0, **series_kw):
     return loss_curve(chain, data, window_s=window_s)
 
 
+def test_volts_a_calibration_underflows_to_zero_fail_the_ends_rule():
+    # 1e-200 V read through a 1e-200 calibration is 0 V: upstream, the
+    # ends' rule (SegmentVoltages's) rejects the pair before any ratio;
+    # downstream, 0 V is a whole drop
+    tiny = dict(nominal_voltage=1e-200, calibration=1e-200)
+    with pytest.raises(ValueError, match="v_start must be finite and > 0"):
+        loss_curve(SensorChain(("up", "down"), (None,)),
+                   {"up": series("up", [1e-200] * 3, **tiny),
+                    "down": series("down", [1e-200] * 3, nominal_voltage=1e-200)})
+    (curve,) = loss_curve(SensorChain(("up", "down"), (None,)),
+                          {"up": series("up", [1e-200] * 3, nominal_voltage=1e-200),
+                           "down": series("down", [1e-200] * 3, **tiny)})
+    assert curve.loss_fraction.tolist() == [1.0, 1.0, 1.0]
+
+
 def test_identical_series_give_exactly_zero():
     (curve,) = chain_curves([230.0, 231.0, 229.5], [230.0, 231.0, 229.5])
     assert [p.loss_fraction for p in curve.points] == [0.0, 0.0, 0.0]
@@ -1102,7 +1117,7 @@ def test_each_curve_of_a_chain_is_its_pair_alone():
         assert curve.timestamp_us.tolist() == [round(t * 1e6) for t in grid.tolist()]
         paired = ~(np.isnan(v_a) | np.isnan(v_b))
         assert np.isnan(curve.loss_fraction[~paired]).all()
-        loss = voss_elementwise(v_a[paired], v_b[paired], rho_s)[0]
+        loss = voss_estimate(v_b[paired] / v_a[paired], rho_s)[2]
         assert np.array_equal(curve.loss_fraction[paired], loss)
 
 
