@@ -5,13 +5,15 @@ The core estimate for one line segment is the relative voltage drop
 with distributed extraction along its length the drop overestimates the
 loss fraction; a correction factor derived from the ratio of power and
 voltage at the two ends scales the estimate back.  ``voss_estimate`` is
-that policy, written once: the studies, the sensor curves, voss_single
-and voss_corrected take their estimates from it.
+that policy, written once, the only entry to the clamped correction:
+the studies and the sensor curves call it with rho_s, voss_single takes
+its raw drop, and voss_corrected calls it twice (the factor of its
+params, the drop of its segment).
 
 All functions here are pure and operate on plain floats/complex numbers;
-rho_from_ratios, clamp_rho, clamped_correction, voss_estimate,
-small_angle_error_bound, magnitude and angle also take numpy arrays.
-All are safe to call concurrently.
+rho_from_ratios, clamp_rho, voss_estimate, small_angle_error_bound,
+magnitude and angle also take numpy arrays, and first_broken_rule takes
+them only.  All are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def correction_factor_hat(params: CorrectionParams) -> float:
 
     Algebraically identical to ``correction_factor(1 - rho_s/rho_v)`` when
     the inferred leakage fraction is in range; the estimates use
-    ``clamped_correction``, and this ratio form is kept as its reference.
+    ``voss_estimate``'s clamped factor, and this ratio form is its reference.
     """
     rho_s, rho_v = params.rho_s, params.rho_v
     rho_from_ratios(rho_s, rho_v)  # the rho_v > 0 rule
@@ -209,7 +211,7 @@ def rho_from_ratios(rho_s, rho_v):
     """Leakage fraction ``1 - rho_s/rho_v`` from power and voltage ratios.
 
     rho_v must be > 0.  Unclamped: noise or model mismatch can push it
-    outside [0, 1] (see ``clamped_correction``).  Takes numpy arrays too.
+    outside [0, 1] (see ``voss_estimate``).  Takes numpy arrays too.
     """
     if not np.all(np.greater(rho_v, 0.0)):
         raise ValueError(f"rho_v must be > 0, got {np.min(rho_v)}")
@@ -232,46 +234,48 @@ def check_rho(rho, name: str = "rho") -> Optional[float]:
     return number
 
 
-def clamped_correction(rho_s, rho_v) -> tuple:
-    """The correction policy: (factor, out-of-range mask) from the ratios.
-
-    The leakage fraction ``rho_from_ratios(rho_s, rho_v)`` goes through
-    ``clamp_rho`` before evaluating c(rho) = 1 - rho(3 - 2 rho)/(6 - 3 rho).
-    Angle effects on extraction-free paths land rho epsilon-negative, and
-    the clamp turns those into an exact factor of 1 instead of one
-    slightly above.  A rho outside [0, 1] (the model does not fit) is
-    marked in the mask and gets the clamped factor, 1 below the range and
-    2/3 above it (rho_s <= 0).  A NaN rho_s gives NaN.  Takes scalars or
-    numpy arrays, with the same bits per element either way.
-    """
-    rho = rho_from_ratios(rho_s, rho_v)
-    out_of_range = ~((0.0 <= rho) & (rho <= 1.0))
-    return _c(clamp_rho(rho)), out_of_range
-
-
-def voss_estimate(rho_v, rho_s=None, correction_rho_v=None) -> tuple:
+def voss_estimate(rho_v, rho_s=None) -> tuple:
     """(raw drop, factor, loss fraction, NEGATIVE_DROP mask,
     CORRECTION_OUT_OF_RANGE mask) of voltage ratios rho_v = v_end/v_start.
 
     The raw drop is ``1 - rho_v`` (no squared magnitudes: no cancellation
     for small drops); a negative one is flagged, never clamped.  With no
     rho_s, the factor is 1.0, the mask False and the loss the raw drop
-    itself; else ``clamped_correction`` of rho_s and correction_rho_v
-    (default rho_v) gives the factor and the mask, and the loss is factor
-    times raw drop.  Floats or numpy arrays, with the same bits either way.
+    itself.  Else the factor is c(rho) = 1 - rho(3 - 2 rho)/(6 - 3 rho) of
+    the leakage fraction ``rho_from_ratios(rho_s, rho_v)`` clamped into
+    [0, 1] by ``clamp_rho``, and the loss is factor times raw drop.  The
+    clamp turns the epsilon-negative rho of angle effects on
+    extraction-free paths into an exact factor of 1.  A rho outside
+    [0, 1] (the model does not fit) is marked in the mask and gets the
+    clamped factor, 1 below the range and 2/3 above it (rho_s <= 0); a
+    NaN rho_s gives NaN.  Floats or numpy arrays, same bits either way.
     """
     raw = 1.0 - rho_v
     if rho_s is None:
         return raw, 1.0, raw, raw < 0.0, False
-    rho_v = rho_v if correction_rho_v is None else correction_rho_v
-    factor, out_of_range = clamped_correction(rho_s, rho_v)
-    return raw, factor, factor * raw, raw < 0.0, out_of_range
+    rho = rho_from_ratios(rho_s, rho_v)
+    factor = _c(clamp_rho(rho))
+    return raw, factor, factor * raw, raw < 0.0, ~((0.0 <= rho) & (rho <= 1.0))
+
+
+def first_broken_rule(v_start, v_end, rho_s=None) -> Optional[tuple]:
+    """(index, message) of the first ends in two arrays that check_ends, or
+    voss_estimate of their ratio with rho_s, refuses; None if none.  Runs
+    element by element: for error paths only."""
+    for k, (start, end) in enumerate(zip(v_start.tolist(), v_end.tolist())):
+        try:
+            check_ends(start, end)
+            voss_estimate(end / start, rho_s)
+        except ValueError as exc:
+            return k, str(exc)
 
 
 def voss_corrected(seg: SegmentVoltages, params: CorrectionParams) -> LossEstimate:
-    """``voss_estimate`` of one segment's drop, corrected by the factor of
-    the ratios in ``params``, with its flags; a flagged value is still
-    reported."""
-    _, _, loss, *masks = voss_estimate(seg.v_end / seg.v_start, params.rho_s, params.rho_v)
-    flags = (EstimateFlag.NEGATIVE_DROP, EstimateFlag.CORRECTION_OUT_OF_RANGE)
-    return LossEstimate(float(loss), frozenset(f for f, on in zip(flags, masks) if on))
+    """One segment's raw drop (``voss_estimate`` of its ratio), times the
+    factor ``voss_estimate`` gives the ratios in ``params``, with its
+    flags; a flagged value is still reported."""
+    _, factor, _, _, out_of_range = voss_estimate(params.rho_v, params.rho_s)
+    raw, _, _, negative, _ = voss_estimate(seg.v_end / seg.v_start)
+    flags = ((EstimateFlag.NEGATIVE_DROP, negative),
+             (EstimateFlag.CORRECTION_OUT_OF_RANGE, out_of_range))
+    return LossEstimate(float(factor * raw), frozenset(f for f, on in flags if on))

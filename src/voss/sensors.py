@@ -15,25 +15,17 @@ timestamps in epoch microseconds, loss fractions, and flag bits.  The
 object views (``VoltageSeries.samples``, ``LossCurve.points``) are
 built only when read.
 
-Ingest reads the file in blocks of about INGEST_BLOCK_BYTES, cut at any
-line break csv.reader knows (LF, CRLF or CR), and decodes each block
-itself, so an undecodable byte is reported with its line; each chunk of
-a line longer than a block is scanned for a line end once.  The block's
-bytes, not a re-encoding of its text, are scanned once: a block with
-no quote, no CR and exactly two commas on every line not blank is cut
-into three columns with str.split.  A file with a bad field count,
-quoting, CR line ends or a line longer in bytes than
-csv.field_size_limit() (no field has more characters than its line has
-bytes) is read by one csv.reader from the first such block on.  Both
-routes check the header with one helper and give the columns the same
-checks, once per block: ids are stripped, new timestamp strings are
-parsed (canonical ones as arrays), and voltages are converted and
-range-checked as arrays.
-A failure names the first bad record, numbered as csv.reader counts
-them (a field past csv.field_size_limit() too).  The checked rows are
-kept as sensor code, epoch_us and volts arrays; one stable sort by
-(sensor, time) at the end drops repeated timestamps and cuts out the
-series.
+Ingest (the file format and its two routes are in
+docs/sensor_chain_schema.md) reads the file in blocks of about
+INGEST_BLOCK_BYTES cut at line ends, and decodes each block itself, so
+an undecodable byte is reported with its line.  A block of plain
+three-field lines is cut into columns with str.split; from the first
+other block on (quoting, CR ends, another field count, or a line longer
+in bytes than csv.field_size_limit()), one csv.reader reads the rest.
+Both routes give the columns the same checks, once per block, and a
+failure names the first bad record as csv.reader numbers it.  One
+stable sort by (sensor, time) at the end drops repeated timestamps and
+cuts out the series.
 ``loss_curve`` smooths each sensor once, however many pairs it belongs
 to, and shares one grid's lookups and timestamp text between adjacent
 pairs by the one rule its docstring states.  The array kernels (rolling
@@ -72,7 +64,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimator import EstimateFlag, check_ends, check_rho, voss_estimate
+from .estimator import EstimateFlag, check_ends, check_rho, first_broken_rule, voss_estimate
 from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import (
@@ -303,10 +295,7 @@ class SensorChain:
 
     def pairs(self) -> list:
         """(upstream, downstream, rho_s) per adjacent pair, feeder order."""
-        return [
-            (self.sensor_ids[i], self.sensor_ids[i + 1], self.rho_s[i])
-            for i in range(len(self.sensor_ids) - 1)
-        ]
+        return list(zip(self.sensor_ids, self.sensor_ids[1:], self.rho_s))
 
 
 @dataclass(frozen=True)
@@ -704,8 +693,13 @@ def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float]
     bits[gap] = GAP_BIT + SUSPECT_BIT * near_outage
     paired = ~gap
     v_up, v_down = v_a[paired], v_b[paired]
-    check_ends(v_up, v_down)  # a calibration may underflow volts to 0
-    _, _, loss[paired], negative, out_of_range = voss_estimate(v_down / v_up, rho_s)
+    try:  # a calibration may underflow volts to 0
+        check_ends(v_up, v_down)
+        _, _, loss[paired], negative, out_of_range = voss_estimate(v_down / v_up, rho_s)
+    except ValueError:
+        k, rule = first_broken_rule(v_up, v_down, rho_s)
+        when = us_to_datetime(int(seconds_to_us(grid[paired][k])))
+        raise ValueError(f"pair {up_id!r}->{down_id!r} at {when}: {rule}") from None
     bits[paired] = NEGATIVE_BIT * negative + RANGE_BIT * out_of_range
     return LossCurve(up_id, down_id, seconds_to_us(grid), loss, bits)
 

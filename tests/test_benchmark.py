@@ -28,7 +28,6 @@ from voss.benchmark import (
 from voss.estimator import (
     EstimateFlag,
     clamp_rho,
-    clamped_correction,
     correction_factor,
     rho_from_ratios,
 )
@@ -345,7 +344,10 @@ def _scalar_compare_path(solution, label, segs, near_zero_fraction, rho_s):
         if row_rho_s is None:
             p_out = last.s_to[last.phases.index(ph)].real
             row_rho_s = math.nan if s_in.real == 0.0 else p_out / s_in.real
-        c_hat = float(clamped_correction(row_rho_s, rho_v)[0])
+        # the clamped correction as voss_estimate defines it, in scalars:
+        # rho into [0, 1] (NaN stays NaN), then c(rho)
+        rho = min(max(float(rho_from_ratios(row_rho_s, rho_v)), 0.0), 1.0)
+        c_hat = 1.0 - rho * (3.0 - 2.0 * rho) / (6.0 - 3.0 * rho)
         corrected = c_hat * voss
         abs_error = math.nan if excluded else abs(corrected - true_loss)
         # the angle bound as small_angle_error_bound defines it, in scalars

@@ -380,6 +380,27 @@ def test_an_overflowing_calibrated_reading_fails_even_where_no_pair_reads_it(tmp
     assert not out_dir.exists()
 
 
+def test_a_calibrated_reading_that_underflows_to_zero_names_its_pair_and_instant(
+        tmp_path, capsys):
+    # b's second reading, times b's calibration, is 0 V: the pair's
+    # power ratio makes its voltage ratio 0, which the estimate refuses
+    rows = [f"{sid},2024-03-12T00:0{2 * k}:00Z,{v}"
+            for k, v in enumerate(["1", "1e-200", "1"]) for sid in "ab"]
+    readings = tmp_path / "in.csv"
+    readings.write_text("\n".join(["sensor_id,timestamp,voltage_v", *rows, ""]))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "sensors": ["a", "b"], "nominal_voltage_v": 1e-200, "calibration": {"b": 1e-200},
+        "pairs": [{"upstream": "a", "downstream": "b", "rho_s": 0.8}],
+        "smoothing_window_s": 0}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "sensors", str(readings), str(chain), "--out-dir", str(out_dir))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("error: pair 'a'->'b' at 2024-03-12 00:02:00+00:00: "
+                   "rho_v must be > 0, got 0.0\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [

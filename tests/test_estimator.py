@@ -8,6 +8,7 @@ why rising-voltage pairs are outside it.
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from voss.estimator import (
     SegmentVoltages,
     angle,
     clamp_rho,
-    clamped_correction,
     correction_factor,
     correction_factor_hat,
+    first_broken_rule,
     loss_fraction_exact,
     magnitude,
     rho_from_ratios,
@@ -214,19 +215,19 @@ def test_out_of_range_leakage_gets_the_clamped_factor():
     rho_v=st.floats(min_value=1e-3, max_value=1.5),
 )
 def test_clamped_correction_is_the_closed_form_of_the_clamped_fraction(rho_s, rho_v):
-    factor, out_of_range = clamped_correction(rho_s, rho_v)
+    _, factor, _, _, out_of_range = voss_estimate(rho_v, rho_s)
     rho = rho_from_ratios(rho_s, rho_v)
     assert factor == correction_factor(clamp_rho(rho))
     assert out_of_range == (not 0.0 <= rho <= 1.0)
-    array_factor, array_mask = clamped_correction(np.array([rho_s]), np.array([rho_v]))
+    _, array_factor, _, _, array_mask = voss_estimate(np.array([rho_v]), np.array([rho_s]))
     assert array_factor[0] == factor and array_mask[0] == out_of_range
 
 
 def test_clamped_correction_passes_nan_and_rejects_bad_voltage_ratio():
-    assert math.isnan(clamped_correction(math.nan, 0.95)[0])
+    assert math.isnan(voss_estimate(0.95, math.nan)[1])
     for rho_v in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="rho_v"):
-            clamped_correction(0.5, rho_v)
+            voss_estimate(rho_v, 0.5)
 
 
 @given(
@@ -245,16 +246,73 @@ def test_estimate_policy_has_the_same_bits_on_floats_and_arrays(rho_v, rho_s):
         # no correction: the raw drop itself, not a product with 1
         assert (factor, out_of_range) == (1.0, False) and array[2] is array[0]
     else:
-        assert (factor, out_of_range) == clamped_correction(rho_s, rho_v)
-        assert loss == factor * raw
+        rho = rho_from_ratios(rho_s, rho_v)
+        assert factor == correction_factor(clamp_rho(rho))
+        assert out_of_range == (not 0.0 <= rho <= 1.0) and loss == factor * raw
 
 
 def test_corrected_estimate_takes_the_correction_ratio_from_its_params():
     # the drop is the segment's; the factor is that of the params' rho_v
     seg = SegmentVoltages(240.0, 228.0)
     est = voss_corrected(seg, CorrectionParams(rho_s=0.5, rho_v=0.8))
-    factor = clamped_correction(0.5, 0.8)[0]
+    factor = voss_estimate(0.8, 0.5)[1]
     assert est.loss_fraction == factor * voss_single(seg) and not est.flags
+
+
+def _float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+ends = {
+    "v_start": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "v_end": st.floats(min_value=0.0, allow_infinity=False),
+}
+
+
+@given(
+    **ends,
+    rho_s=st.one_of(st.none(), st.just(math.nan), st.floats(min_value=-2.0, max_value=2.0)),
+    rho_v=st.floats(min_value=0.0, max_value=1.5, exclude_min=True),
+)
+@example(v_start=240.0, v_end=228.0, rho_s=0.99, rho_v=0.95)
+@example(v_start=228.0, v_end=240.0, rho_s=-0.2, rho_v=0.95)
+@example(v_start=1.0, v_end=0.0, rho_s=math.nan, rho_v=5e-324)
+def test_corrected_estimate_is_the_clamped_closed_form_bit_for_bit(v_start, v_end, rho_s, rho_v):
+    # the drop is the segment's own; the factor is that of the params'
+    # ratios, whatever the segment's ratio; both written out here
+    with np.errstate(over="ignore"):  # rho_s / rho_v may overflow to inf
+        est = voss_corrected(SegmentVoltages(v_start, v_end), CorrectionParams(rho_s, rho_v))
+    raw = 1.0 - v_end / v_start
+    if rho_s is None:
+        factor, out_of_range = 1.0, False
+    else:
+        rho = 1.0 - rho_s / rho_v
+        clamped = min(max(rho, 0.0), 1.0)
+        factor = 1.0 - clamped * (3.0 - 2.0 * clamped) / (6.0 - 3.0 * clamped)
+        out_of_range = not 0.0 <= rho <= 1.0
+    assert _float_bits(est.loss_fraction) == _float_bits(factor * raw)
+    assert est.has_flag(EstimateFlag.NEGATIVE_DROP) == (raw < 0.0)
+    assert est.has_flag(EstimateFlag.CORRECTION_OUT_OF_RANGE) == out_of_range
+    assert len(est.flags) == (raw < 0.0) + out_of_range
+
+
+@given(
+    **ends,
+    rho_s=st.one_of(st.just(math.nan), st.floats(min_value=-2.0, max_value=2.0)),
+    rho_v=st.one_of(st.just(math.nan), st.floats(max_value=0.0)),
+)
+def test_corrected_estimate_rejects_a_params_voltage_ratio_not_above_zero(
+        v_start, v_end, rho_s, rho_v):
+    with pytest.raises(ValueError, match="rho_v must be > 0"):
+        voss_corrected(SegmentVoltages(v_start, v_end), CorrectionParams(rho_s, rho_v))
+
+
+def test_first_broken_rule_names_the_first_ends_a_rule_refuses():
+    # a 0 V end passes the ends' rule but breaks the ratio's once rho_s is given
+    v_start, v_end = np.array([1.0, 2.0, 0.0, 2.0]), np.array([0.5, 0.0, 1.0, 1.0])
+    assert first_broken_rule(v_start, v_end) == (2, "v_start must be finite and > 0, got 0.0")
+    assert first_broken_rule(v_start, v_end, 0.5) == (1, "rho_v must be > 0, got 0.0")
+    assert first_broken_rule(v_start[:2], v_end[:2]) is None
 
 
 @given(st.lists(st.tuples(

@@ -308,6 +308,26 @@ def test_field_past_csv_limit_fails_with_its_line(tmp_path, second, needle):
         ingest_csv(path)
 
 
+def test_csv_limit_bounds_a_field_not_a_line(tmp_path):
+    # a record whose three fields each fit the limit is a reading, though
+    # its line is longer in bytes than the limit; one field past it fails
+    pad = " " * 60_000
+    head = "sensor_id,timestamp,voltage_v\ns1,2024-03-12T00:00:00Z,230\n"
+    tail = "\ns1,2024-03-12T00:04:00Z,232\n"
+    path = tmp_path / "long.csv"
+    path.write_text(f"{head}{pad}s1,{pad}2024-03-12T00:02:00Z,231{pad}{tail}")
+    assert path.stat().st_size == 180_114 > 3 * 60_000 > csv.field_size_limit()
+    with mock.patch.object(sensors.csv, "reader", wraps=csv.reader) as reader:
+        got = ingest_csv(path)
+    assert reader.call_count == 1
+    assert got == reference_ingest(path) and got[0].volts.tolist() == [230.0, 231.0, 232.0]
+    path.write_text(f"{head}s1,2024-03-12T00:02:00Z,{' ' * csv.field_size_limit()}231{tail}")
+    with pytest.raises(SensorFormatError) as err:
+        ingest_csv(path)
+    assert (err.value.line, str(err.value)) == (
+        3, f"line 3: field larger than field limit ({csv.field_size_limit()})")
+
+
 def test_undecodable_header_fails_on_line_one(tmp_path):
     path = tmp_path / "header.csv"
     path.write_bytes(codecs.BOM_UTF8 + b"sensor_id,times\xe9tamp,voltage_v\n")
@@ -956,14 +976,44 @@ def test_volts_a_calibration_underflows_to_zero_fail_the_ends_rule():
     # ends' rule (SegmentVoltages's) rejects the pair before any ratio;
     # downstream, 0 V is a whole drop
     tiny = dict(nominal_voltage=1e-200, calibration=1e-200)
-    with pytest.raises(ValueError, match="v_start must be finite and > 0"):
+    with pytest.raises(ValueError) as exc:
         loss_curve(SensorChain(("up", "down"), (None,)),
                    {"up": series("up", [1e-200] * 3, **tiny),
                     "down": series("down", [1e-200] * 3, nominal_voltage=1e-200)})
+    assert str(exc.value) == ("pair 'up'->'down' at 2024-03-12 00:00:00+00:00: "
+                              "v_start must be finite and > 0, got 0.0")
     (curve,) = loss_curve(SensorChain(("up", "down"), (None,)),
                           {"up": series("up", [1e-200] * 3, nominal_voltage=1e-200),
                            "down": series("down", [1e-200] * 3, **tiny)})
     assert curve.loss_fraction.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("rho_s", [None, 0.8])
+def test_a_volt_that_underflows_upstream_names_its_pair_and_first_instant(rho_s):
+    # only the second reading underflows; unsmoothed, it is the second
+    # grid point that breaks the rule
+    with pytest.raises(ValueError) as exc:
+        loss_curve(SensorChain(("up", "down"), (rho_s,)),
+                   {"up": series("up", [1.0, 1e-200, 1e-200], nominal_voltage=1e-200,
+                                 calibration=1e-200),
+                    "down": series("down", [1e-200] * 3, nominal_voltage=1e-200)},
+                   window_s=0.0)
+    assert str(exc.value) == ("pair 'up'->'down' at 2024-03-12 00:02:00+00:00: "
+                              "v_start must be finite and > 0, got 0.0")
+
+
+def test_a_volt_that_underflows_downstream_breaks_the_ratio_rule_with_a_power_ratio():
+    # without rho_s a 0 V end is a whole drop (above); with one, the
+    # voltage ratio 0 breaks rho_from_ratios's rule
+    tiny = dict(nominal_voltage=1e-200, calibration=1e-200)
+    with pytest.raises(ValueError) as exc:
+        loss_curve(SensorChain(("up", "mid", "down"), (None, 0.8)),
+                   {"up": series("up", [1.0] * 3, nominal_voltage=1e-200),
+                    "mid": series("mid", [1.0] * 3, nominal_voltage=1e-200),
+                    "down": series("down", [1.0, 1.0, 1e-200], **tiny)},
+                   window_s=0.0)
+    assert str(exc.value) == ("pair 'mid'->'down' at 2024-03-12 00:04:00+00:00: "
+                              "rho_v must be > 0, got 0.0")
 
 
 def test_identical_series_give_exactly_zero():

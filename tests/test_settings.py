@@ -19,7 +19,7 @@ import pytest
 
 from voss.benchmark import run_multi_segment_study
 from voss.cli import EXIT_USAGE, build_parser
-from voss.estimator import clamp_rho, clamped_correction, correction_factor
+from voss.estimator import clamp_rho, correction_factor, voss_estimate
 from voss.feeder import (
     bundled_feeder_path,
     parse_feeder,
@@ -219,6 +219,6 @@ def test_every_way_in_applies_the_one_rule(tmp_path, feeder, name, value, accept
 
 def test_clamp_rho_keeps_nan_as_the_correction_does():
     assert math.isnan(clamp_rho(NAN))
-    assert math.isnan(clamped_correction(NAN, 0.9)[0])
+    assert math.isnan(voss_estimate(0.9, NAN)[1])
     got = clamp_rho(np.array([-0.5, 0.25, NAN, 2.0]))
     assert np.array_equal(got, [0.0, 0.25, NAN, 1.0], equal_nan=True)
