@@ -5,7 +5,9 @@ multiplied by one scalar, chosen so the multi-segment study lands inside
 the acceptance windows around the reference loss table
 (800-814: 0.28/0.19/0.18, 816-822 A: 0.073 est / 0.078 true,
 828-854: 0.058/0.060/0.055; each +-0.03 absolute or +-25% relative,
-whichever is looser).  Run:
+whichever is looser).  Each candidate scale k is read as the 34-node
+document with "load_scale": k, so it scales the loads by the feeder
+format's own rule, as the fixture's does.  Run:
 
     python scripts/calibrate_load_scale.py
 
@@ -13,15 +15,15 @@ then copy the reported best scale into STRESSED_LOAD_SCALE in
 scripts/make_feeders.py and regenerate the fixtures.
 """
 
+import json
 import pathlib
 import sys
-from dataclasses import replace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from voss.benchmark import run_multi_segment_study, solve_end_split  # noqa: E402
-from voss.feeder import bundled_feeder_path, parse_feeder  # noqa: E402
+from voss.feeder import bundled_feeder_path, parse_feeder_dict  # noqa: E402
 from voss.powerflow import PowerFlowError, SolveOptions  # noqa: E402
 
 PATHS = [("800", "814"), ("816", "822"), ("828", "854")]
@@ -44,19 +46,7 @@ def window(target):
     return lo, hi
 
 
-def scaled(model, k):
-    loads = tuple(
-        replace(
-            ld,
-            kw=tuple(x * k for x in ld.kw),
-            kvar=tuple(x * k for x in ld.kvar),
-        )
-        for ld in model.loads
-    )
-    return replace(model, loads=loads)
-
-
-def evaluate(model, k):
+def evaluate(doc, k):
     """Feasibility per the acceptance semantics.
 
     Window checks on the multi-segment and true columns; c_hat <= 1 on
@@ -68,7 +58,7 @@ def evaluate(model, k):
     uncorrected estimate overshoots true by more than 5e-3 the
     correction must strictly reduce the error.
     """
-    model = scaled(model, k)
+    model = parse_feeder_dict({**doc, "load_scale": k})
     solution = solve_end_split(model, SolveOptions())
     rows = run_multi_segment_study(model, PATHS, solution=solution)
     cells = {(r.line_or_path, r.phase): r for r in rows}
@@ -99,12 +89,12 @@ def evaluate(model, k):
 
 
 def main():
-    model = parse_feeder(bundled_feeder_path("ieee34.feeder"))
+    doc = json.loads(bundled_feeder_path("ieee34.feeder").read_text(encoding="utf-8"))
     results = []
     k = 2.0
     while k <= 4.0001:
         try:
-            feasible, sq, detail = evaluate(model, k)
+            feasible, sq, detail = evaluate(doc, k)
         except PowerFlowError as exc:
             print(f"k={k:.2f}: solver failed ({exc})")
             k += 0.1
@@ -124,7 +114,7 @@ def main():
     while k <= best[2] + 0.1001:
         if k > 0:
             try:
-                feasible, sq, detail = evaluate(model, k)
+                feasible, sq, detail = evaluate(doc, k)
                 fine.append((feasible, sq, k, detail))
             except PowerFlowError:
                 pass

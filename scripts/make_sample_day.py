@@ -84,21 +84,18 @@ def main() -> None:
     chain_path = DATA_DIR / "sample_chain.json"
     chain_path.write_text(json.dumps(CHAIN, indent=1) + "\n")
 
-    config = parse_chain_config(chain_path)
+    chain = parse_chain_config(chain_path)
     series = {
         s.sensor_id: s
         for s in ingest_csv(
             csv_path,
-            nominal_voltage=config.nominal_voltage_v,
-            calibration=config.calibration,
+            nominal_voltage=chain.nominal_voltage_v,
+            calibration=chain.calibration,
         )
     }
     print(f"wrote {csv_path.name}: {sum(len(s.samples) for s in series.values())} samples, "
           f"{sum(s.duplicates_dropped for s in series.values())} duplicate dropped")
-    for curve in loss_curve(series=series, chain=config.chain,
-                            window_s=config.smoothing_window_s,
-                            grid_step_s=config.grid_step_s,
-                            tolerance_s=config.tolerance_s):
+    for curve in loss_curve(chain, series):
         flag_counts: dict = {}
         for p in curve.points:
             for f in p.flags:

@@ -37,7 +37,6 @@ from .feeder import (
 )
 from .line_oracle import sweep_rho
 from .sensors import (
-    ChainConfig,
     LossCurve,
     SensorChain,
     SensorFormatError,
@@ -55,7 +54,6 @@ from .powerflow import (
 )
 
 __all__ = [
-    "ChainConfig",
     "ComparisonRow",
     "CorrectionParams",
     "EstimateFlag",

@@ -206,11 +206,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sensors(args) -> int:
-    config = parse_chain_config(args.chain_config)
+    chain = parse_chain_config(args.chain_config)
     series_list = ingest_csv(
         args.data_csv,
-        nominal_voltage=config.nominal_voltage_v,
-        calibration=config.calibration,
+        nominal_voltage=chain.nominal_voltage_v,
+        calibration=chain.calibration,
     )
     series = {s.sensor_id: s for s in series_list}
     for s in series_list:
@@ -219,13 +219,7 @@ def cmd_sensors(args) -> int:
                 f"note: {s.sensor_id}: dropped {s.duplicates_dropped} "
                 f"duplicate timestamp(s), kept first"
             )
-    curves = loss_curve(
-        config.chain,
-        series,
-        window_s=config.smoothing_window_s,
-        grid_step_s=config.grid_step_s,
-        tolerance_s=config.tolerance_s,
-    )
+    curves = loss_curve(chain, series)
     out = _out_dir(args)
     for curve in curves:
         path = write_loss_curve_csv(curve, out)

@@ -37,10 +37,11 @@ Each setting has one rule, applied on every way in: _check_scale (nominal
 voltage and calibration, finite and > 0) in VoltageSeries and ingest_csv,
 timeseries.check_seconds (window, grid step, tolerance) in rolling_median
 and align, estimator.check_rho for rho_s.  Each reads its value through
-ioutil.json_number, so a bool or a string is not a number.  ChainConfig's
-fields give the chain config's keys, defaults and rules, and the config
-hands every present value to its rule.  A VoltageSeries and a LossCurve
-check their own rules (see their docstrings) however they are built.
+ioutil.json_number, so a bool or a string is not a number.  SensorChain's
+fields give the chain config's keys, defaults and rules, and
+parse_chain_config hands every present value to its rule.  A
+VoltageSeries and a LossCurve check their own rules (see their
+docstrings) however they are built.
 
 Scaling both series of a pair by the same factor leaves the curve
 unchanged; for power-of-two factors the output is bit-identical, since
@@ -56,7 +57,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from functools import partial
 from pathlib import Path
@@ -254,18 +255,30 @@ class VoltageSeries(_ArrayRecord):
 _CURVE_FILE = "loss_curve_{}_{}.csv"  # of the upstream and downstream ids
 
 
+def _setting(default: float, rule, name: str):
+    """A SensorChain number with its default, checked by rule under name."""
+    return field(default=default, metadata={"rule": partial(rule, name)})
+
+
 @dataclass(frozen=True)
 class SensorChain:
-    """Sensors in feeder order with a power-ratio estimate per span.
+    """Sensors in feeder order, a power-ratio estimate per span, and the
+    settings ingest_csv and loss_curve read.
 
     rho_s has one entry per adjacent pair.  None means no engineering
     estimate is available and that span uses the raw uncorrected
     estimate.  Each pair's curve file must be a file of the output
-    directory, and no other pair's.
+    directory, and no other pair's.  A field's config key is its name
+    or "key"; a number's rule is checked where it is used.
     """
 
-    sensor_ids: tuple
-    rho_s: tuple = ()
+    sensor_ids: tuple = field(metadata={"key": "sensors"})
+    rho_s: tuple = field(default=(), metadata={"key": "pairs"})
+    nominal_voltage_v: float = _setting(NOMINAL_VOLTAGE, _check_scale, "nominal_voltage")
+    calibration: dict = field(default_factory=dict)
+    grid_step_s: float = _setting(GRID_STEP_S, check_seconds, "grid_step_s")
+    tolerance_s: float = _setting(PAIR_TOLERANCE_S, check_seconds, "tolerance_s")
+    smoothing_window_s: float = _setting(SMOOTHING_WINDOW_S, check_seconds, "window_s")
 
     def __post_init__(self) -> None:
         if len(self.sensor_ids) < 2:
@@ -704,13 +717,7 @@ def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float]
     return LossCurve(up_id, down_id, seconds_to_us(grid), loss, bits)
 
 
-def loss_curve(
-    chain: SensorChain,
-    series: dict,
-    window_s: float = SMOOTHING_WINDOW_S,
-    grid_step_s: float = GRID_STEP_S,
-    tolerance_s: float = PAIR_TOLERANCE_S,
-) -> list:
+def loss_curve(chain: SensorChain, series: dict) -> list:
     """One LossCurve per adjacent sensor pair of the chain.
 
     Per sensor, once: outage-suspect samples (below
@@ -720,27 +727,32 @@ def loss_curve(
     (corrected when the pair has a rho_s, raw otherwise).  Grid points
     lost to an outage reading carry PowerStateSuspect; unpaired points
     carry Gap; negative drops are reported and flagged, never clamped.
-    rolling_median checks window_s and align the grid_step_s and
-    tolerance_s, each by check_seconds; a window_s of 0 is no smoothing.
-    A pair whose grid equals the previous pair's takes that pair's
-    downstream nearest samples as its upstream ones, and its timestamp
-    cells; other pairs make their own.
+    The chain's window, grid step and tolerance meet rolling_median's
+    and align's rules (a window of 0 is no smoothing); a grid past
+    memory is a ValueError.  A pair whose grid equals the previous
+    pair's takes that pair's downstream nearest samples as its upstream
+    ones, and its timestamp cells; other pairs make their own.
     """
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:
         raise ValueError(f"sensors missing from series map: {missing}")
-    smoothed = {sid: _smoothed(series[sid], window_s) for sid in chain.sensor_ids}
+    step, tolerance_s = chain.grid_step_s, chain.tolerance_s
+    smoothed = {sid: _smoothed(series[sid], chain.smoothing_window_s) for sid in chain.sensor_ids}
     curves, last = [], (None, None)  # the last pair's grid, its downstream volts on it
     for up, dn, rho_s in chain.pairs():
         (smooth_up, outage_up), (smooth_dn, outage_dn) = smoothed[up], smoothed[dn]
-        grid = _pair_grid(smooth_up, smooth_dn, grid_step_s, tolerance_s)
-        # this pair's upstream sensor is the last pair's downstream one
-        shared = np.array_equal(grid, last[0])
-        v_up = last[1] if shared else _on_grid(smooth_up, grid, tolerance_s)
-        last = grid, _on_grid(smooth_dn, grid, tolerance_s)
-        curve = _pair_curve(grid, (up, outage_up, v_up), (dn, outage_dn, last[1]),
-                            rho_s, tolerance_s)
-        cells = curves[-1]._stamp_cells if shared else _timestamp_cells(curve.timestamp_us)
+        try:
+            grid = _pair_grid(smooth_up, smooth_dn, step, tolerance_s)
+            # this pair's upstream sensor is the last pair's downstream one
+            shared = np.array_equal(grid, last[0])
+            v_up = last[1] if shared else _on_grid(smooth_up, grid, tolerance_s)
+            last = grid, _on_grid(smooth_dn, grid, tolerance_s)
+            curve = _pair_curve(grid, (up, outage_up, v_up), (dn, outage_dn, last[1]),
+                                rho_s, tolerance_s)
+            cells = curves[-1]._stamp_cells if shared else _timestamp_cells(curve.timestamp_us)
+        except MemoryError:
+            raise ValueError(f"pair {up!r}->{dn!r}: the grid at step {step} s "
+                             "does not fit in memory") from None
         object.__setattr__(curve, "_stamp_cells", cells)
         curves.append(curve)
     return curves
@@ -800,33 +812,7 @@ def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
     return path
 
 
-def _setting(default: float, rule, name: str):
-    """A ChainConfig number read from the key of its name, checked by rule."""
-    return field(default=default, metadata={"rule": partial(rule, name)})
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Parsed chain configuration: who to pair and with what settings.
-
-    Each field is read from the config key of its name, and chain from
-    the keys sensors and pairs.  A number field carries its default and
-    the rule of the library call it feeds.
-    """
-
-    chain: SensorChain = field(metadata={"keys": ("sensors", "pairs")})
-    nominal_voltage_v: float = _setting(
-        NOMINAL_VOLTAGE, _check_scale, "nominal_voltage"
-    )
-    calibration: dict = field(default_factory=dict)
-    grid_step_s: float = _setting(GRID_STEP_S, check_seconds, "grid_step_s")
-    tolerance_s: float = _setting(PAIR_TOLERANCE_S, check_seconds, "tolerance_s")
-    smoothing_window_s: float = _setting(SMOOTHING_WINDOW_S, check_seconds, "window_s")
-
-
-CHAIN_KEYS = frozenset(
-    key for f in fields(ChainConfig) for key in f.metadata.get("keys", (f.name,))
-)
+CHAIN_KEYS = frozenset(f.metadata.get("key", f.name) for f in fields(SensorChain))
 
 
 def _config_number(value, rule, where: str) -> float:
@@ -839,7 +825,7 @@ def _config_number(value, rule, where: str) -> float:
         raise SensorFormatError(f"{where}: {exc}") from None
 
 
-def parse_chain_config(path) -> ChainConfig:
+def parse_chain_config(path) -> SensorChain:
     """Read a JSON chain config (schema in docs/sensor_chain_schema.md).
 
     A leading UTF-8 byte-order mark is skipped.  JSON NaN and Infinity
@@ -923,7 +909,7 @@ def parse_chain_config(path) -> ChainConfig:
         f.name: _config_number(
             data.get(f.name, f.default), f.metadata["rule"], f"{context}: {f.name!r}"
         )
-        for f in fields(ChainConfig)
+        for f in fields(SensorChain)
         if "rule" in f.metadata
     }
-    return ChainConfig(chain, calibration=calibration, **settings)
+    return replace(chain, calibration=calibration, **settings)

@@ -68,9 +68,12 @@ def nearest_index(epochs: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
 def grid_points(start: float, end: float, step: float) -> np.ndarray:
     """Multiples k * step of the step inside [start, end], in epoch seconds."""
     # Grid points sit at absolute multiples of the step (UTC epoch), so
-    # runs over different but overlapping files share timestamps.
-    k0 = math.ceil(start / step - 1e-9)
-    k1 = math.floor(end / step + 1e-9)
+    # runs over different but overlapping files share timestamps.  The
+    # slack keeps a multiple that start / step rounds past; it is 1e-9
+    # step, but at most a microsecond, the resolution of a timestamp.
+    slack = min(1e-9, 1e-6 / step)
+    k0 = math.ceil(start / step - slack)
+    k1 = math.floor(end / step + slack)
     return np.arange(k0, k1 + 1, dtype=np.int64) * step
 
 

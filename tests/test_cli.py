@@ -337,6 +337,35 @@ def test_malformed_chain_config_is_an_input_error(tmp_path, capsys, edit):
     assert err.startswith("error:") and "wrote" not in out
 
 
+def test_a_grid_step_past_every_reading_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(Path(SAMPLE_CHAIN).read_text())
+    doc["grid_step_s"] = 1e19
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "sensors", SAMPLE_DAY, str(chain), "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT
+    assert out == "note: sensor-17: dropped 1 duplicate timestamp(s), kept first\n"
+    assert err == ("error: overlap of 'sensor-03' and 'sensor-17' contains no grid point "
+                   "at step 1e+19 s\n")
+    assert not out_dir.exists()
+
+
+def test_a_grid_too_large_for_memory_is_an_input_error(tmp_path, capsys):
+    # two readings 100 years apart at 1e-6 s ask for about 25 PB of grid,
+    # which a 64-bit address space refuses before a page is touched
+    readings = tmp_path / "century.csv"
+    readings.write_text("sensor_id,timestamp,voltage_v\n" + "".join(
+        f"{sid},{year}-03-12T00:00:00Z,230\n" for year in (2000, 2100) for sid in "ab"))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"sensors": ["a", "b"], "grid_step_s": 1e-6}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "sensors", str(readings), str(chain), "--out-dir", str(out_dir))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: pair 'a'->'b': the grid at step 1e-06 s does not fit in memory\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("scale,shown", [(0, "0.0"), (-1, "-1.0")])
 def test_load_scale_not_above_zero_is_an_input_error(tmp_path, capsys, scale, shown):
     doc = json.loads(bundled_feeder_path("ieee13.feeder").read_text())

@@ -12,7 +12,7 @@ import pytest
 
 from voss.cli import build_parser
 from voss.feeder import _KIND_KEYS, _SEGMENT_KEYS, SegmentKind
-from voss.sensors import CHAIN_KEYS, ChainConfig
+from voss.sensors import CHAIN_KEYS, SensorChain
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -128,7 +128,7 @@ def test_chain_config_key_table_lists_chain_config_keys_and_defaults():
     defaults = {key.strip("`"): default for key, default, _ in rows}
     assert set(defaults) == CHAIN_KEYS
     numbers = {
-        f.name: f.default for f in fields(ChainConfig) if isinstance(f.default, float)
+        f.name: f.default for f in fields(SensorChain) if isinstance(f.default, float)
     }
     assert sorted(numbers) == [
         "grid_step_s", "nominal_voltage_v", "smoothing_window_s", "tolerance_s"

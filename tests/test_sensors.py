@@ -32,13 +32,12 @@ from voss.estimator import (
     voss_estimate,
     voss_single,
 )
-from voss import sensors
+from voss import sensors, timeseries
 from voss.feeder import bundled_feeder_path
 from voss.sensors import (
     CSV_HEADER,
     CURVE_HEADER,
     FLAG_NAMES,
-    ChainConfig,
     CurvePoint,
     LossCurve,
     SensorChain,
@@ -963,12 +962,12 @@ def test_rolling_median_window_is_centered_and_inclusive():
 
 
 def chain_curves(up_vals, down_vals, rho_s=None, window_s=60.0, **series_kw):
-    chain = SensorChain(("up", "down"), (rho_s,))
+    chain = SensorChain(("up", "down"), (rho_s,), smoothing_window_s=window_s)
     data = {
         "up": series("up", up_vals, **series_kw),
         "down": series("down", down_vals, **series_kw),
     }
-    return loss_curve(chain, data, window_s=window_s)
+    return loss_curve(chain, data)
 
 
 def test_volts_a_calibration_underflows_to_zero_fail_the_ends_rule():
@@ -993,11 +992,10 @@ def test_a_volt_that_underflows_upstream_names_its_pair_and_first_instant(rho_s)
     # only the second reading underflows; unsmoothed, it is the second
     # grid point that breaks the rule
     with pytest.raises(ValueError) as exc:
-        loss_curve(SensorChain(("up", "down"), (rho_s,)),
+        loss_curve(SensorChain(("up", "down"), (rho_s,), smoothing_window_s=0.0),
                    {"up": series("up", [1.0, 1e-200, 1e-200], nominal_voltage=1e-200,
                                  calibration=1e-200),
-                    "down": series("down", [1e-200] * 3, nominal_voltage=1e-200)},
-                   window_s=0.0)
+                    "down": series("down", [1e-200] * 3, nominal_voltage=1e-200)})
     assert str(exc.value) == ("pair 'up'->'down' at 2024-03-12 00:02:00+00:00: "
                               "v_start must be finite and > 0, got 0.0")
 
@@ -1007,11 +1005,10 @@ def test_a_volt_that_underflows_downstream_breaks_the_ratio_rule_with_a_power_ra
     # voltage ratio 0 breaks rho_from_ratios's rule
     tiny = dict(nominal_voltage=1e-200, calibration=1e-200)
     with pytest.raises(ValueError) as exc:
-        loss_curve(SensorChain(("up", "mid", "down"), (None, 0.8)),
+        loss_curve(SensorChain(("up", "mid", "down"), (None, 0.8), smoothing_window_s=0.0),
                    {"up": series("up", [1.0] * 3, nominal_voltage=1e-200),
                     "mid": series("mid", [1.0] * 3, nominal_voltage=1e-200),
-                    "down": series("down", [1.0, 1.0, 1e-200], **tiny)},
-                   window_s=0.0)
+                    "down": series("down", [1.0, 1.0, 1e-200], **tiny)})
     assert str(exc.value) == ("pair 'mid'->'down' at 2024-03-12 00:04:00+00:00: "
                               "rho_v must be > 0, got 0.0")
 
@@ -1132,8 +1129,18 @@ def test_grid_step_below_a_microsecond_is_an_error(step):
     with pytest.raises(ValueError, match=needle):
         align(up, down, grid_step_s=step)
     with pytest.raises(ValueError, match=needle):
-        chain = SensorChain(("up", "down"))
-        loss_curve(chain, {"up": up, "down": down}, grid_step_s=step)
+        chain = SensorChain(("up", "down"), grid_step_s=step)
+        loss_curve(chain, {"up": up, "down": down})
+
+
+def test_a_grid_too_large_for_memory_names_its_pair_and_step():
+    # two samples 100 years apart at 1e-6 s ask for about 25 PB of grid,
+    # which a 64-bit address space refuses before a page is touched
+    century = 100 * 365.25 * 86400
+    data = {sid: series(sid, [230.0, 230.0], step_s=century) for sid in ("up", "down")}
+    with pytest.raises(ValueError) as exc:
+        loss_curve(SensorChain(("up", "down"), grid_step_s=1e-6), data)
+    assert str(exc.value) == "pair 'up'->'down': the grid at step 1e-06 s does not fit in memory"
 
 
 def test_each_curve_of_a_chain_is_its_pair_alone():
@@ -1194,14 +1201,39 @@ def write_config(tmp_path, doc):
 
 def test_chain_config_round_trip(tmp_path):
     cfg = parse_chain_config(write_config(tmp_path, good_config()))
-    assert cfg.chain.sensor_ids == ("a", "b", "c")
-    assert cfg.chain.rho_s == (0.8, None)
+    assert cfg.sensor_ids == ("a", "b", "c")
+    assert cfg.rho_s == (0.8, None)
     assert cfg.calibration == {"b": 1.01}
     assert (cfg.grid_step_s, cfg.tolerance_s, cfg.smoothing_window_s) == (
         120.0,
         60.0,
         600.0,
     )
+    assert cfg == SensorChain(("a", "b", "c"), (0.8, None), nominal_voltage_v=230.0,
+                              calibration={"b": 1.01}, grid_step_s=120, tolerance_s=60,
+                              smoothing_window_s=600)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # the chain, and with it the curve-file rules, before the number settings
+        (lambda d: d.update(sensors=["a/b", "b"], pairs=[], calibration={}, grid_step_s=-1),
+         "sensor id 'a/b' holds a path separator or NUL, "
+         "so 'loss_curve_a/b_b.csv' would not be a file of the output directory"),
+        # the calibration before the chain
+        (lambda d: d.update(sensors=["a/b", "b"], pairs=[], calibration={"a/b": None}),
+         "calibration for 'a/b' must be a number"),
+    ],
+    ids=["curve-file-before-setting", "calibration-before-curve-file"],
+)
+def test_chain_config_checks_in_its_documented_order(tmp_path, edit, message):
+    doc = good_config()
+    edit(doc)
+    path = write_config(tmp_path, doc)
+    with pytest.raises(SensorFormatError) as exc:
+        parse_chain_config(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -1286,8 +1318,8 @@ def test_chain_config_parser_fails_only_with_format_errors(doc):
             cfg = parse_chain_config(path)
         except SensorFormatError:
             return
-    assert isinstance(cfg, ChainConfig)
-    assert cfg.chain.sensor_ids == tuple(doc["sensors"])
+    assert isinstance(cfg, SensorChain)
+    assert cfg.sensor_ids == tuple(doc["sensors"])
     for value in (cfg.nominal_voltage_v, *cfg.calibration.values()):
         assert 0.0 < value < math.inf
     for value in (cfg.tolerance_s, cfg.smoothing_window_s):
@@ -1423,13 +1455,7 @@ def test_bundled_sample_day_pipeline():
     data = {s.sensor_id: s for s in got}
     assert sorted(data) == ["sensor-03", "sensor-17", "sensor-22"]
     assert data["sensor-17"].duplicates_dropped == 1
-    curves = loss_curve(
-        cfg.chain,
-        data,
-        window_s=cfg.smoothing_window_s,
-        grid_step_s=cfg.grid_step_s,
-        tolerance_s=cfg.tolerance_s,
-    )
+    curves = loss_curve(cfg, data)
     assert [(c.upstream, c.downstream) for c in curves] == [
         ("sensor-03", "sensor-17"),
         ("sensor-17", "sensor-22"),
@@ -1472,13 +1498,7 @@ def test_sample_day_curves_share_one_timestamp_table():
         nominal_voltage=cfg.nominal_voltage_v,
         calibration=cfg.calibration,
     )
-    curves, lookups, tables = traced(lambda: loss_curve(
-        cfg.chain,
-        {s.sensor_id: s for s in got},
-        window_s=cfg.smoothing_window_s,
-        grid_step_s=cfg.grid_step_s,
-        tolerance_s=cfg.tolerance_s,
-    ))
+    curves, lookups, tables = traced(lambda: loss_curve(cfg, {s.sensor_id: s for s in got}))
     assert curves[0]._stamp_cells is curves[1]._stamp_cells  # one grid, one text
     assert curves[0]._stamp_cells.size == 720
     assert (lookups, tables) == (3, 1)  # the interior sensor is looked up once
@@ -1499,8 +1519,9 @@ def chain_of(layout, step_s):
         data[sid] = series(
             sid, values, start=start + timedelta(seconds=first * step_s), step_s=step_s
         )
-    chain = SensorChain(tuple(layout), (0.5,) + (None,) * (len(layout) - 2))
-    return loss_curve(chain, data, window_s=0.0, grid_step_s=step_s, tolerance_s=step_s / 4)
+    chain = SensorChain(tuple(layout), (0.5,) + (None,) * (len(layout) - 2),
+                        grid_step_s=step_s, tolerance_s=step_s / 4, smoothing_window_s=0.0)
+    return loss_curve(chain, data)
 
 
 def staggered_chain(step_s):
@@ -1585,7 +1606,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
     assert got.samples == ((T0, 230.0),)
     chain = tmp_path / "chain.json"
     chain.write_bytes(codecs.BOM_UTF8 + json.dumps(good_config()).encode())
-    assert parse_chain_config(chain).chain.sensor_ids == ("a", "b", "c")
+    assert parse_chain_config(chain).sensor_ids == ("a", "b", "c")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1755,6 +1776,26 @@ def test_align_matches_linear_scan(data):
             assert (None if math.isnan(got) else got) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_grid_points_lie_in_their_bounds_up_to_rounding(data):
+    # whole-microsecond bounds within 2**52 us of 1970, any step from the
+    # least to far past the bounds, at most about 1000 points
+    step = data.draw(st.integers(-6, 19).flatmap(lambda e: st.floats(10.0**e, 10.0 ** (e + 1))))
+    start_us = data.draw(st.integers(-(2**52), 2**52))
+    end_us = start_us + data.draw(st.integers(0, min(10**12, int(step * 1e9))))
+    start, end = start_us / 1e6, end_us / 1e6
+    grid = timeseries.grid_points(start, end, step)
+    # a microsecond of slack, and the rounding of start / step and of k * step
+    rounding = 1e-6 + 4 * np.spacing(max(abs(start), abs(end)))
+    assert ((start - rounding <= grid) & (grid <= end + rounding)).all()
+    # where a slack of 1e-9 step alone gives points that all lie in
+    # [start, end], the grid is those points, bit for bit
+    ks = np.arange(math.ceil(start / step - 1e-9), math.floor(end / step + 1e-9) + 1)
+    if ((start <= ks * step) & (ks * step <= end)).all():
+        assert np.array_equal(grid, ks * step)
+
+
 def test_align_counts_samples_exactly_at_tolerance():
     t = T0 + timedelta(seconds=120)
     grid_side = series("a", [230.0] * 3)
@@ -1788,11 +1829,8 @@ def test_sub_second_grid_timestamps_match_fromtimestamp(start_us, step):
         "down": VoltageSeries("down", [(ts, 228.0) for ts in stamps]),
     }
     (curve,) = loss_curve(
-        SensorChain(("up", "down")),
+        SensorChain(("up", "down"), grid_step_s=step, tolerance_s=0.03, smoothing_window_s=0.0),
         data,
-        window_s=0.0,
-        grid_step_s=step,
-        tolerance_s=0.03,
     )
     first, last = epoch_us[0] / 1e6, epoch_us[-1] / 1e6
     ks = range(math.ceil(first / step - 1e-9), math.floor(last / step + 1e-9) + 1)

@@ -96,7 +96,12 @@ def study_multi(key):
 
 
 PAIR = {"upstream": "a", "downstream": "b"}
-CURVE = (SensorChain(("up", "down")), {"up": UP, "down": DOWN})
+
+
+def curve(**setting):
+    """loss_curve on one paired point, the chain holding the setting."""
+    return loss_curve(SensorChain(("up", "down"), **setting), {"up": UP, "down": DOWN})
+
 
 # setting -> (ways in, values accepted, values rejected)
 SETTINGS = {
@@ -165,7 +170,7 @@ SETTINGS = {
     "window_s": (
         [
             lambda v, ctx: rolling_median([0.0], [1.0], v),
-            lambda v, ctx: loss_curve(*CURVE, window_s=v),
+            lambda v, ctx: curve(smoothing_window_s=v),
             config(lambda d, v: d.update(smoothing_window_s=v)),
         ],
         [0.0, 600.0],
@@ -174,7 +179,7 @@ SETTINGS = {
     "grid_step_s": (
         [
             lambda v, ctx: align(UP, DOWN, grid_step_s=v),
-            lambda v, ctx: loss_curve(*CURVE, grid_step_s=v),
+            lambda v, ctx: curve(grid_step_s=v),
             config(lambda d, v: d.update(grid_step_s=v)),
         ],
         [1e-6, 120.0],
@@ -183,7 +188,7 @@ SETTINGS = {
     "tolerance_s": (
         [
             lambda v, ctx: align(UP, DOWN, tolerance_s=v),
-            lambda v, ctx: loss_curve(*CURVE, tolerance_s=v),
+            lambda v, ctx: curve(tolerance_s=v),
             config(lambda d, v: d.update(tolerance_s=v)),
         ],
         [0.0, 60.0],
