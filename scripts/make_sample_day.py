@@ -87,11 +87,7 @@ def main() -> None:
     chain = parse_chain_config(chain_path)
     series = {
         s.sensor_id: s
-        for s in ingest_csv(
-            csv_path,
-            nominal_voltage=chain.nominal_voltage_v,
-            calibration=chain.calibration,
-        )
+        for s in ingest_csv(csv_path, nominal_voltage=chain.nominal_voltage_v)
     }
     print(f"wrote {csv_path.name}: {sum(len(s.samples) for s in series.values())} samples, "
           f"{sum(s.duplicates_dropped for s in series.values())} duplicate dropped")

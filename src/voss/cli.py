@@ -207,11 +207,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sensors(args) -> int:
     chain = parse_chain_config(args.chain_config)
-    series_list = ingest_csv(
-        args.data_csv,
-        nominal_voltage=chain.nominal_voltage_v,
-        calibration=chain.calibration,
-    )
+    series_list = ingest_csv(args.data_csv, nominal_voltage=chain.nominal_voltage_v)
     series = {s.sensor_id: s for s in series_list}
     for s in series_list:
         if s.duplicates_dropped:

@@ -33,15 +33,15 @@ median, nearest sample, grid, timestamp parsing and rounding) and the
 conversions between datetimes and epoch microseconds are in
 ``voss.timeseries``, the estimate policy in ``voss.estimator``.
 
-Each setting has one rule, applied on every way in: _check_scale (nominal
-voltage and calibration, finite and > 0) in VoltageSeries and ingest_csv,
-timeseries.check_seconds (window, grid step, tolerance) in rolling_median
-and align, estimator.check_rho for rho_s.  Each reads its value through
-ioutil.json_number, so a bool or a string is not a number.  SensorChain's
-fields give the chain config's keys, defaults and rules, and
-parse_chain_config hands every present value to its rule.  A
-VoltageSeries and a LossCurve check their own rules (see their
-docstrings) however they are built.
+Each setting has one rule: _check_scale (nominal voltage and calibration,
+finite and > 0), timeseries.check_seconds (window, grid step, tolerance),
+estimator.check_rho for rho_s.  Each reads its value through
+ioutil.json_number, so a bool or a string is not a number.  A chain's
+settings are checked where it is built, in SensorChain, whose fields
+give the chain config's keys, defaults and rules; parse_chain_config
+checks only the JSON form.  rolling_median and align apply the time
+rules to their own arguments.  A VoltageSeries and a LossCurve check
+their own rules (see their docstrings) however they are built.
 
 Scaling both series of a pair by the same factor leaves the curve
 unchanged; for power-of-two factors the output is bit-identical, since
@@ -57,7 +57,8 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from functools import partial
 from pathlib import Path
@@ -194,38 +195,35 @@ class VoltageSeries(_ArrayRecord):
 
     Stored as epoch_us (int64 UTC epoch microseconds) and volts
     (float64); samples gives the (UTC datetime, volts) pairs back, and
-    gaps are simply missing entries.  calibration multiplies readings
-    before any use and defaults to 1.  The constructor takes (aware
+    gaps are simply missing entries.  The constructor takes (aware
     datetime, volts) pairs and from_arrays the two columns; either way
     the series meets one rule set: a nonempty sensor_id, nominal_voltage
-    and calibration finite and > 0, epoch_us strictly increasing, and
-    every reading finite and >= 0.  A failure names the sensor and the
-    instant in UTC.
+    finite and > 0, epoch_us strictly increasing, and every reading
+    finite and >= 0.  A failure names the sensor and the instant in UTC.
     """
 
     sensor_id: str
     epoch_us: np.ndarray = _array(np.int64)
     volts: np.ndarray = _array(np.float64)
     nominal_voltage: float
-    calibration: float
     duplicates_dropped: int
 
     def __init__(self, sensor_id: str, samples, nominal_voltage: float = NOMINAL_VOLTAGE,
-                 calibration: float = 1.0, duplicates_dropped: int = 0) -> None:
+                 duplicates_dropped: int = 0) -> None:
         samples = tuple(samples)
         for ts, _ in samples:
             if ts.tzinfo is None:
                 raise ValueError(f"{sensor_id}: naive timestamp {ts}")
         epoch_us = [datetime_to_us(ts) for ts, _ in samples]
         volts = [v for _, v in samples]
-        self._fill(sensor_id, epoch_us, volts, nominal_voltage, calibration, duplicates_dropped)
+        self._fill(sensor_id, epoch_us, volts, nominal_voltage, duplicates_dropped)
 
     @classmethod
     def from_arrays(cls, sensor_id: str, epoch_us, volts, nominal_voltage: float = NOMINAL_VOLTAGE,
-                    calibration: float = 1.0, duplicates_dropped: int = 0) -> VoltageSeries:
+                    duplicates_dropped: int = 0) -> VoltageSeries:
         """A series from its epoch_us and volts columns, checked as __init__ checks."""
         series = cls.__new__(cls)
-        series._fill(sensor_id, epoch_us, volts, nominal_voltage, calibration, duplicates_dropped)
+        series._fill(sensor_id, epoch_us, volts, nominal_voltage, duplicates_dropped)
         return series
 
     def _fill(self, *values) -> None:
@@ -236,7 +234,6 @@ class VoltageSeries(_ArrayRecord):
         if not self.sensor_id:
             raise ValueError("sensor_id must be nonempty")
         _check_scale("nominal_voltage", self.nominal_voltage)
-        _check_scale("calibration", self.calibration)
         step = np.flatnonzero(np.diff(self.epoch_us) <= 0)
         if step.size:
             raise ValueError(f"{self.sensor_id}: timestamps not strictly increasing "
@@ -260,16 +257,29 @@ def _setting(default: float, rule, name: str):
     return field(default=default, metadata={"rule": partial(rule, name)})
 
 
+def _named(where: str, rule, *args):
+    """rule(*args), its ValueError's message led by where."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SensorChain:
     """Sensors in feeder order, a power-ratio estimate per span, and the
-    settings ingest_csv and loss_curve read.
+    settings loss_curve reads.
 
     rho_s has one entry per adjacent pair.  None means no engineering
     estimate is available and that span uses the raw uncorrected
-    estimate.  Each pair's curve file must be a file of the output
-    directory, and no other pair's.  A field's config key is its name
-    or "key"; a number's rule is checked where it is used.
+    estimate.  calibration maps chain sensors to the factors their
+    readings are multiplied by (1 for the others).  Each pair's curve
+    file must be a file of the output directory, and no other pair's.
+    A field's config key is its name or "key".  Every rule is checked
+    when the chain is built, in this order: the sensor ids, rho_s,
+    calibration, the curve files, then the number settings in field
+    order; the chain keeps each number as its rule's float.  A failure
+    names the pair, the sensor or the key.
     """
 
     sensor_ids: tuple = field(metadata={"key": "sensors"})
@@ -281,19 +291,24 @@ class SensorChain:
     smoothing_window_s: float = _setting(SMOOTHING_WINDOW_S, check_seconds, "window_s")
 
     def __post_init__(self) -> None:
-        if len(self.sensor_ids) < 2:
+        ids, keep = self.sensor_ids, partial(object.__setattr__, self)
+        if len(ids) < 2:
             raise ValueError("a chain needs at least two sensors")
-        if len(set(self.sensor_ids)) != len(self.sensor_ids):
+        if len(set(ids)) != len(ids):
             raise ValueError("duplicate sensor ids in chain")
-        if not self.rho_s:
-            object.__setattr__(self, "rho_s", (None,) * (len(self.sensor_ids) - 1))
-        if len(self.rho_s) != len(self.sensor_ids) - 1:
+        rho_s = self.rho_s or (None,) * (len(ids) - 1)
+        if len(rho_s) != len(ids) - 1:
             raise ValueError(
-                f"need {len(self.sensor_ids) - 1} rho_s entries "
-                f"(one per adjacent pair), got {len(self.rho_s)}"
+                f"need {len(ids) - 1} rho_s entries (one per adjacent pair), got {len(rho_s)}"
             )
-        for value in self.rho_s:
-            check_rho(value, "rho_s")
+        keep("rho_s", tuple(_named(f"rho_s for {up!r}->{down!r}", check_rho, value, "rho_s")
+                            for up, down, value in zip(ids, ids[1:], rho_s)))
+        for sid in self.calibration:
+            if sid not in ids:
+                raise ValueError(f"calibration for unknown sensor {sid!r}")
+        keep("calibration", {sid: _named(f"calibration for {sid!r}", _check_scale,
+                                         "calibration", factor)
+                             for sid, factor in self.calibration.items()})
         files: dict = {}  # each pair's curve file name -> the pair
         for up, down, _ in self.pairs():
             name = _CURVE_FILE.format(up, down)
@@ -305,6 +320,9 @@ class SensorChain:
                 first = "->".join(map(repr, files[name]))
                 raise ValueError(f"pairs {first} and {up!r}->{down!r} would both write {name}")
             files[name] = (up, down)
+        for f in fields(self):
+            if "rule" in f.metadata:
+                keep(f.name, _named(repr(f.name), f.metadata["rule"], getattr(self, f.name)))
 
     def pairs(self) -> list:
         """(upstream, downstream, rho_s) per adjacent pair, feeder order."""
@@ -555,7 +573,7 @@ class _Readings:
             )
         )
 
-    def series(self, nominal_voltage: float, calibration: dict) -> list:
+    def series(self, nominal_voltage: float) -> list:
         """One VoltageSeries per sensor, sorted by sensor id."""
         if not self.chunks:
             return []
@@ -581,12 +599,12 @@ class _Readings:
         bounds = np.searchsorted(code, np.arange(len(names) + 1))
         return [
             VoltageSeries.from_arrays(name, epoch_us[lo:hi], volts[lo:hi], nominal_voltage,
-                                      calibration.get(name, 1.0), int(dropped[k]))
+                                      int(dropped[k]))
             for k, (name, lo, hi) in enumerate(zip(names, bounds, bounds[1:]))
         ]
 
 
-def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
+def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE) -> list:
     """Read sensor_id,timestamp,voltage_v rows into per-sensor series.
 
     Rows may arrive in any order; each series comes back sorted.  A
@@ -594,14 +612,9 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
     the file and counts the rest in duplicates_dropped.  Any malformed
     row fails with its line number, counted in records as csv.reader
     yields them (blank lines included).  A leading UTF-8 byte-order mark
-    is skipped.  Returns series sorted by sensor id.  nominal_voltage and
-    the calibration factors (by sensor id, default 1) meet VoltageSeries's
-    rule, and every calibrated sensor id has rows in the file.
+    is skipped.  Returns series sorted by sensor id, each with
+    nominal_voltage, which meets VoltageSeries's rule.
     """
-    calibration = calibration or {}
-    _check_scale("nominal_voltage", nominal_voltage)
-    for factor in calibration.values():
-        _check_scale("calibration", factor)
     readings = _Readings()
     line = 1  # record number of the next record
     with Path(path).open("rb") as handle:
@@ -620,20 +633,21 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE, calibration=None) -> list:
         raise SensorFormatError(blocks.undecodable, line=line)
     if line == 1:
         raise SensorFormatError("empty file, expected header", line=1)
-    unread = sorted(calibration.keys() - readings.codes.keys())
-    if unread:
-        raise ValueError(
-            f"{path}: calibration for sensors with no rows: {', '.join(map(repr, unread))}"
-        )
-    return readings.series(nominal_voltage, calibration)
+    return readings.series(nominal_voltage)
 
 
-def _pair_grid(
-    series_a: VoltageSeries, series_b: VoltageSeries, grid_step_s: float, tolerance_s: float
-) -> np.ndarray:
-    """align's grid for the pair, after align's checks."""
-    check_seconds("grid_step_s", grid_step_s)
-    check_seconds("tolerance_s", tolerance_s)
+@contextmanager
+def _grid_in_memory(up: str, down: str, grid_step_s: float):
+    """A MemoryError in a pair's grid work becomes a ValueError naming the pair."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"pair {up!r}->{down!r}: the grid at step {grid_step_s} s "
+                         "does not fit in memory") from None
+
+
+def _pair_grid(series_a: VoltageSeries, series_b: VoltageSeries, grid_step_s: float) -> np.ndarray:
+    """align's grid for the pair, after align's checks of the two series."""
     if not series_a.epoch_us.size or not series_b.epoch_us.size:
         raise ValueError(
             f"no usable samples for pair {series_a.sensor_id!r}->"
@@ -673,19 +687,22 @@ def align(
     nearest stored sample within tolerance_s from each side (ties go to
     the earlier sample), nan where there is none (a gap).  Raises when
     either series is empty, when the series do not overlap or the overlap
-    contains no grid point, and when grid_step_s or tolerance_s breaks its
-    check_seconds rule.
+    contains no grid point, when grid_step_s or tolerance_s breaks its
+    check_seconds rule, and when the grid does not fit in memory.
     """
-    grid = _pair_grid(series_a, series_b, grid_step_s, tolerance_s)
-    return grid, _on_grid(series_a, grid, tolerance_s), _on_grid(series_b, grid, tolerance_s)
+    grid_step_s = check_seconds("grid_step_s", grid_step_s)
+    tolerance_s = check_seconds("tolerance_s", tolerance_s)
+    with _grid_in_memory(series_a.sensor_id, series_b.sensor_id, grid_step_s):
+        grid = _pair_grid(series_a, series_b, grid_step_s)
+        return grid, _on_grid(series_a, grid, tolerance_s), _on_grid(series_b, grid, tolerance_s)
 
 
-def _smoothed(series: VoltageSeries, window_s: float) -> tuple:
-    """(clean samples, calibrated and median-smoothed; outage epoch seconds)."""
+def _smoothed(series: VoltageSeries, window_s: float, calibration: float) -> tuple:
+    """(clean samples, times calibration and median-smoothed; outage epoch seconds)."""
     clean = ~(series.volts < POWER_SUSPECT_FRACTION * series.nominal_voltage)
     epoch_us = series.epoch_us[clean]
     with np.errstate(over="ignore"):  # an inf reading fails from_arrays below
-        volts = series.volts[clean] * series.calibration
+        volts = series.volts[clean] * calibration
     smoothed = rolling_median(epoch_us / 1e6, volts, window_s)
     return (
         VoltageSeries.from_arrays(series.sensor_id, epoch_us, smoothed, series.nominal_voltage),
@@ -721,28 +738,31 @@ def loss_curve(chain: SensorChain, series: dict) -> list:
     """One LossCurve per adjacent sensor pair of the chain.
 
     Per sensor, once: outage-suspect samples (below
-    POWER_SUSPECT_FRACTION of nominal) are set aside and the remaining
-    calibrated magnitudes are median-smoothed.  Per pair: the smoothed
-    series are aligned, and each paired grid point yields one estimate
-    (corrected when the pair has a rho_s, raw otherwise).  Grid points
-    lost to an outage reading carry PowerStateSuspect; unpaired points
-    carry Gap; negative drops are reported and flagged, never clamped.
-    The chain's window, grid step and tolerance meet rolling_median's
-    and align's rules (a window of 0 is no smoothing); a grid past
-    memory is a ValueError.  A pair whose grid equals the previous
-    pair's takes that pair's downstream nearest samples as its upstream
-    ones, and its timestamp cells; other pairs make their own.
+    POWER_SUSPECT_FRACTION of the series' nominal) are set aside and the
+    remaining magnitudes, times the chain's calibration factor, are
+    median-smoothed.  Per pair: the smoothed series are aligned, and
+    each paired grid point yields one estimate (corrected when the pair
+    has a rho_s, raw otherwise).  Grid points lost to an outage reading
+    carry PowerStateSuspect; unpaired points carry Gap; negative drops
+    are reported and flagged, never clamped.  The chain's settings met
+    their rules when it was built (a window of 0 is no smoothing); a
+    grid past memory is align's ValueError.  A pair whose grid equals
+    the previous pair's takes that pair's downstream nearest samples as
+    its upstream ones, and its timestamp cells; other pairs make their
+    own.
     """
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:
         raise ValueError(f"sensors missing from series map: {missing}")
     step, tolerance_s = chain.grid_step_s, chain.tolerance_s
-    smoothed = {sid: _smoothed(series[sid], chain.smoothing_window_s) for sid in chain.sensor_ids}
+    window_s, calibration = chain.smoothing_window_s, chain.calibration
+    smoothed = {sid: _smoothed(series[sid], window_s, calibration.get(sid, 1.0))
+                for sid in chain.sensor_ids}
     curves, last = [], (None, None)  # the last pair's grid, its downstream volts on it
     for up, dn, rho_s in chain.pairs():
         (smooth_up, outage_up), (smooth_dn, outage_dn) = smoothed[up], smoothed[dn]
-        try:
-            grid = _pair_grid(smooth_up, smooth_dn, step, tolerance_s)
+        with _grid_in_memory(up, dn, step):
+            grid = _pair_grid(smooth_up, smooth_dn, step)
             # this pair's upstream sensor is the last pair's downstream one
             shared = np.array_equal(grid, last[0])
             v_up = last[1] if shared else _on_grid(smooth_up, grid, tolerance_s)
@@ -750,9 +770,6 @@ def loss_curve(chain: SensorChain, series: dict) -> list:
             curve = _pair_curve(grid, (up, outage_up, v_up), (dn, outage_dn, last[1]),
                                 rho_s, tolerance_s)
             cells = curves[-1]._stamp_cells if shared else _timestamp_cells(curve.timestamp_us)
-        except MemoryError:
-            raise ValueError(f"pair {up!r}->{dn!r}: the grid at step {step} s "
-                             "does not fit in memory") from None
         object.__setattr__(curve, "_stamp_cells", cells)
         curves.append(curve)
     return curves
@@ -815,21 +832,12 @@ def write_loss_curve_csv(curve: LossCurve, out_dir) -> Path:
 CHAIN_KEYS = frozenset(f.metadata.get("key", f.name) for f in fields(SensorChain))
 
 
-def _config_number(value, rule, where: str) -> float:
-    """rule's float of a present value, else a SensorFormatError."""
-    if value is None:
-        raise SensorFormatError(f"{where} must be a number")
-    try:
-        return rule(value)
-    except ValueError as exc:
-        raise SensorFormatError(f"{where}: {exc}") from None
-
-
 def parse_chain_config(path) -> SensorChain:
     """Read a JSON chain config (schema in docs/sensor_chain_schema.md).
 
-    A leading UTF-8 byte-order mark is skipped.  JSON NaN and Infinity
-    are rejected wherever a number is expected.
+    A leading UTF-8 byte-order mark is skipped.  The parser checks the
+    JSON form (a null number is refused here) and SensorChain every
+    value's rule; either way the error leads with the file name.
     """
     path = Path(path)
     try:
@@ -883,33 +891,22 @@ def parse_chain_config(path) -> SensorChain:
                 f"{context}: duplicate pair entry {key[0]!r}->{key[1]!r}"
             )
         seen.add(key)
-        rho_s[adjacent[key]] = _config_number(
-            entry.get("rho_s"),
-            partial(check_rho, name="rho_s"),
-            f"{context}: rho_s for {key[0]!r}->{key[1]!r}",
-        )
+        if entry.get("rho_s") is None:
+            raise SensorFormatError(
+                f"{context}: rho_s for {key[0]!r}->{key[1]!r} must be a number"
+            )
+        rho_s[adjacent[key]] = entry["rho_s"]
     calibration = data.get("calibration", {})
     if not isinstance(calibration, dict):
         raise SensorFormatError(f"{context}: 'calibration' must be an object")
-    for sid in calibration:
-        if sid not in sensors:
-            raise SensorFormatError(
-                f"{context}: calibration for unknown sensor {sid!r}"
-            )
-    factor_rule = partial(_check_scale, "calibration")
-    calibration = {
-        sid: _config_number(f, factor_rule, f"{context}: calibration for {sid!r}")
-        for sid, f in calibration.items()
-    }
+    settings = {f.name: data[f.name] for f in fields(SensorChain)
+                if "rule" in f.metadata and f.name in data}
+    named = [*((f"calibration for {sid!r}", f) for sid, f in calibration.items()),
+             *((repr(key), value) for key, value in settings.items())]
+    for where, value in named:
+        if value is None:
+            raise SensorFormatError(f"{context}: {where} must be a number")
     try:
-        chain = SensorChain(tuple(sensors), tuple(rho_s))
+        return SensorChain(tuple(sensors), tuple(rho_s), calibration=calibration, **settings)
     except ValueError as exc:
         raise SensorFormatError(f"{context}: {exc}") from None
-    settings = {
-        f.name: _config_number(
-            data.get(f.name, f.default), f.metadata["rule"], f"{context}: {f.name!r}"
-        )
-        for f in fields(SensorChain)
-        if "rule" in f.metadata
-    }
-    return replace(chain, calibration=calibration, **settings)

@@ -351,6 +351,20 @@ def test_a_grid_step_past_every_reading_is_an_input_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_a_calibrated_chain_sensor_with_no_rows_is_missing_like_any_other(tmp_path, capsys):
+    doc = json.loads(Path(SAMPLE_CHAIN).read_text())
+    doc["sensors"].append("sensor-99")
+    doc["calibration"] = {"sensor-99": 1.01}
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "sensors", SAMPLE_DAY, str(chain), "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT
+    assert out == "note: sensor-17: dropped 1 duplicate timestamp(s), kept first\n"
+    assert err == "error: sensors missing from series map: ['sensor-99']\n"
+    assert not out_dir.exists()
+
+
 def test_a_grid_too_large_for_memory_is_an_input_error(tmp_path, capsys):
     # two readings 100 years apart at 1e-6 s ask for about 25 PB of grid,
     # which a 64-bit address space refuses before a page is touched

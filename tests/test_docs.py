@@ -136,6 +136,15 @@ def test_chain_config_key_table_lists_chain_config_keys_and_defaults():
     assert {key: float(defaults[key]) for key in numbers} == numbers
 
 
+@pytest.mark.parametrize(
+    "path", [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))],
+    ids=lambda path: path.name,
+)
+def test_user_docs_name_no_private_identifier(path):
+    # the user docs describe the public API: no backticked `_name`, dotted or not
+    assert re.findall(r"`(?:\w+\.)*(_\w+)`", path.read_text()) == []
+
+
 def test_feeder_kind_table_is_the_readers_table():
     rows = _table_rows("feeder_schema.md", "| kind | required | optional |")
 

@@ -128,23 +128,26 @@ def test_ingest_keeps_first_reading_on_duplicate_timestamp(tmp_path):
     assert got.duplicates_dropped == 1
 
 
-def test_ingest_applies_nominal_and_calibration(tmp_path):
+def test_ingest_applies_nominal_voltage(tmp_path):
     path = tmp_path / "cal.csv"
     write_readings(path, [("s1", "2024-03-12T00:00:00Z", 230.0)])
-    (got,) = ingest_csv(path, nominal_voltage=240.0, calibration={"s1": 1.02})
+    (got,) = ingest_csv(path, nominal_voltage=240.0)
     assert got.nominal_voltage == 240.0
-    assert got.calibration == 1.02
 
 
-def test_calibration_for_a_sensor_with_no_rows_is_refused(tmp_path):
+def test_a_calibrated_chain_sensor_with_no_rows_is_missing_from_the_series_map(tmp_path):
+    # the chain holds the calibration, so a calibrated sensor without rows
+    # meets the rule every sensor without rows meets
     path = tmp_path / "cal.csv"
     write_readings(path, [("s1", "2024-03-12T00:00:00Z", 230.0)])
-    with pytest.raises(ValueError, match=r"no rows: 'a typo', 'typo'$"):
-        ingest_csv(path, calibration={"typo": 1.01, "s1": 1.02, "a typo": 0.99})
     header_only = tmp_path / "empty.csv"
     write_readings(header_only, [])
-    with pytest.raises(ValueError, match=r"no rows: 's1'$"):
-        ingest_csv(header_only, calibration={"s1": 1.02})
+    chain = SensorChain(("s1", "x"), calibration={"s1": 1.02, "x": 1.01})
+    for data, missing in ((path, ["x"]), (header_only, ["s1", "x"])):
+        series = {s.sensor_id: s for s in ingest_csv(data)}
+        with pytest.raises(ValueError) as exc:
+            loss_curve(chain, series)
+        assert str(exc.value) == f"sensors missing from series map: {missing}"
 
 
 def test_naive_timestamps_are_read_as_utc(tmp_path):
@@ -760,7 +763,7 @@ def test_records_are_equal_only_in_type_and_every_field():
     a = series("s", [230.0, 231.0])
     assert a == series("s", [230.0, 231.0])
     assert a != series("s", [230.0, 232.0])
-    assert a != series("s", [230.0, 231.0], calibration=1.01)
+    assert a != series("s", [230.0, 231.0], nominal_voltage=240.0)
     assert a != (a.sensor_id, a.epoch_us, a.volts)
     curve = LossCurve("a", "b", [0, 120_000_000], [0.01, math.nan], [0, 1])
     assert curve == replace(curve)
@@ -804,7 +807,7 @@ def test_a_series_from_arrays_fails_as_one_from_datetimes(samples, message):
 
 def test_a_series_from_arrays_equals_one_from_datetimes():
     samples = ((T0, 230.0), (T1, 229.5))
-    kwargs = {"nominal_voltage": 240.0, "calibration": 1.5, "duplicates_dropped": 2}
+    kwargs = {"nominal_voltage": 240.0, "duplicates_dropped": 2}
     built = VoltageSeries.from_arrays("s", *_columns(samples), **kwargs)
     assert built == VoltageSeries("s", samples, **kwargs)
     assert built.samples == samples
@@ -974,16 +977,13 @@ def test_volts_a_calibration_underflows_to_zero_fail_the_ends_rule():
     # 1e-200 V read through a 1e-200 calibration is 0 V: upstream, the
     # ends' rule (SegmentVoltages's) rejects the pair before any ratio;
     # downstream, 0 V is a whole drop
-    tiny = dict(nominal_voltage=1e-200, calibration=1e-200)
+    data = {sid: series(sid, [1e-200] * 3, nominal_voltage=1e-200) for sid in ("up", "down")}
     with pytest.raises(ValueError) as exc:
-        loss_curve(SensorChain(("up", "down"), (None,)),
-                   {"up": series("up", [1e-200] * 3, **tiny),
-                    "down": series("down", [1e-200] * 3, nominal_voltage=1e-200)})
+        loss_curve(SensorChain(("up", "down"), (None,), calibration={"up": 1e-200}), data)
     assert str(exc.value) == ("pair 'up'->'down' at 2024-03-12 00:00:00+00:00: "
                               "v_start must be finite and > 0, got 0.0")
-    (curve,) = loss_curve(SensorChain(("up", "down"), (None,)),
-                          {"up": series("up", [1e-200] * 3, nominal_voltage=1e-200),
-                           "down": series("down", [1e-200] * 3, **tiny)})
+    (curve,) = loss_curve(SensorChain(("up", "down"), (None,), calibration={"down": 1e-200}),
+                          data)
     assert curve.loss_fraction.tolist() == [1.0, 1.0, 1.0]
 
 
@@ -992,9 +992,9 @@ def test_a_volt_that_underflows_upstream_names_its_pair_and_first_instant(rho_s)
     # only the second reading underflows; unsmoothed, it is the second
     # grid point that breaks the rule
     with pytest.raises(ValueError) as exc:
-        loss_curve(SensorChain(("up", "down"), (rho_s,), smoothing_window_s=0.0),
-                   {"up": series("up", [1.0, 1e-200, 1e-200], nominal_voltage=1e-200,
-                                 calibration=1e-200),
+        loss_curve(SensorChain(("up", "down"), (rho_s,), calibration={"up": 1e-200},
+                               smoothing_window_s=0.0),
+                   {"up": series("up", [1.0, 1e-200, 1e-200], nominal_voltage=1e-200),
                     "down": series("down", [1e-200] * 3, nominal_voltage=1e-200)})
     assert str(exc.value) == ("pair 'up'->'down' at 2024-03-12 00:02:00+00:00: "
                               "v_start must be finite and > 0, got 0.0")
@@ -1003,12 +1003,12 @@ def test_a_volt_that_underflows_upstream_names_its_pair_and_first_instant(rho_s)
 def test_a_volt_that_underflows_downstream_breaks_the_ratio_rule_with_a_power_ratio():
     # without rho_s a 0 V end is a whole drop (above); with one, the
     # voltage ratio 0 breaks rho_from_ratios's rule
-    tiny = dict(nominal_voltage=1e-200, calibration=1e-200)
     with pytest.raises(ValueError) as exc:
-        loss_curve(SensorChain(("up", "mid", "down"), (None, 0.8), smoothing_window_s=0.0),
+        loss_curve(SensorChain(("up", "mid", "down"), (None, 0.8), calibration={"down": 1e-200},
+                               smoothing_window_s=0.0),
                    {"up": series("up", [1.0] * 3, nominal_voltage=1e-200),
                     "mid": series("mid", [1.0] * 3, nominal_voltage=1e-200),
-                    "down": series("down", [1.0, 1.0, 1e-200], **tiny)})
+                    "down": series("down", [1.0, 1.0, 1e-200], nominal_voltage=1e-200)})
     assert str(exc.value) == ("pair 'mid'->'down' at 2024-03-12 00:04:00+00:00: "
                               "rho_v must be > 0, got 0.0")
 
@@ -1133,14 +1133,24 @@ def test_grid_step_below_a_microsecond_is_an_error(step):
         loss_curve(chain, {"up": up, "down": down})
 
 
+CENTURY_APART = {  # two samples 100 years apart
+    sid: series(sid, [230.0, 230.0], step_s=100 * 365.25 * 86400) for sid in ("up", "down")
+}
+TOO_LARGE = "pair 'up'->'down': the grid at step 1e-06 s does not fit in memory"
+
+
 def test_a_grid_too_large_for_memory_names_its_pair_and_step():
-    # two samples 100 years apart at 1e-6 s ask for about 25 PB of grid,
-    # which a 64-bit address space refuses before a page is touched
-    century = 100 * 365.25 * 86400
-    data = {sid: series(sid, [230.0, 230.0], step_s=century) for sid in ("up", "down")}
+    # at 1e-6 s the grid asks for about 25 PB, which a 64-bit address
+    # space refuses before a page is touched
     with pytest.raises(ValueError) as exc:
-        loss_curve(SensorChain(("up", "down"), grid_step_s=1e-6), data)
-    assert str(exc.value) == "pair 'up'->'down': the grid at step 1e-06 s does not fit in memory"
+        loss_curve(SensorChain(("up", "down"), grid_step_s=1e-6), CENTURY_APART)
+    assert str(exc.value) == TOO_LARGE
+
+
+def test_align_on_a_grid_too_large_for_memory_names_its_pair_and_step():
+    with pytest.raises(ValueError) as exc:
+        align(CENTURY_APART["up"], CENTURY_APART["down"], grid_step_s=1e-6)
+    assert str(exc.value) == TOO_LARGE
 
 
 def test_each_curve_of_a_chain_is_its_pair_alone():
@@ -1158,18 +1168,21 @@ def test_each_curve_of_a_chain_is_its_pair_alone():
         "a": series("a", readings(720, 231.0)),
         "b": series("b", readings(1440, 230.0)),
         "c": series("c", readings(720, 229.0), start=T0 + timedelta(days=1)),
-        "d": series("d", readings(720, 228.0), start=T0 + timedelta(days=1), calibration=1.01),
+        "d": series("d", readings(720, 228.0), start=T0 + timedelta(days=1)),
     }
-    chain = SensorChain(tuple(data), (0.5, None, 0.3))
+    chain = SensorChain(tuple(data), (0.5, None, 0.3), calibration={"d": 1.01})
     curves = loss_curve(chain, data)
     grids = [curve.timestamp_us for curve in curves]
     assert grids[0].size == grids[1].size and grids[0][-1] < grids[1][0]
     assert np.array_equal(grids[1], grids[2])
     assert any(curve.flag_bits.any() for curve in curves)
     for curve, (up, down, rho_s) in zip(curves, chain.pairs()):
-        assert loss_curve(SensorChain((up, down), (rho_s,)), data) == [curve]
-        (smooth_up, _), (smooth_down, _) = (sensors._smoothed(data[sid], 600.0)
-                                            for sid in (up, down))
+        calibration = {sid: f for sid, f in chain.calibration.items() if sid in (up, down)}
+        assert loss_curve(SensorChain((up, down), (rho_s,), calibration=calibration),
+                          data) == [curve]
+        (smooth_up, _), (smooth_down, _) = (
+            sensors._smoothed(data[sid], 600.0, chain.calibration.get(sid, 1.0))
+            for sid in (up, down))
         grid, v_a, v_b = align(smooth_up, smooth_down)
         assert curve.timestamp_us.tolist() == [round(t * 1e6) for t in grid.tolist()]
         paired = ~(np.isnan(v_a) | np.isnan(v_b))
@@ -1214,18 +1227,54 @@ def test_chain_config_round_trip(tmp_path):
                               smoothing_window_s=600)
 
 
+def test_a_chain_built_in_python_equals_its_config_and_holds_floats(tmp_path):
+    doc = good_config() | {"pairs": [{"upstream": "a", "downstream": "b", "rho_s": 1}],
+                           "nominal_voltage_v": 230, "calibration": {"b": 2}}
+    built = SensorChain(("a", "b", "c"), rho_s=(1, None), nominal_voltage_v=230,
+                        calibration={"b": 2}, grid_step_s=120, tolerance_s=60,
+                        smoothing_window_s=600)
+    assert built == parse_chain_config(write_config(tmp_path, doc))
+    numbers = (built.rho_s[0], built.nominal_voltage_v, built.calibration["b"],
+               built.grid_step_s, built.tolerance_s, built.smoothing_window_s)
+    assert [type(number) for number in numbers] == [float] * 6
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ({"grid_step_s": -1},
+         "'grid_step_s': grid_step_s must be finite and >= 1e-06 s, got -1.0"),
+        ({"nominal_voltage_v": 0},
+         "'nominal_voltage_v': nominal_voltage must be finite and positive, got 0.0"),
+        ({"calibration": {"zz": 1.0}}, "calibration for unknown sensor 'zz'"),
+        ({"calibration": {"a": 0}},
+         "calibration for 'a': calibration must be finite and positive, got 0.0"),
+        ({"rho_s": (1.5,)}, "rho_s for 'a'->'b': rho_s must lie in [0, 1], got 1.5"),
+    ],
+    ids=["grid-step", "nominal-voltage", "calibration-sensor", "calibration-factor", "rho-s"],
+)
+def test_a_chain_checks_every_setting_when_it_is_built(setting, message):
+    with pytest.raises(ValueError) as exc:
+        SensorChain(("a", "b"), **setting)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
-        # the chain, and with it the curve-file rules, before the number settings
+        # the curve-file rules before the number settings
         (lambda d: d.update(sensors=["a/b", "b"], pairs=[], calibration={}, grid_step_s=-1),
          "sensor id 'a/b' holds a path separator or NUL, "
          "so 'loss_curve_a/b_b.csv' would not be a file of the output directory"),
-        # the calibration before the chain
+        # the JSON form before the chain
         (lambda d: d.update(sensors=["a/b", "b"], pairs=[], calibration={"a/b": None}),
          "calibration for 'a/b' must be a number"),
+        # a calibration factor before the curve-file rules
+        (lambda d: d.update(sensors=["a/b", "b"], pairs=[], calibration={"a/b": 0}),
+         "calibration for 'a/b': calibration must be finite and positive, got 0.0"),
     ],
-    ids=["curve-file-before-setting", "calibration-before-curve-file"],
+    ids=["curve-file-before-setting", "calibration-before-curve-file",
+         "factor-before-curve-file"],
 )
 def test_chain_config_checks_in_its_documented_order(tmp_path, edit, message):
     doc = good_config()
@@ -1447,11 +1496,7 @@ def test_curve_csv_matches_row_by_row_reference(data):
 
 def test_bundled_sample_day_pipeline():
     cfg = parse_chain_config(bundled_feeder_path("sample_chain.json"))
-    got = ingest_csv(
-        bundled_feeder_path("sample_day.csv"),
-        nominal_voltage=cfg.nominal_voltage_v,
-        calibration=cfg.calibration,
-    )
+    got = ingest_csv(bundled_feeder_path("sample_day.csv"), nominal_voltage=cfg.nominal_voltage_v)
     data = {s.sensor_id: s for s in got}
     assert sorted(data) == ["sensor-03", "sensor-17", "sensor-22"]
     assert data["sensor-17"].duplicates_dropped == 1
@@ -1493,11 +1538,7 @@ def own_cells(curves):
 
 def test_sample_day_curves_share_one_timestamp_table():
     cfg = parse_chain_config(bundled_feeder_path("sample_chain.json"))
-    got = ingest_csv(
-        bundled_feeder_path("sample_day.csv"),
-        nominal_voltage=cfg.nominal_voltage_v,
-        calibration=cfg.calibration,
-    )
+    got = ingest_csv(bundled_feeder_path("sample_day.csv"), nominal_voltage=cfg.nominal_voltage_v)
     curves, lookups, tables = traced(lambda: loss_curve(cfg, {s.sensor_id: s for s in got}))
     assert curves[0]._stamp_cells is curves[1]._stamp_cells  # one grid, one text
     assert curves[0]._stamp_cells.size == 720

@@ -3,9 +3,9 @@
 A setting reaches the library through a CLI flag or a chain-config key
 and through a direct library call.  For each setting and value the table
 below lists those ways in; the first is the library call whose message is
-the rule's.  All of them must accept the value, or all must reject it
-with a ValueError (a usage error, exit 1, for a flag) that carries the
-rule's message.
+the rule's, which the others may lead with the key, sensor or pair.  All
+of them must accept the value, or all must reject it with a ValueError (a
+usage error, exit 1, for a flag) that carries the rule's message.
 """
 
 import contextlib
@@ -103,6 +103,11 @@ def curve(**setting):
     return loss_curve(SensorChain(("up", "down"), **setting), {"up": UP, "down": DOWN})
 
 
+def chain(key):
+    """The direct way in: a two-sensor chain built with the value as key."""
+    return lambda v, ctx: SensorChain(("a", "b"), **{key: v})
+
+
 # setting -> (ways in, values accepted, values rejected)
 SETTINGS = {
     "tol": (
@@ -133,8 +138,8 @@ SETTINGS = {
     ),
     "rho_s": (
         [
-            lambda v, ctx: SensorChain(("a", "b"), (v,)),
             study_multi("rho_s"),
+            lambda v, ctx: SensorChain(("a", "b"), (v,)),
             config(lambda d, v: d.update(pairs=[PAIR | {"rho_s": v}])),
             flag("benchmark", "f", "--paths", "a-b", "--rho-s-source", "estimate:{}"),
         ],
@@ -153,6 +158,7 @@ SETTINGS = {
         [
             lambda v, ctx: VoltageSeries("s", (), nominal_voltage=v),
             lambda v, ctx: ingest_csv(readings(ctx), nominal_voltage=v),
+            chain("nominal_voltage_v"),
             config(lambda d, v: d.update(nominal_voltage_v=v)),
         ],
         [230.0, 1e-3],
@@ -160,8 +166,7 @@ SETTINGS = {
     ),
     "calibration": (
         [
-            lambda v, ctx: VoltageSeries("s", (), calibration=v),
-            lambda v, ctx: ingest_csv(readings(ctx), calibration={"s1": v}),
+            lambda v, ctx: SensorChain(("a", "b"), calibration={"a": v}),
             config(lambda d, v: d.update(calibration={"a": v})),
         ],
         [1.0, 0.5],
@@ -170,6 +175,7 @@ SETTINGS = {
     "window_s": (
         [
             lambda v, ctx: rolling_median([0.0], [1.0], v),
+            chain("smoothing_window_s"),
             lambda v, ctx: curve(smoothing_window_s=v),
             config(lambda d, v: d.update(smoothing_window_s=v)),
         ],
@@ -179,6 +185,7 @@ SETTINGS = {
     "grid_step_s": (
         [
             lambda v, ctx: align(UP, DOWN, grid_step_s=v),
+            chain("grid_step_s"),
             lambda v, ctx: curve(grid_step_s=v),
             config(lambda d, v: d.update(grid_step_s=v)),
         ],
@@ -188,6 +195,7 @@ SETTINGS = {
     "tolerance_s": (
         [
             lambda v, ctx: align(UP, DOWN, tolerance_s=v),
+            chain("tolerance_s"),
             lambda v, ctx: curve(tolerance_s=v),
             config(lambda d, v: d.update(tolerance_s=v)),
         ],
