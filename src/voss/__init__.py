@@ -12,12 +12,10 @@ from .benchmark import (
     run_single_segment_study,
 )
 from .estimator import (
-    CorrectionParams,
     EstimateFlag,
     LossEstimate,
     SegmentVoltages,
     correction_factor,
-    correction_factor_hat,
     loss_fraction_exact,
     small_angle_error_bound,
     voss_corrected,
@@ -55,7 +53,6 @@ from .powerflow import (
 
 __all__ = [
     "ComparisonRow",
-    "CorrectionParams",
     "EstimateFlag",
     "FeederFormatError",
     "FeederModel",
@@ -75,7 +72,6 @@ __all__ = [
     "VoltageSeries",
     "bundled_feeder_path",
     "correction_factor",
-    "correction_factor_hat",
     "ingest_csv",
     "loss_curve",
     "loss_fraction_exact",

@@ -6,9 +6,8 @@ with distributed extraction along its length the drop overestimates the
 loss fraction; a correction factor derived from the ratio of power and
 voltage at the two ends scales the estimate back.  ``voss_estimate`` is
 that policy, written once, the only entry to the clamped correction:
-the studies and the sensor curves call it with rho_s, voss_single takes
-its raw drop, and voss_corrected calls it twice (the factor of its
-params, the drop of its segment).
+every estimate (the studies, the sensor curves, voss_single and
+voss_corrected) is one call of it on its segment's voltage ratio.
 
 All functions here are pure and operate on plain floats/complex numbers;
 rho_from_ratios, clamp_rho, voss_estimate, small_angle_error_bound,
@@ -89,16 +88,15 @@ def check_ends(v_start, v_end) -> None:
 
 @dataclass(frozen=True)
 class CorrectionParams:
-    """End-to-end ratios used to infer the leakage fraction of a segment.
+    """End-to-end ratios of a segment, the input of correction_factor_hat.
 
     rho_s: real-power ratio p(end)/p(start); a valid correction needs
         0 <= rho_s <= 1.
     rho_v: voltage-magnitude ratio v(end)/v(start); a valid correction
         needs 0 < rho_v <= 1.
 
-    Out-of-range values are representable (measurements can produce them);
-    the operations below flag rather than reject them, except where the
-    arithmetic itself breaks down (rho_v <= 0).
+    No estimate takes one: each is voss_estimate of its segment's own
+    voltage ratio, so no second ratio can disagree with it.
     """
 
     rho_s: float
@@ -211,11 +209,12 @@ def rho_from_ratios(rho_s, rho_v):
     """Leakage fraction ``1 - rho_s/rho_v`` from power and voltage ratios.
 
     rho_v must be > 0.  Unclamped: noise or model mismatch can push it
-    outside [0, 1] (see ``voss_estimate``).  Takes numpy arrays too.
+    outside [0, 1] (see ``voss_estimate``), even to -inf.  Takes arrays too.
     """
     if not np.all(np.greater(rho_v, 0.0)):
         raise ValueError(f"rho_v must be > 0, got {np.min(rho_v)}")
-    return 1.0 - np.divide(rho_s, rho_v)
+    with np.errstate(over="ignore"):
+        return 1.0 - np.divide(rho_s, rho_v)
 
 
 def clamp_rho(rho):
@@ -248,8 +247,11 @@ def voss_estimate(rho_v, rho_s=None) -> tuple:
     extraction-free paths into an exact factor of 1.  A rho outside
     [0, 1] (the model does not fit) is marked in the mask and gets the
     clamped factor, 1 below the range and 2/3 above it (rho_s <= 0); a
-    NaN rho_s gives NaN.  Floats or numpy arrays, same bits either way.
+    NaN rho_s gives NaN.  rho_v must be finite (an overflowing ratio is
+    refused), and > 0 with rho_s.  Floats or arrays, same bits either way.
     """
+    if not np.all(finite := np.isfinite(rho_v)):
+        raise ValueError(f"rho_v must be finite, got {np.asarray(rho_v)[~finite].flat[0]}")
     raw = 1.0 - rho_v
     if rho_s is None:
         return raw, 1.0, raw, raw < 0.0, False
@@ -270,12 +272,11 @@ def first_broken_rule(v_start, v_end, rho_s=None) -> Optional[tuple]:
             return k, str(exc)
 
 
-def voss_corrected(seg: SegmentVoltages, params: CorrectionParams) -> LossEstimate:
-    """One segment's raw drop (``voss_estimate`` of its ratio), times the
-    factor ``voss_estimate`` gives the ratios in ``params``, with its
-    flags; a flagged value is still reported."""
-    _, factor, _, _, out_of_range = voss_estimate(params.rho_v, params.rho_s)
-    raw, _, _, negative, _ = voss_estimate(seg.v_end / seg.v_start)
+def voss_corrected(seg: SegmentVoltages, rho_s) -> LossEstimate:
+    """voss_estimate's loss and flags for one segment's ratio v_end/v_start
+    and power ratio rho_s (None: the raw drop); a flagged value is still
+    reported."""
+    _, _, loss, negative, out_of_range = voss_estimate(seg.v_end / seg.v_start, rho_s)
     flags = ((EstimateFlag.NEGATIVE_DROP, negative),
              (EstimateFlag.CORRECTION_OUT_OF_RANGE, out_of_range))
-    return LossEstimate(float(factor * raw), frozenset(f for f, on in flags if on))
+    return LossEstimate(float(loss), frozenset(f for f, on in flags if on))

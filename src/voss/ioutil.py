@@ -1,4 +1,4 @@
-"""Small shared helpers: the JSON number and count rules, and deterministic CSV output."""
+"""Small shared helpers: the JSON number, count and memory rules, and deterministic CSV output."""
 
 from __future__ import annotations
 
@@ -44,6 +44,15 @@ def check_count(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value}")
     return value
+
+
+@contextlib.contextmanager
+def in_memory(what: str):
+    """A MemoryError inside becomes the ValueError "<what> does not fit in memory"."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"{what} does not fit in memory") from None
 
 
 def open_output(path):

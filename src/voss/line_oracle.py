@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import correction_factor
-from .ioutil import FLOAT_FORMAT, check_count, write_csv
+from .ioutil import FLOAT_FORMAT, check_count, in_memory, write_csv
 
 # The one line every sweep runs.  Impedance, length and input current cancel
 # from the ratio only in exact arithmetic: oracle_sweep.csv pins the bits this
@@ -63,8 +63,10 @@ def _row(rho: float, n: int) -> SweepRow:
 
 
 def sweep_rho(rhos: Sequence[float], n: int) -> list[SweepRow]:
-    """Compare the discretized loss ratio to the closed form over rho values."""
-    return [_row(rho, n) for rho in rhos]
+    """The discretized loss ratio against the closed form at each rho; an n
+    whose sweep does not fit in memory is a ValueError that names it."""
+    with in_memory(f"an oracle sweep of {n} segments"):
+        return [_row(rho, n) for rho in rhos]
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:

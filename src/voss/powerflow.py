@@ -498,15 +498,19 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
         raise ValueError("model has distributed loads; apply expand_distributed_loads "
                          "(or an end-split) before solving")
 
-    net = _Network(model)
-    v = net.flat_start(model.source)
     trace = []  # SolveOptions guarantees max_iter >= 1 sweeps
-    # PowerFlowError reports a diverging sweep; numpy's warnings would repeat it
+    # PowerFlowError reports a diverging sweep; numpy's warnings would repeat
+    # it, from the tables too (1 / v0**2 of a source far from 1 kV overflows)
     with np.errstate(all="ignore"):
+        net = _Network(model)
+        v = net.flat_start(model.source)
         for iterations in range(1, options.max_iter + 1):
             before = v.copy()
-            net.forward(v, net.currents(net.injections(v)))
-            mismatch = net.mismatch(v, before)
+            try:
+                net.forward(v, net.currents(net.injections(v)))
+                mismatch = net.mismatch(v, before)
+            except OverflowError:  # cmath.phase of a blown-up voltage
+                mismatch = math.inf
             trace.append(mismatch)
             if not math.isfinite(mismatch):
                 raise PowerFlowError(f"numerical blow-up after {iterations} sweeps", trace)

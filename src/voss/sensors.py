@@ -57,7 +57,6 @@ import io
 import itertools
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from functools import partial
@@ -67,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .estimator import EstimateFlag, check_ends, check_rho, first_broken_rule, voss_estimate
-from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, json_number, open_output
+from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, in_memory, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import (
     check_seconds,
@@ -268,7 +267,11 @@ def _named(where: str, rule, *args):
 @dataclass(frozen=True)
 class SensorChain:
     """Sensors in feeder order, a power-ratio estimate per span, and the
-    settings loss_curve reads.
+    settings of a run.
+
+    loss_curve reads every field but nominal_voltage_v, which only voss
+    sensors reads, as ingest_csv's nominal_voltage: the outage threshold
+    is each series' own, so nominal_voltage_v changes no curve in Python.
 
     rho_s has one entry per adjacent pair.  None means no engineering
     estimate is available and that span uses the raw uncorrected
@@ -636,14 +639,9 @@ def ingest_csv(path, nominal_voltage=NOMINAL_VOLTAGE) -> list:
     return readings.series(nominal_voltage)
 
 
-@contextmanager
 def _grid_in_memory(up: str, down: str, grid_step_s: float):
     """A MemoryError in a pair's grid work becomes a ValueError naming the pair."""
-    try:
-        yield
-    except MemoryError:
-        raise ValueError(f"pair {up!r}->{down!r}: the grid at step {grid_step_s} s "
-                         "does not fit in memory") from None
+    return in_memory(f"pair {up!r}->{down!r}: the grid at step {grid_step_s} s")
 
 
 def _pair_grid(series_a: VoltageSeries, series_b: VoltageSeries, grid_step_s: float) -> np.ndarray:
@@ -723,9 +721,11 @@ def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float]
     bits[gap] = GAP_BIT + SUSPECT_BIT * near_outage
     paired = ~gap
     v_up, v_down = v_a[paired], v_b[paired]
-    try:  # a calibration may underflow volts to 0
+    try:  # a calibration may underflow volts to 0 or overflow their ratio
         check_ends(v_up, v_down)
-        _, _, loss[paired], negative, out_of_range = voss_estimate(v_down / v_up, rho_s)
+        with np.errstate(over="ignore"):  # an inf ratio breaks voss_estimate's rule
+            ratio = v_down / v_up
+        _, _, loss[paired], negative, out_of_range = voss_estimate(ratio, rho_s)
     except ValueError:
         k, rule = first_broken_rule(v_up, v_down, rho_s)
         when = us_to_datetime(int(seconds_to_us(grid[paired][k])))
@@ -850,63 +850,44 @@ def parse_chain_config(path) -> SensorChain:
         raise SensorFormatError(f"{path}: {exc}") from None
     except RecursionError:
         raise SensorFormatError(f"{path}: invalid JSON: nested too deeply") from None
-    context = str(path)
     if not isinstance(data, dict):
-        raise SensorFormatError(f"{context}: top level must be an object")
+        raise SensorFormatError(f"{path}: top level must be an object")
     unknown = sorted(set(data) - CHAIN_KEYS)
     if unknown:
-        raise SensorFormatError(f"{context}: unknown keys {unknown}")
+        raise SensorFormatError(f"{path}: unknown keys {unknown}")
     sensors = data.get("sensors")
-    if (
-        not isinstance(sensors, list)
-        or not sensors
-        or not all(isinstance(s, str) and s for s in sensors)
-    ):
-        raise SensorFormatError(
-            f"{context}: 'sensors' must be a nonempty list of sensor ids"
-        )
+    if not (isinstance(sensors, list) and sensors
+            and all(isinstance(s, str) and s for s in sensors)):
+        raise SensorFormatError(f"{path}: 'sensors' must be a nonempty list of sensor ids")
     adjacent = {pair: i for i, pair in enumerate(zip(sensors, sensors[1:]))}
-    rho_s: list = [None] * (len(sensors) - 1)
+    rho_s: list = [None] * (len(sensors) - 1)  # a pair's entry sets its rho_s, never None
     pairs = data.get("pairs", [])
     if not isinstance(pairs, list):
-        raise SensorFormatError(f"{context}: 'pairs' must be a list")
-    seen = set()
+        raise SensorFormatError(f"{path}: 'pairs' must be a list")
     for entry in pairs:
-        if not isinstance(entry, dict) or set(entry) - {
-            "upstream",
-            "downstream",
-            "rho_s",
-        }:
-            raise SensorFormatError(
-                f"{context}: each pair needs keys upstream, downstream, rho_s"
-            )
+        if not isinstance(entry, dict) or set(entry) - {"upstream", "downstream", "rho_s"}:
+            raise SensorFormatError(f"{path}: each pair needs keys upstream, downstream, rho_s")
         key = (entry.get("upstream"), entry.get("downstream"))
+        pair = f"{key[0]!r}->{key[1]!r}"
         if not all(isinstance(sid, str) for sid in key) or key not in adjacent:
             raise SensorFormatError(
-                f"{context}: pair {key[0]!r}->{key[1]!r} is not an adjacent "
-                f"pair of the sensor list"
-            )
-        if key in seen:
-            raise SensorFormatError(
-                f"{context}: duplicate pair entry {key[0]!r}->{key[1]!r}"
-            )
-        seen.add(key)
+                f"{path}: pair {pair} is not an adjacent pair of the sensor list")
+        if rho_s[adjacent[key]] is not None:
+            raise SensorFormatError(f"{path}: duplicate pair entry {pair}")
         if entry.get("rho_s") is None:
-            raise SensorFormatError(
-                f"{context}: rho_s for {key[0]!r}->{key[1]!r} must be a number"
-            )
+            raise SensorFormatError(f"{path}: rho_s for {pair} must be a number")
         rho_s[adjacent[key]] = entry["rho_s"]
     calibration = data.get("calibration", {})
     if not isinstance(calibration, dict):
-        raise SensorFormatError(f"{context}: 'calibration' must be an object")
+        raise SensorFormatError(f"{path}: 'calibration' must be an object")
     settings = {f.name: data[f.name] for f in fields(SensorChain)
                 if "rule" in f.metadata and f.name in data}
     named = [*((f"calibration for {sid!r}", f) for sid, f in calibration.items()),
              *((repr(key), value) for key, value in settings.items())]
     for where, value in named:
         if value is None:
-            raise SensorFormatError(f"{context}: {where} must be a number")
+            raise SensorFormatError(f"{path}: {where} must be a number")
     try:
         return SensorChain(tuple(sensors), tuple(rho_s), calibration=calibration, **settings)
     except ValueError as exc:
-        raise SensorFormatError(f"{context}: {exc}") from None
+        raise SensorFormatError(f"{path}: {exc}") from None

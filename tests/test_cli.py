@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -441,6 +444,64 @@ def test_a_calibrated_reading_that_underflows_to_zero_names_its_pair_and_instant
     assert (code, out) == (EXIT_INPUT, "")
     assert err == ("error: pair 'a'->'b' at 2024-03-12 00:02:00+00:00: "
                    "rho_v must be > 0, got 0.0\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("pairs", [[], [{"upstream": "a", "downstream": "b", "rho_s": 0.5}]])
+def test_a_calibration_that_overflows_a_voltage_ratio_is_an_input_error(tmp_path, capsys, pairs):
+    # 230 V times 1e-320 is a subnormal volt, which the ends' rule takes;
+    # 229 V over it overflows, and the estimate refuses the inf ratio
+    rows = [f"{sid},2024-01-01T00:0{2 * k}:00Z,{v}" for k in range(2) for sid, v in
+            (("a", 230), ("b", 229))]
+    readings = tmp_path / "in.csv"
+    readings.write_text("\n".join(["sensor_id,timestamp,voltage_v", *rows, ""]))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"sensors": ["a", "b"], "calibration": {"a": 1e-320},
+                                 "pairs": pairs}))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "sensors", str(readings), str(chain),
+                             "--out-dir", str(out_dir))
+    assert (caught, code, out) == ([], EXIT_INPUT, "")
+    assert err == ("error: pair 'a'->'b' at 2024-01-01 00:00:00+00:00: "
+                   "rho_v must be finite, got inf\n")
+    assert not out_dir.exists()
+
+
+def test_an_oracle_sweep_past_memory_is_an_input_error(tmp_path):
+    # 10^12 segments ask for 8 TB per array; under an address-space cap of
+    # about 3 GB the allocation fails at once, and no memory is committed
+    resource = pytest.importorskip("resource")
+    cap = 3_000_000 * 1024
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error::RuntimeWarning",
+           "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-m", "voss.cli", "oracle", "--segments", "1000000000000",
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (
+        EXIT_INPUT, "", "error: an oracle sweep of 1000000000000 segments does not fit in memory\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,kv_ll,sweeps",
+                         [("ieee13", 1e-300, 1), ("ieee13", 1e300, 1), ("ieee34", 1e300, 2)])
+def test_a_source_voltage_at_the_float_range_ends_is_a_numerical_error(
+        tmp_path, capsys, name, kv_ll, sweeps):
+    doc = json.loads(bundled_feeder_path(f"{name}.feeder").read_text())
+    doc["source"]["nominal_kv_ll"] = kv_ll
+    bad = tmp_path / "source.feeder"
+    bad.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "solve", str(bad), "--out-dir", str(out_dir))
+    assert (caught, code, out) == ([], EXIT_NUMERICAL, "")
+    assert err == f"error: numerical blow-up after {sweeps} sweeps\n"
     assert not out_dir.exists()
 
 

@@ -9,12 +9,14 @@ why rising-voltage pairs are outside it.
 import cmath
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from voss import estimator
 from voss.estimator import (
     CorrectionParams,
     EstimateFlag,
@@ -177,15 +179,14 @@ def test_ratio_forms_reject_degenerate_inputs():
 
 def test_corrected_estimate_scales_raw_drop():
     seg = SegmentVoltages(240.0, 228.0)
-    params = CorrectionParams(rho_s=0.8, rho_v=0.95)
-    est = voss_corrected(seg, params)
-    c_hat = correction_factor_hat(params)
+    est = voss_corrected(seg, 0.8)
+    c_hat = correction_factor_hat(CorrectionParams(rho_s=0.8, rho_v=228.0 / 240.0))
     assert est.loss_fraction == pytest.approx(c_hat * voss_single(seg), abs=0.0)
     assert not est.flags
 
 
 def test_corrected_estimate_flags_negative_drop():
-    est = voss_corrected(SegmentVoltages(228.0, 240.0), CorrectionParams(0.9, 0.95))
+    est = voss_corrected(SegmentVoltages(228.0, 240.0), 0.9)
     assert est.has_flag(EstimateFlag.NEGATIVE_DROP)
     assert est.loss_fraction < 0.0
 
@@ -193,7 +194,7 @@ def test_corrected_estimate_flags_negative_drop():
 def test_corrected_estimate_flags_out_of_range_leakage():
     # rho_s above rho_v implies negative inferred extraction: the model
     # does not fit, but the number is still reported.
-    est = voss_corrected(SegmentVoltages(240.0, 228.0), CorrectionParams(0.99, 0.95))
+    est = voss_corrected(SegmentVoltages(240.0, 228.0), 0.99)
     assert est.has_flag(EstimateFlag.CORRECTION_OUT_OF_RANGE)
     assert math.isfinite(est.loss_fraction)
 
@@ -202,10 +203,10 @@ def test_out_of_range_leakage_gets_the_clamped_factor():
     # below the range the factor is exactly 1, so the estimate is the raw
     # drop; above it (rho_s < 0, reverse power at the tail) it is c(1)
     seg = SegmentVoltages(240.0, 228.0)
-    below = voss_corrected(seg, CorrectionParams(rho_s=0.99, rho_v=0.95))
+    below = voss_corrected(seg, 0.99)
     assert below.loss_fraction == voss_single(seg)
     assert below.flags == {EstimateFlag.CORRECTION_OUT_OF_RANGE}
-    above = voss_corrected(seg, CorrectionParams(rho_s=-0.2, rho_v=0.95))
+    above = voss_corrected(seg, -0.2)
     assert above.loss_fraction == correction_factor(1.0) * voss_single(seg)
     assert above.flags == {EstimateFlag.CORRECTION_OUT_OF_RANGE}
 
@@ -228,6 +229,17 @@ def test_clamped_correction_passes_nan_and_rejects_bad_voltage_ratio():
     for rho_v in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="rho_v"):
             voss_estimate(rho_v, 0.5)
+    # a non-finite ratio is refused with or without rho_s, also in an array
+    for rho_s in (None, 0.5):
+        for rho_v, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                             (np.array([0.9, math.inf, math.nan]), "inf")):
+            with pytest.raises(ValueError) as exc:
+                voss_estimate(rho_v, rho_s)
+            assert str(exc.value) == f"rho_v must be finite, got {shown}"
+    # rho_s / rho_v past the float range is a leakage fraction of -inf,
+    # out of range, with no RuntimeWarning (tier-1 makes one an error)
+    raw, factor, loss, _, out_of_range = voss_estimate(5e-324, 0.5)
+    assert (factor, loss, out_of_range) == (1.0, raw, True)
 
 
 @given(
@@ -251,12 +263,13 @@ def test_estimate_policy_has_the_same_bits_on_floats_and_arrays(rho_v, rho_s):
         assert out_of_range == (not 0.0 <= rho <= 1.0) and loss == factor * raw
 
 
-def test_corrected_estimate_takes_the_correction_ratio_from_its_params():
-    # the drop is the segment's; the factor is that of the params' rho_v
+def test_corrected_estimate_takes_its_correction_ratio_from_its_segment():
+    # one policy call, on the segment's own ratio: no second ratio to disagree
     seg = SegmentVoltages(240.0, 228.0)
-    est = voss_corrected(seg, CorrectionParams(rho_s=0.5, rho_v=0.8))
-    factor = voss_estimate(0.8, 0.5)[1]
-    assert est.loss_fraction == factor * voss_single(seg) and not est.flags
+    with mock.patch.object(estimator, "voss_estimate", wraps=voss_estimate) as policy:
+        est = voss_corrected(seg, 0.5)
+    policy.assert_called_once_with(228.0 / 240.0, 0.5)
+    assert est.loss_fraction == voss_estimate(228.0 / 240.0, 0.5)[2] and not est.flags
 
 
 def _float_bits(x: float) -> bytes:
@@ -269,20 +282,26 @@ ends = {
 }
 
 
-@given(
-    **ends,
-    rho_s=st.one_of(st.none(), st.just(math.nan), st.floats(min_value=-2.0, max_value=2.0)),
-    rho_v=st.floats(min_value=0.0, max_value=1.5, exclude_min=True),
-)
-@example(v_start=240.0, v_end=228.0, rho_s=0.99, rho_v=0.95)
-@example(v_start=228.0, v_end=240.0, rho_s=-0.2, rho_v=0.95)
-@example(v_start=1.0, v_end=0.0, rho_s=math.nan, rho_v=5e-324)
-def test_corrected_estimate_is_the_clamped_closed_form_bit_for_bit(v_start, v_end, rho_s, rho_v):
-    # the drop is the segment's own; the factor is that of the params'
-    # ratios, whatever the segment's ratio; both written out here
-    with np.errstate(over="ignore"):  # rho_s / rho_v may overflow to inf
-        est = voss_corrected(SegmentVoltages(v_start, v_end), CorrectionParams(rho_s, rho_v))
-    raw = 1.0 - v_end / v_start
+power_ratios = st.one_of(st.none(), st.just(math.nan), st.floats(min_value=-2.0, max_value=2.0))
+
+
+def _policy_takes(v_start, v_end, rho_s) -> bool:
+    """True where voss_estimate takes the segment's ratio with rho_s."""
+    rho_v = v_end / v_start
+    return math.isfinite(rho_v) and (rho_s is None or rho_v > 0.0)
+
+
+@given(**ends, rho_s=power_ratios)
+@example(v_start=240.0, v_end=228.0, rho_s=0.99)
+@example(v_start=228.0, v_end=240.0, rho_s=-0.2)
+@example(v_start=1.0, v_end=5e-324, rho_s=0.5)  # rho_s / rho_v overflows to inf
+@example(v_start=1.0, v_end=5e-324, rho_s=math.nan)
+def test_corrected_estimate_is_the_clamped_closed_form_bit_for_bit(v_start, v_end, rho_s):
+    # the drop and the factor both of the segment's ratio, written out here
+    assume(_policy_takes(v_start, v_end, rho_s))
+    est = voss_corrected(SegmentVoltages(v_start, v_end), rho_s)
+    rho_v = v_end / v_start
+    raw = 1.0 - rho_v
     if rho_s is None:
         factor, out_of_range = 1.0, False
     else:
@@ -296,15 +315,44 @@ def test_corrected_estimate_is_the_clamped_closed_form_bit_for_bit(v_start, v_en
     assert len(est.flags) == (raw < 0.0) + out_of_range
 
 
-@given(
-    **ends,
-    rho_s=st.one_of(st.just(math.nan), st.floats(min_value=-2.0, max_value=2.0)),
-    rho_v=st.one_of(st.just(math.nan), st.floats(max_value=0.0)),
-)
-def test_corrected_estimate_rejects_a_params_voltage_ratio_not_above_zero(
-        v_start, v_end, rho_s, rho_v):
-    with pytest.raises(ValueError, match="rho_v must be > 0"):
-        voss_corrected(SegmentVoltages(v_start, v_end), CorrectionParams(rho_s, rho_v))
+@given(**ends, rho_s=power_ratios)
+@example(v_start=1.0, v_end=0.0, rho_s=None)
+@example(v_start=1.0, v_end=0.0, rho_s=0.5)
+@example(v_start=1e-300, v_end=1e300, rho_s=math.nan)
+def test_corrected_estimate_is_voss_estimate_of_its_segments_ratio(v_start, v_end, rho_s):
+    # loss bits and both flags, or the refusal, of the one policy call
+    seg = SegmentVoltages(v_start, v_end)
+    try:
+        _, _, loss, negative, out_of_range = voss_estimate(v_end / v_start, rho_s)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as exc:
+            voss_corrected(seg, rho_s)
+        assert str(exc.value) == str(refused)
+        return
+    est = voss_corrected(seg, rho_s)
+    assert _float_bits(est.loss_fraction) == _float_bits(loss)
+    assert est.flags == {flag for flag, on in ((EstimateFlag.NEGATIVE_DROP, negative),
+                                               (EstimateFlag.CORRECTION_OUT_OF_RANGE,
+                                                out_of_range)) if on}
+
+
+@given(st.one_of(
+    # a ratio past the float range, with or without rho_s
+    st.tuples(st.floats(min_value=0.0, max_value=1e-300, exclude_min=True),
+              st.floats(min_value=1e10, allow_infinity=False), power_ratios),
+    # a ratio of 0 with rho_s
+    st.tuples(ends["v_start"], st.just(0.0), st.just(math.nan) | st.floats(-2.0, 2.0)),
+))
+@example(case=(1e-300, 1e300, None))
+@example(case=(1e300, 1e-300, 0.5))  # the ratio underflows to 0
+def test_corrected_estimate_rejects_a_segment_ratio_its_policy_refuses(case):
+    v_start, v_end, rho_s = case
+    seg = SegmentVoltages(v_start, v_end)
+    with pytest.raises(ValueError, match="rho_v must be"):
+        voss_corrected(seg, rho_s)
+    if rho_s is None:
+        with pytest.raises(ValueError, match="rho_v must be finite, got inf"):
+            voss_single(seg)
 
 
 def test_first_broken_rule_names_the_first_ends_a_rule_refuses():
@@ -313,6 +361,10 @@ def test_first_broken_rule_names_the_first_ends_a_rule_refuses():
     assert first_broken_rule(v_start, v_end) == (2, "v_start must be finite and > 0, got 0.0")
     assert first_broken_rule(v_start, v_end, 0.5) == (1, "rho_v must be > 0, got 0.0")
     assert first_broken_rule(v_start[:2], v_end[:2]) is None
+    # ends whose ratio overflows break the ratio's rule, with or without rho_s
+    v_start, v_end = np.array([1.0, 2.3e-318]), np.array([0.5, 229.0])
+    for rho_s in (None, 0.5):
+        assert first_broken_rule(v_start, v_end, rho_s) == (1, "rho_v must be finite, got inf")
 
 
 @given(st.lists(st.tuples(

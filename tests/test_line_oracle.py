@@ -6,10 +6,12 @@ pins the discretization down to its midpoint-rule order.
 """
 
 import csv
+from unittest import mock
 
 import pytest
 
 from voss.estimator import correction_factor
+from voss import line_oracle
 from voss.line_oracle import sweep_rho, write_sweep_csv
 
 RHOS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -60,3 +62,12 @@ def test_sweep_rows_and_csv_round_trip(tmp_path):
     for got, row in zip(parsed, rows):
         assert float(got["rho"]) == row.rho
         assert float(got["oracle_ratio"]) == pytest.approx(row.oracle_ratio, rel=1e-10)
+
+
+def test_a_sweep_past_memory_is_a_value_error_naming_the_segment_count():
+    # numpy raises MemoryError (its _ArrayMemoryError) for an allocation
+    # the address space refuses; mocked here, so nothing is allocated
+    with mock.patch.object(line_oracle.np, "arange", side_effect=MemoryError):
+        with pytest.raises(ValueError) as exc:
+            sweep_rho([0.1, 0.5], 10**12)
+    assert str(exc.value) == "an oracle sweep of 1000000000000 segments does not fit in memory"

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import struct
+import warnings
 from dataclasses import astuple, replace
 from unittest import mock
 
@@ -217,6 +218,24 @@ def test_diverging_sweep_is_a_blow_up_not_a_nan_solution():
         solve(model)
     assert not math.isfinite(err.value.trace[-1])
     assert all(math.isfinite(m) for m in err.value.trace[:-1])
+
+
+@pytest.mark.parametrize("name,kv_ll,sweeps",
+                         [("ieee13", 1e-300, 1), ("ieee13", 1e300, 1), ("ieee34", 1e300, 2)])
+def test_a_source_voltage_at_the_float_range_ends_is_a_blow_up_with_no_warning(
+        name, kv_ll, sweeps):
+    # both pass the model's > 0 rule; 1 / v0**2 of the constant-Z tables
+    # overflows or divides by 0 while the network is built, and on ieee34
+    # at 1e300 kV the second sweep's angles overflow in cmath.phase
+    doc = json.loads(bundled_feeder_path(f"{name}.feeder").read_text())
+    doc["source"]["nominal_kv_ll"] = kv_ll
+    model = expand_distributed_loads(parse_feeder_dict(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PowerFlowError) as err:
+            solve(model)
+    assert str(err.value) == f"numerical blow-up after {sweeps} sweeps"
+    assert len(err.value.trace) == sweeps and not math.isfinite(err.value.trace[-1])
 
 
 def test_solve_rejects_unplaced_distributed_loads(ieee13):

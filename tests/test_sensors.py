@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from conftest import json_values
 from voss.estimator import (
-    CorrectionParams,
     EstimateFlag,
     SegmentVoltages,
     voss_corrected,
@@ -1013,6 +1012,28 @@ def test_a_volt_that_underflows_downstream_breaks_the_ratio_rule_with_a_power_ra
                               "rho_v must be > 0, got 0.0")
 
 
+@pytest.mark.parametrize("rho_s", [None, 0.5])
+def test_a_calibration_that_overflows_the_voltage_ratio_names_its_pair_and_first_instant(
+        rho_s):
+    # 230 V times 1e-320 is a subnormal volt, which the ends' rule takes;
+    # 229 V over it overflows, and the ratio's rule refuses the inf
+    with pytest.raises(ValueError) as exc:
+        loss_curve(SensorChain(("a", "b"), (rho_s,), calibration={"a": 1e-320}),
+                   {"a": series("a", [230.0] * 2), "b": series("b", [229.0] * 2)})
+    assert str(exc.value) == ("pair 'a'->'b' at 2024-03-12 00:00:00+00:00: "
+                              "rho_v must be finite, got inf")
+
+
+def test_a_power_ratio_over_a_subnormal_voltage_ratio_is_out_of_range():
+    # 229 V times 1e-320 over 230 V is a subnormal ratio, and rho_s over it
+    # overflows: the leakage fraction is -inf, so the factor is 1
+    (curve,) = loss_curve(SensorChain(("a", "b"), (0.5,), calibration={"b": 1e-320}),
+                          {"a": series("a", [230.0] * 2), "b": series("b", [229.0] * 2)})
+    raw = 1.0 - 229.0 * 1e-320 / 230.0
+    assert curve.loss_fraction.tolist() == [raw, raw]
+    assert [p.flags for p in curve.points] == [(EstimateFlag.CORRECTION_OUT_OF_RANGE.value,)] * 2
+
+
 def test_identical_series_give_exactly_zero():
     (curve,) = chain_curves([230.0, 231.0, 229.5], [230.0, 231.0, 229.5])
     assert [p.loss_fraction for p in curve.points] == [0.0, 0.0, 0.0]
@@ -1027,10 +1048,7 @@ def test_constant_ratio_matches_hand_arithmetic():
 
 def test_known_power_ratio_applies_correction():
     (curve,) = chain_curves([240.0] * 3, [228.0] * 3, rho_s=0.8)
-    expected = voss_corrected(
-        SegmentVoltages(240.0, 228.0),
-        CorrectionParams(rho_s=0.8, rho_v=228.0 / 240.0),
-    ).loss_fraction
+    expected = voss_corrected(SegmentVoltages(240.0, 228.0), 0.8).loss_fraction
     assert expected < 1.0 - 228.0 / 240.0
     for p in curve.points:
         assert p.loss_fraction == expected
@@ -1902,7 +1920,7 @@ def test_curve_values_match_scalar_estimator(pairs, rho_s):
             value = voss_single(seg)
             flags = (EstimateFlag.NEGATIVE_DROP.value,) if value < 0.0 else ()
         else:
-            est = voss_corrected(seg, CorrectionParams(rho_s=rho_s, rho_v=d / u))
+            est = voss_corrected(seg, rho_s)
             value = est.loss_fraction
             flags = tuple(
                 flag.value
