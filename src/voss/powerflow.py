@@ -323,7 +323,7 @@ class _Network:
         for ld in model.loads:
             loads[ld.node].append(ld)
         self.shunt_va = 0j
-        self.elements = elements = []  # (node, is a capacitor bank) of each drawing element
+        self.elements = elements = []  # (node, load id, None for a bank) of each drawing element
         # (element, a, b, s0, v0) of each drawing branch, by load model value
         rows = {load_model: [] for load_model in _MODEL_ORDER}
         into = model._seg_into
@@ -343,7 +343,7 @@ class _Network:
                         for (p, q), kw, kvar in zip(pairs, ld.kw, ld.kvar)
                         if (s0 := (kw + 1j * kvar) * 1e3) != 0]
                 if live:
-                    elements.append((node, False))
+                    elements.append((node, ld.id))
                     rows[ld.model._value_] += live
             if shunt is not None:
                 caps = [-1j * (q * 1e3) for q in shunt]
@@ -351,7 +351,7 @@ class _Network:
                 live = [(len(elements), slot[p], ground, s0, base)
                         for p, s0 in zip(seg.phases, caps) if s0 != 0]
                 if live:
-                    elements.append((node, True))
+                    elements.append((node, None))
                     rows[_PQ] += live
 
         # branches grouped by model, each model's in element order
@@ -375,7 +375,14 @@ class _Network:
         # constant I: |s0| / v0 at the angle of v less that of s0
         s0 = self.s0[self.ci]
         self.i_mag = magnitude(s0) / t["v0"][self.ci]
-        self.i_angle = angle(s0)
+        try:
+            self.i_angle = angle(s0)
+        except OverflowError as exc:  # the model accepts every finite kw and kvar
+            for e, z in zip(t["element"][self.ci].tolist(), s0.tolist()):
+                try:
+                    cmath.phase(z)
+                except OverflowError:
+                    raise OverflowError(f"load {elements[e][1]}: {exc}") from None
 
     def flat_start(self, source) -> np.ndarray:
         """Source magnitudes and angles at every slot, then the ground."""
@@ -527,8 +534,8 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     src = model.source.node
     total_source = sum((sum(net.flow(s).s_from) for s in model.segments_from(src)), 0j)
     total_load = 0j
-    for (node, shunt), drawn in zip(net.elements, net.drawn(v, e)):
-        if shunt:
+    for (node, load), drawn in zip(net.elements, net.drawn(v, e)):
+        if load is None:
             continue
         total_load += drawn
         if node == src:  # the source also feeds the loads at its own node

@@ -12,6 +12,8 @@ normalization (that would erase the very drop being measured).
 Inside this module a series is two numpy arrays, int64 UTC epoch
 microseconds and float64 volts, and a loss curve is three: grid
 timestamps in epoch microseconds, loss fractions, and flag bits.  The
+time settings, in seconds, reach whole microseconds through
+timeseries.whole_us, so every comparison of times is exact.  The
 object views (``VoltageSeries.samples``, ``LossCurve.points``) are
 built only when read.
 
@@ -29,8 +31,8 @@ cuts out the series.
 ``loss_curve`` smooths each sensor once, however many pairs it belongs
 to, and shares one grid's lookups and timestamp text between adjacent
 pairs by the one rule its docstring states.  The array kernels (rolling
-median, nearest sample, grid, timestamp parsing and rounding) and the
-conversions between datetimes and epoch microseconds are in
+median, nearest sample, grid, timestamp parsing) and the conversions
+between seconds, datetimes and epoch microseconds are in
 ``voss.timeseries``, the estimate policy in ``voss.estimator``.
 
 Each setting has one rule: _check_scale (nominal voltage and calibration,
@@ -61,6 +63,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -68,16 +71,8 @@ import numpy as np
 from .estimator import EstimateFlag, check_ends, check_rho, first_broken_rule, voss_estimate
 from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, in_memory, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
-from .timeseries import (
-    check_seconds,
-    datetime_to_us,
-    grid_points,
-    nearest_index,
-    parse_timestamps,
-    rolling_median,
-    seconds_to_us,
-    us_to_datetime,
-)
+from .timeseries import FIRST_US, LAST_US, check_seconds, datetime_to_us, grid_points
+from .timeseries import nearest_index, parse_timestamps, rolling_median, us_to_datetime, whole_us
 
 CSV_HEADER = ["sensor_id", "timestamp", "voltage_v"]
 CURVE_HEADER = ["timestamp", "loss_fraction", "flags"]
@@ -197,8 +192,9 @@ class VoltageSeries(_ArrayRecord):
     gaps are simply missing entries.  The constructor takes (aware
     datetime, volts) pairs and from_arrays the two columns; either way
     the series meets one rule set: a nonempty sensor_id, nominal_voltage
-    finite and > 0, epoch_us strictly increasing, and every reading
-    finite and >= 0.  A failure names the sensor and the instant in UTC.
+    finite and > 0, epoch_us in years 1-9999 and strictly increasing,
+    and every reading finite and >= 0.  A failure names the sensor and
+    the instant (in UTC, when in years 1-9999).
     """
 
     sensor_id: str
@@ -233,6 +229,10 @@ class VoltageSeries(_ArrayRecord):
         if not self.sensor_id:
             raise ValueError("sensor_id must be nonempty")
         _check_scale("nominal_voltage", self.nominal_voltage)
+        outside = np.flatnonzero((self.epoch_us < FIRST_US) | (self.epoch_us > LAST_US))
+        if outside.size:
+            raise ValueError(f"{self.sensor_id}: epoch_us {self.epoch_us[outside[0]]} "
+                             "is outside years 1-9999")
         step = np.flatnonzero(np.diff(self.epoch_us) <= 0)
         if step.size:
             raise ValueError(f"{self.sensor_id}: timestamps not strictly increasing "
@@ -276,8 +276,9 @@ class SensorChain:
     rho_s has one entry per adjacent pair.  None means no engineering
     estimate is available and that span uses the raw uncorrected
     estimate.  calibration maps chain sensors to the factors their
-    readings are multiplied by (1 for the others).  Each pair's curve
-    file must be a file of the output directory, and no other pair's.
+    readings are multiplied by (1 for the others), kept read-only and out
+    of the hash.  Each pair's curve file must be a file of the output
+    directory, and no other pair's.
     A field's config key is its name or "key".  Every rule is checked
     when the chain is built, in this order: the sensor ids, rho_s,
     calibration, the curve files, then the number settings in field
@@ -288,7 +289,7 @@ class SensorChain:
     sensor_ids: tuple = field(metadata={"key": "sensors"})
     rho_s: tuple = field(default=(), metadata={"key": "pairs"})
     nominal_voltage_v: float = _setting(NOMINAL_VOLTAGE, _check_scale, "nominal_voltage")
-    calibration: dict = field(default_factory=dict)
+    calibration: MappingProxyType = field(default_factory=dict, hash=False)
     grid_step_s: float = _setting(GRID_STEP_S, check_seconds, "grid_step_s")
     tolerance_s: float = _setting(PAIR_TOLERANCE_S, check_seconds, "tolerance_s")
     smoothing_window_s: float = _setting(SMOOTHING_WINDOW_S, check_seconds, "window_s")
@@ -309,9 +310,9 @@ class SensorChain:
         for sid in self.calibration:
             if sid not in ids:
                 raise ValueError(f"calibration for unknown sensor {sid!r}")
-        keep("calibration", {sid: _named(f"calibration for {sid!r}", _check_scale,
-                                         "calibration", factor)
-                             for sid, factor in self.calibration.items()})
+        keep("calibration", MappingProxyType(
+            {sid: _named(f"calibration for {sid!r}", _check_scale, "calibration", factor)
+             for sid, factor in self.calibration.items()}))
         files: dict = {}  # each pair's curve file name -> the pair
         for up, down, _ in self.pairs():
             name = _CURVE_FILE.format(up, down)
@@ -646,29 +647,23 @@ def _grid_in_memory(up: str, down: str, grid_step_s: float):
 
 def _pair_grid(series_a: VoltageSeries, series_b: VoltageSeries, grid_step_s: float) -> np.ndarray:
     """align's grid for the pair, after align's checks of the two series."""
+    a, b = series_a.sensor_id, series_b.sensor_id
     if not series_a.epoch_us.size or not series_b.epoch_us.size:
-        raise ValueError(
-            f"no usable samples for pair {series_a.sensor_id!r}->"
-            f"{series_b.sensor_id!r}"
-        )
-    start = max(float(series_a.epoch_us[0] / 1e6), float(series_b.epoch_us[0] / 1e6))
-    end = min(float(series_a.epoch_us[-1] / 1e6), float(series_b.epoch_us[-1] / 1e6))
+        raise ValueError(f"no usable samples for pair {a!r}->{b!r}")
+    start = max(int(series_a.epoch_us[0]), int(series_b.epoch_us[0]))
+    end = min(int(series_a.epoch_us[-1]), int(series_b.epoch_us[-1]))
     if start > end:
-        raise ValueError(
-            f"series {series_a.sensor_id!r} and {series_b.sensor_id!r} do not overlap"
-        )
-    grid = grid_points(start, end, grid_step_s)
+        raise ValueError(f"series {a!r} and {b!r} do not overlap")
+    grid = grid_points(start, end, whole_us(grid_step_s))
     if not grid.size:
-        raise ValueError(
-            f"overlap of {series_a.sensor_id!r} and {series_b.sensor_id!r} "
-            f"contains no grid point at step {grid_step_s} s"
-        )
+        raise ValueError(f"overlap of {a!r} and {b!r} contains no grid point "
+                         f"at step {grid_step_s} s")
     return grid
 
 
-def _on_grid(series: VoltageSeries, grid: np.ndarray, tolerance_s: float) -> np.ndarray:
-    """Per grid point the volts of the nearest sample within tolerance_s, else nan."""
-    index = nearest_index(series.epoch_us / 1e6, grid, tolerance_s)
+def _on_grid(series: VoltageSeries, grid: np.ndarray, tolerance_us: int) -> np.ndarray:
+    """Per grid point the volts of the nearest sample within tolerance_us, else nan."""
+    index = nearest_index(series.epoch_us, grid, tolerance_us)
     return np.where(index >= 0, series.volts[index], np.nan)
 
 
@@ -680,43 +675,44 @@ def align(
 ) -> tuple:
     """Pair two series onto a shared time grid.
 
-    Returns (grid, v_a, v_b) as float arrays: the grid in epoch seconds,
-    spanning the overlap of the two series, and per grid point the
-    nearest stored sample within tolerance_s from each side (ties go to
-    the earlier sample), nan where there is none (a gap).  Raises when
-    either series is empty, when the series do not overlap or the overlap
-    contains no grid point, when grid_step_s or tolerance_s breaks its
-    check_seconds rule, and when the grid does not fit in memory.
+    Returns (grid, v_a, v_b): the grid in int64 epoch microseconds, the
+    multiples of grid_step_s in the overlap of the two series, and per
+    grid point the nearest stored sample within tolerance_s (inclusive)
+    from each side (ties go to the earlier sample), nan where there is
+    none (a gap).  Raises when either series is empty, when the series
+    do not overlap or the overlap contains no grid point, when
+    grid_step_s or tolerance_s (seconds) breaks its check_seconds rule,
+    and when the grid does not fit in memory.
     """
     grid_step_s = check_seconds("grid_step_s", grid_step_s)
-    tolerance_s = check_seconds("tolerance_s", tolerance_s)
+    tolerance_us = whole_us(check_seconds("tolerance_s", tolerance_s))
     with _grid_in_memory(series_a.sensor_id, series_b.sensor_id, grid_step_s):
         grid = _pair_grid(series_a, series_b, grid_step_s)
-        return grid, _on_grid(series_a, grid, tolerance_s), _on_grid(series_b, grid, tolerance_s)
+        return grid, _on_grid(series_a, grid, tolerance_us), _on_grid(series_b, grid, tolerance_us)
 
 
 def _smoothed(series: VoltageSeries, window_s: float, calibration: float) -> tuple:
-    """(clean samples, times calibration and median-smoothed; outage epoch seconds)."""
+    """(clean samples, times calibration and median-smoothed; outage epoch microseconds)."""
     clean = ~(series.volts < POWER_SUSPECT_FRACTION * series.nominal_voltage)
     epoch_us = series.epoch_us[clean]
     with np.errstate(over="ignore"):  # an inf reading fails from_arrays below
         volts = series.volts[clean] * calibration
-    smoothed = rolling_median(epoch_us / 1e6, volts, window_s)
+    smoothed = rolling_median(epoch_us, volts, window_s)
     return (
         VoltageSeries.from_arrays(series.sensor_id, epoch_us, smoothed, series.nominal_voltage),
-        series.epoch_us[~clean] / 1e6,
+        series.epoch_us[~clean],
     )
 
 
 def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float],
-                tolerance_s: float) -> LossCurve:
-    """One pair's curve; up and down are (sensor id, outage epoch seconds, volts on grid)."""
+                tolerance_us: int) -> LossCurve:
+    """One pair's curve; up and down are (sensor id, outage epoch us, volts on grid)."""
     (up_id, outage_up, v_a), (down_id, outage_down, v_b) = up, down
     loss = np.full(grid.size, np.nan)
     bits = np.zeros(grid.size, dtype=np.uint8)
     gap = np.isnan(v_a) | np.isnan(v_b)
-    near_outage = (nearest_index(outage_up, grid[gap], tolerance_s) >= 0) | (
-        nearest_index(outage_down, grid[gap], tolerance_s) >= 0
+    near_outage = (nearest_index(outage_up, grid[gap], tolerance_us) >= 0) | (
+        nearest_index(outage_down, grid[gap], tolerance_us) >= 0
     )
     bits[gap] = GAP_BIT + SUSPECT_BIT * near_outage
     paired = ~gap
@@ -728,10 +724,10 @@ def _pair_curve(grid: np.ndarray, up: tuple, down: tuple, rho_s: Optional[float]
         _, _, loss[paired], negative, out_of_range = voss_estimate(ratio, rho_s)
     except ValueError:
         k, rule = first_broken_rule(v_up, v_down, rho_s)
-        when = us_to_datetime(int(seconds_to_us(grid[paired][k])))
+        when = us_to_datetime(int(grid[paired][k]))
         raise ValueError(f"pair {up_id!r}->{down_id!r} at {when}: {rule}") from None
     bits[paired] = NEGATIVE_BIT * negative + RANGE_BIT * out_of_range
-    return LossCurve(up_id, down_id, seconds_to_us(grid), loss, bits)
+    return LossCurve(up_id, down_id, grid, loss, bits)
 
 
 def loss_curve(chain: SensorChain, series: dict) -> list:
@@ -754,7 +750,7 @@ def loss_curve(chain: SensorChain, series: dict) -> list:
     missing = [sid for sid in chain.sensor_ids if sid not in series]
     if missing:
         raise ValueError(f"sensors missing from series map: {missing}")
-    step, tolerance_s = chain.grid_step_s, chain.tolerance_s
+    step, tolerance_us = chain.grid_step_s, whole_us(chain.tolerance_s)
     window_s, calibration = chain.smoothing_window_s, chain.calibration
     smoothed = {sid: _smoothed(series[sid], window_s, calibration.get(sid, 1.0))
                 for sid in chain.sensor_ids}
@@ -765,10 +761,10 @@ def loss_curve(chain: SensorChain, series: dict) -> list:
             grid = _pair_grid(smooth_up, smooth_dn, step)
             # this pair's upstream sensor is the last pair's downstream one
             shared = np.array_equal(grid, last[0])
-            v_up = last[1] if shared else _on_grid(smooth_up, grid, tolerance_s)
-            last = grid, _on_grid(smooth_dn, grid, tolerance_s)
+            v_up = last[1] if shared else _on_grid(smooth_up, grid, tolerance_us)
+            last = grid, _on_grid(smooth_dn, grid, tolerance_us)
             curve = _pair_curve(grid, (up, outage_up, v_up), (dn, outage_dn, last[1]),
-                                rho_s, tolerance_s)
+                                rho_s, tolerance_us)
             cells = curves[-1]._stamp_cells if shared else _timestamp_cells(curve.timestamp_us)
         object.__setattr__(curve, "_stamp_cells", cells)
         curves.append(curve)

@@ -1,13 +1,12 @@
 """Array kernels for UTC time series held as numpy arrays, and the one
 reading of a timestamp text.
 
-Times are float64 epoch seconds or int64 epoch microseconds.  Each
-kernel gives exactly what a scalar formulation gives: statistics.median
-over a window, a scan for the nearest sample, datetime.fromtimestamp and
-datetime.fromisoformat.  The tests compare them against those oracles.
-Times in seconds are ``epoch_us / 1e6``, which equals
-``datetime.timestamp()`` bit for bit (within 2**53 us, about 285 years,
-of 1970), so grid and alignment arithmetic is the same as on datetimes.
+Times are int64 epoch microseconds.  A time setting (window, grid step,
+tolerance) is given in seconds and taken to whole microseconds by
+whole_us, so every comparison of times is exact.  Each kernel gives
+exactly what a scalar formulation gives: statistics.median over a
+window, a scan for the nearest sample, datetime.fromisoformat.  The
+tests compare them against those oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +32,11 @@ NETWORK_WIDTH = 8
 # The least value of each time setting, in seconds; each must also be finite.
 # Grid timestamps are whole microseconds, so a step is at least one.
 LEAST_SECONDS = {"window_s": 0.0, "grid_step_s": 1e-6, "tolerance_s": 0.0}
+# The instants of years 1-9999 UTC, which hold every series' times.  whole_us
+# caps a setting at US_CAP, past their span, so a time plus or minus a
+# setting stays an int64.
+FIRST_US, LAST_US = -62_135_596_800_000_000, 253_402_300_799_999_999
+US_CAP = 1 << 62
 
 
 def check_seconds(name: str, value) -> float:
@@ -46,42 +50,41 @@ def check_seconds(name: str, value) -> float:
     return number
 
 
-def nearest_index(epochs: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
-    """Index into sorted epochs of the sample nearest each t within tol, else -1.
-
-    A tie goes to the earlier sample, and a sample exactly tol away
-    counts.
-    """
-    n = epochs.size
-    if n == 0:
-        return np.full(t.shape, -1)
-    after = np.searchsorted(epochs, t, side="left")
-    before = after - 1
-    d_before = np.where(before >= 0, np.abs(epochs[np.maximum(before, 0)] - t), np.inf)
-    d_after = np.where(after < n, np.abs(epochs[np.minimum(after, n - 1)] - t), np.inf)
-    take_after = d_after < d_before
-    best = np.where(take_after, after, before)
-    distance = np.where(take_after, d_after, d_before)
-    return np.where(distance <= tol, best, -1)
+def whole_us(seconds: float) -> int:
+    """seconds (finite, >= 0) to the nearest whole microsecond, half to
+    even, computed exactly; at most US_CAP."""
+    numerator, denominator = float(seconds).as_integer_ratio()
+    us, rest = divmod(2_000_000 * numerator + denominator, 2 * denominator)  # half up
+    return min(us - (rest == 0 and us % 2), US_CAP)  # but a tie goes to even
 
 
-def grid_points(start: float, end: float, step: float) -> np.ndarray:
-    """Multiples k * step of the step inside [start, end], in epoch seconds."""
-    # Grid points sit at absolute multiples of the step (UTC epoch), so
-    # runs over different but overlapping files share timestamps.  The
-    # slack keeps a multiple that start / step rounds past; it is 1e-9
-    # step, but at most a microsecond, the resolution of a timestamp.
-    slack = min(1e-9, 1e-6 / step)
-    k0 = math.ceil(start / step - slack)
-    k1 = math.floor(end / step + slack)
-    return np.arange(k0, k1 + 1, dtype=np.int64) * step
+def nearest_index(epoch_us: np.ndarray, t_us: np.ndarray, tol_us: int) -> np.ndarray:
+    """Index into sorted epoch_us of the sample nearest each t_us within
+    tol_us (all microseconds), else -1.  A tie goes to the earlier
+    sample, and a sample exactly tol_us away counts."""
+    if epoch_us.size == 0:
+        return np.full(t_us.shape, -1)
+    after = np.searchsorted(epoch_us, t_us)
+    # clipped at the ends, where both then name the one neighbour
+    before, after = np.maximum(after - 1, 0), np.minimum(after, epoch_us.size - 1)
+    nearer = np.abs(epoch_us[after] - t_us) < np.abs(epoch_us[before] - t_us)
+    best = np.where(nearer, after, before)
+    return np.where(np.abs(epoch_us[best] - t_us) <= tol_us, best, -1)
 
 
-def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
+def grid_points(start_us: int, end_us: int, step_us: int) -> np.ndarray:
+    """The multiples of step_us >= 1 inside [start_us, end_us], int64 epoch
+    microseconds: absolute multiples, so runs over different but
+    overlapping files share timestamps."""
+    return np.arange(-(-start_us // step_us), end_us // step_us + 1, dtype=np.int64) * step_us
+
+
+def rolling_median(epoch_us, values, window_s: float) -> np.ndarray:
     """Centered time-windowed median, one output per sample.
 
-    epoch_s must be strictly increasing.  The value at time t is the
-    median of all samples within window_s/2 of t (inclusive), exactly
+    epoch_us, in years 1-9999, must be strictly increasing.  The value
+    at time t is the median of all samples within window_s/2 of t
+    (inclusive; window_s taken to whole microseconds), exactly
     as statistics.median takes it (the mean of the two middle values
     for an even count), so a window shorter than the sampling interval
     is the identity.  Median rather than mean keeps single-sample
@@ -96,16 +99,15 @@ def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
     when a value is NaN, so the padding sorts after every value and each
     window's median is the one np.sort gives on that window alone.
     """
-    check_seconds("window_s", window_s)
-    epoch_s = np.asarray(epoch_s, dtype=np.float64)
+    half = whole_us(check_seconds("window_s", window_s)) // 2  # times are whole us
+    epoch_us = np.asarray(epoch_us, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     out = np.empty(n)
     if n == 0:
         return out
-    half = window_s / 2.0
-    lo = np.searchsorted(epoch_s, epoch_s - half, side="left")
-    width = np.searchsorted(epoch_s, epoch_s + half, side="right") - lo
+    lo = np.searchsorted(epoch_us, epoch_us - half, side="left")
+    width = np.searchsorted(epoch_us, epoch_us + half, side="right") - lo
     signed_zero = np.signbit(values[values == 0]).any()
     nan = np.isnan(values).any()
     network = not (signed_zero or nan)
@@ -134,14 +136,6 @@ def rolling_median(epoch_s, values, window_s: float) -> np.ndarray:
     return out
 
 
-def seconds_to_us(seconds: np.ndarray) -> np.ndarray:
-    """Epoch microseconds, rounded as datetime.fromtimestamp rounds (half even)."""
-    whole = np.trunc(seconds)
-    return whole.astype(np.int64) * 1_000_000 + np.rint(
-        (seconds - whole) * 1e6
-    ).astype(np.int64)
-
-
 # A canonical timestamp: 0 is an ASCII digit, + is + or -, a Z suffix reads
 # as +00:00.  Its digit pairs (century, year, month, day, hour, minute, second,
 # offset hours, minutes) are at most _STAMP_MOST.
@@ -149,7 +143,6 @@ _STAMP = np.array([ord(c) for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32
 _STAMP_SPAN = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint32)
 _STAMP_TENS = np.flatnonzero(_STAMP_SPAN)[::2]  # each pair's ones digit follows
 _STAMP_MOST = np.array([99, 99, 12, 31, 23, 59, 59, 23, 59])
-_FIRST_S, _LAST_S = -62_135_596_800, 253_402_300_799  # 0001-01-01, 9999-12-31T23:59:59
 
 
 def parse_canonical_us(texts: list) -> dict:
@@ -172,8 +165,9 @@ def parse_canonical_us(texts: list) -> dict:
     seconds = ((date.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second - offset
     good = (numbers <= _STAMP_MOST).all(axis=1) & (century + year > 0) & (month > 0)
     good &= date.astype("M8[M]") == first  # the day is one of its month's
-    good &= (_FIRST_S <= seconds) & (seconds <= _LAST_S)
-    epoch_us = (seconds[good] * 1_000_000).tolist()
+    epoch_us = seconds * 1_000_000
+    good &= (FIRST_US <= epoch_us) & (epoch_us <= LAST_US)
+    epoch_us = epoch_us[good].tolist()
     if len(epoch_us) == len(texts):  # every text canonical
         return dict(zip(texts, epoch_us))
     return dict(zip(map(texts.__getitem__, pick[good].tolist()), epoch_us))

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -340,9 +341,10 @@ def test_malformed_chain_config_is_an_input_error(tmp_path, capsys, edit):
     assert err.startswith("error:") and "wrote" not in out
 
 
-def test_a_grid_step_past_every_reading_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("step", [1e19, 1e308])  # 1e308 s is capped at 2**62 us
+def test_a_grid_step_past_every_reading_is_an_input_error(tmp_path, capsys, step):
     doc = json.loads(Path(SAMPLE_CHAIN).read_text())
-    doc["grid_step_s"] = 1e19
+    doc["grid_step_s"] = step
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
@@ -350,8 +352,55 @@ def test_a_grid_step_past_every_reading_is_an_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert out == "note: sensor-17: dropped 1 duplicate timestamp(s), kept first\n"
     assert err == ("error: overlap of 'sensor-03' and 'sensor-17' contains no grid point "
-                   "at step 1e+19 s\n")
+                   f"at step {step} s\n")
     assert not out_dir.exists()
+
+
+# the sample day's curve files with one time setting at 1e308 s, which
+# every time setting reaches as its cap of whole microseconds
+HUGE_SETTING_CURVES = {
+    "tolerance_s": (
+        "3b967adf538f14c5da0384072382869c83b92f1d7fba3116c6d2689329bf5d8b",
+        "158c250784344709b16a73d2bb0fb17ee78466c56b85de43881b9d9d42024417",
+    ),
+    "smoothing_window_s": (
+        "92103bdb2ec6415799be2f6b61387444123792a80569d1c6f61665761e7126ac",
+        "f96453567e0ba2b79fd62d3706e01a740d8052c30449937b9d123e1a079d3a8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HUGE_SETTING_CURVES))
+def test_a_time_setting_of_1e308_is_capped_not_an_error(tmp_path, capsys, key):
+    doc = json.loads(Path(SAMPLE_CHAIN).read_text())
+    doc[key] = 1e308
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "sensors", SAMPLE_DAY, str(chain), "--out-dir", str(tmp_path))
+    assert (code, err) == (EXIT_OK, "")
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in (
+        "loss_curve_sensor-03_sensor-17.csv", "loss_curve_sensor-17_sensor-22.csv"))
+    assert digests == HUGE_SETTING_CURVES[key]
+
+
+def test_sub_second_readings_exactly_the_tolerance_apart_are_paired(tmp_path, capsys):
+    # b reads 23,643 us after each of a's whole seconds, and the tolerance
+    # is exactly that
+    readings = tmp_path / "readings.csv"
+    readings.write_text("sensor_id,timestamp,voltage_v\n" + "".join(
+        f"a,2024-01-01T00:00:{k:02d}Z,230\nb,2024-01-01T00:00:{k:02d}.023643Z,229\n"
+        for k in range(12)))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"sensors": ["a", "b"], "grid_step_s": 1,
+                                 "tolerance_s": 0.023643, "smoothing_window_s": 0}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "sensors", str(readings), str(chain), "--out-dir", str(out_dir))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == "a->b: 11 points (0 flagged)"
+    rows = (out_dir / "loss_curve_a_b.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        f"2024-01-01T00:00:{k:02d}Z" for k in range(1, 12)]
+    assert all(row.endswith(",0.00434782608696,") for row in rows)
 
 
 def test_a_calibrated_chain_sensor_with_no_rows_is_missing_like_any_other(tmp_path, capsys):
@@ -536,7 +585,7 @@ def test_arithmetic_error_is_a_numerical_error(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, "solve", str(bad), "--out-dir", str(out_dir))
     assert code == EXIT_NUMERICAL
-    assert err == "error: math range error\n" and out == ""
+    assert err == "error: load 692: math range error\n" and out == ""
     assert not out_dir.exists()
 
 

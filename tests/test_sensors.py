@@ -14,6 +14,7 @@ import tempfile
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -71,7 +72,7 @@ def aligned_points(series_a, series_b, **kwargs):
     grid, v_a, v_b = align(series_a, series_b, **kwargs)
     return [
         SimpleNamespace(
-            timestamp=datetime.fromtimestamp(t, tz=UTC),
+            timestamp=EPOCH + timedelta(microseconds=t),
             v_a=None if math.isnan(a) else a,
             v_b=None if math.isnan(b) else b,
         )
@@ -80,8 +81,8 @@ def aligned_points(series_a, series_b, **kwargs):
 
 
 def median_of(samples, window_s):
-    """rolling_median over (epoch_s, value) pairs, as a list."""
-    epochs = [t for t, _ in samples]
+    """rolling_median over (epoch seconds, value) pairs, as a list."""
+    epochs = [round(t * 1_000_000) for t, _ in samples]
     values = [v for _, v in samples]
     return rolling_median(epochs, values, window_s=window_s).tolist()
 
@@ -813,6 +814,19 @@ def test_a_series_from_arrays_equals_one_from_datetimes():
     assert VoltageSeries.from_arrays("s", [], []) == VoltageSeries("s", ())
 
 
+def test_a_series_from_arrays_lies_in_years_1_to_9999():
+    # the time settings cap at 2**62 us, so time arithmetic on such a series
+    # stays an int64; near the int64 ends it would wrap
+    first, last = timeseries.FIRST_US, timeseries.LAST_US
+    assert (first, last) == (FIRST_US, LAST_US) and timeseries.US_CAP > last - first
+    assert VoltageSeries.from_arrays("s", [first, last], [230.0, 230.0]).samples == (
+        (datetime(1, 1, 1, tzinfo=UTC), 230.0),
+        (datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC), 230.0))
+    for epoch_us, shown in (([first - 1, 0], first - 1), ([0, 2**63 - 1], 2**63 - 1)):
+        with pytest.raises(ValueError, match=f"^s: epoch_us {shown} is outside years 1-9999$"):
+            VoltageSeries.from_arrays("s", epoch_us, [230.0, 230.0])
+
+
 @pytest.mark.parametrize(
     "epoch_us,volts,shapes",
     [([0, 120_000_000], [230.0], "(2,), (1,)"), ([[0]], [[230.0]], "(1, 1), (1, 1)"),
@@ -842,6 +856,17 @@ def test_flag_bits_past_the_flag_names_fail_on_construction():
         replace(curve, flag_bits=[0, 16])
     with pytest.raises(ValueError, match="^flag_bits must be below 16, got 255 at index 0$"):
         LossCurve("a", "b", [0], [0.1], np.array([255]))
+
+
+def test_a_built_chains_calibration_is_read_only_and_left_out_of_its_hash():
+    chain = SensorChain(("a", "b"), calibration={"a": 2})
+    for sid, factor in (("a", -1), ("zz", 0)):
+        with pytest.raises(TypeError):
+            chain.calibration[sid] = factor
+    assert chain.calibration == {"a": 2.0}
+    same = SensorChain(("a", "b"), calibration={"a": 2.0})
+    assert same == chain and hash(same) == hash(chain)
+    assert replace(chain, grid_step_s=60.0).calibration == {"a": 2.0}
 
 
 def test_chain_defaults_and_validation():
@@ -1202,7 +1227,7 @@ def test_each_curve_of_a_chain_is_its_pair_alone():
             sensors._smoothed(data[sid], 600.0, chain.calibration.get(sid, 1.0))
             for sid in (up, down))
         grid, v_a, v_b = align(smooth_up, smooth_down)
-        assert curve.timestamp_us.tolist() == [round(t * 1e6) for t in grid.tolist()]
+        assert curve.timestamp_us.tolist() == grid.tolist()
         paired = ~(np.isnan(v_a) | np.isnan(v_b))
         assert np.isnan(curve.loss_fraction[~paired]).all()
         loss = voss_estimate(v_b[paired] / v_a[paired], rho_s)[2]
@@ -1695,8 +1720,9 @@ def test_chain_config_rejects_non_finite_numbers(tmp_path, key, edit, bad):
 
 
 def oracle_median(epochs, values, window_s):
-    """statistics.median over each inclusive window, by brute force."""
-    half = window_s / 2.0
+    """statistics.median over each inclusive window, by brute force; epochs
+    in microseconds, the window in seconds to the nearest microsecond."""
+    half = round(Fraction(window_s) * 1_000_000) / 2
     return [
         statistics.median(
             v for s, v in zip(epochs, values) if t - half <= s <= t + half
@@ -1715,8 +1741,8 @@ def oracle_nearest(epochs, values, t, tol):
 
 
 def quarter_second_epochs(gaps):
-    """Strictly increasing epochs (seconds) from gaps in quarter seconds."""
-    return [1_710_201_600.0 + q / 4.0 for q in itertools.accumulate(gaps)]
+    """Strictly increasing epoch microseconds from gaps in quarter seconds."""
+    return [1_710_201_600_000_000 + q * 250_000 for q in itertools.accumulate(gaps)]
 
 
 volt_values = st.one_of(
@@ -1745,12 +1771,12 @@ def test_rolling_median_matches_statistics_median(data):
 
 def test_rolling_median_dense_sampling_spans_several_blocks():
     rng = random.Random(3)
-    epochs = [float(t) for t in range(4000) if rng.random() > 0.02]  # a few holes
+    epochs = [t * 1_000_000 for t in range(4000) if rng.random() > 0.02]  # a few holes
     values = [rng.uniform(225.0, 235.0) for _ in epochs]
     window = 600.0
     # widest window is 601 samples, so the rows need three or more blocks
     assert len(epochs) * 601 > 2 * MEDIAN_BLOCK_CELLS
-    half = window / 2.0
+    half = window * 500_000
     expected = []
     for t in epochs:
         lo = bisect.bisect_left(epochs, t - half)
@@ -1773,8 +1799,9 @@ def test_rolling_median_gives_statistics_median_bits_on_narrow_windows(pool):
         epochs = quarter_second_epochs([rng.randint(1, 8) for _ in range(rng.randint(1, 30))])
         values = [rng.choice(pool) for _ in epochs]
         window = rng.randint(0, 36) / 4
-        widest.add(max(bisect.bisect_right(epochs, t + window / 2)
-                       - bisect.bisect_left(epochs, t - window / 2) for t in epochs))
+        half = window * 500_000
+        widest.add(max(bisect.bisect_right(epochs, t + half)
+                       - bisect.bisect_left(epochs, t - half) for t in epochs))
         got = rolling_median(epochs, values, window)
         assert got.tobytes() == np.array(oracle_median(epochs, values, window)).tobytes()
     assert widest >= set(range(1, 10))
@@ -1787,7 +1814,7 @@ def test_rolling_median_with_a_nan_sorts_as_np_sort_does():
     epochs = quarter_second_epochs([rng.randint(1, 8) for _ in range(60)])
     values = [rng.choice((math.nan, 229.5, 230.0, 231.0, math.inf)) for _ in epochs]
     for window in (0.0, 3.0, 6.0, 20.0):
-        half = window / 2
+        half = window * 500_000
         bounds = [(bisect.bisect_left(epochs, t - half), bisect.bisect_right(epochs, t + half))
                   for t in epochs]
         want = []
@@ -1799,13 +1826,13 @@ def test_rolling_median_with_a_nan_sorts_as_np_sort_does():
 
 
 def integer_series(sensor_id, start, gaps):
-    """(series, epochs, values) at whole seconds start + cumulative gaps."""
+    """(series, epoch microseconds, values) at whole seconds start + cumulative gaps."""
     epochs = list(itertools.accumulate([start] + gaps))
     values = [200.0 + k for k in range(len(epochs))]
     samples = [
         (datetime.fromtimestamp(t, tz=UTC), v) for t, v in zip(epochs, values)
     ]
-    return VoltageSeries(sensor_id, samples), [float(t) for t in epochs], values
+    return VoltageSeries(sensor_id, samples), [t * 1_000_000 for t in epochs], values
 
 
 @settings(max_examples=200, deadline=None)
@@ -1821,38 +1848,87 @@ def test_align_matches_linear_scan(data):
     step = data.draw(st.sampled_from([60.0, 120.0, 90.0]))
     tol = data.draw(st.sampled_from([0.0, 30.0, 45.0, 60.0, 120.0]))
     (a, ea, va), (b, eb, vb) = sides
-    start, end = max(ea[0], eb[0]), min(ea[-1], eb[-1])
+    start, end = max(ea[0], eb[0]) / 1e6, min(ea[-1], eb[-1]) / 1e6
     ks = range(math.ceil(start / step - 1e-9), math.floor(end / step + 1e-9) + 1)
     if start > end or not ks:
         with pytest.raises(ValueError):
             align(a, b, step, tol)
         return
     grid, got_a, got_b = align(a, b, step, tol)
-    assert grid.tolist() == [k * step for k in ks]
+    assert grid.tolist() == [k * int(step) * 1_000_000 for k in ks]
     for t, x, y in zip(grid.tolist(), got_a.tolist(), got_b.tolist()):
         for got, epochs, values in ((x, ea, va), (y, eb, vb)):
-            want = oracle_nearest(epochs, values, t, tol)
+            want = oracle_nearest(epochs, values, t, tol * 1_000_000)
             assert (None if math.isnan(got) else got) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_grid_points_lie_in_their_bounds_up_to_rounding(data):
-    # whole-microsecond bounds within 2**52 us of 1970, any step from the
-    # least to far past the bounds, at most about 1000 points
-    step = data.draw(st.integers(-6, 19).flatmap(lambda e: st.floats(10.0**e, 10.0 ** (e + 1))))
-    start_us = data.draw(st.integers(-(2**52), 2**52))
-    end_us = start_us + data.draw(st.integers(0, min(10**12, int(step * 1e9))))
-    start, end = start_us / 1e6, end_us / 1e6
+def test_grid_points_are_every_multiple_of_the_step_in_their_bounds(data):
+    # whole-microsecond bounds in years 1-9999, any step from a microsecond
+    # to the cap, at most about 1000 points
+    step = data.draw(st.integers(0, 61).flatmap(lambda e: st.integers(1 << e, 2 << e)))
+    start = data.draw(st.integers(FIRST_US, LAST_US))
+    end = start + data.draw(st.integers(0, min(LAST_US - start, 1000 * step)))
     grid = timeseries.grid_points(start, end, step)
-    # a microsecond of slack, and the rounding of start / step and of k * step
-    rounding = 1e-6 + 4 * np.spacing(max(abs(start), abs(end)))
-    assert ((start - rounding <= grid) & (grid <= end + rounding)).all()
-    # where a slack of 1e-9 step alone gives points that all lie in
-    # [start, end], the grid is those points, bit for bit
-    ks = np.arange(math.ceil(start / step - 1e-9), math.floor(end / step + 1e-9) + 1)
-    if ((start <= ks * step) & (ks * step <= end)).all():
-        assert np.array_equal(grid, ks * step)
+    assert grid.dtype == np.int64
+    first = start + -start % step  # the least multiple at or after start
+    assert grid.tolist() == list(range(first, end + 1, step))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seconds=st.one_of(
+    st.floats(0.0, 1e308),
+    st.integers(0, 2**40).map(lambda us: us / 1e6),
+    st.integers(0, 2**20).map(lambda k: math.ldexp(2 * k + 1, -7)),  # k + 1/2 us
+))
+@example(seconds=math.ldexp(1, -7))  # 7812.5 us
+@example(seconds=math.ldexp(3, -7))  # 23437.5 us
+def test_whole_us_rounds_exactly_half_to_even_up_to_its_cap(seconds):
+    want = min(round(Fraction(seconds) * 1_000_000), timeseries.US_CAP)
+    assert timeseries.whole_us(seconds) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start_s=st.integers(0, 10**9),
+    tol_us=st.integers(1, 499_999),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_a_sample_exactly_the_tolerance_from_a_grid_point_is_paired(start_s, tol_us, sign):
+    # a reads on whole seconds and b tol_us from each of a's readings, so
+    # b's nearest sample to every grid point is exactly the tolerance away
+    start = T0 + timedelta(seconds=start_s)
+    offset = timedelta(microseconds=sign * tol_us)
+    data = {
+        "a": VoltageSeries("a", [(start + timedelta(seconds=k), 230.0) for k in range(4)]),
+        "b": VoltageSeries("b", [(start + timedelta(seconds=k) + offset, 229.0)
+                                 for k in range(4)]),
+    }
+    tolerance_s = tol_us / 1e6
+    grid, v_a, v_b = align(data["a"], data["b"], grid_step_s=1.0, tolerance_s=tolerance_s)
+    assert grid.size == 3
+    assert v_a.tolist() == [230.0] * 3 and v_b.tolist() == [229.0] * 3
+    chain = SensorChain(("a", "b"), grid_step_s=1.0, tolerance_s=tolerance_s,
+                        smoothing_window_s=0.0)
+    (curve,) = loss_curve(chain, data)
+    assert curve.timestamp_us.tolist() == grid.tolist()
+    assert not curve.flag_bits.any() and not np.isnan(curve.loss_fraction).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start_us=st.integers(FIRST_US, LAST_US - 2 * 10**12),
+    half_us=st.integers(1, 10**12),
+    values=st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3),
+)
+def test_rolling_median_takes_in_every_sample_exactly_half_the_window_away(
+    start_us, half_us, values
+):
+    epochs = [start_us, start_us + half_us, start_us + 2 * half_us]
+    got = rolling_median(epochs, values, window_s=2 * half_us / 1e6).tolist()
+    assert got == [statistics.median(values[:2]), statistics.median(values),
+                   statistics.median(values[1:])]
 
 
 def test_align_counts_samples_exactly_at_tolerance():
