@@ -25,9 +25,10 @@ three-field lines is cut into columns with str.split; from the first
 other block on (quoting, CR ends, another field count, or a line longer
 in bytes than csv.field_size_limit()), one csv.reader reads the rest.
 Both routes give the columns the same checks, once per block, and a
-failure names the first bad record as csv.reader numbers it.  One
-stable sort by (sensor, time) at the end drops repeated timestamps and
-cuts out the series.
+failure names the first bad record as csv.reader numbers it.  At the
+end a counting sort by sensor, then a stable sort by time of each sensor
+whose rows are out of order, drops repeated timestamps and cuts out the
+series.
 ``loss_curve`` smooths each sensor once, however many pairs it belongs
 to, and shares one grid's lookups and timestamp text between adjacent
 pairs by the one rule its docstring states.  The array kernels (rolling
@@ -445,7 +446,9 @@ def _splittable(raw: bytes) -> Optional[np.ndarray]:
     """Which lines of raw, a block's UTF-8 bytes, are blank, if raw has no quote, no
     CR, two commas on each other line and no line longer in bytes, its LF included,
     than csv.field_size_limit(); else None.  No byte of a multibyte character is
-    ASCII, and no field has more characters than its line has bytes."""
+    ASCII, and no field has more characters than its line has bytes.  Two commas on
+    each nonblank line is two per nonblank line in all, with each pair of commas, in
+    order, inside its own nonblank line: a linear check, with no search."""
     if b'"' in raw or b"\r" in raw:
         return None
     buf = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", dtype=np.uint8)
@@ -453,10 +456,12 @@ def _splittable(raw: bytes) -> Optional[np.ndarray]:
     widths = np.diff(ends, prepend=-1)
     if widths.max() > csv.field_size_limit():
         return None
-    commas = np.searchsorted(ends, np.flatnonzero(buf == ord(",")))
     blank = widths == 1
-    two = np.bincount(commas, minlength=ends.size) == 2 * ~blank
-    return blank if two.all() else None
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != 2 * (blank.size - np.count_nonzero(blank)):
+        return None
+    inside = (commas[0::2] > (ends - widths)[~blank]) & (commas[1::2] < ends[~blank])
+    return blank if inside.all() else None
 
 
 def _check_header(header: list) -> None:
@@ -473,7 +478,9 @@ class _Readings:
     A chunk is three arrays: sensor code (int32), epoch_us (int64) and
     volts (float64).  Codes number the stripped sensor ids as they first
     arrive, in the hash order of each chunk's new ids; no output depends
-    on the numbering, because series() ranks sensors by name.  Each add
+    on the numbering, because series() ranks sensors by name.  series()
+    sorts rows by rank, a radix sort up to 65,536 sensors, then by time
+    only a sensor whose rows run out of order, each sort stable.  Each add
     method takes the record number of its first record and returns the
     number of the record after its last; record 1 is the header.
     """
@@ -490,14 +497,12 @@ class _Readings:
         if blank.any():
             text = "\n".join(filter(None, text.split("\n")))
         fields = text.replace("\n", ",").split(",") if text else []
-        rows = np.flatnonzero(~blank)  # the line in the block of each row
-        if line == 1:
+        header = line == 1
+        if header:
             _check_header([] if blank[0] else fields[:3])
             del fields[:3]
-            rows = rows[1:]
-        self.add_columns(
-            fields[0::3], fields[1::3], fields[2::3], lambda k: line + int(rows[k])
-        )
+        self.add_columns(fields[0::3], fields[1::3], fields[2::3],
+                         lambda k: line + int(np.flatnonzero(~blank)[header + k]))
         return line + blank.size
 
     def add_reader(self, reader, line: int) -> int:
@@ -544,12 +549,17 @@ class _Readings:
         """
         n = len(ids)
         errors = []  # (row, check, message)
-        for raw in set(ids).difference(self.code_of):
-            sensor_id = raw.strip()
-            if sensor_id:
-                self.code_of[raw] = self.codes.setdefault(sensor_id, len(self.codes))
-            else:
-                errors.append((ids.index(raw), 0, "empty sensor_id"))
+        try:
+            codes = np.fromiter(map(self.code_of.__getitem__, ids), np.int32, n)
+        except KeyError:  # an id not seen before
+            for raw in set(ids).difference(self.code_of):
+                sensor_id = raw.strip()
+                if sensor_id:
+                    self.code_of[raw] = self.codes.setdefault(sensor_id, len(self.codes))
+                else:
+                    errors.append((ids.index(raw), 0, "empty sensor_id"))
+            if not errors:  # else an empty id has no code, and the chunk fails
+                codes = np.fromiter(map(self.code_of.__getitem__, ids), np.int32, n)
         epoch_of, messages = parse_timestamps(list(set(stamps).difference(self.epoch_of)))
         self.epoch_of.update(epoch_of)
         errors += [(stamps.index(text), 1, message) for text, message in messages.items()]
@@ -570,11 +580,7 @@ class _Readings:
             k, _, message = min(errors)
             raise SensorFormatError(message, line=line_of(k))
         self.chunks.append(
-            (
-                np.fromiter(map(self.code_of.__getitem__, ids), np.int32, n),
-                np.fromiter(map(self.epoch_of.__getitem__, stamps), np.int64, n),
-                volts,
-            )
+            (codes, np.fromiter(map(self.epoch_of.__getitem__, stamps), np.int64, n), volts)
         )
 
     def series(self, nominal_voltage: float) -> list:
@@ -582,25 +588,29 @@ class _Readings:
         if not self.chunks:
             return []
         names = sorted(self.codes)
-        rank = np.empty(len(names), dtype=np.int32)
+        rank = np.empty(len(names), np.uint16 if len(names) <= 1 << 16 else np.int32)
         rank[[self.codes[name] for name in names]] = np.arange(len(names))
-        code, epoch_us, volts = (np.concatenate(c) for c in zip(*self.chunks))
         # one column at a time from here, so the peak holds one spare copy
+        columns = [list(c) for c in zip(*self.chunks)]
         self.chunks.clear()
-        code = rank[code]
-        # lexsort is stable, so equal (sensor, time) keys stay in file order
-        order = np.lexsort((epoch_us, code))
+        code = rank[np.concatenate(columns.pop(0))]
+        order = np.argsort(code, kind="stable")  # each sensor's rows in file order
         code = code[order]
-        epoch_us = epoch_us[order]
-        volts = volts[order]
+        ends = np.cumsum(np.bincount(code, minlength=len(names)))
+        epoch_us = np.concatenate(columns.pop(0))[order]
+        back = (epoch_us[1:] < epoch_us[:-1]) & (code[1:] == code[:-1])
+        for k in set(code[1:][back].tolist()):  # a sensor with rows out of time order
+            run = slice(ends[k - 1] if k else 0, ends[k])
+            by_time = np.argsort(epoch_us[run], kind="stable")  # ties keep file order
+            epoch_us[run], order[run] = epoch_us[run][by_time], order[run][by_time]
+        volts = np.concatenate(columns.pop(0))[order]
         del order
         first = np.ones(code.size, dtype=bool)
         first[1:] = (code[1:] != code[:-1]) | (epoch_us[1:] != epoch_us[:-1])
         dropped = np.bincount(code[~first], minlength=len(names))
-        code = code[first]
         epoch_us = epoch_us[first]
         volts = volts[first]
-        bounds = np.searchsorted(code, np.arange(len(names) + 1))
+        bounds = [0, *(ends - np.cumsum(dropped)).tolist()]
         return [
             VoltageSeries.from_arrays(name, epoch_us[lo:hi], volts[lo:hi], nominal_voltage,
                                       int(dropped[k]))

@@ -79,6 +79,25 @@ def grid_points(start_us: int, end_us: int, step_us: int) -> np.ndarray:
     return np.arange(-(-start_us // step_us), end_us // step_us + 1, dtype=np.int64) * step_us
 
 
+def _window_bounds(epoch_us: np.ndarray, half: int) -> tuple:
+    """(first index, width) of each sample's window in strictly increasing
+    epoch_us, the samples at most half away: step s adds the neighbours s
+    places away, while any window grows.  Past NETWORK_WIDTH steps a window
+    is wider than the network sorts, and np.searchsorted finds them all."""
+    n = epoch_us.size
+    left, right = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    for s in range(1, n):
+        if s > NETWORK_WIDTH:
+            lo = np.searchsorted(epoch_us, epoch_us - half, side="left")
+            return lo, np.searchsorted(epoch_us, epoch_us + half, side="right") - lo
+        near = epoch_us[s:] - epoch_us[:-s] <= half
+        if not near.any():
+            break
+        left[s:] += near
+        right[:-s] += near
+    return np.arange(n) - left, left + right + 1
+
+
 def rolling_median(epoch_us, values, window_s: float) -> np.ndarray:
     """Centered time-windowed median, one output per sample.
 
@@ -90,6 +109,7 @@ def rolling_median(epoch_us, values, window_s: float) -> np.ndarray:
     is the identity.  Median rather than mean keeps single-sample
     telemetry glitches out of the curve.
 
+    _window_bounds finds the windows, by linear steps while they are narrow.
     A block of windows at most NETWORK_WIDTH wide is sorted by an odd-even
     transposition network, an np.minimum/np.maximum pair per step on whole
     columns, which sorts bit for bit as sorted() does when values that
@@ -106,8 +126,7 @@ def rolling_median(epoch_us, values, window_s: float) -> np.ndarray:
     out = np.empty(n)
     if n == 0:
         return out
-    lo = np.searchsorted(epoch_us, epoch_us - half, side="left")
-    width = np.searchsorted(epoch_us, epoch_us + half, side="right") - lo
+    lo, width = _window_bounds(epoch_us, half)
     signed_zero = np.signbit(values[values == 0]).any()
     nan = np.isnan(values).any()
     network = not (signed_zero or nan)

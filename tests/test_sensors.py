@@ -51,7 +51,8 @@ from voss.sensors import (
     rolling_median,
     write_loss_curve_csv,
 )
-from voss.timeseries import MEDIAN_BLOCK_CELLS, parse_canonical_us, parse_timestamps
+from voss.timeseries import FIRST_US, LAST_US, MEDIAN_BLOCK_CELLS, NETWORK_WIDTH, US_CAP
+from voss.timeseries import parse_canonical_us, parse_timestamps
 
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
@@ -531,6 +532,14 @@ def readings_files(draw):
     return data
 
 
+def outcome(read, path):
+    """read(path), or the line and message of its SensorFormatError."""
+    try:
+        return read(path)
+    except SensorFormatError as exc:
+        return exc.line, str(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=readings_files(), block_bytes=st.sampled_from([1, 7, 40, 1 << 16]))
 @example(  # a CR just before the byte ends its line, a CR just after it too
@@ -544,16 +553,59 @@ def test_ingest_matches_row_loop_reference(data, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "readings.csv"
         path.write_bytes(data)
-        try:
-            want = reference_ingest(path)
-        except SensorFormatError as exc:
-            want = (exc.line, str(exc))
+        want = outcome(reference_ingest, path)
         with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
-            try:
-                got = ingest_csv(path)
-            except SensorFormatError as exc:
-                got = (exc.line, str(exc))
+            got = outcome(ingest_csv, path)
     assert got == want
+
+
+def stamp_at(seconds):
+    """The canonical text of T0 plus seconds."""
+    return (T0 + timedelta(seconds=seconds)).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def many_ids_lines():
+    """65,537 sensor ids, more than 16-bit sort keys hold, in reverse name
+    order; the first three come back with a repeated and two earlier stamps."""
+    stamp = stamp_at(120)
+    lines = [f"s{k:05d},{stamp},230" for k in reversed(range(65_537))]
+    return lines + [f"s{k:05d},{stamp_at(s)},231" for k in range(3) for s in (120, 0, 60)]
+
+
+def backwards_lines():
+    """Three sensors whose rows run back in time over many blocks, each fifth
+    instant read again 40 rows, and some blocks, after its first reading."""
+    lines = [f"s{k},{stamp_at(7200 - 60 * m)},{230 + k + m % 5}"
+             for m in range(120) for k in range(3)]
+    for i in range(300, 0, -15):
+        lines.insert(i + 40, lines[i].rsplit(",", 1)[0] + ",999")
+    return lines
+
+
+def late_ids_lines(bad_rows):
+    """Two sensors over blocks of good rows, then in a later block a new id
+    and bad_rows after it."""
+    lines = [f"s{m % 2},{stamp_at(60 * m)},230" for m in range(150)]
+    return lines + [f"s9,{stamp_at(0)},230", *bad_rows, f"s1,{stamp_at(0)},230"]
+
+
+@pytest.mark.parametrize(
+    "lines,block_bytes",
+    [
+        (many_ids_lines(), sensors.INGEST_BLOCK_BYTES),
+        (backwards_lines(), 200),
+        (late_ids_lines([f" ,{stamp_at(0)},230", "s1,later,230"]), 1024),
+        (late_ids_lines(["s1,later,230", f" ,{stamp_at(0)},230"]), 1024),
+    ],
+    ids=["65537-ids", "backwards-over-blocks", "empty-id-first", "bad-stamp-first"],
+)
+def test_ingest_sorts_and_fails_as_the_row_loop_reference(tmp_path, lines, block_bytes):
+    path = tmp_path / "readings.csv"
+    path.write_text("\n".join(["sensor_id,timestamp,voltage_v", *lines]) + "\n")
+    with mock.patch.object(sensors, "INGEST_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(sensors.csv, "reader", side_effect=AssertionError):
+            got = outcome(ingest_csv, path)
+    assert got == outcome(reference_ingest, path)
 
 
 @settings(max_examples=500, deadline=None)
@@ -740,6 +792,32 @@ def test_splittable_answers_on_the_part_before_an_undecodable_byte(tmp_path):
         (text, raw), = blocks
     assert blocks.undecodable and raw == text.encode() and text.count("\n") == 3
     assert sensors._splittable(raw).tolist() == splittable_by_text(text)
+
+
+splittable_lines = st.lists(
+    st.one_of(
+        st.just(""),
+        st.lists(st.text("a\u00e9 ", max_size=4), min_size=1, max_size=5).map(",".join),
+        st.text('a,"\r', max_size=6),  # a quote or a CR
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=splittable_lines, final_lf=st.booleans(), limit=st.integers(4, 24))
+def test_splittable_counts_the_commas_line_by_line(lines, final_lf, limit):
+    # lines of 0-4 commas, blank lines, an unended last line, a quote or a CR,
+    # and lines past a small csv.field_size_limit()
+    text = "\n".join(lines) + "\n" * final_lf
+    shipped = csv.field_size_limit(limit)
+    try:
+        got = sensors._splittable(text.encode())
+        want = splittable_by_text(text)
+    finally:
+        csv.field_size_limit(shipped)
+    assert (got if got is None else got.tolist()) == want
 
 
 # ----------------------------------------------------- series and chains
@@ -1823,6 +1901,22 @@ def test_rolling_median_with_a_nan_sorts_as_np_sort_does():
             mid = (hi - lo) // 2
             want.append(block[mid] if (hi - lo) % 2 else (block[mid - 1] + block[mid]) / 2)
         assert rolling_median(epochs, values, window).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gaps=st.lists(st.integers(1, 2000) | st.integers(1, 10**12), max_size=30),
+    start=st.sampled_from([FIRST_US, 0, LAST_US - 30 * 10**12]),
+    half=st.integers(0, 10_000) | st.sampled_from([10**12, US_CAP]),
+)
+@example(gaps=[1] * 20, start=0, half=100)  # every window 20 wide: np.searchsorted
+@example(gaps=[1] * (NETWORK_WIDTH - 1), start=0, half=US_CAP)  # few samples, all in each window
+def test_stepped_window_bounds_are_searchsorteds(gaps, start, half):
+    epoch_us = np.array(list(itertools.accumulate([start] + gaps)), dtype=np.int64)
+    lo = np.searchsorted(epoch_us, epoch_us - half, side="left")
+    width = np.searchsorted(epoch_us, epoch_us + half, side="right") - lo
+    got = timeseries._window_bounds(epoch_us, half)
+    assert [a.tolist() for a in got] == [lo.tolist(), width.tolist()]
 
 
 def integer_series(sensor_id, start, gaps):
