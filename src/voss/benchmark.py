@@ -118,11 +118,10 @@ def _compare_path(solution: PowerFlowSolution, paths: Sequence,
                 phases.append(ph)
                 members.append(member)
     head, tail = [m[0] for m in members], [m[-1] for m in members]
-    dissipated = slots.s_from - slots.s_to
-    lost = dissipated[head]
+    lost = slots.dissipated[head]
     for j in range(1, max(map(len, members), default=1)):
         deep = [k for k, m in enumerate(members) if len(m) > j]
-        lost[deep] += dissipated[[members[k][j] for k in deep]]
+        lost[deep] += slots.dissipated[[members[k][j] for k in deep]]
     v1, v2, s_in = slots.v_from[head], slots.v_to[tail], slots.s_from[head]
     near_zero_va = NEAR_ZERO_POWER_FRACTION * solution.model.base.power_kva * 1e3
     with np.errstate(all="ignore"):

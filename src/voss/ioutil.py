@@ -1,4 +1,4 @@
-"""Small shared helpers: the JSON number, count and memory rules, and deterministic CSV output."""
+"""Small shared helpers: number, count, text, exact-cast and memory rules; deterministic CSV."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import math
 import numbers
 import os
 from typing import Optional
+
+import numpy as np
 
 # Shortest round-trippable-ish decimal form, stable across runs; every
 # float cell of an output CSV is written with it.
@@ -39,11 +41,37 @@ def json_number(value) -> Optional[float]:
         return math.inf if value > 0 else -math.inf
 
 
-def check_count(name: str, value):
-    """value, if it is an integer (a numpy one too, never a bool) >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+def check_count(name: str, value, least: int = 1):
+    """value, if it is an integer (a numpy one too, never a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
     return value
+
+
+def check_text(name: str, value):
+    """value, if it is a nonempty str."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a nonempty string, got {value!r}")
+    return value
+
+
+def exact_array(name: str, value, dtype) -> np.ndarray:
+    """value as a new array of dtype, each number as it is; a ValueError naming
+    the column refuses a non-number (a bool too) and a number dtype cannot hold."""
+    given = np.array(value)  # never the caller's array
+    if given.dtype == dtype:
+        return given
+    if given.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold {np.dtype(dtype)} numbers, got {given.dtype} values")
+    wide = given.astype(given.dtype.kind + "8")  # int64, uint64 or float64 holds given
+    with np.errstate(all="ignore"):  # kept if it casts back to itself (NaN too) with its sign
+        kept = wide.astype(dtype)
+        lost = np.flatnonzero(((kept.astype(wide.dtype) != wide) & ~np.isnan(kept))
+                              | ((kept < 0) != (wide < 0)))
+    if lost.size:
+        raise ValueError(f"{name} must hold {np.dtype(dtype)} numbers, "
+                         f"got {given.flat[lost[0]]} at index {lost[0]}")
+    return kept
 
 
 @contextlib.contextmanager

@@ -188,22 +188,26 @@ class _Lazy(Mapping):
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
+    """A converged solve: the feeder, its settled _Network, the mismatch
+    after each sweep, the collapse flags and the complex VA totals at the
+    converged voltages.  Every other read is a view of those."""
+
     model: FeederModel
-    node_voltages: Mapping  # node id -> dict phase -> complex volts (L-N)
-    node_base_v: dict  # node id -> nominal L-N volts
-    segment_flows: Mapping  # segment id -> SegmentFlow
-    iterations: int
-    max_mismatch: float
-    flags: tuple = ()
-    trace: tuple = ()  # mismatch after each sweep; the last is max_mismatch
-    # complex VA totals at the converged voltages, for balance checks
-    total_source_va: complex = 0j
-    total_load_va: complex = 0j
-    total_shunt_va: complex = 0j
-    total_loss_va: complex = 0j
-    # the settled _Network whose arrays node_voltages and segment_flows
-    # build their entries from
-    slots: Optional[_Network] = field(default=None, repr=False, compare=False)
+    slots: _Network = field(repr=False, compare=False)
+    trace: tuple  # mismatch after each sweep
+    flags: tuple
+    total_source_va: complex
+    total_load_va: complex
+
+    iterations = property(lambda self: len(self.trace))
+    max_mismatch = property(lambda self: self.trace[-1])
+    node_base_v = property(lambda self: self.slots.bases)  # node id -> nominal L-N volts
+    total_shunt_va = property(lambda self: self.slots.shunt_va)
+    total_loss_va = property(lambda self: self.slots.loss())
+    # node id -> dict phase -> complex volts (L-N), in model order
+    node_voltages = property(lambda self: _Lazy(self.model._node_by_id, self.slots.voltages))
+    # segment id -> SegmentFlow, in BFS order
+    segment_flows = property(lambda self: _Lazy(self.slots.segments, self.slots.flow))
 
     def voltage(self, node_id: str, phase: str) -> complex:
         return self.node_voltages[node_id][phase]
@@ -262,7 +266,7 @@ class _Network:
         self.n_source = n = len(phases[src])
         up, k, base = [0] * n, [1.0] * n, [bases[src]] * n
         ends, by_width = [n], {}  # ends: the first slot past each level
-        self.links = []  # (segment, first slot of its to node), BFS order
+        self.segments = {}  # segment id -> segment, BFS order
         for level in model._levels:
             for seg in level:
                 at, width, kind, frm = len(up), len(seg.phases), seg.kind, seg.from_node
@@ -275,7 +279,7 @@ class _Network:
                 up += [at_from + upstream.index(p) for p in seg.phases]
                 k += taps
                 base += [b] * width
-                self.links.append((seg, at))
+                self.segments[seg.id] = seg
                 phases[seg.to_node], bases[seg.to_node], first[seg.to_node] = seg.phases, b, at
                 rows, segs = by_width.setdefault(width, ([], []))
                 rows.append(at)
@@ -283,10 +287,13 @@ class _Network:
             ends.append(len(up))
         self.n_slots = len(up)
         self.up, self.k, self.base = np.array(up), np.array(k), np.array(base)
+        # each node phase's slot, in model order and each node's own phase order
+        self.node_rows = np.array([first[n.id] + phases[n.id].index(ph)
+                                   for n in model.nodes for ph in n.phases], dtype=int)
         # the non-source slots, whose updates the mismatch compares
         self.changed, self.changed_base = slice(n, self.n_slots), self.base[n:]
         self.link_of_slot = np.repeat(
-            np.arange(len(self.links)), [len(seg.phases) for seg, _ in self.links]
+            np.arange(len(self.segments)), [len(seg.phases) for seg in self.segments.values()]
         )
         self.z_groups = [(np.array(rows)[:, None] + np.arange(width), _stacked_z(segs))
                          for width, (rows, segs) in by_width.items()]
@@ -453,11 +460,11 @@ class _Network:
         s = self.changed
         return float((np.abs(v[s] - before[s]) / self.changed_base).max(initial=0.0))
 
-    def settle(self, model: FeederModel, v: np.ndarray, i: np.ndarray) -> None:
+    def settle(self, v: np.ndarray, i: np.ndarray) -> None:
         """Keep the state: ``v`` at every slot, and per link row r (slot
-        ``n_source + r``) its v_from, v_to, i_from, i_to, s_from and s_to;
-        and ``node_rows``, the slot of each node phase in model order, each
-        node's phases in the node's own order."""
+        ``n_source + r``) its v_from, v_to, i_from, i_to, s_from and s_to,
+        and ``dissipated``, its series loss ``s_from - s_to``: the one
+        column the loss total and the studies' true loss read."""
         s = slice(self.n_source, self.n_slots)
         self.v, self.v_from, self.v_to, self.i_to = v, v[self.up[s]], v[s], i[s]
         self.i_from = self.i_to * self.k[s]
@@ -465,8 +472,7 @@ class _Network:
         # and swap the factors, which changes the last bit
         self.s_from = np.multiply(self.v_from, np.conj(self.i_from))
         self.s_to = np.multiply(self.v_to, np.conj(self.i_to))
-        self.node_rows = np.array([self.first[n.id] + self.phases[n.id].index(ph)
-                                   for n in model.nodes for ph in n.phases], dtype=int)
+        self.dissipated = self.s_from - self.s_to
 
     def rows(self, seg) -> range:
         """The link rows of a segment, in its phase order."""
@@ -488,8 +494,8 @@ class _Network:
 
     def loss(self) -> complex:
         """Total series loss, summed per link and then in BFS order."""
-        loss = np.zeros(len(self.links), dtype=complex)
-        np.add.at(loss, self.link_of_slot, self.s_from - self.s_to)
+        loss = np.zeros(len(self.segments), dtype=complex)
+        np.add.at(loss, self.link_of_slot, self.dissipated)
         return sum(loss.tolist(), 0j)
 
     def drawn(self, v: np.ndarray, e: np.ndarray) -> list:
@@ -530,7 +536,7 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
     # one more backward pass so currents are consistent with the
     # converged voltages, then assemble flows and totals
     e = net.injections(v)
-    net.settle(model, v, net.currents(e))
+    net.settle(v, net.currents(e))
     src = model.source.node
     total_source = sum((sum(net.flow(s).s_from) for s in model.segments_from(src)), 0j)
     total_load = 0j
@@ -549,18 +555,11 @@ def solve(model: FeederModel, options: SolveOptions = SolveOptions()) -> PowerFl
 
     return PowerFlowSolution(
         model=model,
-        node_voltages=_Lazy(model._node_by_id, net.voltages),
-        node_base_v=net.bases,
-        segment_flows=_Lazy({seg.id: seg for seg, _ in net.links}, net.flow),
-        iterations=iterations,
-        max_mismatch=mismatch,
-        flags=tuple(f"{flag}:{names[j]}" for j in low.tolist()),
+        slots=net,
         trace=tuple(trace),
+        flags=tuple(f"{flag}:{names[j]}" for j in low.tolist()),
         total_source_va=total_source,
         total_load_va=total_load,
-        total_shunt_va=net.shunt_va,
-        total_loss_va=net.loss(),
-        slots=net,
     )
 
 

@@ -17,18 +17,14 @@ timeseries.whole_us, so every comparison of times is exact.  The
 object views (``VoltageSeries.samples``, ``LossCurve.points``) are
 built only when read.
 
-Ingest (the file format and its two routes are in
-docs/sensor_chain_schema.md) reads the file in blocks of about
-INGEST_BLOCK_BYTES cut at line ends, and decodes each block itself, so
-an undecodable byte is reported with its line.  A block of plain
-three-field lines is cut into columns with str.split; from the first
-other block on (quoting, CR ends, another field count, or a line longer
-in bytes than csv.field_size_limit()), one csv.reader reads the rest.
-Both routes give the columns the same checks, once per block, and a
-failure names the first bad record as csv.reader numbers it.  At the
-end a counting sort by sensor, then a stable sort by time of each sensor
-whose rows are out of order, drops repeated timestamps and cuts out the
-series.
+Ingest (file format and routes in docs/sensor_chain_schema.md) reads
+the file in blocks of about INGEST_BLOCK_BYTES cut at line ends, and
+decodes each block itself, so an undecodable byte is reported with its
+line.  A block of plain three-field lines is cut into columns with
+str.split; from the first other block on (see _splittable), one
+csv.reader reads the rest.  Both routes give the columns the same
+checks, once per block, and a failure names the first bad record as
+csv.reader numbers it.
 ``loss_curve`` smooths each sensor once, however many pairs it belongs
 to, and shares one grid's lookups and timestamp text between adjacent
 pairs by the one rule its docstring states.  The array kernels (rolling
@@ -40,11 +36,12 @@ Each setting has one rule: _check_scale (nominal voltage and calibration,
 finite and > 0), timeseries.check_seconds (window, grid step, tolerance),
 estimator.check_rho for rho_s.  Each reads its value through
 ioutil.json_number, so a bool or a string is not a number.  A chain's
-settings are checked where it is built, in SensorChain, whose fields
-give the chain config's keys, defaults and rules; parse_chain_config
-checks only the JSON form.  rolling_median and align apply the time
-rules to their own arguments.  A VoltageSeries and a LossCurve check
-their own rules (see their docstrings) however they are built.
+settings and sensor ids are checked where it is built, in SensorChain,
+whose fields give the chain config's keys, defaults and rules;
+parse_chain_config checks only the JSON form.  rolling_median and align
+apply the time rules to their own arguments.  A VoltageSeries and a
+LossCurve check their own rules (see their docstrings) however they are
+built, their columns cast exactly.
 
 Scaling both series of a pair by the same factor leaves the curve
 unchanged; for power-of-two factors the output is bit-identical, since
@@ -70,7 +67,8 @@ from typing import Optional
 import numpy as np
 
 from .estimator import EstimateFlag, check_ends, check_rho, first_broken_rule, voss_estimate
-from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, in_memory, json_number, open_output
+from .ioutil import FLOAT_FORMAT, NOT_IN_FILE_NAMES, check_count, check_text, exact_array
+from .ioutil import in_memory, json_number, open_output
 from .ioutil import write_csv  # noqa: F401  (bench/tracing.py wraps this name)
 from .timeseries import FIRST_US, LAST_US, check_seconds, datetime_to_us, grid_points
 from .timeseries import nearest_index, parse_timestamps, rolling_median, us_to_datetime, whole_us
@@ -158,12 +156,12 @@ class _ArrayRecord:
     """Base of the frozen dataclasses that keep their data in _array fields."""
 
     def __post_init__(self) -> None:
-        """Make each array field a read-only numpy array of its dtype, and
-        check that they are 1-D columns of one length."""
+        """Make each array field a read-only copy of its dtype, cast exactly,
+        and check that they are 1-D columns of one length."""
         shapes = {}
         for f in fields(self):
             if "dtype" in f.metadata:
-                value = np.array(getattr(self, f.name), dtype=f.metadata["dtype"])
+                value = exact_array(f.name, getattr(self, f.name), f.metadata["dtype"])
                 value.flags.writeable = False
                 object.__setattr__(self, f.name, value)
                 shapes[f.name] = value.shape
@@ -192,10 +190,11 @@ class VoltageSeries(_ArrayRecord):
     (float64); samples gives the (UTC datetime, volts) pairs back, and
     gaps are simply missing entries.  The constructor takes (aware
     datetime, volts) pairs and from_arrays the two columns; either way
-    the series meets one rule set: a nonempty sensor_id, nominal_voltage
-    finite and > 0, epoch_us in years 1-9999 and strictly increasing,
-    and every reading finite and >= 0.  A failure names the sensor and
-    the instant (in UTC, when in years 1-9999).
+    the series meets one rule set: a nonempty str sensor_id, an integer
+    duplicates_dropped >= 0, nominal_voltage finite and > 0, epoch_us in
+    years 1-9999 and strictly increasing, and every reading finite and
+    >= 0.  A failure names the sensor and the instant (in UTC, when in
+    years 1-9999).
     """
 
     sensor_id: str
@@ -227,8 +226,8 @@ class VoltageSeries(_ArrayRecord):
         for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
         super().__post_init__()
-        if not self.sensor_id:
-            raise ValueError("sensor_id must be nonempty")
+        check_text("sensor_id", self.sensor_id)
+        check_count("duplicates_dropped", self.duplicates_dropped, 0)
         _check_scale("nominal_voltage", self.nominal_voltage)
         outside = np.flatnonzero((self.epoch_us < FIRST_US) | (self.epoch_us > LAST_US))
         if outside.size:
@@ -296,7 +295,8 @@ class SensorChain:
     smoothing_window_s: float = _setting(SMOOTHING_WINDOW_S, check_seconds, "window_s")
 
     def __post_init__(self) -> None:
-        ids, keep = self.sensor_ids, partial(object.__setattr__, self)
+        keep = partial(object.__setattr__, self)
+        keep("sensor_ids", ids := tuple(check_text("sensor id", sid) for sid in self.sensor_ids))
         if len(ids) < 2:
             raise ValueError("a chain needs at least two sensors")
         if len(set(ids)) != len(ids):
@@ -318,7 +318,7 @@ class SensorChain:
         for up, down, _ in self.pairs():
             name = _CURVE_FILE.format(up, down)
             for sid in (up, down):
-                if not NOT_IN_FILE_NAMES.isdisjoint(str(sid)):
+                if not NOT_IN_FILE_NAMES.isdisjoint(sid):
                     raise ValueError(f"sensor id {sid!r} holds a path separator or NUL, "
                                      f"so {name!r} would not be a file of the output directory")
             if name in files:
@@ -862,10 +862,10 @@ def parse_chain_config(path) -> SensorChain:
     if unknown:
         raise SensorFormatError(f"{path}: unknown keys {unknown}")
     sensors = data.get("sensors")
-    if not (isinstance(sensors, list) and sensors
-            and all(isinstance(s, str) and s for s in sensors)):
-        raise SensorFormatError(f"{path}: 'sensors' must be a nonempty list of sensor ids")
-    adjacent = {pair: i for i, pair in enumerate(zip(sensors, sensors[1:]))}
+    if not isinstance(sensors, list):
+        raise SensorFormatError(f"{path}: 'sensors' must be a list")
+    adjacent = {pair: i for i, pair in enumerate(zip(sensors, sensors[1:]))
+                if all(isinstance(s, str) for s in pair)}  # SensorChain refuses other ids
     rho_s: list = [None] * (len(sensors) - 1)  # a pair's entry sets its rho_s, never None
     pairs = data.get("pairs", [])
     if not isinstance(pairs, list):

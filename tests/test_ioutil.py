@@ -1,14 +1,17 @@
 """Deterministic CSV output helpers."""
 
 import csv
+import math
 import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voss.ioutil import write_csv
+from voss.ioutil import exact_array, write_csv
 
 
 def test_overwriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
@@ -67,3 +70,24 @@ def test_write_csv_matches_csv_writer(table):
             writer.writerow(header)
             writer.writerows(rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "value,dtype,shown",
+    [([2**70], np.int64, "object values"), ([2**63 - 1], np.float64, "9223372036854775807"),
+     ([0.0, math.nan], np.int64, "nan at index 1"), ([256], np.uint8, "256 at index 0"),
+     (np.array([2**63], dtype=np.uint64), np.int64, "9223372036854775808 at index 0"),
+     (["5"], np.int64, "<U1 values"), ([None], np.float64, "object values")],
+)
+def test_exact_array_refuses_what_its_dtype_cannot_hold(value, dtype, shown):
+    with pytest.raises(ValueError, match=f"^x must hold {np.dtype(dtype)} numbers, got {shown}"):
+        exact_array("x", value, dtype)
+
+
+def test_exact_array_keeps_every_exact_value_in_a_new_array():
+    given = np.array([1.0, -2.0, 2.0**62])
+    got = exact_array("x", given, np.int64)
+    assert got.dtype == np.int64 and got.tolist() == [1, -2, 2**62]
+    same = exact_array("x", given, np.float64)
+    assert same.tolist() == given.tolist() and not np.shares_memory(same, given)
+    assert np.isnan(exact_array("x", np.array([math.nan], np.float32), np.float64)).all()

@@ -7,7 +7,8 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from voss.feeder import (
 )
 from voss.powerflow import (
     PowerFlowError,
+    PowerFlowSolution,
     SolveOptions,
     loss_from_currents,
     solve,
@@ -808,6 +810,67 @@ def test_estimator_identities_hold_on_every_line_of_random_feeders(doc):
                 assert row.c_hat == 1.0 and row.voss_corrected == row.voss_single
 
 
+def test_a_solution_stores_only_what_the_solve_computes(solved13):
+    stored = {f.name: getattr(solved13, f.name) for f in fields(solved13)}
+    assert list(stored) == ["model", "slots", "trace", "flags", "total_source_va",
+                            "total_load_va"]
+    again = PowerFlowSolution(**stored)
+    assert (again.iterations, again.max_mismatch) == (len(stored["trace"]), stored["trace"][-1])
+    assert again.node_base_v is solved13.slots.bases
+    assert again.total_shunt_va == solved13.slots.shunt_va
+    assert again.total_loss_va == solved13.slots.loss()
+    assert list(again.node_voltages) == [n.id for n in solved13.model.nodes]
+    assert list(again.segment_flows) == [s.id for s in solved13.model.bfs_segments()]
+    for name in ("iterations", "max_mismatch", "node_base_v", "total_shunt_va",
+                 "total_loss_va", "node_voltages", "segment_flows"):
+        with pytest.raises(TypeError):
+            PowerFlowSolution(**stored, **{name: getattr(solved13, name)})
+        with pytest.raises(AttributeError):
+            setattr(again, name, getattr(solved13, name))
+    with pytest.raises(TypeError):  # the settled network is required
+        PowerFlowSolution(**{k: v for k, v in stored.items() if k != "slots"})
+
+
+def assert_loss_is_one_column(model, sol):
+    """The settled network's dissipated column is s_from - s_to bit for bit,
+    and the loss total and both studies' true loss read it: doubling the
+    column doubles each of them exactly."""
+    slots = sol.slots
+    assert slots.dissipated.tobytes() == (slots.s_from - slots.s_to).tobytes()
+    root = model.source.node
+    paths = [(root, node.id) for node in model.nodes if node.id != root]
+
+    def losses():
+        rows = run_single_segment_study(model, solution=sol)
+        rows += run_multi_segment_study(model, paths, solution=sol)
+        return sol.total_loss_va, np.array([row.true_loss for row in rows])
+
+    total, true_loss = losses()
+    kept = slots.dissipated
+    slots.dissipated = kept * 2.0
+    try:
+        doubled_total, doubled = losses()
+    finally:
+        slots.dissipated = kept
+    assert doubled_total == 2.0 * total
+    assert np.array_equal(doubled, 2.0 * true_loss, equal_nan=True)
+
+
+@pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])
+def test_bundled_series_loss_is_one_column(request, feeder):
+    model = request.getfixturevalue(feeder)
+    assert_loss_is_one_column(model, solve(split_distributed_loads_to_ends(model)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(radial_feeders())
+def test_random_series_loss_is_one_column(doc):
+    model = parse_feeder_dict(doc)
+    for rewrite in REWRITES:
+        spot = rewrite(model)
+        assert_loss_is_one_column(spot, solve(spot, RESIDUAL))
+
+
 # Sweep oracle: the sweep as every level ran before the per-level choice,
 # one np.add.at over the level's links in reversed BFS order going up and
 # one v_to = v_from * k - drop going down, with Z stacked from z_total().
@@ -828,7 +891,8 @@ class _OracleNetwork(powerflow._Network):
     def __init__(self, model):
         super().__init__(model)
         by_width = {}
-        for seg, at in self.links:
+        for seg in model.bfs_segments():
+            at = self.first[seg.to_node]
             rows, zs = by_width.setdefault(len(seg.phases), ([], []))
             rows.append(range(at, at + len(seg.phases)))
             zs.append(seg.z_total())
@@ -955,8 +1019,9 @@ def _bits(x):
 
 
 def _oracle_solve(model, options=SolveOptions()):
-    """The solve as it assembled its solution before the state arrays: one
-    SegmentFlow and one node dict per element, on the oracle sweep."""
+    """The values the solve assembled before the state arrays, by the names
+    a solution reads them by: one SegmentFlow and one node dict per element,
+    on the oracle sweep."""
     net = _OracleNetwork(model)
     v = net.flat_start(model.source)
     trace = []
@@ -974,12 +1039,13 @@ def _oracle_solve(model, options=SolveOptions()):
     i_from = i_to * net.k[s]
     s_from = np.multiply(v_from, np.conj(i_from))
     s_to = np.multiply(v[s], np.conj(i_to))
-    loss = np.zeros(len(net.links), dtype=complex)
+    loss = np.zeros(len(model.segments), dtype=complex)
     np.add.at(loss, net.link_of_slot, s_from - s_to)
     cols = [x.tolist() for x in (v_from, v[s], i_from, i_to, s_from, s_to)]
     flows = {}
-    for seg, at in net.links:
-        r = slice(at - net.n_source, at - net.n_source + len(seg.phases))
+    for seg in model.bfs_segments():
+        at = net.first[seg.to_node] - net.n_source
+        r = slice(at, at + len(seg.phases))
         flows[seg.id] = powerflow.SegmentFlow(seg.id, seg.phases, *(tuple(c[r]) for c in cols))
     src = model.source.node
     total_source = sum((sum(flows[s.id].s_from) for s in model.segments_from(src)), 0j)
@@ -997,9 +1063,11 @@ def _oracle_solve(model, options=SolveOptions()):
         node_voltages[n.id] = {ph: by_phase[ph] for ph in n.phases}
         flags += [f"{EstimateFlag.VOLTAGE_COLLAPSE_SUSPECT.value}:{n.id}.{ph}"
                   for ph in n.phases if abs(by_phase[ph]) < 0.5 * net.bases[n.id]]
-    return powerflow.PowerFlowSolution(
-        model, node_voltages, net.bases, flows, iterations, trace[-1], tuple(flags),
-        tuple(trace), total_source, total_load, net.shunt_va, sum(loss.tolist(), 0j))
+    return SimpleNamespace(
+        node_voltages=node_voltages, node_base_v=net.bases, segment_flows=flows,
+        iterations=iterations, max_mismatch=trace[-1], flags=tuple(flags), trace=tuple(trace),
+        total_source_va=total_source, total_load_va=total_load, total_shunt_va=net.shunt_va,
+        total_loss_va=sum(loss.tolist(), 0j))
 
 
 def assert_sweeps_match_the_oracle(model, sweeps):
@@ -1131,7 +1199,8 @@ def assert_levels_follow_node_depth(model):
         at += len(seg.phases)
         ends[-1] = at
     assert [(lo, hi) for lo, hi, *_ in net.levels] == list(zip([net.n_source] + ends, ends))
-    assert [seg for seg, _ in net.links] == model.bfs_segments()
+    assert list(net.segments.values()) == model.bfs_segments()
+    assert list(net.segments) == [seg.id for seg in model.bfs_segments()]
 
 
 @pytest.mark.parametrize("feeder", ["ieee13", "ieee34", "ieee34_stressed"])

@@ -833,7 +833,7 @@ def test_series_rejects_disordered_or_bad_samples():
         VoltageSeries("s", ((T0, -1.0),))
     with pytest.raises(ValueError, match="nominal_voltage"):
         VoltageSeries("s", (), nominal_voltage=0.0)
-    with pytest.raises(ValueError, match="sensor_id must be nonempty"):
+    with pytest.raises(ValueError, match="sensor_id must be a nonempty string, got ''"):
         VoltageSeries("", ())
 
 
@@ -934,6 +934,60 @@ def test_flag_bits_past_the_flag_names_fail_on_construction():
         replace(curve, flag_bits=[0, 16])
     with pytest.raises(ValueError, match="^flag_bits must be below 16, got 255 at index 0$"):
         LossCurve("a", "b", [0], [0.1], np.array([255]))
+
+
+def test_record_columns_are_cast_exactly_or_refused():
+    cases = [
+        (lambda: VoltageSeries.from_arrays("s", [0.5, 1.7, 2.9], [1.0, 2.0, 3.0]),
+         "epoch_us must hold int64 numbers, got 0.5 at index 0"),
+        (lambda: VoltageSeries.from_arrays("s", [0, 1e30], [1.0, 2.0]),
+         "epoch_us must hold int64 numbers, got 1e+30 at index 1"),
+        (lambda: VoltageSeries.from_arrays("s", [0, 1], [1, 2**53 + 1]),
+         "volts must hold float64 numbers, got 9007199254740993 at index 1"),
+        (lambda: LossCurve("a", "b", [0.9], [0.1], [1.5]),
+         "timestamp_us must hold int64 numbers, got 0.9 at index 0"),
+        (lambda: LossCurve("a", "b", [0], [0.1], [1.5]),
+         "flag_bits must hold uint8 numbers, got 1.5 at index 0"),
+        (lambda: LossCurve("a", "b", [0], [0.1], [-1]),
+         "flag_bits must hold uint8 numbers, got -1 at index 0"),
+        (lambda: LossCurve("a", "b", [1e30], [0.1], [0]),
+         "timestamp_us must hold int64 numbers, got 1e+30 at index 0"),
+        (lambda: LossCurve("a", "b", [0], ["0.1"], [0]),
+         "loss_fraction must hold float64 numbers, got <U3 values"),
+        (lambda: LossCurve("a", "b", [0], [0.1], [True]),
+         "flag_bits must hold uint8 numbers, got bool values"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    # exact values of another dtype are kept, and the record owns its copy
+    epoch_us = np.array([0.0, 120e6])
+    series = VoltageSeries.from_arrays("s", epoch_us, np.array([230, 231], dtype=np.int32))
+    assert series.epoch_us.dtype == np.int64 and series.epoch_us.tolist() == [0, 120_000_000]
+    assert series.volts.tolist() == [230.0, 231.0]
+    assert not np.shares_memory(series.epoch_us, epoch_us)
+    volts = np.array([230.0, 231.0])
+    assert not np.shares_memory(VoltageSeries.from_arrays("s", [0, 1], volts).volts, volts)
+    curve = LossCurve("a", "b", [0], np.array([math.nan], dtype=np.float32), [15.0])
+    assert math.isnan(curve.loss_fraction[0]) and curve.flag_bits.tolist() == [15]
+
+
+def test_sensor_ids_are_the_records_rule():
+    for ids, shown in ((("", "b"), "''"), ((1, 2), "1"), (("a", None), "None"),
+                       ((["a"], "b"), "['a']")):
+        message = f"sensor id must be a nonempty string, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SensorChain(ids)
+    # the id rule comes before the duplicate test
+    with pytest.raises(ValueError, match="^sensor id must be a nonempty string, got ''$"):
+        SensorChain(("", ""))
+    with pytest.raises(ValueError, match="^sensor_id must be a nonempty string, got 7$"):
+        VoltageSeries.from_arrays(7, [1, 2], [1.0, 2.0])
+    for dropped in (-5, 1.5, True):
+        with pytest.raises(ValueError, match=f"^duplicates_dropped must be an integer >= 0, "
+                                             f"got {dropped}$"):
+            VoltageSeries.from_arrays("s", [1, 2], [1.0, 2.0], duplicates_dropped=dropped)
+    assert VoltageSeries("s", (), duplicates_dropped=np.int64(3)).duplicates_dropped == 3
 
 
 def test_a_built_chains_calibration_is_read_only_and_left_out_of_its_hash():
@@ -1410,7 +1464,9 @@ def test_chain_config_checks_in_its_documented_order(tmp_path, edit, message):
     "edit,needle",
     [
         (lambda d: d.update({"extra": 1}), "unknown keys"),
-        (lambda d: d.update({"sensors": []}), "nonempty list"),
+        (lambda d: d.update({"sensors": "a,b,c"}), "'sensors' must be a list$"),
+        (lambda d: d["sensors"].append(""), "sensor id must be a nonempty string, got ''$"),
+        (lambda d: d["sensors"].append(["d"]), r"sensor id must be a nonempty string, got \['d'\]$"),
         (
             lambda d: d.update({"sensors": ["a"], "pairs": [], "calibration": {}}),
             "two sensors",
